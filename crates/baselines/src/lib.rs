@@ -26,43 +26,3 @@ pub use ecmp::{EcmpSwitch, SpSwitch};
 pub use hula::{infer_roles, HulaConfig, HulaRole, HulaSwitch};
 pub use spain::{SpainPaths, SpainSwitch};
 pub use systems::{Ecmp, Hula, Sp, Spain};
-
-use contra_sim::Simulator;
-
-/// Installs ECMP on every switch.
-#[deprecated(since = "0.2.0", note = "use the `Ecmp` RoutingSystem instead")]
-pub fn install_ecmp(sim: &mut Simulator) {
-    let topo = sim.topology().clone();
-    for sw in topo.switches() {
-        sim.install(sw, Box::new(EcmpSwitch::new(&topo, sw)));
-    }
-}
-
-/// Installs static shortest-path routing on every switch.
-#[deprecated(since = "0.2.0", note = "use the `Sp` RoutingSystem instead")]
-pub fn install_sp(sim: &mut Simulator) {
-    let topo = sim.topology().clone();
-    for sw in topo.switches() {
-        sim.install(sw, Box::new(SpSwitch::new(&topo, sw)));
-    }
-}
-
-/// Installs Hula on every switch of a leaf-spine simulator.
-#[deprecated(since = "0.2.0", note = "use the `Hula` RoutingSystem instead")]
-pub fn install_hula(sim: &mut Simulator, cfg: &HulaConfig) {
-    let topo = sim.topology().clone();
-    for sw in topo.switches() {
-        sim.install(sw, Box::new(HulaSwitch::new(&topo, sw, cfg.clone())));
-    }
-}
-
-/// Installs SPAIN on every switch.
-#[deprecated(since = "0.2.0", note = "use the `Spain` RoutingSystem instead")]
-pub fn install_spain(sim: &mut Simulator, k: usize) -> std::rc::Rc<SpainPaths> {
-    let topo = sim.topology().clone();
-    let paths = std::rc::Rc::new(SpainPaths::precompute(&topo, k));
-    for sw in topo.switches() {
-        sim.install(sw, Box::new(SpainSwitch::new(paths.clone())));
-    }
-    paths
-}

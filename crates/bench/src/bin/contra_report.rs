@@ -191,7 +191,6 @@ fn main() {
     );
     let _ = writeln!(rpt, "  sched_cascades      {:>12}", stats.sched_cascades);
     let _ = writeln!(rpt, "  sched_overflow      {:>12}", stats.sched_overflow);
-    let _ = writeln!(rpt, "  txdone_coalesced    {:>12}", stats.txdone_coalesced);
     let _ = writeln!(
         rpt,
         "  register collisions {:>12}  (flowlet {} + loop {})",

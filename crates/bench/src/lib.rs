@@ -2,8 +2,8 @@
 //!
 //! One binary per table/figure of §6 (see `src/bin/`), each printing the
 //! same series the paper plots, as CSV on stdout plus a short
-//! paper-vs-measured summary on stderr. Criterion micro-benchmarks for the
-//! compiler and the protocol live under `benches/`.
+//! paper-vs-measured summary on stderr. Performance is tracked by the
+//! `contra_benchmark/` package at the repository root, not here.
 //!
 //! The binaries are thin: experiment setup is a
 //! [`contra_experiments::Scenario`], the systems under test are
@@ -57,7 +57,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// The three §6.2 compiler-scalability policies (MU, WP, CA), with the
 /// waypoints resolved to this topology's first two switches — shared by
-/// the Fig 9/10 binaries and the compiler micro-benchmarks.
+/// the Fig 9/10 binaries and `contra_benchmark`.
 pub fn compiler_policy_suite(topo: &contra_topology::Topology) -> Vec<(&'static str, String)> {
     let s = topo.switches();
     let f1 = topo.node(s[0]).name.clone();

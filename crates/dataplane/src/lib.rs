@@ -7,8 +7,8 @@
 //!
 //! * [`ContraSwitch`] implements `contra_sim::SwitchLogic`, so it plugs
 //!   into the packet-level simulator exactly like the baselines.
-//! * [`install_contra`] wires one switch program onto every switch of a
-//!   simulator.
+//! * [`Contra`] is the `contra_sim::RoutingSystem` that wires one switch
+//!   program onto every switch of a simulator.
 //! * [`harness::ProtocolHarness`] runs the protocol to convergence under
 //!   pinned metrics — the §4 "stable metrics" setting — for optimality and
 //!   probe-complexity tests.
@@ -25,30 +25,13 @@ pub use tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
 };
 
-use contra_core::CompiledPolicy;
-use contra_sim::Simulator;
-use std::sync::Arc;
-
-/// Installs the compiled policy's switch program on every switch of the
-/// simulator. Returns the shared compiled policy handle.
-#[deprecated(since = "0.2.0", note = "use the `Contra` RoutingSystem instead")]
-pub fn install_contra(
-    sim: &mut Simulator,
-    cp: Arc<CompiledPolicy>,
-    cfg: &DataplaneConfig,
-) -> Arc<CompiledPolicy> {
-    for sw in sim.topology().switches() {
-        sim.install(sw, Box::new(ContraSwitch::new(cp.clone(), sw, cfg.clone())));
-    }
-    cp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use contra_core::Compiler;
-    use contra_sim::{FlowSpec, SimConfig, Time};
+    use contra_sim::{FlowSpec, SimConfig, Simulator, Time};
     use contra_topology::{generators, Topology};
+    use std::sync::Arc;
 
     /// S, A, B, D with S–A, S–B, A–B, A–D (B reaches D only via A).
     fn square() -> Topology {

@@ -36,14 +36,12 @@
 //! and results come back in exact sweep order, byte-identical to the
 //! serial path. [`Scenario::matrix`] is a thin wrapper over it.
 
-pub mod dispatch;
 pub mod fault;
 pub mod result;
 pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
-pub use dispatch::{DispatchMode, SwitchDispatch};
 pub use fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
 pub use result::{aggregate_seeds, Band, Figures, RunResult, ScenarioInfo, SeedSummary};
 pub use scenario::{Pairs, Scenario, Traffic, Workload};
@@ -53,6 +51,4 @@ pub use sweep::{run_cells, CellCoords, Jobs, SweepCell, SweepSpec};
 // The whole experiment vocabulary in one import.
 pub use contra_baselines::{Ecmp, Hula, Sp, Spain};
 pub use contra_dataplane::Contra;
-pub use contra_sim::{
-    CompileCache, InstallCtx, InstallError, LinkPipeline, RoutingSystem, SchedulerKind,
-};
+pub use contra_sim::{CompileCache, InstallCtx, InstallError, RoutingSystem};

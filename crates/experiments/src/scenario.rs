@@ -6,13 +6,11 @@
 //! [`RoutingSystem`] is a method call; sweeping the cartesian product of
 //! systems × loads is [`Scenario::matrix`].
 
-use crate::dispatch::{DispatchMode, SwitchDispatch};
 use crate::fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use crate::sweep::{Jobs, SweepSpec};
 use contra_sim::{
-    CompileCache, FlowSpec, InstallCtx, InstallError, LinkPipeline, RoutingSystem, SchedulerKind,
-    SimConfig, Simulator, Time,
+    CompileCache, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig, Simulator, Time,
 };
 use contra_topology::{generators, NodeId, Topology};
 use contra_workloads::{cache, poisson_flows, web_search, EmpiricalCdf, PairPolicy, WorkloadSpec};
@@ -109,10 +107,6 @@ pub struct Scenario {
     util_tau: Option<Time>,
     min_rto: Option<Time>,
     udp_bucket: Option<Time>,
-    scheduler: SchedulerKind,
-    link_pipeline: LinkPipeline,
-    dispatch: DispatchMode,
-    burst_sends: Option<bool>,
     extra_flows: Vec<FlowSpec>,
     jobs: Jobs,
     verify_policy: bool,
@@ -147,10 +141,6 @@ impl Scenario {
             util_tau: None,
             min_rto: None,
             udp_bucket: None,
-            scheduler: SchedulerKind::default(),
-            link_pipeline: LinkPipeline::default(),
-            dispatch: DispatchMode::default(),
-            burst_sends: None,
             extra_flows: Vec::new(),
             jobs: Jobs::Serial,
             verify_policy: false,
@@ -320,7 +310,7 @@ impl Scenario {
     }
 
     /// Fails the named node at `at`: every incident link goes down
-    /// atomically, flushing queues and committed trains.
+    /// atomically, flushing queues.
     pub fn fail_node(mut self, node: impl Into<String>, at: Time) -> Scenario {
         self.faults.push(FaultCmd {
             at,
@@ -414,47 +404,6 @@ impl Scenario {
     /// Bucket width for UDP goodput timelines (Fig 14).
     pub fn udp_bucket(mut self, bucket: Time) -> Scenario {
         self.udp_bucket = Some(bucket);
-        self
-    }
-
-    /// Selects the engine's event scheduler (default: the timing wheel).
-    /// Both schedulers produce byte-identical results; the heap remains
-    /// available as a differential oracle — the golden suite runs one
-    /// scenario under each and requires equal fingerprints.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Scenario {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects the engine's link pipeline (default: drain trains). Both
-    /// pipelines produce identical statistics; the per-packet variant
-    /// remains as a differential oracle — see the pipeline-parity test
-    /// suite. The `CONTRA_LINK_PIPELINE` env var overrides whatever is
-    /// set here at simulator construction (mirroring `CONTRA_JOBS`).
-    pub fn link_pipeline(mut self, pipeline: LinkPipeline) -> Scenario {
-        self.link_pipeline = pipeline;
-        self
-    }
-
-    /// Selects the switch-logic dispatch strategy (default:
-    /// [`DispatchMode::Enum`], which repacks the installed boxes into
-    /// [`SwitchDispatch`]'s inline variants). Both modes produce
-    /// byte-identical results; the boxed path remains as a differential
-    /// oracle — see the dispatch-parity test suite. The `CONTRA_DISPATCH`
-    /// env var overrides whatever is set here at run time (mirroring
-    /// `CONTRA_LINK_PIPELINE`).
-    pub fn dispatch(mut self, mode: DispatchMode) -> Scenario {
-        self.dispatch = mode;
-        self
-    }
-
-    /// Toggles batched ACK-clocked sends (default on): each transport
-    /// handler emits one described `SendBurst` effect for a window's
-    /// worth of segments instead of one `Send` per packet. Both settings
-    /// produce byte-identical results — the per-send path remains as a
-    /// differential oracle; see the dispatch-parity suite's burst test.
-    pub fn burst_sends(mut self, on: bool) -> Scenario {
-        self.burst_sends = Some(on);
         self
     }
 
@@ -592,13 +541,8 @@ impl Scenario {
             stop_at: self.duration + self.drain,
             queue_sample_every: self.queue_sampling,
             trace_paths: self.trace_paths,
-            scheduler: self.scheduler,
-            link_pipeline: self.link_pipeline,
             ..SimConfig::default()
         };
-        if let Some(burst) = self.burst_sends {
-            cfg.burst_sends = burst;
-        }
         if let Some(tau) = self.util_tau {
             cfg.util_tau = tau;
         }
@@ -653,13 +597,6 @@ impl Scenario {
             }
             None => Vec::new(),
         };
-
-        // Devirtualize the hot path: repack each installed box into the
-        // static-dispatch enum (or keep everything boxed under
-        // `CONTRA_DISPATCH=dyn` — the differential oracle). From here on
-        // the engine is a `SimCore<SwitchDispatch>`.
-        let mode = self.dispatch.or_env();
-        let mut sim = sim.map_logics(|b| SwitchDispatch::convert(b, mode));
 
         for c in &faults {
             let res = match (&c.target, c.up) {

@@ -12,14 +12,13 @@
 //! preserves the engine's total order exactly), with only the
 //! `p50=`/`p99=` fields re-recorded for PR 3's documented percentile fix
 //! (`round((p/100)·(n-1))` → ceil-based nearest rank; mean, completion,
-//! drops, wire bytes and delivery counts did not move). PR 5 (drain-train
-//! link pipeline) changed the same-instant tie-break from push order to
-//! the pipeline-invariant `(class, key)` order — arrivals by directed
-//! link, completions last — which shifted four DC-scale cells (WAN cells
-//! and every drop/delivery count on leaf-spine survived unchanged; only
-//! sub-percent FCT means and wire-byte totals moved). Both link
-//! pipelines produce these exact fingerprints — see
-//! `tests/pipeline_parity.rs`.
+//! drops, wire bytes and delivery counts did not move). PR 5 changed the
+//! same-instant tie-break from push order to the `(class, key)` order —
+//! arrivals by directed link, completions last — which shifted four
+//! DC-scale cells (WAN cells and every drop/delivery count on leaf-spine
+//! survived unchanged; only sub-percent FCT means and wire-byte totals
+//! moved). PR 13 collapsed the engine's configuration matrix to one
+//! engine; every field survived byte-identical.
 //!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test golden -- --nocapture`
@@ -27,7 +26,7 @@
 use contra_baselines::{Ecmp, Hula, Sp};
 use contra_dataplane::Contra;
 use contra_experiments::{RunResult, Scenario};
-use contra_sim::{RoutingSystem, SchedulerKind, Time};
+use contra_sim::{RoutingSystem, Time};
 
 /// Renders every behavioral output the issue calls out — FCT percentiles,
 /// drops by reason, wire bytes by kind — plus the loop/delivery counters,
@@ -142,23 +141,6 @@ fn golden_abilene_contra() {
 #[test]
 fn golden_abilene_ecmp() {
     check(&abilene(), &Ecmp, "mean=40484136b7898d59 p50=403c025d18090b41 p99=405f9eed7c6fbd27 done=3fed79435e50d794 drop[QueueFull]=1037 wire[Data]=343162196 wire[Ack]=9018040 delivered=67864 looped=0 breaks=0");
-}
-
-/// The two schedulers must be observationally indistinguishable: the same
-/// scenario produces bit-equal fingerprints under the timing wheel and
-/// under the heap oracle. One deep-queue WAN cell and one datacenter cell
-/// cover both timing regimes; `crates/sim/tests/sched_diff.rs` covers the
-/// pop-order contract on adversarial random streams.
-#[test]
-fn golden_heap_wheel_parity() {
-    for (scenario, system) in [
-        (leaf_spine(), &Contra::dc() as &dyn RoutingSystem),
-        (abilene(), &Ecmp as &dyn RoutingSystem),
-    ] {
-        let wheel = fingerprint(&scenario.clone().scheduler(SchedulerKind::Wheel).run(system));
-        let heap = fingerprint(&scenario.scheduler(SchedulerKind::Heap).run(system));
-        assert_eq!(wheel, heap, "schedulers diverged under {}", system.name());
-    }
 }
 
 #[test]

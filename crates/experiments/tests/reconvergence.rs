@@ -6,34 +6,11 @@
 //! (`infer_roles` refuses same-tier adjacency, and Abilene is a WAN
 //! mesh), so Hula gets the *same flap shape* on the §6.3 fabric instead
 //! — the point is the telemetry contract, not the topology.
-//!
-//! Every run is repeated under both link pipelines × both schedulers and
-//! must agree byte for byte, fault epochs included.
 
 use contra_experiments::{
-    Contra, FaultPlan, Hula, Jobs, LinkPipeline, RoutingSystem, Scenario, SchedulerKind, SweepSpec,
-    Traffic,
+    Contra, FaultPlan, Hula, Jobs, RoutingSystem, Scenario, SweepSpec, Traffic,
 };
 use contra_sim::{FlowSpec, SimStats, Time};
-
-fn configs() -> [(LinkPipeline, SchedulerKind); 4] {
-    [
-        (LinkPipeline::Train, SchedulerKind::Wheel),
-        (LinkPipeline::Train, SchedulerKind::Heap),
-        (LinkPipeline::PerPacket, SchedulerKind::Wheel),
-        (LinkPipeline::PerPacket, SchedulerKind::Heap),
-    ]
-}
-
-/// The 4-config differential is vacuous when `CONTRA_LINK_PIPELINE`
-/// rewires both sides onto one pipeline.
-fn env_override() -> bool {
-    if LinkPipeline::from_env().is_some() {
-        eprintln!("skipped: CONTRA_LINK_PIPELINE override active");
-        return true;
-    }
-    false
-}
 
 fn fingerprint(s: &SimStats) -> String {
     format!(
@@ -71,46 +48,30 @@ fn abilene_flap(down: Time, up: Time, stop: Time) -> Scenario {
 
 #[test]
 fn contra_reconverges_on_abilene_flap() {
-    if env_override() {
-        return;
-    }
     let (down, up) = (Time::ms(20), Time::ms(28));
     let contra = Contra::dc();
-    let mut prints = Vec::new();
-    let mut last_disruption = None;
-    for (pipeline, scheduler) in configs() {
-        let r = abilene_flap(down, up, Time::ms(50))
-            .link_pipeline(pipeline)
-            .scheduler(scheduler)
-            .run(&contra);
-        let epochs = &r.stats.fault_epochs;
-        assert_eq!(epochs.len(), 2, "one down + one up epoch: {epochs:#?}");
-        let fail = &epochs[0];
-        assert!(fail.is_down && fail.label.contains("Denver"));
-        // The stream rides the failed cable, so the flap must cost
-        // packets, and routing must stop losing them within the flap
-        // window (+1 ms of in-flight slack after the recovery).
-        assert!(fail.disruption_drops > 0, "the flap must cost packets");
-        let t_star = fail.last_disruption.expect("drops imply an instant");
-        assert!(
-            t_star >= down && t_star <= up + Time::ms(1),
-            "disruption must cease within the flap window, last at {t_star}"
-        );
-        assert_eq!(fail.convergence(), t_star.saturating_sub(down));
-        assert!(
-            r.figures.convergence_ms.unwrap() > 0.0,
-            "derived figure carries the epoch"
-        );
-        assert!(
-            r.stats.delivered_packets > 0,
-            "the stream must resume after recovery"
-        );
-        last_disruption = Some(t_star);
-        prints.push(fingerprint(&r.stats));
-    }
+    let full = abilene_flap(down, up, Time::ms(50)).run(&contra);
+    let epochs = &full.stats.fault_epochs;
+    assert_eq!(epochs.len(), 2, "one down + one up epoch: {epochs:#?}");
+    let fail = &epochs[0];
+    assert!(fail.is_down && fail.label.contains("Denver"));
+    // The stream rides the failed cable, so the flap must cost
+    // packets, and routing must stop losing them within the flap
+    // window (+1 ms of in-flight slack after the recovery).
+    assert!(fail.disruption_drops > 0, "the flap must cost packets");
+    let t_star = fail.last_disruption.expect("drops imply an instant");
     assert!(
-        prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        t_star >= down && t_star <= up + Time::ms(1),
+        "disruption must cease within the flap window, last at {t_star}"
+    );
+    assert_eq!(fail.convergence(), t_star.saturating_sub(down));
+    assert!(
+        full.figures.convergence_ms.unwrap() > 0.0,
+        "derived figure carries the epoch"
+    );
+    assert!(
+        full.stats.delivered_packets > 0,
+        "the stream must resume after recovery"
     );
 
     // The telemetry claims the last disruption drop happened at exactly
@@ -119,8 +80,6 @@ fn contra_reconverges_on_abilene_flap() {
     // failure epoch must match the full run at the former and fall
     // short at the latter — proving `t*` is the instant of a real drop,
     // not an artifact of the aggregation.
-    let t_star = last_disruption.unwrap();
-    let full = abilene_flap(down, up, Time::ms(50)).run(&contra);
     let at_star = abilene_flap(down, up, t_star).run(&contra);
     let before_star = abilene_flap(down, up, t_star.saturating_sub(Time::ns(1))).run(&contra);
     let drops = |r: &contra_experiments::RunResult| r.stats.fault_epochs[0].disruption_drops;
@@ -136,40 +95,26 @@ fn contra_reconverges_on_abilene_flap() {
 /// disruption stays inside the flap window.
 #[test]
 fn hula_reconverges_on_leaf_spine_flap() {
-    if env_override() {
-        return;
-    }
     let (down, up) = (Time::ms(5), Time::ms(8));
-    let hula = Hula::default();
-    let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
-        let r = Scenario::leaf_spine(4, 2, 2)
-            .udp(4e9)
-            .duration(Time::ms(12))
-            .warmup(Time::ZERO)
-            .drain(Time::ms(2))
-            .fail_link("leaf0", "spine0", down)
-            .recover_link("leaf0", "spine0", up)
-            .link_pipeline(pipeline)
-            .scheduler(scheduler)
-            .run(&hula);
-        let epochs = &r.stats.fault_epochs;
-        assert_eq!(epochs.len(), 2, "one down + one up epoch: {epochs:#?}");
-        let fail = &epochs[0];
-        assert!(fail.is_down);
-        if let Some(t) = fail.last_disruption {
-            assert!(
-                t >= down && t <= up + Time::ms(1),
-                "disruption must cease within the flap window, last at {t}"
-            );
-        }
-        assert!(r.stats.delivered_packets > 0);
-        prints.push(fingerprint(&r.stats));
+    let r = Scenario::leaf_spine(4, 2, 2)
+        .udp(4e9)
+        .duration(Time::ms(12))
+        .warmup(Time::ZERO)
+        .drain(Time::ms(2))
+        .fail_link("leaf0", "spine0", down)
+        .recover_link("leaf0", "spine0", up)
+        .run(&Hula::default());
+    let epochs = &r.stats.fault_epochs;
+    assert_eq!(epochs.len(), 2, "one down + one up epoch: {epochs:#?}");
+    let fail = &epochs[0];
+    assert!(fail.is_down);
+    if let Some(t) = fail.last_disruption {
+        assert!(
+            t >= down && t <= up + Time::ms(1),
+            "disruption must cease within the flap window, last at {t}"
+        );
     }
-    assert!(
-        prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
-    );
+    assert!(r.stats.delivered_packets > 0);
 }
 
 /// The acceptance bar for determinism: the Abilene flap is byte-identical

@@ -1,9 +1,7 @@
 //! [`SimConfig`]: everything a [`crate::Simulator`] is parameterized by.
 
-use crate::link::LinkPipeline;
 use crate::packet::{HDR_BYTES, MSS};
 use crate::recorder::TelemetryConfig;
-use crate::sched::SchedulerKind;
 use crate::stats::QUEUE_SAMPLE_CAP;
 use crate::time::Time;
 
@@ -35,23 +33,6 @@ pub struct SimConfig {
     /// (§6.5) and policy-compliance checks in tests. Costs memory per
     /// in-flight packet, so off by default.
     pub trace_paths: bool,
-    /// Which event scheduler runs the loop. [`SchedulerKind::Wheel`]
-    /// (default) and [`SchedulerKind::Heap`] produce byte-identical
-    /// outputs — the heap is kept as a differential oracle and an escape
-    /// hatch.
-    pub scheduler: SchedulerKind,
-    /// Which link pipeline serializes packets. [`LinkPipeline::Train`]
-    /// (default) and [`LinkPipeline::PerPacket`] produce identical
-    /// statistics; the `CONTRA_LINK_PIPELINE` env var overrides this at
-    /// construction (mirroring `CONTRA_JOBS`).
-    pub link_pipeline: LinkPipeline,
-    /// Emit window-opening TCP sends as one described
-    /// [`crate::transport::TransportEffect::SendBurst`] per handler
-    /// (default) instead of one `Send` effect per packet. Both settings
-    /// produce byte-identical statistics — the burst is the same packets
-    /// with the same ids on the same schedule, minted at effect-apply
-    /// time; the per-send path is kept as the differential oracle.
-    pub burst_sends: bool,
     /// Runs the runtime invariant auditor: packet conservation, pool and
     /// trace-table leak freedom, queue-occupancy bounds, dead-epoch
     /// detection — checked at every fault epoch and at end of run. Pure
@@ -82,9 +63,6 @@ impl Default for SimConfig {
             init_cwnd: 10.0,
             udp_bucket: Time::ms(1),
             trace_paths: false,
-            scheduler: SchedulerKind::default(),
-            link_pipeline: LinkPipeline::default(),
-            burst_sends: true,
             audit: cfg!(debug_assertions),
             telemetry: None,
         }

@@ -3,8 +3,8 @@
 //! `engine.rs` owns the clock, the event queue and the wiring; the
 //! domain logic lives in the layer modules it composes:
 //!
-//! * [`crate::sched`] — the event queue (timing wheel / heap oracle).
-//! * [`crate::link`] — serializers, drop-tail queues, drain trains.
+//! * [`crate::sched`] — the event queue (a timing wheel).
+//! * [`crate::link`] — serializers and drop-tail queues.
 //! * [`crate::transport`] — the TCP/UDP host endpoints.
 //! * [`crate::switch`] — pluggable per-switch dataplane logic.
 //! * [`crate::trace`] — the opt-in per-packet path side table.
@@ -15,15 +15,14 @@
 //! serializer completions last — see [`crate::sched`]), all randomness
 //! comes from seeded generators in the workload layer, and switch logic
 //! runs strictly one event at a time. The same inputs always produce
-//! byte-identical statistics, under either scheduler and either link
-//! pipeline.
+//! byte-identical statistics.
 
 use crate::config::SimConfig;
 use crate::fault::{Auditor, FaultError};
 use crate::link::{DropReason, LinkState};
 use crate::packet::{FlowId, Packet, PacketKind, PacketPool, HDR_BYTES};
 use crate::recorder::Recorder;
-use crate::sched::EventQueue;
+use crate::sched::TimingWheel;
 use crate::stats::{QueueSample, SimStats};
 use crate::switch::{SwitchCtx, SwitchLogic};
 use crate::time::Time;
@@ -34,7 +33,7 @@ use contra_topology::{LinkId, NodeId, Topology};
 
 mod linkops;
 
-/// Everything one run produced; see [`SimCore::run_full`].
+/// Everything one run produced; see [`Simulator::run_full`].
 #[derive(Debug)]
 pub struct RunOutput {
     /// Aggregated run statistics — byte-identical whether or not traces
@@ -50,40 +49,29 @@ pub struct RunOutput {
 enum Event {
     /// Packet fully received at `node`, having traversed the link from
     /// `from`. The packet itself sits in the engine's slab
-    /// ([`PacketPool`], addressed by `pkt`/`gen`) so heap entries stay a
-    /// few words wide — sift-up/down copies every entry it touches,
-    /// which made inline packets the single biggest per-event cost. A
-    /// stale generation marks an arrival cancelled by a link failure
-    /// mid-train.
+    /// ([`PacketPool`], slot `pkt`) so queue entries stay a few words
+    /// wide — the scheduler copies every entry it sorts.
     Arrive {
         node: NodeId,
         from: NodeId,
         pkt: u32,
-        gen: u32,
     },
-    /// Link serializer finished a packet — under the drain-train
-    /// pipeline, the *last* packet of a committed train.
+    /// Link serializer finished a packet.
     TxDone { link: LinkId, epoch: u64 },
     /// Periodic switch timer.
     Tick { node: NodeId },
-    /// A TCP flow becomes active. Flow-scoped events carry the flow
-    /// slot's generation at schedule time: the flow arena reuses retired
-    /// slots, and a stale generation means the event belongs to a
-    /// previous occupant and must be a no-op.
-    FlowStart { flow: u32, gen: u32 },
+    /// A TCP flow becomes active.
+    FlowStart { flow: u32 },
     /// RTO deadline check.
-    RtoCheck { flow: u32, gen: u32, epoch: u64 },
+    RtoCheck { flow: u32, epoch: u64 },
     /// Next UDP datagram.
-    UdpSend { flow: u32, gen: u32 },
-    /// Retire a flow: vacate its arena slot (see
-    /// [`SimCore::retire_flow_at`]).
-    FlowRetire { flow: u32, gen: u32 },
+    UdpSend { flow: u32 },
     /// Take both directions of a cable down.
     LinkDown { a: NodeId, b: NodeId },
     /// Bring both directions back up.
     LinkUp { a: NodeId, b: NodeId },
     /// Fail a node: atomically take down every incident link (both
-    /// directions), flushing their queues and trains.
+    /// directions), flushing their queues.
     NodeDown { node: NodeId },
     /// Recover a node: bring every incident link back up.
     NodeUp { node: NodeId },
@@ -91,30 +79,19 @@ enum Event {
     QueueSample,
 }
 
-/// The boxed-dispatch simulator — the installation surface. Routing
-/// systems install `Box<dyn SwitchLogic>` values here (unsize coercion
-/// keeps every `sim.install(sw, Box::new(...))` call site working); the
-/// experiment layer then converts the core to static enum dispatch via
-/// [`SimCore::map_logics`] before running, leaving the boxed path as the
-/// extension seam and differential oracle.
-pub type Simulator = SimCore<Box<dyn SwitchLogic>>;
-
-/// The simulator core: topology + links + switch logic + transports +
-/// clock, generic over the switch-logic type `L` so the per-event
-/// dispatch in the hot loop is a static call (or an enum match) instead
-/// of a mandatory virtual call through `Box<dyn SwitchLogic>`.
-pub struct SimCore<L: SwitchLogic> {
+/// The simulator: topology + links + switch logic + transports + clock.
+pub struct Simulator {
     /// Shared, immutable during a run. `Arc` so parallel sweeps hand the
     /// same topology to every cell's simulator instead of deep-cloning
     /// node/link tables once per cell.
     topo: std::sync::Arc<Topology>,
     cfg: SimConfig,
     links: Vec<LinkState>,
-    logics: Vec<Option<L>>,
+    logics: Vec<Option<Box<dyn SwitchLogic>>>,
     tick_of: Vec<Option<Time>>,
     /// The host endpoints (TCP/UDP state machines).
     transport: Transport,
-    queue: EventQueue<Event>,
+    queue: TimingWheel<Event>,
     now: Time,
     /// In-flight packets referenced by `Event::Arrive`.
     pool: PacketPool,
@@ -141,19 +118,18 @@ pub struct SimCore<L: SwitchLogic> {
     /// The telemetry recorder (`cfg.telemetry`), `None` when off. Like
     /// the auditor: pure observation, boxed, one null check when off.
     telem: Option<Box<Recorder>>,
-    /// Run statistics (read after [`SimCore::run`]).
+    /// Run statistics (read after [`Simulator::run`]).
     pub stats: SimStats,
 }
 
-impl<L: SwitchLogic> SimCore<L> {
+impl Simulator {
     /// Creates a simulator over a topology. Accepts an owned [`Topology`]
     /// or an `Arc<Topology>`; sweeps pass the latter so every cell shares
-    /// one allocation. The `CONTRA_LINK_PIPELINE` env var, when set,
-    /// overrides `cfg.link_pipeline` here.
-    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, cfg: SimConfig) -> SimCore<L> {
+    /// one allocation. The `CONTRA_SIM_AUDIT` and `CONTRA_TELEM` env
+    /// vars, when set, override `cfg.audit` and `cfg.telemetry` here.
+    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, cfg: SimConfig) -> Simulator {
         let topo = topo.into();
         let mut cfg = cfg;
-        cfg.link_pipeline = cfg.link_pipeline.or_env();
         if let Some(audit) = crate::config::audit_from_env() {
             cfg.audit = audit;
         }
@@ -189,22 +165,21 @@ impl<L: SwitchLogic> SimCore<L> {
             .filter(|&(_, &f)| f)
             .map(|(i, _)| i as u32)
             .collect();
-        let queue = EventQueue::new(cfg.scheduler);
-        let transport = Transport::new(cfg.min_rto, cfg.init_cwnd, cfg.burst_sends);
+        let transport = Transport::new(cfg.min_rto, cfg.init_cwnd);
         let traces = TraceTable::new(cfg.trace_paths);
         let audit = cfg.audit.then(|| Box::new(Auditor::default()));
         let telem = cfg
             .telemetry
             .as_ref()
             .map(|t| Box::new(Recorder::new(t, &topo)));
-        let mut sim = SimCore {
+        let mut sim = Simulator {
             topo,
             cfg,
             links,
             logics: (0..n).map(|_| None).collect(),
             tick_of: vec![None; n],
             transport,
-            queue,
+            queue: TimingWheel::new(),
             now: Time::ZERO,
             pool: PacketPool::default(),
             out_buf: Vec::new(),
@@ -230,12 +205,7 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Installs dataplane logic on a switch. Ticks are staggered
     /// deterministically per switch so probe rounds do not synchronize.
-    ///
-    /// On the [`Simulator`] alias `L` is `Box<dyn SwitchLogic>`, so any
-    /// `Box::new(ConcreteSwitch { .. })` coerces at the call site —
-    /// installation stays object-typed even when the run will use static
-    /// dispatch (see [`SimCore::map_logics`]).
-    pub fn install(&mut self, node: NodeId, logic: L) {
+    pub fn install(&mut self, node: NodeId, logic: Box<dyn SwitchLogic>) {
         assert!(self.topo.is_switch(node), "{node} is not a switch");
         if let Some(t) = logic.tick_interval() {
             assert!(t.0 > 0, "tick interval must be positive");
@@ -246,91 +216,16 @@ impl<L: SwitchLogic> SimCore<L> {
         self.logics[node.0 as usize] = Some(logic);
     }
 
-    /// Converts the switch-logic representation in place — the
-    /// devirtualization step. Called after installation (and before the
-    /// run) to repack `Box<dyn SwitchLogic>` values into a static enum;
-    /// everything else (queue contents, tick schedule, flows, links)
-    /// moves across untouched, so the conversion is observationally
-    /// invisible: the event schedule, including the tick stagger
-    /// computed at install time, is already fixed.
-    pub fn map_logics<M: SwitchLogic>(self, mut f: impl FnMut(L) -> M) -> SimCore<M> {
-        let SimCore {
-            topo,
-            cfg,
-            links,
-            logics,
-            tick_of,
-            transport,
-            queue,
-            now,
-            pool,
-            out_buf,
-            tfx,
-            fabric_links,
-            fabric_link,
-            debug_ttl,
-            traces,
-            audit,
-            telem,
-            stats,
-        } = self;
-        SimCore {
-            topo,
-            cfg,
-            links,
-            logics: logics.into_iter().map(|l| l.map(&mut f)).collect(),
-            tick_of,
-            transport,
-            queue,
-            now,
-            pool,
-            out_buf,
-            tfx,
-            fabric_links,
-            fabric_link,
-            debug_ttl,
-            traces,
-            audit,
-            telem,
-            stats,
-        }
-    }
-
     /// Registers a flow; returns its id.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let (id, gen, start, is_tcp) = self.transport.add_flow(spec, &self.topo, &mut self.stats);
+        let (id, start, is_tcp) = self.transport.add_flow(spec, &self.topo, &mut self.stats);
         let ev = if is_tcp {
-            Event::FlowStart { flow: id.0, gen }
+            Event::FlowStart { flow: id.0 }
         } else {
-            Event::UdpSend { flow: id.0, gen }
+            Event::UdpSend { flow: id.0 }
         };
         self.push(start, ev);
         id
-    }
-
-    /// Retires a flow immediately: vacates its arena slot (sender and
-    /// receiver state) and invalidates every timer armed against it via
-    /// the generation bump. The slot becomes reusable by a later
-    /// [`SimCore::add_flow`]; the flow's [`crate::stats::FlowRecord`]
-    /// stays as-is (its `finish` remains `None` unless the flow already
-    /// completed). Returns whether the slot was live.
-    pub fn retire_flow(&mut self, flow: FlowId) -> bool {
-        match self.transport.gen_of(flow.0) {
-            Some(gen) => self.transport.retire(flow.0, gen),
-            None => false,
-        }
-    }
-
-    /// Schedules a retirement at `at`. The slot generation is captured
-    /// now, so if the flow is retired (and its slot possibly reused)
-    /// before the event fires, the event is a no-op instead of killing
-    /// the new occupant. Returns `false` for an already-vacant slot.
-    pub fn retire_flow_at(&mut self, flow: FlowId, at: Time) -> bool {
-        let Some(gen) = self.transport.gen_of(flow.0) else {
-            return false;
-        };
-        self.push(at, Event::FlowRetire { flow: flow.0, gen });
-        true
     }
 
     /// The shared validation behind every cable-fault call: the cable
@@ -376,7 +271,7 @@ impl<L: SwitchLogic> SimCore<L> {
     }
 
     /// Schedules a node failure: every incident link (both directions)
-    /// goes down atomically at `at`, flushing queues and trains.
+    /// goes down atomically at `at`, flushing queues.
     pub fn try_fail_node_at(&mut self, node: NodeId, at: Time) -> Result<(), FaultError> {
         self.check_node(node)?;
         self.push(at, Event::NodeDown { node });
@@ -428,13 +323,12 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Schedules an arrival, keyed by the directed link it traverses:
     /// same-instant arrivals on different links pop in link order — a
-    /// property of the schedule itself, identical under both link
-    /// pipelines regardless of when the events were pushed. Within one
-    /// busy period same-link arrivals can never tie (serialization
-    /// separates them), but across a down/up flap a pre-failure
-    /// in-flight arrival can land at the same instant as a post-recovery
-    /// one; the scheduler breaks that tie by push order, which on one
-    /// link is serialization order under either pipeline.
+    /// property of the schedule itself, regardless of when the events
+    /// were pushed. Within one busy period same-link arrivals can never
+    /// tie (serialization separates them), but across a down/up flap a
+    /// pre-failure in-flight arrival can land at the same instant as a
+    /// post-recovery one; the scheduler breaks that tie by push order,
+    /// which on one link is serialization order.
     fn push_arrival(&mut self, at: Time, lid: LinkId, ev: Event) {
         if at > self.cfg.stop_at {
             return;
@@ -444,8 +338,7 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Schedules a serializer completion, sorting after every other
     /// event at its instant: observers at a packet boundary see the
-    /// boundary as not yet crossed — the order the drain-train
-    /// pipeline's lazy fold reproduces without the event.
+    /// boundary as not yet crossed.
     fn push_completion(&mut self, at: Time, ev: Event) {
         if at > self.cfg.stop_at {
             return;
@@ -539,38 +432,25 @@ impl<L: SwitchLogic> SimCore<L> {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::Arrive {
-                node,
-                from,
-                pkt,
-                gen,
-            } => self.on_arrive(node, from, pkt, gen),
+            Event::Arrive { node, from, pkt } => self.on_arrive(node, from, pkt),
             Event::TxDone { link, epoch } => self.on_tx_done(link, epoch),
             Event::Tick { node } => self.on_tick(node),
-            Event::FlowStart { flow, gen } => {
-                if self.telem.is_some() && self.transport.live(flow, gen) {
-                    if let Some(rec) = self.telem.as_deref_mut() {
-                        rec.flow_start(self.now, flow);
-                    }
+            Event::FlowStart { flow } => {
+                if let Some(rec) = self.telem.as_deref_mut() {
+                    rec.flow_start(self.now, flow);
                 }
-                self.transport
-                    .start_flow(flow, gen, self.now, &mut self.tfx);
+                self.transport.start_flow(flow, self.now, &mut self.tfx);
                 self.apply_transport_fx();
                 self.telem_cwnd(flow);
             }
-            Event::RtoCheck { flow, gen, epoch } => {
-                self.transport
-                    .on_rto(flow, gen, epoch, self.now, &mut self.tfx);
+            Event::RtoCheck { flow, epoch } => {
+                self.transport.on_rto(flow, epoch, self.now, &mut self.tfx);
                 self.apply_transport_fx();
                 self.telem_cwnd(flow);
             }
-            Event::UdpSend { flow, gen } => {
-                self.transport
-                    .on_udp_send(flow, gen, self.now, &mut self.tfx);
+            Event::UdpSend { flow } => {
+                self.transport.on_udp_send(flow, self.now, &mut self.tfx);
                 self.apply_transport_fx();
-            }
-            Event::FlowRetire { flow, gen } => {
-                self.transport.retire(flow, gen);
             }
             Event::LinkDown { a, b } => self.on_cable_fault(a, b, true),
             Event::LinkUp { a, b } => self.on_cable_fault(a, b, false),
@@ -579,8 +459,7 @@ impl<L: SwitchLogic> SimCore<L> {
             Event::QueueSample => {
                 // Fabric links only (switch → switch), precomputed once.
                 for &i in &self.fabric_links {
-                    let link = &mut self.links[i as usize];
-                    link.sync(self.now);
+                    let link = &self.links[i as usize];
                     // Bounded retention: sampling (and the event
                     // schedule) continues past the cap, overflow is
                     // counted instead of stored.
@@ -674,8 +553,8 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// A node fault event fires: every incident directed link (in link
     /// index order, for determinism) transitions idempotently — a node
-    /// failure atomically downs all incident links, flushing queues and
-    /// trains exactly as the per-cable path does.
+    /// failure atomically downs all incident links, flushing queues
+    /// exactly as the per-cable path does.
     fn on_node_fault(&mut self, node: NodeId, down: bool) {
         let incident: Vec<LinkId> = (0..self.links.len() as u32)
             .map(LinkId)
@@ -710,21 +589,15 @@ impl<L: SwitchLogic> SimCore<L> {
         }
     }
 
-    /// Runs the invariant auditor, when enabled: syncs every link to the
-    /// current instant (observationally neutral — the lazy train fold is
-    /// idempotent) and checks conservation, occupancy and leak freedom.
-    fn audit_check(&mut self, phase: &str) {
-        if self.audit.is_none() {
+    /// Runs the invariant auditor, when enabled: checks conservation,
+    /// occupancy and leak freedom.
+    fn audit_check(&self, phase: &str) {
+        let Some(aud) = self.audit.as_deref() else {
             return;
-        }
-        let now = self.now;
-        for link in &mut self.links {
-            link.sync(now);
-        }
-        let aud = self.audit.as_deref().expect("checked above");
+        };
         aud.verify(
             phase,
-            now,
+            self.now,
             &self.links,
             &self.pool,
             &self.traces,
@@ -741,19 +614,10 @@ impl<L: SwitchLogic> SimCore<L> {
         for effect in fx.drain(..) {
             match effect {
                 TransportEffect::Send { src, via, pkt } => self.transmit(src, via, pkt),
-                TransportEffect::SendBurst {
-                    flow,
-                    src,
-                    via,
-                    first_seq,
-                    count,
-                } => self.send_burst(flow, src, via, first_seq, count),
                 TransportEffect::Timer { at, timer } => {
                     let ev = match timer {
-                        TransportTimer::Rto { flow, gen, epoch } => {
-                            Event::RtoCheck { flow, gen, epoch }
-                        }
-                        TransportTimer::UdpSend { flow, gen } => Event::UdpSend { flow, gen },
+                        TransportTimer::Rto { flow, epoch } => Event::RtoCheck { flow, epoch },
+                        TransportTimer::UdpSend { flow } => Event::UdpSend { flow },
                     };
                     self.push(at, ev);
                 }
@@ -764,14 +628,8 @@ impl<L: SwitchLogic> SimCore<L> {
 
     // ---- switch dispatch ----------------------------------------------
 
-    fn on_arrive(&mut self, node: NodeId, from: NodeId, slot: u32, gen: u32) {
-        let Some(pkt) = self.pool.take(slot, gen) else {
-            // Cancelled mid-train by a link failure. The per-packet
-            // pipeline never scheduled this arrival, so un-count the pop
-            // (`events_processed` stays pipeline-invariant).
-            self.stats.events_processed -= 1;
-            return;
-        };
+    fn on_arrive(&mut self, node: NodeId, from: NodeId, slot: u32) {
+        let pkt = self.pool.take(slot);
         if let Some(aud) = self.audit.as_deref_mut() {
             aud.taken += 1;
         }
@@ -796,9 +654,6 @@ impl<L: SwitchLogic> SimCore<L> {
             self.traces.forget(pkt.id);
             return;
         }
-        // Borrow the logic in place (disjoint fields, no move): the old
-        // take/put-back dance moved the logic value twice per event,
-        // which a wide enum dispatch type would turn into two memcpys.
         let mut ctx = SwitchCtx::new(
             node,
             self.now,
@@ -931,17 +786,14 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Takes one metric sample at the current instant: fabric-link
     /// utilization and queue depth, cumulative drops by reason,
-    /// per-switch control-plane churn, and engine counters. Syncing a
-    /// link to `now` is observationally neutral (the lazy train fold is
-    /// idempotent — same argument as [`Simulator::audit_check`]).
+    /// per-switch control-plane churn, and engine counters.
     fn telem_sample(&mut self) {
         let now = self.now;
         let Some(rec) = self.telem.as_deref_mut() else {
             return;
         };
         for &i in &self.fabric_links {
-            let link = &mut self.links[i as usize];
-            link.sync(now);
+            let link = &self.links[i as usize];
             rec.sample_link(now, i, link.utilization(now), link.queued_bytes());
         }
         rec.sample_drops(now, &self.stats);

@@ -1,19 +1,16 @@
 //! The engine's link-layer driver: how packets enter serializers and
-//! how completions fan back into the event loop, under either
-//! [`LinkPipeline`](crate::link::LinkPipeline).
+//! how completions fan back into the event loop.
 //!
 //! Split out of `engine.rs` so the dispatcher stays a readable core; the
 //! methods here are the only code that schedules link events.
 
-use super::{Event, SimCore};
-use crate::link::{DropReason, EnqueueOutcome, LinkPipeline, PendingTx};
+use super::{Event, Simulator};
+use crate::link::{DropReason, EnqueueOutcome};
 use crate::packet::{Packet, PacketKind};
 use crate::stats::TrafficKind;
-use crate::switch::SwitchLogic;
-use crate::time::tx_time;
 use contra_topology::{LinkId, NodeId};
 
-impl<L: SwitchLogic> SimCore<L> {
+impl Simulator {
     /// Queues `pkt` on the link `from → to`, starting the serializer if
     /// idle. Handles TTL decrement on switch-to-switch hops.
     pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, mut pkt: Packet) {
@@ -57,54 +54,6 @@ impl<L: SwitchLogic> SimCore<L> {
             }
             pkt.ttl -= 1;
         }
-        self.enqueue_on(lid, pkt);
-    }
-
-    /// Applies one [`crate::transport::TransportEffect::SendBurst`]:
-    /// mints and enqueues `count` consecutive data segments onto the
-    /// host's access link. The link is resolved once for the whole burst,
-    /// and the TTL branch of [`SimCore::transmit`] is skipped statically —
-    /// a host's access link is never a fabric link, so `transmit` would
-    /// never take it for these packets. Per-packet accounting (audit
-    /// offers, wire stats, drop handling) is unchanged: each segment goes
-    /// through [`SimCore::enqueue_on`] exactly as a per-packet `Send`
-    /// would.
-    pub(super) fn send_burst(
-        &mut self,
-        flow: u32,
-        src: NodeId,
-        via: NodeId,
-        first_seq: u32,
-        count: u32,
-    ) {
-        let Some(lid) = self.topo.link_between(src, via) else {
-            // No access link: fall back to per-packet `transmit`, whose
-            // missing-link path carries the accounting.
-            for seq in first_seq..first_seq + count {
-                if let Some(pkt) = self.transport.mint_data(flow, seq, self.now) {
-                    self.transmit(src, via, pkt);
-                }
-            }
-            return;
-        };
-        debug_assert!(!self.fabric_link[lid.0 as usize], "access links only");
-        for seq in first_seq..first_seq + count {
-            let Some(pkt) = self.transport.mint_data(flow, seq, self.now) else {
-                // Vacated flow slot (cannot happen between a handler and
-                // its effect application; defensive).
-                continue;
-            };
-            if let Some(aud) = self.audit.as_deref_mut() {
-                aud.offered += 1;
-            }
-            self.enqueue_on(lid, pkt);
-        }
-    }
-
-    /// The shared enqueue tail of [`SimCore::transmit`] and
-    /// [`SimCore::send_burst`]: hands `pkt` to `lid`'s serializer and
-    /// performs the per-packet wire/drop accounting.
-    fn enqueue_on(&mut self, lid: LinkId, pkt: Packet) {
         let kind = traffic_kind(&pkt);
         let size = pkt.size_bytes;
         let id = pkt.id;
@@ -135,9 +84,9 @@ impl<L: SwitchLogic> SimCore<L> {
         }
     }
 
-    /// Starts serializing an idle link's head packet (both pipelines:
-    /// a fresh busy period always begins with its own completion event).
-    pub(super) fn start_tx(&mut self, lid: LinkId) {
+    /// Starts serializing a link's head packet: schedules its arrival
+    /// and the serializer's completion.
+    fn start_tx(&mut self, lid: LinkId) {
         let link = &mut self.links[lid.0 as usize];
         let Some((pkt, tx)) = link.start_tx(self.now) else {
             return;
@@ -155,7 +104,7 @@ impl<L: SwitchLogic> SimCore<L> {
                 aud.stop_cut += 1;
             }
         }
-        let (slot, gen) = self.pool.insert(pkt);
+        let slot = self.pool.insert(pkt);
         self.push_arrival(
             arrive_at,
             lid,
@@ -163,17 +112,15 @@ impl<L: SwitchLogic> SimCore<L> {
                 node: to,
                 from,
                 pkt: slot,
-                gen,
             },
         );
         self.push_completion(done_at, Event::TxDone { link: lid, epoch });
     }
 
-    /// Serializer completion. Under the per-packet oracle this starts at
-    /// most one queued packet; under the drain-train pipeline it commits
-    /// the whole queued train in one pass. Stale completions from before
-    /// a failure (epoch mismatch) are ignored — were they honored, a
-    /// flap could double-start the serializer.
+    /// Serializer completion: starts the next queued packet, if any.
+    /// Stale completions from before a failure (epoch mismatch) are
+    /// ignored — were they honored, a flap could double-start the
+    /// serializer.
     pub(super) fn on_tx_done(&mut self, lid: LinkId, epoch: u64) {
         let link = &mut self.links[lid.0 as usize];
         // Audit: an event addressed to the *current* epoch of a down
@@ -188,154 +135,26 @@ impl<L: SwitchLogic> SimCore<L> {
         if !link.up || link.epoch != epoch {
             return; // stale completion from before a failure
         }
-        match self.cfg.link_pipeline {
-            LinkPipeline::PerPacket => {
-                if link.tx_done() {
-                    self.start_tx(lid);
-                }
-            }
-            LinkPipeline::Train => {
-                if link.finish_train(self.now) {
-                    self.commit_train(lid);
-                }
-            }
+        if link.tx_done() {
+            self.start_tx(lid);
         }
-    }
-
-    /// Drain-train commit: every queued packet is handed to the
-    /// serializer in one pass. Each packet's serialization window is
-    /// computed analytically (`start_{i+1} = start_i + tx_i` — exactly
-    /// the instants the per-packet pipeline's `TxDone`→`start_tx`
-    /// ping-pong would produce), its arrival is scheduled directly, and
-    /// one completion event is posted for the train tail. A train of `k`
-    /// packets therefore costs `k + 1` scheduler ops instead of `2k`.
-    ///
-    /// The elided intermediate completions still count into
-    /// `SimStats::events_processed` so the events/sec benchmark figure
-    /// stays comparable across pipelines (same workload, same
-    /// denominator) — but only those whose phantom instant lies within
-    /// `stop_at`, exactly the completions the per-packet pipeline would
-    /// have scheduled (its events past the stop are never enqueued).
-    pub(super) fn commit_train(&mut self, lid: LinkId) {
-        let l = self.topo.link(lid);
-        let (from, to) = (l.src, l.dst);
-        let link = &self.links[lid.0 as usize];
-        let (delay, epoch) = (link.delay, link.epoch);
-        let mut start = self.now;
-        let mut count: u64 = 0;
-        let mut elided: u64 = 0;
-        while let Some(pkt) = self.links[lid.0 as usize].take_queued_head() {
-            let size = pkt.size_bytes;
-            let tx = self.links[lid.0 as usize].tx_of(size);
-            let done = start + tx;
-            if done <= self.cfg.stop_at {
-                elided += 1;
-            }
-            if done + delay > self.cfg.stop_at {
-                // Arrival never enqueued — stranded in the pool by design
-                // (same accounting as `start_tx`).
-                if let Some(aud) = self.audit.as_deref_mut() {
-                    aud.stop_cut += 1;
-                }
-            }
-            let (slot, gen) = self.pool.insert(pkt);
-            let link = &mut self.links[lid.0 as usize];
-            if count == 0 {
-                link.fold_tx(size, start); // head starts serializing now
-            } else {
-                link.push_pending(PendingTx {
-                    start,
-                    size,
-                    slot,
-                    gen,
-                });
-            }
-            self.push_arrival(
-                done + delay,
-                lid,
-                Event::Arrive {
-                    node: to,
-                    from,
-                    pkt: slot,
-                    gen,
-                },
-            );
-            start = done;
-            count += 1;
-        }
-        debug_assert!(count > 0, "commit_train runs only with a non-empty queue");
-        if let Some(rec) = self.telem.as_deref_mut() {
-            rec.train_commit(self.now, lid.0, count);
-        }
-        // The tail's completion is a real event, not an elided one.
-        if start <= self.cfg.stop_at {
-            elided -= 1;
-        }
-        self.stats.events_processed += elided;
-        self.stats.txdone_coalesced += elided;
-        self.push_completion(start, Event::TxDone { link: lid, epoch });
     }
 
     /// A cable direction fails: packets whose serialization had not
-    /// started are lost and counted ([`DropReason::LinkDown`]), committed
-    /// train entries are cancelled (their scheduled arrivals go stale via
-    /// the pool generation), and the link epoch advances so in-flight
-    /// completions are recognized as stale.
+    /// started are lost and counted ([`DropReason::LinkDown`]), and the
+    /// link epoch advances so in-flight completions are recognized as
+    /// stale.
     pub(super) fn take_link_down(&mut self, lid: LinkId) {
-        let link = &mut self.links[lid.0 as usize];
-        link.sync(self.now);
-        let bw = link.bandwidth_bps;
-        let delay = link.delay;
-        let flush = link.set_down();
+        let flushed = self.links[lid.0 as usize].set_down();
         if let Some(aud) = self.audit.as_deref_mut() {
-            aud.lost += flush.dropped() as u64;
+            aud.lost += flushed.len() as u64;
         }
-        for pkt in &flush.queued {
+        for pkt in &flushed {
             let probe = matches!(pkt.kind, PacketKind::Probe(_));
             self.stats.on_drop_at(DropReason::LinkDown, self.now, probe);
             self.traces.forget(pkt.id);
             if let Some(rec) = self.telem.as_deref_mut() {
                 rec.drop_event(self.now, DropReason::LinkDown, Some(lid.0));
-            }
-        }
-        for (i, entry) in flush.train.iter().enumerate() {
-            let pkt = self.pool.cancel(entry.slot, entry.gen);
-            let probe = matches!(pkt.kind, PacketKind::Probe(_));
-            self.stats.on_drop_at(DropReason::LinkDown, self.now, probe);
-            self.traces.forget(pkt.id);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.drop_event(self.now, DropReason::LinkDown, Some(lid.0));
-            }
-            // Under the per-packet pipeline this packet never started, so
-            // no completion was ever scheduled for it. Keep
-            // `events_processed` pipeline-invariant through failures:
-            //
-            // * Non-tail entries: retract the elided completion
-            //   pre-counted at commit (counted only when the phantom
-            //   instant was within `stop_at` — same condition here).
-            // * The tail (the pending list is a suffix of one train, so
-            //   its last entry is the tail): its completion is the
-            //   train's one *real* scheduled `TxDone`, which will pop as
-            //   stale with no per-packet counterpart — the per-packet
-            //   stale completion is the in-flight packet's, already
-            //   covered by its kept elided count. Pre-compensate that
-            //   spurious future pop (it exists iff its instant was
-            //   within `stop_at`). When the tail itself was already in
-            //   flight at the failure it is not in the flush, and its
-            //   stale pop matches the per-packet one — no compensation.
-            let done = entry.start + tx_time(entry.size, bw);
-            if done <= self.cfg.stop_at {
-                self.stats.events_processed -= 1;
-                if i + 1 != flush.train.len() {
-                    self.stats.txdone_coalesced -= 1;
-                }
-            }
-            // A cancelled entry whose arrival was past the stop had been
-            // counted into `stop_cut`; it is no longer in the pool.
-            if done + delay > self.cfg.stop_at {
-                if let Some(aud) = self.audit.as_deref_mut() {
-                    aud.stop_cut -= 1;
-                }
             }
         }
     }

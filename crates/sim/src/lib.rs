@@ -22,13 +22,17 @@
 //!   overhead), drops by cause, queue-occupancy sampling, UDP goodput
 //!   timelines, exact per-packet loop accounting (opt-in tracing).
 //!
-//! Determinism: the event queue — a hierarchical timing wheel by default,
-//! the original binary heap behind `SimConfig::scheduler` — is totally
-//! ordered by (time, class-encoded key); there is no hidden randomness.
-//! The same inputs give identical results on every run, under either
-//! scheduler and either link pipeline — properties the test suite checks
-//! (see `tests/sched_diff.rs` for the scheduler equivalence and the
-//! experiments crate's `pipeline_parity.rs` for the link pipelines).
+//! Determinism: the event queue — a hierarchical timing wheel — is
+//! totally ordered by (time, class-encoded key); there is no hidden
+//! randomness, so the same inputs give identical results on every run.
+//! `tests/sched_diff.rs` checks the wheel's order against a binary-heap
+//! reference model.
+//!
+//! There is one engine: the wheel, a per-packet serializer on every
+//! link, boxed [`SwitchLogic`] dispatch and one transport `Send` per
+//! segment. Its only run-time toggles are the three observers
+//! (`SimConfig::{audit, telemetry, trace_paths}`), none of which changes
+//! a statistic.
 //!
 //! The crate is layered (PR 5): [`sched`] (event order), [`link`]
 //! (serializers and queues), [`transport`] (host endpoints), [`switch`]
@@ -52,15 +56,15 @@ pub mod trace;
 pub mod transport;
 
 pub use config::SimConfig;
-pub use engine::{RunOutput, SimCore, Simulator};
+pub use engine::{RunOutput, Simulator};
 pub use fault::FaultError;
 pub use fx::{fx_mix64, FxBuildHasher, FxHashMap, FxHasher64};
-pub use link::{DropReason, LinkPipeline, LinkState, UtilEstimator};
+pub use link::{DropReason, LinkState, UtilEstimator};
 pub use packet::{
     flow_hash, FlowId, Packet, PacketKind, Probe, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES,
 };
 pub use recorder::{Recorder, TelemetryConfig};
-pub use sched::{EventQueue, HeapQueue, SchedCounters, SchedEntry, SchedulerKind, TimingWheel};
+pub use sched::{HeapQueue, SchedCounters, SchedEntry, TimingWheel};
 pub use stats::{
     percentile, FaultEpoch, FlowRecord, GoodputDip, QueueSample, SimStats, TrafficKind, WireBytes,
     QUEUE_SAMPLE_CAP,
@@ -430,143 +434,46 @@ mod tests {
         );
     }
 
-    /// The flow arena vacates retired slots and reuses them (LIFO), and
-    /// the generation check makes the retired flow's still-queued
-    /// `FlowStart` a no-op instead of kicking the slot's new occupant.
-    /// Both schedulers, since timer events ride the event queue.
+    /// cwnd telemetry is one sample per transport action (per ACK),
+    /// never per emitted packet, so the series length stays bounded by
+    /// the ACK count.
     #[test]
-    fn flow_arena_reuses_retired_slots() {
-        for sched in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let topo = line();
-            let h0 = topo.find("h0").unwrap();
-            let h1 = topo.find("h1").unwrap();
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    stop_at: Time::ms(50),
-                    scheduler: sched,
-                    ..SimConfig::default()
-                },
-            );
-            install_static(&mut sim);
-            let spec = |start| FlowSpec::Tcp {
-                src: h0,
-                dst: h1,
-                bytes: 400_000,
-                start,
-            };
-            let a = sim.add_flow(spec(Time::ZERO));
-            assert!(sim.retire_flow(a), "slot was live");
-            assert!(!sim.retire_flow(a), "second retirement finds it vacant");
-            let b = sim.add_flow(spec(Time::us(10)));
-            assert_eq!(a, b, "the vacated slot must be reused");
-            let c = sim.add_flow(spec(Time::us(20)));
-            assert_ne!(b, c, "a fresh flow past the free list grows the arena");
-            let stats = sim.run();
-            // Records append forever (slot reuse must not alias them):
-            // the retired flow's stays unfinished, the other two finish.
-            assert_eq!(stats.flows.len(), 3);
-            assert!(
-                stats.flows[0].finish.is_none(),
-                "retired flow must not run ({sched:?})"
-            );
-            assert!(stats.flows[1].finish.is_some(), "{sched:?}");
-            assert!(stats.flows[2].finish.is_some(), "{sched:?}");
-        }
-    }
-
-    /// A mid-flight scheduled retirement: the slot vacates at the chosen
-    /// instant, and every timer armed against it — notably the RTO that
-    /// pops later — hits a stale generation and must be a no-op rather
-    /// than retransmitting into (or panicking on) a dead flow.
-    #[test]
-    fn scheduled_retirement_invalidates_armed_timers() {
-        for sched in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let topo = line();
-            let h0 = topo.find("h0").unwrap();
-            let h1 = topo.find("h1").unwrap();
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    stop_at: Time::ms(50),
-                    scheduler: sched,
-                    ..SimConfig::default()
-                },
-            );
-            install_static(&mut sim);
-            // Alone, 5 MB at 10 Gbps finishes in ~4 ms — well before
-            // stop_at, so an ignored retirement would show as a finish.
-            let f = sim.add_flow(FlowSpec::Tcp {
-                src: h0,
-                dst: h1,
-                bytes: 5_000_000,
-                start: Time::ZERO,
-            });
-            assert!(sim.retire_flow_at(f, Time::us(200)));
-            let stats = sim.run();
-            assert!(
-                stats.flows[0].finish.is_none(),
-                "flow must die at retirement ({sched:?})"
-            );
-            assert!(
-                stats.delivered_packets > 0,
-                "it must have moved packets first ({sched:?})"
-            );
-            assert!(
-                stats.delivered_packets < 5_000_000 / MSS as u64,
-                "delivery must stop at retirement ({sched:?})"
-            );
-        }
-    }
-
-    /// Burst batching must not change cwnd telemetry semantics: one
-    /// sample per transport action (per ACK), never per emitted packet,
-    /// so the series is bit-identical to the per-send oracle's and its
-    /// length stays bounded by the ACK count.
-    #[test]
-    fn cwnd_sampling_is_per_ack_under_bursts() {
-        let run = |burst: bool| {
-            let topo = line();
-            let h0 = topo.find("h0").unwrap();
-            let h1 = topo.find("h1").unwrap();
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    stop_at: Time::ms(20),
-                    burst_sends: burst,
-                    telemetry: Some(TelemetryConfig::default()),
-                    ..SimConfig::default()
-                },
-            );
-            install_static(&mut sim);
-            sim.add_flow(FlowSpec::Tcp {
-                src: h0,
-                dst: h1,
-                bytes: 500_000,
-                start: Time::ZERO,
-            });
-            sim.run_full()
-        };
-        let bursty = run(true);
-        let single = run(false);
-        let (Some(tb), Some(ts)) = (&bursty.telemetry, &single.telemetry) else {
+    fn cwnd_sampling_is_per_ack() {
+        let topo = line();
+        let h0 = topo.find("h0").unwrap();
+        let h1 = topo.find("h1").unwrap();
+        let mut sim = Simulator::new(
+            topo,
+            SimConfig {
+                stop_at: Time::ms(20),
+                telemetry: Some(TelemetryConfig::default()),
+                ..SimConfig::default()
+            },
+        );
+        install_static(&mut sim);
+        sim.add_flow(FlowSpec::Tcp {
+            src: h0,
+            dst: h1,
+            bytes: 500_000,
+            start: Time::ZERO,
+        });
+        let out = sim.run_full();
+        let Some(report) = &out.telemetry else {
             assert!(
                 crate::recorder::telemetry_from_env() == Some(false),
                 "report must exist unless CONTRA_TELEM forced telemetry off"
             );
             return;
         };
-        let pb = tb.metrics.points("cwnd", "flow0").unwrap_or(&[]);
-        let ps = ts.metrics.points("cwnd", "flow0").unwrap_or(&[]);
-        assert_eq!(pb, ps, "batching must not move a single cwnd sample");
-        assert!(pb.len() >= 2, "slow start must record cwnd growth");
+        let points = report.metrics.points("cwnd", "flow0").unwrap_or(&[]);
+        assert!(points.len() >= 2, "slow start must record cwnd growth");
         // One cumulative ACK per delivered data packet, plus the start
         // and timeout samples: per-packet sampling would blow past this.
         assert!(
-            pb.len() as u64 <= bursty.stats.delivered_packets + 2,
+            points.len() as u64 <= out.stats.delivered_packets + 2,
             "{} cwnd samples for {} delivered packets",
-            pb.len(),
-            bursty.stats.delivered_packets
+            points.len(),
+            out.stats.delivered_packets
         );
     }
 

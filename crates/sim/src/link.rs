@@ -4,103 +4,13 @@
 //! paper's buffer size) and a Hula-style decaying utilization estimator
 //! that the dataplane reads when updating probe metric vectors.
 //!
-//! ## Pipelines: drain trains vs per-packet
-//!
-//! Under the default [`LinkPipeline::Train`] the engine commits a whole
-//! back-to-back *train* of queued packets in one pass when the serializer
-//! frees up, computing each packet's serialization window analytically.
-//! The committed-but-not-yet-started packets live in [`LinkState`]'s
-//! `pending` list as [`PendingTx`] entries; their estimator / byte /
-//! queue-occupancy side effects are folded in **lazily** by
-//! [`LinkState::sync`] the first time the clock moves strictly past each
-//! start. That keeps every observable identical, at every instant, to
-//! the per-packet pipeline ([`LinkPipeline::PerPacket`]), which starts
-//! each packet from its predecessor's `TxDone` event and is kept as the
-//! differential oracle.
+//! Serialization is per packet: the engine starts the head packet when
+//! the serializer frees up ([`LinkState::start_tx`]) and learns from its
+//! completion ([`LinkState::tx_done`]) whether another is waiting.
 
 use crate::packet::Packet;
 use crate::time::{tx_time, Time};
 use std::collections::VecDeque;
-
-/// Which link pipeline the engine runs (`SimConfig::link_pipeline`).
-///
-/// Both pipelines produce identical `SimStats` — the per-packet variant
-/// remains as a differential oracle (the experiments crate pins equal
-/// fingerprints) and an escape hatch. The `CONTRA_LINK_PIPELINE` env var
-/// overrides the configured value at `Simulator` construction, mirroring
-/// `CONTRA_JOBS`: CI runs the whole test suite once under
-/// `CONTRA_LINK_PIPELINE=perpkt` so the oracle cannot silently rot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinkPipeline {
-    /// Drain-train pipeline (the default): one scheduler completion per
-    /// back-to-back train instead of two events per packet.
-    #[default]
-    Train,
-    /// Historical pipeline: every serialization start is its own
-    /// `TxDone` → `start_tx` pair.
-    PerPacket,
-}
-
-impl LinkPipeline {
-    /// The `CONTRA_LINK_PIPELINE` override, if set and parseable.
-    pub fn from_env() -> Option<LinkPipeline> {
-        LinkPipeline::parse(&std::env::var("CONTRA_LINK_PIPELINE").ok()?)
-    }
-
-    /// Parses a `CONTRA_LINK_PIPELINE`-style value (the pure half of
-    /// [`LinkPipeline::from_env`]).
-    pub fn parse(raw: &str) -> Option<LinkPipeline> {
-        match raw.trim() {
-            "train" | "batched" | "drain" => Some(LinkPipeline::Train),
-            "perpkt" | "per-packet" | "perpacket" | "oracle" => Some(LinkPipeline::PerPacket),
-            _ => None,
-        }
-    }
-
-    /// This value, unless `CONTRA_LINK_PIPELINE` overrides it (the env
-    /// var always wins, so any binary or test run can be re-routed onto
-    /// either pipeline without a rebuild).
-    pub fn or_env(self) -> LinkPipeline {
-        LinkPipeline::from_env().unwrap_or(self)
-    }
-}
-
-/// One committed-but-not-yet-started transmission of a drain train.
-///
-/// `slot`/`gen` are the engine's packet-pool handle for the in-flight
-/// packet, carried here only so a link failure can cancel the packet's
-/// already-scheduled arrival (the link layer never dereferences them).
-#[derive(Debug, Clone, Copy)]
-pub struct PendingTx {
-    /// Analytic serialization start (strictly in the future at commit).
-    pub start: Time,
-    /// Wire size in bytes.
-    pub size: u32,
-    /// Packet-pool slot of the committed packet.
-    pub slot: u32,
-    /// Packet-pool generation guarding the slot.
-    pub gen: u32,
-}
-
-/// Everything a [`LinkState::set_down`] discards: packets that were
-/// still queued plus committed train entries whose serialization had not
-/// started. The engine counts each as a `LinkDown` drop and cancels the
-/// train entries' scheduled arrivals.
-#[derive(Debug)]
-pub struct LinkFlush {
-    /// Packets flushed from the queue.
-    pub queued: VecDeque<Packet>,
-    /// Unstarted train commitments (their packets sit in the engine's
-    /// pool, addressed by `slot`/`gen`).
-    pub train: VecDeque<PendingTx>,
-}
-
-impl LinkFlush {
-    /// Total packets lost to the failure.
-    pub fn dropped(&self) -> usize {
-        self.queued.len() + self.train.len()
-    }
-}
 
 /// Decaying byte counter: `u ← u·(1 − Δt/τ) + size`, reset after a full
 /// idle window. Normalized against `bandwidth · τ` this estimates link
@@ -186,15 +96,9 @@ pub struct LinkState {
     pub qcap_bytes: u32,
     /// Queued packets (head is next to transmit).
     queue: VecDeque<Packet>,
-    /// Bytes of packets whose serialization has not started: the raw
-    /// queue plus unstarted `pending` train entries (drop-tail capacity
-    /// and queue-occupancy sampling both measure this, exactly as the
-    /// per-packet pipeline does).
+    /// Bytes of packets whose serialization has not started (drop-tail
+    /// capacity and queue-occupancy sampling both measure this).
     queued_bytes: u32,
-    /// Committed train entries whose serialization start lies at or
-    /// beyond the last [`LinkState::sync`] instant, in start order.
-    /// Always empty under the per-packet pipeline.
-    pending: VecDeque<PendingTx>,
     /// Whether a packet is currently being serialized.
     busy: bool,
     /// Link up/down.
@@ -245,7 +149,6 @@ impl LinkState {
             qcap_bytes,
             queue: VecDeque::new(),
             queued_bytes: 0,
-            pending: VecDeque::new(),
             busy: false,
             up: true,
             estimator: UtilEstimator::new(tau),
@@ -262,7 +165,7 @@ impl LinkState {
     /// Serialization time of `bytes` on this link, through the one-entry
     /// memo.
     #[inline]
-    pub(crate) fn tx_of(&mut self, bytes: u32) -> Time {
+    fn tx_of(&mut self, bytes: u32) -> Time {
         if self.tx_memo.0 == bytes {
             return self.tx_memo.1;
         }
@@ -271,9 +174,9 @@ impl LinkState {
         t
     }
 
-    /// Offers a packet to the queue at `now`.
-    pub fn enqueue(&mut self, pkt: Packet, now: Time) -> EnqueueOutcome {
-        self.sync(now);
+    /// Offers a packet to the queue. The decision depends on the link's
+    /// state alone, not on `_now`.
+    pub fn enqueue(&mut self, pkt: Packet, _now: Time) -> EnqueueOutcome {
         if !self.up {
             self.drops += 1;
             return EnqueueOutcome::Dropped(DropReason::LinkDown);
@@ -298,14 +201,17 @@ impl LinkState {
     pub fn start_tx(&mut self, now: Time) -> Option<(Packet, Time)> {
         debug_assert!(self.busy);
         let pkt = self.queue.pop_front()?;
-        self.fold_tx(pkt.size_bytes, now);
+        self.queued_bytes -= pkt.size_bytes;
+        if self.track_util {
+            self.estimator.on_tx(pkt.size_bytes, now);
+        }
+        self.bytes_tx += pkt.size_bytes as u64;
         let t = self.tx_of(pkt.size_bytes);
         Some((pkt, t))
     }
 
-    /// Called when the serializer finishes a packet (per-packet
-    /// pipeline). Returns `true` if another packet is waiting (caller
-    /// should `start_tx` again).
+    /// Called when the serializer finishes a packet. Returns `true` if
+    /// another packet is waiting (caller should `start_tx` again).
     pub fn tx_done(&mut self) -> bool {
         if self.queue.is_empty() {
             self.busy = false;
@@ -315,79 +221,16 @@ impl LinkState {
         }
     }
 
-    // ---- drain-train pipeline ---------------------------------------
-
-    /// Applies the side effects of every committed train entry whose
-    /// serialization start is *strictly* before `now`: estimator feed,
-    /// lifetime byte counter, queue-occupancy release. Strictness makes
-    /// same-instant observers (queue samples, probe reads, failures at
-    /// exactly a packet boundary) see the packet as not-yet-started —
-    /// matching the per-packet pipeline, where such observers were
-    /// almost always enqueued before the boundary's `TxDone` and
-    /// therefore pop ahead of it.
-    pub fn sync(&mut self, now: Time) {
-        while let Some(p) = self.pending.front() {
-            if p.start >= now {
-                break;
-            }
-            let p = *p;
-            self.pending.pop_front();
-            self.estimator.on_tx(p.size, p.start);
-            self.bytes_tx += p.size as u64;
-            self.queued_bytes -= p.size;
-        }
-    }
-
-    /// Pops the queue head for a train commit, leaving all accounting to
-    /// [`LinkState::fold_tx`] (the packet starting now) or a
-    /// [`PendingTx`] entry (future starts).
-    pub(crate) fn take_queued_head(&mut self) -> Option<Packet> {
-        debug_assert!(self.busy);
-        self.queue.pop_front()
-    }
-
-    /// Records a serialization start at `at` (estimator, lifetime bytes,
-    /// occupancy) — what [`LinkState::start_tx`] does for the packet it
-    /// pops.
-    pub(crate) fn fold_tx(&mut self, size: u32, at: Time) {
-        self.queued_bytes -= size;
-        if self.track_util {
-            self.estimator.on_tx(size, at);
-        }
-        self.bytes_tx += size as u64;
-    }
-
-    /// Files a committed train entry with a future start.
-    pub(crate) fn push_pending(&mut self, entry: PendingTx) {
-        debug_assert!(self.pending.back().is_none_or(|p| p.start <= entry.start));
-        self.pending.push_back(entry);
-    }
-
-    /// Called when a train's tail completion fires at `now`: folds the
-    /// whole train (every start lies strictly before the tail's end) and
-    /// reports whether more packets queued up behind it (caller commits
-    /// the next train).
-    pub(crate) fn finish_train(&mut self, now: Time) -> bool {
-        self.sync(now);
-        debug_assert!(self.pending.is_empty(), "tail end is past every start");
-        self.tx_done()
-    }
-
     /// Takes the link down, discarding every packet whose serialization
-    /// had not started. Returns the flushed packets and unstarted train
-    /// commitments so the caller can account the drops and cancel
-    /// scheduled arrivals. Call [`LinkState::sync`] first — entries
-    /// started strictly before the failure are already on the wire.
-    pub fn set_down(&mut self) -> LinkFlush {
+    /// had not started. Returns the flushed packets so the caller can
+    /// account the drops.
+    pub fn set_down(&mut self) -> VecDeque<Packet> {
         self.up = false;
         self.busy = false;
         self.epoch += 1;
-        self.drops += (self.queue.len() + self.pending.len()) as u64;
+        self.drops += self.queue.len() as u64;
         self.queued_bytes = 0;
-        LinkFlush {
-            queued: std::mem::take(&mut self.queue),
-            train: std::mem::take(&mut self.pending),
-        }
+        std::mem::take(&mut self.queue)
     }
 
     /// Brings the link back up.
@@ -395,45 +238,24 @@ impl LinkState {
         self.up = true;
     }
 
-    /// Estimated utilization at `now`, folding committed-but-unstarted
-    /// train entries in read-only (switch logic holds `&LinkState`). The
-    /// fold applies exactly the `on_tx` calls [`LinkState::sync`] would,
-    /// so the value is bit-identical to the per-packet pipeline's.
+    /// Estimated utilization at `now`.
     pub fn utilization(&self, now: Time) -> f64 {
-        if self.pending.is_empty() {
-            return self.estimator.utilization(self.bandwidth_bps, now);
-        }
-        let mut est = self.estimator.clone();
-        for p in &self.pending {
-            if p.start >= now {
-                break;
-            }
-            est.on_tx(p.size, p.start);
-        }
-        est.utilization(self.bandwidth_bps, now)
+        self.estimator.utilization(self.bandwidth_bps, now)
     }
 
-    /// Bytes awaiting serialization. Call [`LinkState::sync`] first when
-    /// a train may be in flight.
+    /// Bytes awaiting serialization.
     pub fn queued_bytes(&self) -> u32 {
         self.queued_bytes
     }
 
-    /// Packets awaiting serialization (raw queue plus unstarted train
-    /// entries).
+    /// Packets awaiting serialization.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() + self.pending.len()
+        self.queue.len()
     }
 
-    /// Raw queued packets (auditor view — packets not yet committed to a
-    /// train; committed ones live in the engine's pool).
+    /// Queued packets (auditor view).
     pub(crate) fn audit_queue(&self) -> impl Iterator<Item = &Packet> {
         self.queue.iter()
-    }
-
-    /// Unstarted train commitments (auditor view).
-    pub(crate) fn audit_pending(&self) -> impl Iterator<Item = &PendingTx> {
-        self.pending.iter()
     }
 }
 
@@ -516,83 +338,12 @@ mod tests {
         l.enqueue(pkt(1_500), Time::ZERO);
         l.enqueue(pkt(1_500), Time::ZERO);
         let lost = l.set_down();
-        assert_eq!(lost.dropped(), 2);
-        assert!(lost.train.is_empty(), "no train was committed");
+        assert_eq!(lost.len(), 2);
         assert_eq!(
             l.enqueue(pkt(100), Time::ZERO),
             EnqueueOutcome::Dropped(DropReason::LinkDown)
         );
         l.set_up();
         assert_eq!(l.enqueue(pkt(100), Time::ZERO), EnqueueOutcome::StartTx);
-    }
-
-    /// The lazy drain-train fold: committed-but-unstarted entries count
-    /// against queue occupancy and stay out of the estimator until the
-    /// clock moves strictly past their start; a failure flushes exactly
-    /// the unstarted remainder.
-    #[test]
-    fn train_fold_is_lazy_and_strict() {
-        let mut l = LinkState::new(10e9, Time::us(1), 100_000, Time::us(100));
-        for _ in 0..3 {
-            l.enqueue(pkt(1_500), Time::ZERO);
-        }
-        // Commit the train: head starts at 0, the rest are pending.
-        let head = l.take_queued_head().unwrap();
-        l.fold_tx(head.size_bytes, Time::ZERO);
-        let mut start = Time::ns(1_200);
-        for slot in 0..2u32 {
-            let p = l.take_queued_head().unwrap();
-            l.push_pending(PendingTx {
-                start,
-                size: p.size_bytes,
-                slot,
-                gen: 0,
-            });
-            start += Time::ns(1_200);
-        }
-        assert_eq!(l.queued_bytes(), 3_000, "pending still occupies the queue");
-        assert_eq!(l.queue_len(), 2);
-        // At exactly the second start the entry has not folded (strict <).
-        l.sync(Time::ns(1_200));
-        assert_eq!(l.queued_bytes(), 3_000);
-        l.sync(Time::ns(1_201));
-        assert_eq!(l.queued_bytes(), 1_500, "strictly past: folded");
-        assert_eq!(l.bytes_tx, 3_000);
-        // Failure flushes only the unstarted tail entry.
-        let flush = l.set_down();
-        assert_eq!(flush.dropped(), 1);
-        assert_eq!(flush.train.len(), 1);
-        assert_eq!(flush.train[0].slot, 1);
-        assert_eq!(l.queued_bytes(), 0);
-    }
-
-    /// The read-only utilization fold sees exactly what `sync` would
-    /// apply, bit for bit.
-    #[test]
-    fn utilization_fold_matches_sync() {
-        let mk = || {
-            let mut l = LinkState::new(10e9, Time::us(1), 100_000, Time::us(100));
-            l.enqueue(pkt(1_500), Time::ZERO);
-            let head = l.take_queued_head().unwrap();
-            l.fold_tx(head.size_bytes, Time::ZERO);
-            for (i, ns) in [1_200u64, 2_400].iter().enumerate() {
-                l.enqueue(pkt(1_500), Time::ZERO);
-                let p = l.take_queued_head().unwrap();
-                l.push_pending(PendingTx {
-                    start: Time::ns(*ns),
-                    size: p.size_bytes,
-                    slot: i as u32,
-                    gen: 0,
-                });
-            }
-            l
-        };
-        for at in [0u64, 1_200, 1_201, 2_400, 5_000] {
-            let read_only = mk().utilization(Time::ns(at));
-            let mut synced = mk();
-            synced.sync(Time::ns(at));
-            let folded = synced.estimator.utilization(10e9, Time::ns(at));
-            assert_eq!(read_only.to_bits(), folded.to_bits(), "at {at} ns");
-        }
     }
 }

@@ -101,73 +101,52 @@ impl Packet {
     }
 }
 
-/// Slab of in-flight packets referenced by scheduled arrival events.
-/// Slots are recycled LIFO, so the working set stays cache-resident.
-///
-/// Each slot carries a **generation** counter, bumped on every release:
-/// an arrival event addresses `(slot, gen)`, so when a link failure
-/// cancels a committed drain-train packet (releasing its slot early),
-/// the packet's already-scheduled arrival dereferences a stale
-/// generation and is recognized as cancelled — even if the slot has been
-/// reused since.
+/// Slab of packets on the wire, referenced by their scheduled arrival
+/// events. Slots are recycled LIFO, so the working set stays
+/// cache-resident.
 #[derive(Debug, Default)]
 pub(crate) struct PacketPool {
-    /// Generation lives beside its packet so a take touches one slot,
-    /// not two parallel arrays.
-    slots: Vec<(u32, Option<Packet>)>,
+    slots: Vec<Option<Packet>>,
     free: Vec<u32>,
 }
 
 impl PacketPool {
-    /// Stores a packet, returning its `(slot, generation)` handle.
+    /// Stores a packet, returning its slot.
     #[inline]
-    pub(crate) fn insert(&mut self, pkt: Packet) -> (u32, u32) {
+    pub(crate) fn insert(&mut self, pkt: Packet) -> u32 {
         match self.free.pop() {
             Some(i) => {
                 let slot = &mut self.slots[i as usize];
-                debug_assert!(slot.1.is_none());
-                slot.1 = Some(pkt);
-                (i, slot.0)
+                debug_assert!(slot.is_none());
+                *slot = Some(pkt);
+                i
             }
             None => {
-                self.slots.push((0, Some(pkt)));
-                ((self.slots.len() - 1) as u32, 0)
+                self.slots.push(Some(pkt));
+                (self.slots.len() - 1) as u32
             }
         }
     }
 
-    /// Removes and returns the packet behind a handle, or `None` when the
-    /// handle is stale (the packet was cancelled by a link failure).
+    /// Removes and returns the packet in `slot`.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Option<Packet> {
-        let s = &mut self.slots[slot as usize];
-        if s.0 != gen {
-            return None;
-        }
-        let pkt = s.1.take().expect("packet slot is live");
-        s.0 = s.0.wrapping_add(1);
+    pub(crate) fn take(&mut self, slot: u32) -> Packet {
+        let pkt = self.slots[slot as usize]
+            .take()
+            .expect("an arrival addresses a live slot exactly once");
         self.free.push(slot);
-        Some(pkt)
-    }
-
-    /// Cancels a live handle (failure path), returning the packet so the
-    /// caller can account the drop. The handle must be current.
-    pub(crate) fn cancel(&mut self, slot: u32, gen: u32) -> Packet {
-        self.take(slot, gen)
-            .expect("cancelled train entry is live exactly once")
+        pkt
     }
 
     /// Number of live packets (auditor view; off the hot path, so a scan
     /// beats carrying a counter every insert/take).
     pub(crate) fn live(&self) -> u64 {
-        self.slots.iter().filter(|(_, p)| p.is_some()).count() as u64
+        self.slots.iter().flatten().count() as u64
     }
 
     /// Ids of live packets (auditor view).
     pub(crate) fn live_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots
-            .iter()
-            .filter_map(|(_, p)| p.as_ref().map(|p| p.id))
+        self.slots.iter().flatten().map(|p| p.id)
     }
 }
 

@@ -4,7 +4,7 @@
 //! PR 7): **pure observation**. The recorder never touches `SimStats`,
 //! never schedules an event, and never changes engine behavior, so
 //! golden fingerprints are byte-identical with telemetry on or off —
-//! and `events_processed` stays pipeline-invariant because metric
+//! and `events_processed` stays telemetry-invariant because metric
 //! sampling piggybacks on the event loop (a lazy cadence check after
 //! each dispatched event) instead of scheduling events of its own.
 //!
@@ -13,8 +13,8 @@
 //!
 //! * packet lifecycle: drops (with reason and link), deliveries,
 //!   flow starts;
-//! * link/serializer state: idle→busy transitions (`tx_start`),
-//!   drain-train commits, link down/up as begin/end spans;
+//! * link/serializer state: idle→busy transitions (`tx_start`), link
+//!   down/up as begin/end spans;
 //! * fault epochs and transport actions (cwnd evolution as counter
 //!   events, deduplicated on change);
 //! * cadence-sampled series: per-link utilization and queue depth,
@@ -187,21 +187,6 @@ impl Recorder {
             "link",
             link_track(link),
         ));
-    }
-
-    /// A drain-train commit of `packets` packets on `link`.
-    pub fn train_commit(&mut self, now: Time, link: u32, packets: u64) {
-        self.ring.push(
-            TraceEvent::new(
-                now.0,
-                Phase::Instant,
-                "train_commit",
-                "link",
-                link_track(link),
-            )
-            .arg("packets", ArgVal::U(packets)),
-        );
-        self.metrics.observe("train_len", "engine", packets);
     }
 
     /// A TCP flow became active.

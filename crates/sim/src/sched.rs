@@ -1,41 +1,33 @@
-//! Event schedulers: the binary heap the engine grew up with, and the
-//! hierarchical timing wheel that replaced it on the hot path.
+//! The event scheduler: a hierarchical timing wheel, plus the binary heap
+//! that is its reference model.
 //!
 //! The engine's contract is a **total order**: events pop in ascending
 //! `(at, key)`, where the 64-bit `key` encodes an event *class* in its
 //! top bits and a class-specific discriminator below:
 //!
-//! * **Arrivals** ([`EventQueue::push_at_key`], key < 2^30, with the
+//! * **Arrivals** ([`TimingWheel::push_at_key`], key < 2^30, with the
 //!   push counter appended in the low bits) carry a caller-chosen key —
-//!   the engine uses the directed link index, which
-//!   is *pipeline-invariant*: two packets can never finish the same
-//!   link's serializer at the same instant, so same-instant arrivals on
-//!   different links order by a property of the schedule itself rather
-//!   than by when their events happened to be pushed. That is what lets
-//!   the drain-train link pipeline (which pushes a whole train's
-//!   arrivals at commit time) pop in exactly the per-packet pipeline's
-//!   order.
-//! * **Timers** ([`EventQueue::push`], class 1) order by the monotone
-//!   push counter — same-instant timers drain in push order, as before.
-//! * **Serializer completions** ([`EventQueue::push_last`], class 2)
+//!   the engine uses the directed link index, so same-instant arrivals
+//!   on different links order by a property of the schedule itself
+//!   rather than by when their events happened to be pushed.
+//! * **Timers** ([`TimingWheel::push`], class 1) order by the monotone
+//!   push counter — same-instant timers drain in push order.
+//! * **Serializer completions** ([`TimingWheel::push_last`], class 2)
 //!   sort after everything else at their instant: an observer at a
-//!   packet boundary sees the boundary as not-yet-crossed, which is also
-//!   exactly what the drain-train pipeline's lazy state fold implements.
+//!   packet boundary sees the boundary as not-yet-crossed.
 //!
-//! Under that order every run is byte-identical, under either scheduler
-//! and either link pipeline. A
-//! `BinaryHeap` delivers that at O(log n) per operation — and WAN and
-//! fat-tree scenarios keep 10⁴–10⁵ events pending, so every push and pop
-//! sifts through ~17 levels of cold cache lines. The [`TimingWheel`]
-//! delivers the same order at amortized O(1): near-future events land in
-//! fine-grained buckets, far-future events in coarser levels that cascade
-//! down as the clock advances, and events beyond the horizon wait in a
-//! small overflow heap.
+//! Under that order every run is byte-identical. A `BinaryHeap` delivers
+//! it at O(log n) per operation — and WAN and fat-tree scenarios keep
+//! 10⁴–10⁵ events pending, so every push and pop sifts through ~17 levels
+//! of cold cache lines. The [`TimingWheel`] delivers the same order at
+//! amortized O(1): near-future events land in fine-grained buckets,
+//! far-future events in coarser levels that cascade down as the clock
+//! advances, and events beyond the horizon wait in a small overflow heap.
 //!
-//! [`EventQueue`] wraps both behind one surface; [`SchedulerKind`] in
-//! `SimConfig` selects the implementation (the heap stays available as a
-//! differential oracle — `crates/sim/tests/sched_diff.rs` drives random
-//! event streams through both and requires identical pop sequences).
+//! The engine runs on the wheel. [`HeapQueue`] is the reference model:
+//! nothing outside tests constructs it, and
+//! `crates/sim/tests/sched_diff.rs` drives random event streams of all
+//! three classes through both and requires identical pop sequences.
 //!
 //! ## Wheel geometry
 //!
@@ -74,7 +66,7 @@ const fn level_shift(lvl: usize) -> u32 {
     BASE_SHIFT + SLOT_BITS * lvl as u32
 }
 
-/// Caller-chosen arrival keys ([`EventQueue::push_at_key`]) must lie
+/// Caller-chosen arrival keys ([`TimingWheel::push_at_key`]) must lie
 /// below this bound; the scheduler appends its monotone push counter in
 /// the low 32 bits (so equal caller keys at one instant drain in push
 /// order — e.g. two live arrivals on one link across a down/up flap)
@@ -120,30 +112,17 @@ pub struct SchedCounters {
     /// Peak number of pending events over the run.
     pub peak_pending: u64,
     /// Entries re-filed from a coarser wheel level into a finer one as the
-    /// clock advanced (0 under the heap scheduler).
+    /// clock advanced.
     pub cascades: u64,
-    /// Entries that landed beyond the wheel horizon in the overflow heap
-    /// (0 under the heap scheduler).
+    /// Entries that landed beyond the wheel horizon in the overflow heap.
     pub overflow_pushes: u64,
 }
 
-/// Which event-queue implementation the engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (the default).
-    #[default]
-    Wheel,
-    /// The original binary heap — kept as a differential oracle and an
-    /// escape hatch (`SimConfig::scheduler`).
-    Heap,
-}
-
-/// The original scheduler: one `BinaryHeap` over all pending events.
+/// The reference model: one `BinaryHeap` over all pending events.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<SchedEntry<T>>>,
     seq: u64,
-    peak: usize,
 }
 
 impl<T> Default for HeapQueue<T> {
@@ -151,7 +130,6 @@ impl<T> Default for HeapQueue<T> {
         HeapQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            peak: 0,
         }
     }
 }
@@ -168,7 +146,6 @@ impl<T> HeapQueue<T> {
         self.seq += 1;
         let key = TIMER_CLASS | self.seq;
         self.heap.push(Reverse(SchedEntry { at, key, ev }));
-        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Schedules an arrival-class event with a caller-chosen tie-break
@@ -180,7 +157,6 @@ impl<T> HeapQueue<T> {
         self.seq += 1;
         let key = (key << 32) | (self.seq & 0xFFFF_FFFF);
         self.heap.push(Reverse(SchedEntry { at, key, ev }));
-        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Schedules a completion-class event: sorts after everything else
@@ -189,7 +165,6 @@ impl<T> HeapQueue<T> {
         self.seq += 1;
         let key = LAST_CLASS | self.seq;
         self.heap.push(Reverse(SchedEntry { at, key, ev }));
-        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Pops the `(at, key)`-minimal pending event.
@@ -197,23 +172,9 @@ impl<T> HeapQueue<T> {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Occupancy counters.
-    pub fn counters(&self) -> SchedCounters {
-        SchedCounters {
-            peak_pending: self.peak as u64,
-            cascades: 0,
-            overflow_pushes: 0,
-        }
     }
 }
 
@@ -473,86 +434,6 @@ impl<T> TimingWheel<T> {
     }
 }
 
-/// The engine's event queue: one of the two schedulers, chosen by
-/// `SimConfig::scheduler`.
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Hierarchical timing wheel.
-    Wheel(TimingWheel<T>),
-    /// Plain binary heap.
-    Heap(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue of the requested kind.
-    pub fn new(kind: SchedulerKind) -> EventQueue<T> {
-        match kind {
-            SchedulerKind::Wheel => EventQueue::Wheel(TimingWheel::new()),
-            SchedulerKind::Heap => EventQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// Schedules a timer-class event at `at` (monotone: `at` ≥ the last
-    /// popped instant).
-    #[inline]
-    pub fn push(&mut self, at: Time, ev: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, ev),
-            EventQueue::Heap(h) => h.push(at, ev),
-        }
-    }
-
-    /// Schedules an arrival-class event with a caller-chosen key
-    /// (`key < 2^30`, pops ahead of same-instant timers/completions;
-    /// equal keys at one instant drain in push order).
-    #[inline]
-    pub fn push_at_key(&mut self, at: Time, key: u64, ev: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push_at_key(at, key, ev),
-            EventQueue::Heap(h) => h.push_at_key(at, key, ev),
-        }
-    }
-
-    /// Schedules a completion-class event (sorts last at its instant).
-    #[inline]
-    pub fn push_last(&mut self, at: Time, ev: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push_last(at, ev),
-            EventQueue::Heap(h) => h.push_last(at, ev),
-        }
-    }
-
-    /// Pops the `(at, key)`-minimal pending event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<SchedEntry<T>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Occupancy counters.
-    pub fn counters(&self) -> SchedCounters {
-        match self {
-            EventQueue::Wheel(w) => w.counters(),
-            EventQueue::Heap(h) => h.counters(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,6 +547,20 @@ mod tests {
         assert_eq!(wheel.len(), 0);
     }
 
+    /// Runs the body once against each scheduler type, bound to `$q`.
+    macro_rules! on_both {
+        ($q:ident => $body:block) => {{
+            {
+                let mut $q = TimingWheel::new();
+                $body
+            }
+            {
+                let mut $q = HeapQueue::new();
+                $body
+            }
+        }};
+    }
+
     /// Same-instant arrivals with *equal* caller keys (one link's
     /// pre-flap in-flight packet + a post-recovery packet) drain in push
     /// order, identically on both schedulers — the composed key's low
@@ -673,23 +568,21 @@ mod tests {
     /// equal and pop order can never fall to implementation whims.
     #[test]
     fn equal_arrival_keys_drain_in_push_order() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = EventQueue::new(kind);
+        on_both!(q => {
             let t = Time::us(7);
             for i in 0..50u32 {
                 q.push_at_key(t, 3, i); // same instant, same link key
             }
             let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.ev)).collect();
-            assert_eq!(order, (0..50).collect::<Vec<_>>(), "{kind:?}");
-        }
+            assert_eq!(order, (0..50).collect::<Vec<_>>());
+        });
     }
 
     /// The class order at one instant: arrivals (by key), then timers
     /// (push order), then completions (push order) — on both schedulers.
     #[test]
     fn classes_order_arrivals_timers_completions() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = EventQueue::new(kind);
+        on_both!(q => {
             let t = Time::us(3);
             q.push_last(t, 100u32); // completion pushed first...
             q.push(t, 10);
@@ -698,13 +591,13 @@ mod tests {
             q.push_at_key(t, 2, 0); // ...arrival with the smallest key last
             q.push_last(t, 101);
             let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.ev)).collect();
-            assert_eq!(order, vec![0, 1, 10, 11, 100, 101], "{kind:?}");
-        }
+            assert_eq!(order, vec![0, 1, 10, 11, 100, 101]);
+        });
     }
 
     #[test]
     fn counters_track_peak_occupancy() {
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = TimingWheel::new();
         for i in 0..50u32 {
             q.push(Time(i as u64 * 10), i);
         }
@@ -713,7 +606,5 @@ mod tests {
         }
         assert_eq!(q.len(), 30);
         assert_eq!(q.counters().peak_pending, 50);
-        let h = EventQueue::<u32>::new(SchedulerKind::Heap);
-        assert_eq!(h.counters(), SchedCounters::default());
     }
 }

@@ -219,25 +219,16 @@ pub struct SimStats {
     pub delivered_packets: u64,
     /// Loop-breaking events reported by switch logic (§5.5).
     pub loop_breaks: u64,
-    /// Per-packet-equivalent events processed — the denominator of the
-    /// events/sec throughput figure tracked in `BENCH_sim.json`. Counts
-    /// every event popped off the engine's queue **plus** the
-    /// serializer completions the drain-train link pipeline elides
-    /// (`txdone_coalesced`), so the figure measures the same work under
-    /// either `SimConfig::link_pipeline` and stays comparable across
-    /// recordings.
+    /// Events popped off the engine's queue — the denominator of every
+    /// events/sec throughput figure.
     pub events_processed: u64,
-    /// Serializer-completion events elided by the drain-train pipeline
-    /// (a committed train of `k` packets posts one tail completion
-    /// instead of `k`). Always 0 under `LinkPipeline::PerPacket`.
-    pub txdone_coalesced: u64,
     /// Peak number of pending events in the scheduler over the run.
     pub sched_peak_pending: u64,
     /// Timing-wheel entries re-filed from a coarser level into a finer
-    /// one as the clock advanced (0 under the heap scheduler).
+    /// one as the clock advanced.
     pub sched_cascades: u64,
     /// Events that landed beyond the timing wheel's horizon in its
-    /// overflow heap (0 under the heap scheduler).
+    /// overflow heap.
     pub sched_overflow: u64,
     /// Flowlet-table pins that displaced a live foreign entry (modeled
     /// register pressure), summed over all switches at the end of a run.

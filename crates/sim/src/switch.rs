@@ -12,14 +12,9 @@ use crate::packet::Packet;
 use crate::time::Time;
 use contra_topology::{NodeId, Topology};
 
-/// Per-switch dataplane logic.
-///
-/// The `Any` supertrait is the devirtualization seam: the engine core
-/// ([`crate::engine::SimCore`]) is generic over its logic type, and the
-/// experiment layer downcasts installed `Box<dyn SwitchLogic>` values
-/// into a static-dispatch enum after installation. Implementations are
-/// therefore `'static` — every real switch program owns its tables.
-pub trait SwitchLogic: std::any::Any {
+/// Per-switch dataplane logic. The engine owns each installed program
+/// as a `Box<dyn SwitchLogic>`, so implementations own their tables.
+pub trait SwitchLogic {
     /// Handles a packet arriving from neighbor `from` (a switch or an
     /// attached host). Forwarding decisions are made by calling
     /// [`SwitchCtx::send`].
@@ -63,36 +58,6 @@ pub trait SwitchLogic: std::any::Any {
     /// would read a stale estimate.
     fn reads_link_util(&self) -> bool {
         true
-    }
-}
-
-/// Forwarding impl so the boxed trait object itself satisfies the bound
-/// the generic engine core takes. `SimCore<Box<dyn SwitchLogic>>` (the
-/// [`crate::Simulator`] alias) dispatches through this impl — one static
-/// hop, then the historical virtual call.
-impl SwitchLogic for Box<dyn SwitchLogic> {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, from: NodeId) {
-        (**self).on_packet(ctx, pkt, from)
-    }
-
-    fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {
-        (**self).on_tick(ctx)
-    }
-
-    fn tick_interval(&self) -> Option<Time> {
-        (**self).tick_interval()
-    }
-
-    fn register_collisions(&self) -> (u64, u64) {
-        (**self).register_collisions()
-    }
-
-    fn control_churn(&self) -> (u64, u64) {
-        (**self).control_churn()
-    }
-
-    fn reads_link_util(&self) -> bool {
-        (**self).reads_link_util()
     }
 }
 

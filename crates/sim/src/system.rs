@@ -40,13 +40,6 @@ pub trait RoutingSystem: Send + Sync {
     fn name(&self) -> String;
 
     /// Installs this system's switch logic on every switch of `sim`.
-    ///
-    /// Installation is always object-typed: `sim` here is the
-    /// [`Simulator`] alias (`SimCore<Box<dyn SwitchLogic>>`), so any
-    /// switch-logic type installs without the trait knowing about it.
-    /// The experiment layer devirtualizes afterwards by repacking the
-    /// installed boxes into a static-dispatch enum via
-    /// [`crate::SimCore::map_logics`].
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError>;
 
     /// The Contra policy source this system routes by, if it is

@@ -18,22 +18,11 @@
 //! * Flow lifecycle results (completion time, retransmit counts) are
 //!   written straight into [`SimStats::flows`], the measurement layer.
 //!
-//! Flow state lives in a dense generation-checked arena ([`FlowArena`]):
-//! a [`FlowId`] is a slot index, and every timer the transport arms
-//! carries the slot's generation at arm time. Retiring a flow
-//! ([`Transport::retire`]) vacates the slot and bumps the generation, so
-//! timers in flight against the old occupant become no-ops and the slot
-//! can be reused by a later flow without the stale events leaking into
-//! it. Flow *records* ([`SimStats::flows`]) are append-only and indexed
-//! separately (`FlowState::record`), so measurement survives slot reuse.
+//! Flow state lives in a dense append-only table: a [`FlowId`] indexes
+//! both the flow's state here and its record in [`SimStats::flows`].
 //!
 //! The transport also mints packet ids: it is the only packet creator
 //! that needs global uniqueness (probes are switch-local and carry id 0).
-//! Window-opening sends are normally emitted as one described
-//! [`TransportEffect::SendBurst`]; the engine mints the packets at apply
-//! time through [`Transport::mint_data`], preserving the exact id
-//! sequence of per-packet emission because effects apply immediately
-//! after the only other minting handlers return.
 
 use crate::packet::{flow_hash, FlowId, Packet, PacketKind, HDR_BYTES, INITIAL_TTL, MSS};
 use crate::stats::{FlowRecord, SimStats};
@@ -70,25 +59,19 @@ pub enum FlowSpec {
 }
 
 /// A transport-armed timer, delivered back by the engine at its deadline.
-/// Every variant carries the flow slot's generation at arm time; a timer
-/// whose generation no longer matches the slot is stale and ignored.
 #[derive(Debug, Clone, Copy)]
 pub enum TransportTimer {
     /// RTO deadline check.
     Rto {
-        /// Flow slot index.
+        /// Flow index.
         flow: u32,
-        /// Slot generation at arm time.
-        gen: u32,
         /// Arm generation; stale checks are ignored.
         epoch: u64,
     },
     /// Next UDP datagram.
     UdpSend {
-        /// Flow slot index.
+        /// Flow index.
         flow: u32,
-        /// Slot generation at arm time.
-        gen: u32,
     },
 }
 
@@ -103,25 +86,6 @@ pub enum TransportEffect {
         via: NodeId,
         /// The packet.
         pkt: Packet,
-    },
-    /// Transmit the `count` consecutive data segments starting at
-    /// `first_seq` of `flow` from host `src` onto its access link toward
-    /// `via`. The burst is *described*, not materialized: the engine
-    /// mints each packet via [`Transport::mint_data`] while applying the
-    /// effect, so a whole cwnd's worth of window-opening sends costs one
-    /// effect-buffer entry and one access-link resolution instead of
-    /// per-packet effect churn.
-    SendBurst {
-        /// Flow slot index.
-        flow: u32,
-        /// Originating host.
-        src: NodeId,
-        /// First-hop switch (the host's access switch).
-        via: NodeId,
-        /// Sequence number of the first segment in the burst.
-        first_seq: u32,
-        /// Number of consecutive segments.
-        count: u32,
     },
     /// Arm a timer at `at`.
     Timer {
@@ -152,11 +116,6 @@ struct FlowState {
     dst_switch: NodeId,
     size_bytes: u64,
     total_pkts: u32,
-    /// Index of this flow's [`FlowRecord`] in the append-only
-    /// `SimStats::flows`. Distinct from the flow id: slot reuse after
-    /// [`Transport::retire`] hands the same id to a new flow, but each
-    /// incarnation keeps its own record.
-    record: u32,
     // Sender.
     next_seq: u32,
     cum_acked: u32,
@@ -184,140 +143,44 @@ impl FlowState {
     }
 }
 
-/// One arena slot: the generation survives the occupant so stale timers
-/// can be told apart from a reused slot.
-struct FlowSlot {
-    gen: u32,
-    state: Option<FlowState>,
-}
-
-/// Dense generation-checked flow storage. A [`FlowId`] is an index into
-/// `slots`; vacated slots go on the free list and are reused in LIFO
-/// order with a bumped generation.
-#[derive(Default)]
-struct FlowArena {
-    slots: Vec<FlowSlot>,
-    free: Vec<u32>,
-}
-
-impl FlowArena {
-    /// Occupies a slot (reusing a vacated one if available) and returns
-    /// `(slot, generation)`.
-    fn add(&mut self, state: FlowState) -> (u32, u32) {
-        if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            debug_assert!(s.state.is_none());
-            s.state = Some(state);
-            (slot, s.gen)
-        } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(FlowSlot {
-                gen: 0,
-                state: Some(state),
-            });
-            (slot, 0)
-        }
-    }
-
-    fn get(&self, slot: u32) -> Option<&FlowState> {
-        self.slots.get(slot as usize)?.state.as_ref()
-    }
-
-    fn get_mut(&mut self, slot: u32) -> Option<&mut FlowState> {
-        self.slots.get_mut(slot as usize)?.state.as_mut()
-    }
-
-    /// The occupant together with the slot's current generation.
-    fn entry_mut(&mut self, slot: u32) -> Option<(u32, &mut FlowState)> {
-        let s = self.slots.get_mut(slot as usize)?;
-        Some((s.gen, s.state.as_mut()?))
-    }
-
-    /// The occupant, only if the slot's generation still matches.
-    fn get_gen_mut(&mut self, slot: u32, gen: u32) -> Option<&mut FlowState> {
-        let s = self.slots.get_mut(slot as usize)?;
-        if s.gen != gen {
-            return None;
-        }
-        s.state.as_mut()
-    }
-
-    /// Vacates a slot if (and only if) the generation matches a live
-    /// occupant; the generation bump invalidates every timer armed
-    /// against the retired flow.
-    fn retire(&mut self, slot: u32, gen: u32) -> bool {
-        let Some(s) = self.slots.get_mut(slot as usize) else {
-            return false;
-        };
-        if s.gen != gen || s.state.is_none() {
-            return false;
-        }
-        s.state = None;
-        s.gen += 1;
-        self.free.push(slot);
-        true
-    }
-}
-
 /// All host endpoints of a simulation: flow table plus the transport
 /// parameters lifted from `SimConfig`.
 pub struct Transport {
-    flows: FlowArena,
+    flows: Vec<FlowState>,
     min_rto: Time,
     init_cwnd: f64,
-    burst: bool,
     next_pkt_id: u64,
 }
 
 impl Transport {
-    /// A transport with no flows. `burst` selects whether window-opening
-    /// sends are emitted as one [`TransportEffect::SendBurst`] (the
-    /// default) or as per-packet [`TransportEffect::Send`]s (the
-    /// historical path, kept as a differential oracle).
-    pub fn new(min_rto: Time, init_cwnd: f64, burst: bool) -> Transport {
+    /// A transport with no flows.
+    pub fn new(min_rto: Time, init_cwnd: f64) -> Transport {
         Transport {
-            flows: FlowArena::default(),
+            flows: Vec::new(),
             min_rto,
             init_cwnd,
-            burst,
             next_pkt_id: 0,
         }
     }
 
     /// The current congestion window (in packets) of a TCP flow —
-    /// `None` for UDP flows, unknown ids and retired slots. Read by the
-    /// telemetry recorder after transport actions; never consulted by
-    /// forwarding or transport logic itself.
+    /// `None` for UDP flows and unknown ids. Read by the telemetry
+    /// recorder after transport actions; never consulted by forwarding
+    /// or transport logic itself.
     pub fn cwnd_of(&self, flow: u32) -> Option<f64> {
-        let f = self.flows.get(flow)?;
+        let f = self.flows.get(flow as usize)?;
         matches!(f.kind, FlowKind::Tcp).then_some(f.cwnd)
     }
 
-    /// The current generation of `flow`'s slot, if it is occupied.
-    pub fn gen_of(&self, flow: u32) -> Option<u32> {
-        let s = self.flows.slots.get(flow as usize)?;
-        s.state.is_some().then_some(s.gen)
-    }
-
-    /// Whether `flow` still refers to the generation-`gen` occupant of
-    /// its slot (used by the engine to gate flow-scoped events).
-    pub fn live(&self, flow: u32, gen: u32) -> bool {
-        self.flows
-            .slots
-            .get(flow as usize)
-            .is_some_and(|s| s.gen == gen && s.state.is_some())
-    }
-
     /// Registers a flow and its [`FlowRecord`]; returns the id, the
-    /// slot generation, the start instant, and whether the flow is TCP
-    /// (the engine schedules a flow-start or first-datagram event
-    /// accordingly).
+    /// start instant, and whether the flow is TCP (the engine schedules
+    /// a flow-start or first-datagram event accordingly).
     pub fn add_flow(
         &mut self,
         spec: FlowSpec,
         topo: &Topology,
         stats: &mut SimStats,
-    ) -> (FlowId, u32, Time, bool) {
+    ) -> (FlowId, Time, bool) {
         let (src, dst, start) = match &spec {
             FlowSpec::Tcp {
                 src, dst, start, ..
@@ -338,8 +201,9 @@ impl Transport {
             }
             FlowSpec::Udp { rate_bps, stop, .. } => (FlowKind::Udp { rate_bps, stop }, 0, u32::MAX),
         };
-        let record = stats.flows.len() as u32;
-        let state = FlowState {
+        debug_assert_eq!(stats.flows.len(), self.flows.len(), "one record per flow");
+        let id = FlowId(self.flows.len() as u32);
+        self.flows.push(FlowState {
             kind,
             src,
             dst,
@@ -347,7 +211,6 @@ impl Transport {
             dst_switch: topo.host_switch(dst),
             size_bytes,
             total_pkts,
-            record,
             next_seq: 0,
             cum_acked: 0,
             dup_acks: 0,
@@ -363,17 +226,9 @@ impl Transport {
             retransmits: 0,
             rcv_next: 0,
             rcv_ooo: std::collections::BTreeSet::new(),
-            hash_fwd: 0,
-            hash_rev: 0,
-        };
-        let (slot, gen) = self.flows.add(state);
-        let id = FlowId(slot);
-        // The path hash is a function of the flow id, not the record:
-        // two incarnations of a slot hash onto the same ECMP paths, the
-        // same way reused ephemeral ports do.
-        let f = self.flows.get_mut(slot).expect("just added");
-        f.hash_fwd = flow_hash(id, 0);
-        f.hash_rev = flow_hash(id, 1);
+            hash_fwd: flow_hash(id, 0),
+            hash_rev: flow_hash(id, 1),
+        });
         stats.flows.push(FlowRecord {
             id,
             size_bytes,
@@ -382,35 +237,22 @@ impl Transport {
             retransmits: 0,
             unbounded: matches!(kind, FlowKind::Udp { .. }),
         });
-        (id, gen, start, matches!(kind, FlowKind::Tcp))
-    }
-
-    /// Retires a flow: vacates its slot (dropping sender and receiver
-    /// state) and bumps the generation so every in-flight timer against
-    /// it becomes a no-op. Returns whether the slot was live at `gen`.
-    /// Packets of the retired flow still in the network drain normally;
-    /// their deliveries no longer reach transport state.
-    pub fn retire(&mut self, flow: u32, gen: u32) -> bool {
-        self.flows.retire(flow, gen)
+        (id, start, matches!(kind, FlowKind::Tcp))
     }
 
     /// A TCP flow becomes active: opens the window and arms the first
-    /// RTO. A stale generation (the slot was retired and possibly
-    /// reused) is a no-op.
-    pub fn start_flow(&mut self, flow: u32, gen: u32, now: Time, fx: &mut TransportFx) {
-        if !self.live(flow, gen) {
-            return;
-        }
+    /// RTO.
+    pub fn start_flow(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
         self.tcp_try_send(flow, now, fx);
         self.arm_rto(flow, now, fx);
     }
 
     /// Receiver side of a data segment: advances `rcv_next` (with an
-    /// in-order fast path) and emits the cumulative ACK. Data for a
-    /// retired slot is swallowed (the endpoint is gone).
+    /// in-order fast path) and emits the cumulative ACK. Data for an
+    /// unknown flow is swallowed.
     pub fn on_data(&mut self, pkt: &Packet, now: Time, fx: &mut TransportFx) {
         let flow = pkt.flow.0;
-        let Some(f) = self.flows.get_mut(flow) else {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         let seq = pkt.seq;
@@ -447,7 +289,7 @@ impl Transport {
     }
 
     /// Sender side of a cumulative ACK: RTT sampling, window update,
-    /// fast retransmit, completion. ACKs reaching a retired slot are
+    /// fast retransmit, completion. ACKs for an unknown flow are
     /// swallowed.
     pub fn on_ack(
         &mut self,
@@ -458,7 +300,7 @@ impl Transport {
         fx: &mut TransportFx,
         stats: &mut SimStats,
     ) {
-        let Some(f) = self.flows.get_mut(flow) else {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         if f.finished {
@@ -496,10 +338,9 @@ impl Transport {
             }
             if f.cum_acked >= f.total_pkts {
                 f.finished = true;
-                let record = f.record as usize;
-                let retx = f.retransmits;
-                stats.flows[record].finish = Some(now);
-                stats.flows[record].retransmits = retx;
+                let record = &mut stats.flows[flow as usize];
+                record.finish = Some(now);
+                record.retransmits = f.retransmits;
                 return;
             }
             self.arm_rto(flow, now, fx);
@@ -516,8 +357,6 @@ impl Transport {
                 let (src, dst, dst_sw, via, hash) =
                     (f.src, f.dst, f.dst_switch, f.src_switch, f.hash_fwd);
                 let size = data_size(f, seq);
-                // The retransmitted hole is a single segment, never a
-                // burst: it goes out as a plain `Send`.
                 let pkt = mk_packet(
                     &mut self.next_pkt_id,
                     PacketKind::Data,
@@ -537,10 +376,9 @@ impl Transport {
     }
 
     /// RTO deadline: on a live epoch, multiplicative back-off and
-    /// go-back-N from the hole. A stale slot generation (retired or
-    /// recycled flow) is a no-op before the epoch is even consulted.
-    pub fn on_rto(&mut self, flow: u32, gen: u32, epoch: u64, now: Time, fx: &mut TransportFx) {
-        let Some(f) = self.flows.get_gen_mut(flow, gen) else {
+    /// go-back-N from the hole.
+    pub fn on_rto(&mut self, flow: u32, epoch: u64, now: Time, fx: &mut TransportFx) {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         if f.finished || f.rto_epoch != epoch {
@@ -558,9 +396,8 @@ impl Transport {
     }
 
     /// Emits the next constant-rate datagram and re-arms the send timer.
-    /// A stale slot generation is a no-op.
-    pub fn on_udp_send(&mut self, flow: u32, gen: u32, now: Time, fx: &mut TransportFx) {
-        let Some(f) = self.flows.get_gen_mut(flow, gen) else {
+    pub fn on_udp_send(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         let FlowKind::Udp { rate_bps, stop } = f.kind else {
@@ -589,39 +426,14 @@ impl Transport {
         let gap = Time::secs_f64(size as f64 * 8.0 / rate_bps);
         fx.push(TransportEffect::Timer {
             at: now + gap,
-            timer: TransportTimer::UdpSend { flow, gen },
+            timer: TransportTimer::UdpSend { flow },
         });
     }
 
-    /// Mints one in-window data segment of a burst while the engine
-    /// applies a [`TransportEffect::SendBurst`]. Returns `None` for a
-    /// vacated slot (unreachable in practice: effects apply immediately
-    /// after the handler that emitted them).
-    pub fn mint_data(&mut self, flow: u32, seq: u32, now: Time) -> Option<Packet> {
-        let f = self.flows.get(flow)?;
-        let size = data_size(f, seq);
-        let (src, dst, dst_sw, hash) = (f.src, f.dst, f.dst_switch, f.hash_fwd);
-        Some(mk_packet(
-            &mut self.next_pkt_id,
-            PacketKind::Data,
-            flow,
-            seq,
-            size,
-            src,
-            dst,
-            dst_sw,
-            hash,
-            now,
-        ))
-    }
-
-    /// Sends as much as the window allows. The window arithmetic is
-    /// analytic — `count = min(total - next_seq, floor(cwnd).max(1) -
-    /// inflight)` — which is exactly what the historical
-    /// one-`Send`-per-iteration loop converged to, since every emitted
-    /// segment grew `inflight` by one.
+    /// Sends as much as the window allows: `count = min(total - next_seq,
+    /// floor(cwnd).max(1) - inflight)` segments, one `Send` each.
     fn tcp_try_send(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
-        let Some(f) = self.flows.get_mut(flow) else {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         if f.finished {
@@ -636,36 +448,26 @@ impl Transport {
         let first_seq = f.next_seq;
         f.next_seq = first_seq + count;
         let (src, dst, dst_sw, via, hash) = (f.src, f.dst, f.dst_switch, f.src_switch, f.hash_fwd);
-        if self.burst {
-            fx.push(TransportEffect::SendBurst {
+        for seq in first_seq..first_seq + count {
+            let size = data_size(f, seq);
+            let pkt = mk_packet(
+                &mut self.next_pkt_id,
+                PacketKind::Data,
                 flow,
+                seq,
+                size,
                 src,
-                via,
-                first_seq,
-                count,
-            });
-        } else {
-            for seq in first_seq..first_seq + count {
-                let size = data_size(f, seq);
-                let pkt = mk_packet(
-                    &mut self.next_pkt_id,
-                    PacketKind::Data,
-                    flow,
-                    seq,
-                    size,
-                    src,
-                    dst,
-                    dst_sw,
-                    hash,
-                    now,
-                );
-                fx.push(TransportEffect::Send { src, via, pkt });
-            }
+                dst,
+                dst_sw,
+                hash,
+                now,
+            );
+            fx.push(TransportEffect::Send { src, via, pkt });
         }
     }
 
     fn arm_rto(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
-        let Some((gen, f)) = self.flows.entry_mut(flow) else {
+        let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         if f.finished || !matches!(f.kind, FlowKind::Tcp) {
@@ -675,7 +477,7 @@ impl Transport {
         let epoch = f.rto_epoch;
         fx.push(TransportEffect::Timer {
             at: now + f.rto,
-            timer: TransportTimer::Rto { flow, gen, epoch },
+            timer: TransportTimer::Rto { flow, epoch },
         });
     }
 }
@@ -690,7 +492,7 @@ fn data_size(f: &FlowState, seq: u32) -> u32 {
 /// `Topology::host_switch` walks (and allocates) the host's neighbor
 /// list, far too slow for once-per-packet use. Free function (not a
 /// `&mut self` method) so handlers can mint while holding a mutable
-/// borrow of the flow state instead of re-indexing the arena per packet.
+/// borrow of the flow state instead of re-indexing the table per packet.
 #[allow(clippy::too_many_arguments)]
 fn mk_packet(
     next_pkt_id: &mut u64,
@@ -719,137 +521,5 @@ fn mk_packet(
         pid: 0,
         ttl: INITIAL_TTL,
         flow_hash: hash,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use contra_topology::Topology;
-
-    fn two_host_topo() -> Topology {
-        // h0 — s0 — s1 — h1.
-        let mut b = Topology::builder();
-        let s0 = b.switch("s0");
-        let s1 = b.switch("s1");
-        let h0 = b.host("h0");
-        let h1 = b.host("h1");
-        b.biline(s0, s1, 10e9, 1_000);
-        b.biline(h0, s0, 10e9, 1_000);
-        b.biline(h1, s1, 10e9, 1_000);
-        b.build()
-    }
-
-    fn tcp_spec(topo: &Topology, bytes: u64) -> FlowSpec {
-        let hosts = topo.hosts();
-        FlowSpec::Tcp {
-            src: hosts[0],
-            dst: hosts[1],
-            bytes,
-            start: Time(0),
-        }
-    }
-
-    #[test]
-    fn arena_grows_then_reuses_retired_slots() {
-        let topo = two_host_topo();
-        let mut stats = SimStats::default();
-        let mut t = Transport::new(Time::ms(1), 10.0, true);
-        let (a, a_gen, _, _) = t.add_flow(tcp_spec(&topo, 1000), &topo, &mut stats);
-        let (b, b_gen, _, _) = t.add_flow(tcp_spec(&topo, 1000), &topo, &mut stats);
-        assert_eq!((a.0, a_gen), (0, 0));
-        assert_eq!((b.0, b_gen), (1, 0));
-
-        // Retire the first flow: its slot is reused with a bumped
-        // generation, while the flow *records* keep appending.
-        assert!(t.retire(a.0, a_gen));
-        assert!(!t.retire(a.0, a_gen), "double retire is a no-op");
-        let (c, c_gen, _, _) = t.add_flow(tcp_spec(&topo, 2000), &topo, &mut stats);
-        assert_eq!((c.0, c_gen), (a.0, 1), "slot reused, generation bumped");
-        assert_eq!(stats.flows.len(), 3, "records are append-only");
-        assert_eq!(stats.flows[2].size_bytes, 2000);
-        assert!(t.live(c.0, c_gen));
-        assert!(!t.live(a.0, a_gen));
-    }
-
-    #[test]
-    fn stale_generation_timers_are_no_ops() {
-        let topo = two_host_topo();
-        let mut stats = SimStats::default();
-        let mut t = Transport::new(Time::ms(1), 10.0, true);
-        let (a, a_gen, _, _) = t.add_flow(tcp_spec(&topo, 100_000), &topo, &mut stats);
-        let mut fx = TransportFx::new();
-        t.start_flow(a.0, a_gen, Time(0), &mut fx);
-        assert!(!fx.is_empty(), "live flow starts");
-        let armed = fx.len();
-
-        // Retire, then replay every timer the old incarnation armed plus
-        // a stale start: all must be swallowed without touching the slot.
-        assert!(t.retire(a.0, a_gen));
-        let (b, b_gen, _, _) = t.add_flow(tcp_spec(&topo, 100_000), &topo, &mut stats);
-        assert_eq!(b.0, a.0, "slot reused");
-        let before = t.next_pkt_id;
-        let mut stale = TransportFx::new();
-        t.start_flow(a.0, a_gen, Time(10), &mut stale);
-        t.on_rto(a.0, a_gen, 1, Time(10), &mut stale);
-        t.on_rto(a.0, a_gen, u64::MAX, Time(10), &mut stale);
-        t.on_udp_send(a.0, a_gen, Time(10), &mut stale);
-        assert!(stale.is_empty(), "stale-generation events emit nothing");
-        assert_eq!(t.next_pkt_id, before, "no packets minted");
-        assert_eq!(
-            t.flows.get(b.0).map(|f| f.next_seq),
-            Some(0),
-            "new occupant untouched by the old flow's timers"
-        );
-        let _ = (armed, b_gen);
-    }
-
-    #[test]
-    fn burst_and_single_send_describe_identical_packets() {
-        let topo = two_host_topo();
-        // Run start_flow under both emission modes and compare the
-        // concrete packets: the burst must *describe* exactly the
-        // packets the per-send loop materializes.
-        let mut stats1 = SimStats::default();
-        let mut single = Transport::new(Time::ms(1), 4.0, false);
-        let (f1, g1, _, _) = single.add_flow(tcp_spec(&topo, 10_000), &topo, &mut stats1);
-        let mut fx1 = TransportFx::new();
-        single.start_flow(f1.0, g1, Time(0), &mut fx1);
-
-        let mut stats2 = SimStats::default();
-        let mut burst = Transport::new(Time::ms(1), 4.0, true);
-        let (f2, g2, _, _) = burst.add_flow(tcp_spec(&topo, 10_000), &topo, &mut stats2);
-        let mut fx2 = TransportFx::new();
-        burst.start_flow(f2.0, g2, Time(0), &mut fx2);
-
-        let singles: Vec<Packet> = fx1
-            .iter()
-            .filter_map(|e| match e {
-                TransportEffect::Send { pkt, .. } => Some(pkt.clone()),
-                _ => None,
-            })
-            .collect();
-        let described: Vec<Packet> = fx2
-            .iter()
-            .flat_map(|e| match e {
-                TransportEffect::SendBurst {
-                    flow,
-                    first_seq,
-                    count,
-                    ..
-                } => (*first_seq..*first_seq + *count)
-                    .map(|seq| burst.mint_data(*flow, seq, Time(0)).unwrap())
-                    .collect::<Vec<_>>(),
-                _ => Vec::new(),
-            })
-            .collect();
-        assert_eq!(singles.len(), 4, "init_cwnd=4 opens four segments");
-        assert_eq!(singles.len(), described.len());
-        for (a, b) in singles.iter().zip(described.iter()) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        // Both modes also arm exactly one RTO timer, last.
-        assert!(matches!(fx1.last(), Some(TransportEffect::Timer { .. })));
-        assert!(matches!(fx2.last(), Some(TransportEffect::Timer { .. })));
     }
 }

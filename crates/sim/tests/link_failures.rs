@@ -1,19 +1,13 @@
-//! Failure-path regression tests for the link layer, run under **both**
-//! link pipelines and **both** schedulers: every assertion here must hold
-//! with identical numbers in all four configurations.
+//! Failure-path regression tests for the link layer.
 //!
-//! * Packets discarded by `LinkState::set_down` — queued packets *and*
-//!   committed-but-unstarted drain-train entries — are counted as
+//! * Packets discarded by `LinkState::set_down` are counted as
 //!   [`DropReason::LinkDown`] in `SimStats` (they used to be invisible to
 //!   per-reason accounting when the flush happened mid-burst).
 //! * A `TxDone` whose epoch predates a `set_down`/`set_up` flap is
-//!   ignored and cannot double-start the serializer. This invariant is
-//!   load-bearing for drain trains: the tail completion of a cancelled
-//!   train outlives the failure by construction.
+//!   ignored and cannot double-start the serializer.
 
 use contra_sim::{
-    DropReason, FaultError, FlowSpec, LinkPipeline, Packet, SchedulerKind, SimConfig, SimStats,
-    Simulator, SwitchCtx, SwitchLogic, Time,
+    DropReason, FaultError, FlowSpec, Packet, SimConfig, Simulator, SwitchCtx, SwitchLogic, Time,
 };
 use contra_topology::{paths, NodeId, Topology};
 
@@ -52,8 +46,7 @@ fn install_static(sim: &mut Simulator) {
 }
 
 /// h0 –10G– s0 –1G– s1 –10G– h1: the s0→s1 cable is a 10× bottleneck, so
-/// bursts pile up in its queue (and, under the train pipeline, in
-/// committed trains).
+/// bursts pile up in its queue.
 fn bottleneck() -> Topology {
     let mut t = Topology::builder();
     let s0 = t.switch("s0");
@@ -66,38 +59,6 @@ fn bottleneck() -> Topology {
     t.build()
 }
 
-/// All four engine configurations that must agree bit for bit.
-fn configs() -> [(LinkPipeline, SchedulerKind); 4] {
-    [
-        (LinkPipeline::Train, SchedulerKind::Wheel),
-        (LinkPipeline::Train, SchedulerKind::Heap),
-        (LinkPipeline::PerPacket, SchedulerKind::Wheel),
-        (LinkPipeline::PerPacket, SchedulerKind::Heap),
-    ]
-}
-
-/// `CONTRA_LINK_PIPELINE` rewires both sides of these differential
-/// assertions onto one pipeline, making them vacuous — skip under the
-/// override (the env run still exercises every *other* test on the
-/// oracle pipeline, which is its purpose).
-fn env_override() -> bool {
-    if LinkPipeline::from_env().is_some() {
-        eprintln!("skipped: CONTRA_LINK_PIPELINE override active");
-        return true;
-    }
-    false
-}
-
-fn fingerprint(s: &SimStats) -> String {
-    format!(
-        "delivered={} drops={:?} wire={} events={}",
-        s.delivered_packets,
-        s.drops,
-        s.wire_bytes.values().sum::<u64>(),
-        s.events_processed,
-    )
-}
-
 /// A 10-packet TCP burst piles up behind the 1 Gbps bottleneck; the cable
 /// fails mid-burst with the queue full. Every packet whose serialization
 /// had not started must surface as a `LinkDown` drop.
@@ -106,19 +67,13 @@ fn fingerprint(s: &SimStats) -> String {
 /// 1.2 µs/packet, arriving at s0 from 1.7 µs. The bottleneck serializes
 /// 12 µs/packet, so starts happen at 1.7/13.7/25.7 µs — at the 30 µs
 /// failure exactly 3 packets have started (the third still on the wire)
-/// and **7 are unstarted**. Under the train pipeline those 7 live in a
-/// committed train, not the raw queue; they must be counted all the
-/// same. After the failure, ACKs of the surviving deliveries clock out
-/// 3 more transmissions that die at the down cable's `enqueue`
-/// (already-working accounting), for 10 `LinkDown` drops in total — the
-/// run stopped at the failure instant shows the flush alone is 7.
+/// and **7 are unstarted**. After the failure, ACKs of the surviving
+/// deliveries clock out 3 more transmissions that die at the down
+/// cable's `enqueue`, for 10 `LinkDown` drops in total — the run stopped
+/// at the failure instant shows the flush alone is 7.
 #[test]
 fn mid_burst_failure_counts_linkdown_drops() {
-    if env_override() {
-        return;
-    }
-    let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
+    let run = |stop_at: Time| {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -127,9 +82,7 @@ fn mid_burst_failure_counts_linkdown_drops() {
         let mut sim = Simulator::new(
             topo,
             SimConfig {
-                stop_at: Time::ms(2),
-                link_pipeline: pipeline,
-                scheduler,
+                stop_at,
                 ..SimConfig::default()
             },
         );
@@ -141,125 +94,75 @@ fn mid_burst_failure_counts_linkdown_drops() {
             start: Time::ZERO,
         });
         sim.fail_link_at(s0, s1, Time::us(30));
-        let stats = sim.run();
-        assert_eq!(
-            stats.drops.get(&DropReason::LinkDown),
-            Some(&10),
-            "unstarted mid-burst packets must be accounted ({pipeline:?}/{scheduler:?})"
-        );
-        // The packet on the wire at failure time still arrives: 3 of 10
-        // data packets are delivered.
-        assert_eq!(stats.delivered_packets, 3);
-        // Same scenario stopped at the failure instant (the stop bound is
-        // inclusive, so the flush runs and nothing after it): the flush
-        // alone accounts exactly the 7 unstarted packets.
-        {
-            let topo = bottleneck();
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    stop_at: Time::us(30),
-                    link_pipeline: pipeline,
-                    scheduler,
-                    ..SimConfig::default()
-                },
-            );
-            install_static(&mut sim);
-            sim.add_flow(FlowSpec::Tcp {
-                src: h0,
-                dst: h1,
-                bytes: 10 * 1460,
-                start: Time::ZERO,
-            });
-            sim.fail_link_at(s0, s1, Time::us(30));
-            let flush_only = sim.run();
-            assert_eq!(
-                flush_only.drops.get(&DropReason::LinkDown),
-                Some(&7),
-                "set_down flush alone ({pipeline:?}/{scheduler:?})"
-            );
-        }
-        if pipeline == LinkPipeline::Train {
-            assert!(
-                stats.txdone_coalesced > 0,
-                "the burst must actually exercise a committed train"
-            );
-        }
-        prints.push(fingerprint(&stats));
-    }
-    assert!(
-        prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        sim.run()
+    };
+    let stats = run(Time::ms(2));
+    assert_eq!(
+        stats.drops.get(&DropReason::LinkDown),
+        Some(&10),
+        "unstarted mid-burst packets must be accounted"
+    );
+    // The packet on the wire at failure time still arrives: 3 of 10
+    // data packets are delivered.
+    assert_eq!(stats.delivered_packets, 3);
+    // Same scenario stopped at the failure instant (the stop bound is
+    // inclusive, so the flush runs and nothing after it): the flush
+    // alone accounts exactly the 7 unstarted packets.
+    let flush_only = run(Time::us(30));
+    assert_eq!(
+        flush_only.drops.get(&DropReason::LinkDown),
+        Some(&7),
+        "set_down flush alone"
     );
 }
 
-/// A down/up flap in the middle of a committed train: the train's tail
-/// `TxDone` (and, per-packet, the in-flight completion) carries the
-/// pre-failure epoch and must be ignored after recovery — honoring it
-/// would double-start the serializer and deliver packets early. The UDP
-/// stream keeps the link busy across the flap, so a resurrected
-/// serializer would visibly inflate the delivered count or reorder
-/// deliveries; instead all four configurations agree exactly.
+/// A down/up flap while the serializer is busy: the in-flight completion
+/// carries the pre-failure epoch and must be ignored after recovery —
+/// honoring it would double-start the serializer and deliver packets
+/// faster than the cable can carry them. The UDP stream keeps the link
+/// busy across the flap, so a resurrected serializer would push the
+/// delivered count past the line-rate bound.
 #[test]
 fn stale_txdone_across_flap_is_ignored() {
-    if env_override() {
-        return;
-    }
-    let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
-        let topo = bottleneck();
-        let h0 = topo.find("h0").unwrap();
-        let h1 = topo.find("h1").unwrap();
-        let s0 = topo.find("s0").unwrap();
-        let s1 = topo.find("s1").unwrap();
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                stop_at: Time::ms(1),
-                link_pipeline: pipeline,
-                scheduler,
-                ..SimConfig::default()
-            },
-        );
-        install_static(&mut sim);
-        // 2 Gbps offered into a 1 Gbps bottleneck: the queue never
-        // drains, so trains are committed continuously and a completion
-        // is always in flight when the cable flaps.
-        sim.add_flow(FlowSpec::Udp {
-            src: h0,
-            dst: h1,
-            rate_bps: 2e9,
-            start: Time::ZERO,
-            stop: Time::us(900),
-        });
-        // Fail inside a serialization window and recover before the
-        // pre-failure completion instant, so the stale TxDone fires at a
-        // moment the link is up and busy again.
-        sim.fail_link_at(s0, s1, Time::us(100));
-        sim.recover_link_at(s0, s1, Time::us(103));
-        let stats = sim.run();
-        assert!(
-            *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
-            "the flap must flush something"
-        );
-        if pipeline == LinkPipeline::Train {
-            assert!(stats.txdone_coalesced > 0, "trains must be exercised");
-        }
-        prints.push((
-            stats.delivered_packets,
-            fingerprint(&stats),
-            format!("{pipeline:?}/{scheduler:?}"),
-        ));
-    }
-    for w in prints.windows(2) {
-        assert_eq!(
-            (w[0].0, &w[0].1),
-            (w[1].0, &w[1].1),
-            "{} vs {}",
-            w[0].2,
-            w[1].2
-        );
-    }
+    let topo = bottleneck();
+    let h0 = topo.find("h0").unwrap();
+    let h1 = topo.find("h1").unwrap();
+    let s0 = topo.find("s0").unwrap();
+    let s1 = topo.find("s1").unwrap();
+    let mut sim = Simulator::new(
+        topo,
+        SimConfig {
+            stop_at: Time::ms(1),
+            ..SimConfig::default()
+        },
+    );
+    install_static(&mut sim);
+    // 2 Gbps offered into a 1 Gbps bottleneck: the queue never drains,
+    // so a completion is always in flight when the cable flaps.
+    sim.add_flow(FlowSpec::Udp {
+        src: h0,
+        dst: h1,
+        rate_bps: 2e9,
+        start: Time::ZERO,
+        stop: Time::us(900),
+    });
+    // Fail inside a serialization window and recover before the
+    // pre-failure completion instant, so the stale TxDone fires at a
+    // moment the link is up and busy again.
+    sim.fail_link_at(s0, s1, Time::us(100));
+    sim.recover_link_at(s0, s1, Time::us(103));
+    let stats = sim.run();
+    assert!(
+        *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
+        "the flap must flush something"
+    );
+    // 1500-byte datagrams take 12 µs each on the 1 Gbps cable: one
+    // serializer cannot complete more than 1 ms / 12 µs of them.
+    assert!(
+        stats.delivered_packets <= 1_000 / 12,
+        "{} deliveries exceed the bottleneck's line rate",
+        stats.delivered_packets
+    );
 }
 
 /// Scheduling a fault on a cable that does not exist is a typed error —
@@ -318,15 +221,11 @@ fn recover_unknown_cable_panics() {
 
 /// `LinkDown` on an already-down link and `LinkUp` on an already-up link
 /// are explicit no-ops: a doubled failure (or doubled recovery) produces
-/// byte-identical statistics to the single one, in all four engine
-/// configurations. This idempotence is what lets chaos plans overlap
-/// failures without any bookkeeping.
+/// byte-identical statistics to the single one. This idempotence is what
+/// lets chaos plans overlap failures without any bookkeeping.
 #[test]
 fn doubled_fault_events_are_noops() {
-    if env_override() {
-        return;
-    }
-    let run = |pipeline, scheduler, doubled: bool| {
+    let run = |doubled: bool| {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -336,8 +235,6 @@ fn doubled_fault_events_are_noops() {
             topo,
             SimConfig {
                 stop_at: Time::ms(1),
-                link_pipeline: pipeline,
-                scheduler,
                 ..SimConfig::default()
             },
         );
@@ -372,71 +269,52 @@ fn doubled_fault_events_are_noops() {
         );
         (traffic, stats.events_processed)
     };
-    for (pipeline, scheduler) in configs() {
-        let (single, single_events) = run(pipeline, scheduler, false);
-        let (doubled, doubled_events) = run(pipeline, scheduler, true);
-        assert_eq!(
-            single, doubled,
-            "doubled fault events must be invisible ({pipeline:?}/{scheduler:?})"
-        );
-        // The two redundant events are popped and discarded — the only
-        // trace they leave is the event count itself.
-        assert_eq!(doubled_events, single_events + 2);
-    }
+    let (single, single_events) = run(false);
+    let (doubled, doubled_events) = run(true);
+    assert_eq!(single, doubled, "doubled fault events must be invisible");
+    // The two redundant events are popped and discarded — the only
+    // trace they leave is the event count itself.
+    assert_eq!(doubled_events, single_events + 2);
 }
 
-/// A node failure downs every incident link atomically (flushing queues
-/// and committed trains), and the recovery brings them all back; the
-/// numbers agree across both pipelines and both schedulers. Killing s1
-/// mid-stream severs both the s0→s1 bottleneck and the s1→h1 edge.
+/// A node failure downs every incident link atomically (flushing their
+/// queues), and the recovery brings them all back. Killing s1 mid-stream
+/// severs both the s0→s1 bottleneck and the s1→h1 edge.
 #[test]
 fn node_failure_downs_all_incident_links() {
-    if env_override() {
-        return;
-    }
-    let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
-        let topo = bottleneck();
-        let h0 = topo.find("h0").unwrap();
-        let h1 = topo.find("h1").unwrap();
-        let s1 = topo.find("s1").unwrap();
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                stop_at: Time::ms(1),
-                link_pipeline: pipeline,
-                scheduler,
-                ..SimConfig::default()
-            },
-        );
-        install_static(&mut sim);
-        sim.add_flow(FlowSpec::Udp {
-            src: h0,
-            dst: h1,
-            rate_bps: 2e9,
-            start: Time::ZERO,
-            stop: Time::us(900),
-        });
-        sim.fail_node_at(s1, Time::us(100));
-        sim.recover_node_at(s1, Time::us(300));
-        let stats = sim.run();
-        // One epoch per transition that changed anything: the node down
-        // and the node up.
-        assert_eq!(stats.fault_epochs.len(), 2, "{:#?}", stats.fault_epochs);
-        assert!(stats.fault_epochs[0].is_down);
-        assert!(stats.fault_epochs[0].label.contains("node s1"));
-        assert!(
-            *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
-            "severing s1 mid-stream must flush packets"
-        );
-        assert!(
-            stats.delivered_packets > 0,
-            "traffic must resume after the node recovers"
-        );
-        prints.push(fingerprint(&stats));
-    }
+    let topo = bottleneck();
+    let h0 = topo.find("h0").unwrap();
+    let h1 = topo.find("h1").unwrap();
+    let s1 = topo.find("s1").unwrap();
+    let mut sim = Simulator::new(
+        topo,
+        SimConfig {
+            stop_at: Time::ms(1),
+            ..SimConfig::default()
+        },
+    );
+    install_static(&mut sim);
+    sim.add_flow(FlowSpec::Udp {
+        src: h0,
+        dst: h1,
+        rate_bps: 2e9,
+        start: Time::ZERO,
+        stop: Time::us(900),
+    });
+    sim.fail_node_at(s1, Time::us(100));
+    sim.recover_node_at(s1, Time::us(300));
+    let stats = sim.run();
+    // One epoch per transition that changed anything: the node down
+    // and the node up.
+    assert_eq!(stats.fault_epochs.len(), 2, "{:#?}", stats.fault_epochs);
+    assert!(stats.fault_epochs[0].is_down);
+    assert!(stats.fault_epochs[0].label.contains("node s1"));
     assert!(
-        prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
+        "severing s1 mid-stream must flush packets"
+    );
+    assert!(
+        stats.delivered_packets > 0,
+        "traffic must resume after the node recovers"
     );
 }

@@ -1,16 +1,17 @@
 //! Differential property test: the timing wheel is observationally equal
-//! to the binary heap it replaced.
+//! to the binary heap, its reference model.
 //!
 //! The engine's contract is that events pop in strictly ascending
 //! `(at, key)` order. These properties drive identical randomized event
-//! streams — interleaved pushes and pops, deltas spanning every wheel
-//! level and the overflow heap, heavy same-instant ties — through
-//! [`HeapQueue`] and [`TimingWheel`] and require the popped sequences to
-//! be identical element by element. Combined with the golden-stat
-//! fingerprints in `contra-experiments` (whole-simulation outputs), this
-//! is the evidence that swapping schedulers cannot change a single bit of
-//! any result.
+//! streams — interleaved pushes of all three classes (keyed arrivals,
+//! timers, sort-last completions) and pops, deltas spanning every wheel
+//! level and the overflow heap, heavy same-instant ties with equal
+//! arrival keys — through [`HeapQueue`] and [`TimingWheel`] and require
+//! the popped sequences to be identical element by element. The engine
+//! only ever runs on the wheel, so this is the one place its order is
+//! checked against an independent implementation.
 
+use contra_sim::sched::ARRIVAL_KEY_LIMIT;
 use contra_sim::{HeapQueue, SchedEntry, Time, TimingWheel};
 use proptest::prelude::*;
 
@@ -28,9 +29,23 @@ fn delta(class: u8, raw: u64) -> u64 {
     }
 }
 
+/// The arrival key an op's `kind` byte selects: a handful of small keys
+/// (so equal keys at one instant are common) at either end of the
+/// class's range `[0, ARRIVAL_KEY_LIMIT)`.
+fn arrival_key(kind: u8) -> u64 {
+    let small = (kind >> 2) as u64 % 4;
+    if kind & 0x80 == 0 {
+        small
+    } else {
+        ARRIVAL_KEY_LIMIT - 1 - small
+    }
+}
+
 /// Runs one op stream through both schedulers, returning both pop logs.
+/// An op is `(class, raw, kind)`: `class` picks pop vs push and the
+/// delay regime, `raw` the delay, `kind` the push class and arrival key.
 #[allow(clippy::type_complexity)]
-fn run_stream(ops: &[(u8, u64)]) -> (Vec<(Time, u64, u32)>, Vec<(Time, u64, u32)>) {
+fn run_stream(ops: &[(u8, u64, u8)]) -> (Vec<(Time, u64, u32)>, Vec<(Time, u64, u32)>) {
     let mut wheel = TimingWheel::new();
     let mut heap = HeapQueue::new();
     let mut wheel_log = Vec::new();
@@ -44,7 +59,7 @@ fn run_stream(ops: &[(u8, u64)]) -> (Vec<(Time, u64, u32)>, Vec<(Time, u64, u32)
             heap_log.push((e.at, e.key, e.ev));
         }
     };
-    for (i, &(class, raw)) in ops.iter().enumerate() {
+    for (i, &(class, raw, kind)) in ops.iter().enumerate() {
         if class % 4 == 3 {
             // Pop from both; the earlier of push/pop mix keeps queues
             // nonempty often enough to interleave meaningfully.
@@ -55,8 +70,21 @@ fn run_stream(ops: &[(u8, u64)]) -> (Vec<(Time, u64, u32)>, Vec<(Time, u64, u32)
             log(w, h);
         } else {
             let at = Time(now + delta(class, raw));
-            wheel.push(at, i as u32);
-            heap.push(at, i as u32);
+            let ev = i as u32;
+            match kind % 4 {
+                0 => {
+                    wheel.push(at, ev);
+                    heap.push(at, ev);
+                }
+                1 => {
+                    wheel.push_last(at, ev);
+                    heap.push_last(at, ev);
+                }
+                _ => {
+                    wheel.push_at_key(at, arrival_key(kind), ev);
+                    heap.push_at_key(at, arrival_key(kind), ev);
+                }
+            }
         }
     }
     loop {
@@ -76,21 +104,22 @@ proptest! {
     /// Identical random streams pop identically, element by element.
     #[test]
     fn wheel_matches_heap_on_random_streams(
-        ops in proptest::collection::vec((0u8..=255, 0u64..u64::MAX), 0..3000),
+        ops in proptest::collection::vec((0u8..=255, 0u64..u64::MAX, 0u8..=255), 0..3000),
     ) {
         let (wheel_log, heap_log) = run_stream(&ops);
         prop_assert_eq!(&wheel_log, &heap_log);
-        // And the log itself honors the total order.
-        prop_assert!(wheel_log
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        // And the clock never runs backwards. (Keys need not ascend
+        // across pops: an arrival pushed at the instant of a completion
+        // that already popped carries a smaller key than it.)
+        prop_assert!(wheel_log.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     /// Tie-heavy streams (every push lands on one of a handful of
-    /// instants) exercise the seq tie-break specifically.
+    /// instants) exercise the class order and the seq tie-break
+    /// specifically.
     #[test]
     fn wheel_matches_heap_under_heavy_ties(
-        ops in proptest::collection::vec((0u8..=3, 0u64..4), 0..1500),
+        ops in proptest::collection::vec((0u8..=3, 0u64..4, 0u8..=255), 0..1500),
     ) {
         // class ∈ {0..3}: pops every 4th op on average, deltas tiny and
         // highly collident.

@@ -339,7 +339,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc("drops", "QueueFull", 1);
         m.push("link_util", "a→b", 1000, 0.25);
-        m.observe("train_len", "engine", 7);
+        m.observe("queue_depth_bytes", "fabric", 7);
         validate_json(&m.to_json()).expect("valid metrics JSON");
     }
 }
