@@ -10,12 +10,13 @@
 //! Topology specs share the [`contra_experiments`] syntax, so anything
 //! compilable here is also runnable as a `Scenario`. Without `--out`,
 //! prints a compilation report (tags, pids, state model, diagnostics)
-//! instead of writing files. `--verify` additionally runs the full static
-//! policy verifier (black holes, single-cable fragility) and exits
-//! non-zero if it reports errors.
+//! instead of writing files. The full static policy verifier (black holes,
+//! single-cable fragility, dead code) always runs and its findings are
+//! printed; `--verify` additionally makes the exit status non-zero if it
+//! reports errors.
 
 use contra_bench::{parse_topology_spec, CompileCache};
-use contra_core::{verify_with, VerifyOptions};
+use contra_core::verify;
 use contra_p4gen::{emit_switch_program, max_switch_state_kb, switch_state, validate};
 
 fn usage() -> ! {
@@ -31,7 +32,7 @@ fn main() {
     let mut topology = None;
     let mut policy = None;
     let mut out = None;
-    let mut full_verify = false;
+    let mut gate_on_verify = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -48,7 +49,7 @@ fn main() {
                 i += 2;
             }
             "--verify" => {
-                full_verify = true;
+                gate_on_verify = true;
                 i += 1;
             }
             _ => usage(),
@@ -91,16 +92,7 @@ fn main() {
         cp.basis.attrs(),
         cp.min_probe_period_ns
     );
-    // Static policy verification: reachability and dead-code checks always
-    // (they amortize over the compile we just did); the per-cable fragility
-    // analysis rebuilds the product graph once per cable, so it is opt-in.
-    let report = verify_with(
-        &cp,
-        &topo,
-        &VerifyOptions {
-            check_fragility: full_verify,
-        },
-    );
+    let report = verify(&cp, &topo);
     if !report.diagnostics.is_empty() {
         eprint!("{}", report.render(Some(&policy)));
     }
@@ -145,7 +137,7 @@ fn main() {
         }
     }
 
-    if full_verify && report.has_errors() {
+    if gate_on_verify && report.has_errors() {
         std::process::exit(1);
     }
 }

@@ -26,88 +26,10 @@
 //! - `2` — usage error (unknown flag, `--topology` without `--policy`,
 //!   or an unparsable topology spec). Nothing was linted.
 
-use contra_bench::{csv_row, json_escape, parse_topology_spec};
+use contra_bench::{csv_row, json_escape, lint_corpus, parse_topology_spec};
 use contra_core::{policies, verify_source, Severity};
-use contra_topology::{generators, Topology};
+use contra_topology::Topology;
 use std::fmt::Write as _;
-
-/// The Figure 6 running example (A–B, A–C, B–C, B–D, C–D) with hosts on
-/// A, B and D; C stays transit-only so it can head a P6 link preference.
-fn fig6_topo() -> Topology {
-    let mut t = Topology::builder();
-    let a = t.switch("A");
-    let b = t.switch("B");
-    let c = t.switch("C");
-    let d = t.switch("D");
-    for (sw, name) in [(a, "hA"), (b, "hB"), (d, "hD")] {
-        let h = t.host(name);
-        t.biline(sw, h, 10e9, 1_000);
-    }
-    t.biline(a, b, 10e9, 1_000);
-    t.biline(a, c, 10e9, 1_000);
-    t.biline(b, c, 10e9, 1_000);
-    t.biline(b, d, 10e9, 1_000);
-    t.biline(c, d, 10e9, 1_000);
-    t.build()
-}
-
-/// Abilene with one host per city except Denver, which stays transit-only
-/// so the P6/P7 preferred cable `Denver KansasCity` has a head no traffic
-/// terminates at. (A `.*X Y.*` preference black-holes traffic *to* X:
-/// a compliant path would have to revisit its own destination, which the
-/// protocol forbids — the verifier rightly rejects such a corpus.)
-fn abilene_transit_denver() -> Topology {
-    let base = generators::abilene(40e9);
-    let spec = generators::LinkSpec::default();
-    let mut tb = Topology::builder();
-    let mut map = Vec::with_capacity(base.num_nodes());
-    for sw in base.switches() {
-        map.push(tb.switch(&base.node(sw).name));
-    }
-    for l in base.links() {
-        tb.line(
-            map[l.src.0 as usize],
-            map[l.dst.0 as usize],
-            l.bandwidth_bps,
-            l.delay_ns,
-        );
-    }
-    for sw in base.switches() {
-        let name = &base.node(sw).name;
-        if name != "Denver" {
-            let h = tb.host(&format!("{name}_h0"));
-            tb.biline(map[sw.0 as usize], h, spec.bandwidth_bps, spec.delay_ns);
-        }
-    }
-    tb.build()
-}
-
-/// The corpus: each topology with waypoint/link names that exist in it.
-/// `(label, topology, f1, f2, x, y)` — f1/f2 are the P5 waypoints, X–Y
-/// must be a physical cable for P6/P7 to be satisfiable, and X must be a
-/// transit-only switch (no hosts): `.*X Y.*` forbids traffic destined to
-/// X, since the only compliant "paths" would pass through the destination.
-fn corpus() -> Vec<(&'static str, Topology, [&'static str; 4])> {
-    let spec = generators::LinkSpec::default();
-    vec![
-        (
-            "leaf-spine",
-            generators::leaf_spine(4, 2, 2, spec, spec),
-            ["spine0", "spine1", "spine0", "leaf0"],
-        ),
-        (
-            "fat-tree",
-            generators::fat_tree(4, 1, spec),
-            ["core0", "core1", "agg0_0", "edge0_0"],
-        ),
-        (
-            "abilene",
-            abilene_transit_denver(),
-            ["Denver", "KansasCity", "Denver", "KansasCity"],
-        ),
-        ("fig6-diamond", fig6_topo(), ["B", "C", "C", "B"]),
-    ]
-}
 
 /// One diagnostic as a JSON object, or `None` to emit CSV instead.
 type JsonOut<'a> = Option<&'a mut Vec<String>>;
@@ -220,7 +142,7 @@ fn main() {
             cells += 1;
         }
         (None, None) => {
-            for (topo_label, topo, [f1, f2, x, y]) in corpus() {
+            for (topo_label, topo, [f1, f2, x, y]) in lint_corpus() {
                 for (policy_label, src) in policies::catalogue(f1, f2, x, y) {
                     let json_out = json.then_some(&mut records);
                     let (e, w) =

@@ -174,7 +174,7 @@ impl CompiledPolicy {
     /// lower is better; probes that do not improve it are not re-multicast.
     pub fn retention_rank(&self, pid: usize, mv: &MetricVec) -> Rank {
         let sub = &self.analysis.subpolicies[pid];
-        Rank::tuple(sub.retention.iter().map(|e| e.eval(mv)).collect())
+        sub.retention.iter().map(|e| e.eval(mv)).collect()
     }
 
     /// The full policy rank `s(·)` used for BestT / source path selection:
@@ -531,6 +531,30 @@ mod tests {
             prof.stage_sum(),
             prof.total
         );
+    }
+
+    /// A tuple wider than the rank's inline storage still ranks and compares.
+    #[test]
+    fn wide_tuple_policy_ranks_and_compares() {
+        let topo = fig6_topo();
+        let cp = Compiler::new(&topo)
+            .compile_str(
+                "minimize((path.len, path.len, path.len, path.len, \
+                 path.len, path.len, path.util))",
+            )
+            .unwrap();
+        let v = cp.pg.sending[&topo.find("D").unwrap()];
+        let light = MetricVec::new(0.25, 0.0, 2.0);
+        let heavy = MetricVec::new(0.75, 0.0, 2.0);
+        assert_eq!(
+            cp.full_rank(v, &light),
+            Rank::tuple(vec![2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.25])
+        );
+        // Decided by the seventh component.
+        assert!(cp.full_rank(v, &light) < cp.full_rank(v, &heavy));
+        for pid in 0..cp.num_pids() {
+            assert!(cp.retention_rank(pid, &light) <= cp.retention_rank(pid, &heavy));
+        }
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use normal::{normalize, Branch, BranchRank, Guard, MetricExpr, NormalPolicy}
 pub use parser::parse_policy;
 pub use pg::{PgLookupError, ProductGraph, VNode, VNodeId};
 pub use rank::Rank;
-pub use verify::{verify, verify_source, verify_with, BlackHole, Fragility, Report, VerifyOptions};
+pub use verify::{verify, verify_source, BlackHole, Fragility, Report};

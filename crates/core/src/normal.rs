@@ -136,7 +136,7 @@ impl BranchRank {
     pub fn eval(&self, mv: &MetricVec) -> Rank {
         match self {
             BranchRank::Inf => Rank::Inf,
-            BranchRank::Finite(comps) => Rank::tuple(comps.iter().map(|c| c.eval(mv)).collect()),
+            BranchRank::Finite(comps) => comps.iter().map(|c| c.eval(mv)).collect(),
         }
     }
 }

@@ -25,25 +25,9 @@ use crate::compiler::{CompileError, CompiledPolicy, Compiler, CompilerOptions};
 use crate::diag::{self, codes, Diagnostic};
 use crate::metric::MetricVec;
 use crate::normal::{BranchRank, MetricExpr};
-use crate::pg::ProductGraph;
+use crate::pg::{ProductGraph, VNodeId};
 use contra_topology::{NodeId, Topology};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Options for [`verify_with`].
-#[derive(Debug, Clone)]
-pub struct VerifyOptions {
-    /// Probe single-cable failures (rebuilds the product graph once per
-    /// switch-to-switch cable — quadratic-ish, disable for huge fabrics).
-    pub check_fragility: bool,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            check_fragility: true,
-        }
-    }
-}
+use std::collections::BTreeSet;
 
 /// A source switch with no policy-compliant route to a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,7 +55,7 @@ pub struct Fragility {
 
 /// Machine-readable verification results. The differential tests replay
 /// these against the packet simulator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Verdicts {
     /// Source→destination pairs with no compliant route.
     pub black_holes: Vec<BlackHole>,
@@ -99,7 +83,7 @@ pub struct Verdicts {
 }
 
 /// A verification report: human diagnostics plus machine verdicts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// All diagnostics, in discovery order.
     pub diagnostics: Vec<Diagnostic>,
@@ -118,11 +102,6 @@ impl Report {
     pub fn render(&self, source: Option<&str>) -> String {
         diag::render(&self.diagnostics, source)
     }
-}
-
-/// Verifies a compiled policy against its topology with default options.
-pub fn verify(cp: &CompiledPolicy, topo: &Topology) -> Report {
-    verify_with(cp, topo, &VerifyOptions::default())
 }
 
 /// Compiles and verifies policy source in one step. Compile errors become
@@ -155,7 +134,7 @@ pub fn verify_source(src: &str, topo: &Topology) -> (Option<CompiledPolicy>, Rep
 }
 
 /// Verifies a compiled policy against its topology.
-pub fn verify_with(cp: &CompiledPolicy, topo: &Topology, opts: &VerifyOptions) -> Report {
+pub fn verify(cp: &CompiledPolicy, topo: &Topology) -> Report {
     let mut r = Report::default();
     let policy_span = cp.policy.expr.span;
     let sources = traffic_sources(topo);
@@ -166,8 +145,10 @@ pub fn verify_with(cp: &CompiledPolicy, topo: &Topology, opts: &VerifyOptions) -
             .push(Diagnostic::warning(codes::NON_ISOTONIC, w.to_string()).with_span(w.span()));
     }
 
-    // -- Black holes: per destination, reverse reachability over the PG.
-    r.verdicts.black_holes = black_holes(&cp.pg, &cp.destinations, &sources);
+    // -- Black holes and single-cable fragility: per destination, one
+    // reverse-reachability walk over the PG answers both.
+    let reach = Reachability::analyze(cp, topo, &sources);
+    r.verdicts.black_holes = reach.black_holes;
     for bh in &r.verdicts.black_holes {
         r.diagnostics.push(
             Diagnostic::error(
@@ -222,10 +203,8 @@ pub fn verify_with(cp: &CompiledPolicy, topo: &Topology, opts: &VerifyOptions) -
         );
     }
 
-    // -- Single-cable fragility: re-verify reachability minus each cable.
-    if opts.check_fragility {
-        fragility_checks(cp, topo, &sources, &r.verdicts.black_holes.clone(), &mut r);
-    }
+    // -- Single-cable fragility: routes that disappear with one cable.
+    report_fragility(cp, topo, &reach.cables, &reach.lost_routes, &mut r);
 
     r
 }
@@ -245,48 +224,6 @@ fn traffic_sources(topo: &Topology) -> Vec<NodeId> {
     }
 }
 
-/// Switches holding a reachable finite virtual node for destination `d` —
-/// i.e. the sources that have at least one compliant route to `d`.
-///
-/// The walk never re-enters `d`: the protocol drops probes that return to
-/// their origin (§5.5), so a "path" through the destination is not
-/// realizable in the dataplane even when the product graph contains it.
-fn routable_sources(pg: &ProductGraph, d: NodeId) -> BTreeSet<NodeId> {
-    let mut routable = BTreeSet::new();
-    let Some(&seed) = pg.sending.get(&d) else {
-        return routable;
-    };
-    let mut seen = vec![false; pg.len()];
-    let mut work = vec![seed];
-    seen[seed.0 as usize] = true;
-    while let Some(v) = work.pop() {
-        let vn = pg.vnode(v);
-        if vn.finite {
-            routable.insert(vn.switch);
-        }
-        for &w in pg.succs(v) {
-            if !seen[w.0 as usize] && pg.vnode(w).switch != d {
-                seen[w.0 as usize] = true;
-                work.push(w);
-            }
-        }
-    }
-    routable
-}
-
-fn black_holes(pg: &ProductGraph, destinations: &[NodeId], sources: &[NodeId]) -> Vec<BlackHole> {
-    let mut out = Vec::new();
-    for &d in destinations {
-        let routable = routable_sources(pg, d);
-        for &s in sources {
-            if s != d && !routable.contains(&s) {
-                out.push(BlackHole { src: s, dst: d });
-            }
-        }
-    }
-    out
-}
-
 /// Dead / shadowed branches and unsatisfiable guards, over the acceptance
 /// vectors the unpruned product graph can realize.
 fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &mut Report) {
@@ -296,12 +233,8 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
     // Metric lower bounds per destination: least latency (seconds) and hop
     // count from each switch, over the physical switch graph. A compliant
     // path can only be longer, so evaluating an upper-bound guard here is
-    // sound.
-    let bounds: BTreeMap<NodeId, BTreeMap<NodeId, (f64, f64)>> = cp
-        .destinations
-        .iter()
-        .map(|&d| (d, shortest_to(topo, d)))
-        .collect();
+    // sound. Only guarded branches read them.
+    let mut bounds: Option<Vec<(NodeId, LowerBounds)>> = None;
 
     for (bi, b) in cp.normal.branches.iter().enumerate() {
         if !matches!(b.rank, BranchRank::Finite(_)) {
@@ -344,7 +277,13 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
         // Tightest metric lower bound over every (destination, vnode) at
         // which this branch's regex requirements hold.
         let mut lb: Option<(f64, f64)> = None;
-        for (&d, dist) in &bounds {
+        let bounds = bounds.get_or_insert_with(|| {
+            cp.destinations
+                .iter()
+                .map(|&d| (d, shortest_to(topo, d)))
+                .collect()
+        });
+        for &(d, ref dist) in bounds.iter() {
             let Some(&seed) = full.sending.get(&d) else {
                 continue;
             };
@@ -357,7 +296,7 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
                     let cand = if vn.switch == d {
                         (0.0, 0.0)
                     } else {
-                        dist.get(&vn.switch).copied().unwrap_or((0.0, 0.0))
+                        dist[vn.switch.0 as usize].unwrap_or((0.0, 0.0))
                     };
                     lb = Some(match lb {
                         None => cand,
@@ -446,47 +385,323 @@ fn automata_checks(cp: &CompiledPolicy, r: &mut Report) {
     }
 }
 
-/// For every switch-to-switch cable, rebuild the product graph without it
-/// and report routes that disappear.
-fn fragility_checks(
-    cp: &CompiledPolicy,
-    topo: &Topology,
-    sources: &[NodeId],
-    base: &[BlackHole],
-    r: &mut Report,
-) {
-    let base: BTreeSet<BlackHole> = base.iter().copied().collect();
-    let mut cables: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for l in topo.links() {
-        if topo.is_switch(l.src) && topo.is_switch(l.dst) {
-            let (a, b) = if l.src <= l.dst {
-                (l.src, l.dst)
-            } else {
-                (l.dst, l.src)
-            };
-            cables.insert((a, b));
+/// "No vnode" / "no cable" in the dense `u32` arrays of the probe walk.
+const NONE: u32 = u32::MAX;
+
+/// The compiled product graph in the shape the probe walk needs: flat
+/// forward and reverse adjacency in which every edge carries the index of
+/// the cable it crosses. A cable is an unordered switch pair, so one cable
+/// is many edges — both directions, every tag pair.
+struct CableGraph {
+    /// Switch-to-switch cables `(a, b)` with `a <= b`, ascending.
+    cables: Vec<(NodeId, NodeId)>,
+    /// Per vnode: its switch, and whether it is finite.
+    switch: Vec<NodeId>,
+    finite: Vec<bool>,
+    /// `out[out_off[v]..out_off[v + 1]]` holds `(w, cable)` for every
+    /// probe-direction edge `v → w`.
+    out_off: Vec<u32>,
+    out: Vec<(u32, u32)>,
+    /// The same edges by head: `(u, cable)` for every edge `u → v`.
+    in_off: Vec<u32>,
+    ins: Vec<(u32, u32)>,
+}
+
+impl CableGraph {
+    fn new(pg: &ProductGraph, topo: &Topology) -> CableGraph {
+        let mut cables: Vec<(NodeId, NodeId)> = topo
+            .links()
+            .iter()
+            .filter(|l| topo.is_switch(l.src) && topo.is_switch(l.dst))
+            .map(|l| (l.src.min(l.dst), l.src.max(l.dst)))
+            .collect();
+        cables.sort_unstable();
+        cables.dedup();
+
+        let n = pg.len();
+        let switch: Vec<NodeId> = pg.vnodes.iter().map(|v| v.switch).collect();
+        let mut out_off = Vec::with_capacity(n + 1);
+        let mut out = Vec::new();
+        let mut in_off = vec![0u32; n + 1];
+        for (v, succs) in pg.out.iter().enumerate() {
+            out_off.push(out.len() as u32);
+            for &w in succs {
+                let (x, y) = (switch[v], switch[w.0 as usize]);
+                let cable = cables
+                    .binary_search(&(x.min(y), x.max(y)))
+                    .expect("product-graph edges follow physical links");
+                out.push((w.0, cable as u32));
+                in_off[w.0 as usize + 1] += 1;
+            }
+        }
+        out_off.push(out.len() as u32);
+        for v in 0..n {
+            in_off[v + 1] += in_off[v];
+        }
+        let mut fill = in_off.clone();
+        let mut ins = vec![(NONE, NONE); out.len()];
+        for v in 0..n {
+            for &(w, cable) in &out[out_off[v] as usize..out_off[v + 1] as usize] {
+                ins[fill[w as usize] as usize] = (v as u32, cable);
+                fill[w as usize] += 1;
+            }
+        }
+        CableGraph {
+            cables,
+            switch,
+            finite: pg.vnodes.iter().map(|v| v.finite).collect(),
+            out_off,
+            out,
+            in_off,
+            ins,
         }
     }
 
-    for &(a, b) in &cables {
-        let cut = topo.without_cables(&[(a, b)]);
-        let pg = ProductGraph::build(&cut, &cp.automata, &cp.normal, &cp.destinations, true);
-        let comp = switch_components(&cut);
-        let mut new_pairs: Vec<Fragility> = Vec::new();
-        for bh in black_holes(&pg, &cp.destinations, sources) {
-            if base.contains(&bh) {
-                continue;
-            }
-            new_pairs.push(Fragility {
-                cable: (a, b),
-                src: bh.src,
-                dst: bh.dst,
-                partitions: comp[&bh.src] != comp[&bh.dst],
-            });
+    fn succs(&self, v: u32) -> &[(u32, u32)] {
+        &self.out[self.out_off[v as usize] as usize..self.out_off[v as usize + 1] as usize]
+    }
+
+    fn preds(&self, v: u32) -> &[(u32, u32)] {
+        &self.ins[self.in_off[v as usize] as usize..self.in_off[v as usize + 1] as usize]
+    }
+}
+
+/// One destination's reachability tree over a [`CableGraph`], with the
+/// scratch to cut cables out of it.
+struct ProbeTree<'g> {
+    g: &'g CableGraph,
+    /// The tree's vnodes in breadth-first order, the sending vnode first.
+    nodes: Vec<u32>,
+    in_tree: Vec<bool>,
+    /// Per tree vnode but the first: the cable its tree edge crosses.
+    parent_cable: Vec<u32>,
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    /// Finite vnodes the tree holds per switch (by node id): a switch has
+    /// a route while this is positive.
+    finite_at: Vec<u32>,
+    // Scratch of one cut.
+    detached: Vec<bool>,
+    cut: Vec<u32>,
+    work: Vec<u32>,
+}
+
+impl<'g> ProbeTree<'g> {
+    fn new(g: &'g CableGraph, num_nodes: usize) -> ProbeTree<'g> {
+        let n = g.switch.len();
+        ProbeTree {
+            g,
+            nodes: Vec::new(),
+            in_tree: vec![false; n],
+            parent_cable: vec![NONE; n],
+            first_child: vec![NONE; n],
+            next_sibling: vec![NONE; n],
+            finite_at: vec![0; num_nodes],
+            detached: vec![false; n],
+            cut: Vec::new(),
+            work: Vec::new(),
         }
-        if new_pairs.is_empty() {
+    }
+
+    /// Replaces the tree by the breadth-first probe walk from `d`'s sending
+    /// vnode (an empty tree when the policy lets `d` send no probes). The
+    /// walk never re-enters `d`: the protocol drops probes that return to
+    /// their origin (§5.5), so a "path" through the destination is not
+    /// realizable in the dataplane even when the product graph contains it.
+    fn grow(&mut self, seed: Option<VNodeId>, d: NodeId) {
+        let g = self.g;
+        for &v in &self.nodes {
+            self.in_tree[v as usize] = false;
+            self.first_child[v as usize] = NONE;
+            self.finite_at[g.switch[v as usize].0 as usize] = 0;
+        }
+        self.nodes.clear();
+        if let Some(seed) = seed {
+            self.nodes.push(seed.0);
+            self.in_tree[seed.0 as usize] = true;
+        }
+        let mut head = 0;
+        while head < self.nodes.len() {
+            let v = self.nodes[head];
+            head += 1;
+            if g.finite[v as usize] {
+                self.finite_at[g.switch[v as usize].0 as usize] += 1;
+            }
+            for &(w, cable) in g.succs(v) {
+                if !self.in_tree[w as usize] && g.switch[w as usize] != d {
+                    self.in_tree[w as usize] = true;
+                    self.parent_cable[w as usize] = cable;
+                    self.next_sibling[w as usize] = self.first_child[v as usize];
+                    self.first_child[v as usize] = w;
+                    self.nodes.push(w);
+                }
+            }
+        }
+    }
+
+    /// Whether switch `s` holds a finite vnode of the tree, i.e. has a
+    /// compliant route to the destination.
+    fn routes(&self, s: NodeId) -> bool {
+        self.finite_at[s.0 as usize] > 0
+    }
+
+    /// Appends to `lost` the switches that route now but not once `cable`
+    /// fails; `below` are the tree vnodes whose tree edge crosses it. Only
+    /// their subtrees are visited, and the tree is left as it was.
+    fn cut(&mut self, cable: u32, below: &[(u32, u32)], lost: &mut Vec<NodeId>) {
+        let g = self.g;
+        // Detach every subtree hanging below one of the cable's edges.
+        for &(_, v) in below {
+            if !self.detached[v as usize] {
+                self.detached[v as usize] = true;
+                self.work.push(v);
+            }
+        }
+        while let Some(v) = self.work.pop() {
+            self.cut.push(v);
+            let mut c = self.first_child[v as usize];
+            while c != NONE {
+                if !self.detached[c as usize] {
+                    self.detached[c as usize] = true;
+                    self.work.push(c);
+                }
+                c = self.next_sibling[c as usize];
+            }
+        }
+        // Re-attach whatever a surviving edge from the intact tree enters,
+        // and everything reachable from there inside the cut.
+        let (in_tree, detached) = (&self.in_tree, &mut self.detached);
+        self.work.extend(self.cut.iter().copied().filter(|&v| {
+            g.preds(v)
+                .iter()
+                .any(|&(u, c)| c != cable && in_tree[u as usize] && !detached[u as usize])
+        }));
+        for &v in &self.work {
+            detached[v as usize] = false;
+        }
+        while let Some(v) = self.work.pop() {
+            for &(w, c) in g.succs(v) {
+                if c != cable && detached[w as usize] {
+                    detached[w as usize] = false;
+                    self.work.push(w);
+                }
+            }
+        }
+        // A switch loses its route when its last finite vnode stays cut off.
+        for &v in &self.cut {
+            if detached[v as usize] && g.finite[v as usize] {
+                let s = g.switch[v as usize];
+                self.finite_at[s.0 as usize] -= 1;
+                if self.finite_at[s.0 as usize] == 0 {
+                    lost.push(s);
+                }
+            }
+        }
+        for v in self.cut.drain(..) {
+            if detached[v as usize] {
+                detached[v as usize] = false;
+                if g.finite[v as usize] {
+                    self.finite_at[g.switch[v as usize].0 as usize] += 1;
+                }
+            }
+        }
+    }
+}
+
+/// What the probe walks over the compiled product graph establish.
+struct Reachability {
+    /// Source→destination pairs with no compliant route, destination-major.
+    black_holes: Vec<BlackHole>,
+    /// Switch-to-switch cables `(a, b)` with `a <= b`, ascending.
+    cables: Vec<(NodeId, NodeId)>,
+    /// Per cable, the `(src, dst)` routes that exist but disappear when it
+    /// fails, destination-major.
+    lost_routes: Vec<Vec<(NodeId, NodeId)>>,
+}
+
+impl Reachability {
+    /// Per destination, one probe walk records the reachability tree;
+    /// sources that hold none of its finite vnodes are black holes.
+    ///
+    /// The tree also answers what each cable failure takes away, and
+    /// nothing is rebuilt for it. A vnode is `(switch, automaton states)`,
+    /// which does not depend on the topology, so the product graph of the
+    /// topology minus a cable is `cp.pg` minus that cable's edges (pruning
+    /// only ever removes vnodes that lie on no path to a finite vnode, and
+    /// cutting edges creates no such path). A cable that owns no tree edge
+    /// leaves the tree — and with it the destination's routable set —
+    /// intact. For one that does, only the subtrees below its tree edges
+    /// are detached and then re-attached wherever a surviving edge still
+    /// enters them, so the work per (destination, cable) is proportional to
+    /// the affected subtree; breadth first keeps the tree, and so the sum
+    /// of subtree sizes, shallow.
+    fn analyze(cp: &CompiledPolicy, topo: &Topology, sources: &[NodeId]) -> Reachability {
+        let g = CableGraph::new(&cp.pg, topo);
+        let mut is_source = vec![false; topo.num_nodes()];
+        for &s in sources {
+            is_source[s.0 as usize] = true;
+        }
+        let mut tree = ProbeTree::new(&g, topo.num_nodes());
+        let mut tree_edges: Vec<(u32, u32)> = Vec::new();
+        let mut lost: Vec<NodeId> = Vec::new();
+        let mut black_holes = Vec::new();
+        let mut lost_routes = vec![Vec::new(); g.cables.len()];
+
+        for &d in &cp.destinations {
+            tree.grow(cp.pg.sending.get(&d).copied(), d);
+            for &s in sources {
+                if s != d && !tree.routes(s) {
+                    black_holes.push(BlackHole { src: s, dst: d });
+                }
+            }
+
+            tree_edges.clear();
+            tree_edges.extend(
+                tree.nodes
+                    .iter()
+                    .skip(1)
+                    .map(|&v| (tree.parent_cable[v as usize], v)),
+            );
+            tree_edges.sort_unstable();
+            for below in tree_edges.chunk_by(|a, b| a.0 == b.0) {
+                let cable = below[0].0;
+                tree.cut(cable, below, &mut lost);
+                // Report order within a (cable, destination): sources ascending.
+                lost.retain(|s| is_source[s.0 as usize]);
+                lost.sort_unstable();
+                lost_routes[cable as usize].extend(lost.drain(..).map(|s| (s, d)));
+            }
+        }
+        Reachability {
+            black_holes,
+            cables: g.cables,
+            lost_routes,
+        }
+    }
+}
+
+/// The `fragile` verdicts and their diagnostics, cables ascending.
+fn report_fragility(
+    cp: &CompiledPolicy,
+    topo: &Topology,
+    cables: &[(NodeId, NodeId)],
+    lost_routes: &[Vec<(NodeId, NodeId)>],
+    r: &mut Report,
+) {
+    for (&(a, b), pairs) in cables.iter().zip(lost_routes) {
+        if pairs.is_empty() {
             continue;
         }
+        let comp = switch_components_without(topo, (a, b));
+        let new_pairs: Vec<Fragility> = pairs
+            .iter()
+            .map(|&(src, dst)| Fragility {
+                cable: (a, b),
+                src,
+                dst,
+                partitions: comp[src.0 as usize] != comp[dst.0 as usize],
+            })
+            .collect();
         let policy_only: Vec<&Fragility> = new_pairs.iter().filter(|f| !f.partitions).collect();
         let name = |n: NodeId| topo.node(n).name.clone();
         let examples = |fs: &[&Fragility]| -> String {
@@ -533,46 +748,57 @@ fn fragility_checks(
     }
 }
 
-/// Connected components of the switch graph (hosts ignored).
-fn switch_components(topo: &Topology) -> BTreeMap<NodeId, usize> {
-    let mut comp: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut next = 0usize;
+/// Component index per node id of the switch graph (hosts ignored) once
+/// `cable` is gone: switches ascending, each claiming what it still reaches
+/// over out-links through unclaimed switches.
+fn switch_components_without(topo: &Topology, cable: (NodeId, NodeId)) -> Vec<u32> {
+    let (a, b) = cable;
+    let mut comp = vec![NONE; topo.num_nodes()];
+    let mut next = 0u32;
     for s in topo.switches() {
-        if comp.contains_key(&s) {
+        if comp[s.0 as usize] != NONE {
             continue;
         }
-        let id = next;
-        next += 1;
+        comp[s.0 as usize] = next;
         let mut work = vec![s];
-        comp.insert(s, id);
         while let Some(x) = work.pop() {
-            for y in topo.switch_neighbors(x) {
-                if let std::collections::btree_map::Entry::Vacant(e) = comp.entry(y) {
-                    e.insert(id);
+            for &(y, _) in topo.adjacency(x) {
+                let cut = (x, y) == (a, b) || (x, y) == (b, a);
+                if !cut && topo.is_switch(y) && comp[y.0 as usize] == NONE {
+                    comp[y.0 as usize] = next;
                     work.push(y);
                 }
             }
         }
+        next += 1;
     }
     comp
 }
 
-/// Per-switch (least latency in seconds, least hop count) to `d` over the
-/// physical switch graph. The two minima may come from different paths —
-/// each is separately a valid lower bound.
-fn shortest_to(topo: &Topology, d: NodeId) -> BTreeMap<NodeId, (f64, f64)> {
+/// Per node id, for the switches connected to some destination over the
+/// physical switch graph: (least latency in seconds, least hop count).
+type LowerBounds = Vec<Option<(f64, f64)>>;
+
+/// The [`LowerBounds`] to `d`. The two minima may come from different
+/// paths — each is separately a valid lower bound.
+fn shortest_to(topo: &Topology, d: NodeId) -> LowerBounds {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BinaryHeap, VecDeque};
+
+    let switch_links = |x: NodeId| {
+        topo.adjacency(x)
+            .iter()
+            .filter(|&&(y, _)| topo.is_switch(y))
+    };
 
     // Hops: BFS.
-    let mut hops: BTreeMap<NodeId, f64> = BTreeMap::new();
-    hops.insert(d, 0.0);
-    let mut queue = std::collections::VecDeque::from([d]);
+    let mut hops = vec![NONE; topo.num_nodes()];
+    hops[d.0 as usize] = 0;
+    let mut queue = VecDeque::from([d]);
     while let Some(x) = queue.pop_front() {
-        let hx = hops[&x];
-        for y in topo.switch_neighbors(x) {
-            if let std::collections::btree_map::Entry::Vacant(e) = hops.entry(y) {
-                e.insert(hx + 1.0);
+        for &(y, _) in switch_links(x) {
+            if hops[y.0 as usize] == NONE {
+                hops[y.0 as usize] = hops[x.0 as usize] + 1;
                 queue.push_back(y);
             }
         }
@@ -580,28 +806,26 @@ fn shortest_to(topo: &Topology, d: NodeId) -> BTreeMap<NodeId, (f64, f64)> {
 
     // Latency: Dijkstra over link delays (symmetric cables, so the
     // direction read does not matter for propagation delay).
-    let mut lat: BTreeMap<NodeId, u64> = BTreeMap::new();
+    let mut lat = vec![u64::MAX; topo.num_nodes()];
     let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-    lat.insert(d, 0);
+    lat[d.0 as usize] = 0;
     heap.push(Reverse((0, d)));
     while let Some(Reverse((dist, x))) = heap.pop() {
-        if lat.get(&x).copied() != Some(dist) {
+        if lat[x.0 as usize] != dist {
             continue;
         }
-        for y in topo.switch_neighbors(x) {
-            let Some(l) = topo.link_between(x, y) else {
-                continue;
-            };
+        for &(y, l) in switch_links(x) {
             let nd = dist + topo.link(l).delay_ns;
-            if lat.get(&y).is_none_or(|&cur| nd < cur) {
-                lat.insert(y, nd);
+            if nd < lat[y.0 as usize] {
+                lat[y.0 as usize] = nd;
                 heap.push(Reverse((nd, y)));
             }
         }
     }
 
-    hops.into_iter()
-        .map(|(n, h)| (n, (lat.get(&n).map_or(0.0, |&ns| ns as f64 * 1e-9), h)))
+    hops.iter()
+        .zip(&lat)
+        .map(|(&h, &ns)| (h != NONE).then_some((ns as f64 * 1e-9, h as f64)))
         .collect()
 }
 
@@ -776,22 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn fragility_can_be_disabled() {
-        let topo = fig6_topo();
-        let cp = Compiler::new(&topo)
-            .compile_str("minimize(if A B D then 0 else inf)")
-            .unwrap();
-        let r = verify_with(
-            &cp,
-            &topo,
-            &VerifyOptions {
-                check_fragility: false,
-            },
-        );
-        assert!(r.verdicts.fragile.is_empty());
-    }
-
-    #[test]
     fn partition_cut_reported_as_info() {
         // A–B–C line: cutting B–C physically strands C.
         let mut t = Topology::builder();
@@ -833,13 +1041,7 @@ mod tests {
         let cp = Compiler::new(&topo)
             .compile_str("minimize(if A B D then 0 else inf)")
             .unwrap();
-        let r = verify_with(
-            &cp,
-            &topo,
-            &VerifyOptions {
-                check_fragility: false,
-            },
-        );
+        let r = verify(&cp, &topo);
         // Destinations default to host-bearing switches {A, D}; sources
         // likewise. A→D routes; D→A does not (D B A ∉ A B D) — one hole.
         assert_eq!(

@@ -15,8 +15,8 @@
 //! the same grammar the standing `contra_fuzz` campaign draws from.
 
 use contra_core::{
-    normalize, parse_policy, verify_with, Attr, BoolExpr, BranchRank, CompileError, Compiler, Expr,
-    Policy, VerifyOptions,
+    normalize, parse_policy, verify, Attr, BoolExpr, BranchRank, CompileError, Compiler, Expr,
+    Policy,
 };
 use contra_fuzz::oracle::{forward_dfas, oracle_routable};
 use contra_fuzz::strategies::{arb_routing_policy, names};
@@ -47,8 +47,7 @@ proptest! {
         let text = policy.to_string();
         match Compiler::new(&topo).compile_str(&text) {
             Ok(cp) => {
-                let report =
-                    verify_with(&cp, &topo, &VerifyOptions { check_fragility: false });
+                let report = verify(&cp, &topo);
                 let holes: HashSet<(NodeId, NodeId)> = report
                     .verdicts
                     .black_holes

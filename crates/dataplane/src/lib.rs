@@ -65,6 +65,21 @@ mod tests {
         ProtocolHarness::new(topo, cp, DataplaneConfig::default())
     }
 
+    /// The compiler writes a program for every switch of its topology; a
+    /// node it never saw has none, and asking for one is a caller bug that
+    /// names the node.
+    #[test]
+    #[should_panic(expected = "no compiled program for n99")]
+    fn switch_without_a_program_is_refused() {
+        let topo = square();
+        let cp = Arc::new(
+            Compiler::new(&topo)
+                .compile_str("minimize(path.util)")
+                .unwrap(),
+        );
+        ContraSwitch::new(cp, contra_topology::NodeId(99), DataplaneConfig::default());
+    }
+
     #[test]
     fn min_util_prefers_least_utilized_path() {
         let topo = diamond();

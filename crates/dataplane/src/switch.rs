@@ -90,6 +90,10 @@ impl DataplaneConfig {
 pub struct ContraSwitch {
     cp: Arc<CompiledPolicy>,
     switch: NodeId,
+    /// This switch's own copy of `cp.programs[&switch]`: its tables are
+    /// read two to three times per probe, too often to search the
+    /// per-switch map each time.
+    prog: SwitchProgram,
     cfg: DataplaneConfig,
     fwdt: FwdTable,
     best: BestTable,
@@ -111,14 +115,16 @@ pub struct ContraSwitch {
 impl ContraSwitch {
     /// Creates the switch program for `switch`.
     pub fn new(cp: Arc<CompiledPolicy>, switch: NodeId, cfg: DataplaneConfig) -> ContraSwitch {
-        assert!(
-            cp.programs.contains_key(&switch),
-            "no compiled program for {switch}"
-        );
+        let prog = cp
+            .programs
+            .get(&switch)
+            .unwrap_or_else(|| panic!("no compiled program for {switch}"))
+            .clone();
         let (flowlet_slots, loop_slots) = (cfg.flowlet_slots, cfg.loop_slots);
         ContraSwitch {
             cp,
             switch,
+            prog,
             cfg,
             fwdt: FwdTable::default(),
             best: BestTable::default(),
@@ -129,10 +135,6 @@ impl ContraSwitch {
             probes_sent: 0,
             table_updates: 0,
         }
-    }
-
-    fn prog(&self) -> &SwitchProgram {
-        &self.cp.programs[&self.switch]
     }
 
     fn probe_size(&self) -> u32 {
@@ -289,7 +291,7 @@ impl ContraSwitch {
         // NEXTPGNODE: probes whose tag cannot step into this switch's
         // pruned product graph die here — they cannot lead to any
         // finite-rank path.
-        let Some(&n) = self.prog().next_pg_node.get(&VNodeId(p.tag)) else {
+        let Some(&n) = self.prog.next_pg_node.get(&VNodeId(p.tag)) else {
             return;
         };
         // UPDATEMVEC: fold in this switch's egress toward the neighbor the
@@ -350,7 +352,7 @@ impl ContraSwitch {
         // Re-multicast along product-graph edges with the updated vector
         // and our own tag, carrying the origin's version through (no
         // fan-out clone: probe processing is per-packet work).
-        if let Some(fanout) = self.prog().multicast.get(&n) {
+        if let Some(fanout) = self.prog.multicast.get(&n) {
             for &(nbr, _w) in fanout {
                 let probe = self.mk_probe(p.origin, p.pid, p.version, n, &mv, nbr, now);
                 ctx.send(nbr, probe);
@@ -452,20 +454,23 @@ impl SwitchLogic for ContraSwitch {
     /// `INITPROBE`: originate one probe per subpolicy per period, tagged
     /// with the probe-sending virtual node and a fresh version.
     fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {
-        let Some(v0) = self.prog().sending_vnode else {
+        let Some(v0) = self.prog.sending_vnode else {
             return;
         };
         self.version += 1;
         let now = ctx.now;
         let mv = MetricVec::zero();
-        let fanout = self.prog().multicast.get(&v0).cloned().unwrap_or_default();
-        for pid in 0..self.cp.num_pids() as u8 {
-            for &(nbr, _w) in &fanout {
+        let Some(fanout) = self.prog.multicast.get(&v0) else {
+            return;
+        };
+        let pids = self.cp.num_pids();
+        for pid in 0..pids as u8 {
+            for &(nbr, _w) in fanout {
                 let probe = self.mk_probe(self.switch, pid, self.version, v0, &mv, nbr, now);
                 ctx.send(nbr, probe);
-                self.probes_sent += 1;
             }
         }
+        self.probes_sent += (pids * fanout.len()) as u64;
     }
 
     fn tick_interval(&self) -> Option<Time> {

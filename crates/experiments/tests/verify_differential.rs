@@ -11,7 +11,7 @@
 //!   fragile cable must reproduce the black hole when that cable fails
 //!   mid-run.
 
-use contra_core::{diag::codes, verify, verify_with, Compiler, Severity, VerifyOptions};
+use contra_core::{diag::codes, verify, Compiler, Severity};
 use contra_dataplane::{Contra, DataplaneConfig, ProtocolHarness};
 use contra_experiments::{Scenario, Traffic};
 use contra_sim::{DropReason, FlowSpec, Time};
@@ -89,13 +89,7 @@ fn verifier_black_holes_match_converged_tables_on_catalogue() {
                     .compile_str(&policy)
                     .unwrap_or_else(|e| panic!("{topo_label}/{policy_label}: {e}")),
             );
-            let report = verify_with(
-                &cp,
-                &topo,
-                &VerifyOptions {
-                    check_fragility: false,
-                },
-            );
+            let report = verify(&cp, &topo);
             let holes: BTreeSet<(NodeId, NodeId)> = report
                 .verdicts
                 .black_holes

@@ -25,14 +25,22 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     let mut errors = Vec::new();
     let code = strip_comments(src);
 
-    // Balance.
-    for (open, close, name) in [
-        ('{', '}', "braces"),
-        ('(', ')', "parens"),
-        ('[', ']', "brackets"),
-    ] {
-        let o = code.chars().filter(|&c| c == open).count();
-        let c = code.chars().filter(|&c| c == close).count();
+    // Balance: all six delimiters are ASCII, so one pass over the bytes.
+    let mut counts = [0usize; 6];
+    for b in code.bytes() {
+        let i = match b {
+            b'{' => 0,
+            b'}' => 1,
+            b'(' => 2,
+            b')' => 3,
+            b'[' => 4,
+            b']' => 5,
+            _ => continue,
+        };
+        counts[i] += 1;
+    }
+    for (pair, name) in counts.chunks(2).zip(["braces", "parens", "brackets"]) {
+        let (o, c) = (pair[0], pair[1]);
         if o != c {
             errors.push(ValidationError(format!(
                 "unbalanced {name}: {o} open vs {c} close"
@@ -43,19 +51,21 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     // Declarations.
     let tables = decls(&code, "table ");
     let actions = decls(&code, "action ");
-    let _headers = decls(&code, "header ");
 
     // Applications reference declared tables.
-    for applied in find_applies(&code) {
-        if !tables.contains(&applied) {
+    let applies = find_applies(&code);
+    for &applied in &applies {
+        if !tables.contains(applied) {
             errors.push(ValidationError(format!(
                 "`{applied}.apply()` but table `{applied}` not declared"
             )));
         }
     }
-    // Every declared table is applied somewhere.
-    for t in &tables {
-        if !code.contains(&format!("{t}.apply()")) {
+    // Every declared table is applied somewhere. Names are identifier
+    // characters only, so the text `{t}.apply()` occurs exactly when `t`
+    // ends the identifier in front of some `.apply()`.
+    for &t in &tables {
+        if !applies.iter().any(|a| a.ends_with(t)) {
             errors.push(ValidationError(format!(
                 "table `{t}` declared but never applied"
             )));
@@ -87,10 +97,10 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
         for line in rest[..end].lines() {
             let line = line.trim();
             if let Some((key, _)) = line.split_once(':') {
-                if !key.trim().is_empty() && !keys.insert(key.trim().to_string()) {
+                let key = key.trim();
+                if !key.is_empty() && !keys.insert(key) {
                     errors.push(ValidationError(format!(
-                        "duplicate const entry key `{}`",
-                        key.trim()
+                        "duplicate const entry key `{key}`"
                     )));
                 }
             }
@@ -111,52 +121,47 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
 }
 
 fn strip_comments(src: &str) -> String {
-    src.lines()
-        .map(|l| match l.find("//") {
-            Some(i) => &l[..i],
-            None => l,
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut out = String::with_capacity(src.len());
+    for (i, l) in src.lines().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(l.find("//").map_or(l, |at| &l[..at]));
+    }
+    out
 }
 
-fn decls(code: &str, kw: &str) -> BTreeSet<String> {
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+fn decls<'a>(code: &'a str, kw: &str) -> BTreeSet<&'a str> {
     let mut out = BTreeSet::new();
     let mut rest = code;
     while let Some(i) = rest.find(kw) {
         // Keyword must start a word.
-        let at_word_start = i == 0
-            || !rest.as_bytes()[i - 1].is_ascii_alphanumeric() && rest.as_bytes()[i - 1] != b'_';
+        let at_word_start = i == 0 || !is_ident(rest.as_bytes()[i - 1]);
         rest = &rest[i + kw.len()..];
         if !at_word_start {
             continue;
         }
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() {
-            out.insert(name);
+        let len = rest.bytes().take_while(|&b| is_ident(b)).count();
+        if len > 0 {
+            out.insert(&rest[..len]);
         }
     }
     out
 }
 
-fn find_applies(code: &str) -> BTreeSet<String> {
+/// The identifiers in front of every `.apply()`.
+fn find_applies(code: &str) -> BTreeSet<&str> {
     let mut out = BTreeSet::new();
     let mut rest = code;
     while let Some(i) = rest.find(".apply()") {
         let head = &rest[..i];
-        let name: String = head
-            .chars()
-            .rev()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .collect();
-        if !name.is_empty() {
-            out.insert(name);
+        let len = head.bytes().rev().take_while(|&b| is_ident(b)).count();
+        if len > 0 {
+            out.insert(&head[i - len..]);
         }
         rest = &rest[i + ".apply()".len()..];
     }
@@ -201,6 +206,26 @@ V1Switch(P(), C()) main;
         assert!(validate(&bad)
             .iter()
             .any(|e| e.0.contains("table `t` not declared")));
+    }
+
+    /// "Applied" has always meant that the text `t.apply()` occurs, which
+    /// an application of a table whose name merely ends in `t` satisfies.
+    #[test]
+    fn applied_means_the_text_occurs() {
+        let bad = MINIMAL.replace("t.apply()", "fwdt.apply()");
+        assert_eq!(
+            validate(&bad),
+            vec![ValidationError(
+                "`fwdt.apply()` but table `fwdt` not declared".into()
+            )]
+        );
+        let unapplied = MINIMAL.replace("t.apply();", "");
+        assert_eq!(
+            validate(&unapplied),
+            vec![ValidationError(
+                "table `t` declared but never applied".into()
+            )]
+        );
     }
 
     #[test]

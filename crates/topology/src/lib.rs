@@ -20,6 +20,7 @@ pub mod paths;
 pub mod zoo;
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node (switch or host) inside one [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,13 +78,20 @@ pub struct Topology {
     /// with their link. Backs [`Topology::adjacency`] iteration and the
     /// [`Topology::link_between`] fallback on very large graphs.
     adj: Vec<Vec<(NodeId, LinkId)>>,
-    /// Dense (src × dst) → link matrix (`u32::MAX` = no link), built for
-    /// topologies up to [`DENSE_PAIR_LIMIT`] nodes. `link_between` runs
-    /// on every simulated hop *and* on every probe's utilization read, so
-    /// the common case must be one O(1) indexed load, not a binary
-    /// search. At the limit the matrix costs 4 MiB; typical evaluation
-    /// fabrics (≤ ~60 nodes) fit in a few cache lines per row.
-    dense: Option<Vec<u32>>,
+    /// Dense (src × dst) → link matrix (`u32::MAX` = no link), for
+    /// topologies up to [`DENSE_PAIR_LIMIT`] nodes (`None` beyond).
+    /// `link_between` runs on every simulated hop *and* on every probe's
+    /// utilization read, so the common case must be one O(1) indexed load,
+    /// not a binary search. At the limit the matrix costs 4 MiB; typical
+    /// evaluation fabrics (≤ ~60 nodes) fit in a few cache lines per row.
+    /// Built by the first `link_between`: compiling, verifying and emitting
+    /// never ask, and at 500 switches the megabyte it fills was most of
+    /// what building the topology cost.
+    dense: OnceLock<Option<Vec<u32>>>,
+    /// [`Topology::max_switch_rtt_ns`], computed on first use. A topology
+    /// is immutable, so the value belongs to the instance: a `Clone`
+    /// carries it, a newly built topology starts without one.
+    max_rtt_ns: OnceLock<u64>,
 }
 
 /// Largest node count for which the dense pair matrix is built (memory
@@ -181,7 +189,7 @@ impl Topology {
     /// O(log degree) adjacency search beyond.
     #[inline]
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        if let Some(dense) = &self.dense {
+        if let Some(dense) = self.dense.get_or_init(|| self.dense_pairs()) {
             let n = self.nodes.len();
             let (ai, bi) = (a.0 as usize, b.0 as usize);
             if ai >= n || bi >= n {
@@ -194,6 +202,17 @@ impl Topology {
         row.binary_search_by_key(&b, |&(n, _)| n)
             .ok()
             .map(|i| row[i].1)
+    }
+
+    fn dense_pairs(&self) -> Option<Vec<u32>> {
+        let n = self.nodes.len();
+        (n <= DENSE_PAIR_LIMIT).then(|| {
+            let mut d = vec![u32::MAX; n * n];
+            for (i, l) in self.links.iter().enumerate() {
+                d[l.src.0 as usize * n + l.dst.0 as usize] = i as u32;
+            }
+            d
+        })
     }
 
     /// Out-neighbors with their links, sorted by neighbor id
@@ -257,19 +276,23 @@ impl Topology {
 
     /// Maximum propagation RTT between any pair of switches, in nanoseconds,
     /// following shortest-delay paths. This bounds the probe period from
-    /// below (§5.2: period ≥ 0.5 × RTT).
+    /// below (§5.2: period ≥ 0.5 × RTT). One Dijkstra per switch on the
+    /// first call; every compile against this topology asks, so the answer
+    /// is kept.
     pub fn max_switch_rtt_ns(&self) -> u64 {
-        let switches = self.switches();
-        let mut max = 0u64;
-        for &s in &switches {
-            let dist = paths::dijkstra_delay(self, s);
-            for &t in &switches {
-                if let Some(d) = dist[t.0 as usize] {
-                    max = max.max(2 * d);
+        *self.max_rtt_ns.get_or_init(|| {
+            let switches = self.switches();
+            let mut max = 0u64;
+            for &s in &switches {
+                let dist = paths::dijkstra_delay(self, s);
+                for &t in &switches {
+                    if let Some(d) = dist[t.0 as usize] {
+                        max = max.max(2 * d);
+                    }
                 }
             }
-        }
-        max
+            max
+        })
     }
 }
 
@@ -337,20 +360,13 @@ impl TopologyBuilder {
                 Err(pos) => row.insert(pos, (l.dst, id)),
             }
         }
-        let n = self.nodes.len();
-        let dense = (n <= DENSE_PAIR_LIMIT).then(|| {
-            let mut d = vec![u32::MAX; n * n];
-            for (i, l) in self.links.iter().enumerate() {
-                d[l.src.0 as usize * n + l.dst.0 as usize] = i as u32;
-            }
-            d
-        });
         Topology {
             nodes: self.nodes,
             links: self.links,
             out,
             adj,
-            dense,
+            dense: OnceLock::new(),
+            max_rtt_ns: OnceLock::new(),
         }
     }
 }
@@ -390,9 +406,9 @@ mod tests {
     #[test]
     fn dense_pair_index_matches_adjacency_search() {
         let t = diamond();
-        assert!(t.dense.is_some(), "small graphs are dense-indexed");
+        assert!(t.dense_pairs().is_some(), "small graphs are dense-indexed");
         let mut fallback = t.clone();
-        fallback.dense = None;
+        fallback.dense = OnceLock::from(None);
         for a in 0..t.num_nodes() as u32 {
             for b in 0..t.num_nodes() as u32 {
                 assert_eq!(
@@ -453,6 +469,29 @@ mod tests {
     fn max_rtt_on_diamond() {
         let t = diamond();
         // A->B->D costs 2 µs one way; max RTT = 4 µs.
+        assert_eq!(t.max_switch_rtt_ns(), 4_000);
+    }
+
+    /// The RTT memo is per instance: a clone carries the value, a topology
+    /// derived with `without_cables` computes its own.
+    #[test]
+    fn max_rtt_memo_is_per_instance() {
+        let mut tb = Topology::builder();
+        let [a, b, c] = ["A", "B", "C"].map(|n| tb.switch(n));
+        tb.biline(a, b, 10e9, 1_000);
+        tb.biline(b, c, 10e9, 1_000);
+        tb.biline(a, c, 10e9, 5_000);
+        let t = tb.build();
+        assert!(t.max_rtt_ns.get().is_none(), "nothing is scanned at build");
+        assert_eq!(t.max_switch_rtt_ns(), 4_000);
+        assert_eq!(t.max_rtt_ns.get(), Some(&4_000));
+        assert_eq!(t.clone().max_rtt_ns.get(), Some(&4_000));
+
+        // Without A–B, A reaches B over the slow cable: a different answer,
+        // so the cut copy must not have inherited the memo.
+        let cut = t.without_cables(&[(a, b)]);
+        assert!(cut.max_rtt_ns.get().is_none());
+        assert_eq!(cut.max_switch_rtt_ns(), 12_000);
         assert_eq!(t.max_switch_rtt_ns(), 4_000);
     }
 }
