@@ -11,6 +11,23 @@
 use contra_sim::{Packet, SwitchCtx, SwitchLogic};
 use contra_topology::{paths, NodeId, Topology};
 
+/// For each of `switches`, in order, its shortest-path next hops toward
+/// every destination switch (dense by node id; empty toward itself, hosts
+/// and switches it cannot reach). A destination's DAG
+/// ([`paths::ecmp_next_hops`]) holds every switch's row, so it is computed
+/// once however many switches ask: a fabric of S switches costs S searches,
+/// not S².
+fn next_hop_sets(topo: &Topology, switches: &[NodeId]) -> Vec<Vec<Vec<NodeId>>> {
+    let mut tables = vec![vec![Vec::new(); topo.num_nodes()]; switches.len()];
+    for dst in topo.switches() {
+        let dag = paths::ecmp_next_hops(topo, dst);
+        for (table, &sw) in tables.iter_mut().zip(switches) {
+            table[dst.0 as usize].clone_from(&dag[sw.0 as usize]);
+        }
+    }
+    tables
+}
+
 /// Load-oblivious hash-based multipath over shortest paths.
 pub struct EcmpSwitch {
     /// Per destination switch (dense, indexed by node id): all
@@ -21,15 +38,15 @@ pub struct EcmpSwitch {
 impl EcmpSwitch {
     /// Precomputes shortest-path next-hop sets for `switch`.
     pub fn new(topo: &Topology, switch: NodeId) -> EcmpSwitch {
-        let mut next_hops = vec![Vec::new(); topo.num_nodes()];
-        for dst in topo.switches() {
-            if dst == switch {
-                continue;
-            }
-            let sets = paths::ecmp_next_hops(topo, dst);
-            next_hops[dst.0 as usize] = sets[switch.0 as usize].clone();
-        }
-        EcmpSwitch { next_hops }
+        let mut one = Self::for_switches(topo, &[switch]);
+        one.pop().expect("one switch asked, one table built")
+    }
+
+    /// The logic of each of `switches`, in order — what installing ECMP on
+    /// a whole fabric asks for.
+    pub fn for_switches(topo: &Topology, switches: &[NodeId]) -> Vec<EcmpSwitch> {
+        let tables = next_hop_sets(topo, switches).into_iter();
+        tables.map(|next_hops| EcmpSwitch { next_hops }).collect()
     }
 
     /// Next-hop sets computed on the topology with the given cables
@@ -86,16 +103,21 @@ impl SpSwitch {
     /// Precomputes the deterministic shortest-path next hop per
     /// destination.
     pub fn new(topo: &Topology, switch: NodeId) -> SpSwitch {
-        let mut next_hop = vec![None; topo.num_nodes()];
-        for dst in topo.switches() {
-            if dst == switch {
-                continue;
-            }
-            if let Some(p) = paths::shortest_path(topo, switch, dst) {
-                next_hop[dst.0 as usize] = Some(p[1]);
-            }
-        }
-        SpSwitch { next_hop }
+        let mut one = Self::for_switches(topo, &[switch]);
+        one.pop().expect("one switch asked, one table built")
+    }
+
+    /// The logic of each of `switches`, in order. The path
+    /// [`paths::shortest_path`] walks takes the lowest-numbered ECMP next
+    /// hop at every step, so its first step is the first of the set.
+    pub fn for_switches(topo: &Topology, switches: &[NodeId]) -> Vec<SpSwitch> {
+        let tables = next_hop_sets(topo, switches).into_iter();
+        let first = |hops: Vec<NodeId>| hops.first().copied();
+        tables
+            .map(|sets| SpSwitch {
+                next_hop: sets.into_iter().map(first).collect(),
+            })
+            .collect()
     }
 }
 
@@ -132,6 +154,66 @@ mod tests {
             generators::LinkSpec::default(),
             generators::LinkSpec::default(),
         )
+    }
+
+    /// A whole fabric's tables, built from one DAG per destination, are
+    /// the tables the single-switch constructors build and the tables the
+    /// constructors built before they shared a routine: a row of the DAG
+    /// per (switch, destination), the second node of `shortest_path`.
+    #[test]
+    fn fabric_tables_equal_the_per_switch_constructors() {
+        let spec = generators::LinkSpec::default();
+        let mut barbell = contra_topology::Topology::builder();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| barbell.switch(n));
+        let h = barbell.host("h");
+        barbell.biline(a, b, 10e9, 1_000);
+        barbell.biline(c, d, 10e9, 1_000);
+        barbell.biline(a, h, 10e9, 1_000);
+        // The bar carries traffic one way only: c and d reach nobody on
+        // the far side, and no table may say otherwise.
+        barbell.line(b, c, 10e9, 1_000);
+        for (label, topo) in [
+            ("leaf-spine", leaf_spine()),
+            ("fat-tree(4)", generators::fat_tree(4, 1, spec)),
+            ("abilene", generators::abilene(40e9)),
+            ("barbell", barbell.build()),
+        ] {
+            let switches = topo.switches();
+            let ecmp = EcmpSwitch::for_switches(&topo, &switches);
+            let sp = SpSwitch::for_switches(&topo, &switches);
+            assert_eq!((ecmp.len(), sp.len()), (switches.len(), switches.len()));
+            for (i, &sw) in switches.iter().enumerate() {
+                assert_eq!(
+                    ecmp[i].next_hops,
+                    EcmpSwitch::new(&topo, sw).next_hops,
+                    "{label}: ECMP at {sw}"
+                );
+                assert_eq!(
+                    sp[i].next_hop,
+                    SpSwitch::new(&topo, sw).next_hop,
+                    "{label}: SP at {sw}"
+                );
+                for dst in (0..topo.num_nodes() as u32).map(NodeId) {
+                    let routed = topo.is_switch(dst) && dst != sw;
+                    let (hops, hop) = if routed {
+                        (
+                            paths::ecmp_next_hops(&topo, dst)[sw.0 as usize].clone(),
+                            paths::shortest_path(&topo, sw, dst).map(|p| p[1]),
+                        )
+                    } else {
+                        (Vec::new(), None)
+                    };
+                    assert_eq!(
+                        ecmp[i].next_hops[dst.0 as usize], hops,
+                        "{label}: ECMP {sw}→{dst}"
+                    );
+                    assert_eq!(
+                        sp[i].next_hop[dst.0 as usize], hop,
+                        "{label}: SP {sw}→{dst}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

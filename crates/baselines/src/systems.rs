@@ -27,8 +27,10 @@ impl RoutingSystem for Ecmp {
     }
 
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError> {
-        for sw in ctx.topology.switches() {
-            sim.install(sw, Box::new(EcmpSwitch::new(ctx.topology, sw)));
+        let switches = ctx.topology.switches();
+        let logics = EcmpSwitch::for_switches(ctx.topology, &switches);
+        for (&sw, logic) in switches.iter().zip(logics) {
+            sim.install(sw, Box::new(logic));
         }
         Ok(())
     }
@@ -45,8 +47,10 @@ impl RoutingSystem for Sp {
     }
 
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError> {
-        for sw in ctx.topology.switches() {
-            sim.install(sw, Box::new(SpSwitch::new(ctx.topology, sw)));
+        let switches = ctx.topology.switches();
+        let logics = SpSwitch::for_switches(ctx.topology, &switches);
+        for (&sw, logic) in switches.iter().zip(logics) {
+            sim.install(sw, Box::new(logic));
         }
         Ok(())
     }

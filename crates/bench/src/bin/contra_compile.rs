@@ -13,7 +13,9 @@
 //! instead of writing files. The full static policy verifier (black holes,
 //! single-cable fragility, dead code) always runs and its findings are
 //! printed; `--verify` additionally makes the exit status non-zero if it
-//! reports errors.
+//! reports errors. With `--out`, a program that fails validation is
+//! reported by switch and not written, and an output directory or file that
+//! cannot be written is reported by path; either exits 1.
 
 use contra_bench::{parse_topology_spec, CompileCache};
 use contra_core::verify;
@@ -100,16 +102,34 @@ fn main() {
 
     match out {
         Some(dir) => {
-            std::fs::create_dir_all(&dir).expect("create output dir");
-            let mut total = 0usize;
+            let io_failed = |what: &str, path: &str, e: std::io::Error| -> ! {
+                eprintln!("cannot {what} {path}: {e}");
+                std::process::exit(1);
+            };
+            if let Err(e) = std::fs::create_dir_all(&dir) {
+                io_failed("create", &dir, e);
+            }
+            let (mut total, mut invalid) = (0usize, 0usize);
             for &sw in cp.programs.keys() {
                 let p4 = emit_switch_program(&cp, sw);
+                let name = &topo.node(sw).name;
                 let errs = validate(&p4);
-                assert!(errs.is_empty(), "emitted P4 failed validation: {errs:?}");
-                let name = topo.node(sw).name.replace('/', "_");
-                let path = format!("{dir}/{name}.p4");
-                std::fs::write(&path, &p4).expect("write program");
+                for e in &errs {
+                    eprintln!("{name}: {e}");
+                }
+                if !errs.is_empty() {
+                    invalid += 1;
+                    continue;
+                }
+                let path = format!("{dir}/{}.p4", name.replace('/', "_"));
+                if let Err(e) = std::fs::write(&path, &p4) {
+                    io_failed("write", &path, e);
+                }
                 total += p4.len();
+            }
+            if invalid > 0 {
+                eprintln!("{invalid} emitted programs failed validation and were not written");
+                std::process::exit(1);
             }
             eprintln!(
                 "wrote {} programs ({} bytes of P4) to {dir}",

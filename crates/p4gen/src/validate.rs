@@ -5,6 +5,7 @@
 //! declared, actions referenced but never defined, duplicate const-entry
 //! keys, missing parser start state, missing `main` instantiation.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -21,25 +22,18 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Validates one emitted program; returns every finding (empty = OK).
+///
+/// The text is read once ([`Scan::of`]); what it declares is resolved
+/// against what it uses afterwards, from the few names the scan kept.
 pub fn validate(src: &str) -> Vec<ValidationError> {
     let mut errors = Vec::new();
-    let code = strip_comments(src);
+    let scan = Scan::of(src);
 
-    // Balance: all six delimiters are ASCII, so one pass over the bytes.
-    let mut counts = [0usize; 6];
-    for b in code.bytes() {
-        let i = match b {
-            b'{' => 0,
-            b'}' => 1,
-            b'(' => 2,
-            b')' => 3,
-            b'[' => 4,
-            b']' => 5,
-            _ => continue,
-        };
-        counts[i] += 1;
-    }
-    for (pair, name) in counts.chunks(2).zip(["braces", "parens", "brackets"]) {
+    for (pair, name) in scan
+        .delimiters
+        .chunks(2)
+        .zip(["braces", "parens", "brackets"])
+    {
         let (o, c) = (pair[0], pair[1]);
         if o != c {
             errors.push(ValidationError(format!(
@@ -48,14 +42,14 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
         }
     }
 
-    // Declarations.
-    let tables = decls(&code, "table ");
-    let actions = decls(&code, "action ");
-
     // Applications reference declared tables.
-    let applies = find_applies(&code);
+    let (tables, actions, applies) = (
+        by_name(scan.tables),
+        by_name(scan.actions),
+        by_name(scan.applies),
+    );
     for &applied in &applies {
-        if !tables.contains(applied) {
+        if tables.binary_search(&applied).is_err() {
             errors.push(ValidationError(format!(
                 "`{applied}.apply()` but table `{applied}` not declared"
             )));
@@ -73,29 +67,21 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     }
 
     // Actions listed in `actions = { a; b; }` must be declared.
-    let mut rest = code.as_str();
-    while let Some(i) = rest.find("actions = {") {
-        rest = &rest[i + "actions = {".len()..];
-        let Some(end) = rest.find('}') else { break };
-        for name in rest[..end].split(';') {
+    for list in scan.action_lists {
+        for name in code_of(list).split(';') {
             let name = name.trim();
-            if !name.is_empty() && !actions.contains(name) {
+            if !name.is_empty() && actions.binary_search(&name).is_err() {
                 errors.push(ValidationError(format!(
                     "action `{name}` listed but not declared"
                 )));
             }
         }
-        rest = &rest[end..];
     }
 
     // Const entries: unique keys per table block.
-    let mut rest = code.as_str();
-    while let Some(i) = rest.find("const entries = {") {
-        rest = &rest[i + "const entries = {".len()..];
-        let Some(end) = rest.find('}') else { break };
+    for block in scan.entry_blocks {
         let mut keys = BTreeSet::new();
-        for line in rest[..end].lines() {
-            let line = line.trim();
+        for line in code_of(block).lines() {
             if let Some((key, _)) = line.split_once(':') {
                 let key = key.trim();
                 if !key.is_empty() && !keys.insert(key) {
@@ -105,14 +91,13 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
                 }
             }
         }
-        rest = &rest[end..];
     }
 
     // Parser start state and main.
-    if !code.contains("state start") {
+    if !scan.has_start_state {
         errors.push(ValidationError("parser has no `state start`".into()));
     }
-    if code.matches(") main;").count() != 1 {
+    if scan.mains != 1 {
         errors.push(ValidationError(
             "program must instantiate exactly one `main`".into(),
         ));
@@ -120,52 +105,137 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     errors
 }
 
-fn strip_comments(src: &str) -> String {
-    let mut out = String::with_capacity(src.len());
-    for (i, l) in src.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
+/// What one forward pass over a program collects. Comments (`//` to the end
+/// of the line) are skipped where they stand; every `&str` is a slice of
+/// the source.
+#[derive(Default)]
+struct Scan<'a> {
+    /// `{ } ( ) [ ]` outside comments.
+    delimiters: [usize; 6],
+    /// The identifier after every `table ` / `action ` that starts a word.
+    tables: Vec<&'a str>,
+    actions: Vec<&'a str>,
+    /// The identifier in front of every `.apply()`.
+    applies: Vec<&'a str>,
+    /// The text between each `actions = {` / `const entries = {` and the
+    /// next `}`, comments included; a block with no `}` ends the search.
+    action_lists: Vec<&'a str>,
+    entry_blocks: Vec<&'a str>,
+    has_start_state: bool,
+    /// Occurrences of `) main;`.
+    mains: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn of(src: &'a str) -> Scan<'a> {
+        let mut scan = Scan::default();
+        let b = src.as_bytes();
+        // Where the block being read started, for each of the two kinds.
+        let (mut action_list, mut entry_block) = (None, None);
+        let ident_after = |at: usize| {
+            let len = b[at..].iter().take_while(|&&c| is_ident(c)).count();
+            (len > 0).then(|| &src[at..at + len])
+        };
+        let mut i = 0;
+        while i < b.len() {
+            if !STARTS_SOMETHING[b[i] as usize] {
+                i += 1;
+                continue;
+            }
+            let rest = &b[i..];
+            match b[i] {
+                b'/' if rest.starts_with(b"//") => {
+                    i += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    continue;
+                }
+                b'{' => scan.delimiters[0] += 1,
+                b'}' => {
+                    scan.delimiters[1] += 1;
+                    if let Some(from) = action_list.take() {
+                        scan.action_lists.push(&src[from..i]);
+                    }
+                    if let Some(from) = entry_block.take() {
+                        scan.entry_blocks.push(&src[from..i]);
+                    }
+                }
+                b'(' => scan.delimiters[2] += 1,
+                b')' => {
+                    scan.delimiters[3] += 1;
+                    scan.mains += usize::from(rest.starts_with(b") main;"));
+                }
+                b'[' => scan.delimiters[4] += 1,
+                b']' => scan.delimiters[5] += 1,
+                b'.' if rest.starts_with(b".apply()") => {
+                    let len = b[..i].iter().rev().take_while(|&&c| is_ident(c)).count();
+                    if len > 0 {
+                        scan.applies.push(&src[i - len..i]);
+                    }
+                }
+                b't' if rest.starts_with(b"table ") && starts_word(b, i) => {
+                    scan.tables.extend(ident_after(i + "table ".len()));
+                }
+                b'a' if rest.starts_with(b"action") => {
+                    if rest.starts_with(b"action ") && starts_word(b, i) {
+                        scan.actions.extend(ident_after(i + "action ".len()));
+                    } else if rest.starts_with(b"actions = {") && action_list.is_none() {
+                        action_list = Some(i + "actions = {".len());
+                    }
+                }
+                b'c' if rest.starts_with(b"const entries = {") && entry_block.is_none() => {
+                    entry_block = Some(i + "const entries = {".len());
+                }
+                b's' if rest.starts_with(b"state start") => scan.has_start_state = true,
+                _ => {}
+            }
+            i += 1;
         }
-        out.push_str(l.find("//").map_or(l, |at| &l[..at]));
+        scan
     }
-    out
+}
+
+/// The bytes a delimiter, a comment or one of the searched texts starts
+/// with; the scan steps over every other byte without looking further.
+const STARTS_SOMETHING: [bool; 256] = {
+    let mut table = [false; 256];
+    let starts = b"{}()[]/.tacs";
+    let mut i = 0;
+    while i < starts.len() {
+        table[starts[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
+/// The set of `names`, ascending.
+fn by_name(mut names: Vec<&str>) -> Vec<&str> {
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-fn decls<'a>(code: &'a str, kw: &str) -> BTreeSet<&'a str> {
-    let mut out = BTreeSet::new();
-    let mut rest = code;
-    while let Some(i) = rest.find(kw) {
-        // Keyword must start a word.
-        let at_word_start = i == 0 || !is_ident(rest.as_bytes()[i - 1]);
-        rest = &rest[i + kw.len()..];
-        if !at_word_start {
-            continue;
-        }
-        let len = rest.bytes().take_while(|&b| is_ident(b)).count();
-        if len > 0 {
-            out.insert(&rest[..len]);
-        }
-    }
-    out
+/// Whether the keyword at `at` starts a word.
+fn starts_word(b: &[u8], at: usize) -> bool {
+    at == 0 || !is_ident(b[at - 1])
 }
 
-/// The identifiers in front of every `.apply()`.
-fn find_applies(code: &str) -> BTreeSet<&str> {
-    let mut out = BTreeSet::new();
-    let mut rest = code;
-    while let Some(i) = rest.find(".apply()") {
-        let head = &rest[..i];
-        let len = head.bytes().rev().take_while(|&b| is_ident(b)).count();
-        if len > 0 {
-            out.insert(&head[i - len..]);
-        }
-        rest = &rest[i + ".apply()".len()..];
+/// A block's text as the checks read it: without comments, `\r\n` as `\n`.
+/// Emitted blocks hold neither, so this borrows.
+fn code_of(block: &str) -> Cow<'_, str> {
+    if !block.contains("//") && !block.contains('\r') {
+        return Cow::Borrowed(block);
     }
-    out
+    let mut out = String::with_capacity(block.len());
+    for (i, l) in block.lines().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(l.find("//").map_or(l, |at| &l[..at]));
+    }
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

@@ -69,6 +69,7 @@ impl Simulator {
             }
             EnqueueOutcome::Queued => {
                 self.stats.on_wire(kind, size);
+                self.arm_completion(lid);
             }
             EnqueueOutcome::Dropped(reason) => {
                 if let Some(aud) = self.audit.as_deref_mut() {
@@ -85,18 +86,16 @@ impl Simulator {
     }
 
     /// Starts serializing a link's head packet: schedules its arrival
-    /// and the serializer's completion.
+    /// and, if a packet waits behind it, the serializer's completion.
     fn start_tx(&mut self, lid: LinkId) {
         let link = &mut self.links[lid.0 as usize];
         let Some((pkt, tx)) = link.start_tx(self.now) else {
             return;
         };
         let delay = link.delay;
-        let epoch = link.epoch;
         let l = self.topo.link(lid);
         let (from, to) = (l.src, l.dst);
         let arrive_at = self.now + tx + delay;
-        let done_at = self.now + tx;
         if arrive_at > self.cfg.stop_at {
             // The arrival below is never enqueued: the packet stays in
             // the pool at end of run by design, not as a leak.
@@ -114,7 +113,20 @@ impl Simulator {
                 pkt: slot,
             },
         );
-        self.push_completion(done_at, Event::TxDone { link: lid, epoch });
+        self.arm_completion(lid);
+    }
+
+    /// Schedules the completion of the packet in service on `lid` once a
+    /// packet is queued behind it. A completion that would find the queue
+    /// empty models nothing — it only marks the serializer idle, which
+    /// [`crate::link::LinkState::enqueue`] reads off the clock — so it is no
+    /// event.
+    fn arm_completion(&mut self, lid: LinkId) {
+        let link = &mut self.links[lid.0 as usize];
+        if let Some(done_at) = link.arm_completion() {
+            let epoch = link.epoch;
+            self.push_completion(done_at, Event::TxDone { link: lid, epoch });
+        }
     }
 
     /// Serializer completion: starts the next queued packet, if any.

@@ -5,8 +5,10 @@
 //! that the dataplane reads when updating probe metric vectors.
 //!
 //! Serialization is per packet: the engine starts the head packet when
-//! the serializer frees up ([`LinkState::start_tx`]) and learns from its
-//! completion ([`LinkState::tx_done`]) whether another is waiting.
+//! the serializer frees up ([`LinkState::start_tx`]). A completion is an
+//! event only when a packet waits for it ([`LinkState::arm_completion`],
+//! [`LinkState::tx_done`]); a busy period nobody queued behind ends by
+//! the clock, noticed by the next [`LinkState::enqueue`].
 
 use crate::packet::Packet;
 use crate::time::{tx_time, Time};
@@ -99,8 +101,14 @@ pub struct LinkState {
     /// Bytes of packets whose serialization has not started (drop-tail
     /// capacity and queue-occupancy sampling both measure this).
     queued_bytes: u32,
-    /// Whether a packet is currently being serialized.
+    /// Whether a packet is being serialized — as far as the link has been
+    /// told: with no completion armed, `busy` outlives `busy_until` until
+    /// the next `enqueue` looks at the clock.
     busy: bool,
+    /// When the packet in service leaves the serializer.
+    busy_until: Time,
+    /// Whether a completion event is scheduled for the packet in service.
+    armed: bool,
     /// Link up/down.
     pub up: bool,
     /// Utilization estimator fed by transmissions on this link.
@@ -150,6 +158,8 @@ impl LinkState {
             queue: VecDeque::new(),
             queued_bytes: 0,
             busy: false,
+            busy_until: Time::ZERO,
+            armed: false,
             up: true,
             estimator: UtilEstimator::new(tau),
             bytes_tx: 0,
@@ -174,12 +184,17 @@ impl LinkState {
         t
     }
 
-    /// Offers a packet to the queue. The decision depends on the link's
-    /// state alone, not on `_now`.
-    pub fn enqueue(&mut self, pkt: Packet, _now: Time) -> EnqueueOutcome {
+    /// Offers a packet to the queue at `now`.
+    pub fn enqueue(&mut self, pkt: Packet, now: Time) -> EnqueueOutcome {
         if !self.up {
             self.drops += 1;
             return EnqueueOutcome::Dropped(DropReason::LinkDown);
+        }
+        // A busy period with no completion armed ends by the clock. At
+        // `busy_until` itself it has not ended: a completion sorts last in
+        // its instant, so this packet still finds the serializer taken.
+        if self.busy && !self.armed && now > self.busy_until {
+            self.busy = false;
         }
         if self.queued_bytes + pkt.size_bytes > self.qcap_bytes {
             self.drops += 1;
@@ -197,7 +212,7 @@ impl LinkState {
 
     /// Begins serializing the head packet at `now`. Returns the packet and
     /// its transmission time; the caller schedules arrival (`+ delay`) and
-    /// the next `tx_done`.
+    /// asks [`LinkState::arm_completion`] whether anyone waits for the end.
     pub fn start_tx(&mut self, now: Time) -> Option<(Packet, Time)> {
         debug_assert!(self.busy);
         let pkt = self.queue.pop_front()?;
@@ -207,12 +222,25 @@ impl LinkState {
         }
         self.bytes_tx += pkt.size_bytes as u64;
         let t = self.tx_of(pkt.size_bytes);
+        self.busy_until = now + t;
         Some((pkt, t))
+    }
+
+    /// The instant to schedule a completion for, when one is needed and
+    /// none is scheduled: a packet is queued behind the one in service.
+    /// The caller owes exactly one [`LinkState::tx_done`] at that instant
+    /// (unless the link goes down first). Asked after every `start_tx` and
+    /// every [`EnqueueOutcome::Queued`].
+    pub fn arm_completion(&mut self) -> Option<Time> {
+        let needed = self.busy && !self.armed && !self.queue.is_empty();
+        self.armed |= needed;
+        needed.then_some(self.busy_until)
     }
 
     /// Called when the serializer finishes a packet. Returns `true` if
     /// another packet is waiting (caller should `start_tx` again).
     pub fn tx_done(&mut self) -> bool {
+        self.armed = false;
         if self.queue.is_empty() {
             self.busy = false;
             false
@@ -227,6 +255,7 @@ impl LinkState {
     pub fn set_down(&mut self) -> VecDeque<Packet> {
         self.up = false;
         self.busy = false;
+        self.armed = false;
         self.epoch += 1;
         self.drops += self.queue.len() as u64;
         self.queued_bytes = 0;
@@ -330,6 +359,74 @@ mod tests {
         let (_p2, _) = l.start_tx(t1).unwrap();
         assert!(!l.tx_done(), "queue drained");
         assert_eq!(l.bytes_tx, 3_000);
+    }
+
+    /// One packet in service until 1.2 µs, nothing behind it, no completion
+    /// armed: what the next packet finds depends on the clock alone.
+    fn serving_one() -> LinkState {
+        let mut l = LinkState::new(10e9, Time::us(1), 10_000, Time::us(100));
+        assert_eq!(l.enqueue(pkt(1_500), Time::ZERO), EnqueueOutcome::StartTx);
+        assert_eq!(l.start_tx(Time::ZERO).unwrap().1, Time::ns(1_200));
+        assert_eq!(l.arm_completion(), None, "nobody waits for the end");
+        l
+    }
+
+    #[test]
+    fn arrival_before_the_end_queues_and_arms_the_completion() {
+        let mut l = serving_one();
+        assert_eq!(l.enqueue(pkt(100), Time::ns(1_199)), EnqueueOutcome::Queued);
+        assert_eq!(l.arm_completion(), Some(Time::ns(1_200)));
+        // One completion per packet in service, however many queue.
+        assert_eq!(l.enqueue(pkt(100), Time::ns(1_199)), EnqueueOutcome::Queued);
+        assert_eq!(l.arm_completion(), None);
+        assert!(l.tx_done(), "the completion finds the queue");
+        l.start_tx(Time::ns(1_200)).unwrap();
+        assert_eq!(l.arm_completion(), Some(Time::ns(1_280)));
+    }
+
+    /// A completion is the last event of its instant, so a packet arriving
+    /// at that very instant still finds the serializer taken — and asks for
+    /// a completion at the instant it arrived in.
+    #[test]
+    fn arrival_at_the_end_still_queues() {
+        let mut l = serving_one();
+        assert_eq!(l.enqueue(pkt(100), Time::ns(1_200)), EnqueueOutcome::Queued);
+        assert_eq!(l.arm_completion(), Some(Time::ns(1_200)));
+    }
+
+    #[test]
+    fn arrival_after_the_end_finds_the_serializer_idle() {
+        let mut l = serving_one();
+        assert_eq!(
+            l.enqueue(pkt(100), Time::ns(1_201)),
+            EnqueueOutcome::StartTx
+        );
+        assert_eq!(l.start_tx(Time::ns(1_201)).unwrap().1, Time::ns(80));
+        assert_eq!(l.arm_completion(), None);
+        // With a completion armed, only the completion ends the period.
+        assert_eq!(l.enqueue(pkt(100), Time::ns(1_250)), EnqueueOutcome::Queued);
+        assert_eq!(l.arm_completion(), Some(Time::ns(1_281)));
+        assert_eq!(l.enqueue(pkt(100), Time::ns(9_000)), EnqueueOutcome::Queued);
+    }
+
+    /// Going down ends the busy period, armed or not: after recovery the
+    /// first packet starts at once, and the first to queue behind it gets
+    /// a completion of its own.
+    #[test]
+    fn set_down_forgets_the_busy_period() {
+        for armed in [false, true] {
+            let mut l = serving_one();
+            if armed {
+                l.enqueue(pkt(100), Time::ns(10));
+                assert!(l.arm_completion().is_some());
+            }
+            l.set_down();
+            l.set_up();
+            assert_eq!(l.enqueue(pkt(100), Time::ns(500)), EnqueueOutcome::StartTx);
+            assert_eq!(l.start_tx(Time::ns(500)).unwrap().1, Time::ns(80));
+            assert_eq!(l.enqueue(pkt(100), Time::ns(500)), EnqueueOutcome::Queued);
+            assert_eq!(l.arm_completion(), Some(Time::ns(580)), "armed = {armed}");
+        }
     }
 
     #[test]

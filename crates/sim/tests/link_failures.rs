@@ -163,6 +163,63 @@ fn stale_txdone_across_flap_is_ignored() {
         "{} deliveries exceed the bottleneck's line rate",
         stats.delivered_packets
     );
+    // Nor may the flap leave it waiting for the completion it disowned:
+    // the cable is up and backlogged for all but 3 µs.
+    assert!(
+        stats.delivered_packets >= 70,
+        "{} deliveries: the serializer stalled after the flap",
+        stats.delivered_packets
+    );
+}
+
+/// The same flap across a busy period nobody queued behind, which has no
+/// completion in flight at all: a 0.5 Gbps stream leaves the bottleneck
+/// idle between datagrams, the cable flaps while one is in service, and a
+/// 2 Gbps burst follows. The serializer must neither stay taken by the
+/// packet the failure cut short nor lose track of the backlog: once the
+/// run has drained, every datagram sent has been delivered — under the
+/// auditor, which checks conservation at both faults and at the end.
+#[test]
+fn flap_across_an_unqueued_busy_period_neither_stalls_nor_leaks() {
+    let run = |flap: bool| {
+        let topo = bottleneck();
+        let [h0, h1, s0, s1] = ["h0", "h1", "s0", "s1"].map(|n| topo.find(n).unwrap());
+        let mut sim = Simulator::new(
+            topo,
+            SimConfig {
+                stop_at: Time::ms(2),
+                audit: true,
+                ..SimConfig::default()
+            },
+        );
+        install_static(&mut sim);
+        for (rate_bps, start, stop) in [
+            (0.5e9, Time::ZERO, Time::us(200)),
+            (2e9, Time::us(104), Time::us(500)),
+        ] {
+            sim.add_flow(FlowSpec::Udp {
+                src: h0,
+                dst: h1,
+                rate_bps,
+                start,
+                stop,
+            });
+        }
+        if flap {
+            // Datagrams of the slow stream reach s0 every 24 µs from
+            // 1.7 µs and take 12 µs: 100 µs is inside the fifth.
+            sim.fail_link_at(s0, s1, Time::us(100));
+            sim.recover_link_at(s0, s1, Time::us(103));
+        }
+        sim.run()
+    };
+    // Nothing is queued at 100 µs and nothing arrives before 103 µs: the
+    // flap costs no packet, so it must not change the count at all.
+    let (calm, flapped) = (run(false), run(true));
+    assert!(calm.drops.is_empty(), "{:?}", calm.drops);
+    assert!(flapped.drops.is_empty(), "{:?}", flapped.drops);
+    assert_eq!(flapped.delivered_packets, calm.delivered_packets);
+    assert!(calm.delivered_packets > 70, "{}", calm.delivered_packets);
 }
 
 /// Scheduling a fault on a cable that does not exist is a typed error —

@@ -92,6 +92,10 @@ pub struct Topology {
     /// is immutable, so the value belongs to the instance: a `Clone`
     /// carries it, a newly built topology starts without one.
     max_rtt_ns: OnceLock<u64>,
+    /// The flat graph the searches of [`paths`] run on. Built by the first
+    /// search, like `dense` and for the same reason: building a topology
+    /// that is only ever sized or printed should not pay for it.
+    flat: OnceLock<paths::FlatGraph>,
 }
 
 /// Largest node count for which the dense pair matrix is built (memory
@@ -276,23 +280,17 @@ impl Topology {
 
     /// Maximum propagation RTT between any pair of switches, in nanoseconds,
     /// following shortest-delay paths. This bounds the probe period from
-    /// below (§5.2: period ≥ 0.5 × RTT). One Dijkstra per switch on the
+    /// below (§5.2: period ≥ 0.5 × RTT). One search per switch on the
     /// first call; every compile against this topology asks, so the answer
     /// is kept.
     pub fn max_switch_rtt_ns(&self) -> u64 {
-        *self.max_rtt_ns.get_or_init(|| {
-            let switches = self.switches();
-            let mut max = 0u64;
-            for &s in &switches {
-                let dist = paths::dijkstra_delay(self, s);
-                for &t in &switches {
-                    if let Some(d) = dist[t.0 as usize] {
-                        max = max.max(2 * d);
-                    }
-                }
-            }
-            max
-        })
+        *self
+            .max_rtt_ns
+            .get_or_init(|| self.flat().max_switch_rtt_ns())
+    }
+
+    pub(crate) fn flat(&self) -> &paths::FlatGraph {
+        self.flat.get_or_init(|| paths::FlatGraph::of(self))
     }
 }
 
@@ -367,6 +365,7 @@ impl TopologyBuilder {
             adj,
             dense: OnceLock::new(),
             max_rtt_ns: OnceLock::new(),
+            flat: OnceLock::new(),
         }
     }
 }

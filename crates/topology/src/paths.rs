@@ -9,77 +9,199 @@
 //! host, matching real networks where only switches forward.
 
 use crate::{NodeId, Topology};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+
+/// Distance of a node the search did not reach.
+const UNREACHED: u64 = u64::MAX;
+
+/// One direction of the flat graph: the edges of node `n` are
+/// `edges[offsets[n]..offsets[n + 1]]`, each `(other end, link delay)`.
+#[derive(Debug, Clone)]
+struct Half {
+    offsets: Vec<u32>,
+    edges: Vec<(u32, u64)>,
+}
+
+impl Half {
+    /// Groups `edges` (`(from, to, delay)`) by `from`, keeping their order.
+    fn group(nodes: usize, edges: impl Iterator<Item = (u32, u32, u64)> + Clone) -> Half {
+        let mut offsets = vec![0u32; nodes + 1];
+        for (from, _, _) in edges.clone() {
+            offsets[from as usize + 1] += 1;
+        }
+        for n in 0..nodes {
+            offsets[n + 1] += offsets[n];
+        }
+        let mut at = offsets.clone();
+        let mut grouped = vec![(0, 0); offsets[nodes] as usize];
+        for (from, to, delay) in edges {
+            let e = &mut at[from as usize];
+            grouped[*e as usize] = (to, delay);
+            *e += 1;
+        }
+        Half {
+            offsets,
+            edges: grouped,
+        }
+    }
+
+    fn edges(&self, n: usize) -> &[(u32, u64)] {
+        &self.edges[self.offsets[n] as usize..self.offsets[n + 1] as usize]
+    }
+}
+
+/// The flat view every shortest-path search here runs on: out-edges and
+/// in-edges of each node in link order, and the one place the "hosts never
+/// forward" rule lives. [`Topology`] builds it on first use.
+#[derive(Debug, Clone)]
+pub(crate) struct FlatGraph {
+    /// Switches relay; any other node only starts or ends a path.
+    forwards: Vec<bool>,
+    out: Half,
+    into: Half,
+}
+
+/// What a search owns between calls, so that a scan over many sources
+/// allocates once: the distances of the last search and the frontier.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Distance per node after [`FlatGraph::settle`]; [`UNREACHED`] if none.
+    dist: Vec<u64>,
+    /// Reached nodes not yet settled, one bucket per distinct distance,
+    /// farthest first (the nearest bucket pops off the end).
+    pending: Vec<(u64, Vec<u32>)>,
+    /// Emptied buckets, kept for their storage.
+    spare: Vec<Vec<u32>>,
+}
+
+impl FlatGraph {
+    pub(crate) fn of(topo: &Topology) -> FlatGraph {
+        let links = topo.links();
+        let n = topo.num_nodes();
+        FlatGraph {
+            forwards: (0..n as u32).map(|i| topo.is_switch(NodeId(i))).collect(),
+            out: Half::group(n, links.iter().map(|l| (l.src.0, l.dst.0, l.delay_ns))),
+            into: Half::group(n, links.iter().map(|l| (l.dst.0, l.src.0, l.delay_ns))),
+        }
+    }
+
+    /// Shortest distances from `source` along `half` into `s.dist`, by
+    /// link delay or, with `UNIT`, by hop count. The frontier is settled a
+    /// whole distance value at a time, nearest first: that is Dijkstra's
+    /// order with one ordered insertion per distinct distance, and with
+    /// equal link costs it is breadth-first search, one bucket alive.
+    fn settle<const UNIT: bool>(&self, half: &Half, source: NodeId, s: &mut Scratch) {
+        let Scratch {
+            dist,
+            pending,
+            spare,
+        } = s;
+        let source = source.0 as usize;
+        dist.clear();
+        dist.resize(self.forwards.len(), UNREACHED);
+        dist[source] = 0;
+        let mut d = 0;
+        let mut level = spare.pop().unwrap_or_default();
+        level.push(source as u32);
+        let mut unreached = dist.len() - 1;
+        loop {
+            // With every node reached and no bucket farther out, the
+            // relaxations of this level could only fail: skip them.
+            let last = unreached == 0 && pending.is_empty();
+            // Zero-delay links grow the level while it is being settled.
+            let mut i = if last { level.len() } else { 0 };
+            while let Some(&n) = level.get(i) {
+                i += 1;
+                let n = n as usize;
+                // Reached again at a smaller distance: settled there.
+                if dist[n] != d || (n != source && !self.forwards[n]) {
+                    continue;
+                }
+                for &(m, delay) in half.edges(n) {
+                    let nd = d + if UNIT { 1 } else { delay };
+                    let old = dist[m as usize];
+                    if nd >= old {
+                        continue;
+                    }
+                    dist[m as usize] = nd;
+                    unreached -= usize::from(old == UNREACHED);
+                    if nd == d {
+                        level.push(m);
+                        continue;
+                    }
+                    // Farthest first: the nearest bucket, the likeliest
+                    // target, is at the end.
+                    let mut at = pending.len();
+                    while at > 0 && pending[at - 1].0 < nd {
+                        at -= 1;
+                    }
+                    if at == 0 || pending[at - 1].0 != nd {
+                        pending.insert(at, (nd, spare.pop().unwrap_or_default()));
+                        at += 1;
+                    }
+                    pending[at - 1].1.push(m);
+                }
+            }
+            level.clear();
+            spare.push(level);
+            match pending.pop() {
+                Some((nd, nodes)) => (d, level) = (nd, nodes),
+                None => return,
+            }
+        }
+    }
+
+    /// Twice the largest shortest-delay distance between two switches.
+    pub(crate) fn max_switch_rtt_ns(&self) -> u64 {
+        let switches = || (0..self.forwards.len()).filter(|&n| self.forwards[n]);
+        let mut s = Scratch::default();
+        let mut max = 0;
+        for src in switches() {
+            self.settle::<false>(&self.out, NodeId(src as u32), &mut s);
+            for d in switches().map(|t| s.dist[t]).filter(|&d| d != UNREACHED) {
+                max = max.max(2 * d);
+            }
+        }
+        max
+    }
+}
 
 /// BFS hop distances from every node **to** `dst`, forwarding only through
 /// switches. `None` means unreachable.
 pub fn hop_distances_to(topo: &Topology, dst: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; topo.num_nodes()];
-    dist[dst.0 as usize] = Some(0);
-    let mut q = VecDeque::new();
-    q.push_back(dst);
-    while let Some(n) = q.pop_front() {
-        let d = dist[n.0 as usize].unwrap();
-        // Traverse links in reverse: who can reach n in one hop?
-        for l in topo.links() {
-            if l.dst == n && dist[l.src.0 as usize].is_none() {
-                // Only switches forward traffic, so an intermediate node on
-                // the path (i.e. `n` itself, unless it is the destination)
-                // must be a switch.
-                if n != dst && !topo.is_switch(n) {
-                    continue;
-                }
-                dist[l.src.0 as usize] = Some(d + 1);
-                q.push_back(l.src);
-            }
-        }
-    }
-    dist
+    let g = topo.flat();
+    let mut s = Scratch::default();
+    g.settle::<true>(&g.into, dst, &mut s);
+    let reached = |&d: &u64| (d != UNREACHED).then_some(d as u32);
+    s.dist.iter().map(reached).collect()
 }
 
 /// Dijkstra over propagation delay from `src` to every node, in ns.
 pub fn dijkstra_delay(topo: &Topology, src: NodeId) -> Vec<Option<u64>> {
-    let mut dist: Vec<Option<u64>> = vec![None; topo.num_nodes()];
-    let mut heap = BinaryHeap::new();
-    dist[src.0 as usize] = Some(0);
-    heap.push(Reverse((0u64, src)));
-    while let Some(Reverse((d, n))) = heap.pop() {
-        if dist[n.0 as usize] != Some(d) {
-            continue;
-        }
-        if n != src && !topo.is_switch(n) {
-            continue; // hosts do not forward
-        }
-        for &lid in topo.out_links(n) {
-            let l = topo.link(lid);
-            let nd = d + l.delay_ns;
-            if dist[l.dst.0 as usize].is_none_or(|old| nd < old) {
-                dist[l.dst.0 as usize] = Some(nd);
-                heap.push(Reverse((nd, l.dst)));
-            }
-        }
-    }
-    dist
+    let g = topo.flat();
+    let mut s = Scratch::default();
+    g.settle::<false>(&g.out, src, &mut s);
+    let reached = |&d: &u64| (d != UNREACHED).then_some(d);
+    s.dist.iter().map(reached).collect()
 }
 
 /// For every node, the set of next hops lying on *some* shortest hop-count
 /// path toward `dst`. This is the classic ECMP DAG.
 pub fn ecmp_next_hops(topo: &Topology, dst: NodeId) -> Vec<Vec<NodeId>> {
     let dist = hop_distances_to(topo, dst);
-    let mut next = vec![Vec::new(); topo.num_nodes()];
-    for (i, d) in dist.iter().enumerate() {
-        let Some(d) = *d else { continue };
-        if d == 0 {
+    let g = topo.flat();
+    let mut next = vec![Vec::new(); dist.len()];
+    for (n, hops) in next.iter_mut().enumerate() {
+        let Some(d) = dist[n].filter(|&d| d > 0) else {
             continue;
-        }
-        let n = NodeId(i as u32);
-        for m in topo.neighbors(n) {
-            if dist[m.0 as usize] == Some(d - 1) {
-                next[i].push(m);
-            }
-        }
-        next[i].sort_unstable();
+        };
+        let neighbors = g.out.edges(n).iter().map(|&(m, _)| m);
+        hops.extend(
+            neighbors
+                .filter(|&m| dist[m as usize] == Some(d - 1))
+                .map(NodeId),
+        );
+        hops.sort_unstable();
     }
     next
 }
