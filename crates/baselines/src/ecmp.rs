@@ -271,7 +271,7 @@ mod tests {
                 Box::new(EcmpSwitch::new_reconverged(&topo, sw, &[(leaf0, spine0)])),
             );
         }
-        sim.fail_link_at(leaf0, spine0, Time::ZERO);
+        sim.try_fail_link_at(leaf0, spine0, Time::ZERO).unwrap();
         let hosts = topo.hosts();
         for i in 0..8 {
             sim.add_flow(FlowSpec::Tcp {

@@ -414,7 +414,7 @@ mod tests {
         );
         install_hula(&mut sim, &HulaConfig::default());
         let hosts = topo.hosts();
-        sim.fail_link_at(leaf0, spine0, Time::ms(1));
+        sim.try_fail_link_at(leaf0, spine0, Time::ms(1)).unwrap();
         for i in 0..10 {
             sim.add_flow(FlowSpec::Tcp {
                 src: hosts[0],

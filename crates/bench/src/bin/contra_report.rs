@@ -60,18 +60,17 @@ fn write_artifact(path: &str, contents: &str) {
 }
 
 fn main() {
-    if contra_sim::recorder::telemetry_from_env() == Some(false) {
-        eprintln!("contra_report: unset CONTRA_TELEM=0 first — it disables the recorder");
-        std::process::exit(2);
-    }
     let scenario = cell();
     eprintln!(
         "contra_report: {} / Contra, telemetry on, run twice for determinism",
         scenario.label()
     );
     let a = run();
+    let Some(telem_a) = a.telemetry.as_ref() else {
+        eprintln!("contra_report: unset CONTRA_TELEM=0 first — it disables the recorder");
+        std::process::exit(2);
+    };
     let b = run();
-    let telem_a = a.telemetry.as_ref().expect("telemetry requested");
     let telem_b = b.telemetry.as_ref().expect("telemetry requested");
 
     // Determinism gate: the artifacts below must replay byte-identically.

@@ -5,12 +5,17 @@
 //! 2. **Export schema** — the Chrome trace is valid JSON with monotonic
 //!    timestamps and matched begin/end spans per track.
 //! 3. **Determinism** — the same seed yields byte-identical trace and
-//!    metric exports across runs.
+//!    metric exports across runs, and the exports match a pinned
+//!    fingerprint, so a reorder inside one instant cannot pass as
+//!    "identical".
+//! 4. **Cross-observer agreement** — with nothing evicted, the trace's
+//!    drop and delivery events count what the statistics count.
 
-use contra_experiments::{Contra, Scenario, Workload};
-use contra_sim::Time;
-use contra_telemetry::{validate_json, Phase, TelemetryReport};
+use contra_experiments::{Contra, RunResult, Scenario, Workload};
+use contra_sim::{FxHasher64, Time};
+use contra_telemetry::{validate_json, ArgVal, Phase, TelemetryReport};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 /// A leaf-spine failure cell small enough for debug-build test runs but
 /// busy enough to exercise every recorder hook: TCP churn (cwnd), a
@@ -28,13 +33,17 @@ fn cell() -> Scenario {
         .seed(7)
 }
 
-fn run_report() -> TelemetryReport {
+fn run_cell() -> RunResult {
     cell()
         .telemetry(true)
         // Big enough that this cell's full event history is retained
         // (the span-matching check below needs every Begin).
         .telemetry_ring(1 << 18)
         .run(&Contra::dc())
+}
+
+fn run_report() -> TelemetryReport {
+    run_cell()
         .telemetry
         .expect("telemetry requested (CONTRA_TELEM=0 would disable it)")
 }
@@ -126,4 +135,62 @@ fn same_seed_exports_are_byte_identical() {
     assert_eq!(a.events_jsonl(), b.events_jsonl());
     assert_eq!(a.metrics_csv(), b.metrics_csv());
     assert_eq!(a.metrics_json(), b.metrics_json());
+}
+
+/// The exports of the flap cell, pinned. Run-vs-run identity (above)
+/// would not notice two events swapping places inside one instant, or
+/// a hook that stopped firing; this does. Captured at the last commit
+/// with four hand-threaded observers, before the engine moved to one
+/// observation seam. Regenerate (only for an *intentional* change of
+/// what the recorder captures) with:
+/// `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test telemetry -- --nocapture`
+#[test]
+fn export_fingerprint_is_pinned() {
+    let fx = |s: String| {
+        let mut h = FxHasher64::default();
+        h.write(s.as_bytes());
+        h.finish()
+    };
+    let r = run_report();
+    let got = format!(
+        "trace={:016x} jsonl={:016x} csv={:016x}",
+        fx(r.chrome_trace()),
+        fx(r.events_jsonl()),
+        fx(r.metrics_csv())
+    );
+    if std::env::var_os("CONTRA_GOLDEN_PRINT").is_some() {
+        println!("TELEMETRY FINGERPRINT:\n  \"{got}\"");
+        return;
+    }
+    assert_eq!(
+        got,
+        "trace=30a0d4709de5ba4f jsonl=8d42311c3027dadc csv=42ed504349ff14af"
+    );
+}
+
+/// Every drop and every delivery reaches both the statistics and the
+/// recorder: with a ring that evicts nothing, `drop` trace events per
+/// reason equal `stats.drops` and `deliver` events equal
+/// `delivered_packets`.
+#[test]
+fn trace_events_agree_with_stats() {
+    let r = run_cell();
+    let report = r.telemetry.as_ref().expect("telemetry requested");
+    assert_eq!(report.events_evicted, 0, "sized ring holds this cell");
+    let mut drops: BTreeMap<String, u64> = BTreeMap::new();
+    for e in report.events.iter().filter(|e| e.name == "drop") {
+        let Some(&(_, ArgVal::S(reason))) = e.args().first() else {
+            panic!("drop event without a reason: {e:?}");
+        };
+        *drops.entry(reason.to_string()).or_insert(0) += 1;
+    }
+    let counted: BTreeMap<String, u64> = (r.stats.drops.iter())
+        .map(|(k, v)| (format!("{k:?}"), *v))
+        .collect();
+    assert!(counted.values().sum::<u64>() > 0, "the flap must drop");
+    assert_eq!(drops, counted);
+    assert_eq!(
+        report.event_counts().get("deliver").copied().unwrap_or(0),
+        r.stats.delivered_packets
+    );
 }

@@ -69,12 +69,51 @@ impl Default for SimConfig {
     }
 }
 
-/// The `CONTRA_SIM_AUDIT` override, if set: `0`, `off`, `false` and the
-/// empty string disable the auditor, any other value enables it.
-pub fn audit_from_env() -> Option<bool> {
-    let raw = std::env::var("CONTRA_SIM_AUDIT").ok()?;
-    Some(!matches!(
+impl SimConfig {
+    /// Applies the process environment, which wins over the fields:
+    /// `CONTRA_SIM_AUDIT` sets `audit`; `CONTRA_TELEM` clears
+    /// `telemetry` when off and, when on, enables the default knobs
+    /// unless explicit ones are already set. [`crate::Simulator::new`]
+    /// calls this.
+    pub fn apply_env(&mut self) {
+        if let Some(audit) = env_flag("CONTRA_SIM_AUDIT") {
+            self.audit = audit;
+        }
+        match env_flag("CONTRA_TELEM") {
+            Some(true) => {
+                self.telemetry.get_or_insert_with(TelemetryConfig::default);
+            }
+            Some(false) => self.telemetry = None,
+            None => {}
+        }
+    }
+}
+
+/// An on/off environment variable: `None` when unset.
+fn env_flag(name: &str) -> Option<bool> {
+    std::env::var(name).ok().map(|raw| parse_flag(&raw))
+}
+
+/// `0`, `off`, `false`, `no` and the empty string are off, any other
+/// value is on.
+fn parse_flag(raw: &str) -> bool {
+    !matches!(
         raw.trim().to_ascii_lowercase().as_str(),
         "" | "0" | "off" | "false" | "no"
-    ))
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    #[test]
+    fn flag_values() {
+        for off in ["", "0", "off", "OFF", " false ", "No"] {
+            assert!(!parse_flag(off), "{off:?} must read as off");
+        }
+        for on in ["1", "on", "true", "yes", "2", "full"] {
+            assert!(parse_flag(on), "{on:?} must read as on");
+        }
+    }
 }

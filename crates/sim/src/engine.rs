@@ -7,8 +7,10 @@
 //! * [`crate::link`] — serializers and drop-tail queues.
 //! * [`crate::transport`] — the TCP/UDP host endpoints.
 //! * [`crate::switch`] — pluggable per-switch dataplane logic.
-//! * [`crate::trace`] — the opt-in per-packet path side table.
-//! * [`crate::stats`] — everything a run measures.
+//! * [`crate::observe`] — the one seam everything that watches a run
+//!   (statistics, auditor, recorder, path table) hangs off: the engine
+//!   emits an [`Obs`] where something happens and measures nothing
+//!   itself.
 //!
 //! Deterministic by construction: the event queue breaks time ties by a
 //! class-encoded key (arrivals by directed link, timers in push order,
@@ -18,15 +20,14 @@
 //! byte-identical statistics.
 
 use crate::config::SimConfig;
-use crate::fault::{Auditor, FaultError};
+use crate::fault::FaultError;
 use crate::link::{DropReason, LinkState};
+use crate::observe::{Obs, Observers};
 use crate::packet::{FlowId, Packet, PacketKind, PacketPool, HDR_BYTES};
-use crate::recorder::Recorder;
 use crate::sched::TimingWheel;
-use crate::stats::{QueueSample, SimStats};
+use crate::stats::SimStats;
 use crate::switch::{SwitchCtx, SwitchLogic};
 use crate::time::Time;
-use crate::trace::TraceTable;
 use crate::transport::{FlowSpec, Transport, TransportEffect, TransportFx, TransportTimer};
 use contra_telemetry::TelemetryReport;
 use contra_topology::{LinkId, NodeId, Topology};
@@ -66,15 +67,11 @@ enum Event {
     RtoCheck { flow: u32, epoch: u64 },
     /// Next UDP datagram.
     UdpSend { flow: u32 },
-    /// Take both directions of a cable down.
-    LinkDown { a: NodeId, b: NodeId },
-    /// Bring both directions back up.
-    LinkUp { a: NodeId, b: NodeId },
-    /// Fail a node: atomically take down every incident link (both
-    /// directions), flushing their queues.
-    NodeDown { node: NodeId },
-    /// Recover a node: bring every incident link back up.
-    NodeUp { node: NodeId },
+    /// Take both directions of a cable down, or bring them back up.
+    CableFault { a: NodeId, b: NodeId, down: bool },
+    /// Fail a node — atomically take down every incident link (both
+    /// directions), flushing their queues — or bring them back up.
+    NodeFault { node: NodeId, down: bool },
     /// Periodic queue sampling.
     QueueSample,
 }
@@ -107,39 +104,21 @@ pub struct Simulator {
     fabric_links: Vec<u32>,
     /// Per-link "both endpoints are switches" flag (TTL accounting).
     fabric_link: Vec<bool>,
-    /// `CONTRA_SIM_DEBUG_TTL`, read once at construction — `env::var_os`
-    /// takes a process-global lock and must stay off the drop path.
-    debug_ttl: bool,
-    /// Switch paths of in-flight traced packets (`cfg.trace_paths`).
-    traces: TraceTable,
-    /// The runtime invariant auditor (`cfg.audit`), `None` when off.
-    /// Boxed so the disabled case costs one null check per hop.
-    audit: Option<Box<Auditor>>,
-    /// The telemetry recorder (`cfg.telemetry`), `None` when off. Like
-    /// the auditor: pure observation, boxed, one null check when off.
-    telem: Option<Box<Recorder>>,
-    /// Run statistics (read after [`Simulator::run`]).
-    pub stats: SimStats,
+    /// Events popped off the queue so far.
+    events: u64,
+    /// Everything that watches the run, statistics included.
+    obs: Observers,
 }
 
 impl Simulator {
     /// Creates a simulator over a topology. Accepts an owned [`Topology`]
     /// or an `Arc<Topology>`; sweeps pass the latter so every cell shares
     /// one allocation. The `CONTRA_SIM_AUDIT` and `CONTRA_TELEM` env
-    /// vars, when set, override `cfg.audit` and `cfg.telemetry` here.
-    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, cfg: SimConfig) -> Simulator {
+    /// vars, when set, override `cfg.audit` and `cfg.telemetry` here
+    /// ([`SimConfig::apply_env`]).
+    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, mut cfg: SimConfig) -> Simulator {
         let topo = topo.into();
-        let mut cfg = cfg;
-        if let Some(audit) = crate::config::audit_from_env() {
-            cfg.audit = audit;
-        }
-        match crate::recorder::telemetry_from_env() {
-            Some(true) if cfg.telemetry.is_none() => {
-                cfg.telemetry = Some(crate::recorder::TelemetryConfig::default());
-            }
-            Some(false) => cfg.telemetry = None,
-            _ => {}
-        }
+        cfg.apply_env();
         let links = topo
             .links()
             .iter()
@@ -153,7 +132,6 @@ impl Simulator {
             })
             .collect();
         let n = topo.num_nodes();
-        let stats = SimStats::new(cfg.udp_bucket);
         let fabric_link: Vec<bool> = topo
             .links()
             .iter()
@@ -166,12 +144,7 @@ impl Simulator {
             .map(|(i, _)| i as u32)
             .collect();
         let transport = Transport::new(cfg.min_rto, cfg.init_cwnd);
-        let traces = TraceTable::new(cfg.trace_paths);
-        let audit = cfg.audit.then(|| Box::new(Auditor::default()));
-        let telem = cfg
-            .telemetry
-            .as_ref()
-            .map(|t| Box::new(Recorder::new(t, &topo)));
+        let obs = Observers::new(&cfg, &topo);
         let mut sim = Simulator {
             topo,
             cfg,
@@ -186,11 +159,8 @@ impl Simulator {
             tfx: TransportFx::new(),
             fabric_links,
             fabric_link,
-            debug_ttl: std::env::var_os("CONTRA_SIM_DEBUG_TTL").is_some(),
-            traces,
-            audit,
-            telem,
-            stats,
+            events: 0,
+            obs,
         };
         if let Some(every) = sim.cfg.queue_sample_every {
             sim.push(every, Event::QueueSample);
@@ -218,7 +188,9 @@ impl Simulator {
 
     /// Registers a flow; returns its id.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let (id, start, is_tcp) = self.transport.add_flow(spec, &self.topo, &mut self.stats);
+        let (id, start, is_tcp) = self
+            .transport
+            .add_flow(spec, &self.topo, &mut self.obs.stats);
         let ev = if is_tcp {
             Event::FlowStart { flow: id.0 }
         } else {
@@ -230,9 +202,8 @@ impl Simulator {
 
     /// The shared validation behind every cable-fault call: the cable
     /// must exist in at least one direction. Fail and recover validate
-    /// identically — `recover_link_at` used to accept unknown cables
-    /// silently, which let a typo'd recovery no-op while its paired
-    /// failure stuck.
+    /// identically, so a typo'd recovery cannot no-op while its paired
+    /// failure sticks.
     fn check_cable(&self, a: NodeId, b: NodeId) -> Result<(), FaultError> {
         if self.topo.link_between(a, b).is_some() || self.topo.link_between(b, a).is_some() {
             Ok(())
@@ -253,7 +224,7 @@ impl Simulator {
     /// fail; rejects unknown cables.
     pub fn try_fail_link_at(&mut self, a: NodeId, b: NodeId, at: Time) -> Result<(), FaultError> {
         self.check_cable(a, b)?;
-        self.push(at, Event::LinkDown { a, b });
+        self.push(at, Event::CableFault { a, b, down: true });
         Ok(())
     }
 
@@ -266,7 +237,7 @@ impl Simulator {
         at: Time,
     ) -> Result<(), FaultError> {
         self.check_cable(a, b)?;
-        self.push(at, Event::LinkUp { a, b });
+        self.push(at, Event::CableFault { a, b, down: false });
         Ok(())
     }
 
@@ -274,39 +245,15 @@ impl Simulator {
     /// goes down atomically at `at`, flushing queues.
     pub fn try_fail_node_at(&mut self, node: NodeId, at: Time) -> Result<(), FaultError> {
         self.check_node(node)?;
-        self.push(at, Event::NodeDown { node });
+        self.push(at, Event::NodeFault { node, down: true });
         Ok(())
     }
 
     /// Schedules a node recovery: every incident link comes back up.
     pub fn try_recover_node_at(&mut self, node: NodeId, at: Time) -> Result<(), FaultError> {
         self.check_node(node)?;
-        self.push(at, Event::NodeUp { node });
+        self.push(at, Event::NodeFault { node, down: false });
         Ok(())
-    }
-
-    /// Panicking convenience over [`Simulator::try_fail_link_at`].
-    pub fn fail_link_at(&mut self, a: NodeId, b: NodeId, at: Time) {
-        self.try_fail_link_at(a, b, at)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Panicking convenience over [`Simulator::try_recover_link_at`].
-    pub fn recover_link_at(&mut self, a: NodeId, b: NodeId, at: Time) {
-        self.try_recover_link_at(a, b, at)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Panicking convenience over [`Simulator::try_fail_node_at`].
-    pub fn fail_node_at(&mut self, node: NodeId, at: Time) {
-        self.try_fail_node_at(node, at)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Panicking convenience over [`Simulator::try_recover_node_at`].
-    pub fn recover_node_at(&mut self, node: NodeId, at: Time) {
-        self.try_recover_node_at(node, at)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The stop condition lives here, in exactly one place: the queue
@@ -353,7 +300,7 @@ impl Simulator {
         // can observe them: an installed logic that reads utilization,
         // or a telemetry recorder sampling links. Otherwise the decay
         // fold on every transmission is dead weight (ECMP/SP/SPAIN).
-        let track_util = self.telem.is_some()
+        let track_util = self.cfg.telemetry.is_some()
             || self
                 .logics
                 .iter()
@@ -364,41 +311,56 @@ impl Simulator {
         }
         while let Some(entry) = self.queue.pop() {
             self.now = entry.at;
-            self.stats.events_processed += 1;
+            self.events += 1;
             self.dispatch(entry.ev);
             // Lazy telemetry cadence: sample at the first event at or
             // past each boundary. Piggybacking on dispatched events —
-            // instead of scheduling sampling events — keeps
-            // `events_processed` telemetry-invariant.
-            if let Some(rec) = self.telem.as_deref() {
-                if self.now >= rec.next_sample() {
-                    self.telem_sample();
-                }
+            // instead of scheduling sampling events — keeps the event
+            // count telemetry-invariant.
+            if self.obs.wants_sample(self.now) {
+                self.emit_sample();
             }
         }
-        // Fold end-of-run telemetry into the stats: the open UDP
-        // delivery bucket, scheduler occupancy and the dataplane's
-        // modeled register collisions.
-        self.stats.flush_udp();
-        let sched = self.queue.counters();
-        self.stats.sched_peak_pending = sched.peak_pending;
-        self.stats.sched_cascades = sched.cascades;
-        self.stats.sched_overflow = sched.overflow_pushes;
+        // Consistency check and a final sample at the end-of-run
+        // instant, then the engine-side totals: the event count,
+        // scheduler occupancy and the dataplane's modeled register
+        // collisions.
+        self.emit_checkpoint(true);
+        self.emit_sample();
+        let mut collisions = (0, 0);
         for logic in self.logics.iter().flatten() {
             let (flowlet, hloop) = logic.register_collisions();
-            self.stats.flowlet_collisions += flowlet;
-            self.stats.loop_collisions += hloop;
+            collisions.0 += flowlet;
+            collisions.1 += hloop;
         }
-        self.audit_check("end of run");
-        if self.telem.is_some() {
-            // Final sample at the end-of-run instant, then close any
-            // open spans so the exported trace is well-formed.
-            self.telem_sample();
-            let now = self.now;
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.finish(now);
-            }
-        }
+        let end = Obs::End {
+            events: self.events,
+            sched: self.queue.counters(),
+            collisions,
+        };
+        self.obs.emit(self.now, end);
+    }
+
+    /// Tells the observers that engine state is consistent right now.
+    fn emit_checkpoint(&mut self, end_of_run: bool) {
+        let checkpoint = Obs::Checkpoint {
+            end_of_run,
+            links: &self.links,
+            pool: &self.pool,
+        };
+        self.obs.emit(self.now, checkpoint);
+    }
+
+    /// One metric sample at the current instant (taken by the telemetry
+    /// recorder): what it reads is lent, not copied.
+    fn emit_sample(&mut self) {
+        let sample = Obs::Sample {
+            links: &self.links,
+            fabric: &self.fabric_links,
+            logics: &self.logics,
+            events: self.events,
+        };
+        self.obs.emit(self.now, sample);
     }
 
     /// Runs to completion (queue empty, which includes the stop time
@@ -421,13 +383,7 @@ impl Simulator {
     /// telemetry report (when `cfg.telemetry`).
     pub fn run_full(mut self) -> RunOutput {
         self.run_loop();
-        let telemetry = self.telem.take().map(|r| r.into_report());
-        let traces = self.cfg.trace_paths.then(|| self.traces.into_delivered());
-        RunOutput {
-            stats: self.stats,
-            traces,
-            telemetry,
-        }
+        self.obs.into_output()
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -436,42 +392,48 @@ impl Simulator {
             Event::TxDone { link, epoch } => self.on_tx_done(link, epoch),
             Event::Tick { node } => self.on_tick(node),
             Event::FlowStart { flow } => {
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    rec.flow_start(self.now, flow);
-                }
+                self.obs.emit(self.now, Obs::FlowStart { flow });
                 self.transport.start_flow(flow, self.now, &mut self.tfx);
                 self.apply_transport_fx();
-                self.telem_cwnd(flow);
+                self.emit_cwnd(flow);
             }
             Event::RtoCheck { flow, epoch } => {
                 self.transport.on_rto(flow, epoch, self.now, &mut self.tfx);
                 self.apply_transport_fx();
-                self.telem_cwnd(flow);
+                self.emit_cwnd(flow);
             }
             Event::UdpSend { flow } => {
                 self.transport.on_udp_send(flow, self.now, &mut self.tfx);
                 self.apply_transport_fx();
             }
-            Event::LinkDown { a, b } => self.on_cable_fault(a, b, true),
-            Event::LinkUp { a, b } => self.on_cable_fault(a, b, false),
-            Event::NodeDown { node } => self.on_node_fault(node, true),
-            Event::NodeUp { node } => self.on_node_fault(node, false),
+            Event::CableFault { a, b, down } => {
+                let links = [(a, b), (b, a)]
+                    .into_iter()
+                    .filter_map(|(x, y)| self.topo.link_between(x, y))
+                    .collect();
+                let what = format!("{}~{}", self.topo.node(a).name, self.topo.node(b).name);
+                self.apply_fault(&what, links, down);
+            }
+            Event::NodeFault { node, down } => {
+                let incident = (0..self.links.len() as u32)
+                    .map(LinkId)
+                    .filter(|&l| {
+                        let link = self.topo.link(l);
+                        link.src == node || link.dst == node
+                    })
+                    .collect();
+                let what = format!("node {}", self.topo.node(node).name);
+                self.apply_fault(&what, incident, down);
+            }
             Event::QueueSample => {
                 // Fabric links only (switch → switch), precomputed once.
-                for &i in &self.fabric_links {
-                    let link = &self.links[i as usize];
-                    // Bounded retention: sampling (and the event
-                    // schedule) continues past the cap, overflow is
-                    // counted instead of stored.
-                    if self.stats.queue_samples.len() < self.cfg.queue_sample_cap {
-                        self.stats.queue_samples.push(QueueSample {
-                            at: self.now,
-                            link: i,
-                            bytes: link.queued_bytes(),
-                        });
-                    } else {
-                        self.stats.queue_samples_capped += 1;
-                    }
+                for &link in &self.fabric_links {
+                    let sample = Obs::QueueDepth {
+                        link,
+                        bytes: self.links[link as usize].queued_bytes(),
+                        cap: self.cfg.queue_sample_cap,
+                    };
+                    self.obs.emit(self.now, sample);
                 }
                 if let Some(every) = self.cfg.queue_sample_every {
                     let at = self.now + every;
@@ -483,126 +445,40 @@ impl Simulator {
 
     // ---- fault events ---------------------------------------------------
 
-    /// Takes one directed link down if (and only if) it is up. Overlapping
-    /// flap schedules make double-fails routine; re-failing a down link
-    /// must not double-flush (the first flush already accounted every
-    /// packet, and `set_down` would bump the epoch under the feet of the
-    /// legitimate recovery).
-    fn link_down_idem(&mut self, lid: LinkId) -> bool {
-        if !self.links[lid.0 as usize].up {
-            return false;
-        }
-        self.take_link_down(lid);
-        if let Some(rec) = self.telem.as_deref_mut() {
-            rec.link_down(self.now, lid.0);
-        }
-        true
-    }
-
-    /// Brings one directed link up if it is down; recovering an up link
-    /// is an explicit no-op.
-    fn link_up_idem(&mut self, lid: LinkId) -> bool {
-        let link = &mut self.links[lid.0 as usize];
-        if link.up {
-            return false;
-        }
-        link.set_up();
-        if let Some(rec) = self.telem.as_deref_mut() {
-            rec.link_up(self.now, lid.0);
-        }
-        true
-    }
-
-    /// A cable fault event fires: applies the transition to both
-    /// directions idempotently. When any direction actually changes
-    /// state a fault epoch opens *first* — so the flush's `LinkDown`
-    /// drops attribute to this fault, not a previous one — and the
-    /// invariant auditor (if on) re-proves conservation afterwards.
-    fn on_cable_fault(&mut self, a: NodeId, b: NodeId, down: bool) {
-        let dirs = [(a, b), (b, a)];
-        let will_change = dirs.iter().any(|&(x, y)| {
-            self.topo
-                .link_between(x, y)
-                .is_some_and(|l| self.links[l.0 as usize].up == down)
-        });
-        if will_change {
-            let label = format!(
-                "{} {}~{}",
-                if down { "down" } else { "up" },
-                self.topo.node(a).name,
-                self.topo.node(b).name
-            );
-            self.stats.open_fault_epoch(self.now, label, down);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.fault(self.now, self.stats.fault_epochs.len() as u64 - 1, down);
-            }
-        }
-        for (x, y) in dirs {
-            if let Some(l) = self.topo.link_between(x, y) {
-                if down {
-                    self.link_down_idem(l);
-                } else {
-                    self.link_up_idem(l);
-                }
-            }
-        }
-        if will_change {
-            self.audit_check("fault epoch");
-        }
-    }
-
-    /// A node fault event fires: every incident directed link (in link
-    /// index order, for determinism) transitions idempotently — a node
-    /// failure atomically downs all incident links, flushing queues
-    /// exactly as the per-cable path does.
-    fn on_node_fault(&mut self, node: NodeId, down: bool) {
-        let incident: Vec<LinkId> = (0..self.links.len() as u32)
-            .map(LinkId)
-            .filter(|&l| {
-                let link = self.topo.link(l);
-                link.src == node || link.dst == node
-            })
-            .collect();
-        let will_change = incident
-            .iter()
-            .any(|&l| self.links[l.0 as usize].up == down);
-        if will_change {
-            let label = format!(
-                "{} node {}",
-                if down { "down" } else { "up" },
-                self.topo.node(node).name
-            );
-            self.stats.open_fault_epoch(self.now, label, down);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.fault(self.now, self.stats.fault_epochs.len() as u64 - 1, down);
-            }
-        }
-        for l in incident {
-            if down {
-                self.link_down_idem(l);
-            } else {
-                self.link_up_idem(l);
-            }
-        }
-        if will_change {
-            self.audit_check("fault epoch");
-        }
-    }
-
-    /// Runs the invariant auditor, when enabled: checks conservation,
-    /// occupancy and leak freedom.
-    fn audit_check(&self, phase: &str) {
-        let Some(aud) = self.audit.as_deref() else {
+    /// A fault event fires on `links` (a cable's two directions, or a
+    /// node's incident links in link-index order, for determinism):
+    /// each directed link transitions if, and only if, it is not
+    /// already in the target state. Overlapping flap schedules make
+    /// double-fails routine; re-failing a down link must not
+    /// double-flush (the first flush already accounted every packet,
+    /// and `set_down` would bump the epoch under the feet of the
+    /// legitimate recovery), and recovering an up link is a no-op. When
+    /// any link actually changes state a fault epoch opens *first* — so
+    /// the flush's `LinkDown` drops attribute to this fault, not a
+    /// previous one — and the observers get a consistency checkpoint
+    /// afterwards.
+    fn apply_fault(&mut self, what: &str, mut links: Vec<LinkId>, down: bool) {
+        links.retain(|l| self.links[l.0 as usize].up == down);
+        if links.is_empty() {
             return;
-        };
-        aud.verify(
-            phase,
+        }
+        let label = format!("{} {what}", if down { "down" } else { "up" });
+        self.obs.emit(
             self.now,
-            &self.links,
-            &self.pool,
-            &self.traces,
-            phase == "end of run",
+            Obs::FaultEpoch {
+                label: &label,
+                down,
+            },
         );
+        for l in links {
+            if down {
+                self.take_link_down(l);
+            } else {
+                self.links[l.0 as usize].set_up();
+                self.obs.emit(self.now, Obs::LinkUp { link: l.0 });
+            }
+        }
+        self.emit_checkpoint(false);
     }
 
     /// Applies buffered transport effects strictly in append order —
@@ -630,140 +506,117 @@ impl Simulator {
 
     fn on_arrive(&mut self, node: NodeId, from: NodeId, slot: u32) {
         let pkt = self.pool.take(slot);
-        if let Some(aud) = self.audit.as_deref_mut() {
-            aud.taken += 1;
-        }
+        self.obs.emit(self.now, Obs::Taken);
         if !self.topo.is_switch(node) {
-            self.host_receive(node, pkt);
-            return;
+            return self.host_receive(node, pkt);
         }
-        // Loop accounting on traced routed traffic (payload and ACKs).
-        if self.traces.enabled()
-            && (pkt.carries_payload() || matches!(pkt.kind, PacketKind::Ack { .. }))
-            && self.traces.visit(&pkt, node)
-        {
-            self.stats.looped_packets += 1;
+        let who = (pkt.id, pkt.is_probe());
+        // Path and loop accounting covers routed traffic: payload, ACKs.
+        if !pkt.is_probe() {
+            self.obs.emit(self.now, Obs::Visit { pkt: pkt.id, node });
         }
-        if self.logics[node.0 as usize].is_none() {
+        if !self.run_logic(node, |logic, ctx| logic.on_packet(ctx, pkt, from)) {
             // No logic installed (test harness omission): drop.
-            let probe = matches!(pkt.kind, PacketKind::Probe(_));
-            self.stats.on_drop_at(DropReason::NoRoute, self.now, probe);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.drop_event(self.now, DropReason::NoRoute, None);
-            }
-            self.traces.forget(pkt.id);
-            return;
+            self.emit_drop(DropReason::NoRoute, who, None, false);
         }
-        let mut ctx = SwitchCtx::new(
-            node,
-            self.now,
-            &self.topo,
-            &self.links,
-            std::mem::take(&mut self.out_buf),
-        );
-        let logic = self.logics[node.0 as usize]
-            .as_mut()
-            .expect("presence checked above");
-        logic.on_packet(&mut ctx, pkt, from);
-        let SwitchCtx {
-            out,
-            loop_breaks,
-            no_route,
-            ..
-        } = ctx;
-        self.apply_switch_output(node, out, loop_breaks, no_route);
     }
 
     fn on_tick(&mut self, node: NodeId) {
-        if self.logics[node.0 as usize].is_none() {
+        if !self.run_logic(node, |logic, ctx| logic.on_tick(ctx)) {
             return;
         }
-        let mut ctx = SwitchCtx::new(
-            node,
-            self.now,
-            &self.topo,
-            &self.links,
-            std::mem::take(&mut self.out_buf),
-        );
-        let logic = self.logics[node.0 as usize]
-            .as_mut()
-            .expect("presence checked above");
-        logic.on_tick(&mut ctx);
-        let SwitchCtx {
-            out,
-            loop_breaks,
-            no_route,
-            ..
-        } = ctx;
-        self.apply_switch_output(node, out, loop_breaks, no_route);
         if let Some(t) = self.tick_of[node.0 as usize] {
             let at = self.now + t;
             self.push(at, Event::Tick { node });
         }
     }
 
-    /// Applies what one switch handler produced: loop-break counts,
-    /// no-route drops, and the emitted packets (transmitted in emission
-    /// order). Recycles the output buffer.
-    fn apply_switch_output(
+    /// Runs one handler of the logic installed on `node` (`false` when
+    /// there is none) and applies what it produced: loop-break counts,
+    /// no-route drops, and the emitted packets, transmitted in emission
+    /// order. The output buffer is lent to the handler and recycled.
+    fn run_logic(
         &mut self,
         node: NodeId,
-        mut outs: Vec<(NodeId, Packet)>,
-        loop_breaks: u64,
-        no_route: Vec<(u64, bool)>,
-    ) {
-        self.stats.loop_breaks += loop_breaks;
-        for (id, probe) in no_route {
-            self.stats.on_drop_at(DropReason::NoRoute, self.now, probe);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.drop_event(self.now, DropReason::NoRoute, None);
-            }
-            self.traces.forget(id);
+        handler: impl FnOnce(&mut dyn SwitchLogic, &mut SwitchCtx<'_>),
+    ) -> bool {
+        let Some(logic) = self.logics[node.0 as usize].as_deref_mut() else {
+            return false;
+        };
+        let out_buf = std::mem::take(&mut self.out_buf);
+        let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
+        handler(logic, &mut ctx);
+        let SwitchCtx {
+            mut out,
+            loop_breaks,
+            no_route,
+            ..
+        } = ctx;
+        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
+        for who in no_route {
+            self.emit_drop(DropReason::NoRoute, who, None, false);
         }
-        for (next, p) in outs.drain(..) {
+        for (next, p) in out.drain(..) {
             self.transmit(node, next, p);
         }
-        self.out_buf = outs;
+        self.out_buf = out;
+        true
+    }
+
+    /// Packet `pkt` dies: on a link leg (between being offered to `link`
+    /// and being taken off it) or, with no link, inside a switch that
+    /// had no route for it.
+    pub(super) fn emit_drop(
+        &mut self,
+        reason: DropReason,
+        (pkt, is_probe): (u64, bool),
+        link: Option<LinkId>,
+        on_link_leg: bool,
+    ) {
+        let drop = Obs::Drop {
+            reason,
+            is_probe,
+            link: link.map(|l| l.0),
+            pkt,
+            on_link_leg,
+        };
+        self.obs.emit(self.now, drop);
     }
 
     // ---- host delivery --------------------------------------------------
 
     fn host_receive(&mut self, host: NodeId, pkt: Packet) {
-        match &pkt.kind {
+        let deliver = |udp_payload| Obs::Deliver {
+            flow: pkt.flow,
+            seq: pkt.seq,
+            pkt: pkt.id,
+            udp_payload,
+        };
+        match pkt.kind {
             PacketKind::Data => {
                 debug_assert_eq!(pkt.dst_host, host);
-                self.stats.delivered_packets += 1;
-                self.traces.deliver(&pkt);
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    rec.deliver(self.now, pkt.flow.0, pkt.seq);
-                }
+                self.obs.emit(self.now, deliver(None));
                 self.transport.on_data(&pkt, self.now, &mut self.tfx);
                 self.apply_transport_fx();
             }
             PacketKind::Ack { ack_seq, echo_ts } => {
-                let (ack_seq, echo_ts) = (*ack_seq, *echo_ts);
                 let flow = pkt.flow.0;
-                self.traces.forget(pkt.id);
+                self.obs.emit(self.now, Obs::AckConsumed { pkt: pkt.id });
                 self.transport.on_ack(
                     flow,
                     ack_seq,
                     echo_ts,
                     self.now,
                     &mut self.tfx,
-                    &mut self.stats,
+                    &mut self.obs.stats,
                 );
                 self.apply_transport_fx();
-                self.telem_cwnd(flow);
+                self.emit_cwnd(flow);
             }
             PacketKind::Udp => {
                 debug_assert_eq!(pkt.dst_host, host);
-                self.stats.delivered_packets += 1;
-                self.traces.deliver(&pkt);
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    rec.deliver(self.now, pkt.flow.0, pkt.seq);
-                }
                 let payload = pkt.size_bytes.saturating_sub(HDR_BYTES);
-                self.stats.on_udp_delivered(self.now, payload);
+                self.obs.emit(self.now, deliver(Some(payload)));
             }
             PacketKind::Probe(_) => {
                 debug_assert!(false, "probes must never reach hosts");
@@ -771,39 +624,10 @@ impl Simulator {
         }
     }
 
-    // ---- telemetry ------------------------------------------------------
-
-    /// Records `flow`'s congestion window after a transport action (the
-    /// recorder drops unchanged values).
-    fn telem_cwnd(&mut self, flow: u32) {
-        let Some(rec) = self.telem.as_deref_mut() else {
-            return;
-        };
+    /// Reports `flow`'s congestion window after a transport action.
+    fn emit_cwnd(&mut self, flow: u32) {
         if let Some(cwnd) = self.transport.cwnd_of(flow) {
-            rec.cwnd(self.now, flow, cwnd);
+            self.obs.emit(self.now, Obs::Cwnd { flow, cwnd });
         }
-    }
-
-    /// Takes one metric sample at the current instant: fabric-link
-    /// utilization and queue depth, cumulative drops by reason,
-    /// per-switch control-plane churn, and engine counters.
-    fn telem_sample(&mut self) {
-        let now = self.now;
-        let Some(rec) = self.telem.as_deref_mut() else {
-            return;
-        };
-        for &i in &self.fabric_links {
-            let link = &self.links[i as usize];
-            rec.sample_link(now, i, link.utilization(now), link.queued_bytes());
-        }
-        rec.sample_drops(now, &self.stats);
-        for (n, logic) in self.logics.iter().enumerate() {
-            if let Some(logic) = logic {
-                let (probes, updates) = logic.control_churn();
-                rec.sample_churn(now, n as u32, probes, updates);
-            }
-        }
-        rec.sample_engine(now, self.stats.events_processed);
-        rec.bump_next(now);
     }
 }

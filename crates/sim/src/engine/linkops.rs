@@ -6,6 +6,7 @@
 
 use super::{Event, Simulator};
 use crate::link::{DropReason, EnqueueOutcome};
+use crate::observe::Obs;
 use crate::packet::{Packet, PacketKind};
 use crate::stats::TrafficKind;
 use contra_topology::{LinkId, NodeId};
@@ -14,74 +15,37 @@ impl Simulator {
     /// Queues `pkt` on the link `from → to`, starting the serializer if
     /// idle. Handles TTL decrement on switch-to-switch hops.
     pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, mut pkt: Packet) {
-        if let Some(aud) = self.audit.as_deref_mut() {
-            aud.offered += 1;
-        }
+        self.obs.emit(self.now, Obs::Offered);
+        let who = (pkt.id, pkt.is_probe());
         let Some(lid) = self.topo.link_between(from, to) else {
             debug_assert!(false, "no link {from}→{to}");
-            if let Some(aud) = self.audit.as_deref_mut() {
-                aud.lost += 1;
-            }
-            let probe = matches!(pkt.kind, PacketKind::Probe(_));
-            self.stats.on_drop_at(DropReason::NoRoute, self.now, probe);
-            self.traces.forget(pkt.id);
-            return;
+            return self.emit_drop(DropReason::NoRoute, who, None, true);
         };
-        if self.fabric_link[lid.0 as usize]
-            && (pkt.carries_payload() || matches!(pkt.kind, PacketKind::Ack { .. }))
-        {
+        if self.fabric_link[lid.0 as usize] && !pkt.is_probe() {
             if pkt.ttl == 0 {
-                if self.debug_ttl {
-                    eprintln!(
-                        "TTL death: {:?} flow={:?} seq={} dst_sw={} trace_tail={:?}",
-                        pkt.kind,
-                        pkt.flow,
-                        pkt.seq,
-                        pkt.dst_switch,
-                        self.traces.tail(pkt.id),
-                    );
-                }
-                if let Some(aud) = self.audit.as_deref_mut() {
-                    aud.lost += 1;
-                }
-                self.stats
-                    .on_drop_at(DropReason::TtlExpired, self.now, false);
-                self.traces.forget(pkt.id);
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    rec.drop_event(self.now, DropReason::TtlExpired, Some(lid.0));
-                }
-                return;
+                return self.emit_drop(DropReason::TtlExpired, who, Some(lid), true);
             }
             pkt.ttl -= 1;
         }
         let kind = traffic_kind(&pkt);
-        let size = pkt.size_bytes;
-        let id = pkt.id;
-        let link = &mut self.links[lid.0 as usize];
-        match link.enqueue(pkt, self.now) {
-            EnqueueOutcome::StartTx => {
-                self.stats.on_wire(kind, size);
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    // Idle→busy transition: a fresh serializer busy period.
-                    rec.tx_start(self.now, lid.0);
-                }
-                self.start_tx(lid);
-            }
-            EnqueueOutcome::Queued => {
-                self.stats.on_wire(kind, size);
-                self.arm_completion(lid);
-            }
-            EnqueueOutcome::Dropped(reason) => {
-                if let Some(aud) = self.audit.as_deref_mut() {
-                    aud.lost += 1;
-                }
-                self.stats
-                    .on_drop_at(reason, self.now, kind == TrafficKind::Probe);
-                self.traces.forget(id);
-                if let Some(rec) = self.telem.as_deref_mut() {
-                    rec.drop_event(self.now, reason, Some(lid.0));
-                }
-            }
+        let bytes = pkt.size_bytes;
+        let outcome = self.links[lid.0 as usize].enqueue(pkt, self.now);
+        if let EnqueueOutcome::Dropped(reason) = outcome {
+            return self.emit_drop(reason, who, Some(lid), true);
+        }
+        // Idle→busy starts a fresh serializer busy period.
+        let busy_start = outcome == EnqueueOutcome::StartTx;
+        let on_wire = Obs::OnWire {
+            kind,
+            bytes,
+            link: lid.0,
+            busy_start,
+        };
+        self.obs.emit(self.now, on_wire);
+        if busy_start {
+            self.start_tx(lid);
+        } else {
+            self.arm_completion(lid);
         }
     }
 
@@ -99,9 +63,7 @@ impl Simulator {
         if arrive_at > self.cfg.stop_at {
             // The arrival below is never enqueued: the packet stays in
             // the pool at end of run by design, not as a leak.
-            if let Some(aud) = self.audit.as_deref_mut() {
-                aud.stop_cut += 1;
-            }
+            self.obs.emit(self.now, Obs::StopCut);
         }
         let slot = self.pool.insert(pkt);
         self.push_arrival(
@@ -135,15 +97,12 @@ impl Simulator {
     /// serializer.
     pub(super) fn on_tx_done(&mut self, lid: LinkId, epoch: u64) {
         let link = &mut self.links[lid.0 as usize];
-        // Audit: an event addressed to the *current* epoch of a down
-        // link would mean `set_down` failed to bump the epoch — every
-        // legitimately stale completion carries an older epoch.
-        if self.audit.is_some() && !link.up && link.epoch == epoch {
-            panic!(
-                "audit: TxDone addressed to live epoch {epoch} of down link {} at {}",
-                lid.0, self.now
-            );
-        }
+        let done = Obs::TxDone {
+            link: lid.0,
+            epoch,
+            state: link,
+        };
+        self.obs.emit(self.now, done);
         if !link.up || link.epoch != epoch {
             return; // stale completion from before a failure
         }
@@ -157,18 +116,11 @@ impl Simulator {
     /// link epoch advances so in-flight completions are recognized as
     /// stale.
     pub(super) fn take_link_down(&mut self, lid: LinkId) {
-        let flushed = self.links[lid.0 as usize].set_down();
-        if let Some(aud) = self.audit.as_deref_mut() {
-            aud.lost += flushed.len() as u64;
+        for pkt in &self.links[lid.0 as usize].set_down() {
+            let who = (pkt.id, pkt.is_probe());
+            self.emit_drop(DropReason::LinkDown, who, Some(lid), true);
         }
-        for pkt in &flushed {
-            let probe = matches!(pkt.kind, PacketKind::Probe(_));
-            self.stats.on_drop_at(DropReason::LinkDown, self.now, probe);
-            self.traces.forget(pkt.id);
-            if let Some(rec) = self.telem.as_deref_mut() {
-                rec.drop_event(self.now, DropReason::LinkDown, Some(lid.0));
-            }
-        }
+        self.obs.emit(self.now, Obs::LinkDown { link: lid.0 });
     }
 }
 

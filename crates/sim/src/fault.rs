@@ -9,8 +9,9 @@
 //! The [`Auditor`] turns the engine's implicit conservation laws into
 //! hard failures. It is pure observation: it never touches `SimStats`
 //! or engine behavior, so golden fingerprints are byte-identical with
-//! auditing on or off. It maintains four counters fed by the link
-//! layer and checks, at every fault epoch and at end of run:
+//! auditing on or off. It is an [`Observer`] of the engine's seam: it
+//! keeps four counters from the packet observations and checks, at
+//! every [`Obs::Checkpoint`] (each fault epoch and end of run):
 //!
 //! * **Packet conservation** — every packet offered to a link is either
 //!   taken at its arrival, lost to an accounted drop, in the packet
@@ -26,12 +27,13 @@
 //!   in-flight packet (pool or link queue); packets that died in
 //!   flight must have been forgotten.
 //!
-//! A fifth check lives in the engine's completion handler: a `TxDone`
-//! carrying a link's *current* epoch while the link is down would mean
-//! an event was addressed to a dead epoch (`set_down` always bumps the
-//! epoch, so this cannot happen unless the bump was bypassed).
+//! A fifth check runs at every [`Obs::TxDone`]: a completion carrying
+//! a link's *current* epoch while the link is down would mean an event
+//! was addressed to a dead epoch (`set_down` always bumps the epoch, so
+//! this cannot happen unless the bump was bypassed).
 
 use crate::link::LinkState;
+use crate::observe::{Obs, Observer};
 use crate::packet::PacketPool;
 use crate::time::Time;
 use crate::trace::TraceTable;
@@ -65,36 +67,54 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// The runtime invariant auditor (`SimConfig::audit`). Counters are fed
-/// by the engine's link driver; [`Auditor::verify`] is called at each
-/// fault epoch and once after the event loop drains.
+/// The runtime invariant auditor (`SimConfig::audit`).
 #[derive(Debug, Default)]
 pub(crate) struct Auditor {
-    /// Packets offered to `transmit` (every hop attempt).
-    pub(crate) offered: u64,
+    /// Packets offered to a link (every hop attempt).
+    offered: u64,
     /// Arrivals realized (successful pool takes).
-    pub(crate) taken: u64,
+    taken: u64,
     /// Packets lost on a link leg: TTL death, missing link, enqueue
     /// rejection, failure flush.
-    pub(crate) lost: u64,
+    lost: u64,
     /// Pool entries whose scheduled arrival lies past `stop_at` — the
     /// engine never enqueues those events, so the packets legitimately
     /// remain in the pool at end of run.
-    pub(crate) stop_cut: u64,
+    stop_cut: u64,
+}
+
+impl Observer for Auditor {
+    #[inline(always)]
+    fn on(&mut self, now: Time, obs: &Obs<'_>) {
+        match *obs {
+            Obs::Offered => self.offered += 1,
+            Obs::Taken => self.taken += 1,
+            Obs::Drop { on_link_leg, .. } => self.lost += on_link_leg as u64,
+            Obs::StopCut => self.stop_cut += 1,
+            // Every legitimately stale completion carries an older epoch.
+            Obs::TxDone { link, epoch, state } => assert!(
+                state.up || state.epoch != epoch,
+                "audit: TxDone addressed to live epoch {epoch} of down link {link} at {now}"
+            ),
+            Obs::Checkpoint {
+                end_of_run,
+                links,
+                pool,
+            } => self.verify(now, links, pool, end_of_run),
+            _ => {}
+        }
+    }
 }
 
 impl Auditor {
-    /// Checks every invariant the current state can express. Panics with
-    /// a diagnostic on any violation.
-    pub(crate) fn verify(
-        &self,
-        phase: &str,
-        now: Time,
-        links: &[LinkState],
-        pool: &PacketPool,
-        traces: &TraceTable,
-        end_of_run: bool,
-    ) {
+    /// Checks conservation, occupancy and (at end of run) pool leak
+    /// freedom. Panics with a diagnostic on any violation.
+    fn verify(&self, now: Time, links: &[LinkState], pool: &PacketPool, end_of_run: bool) {
+        let phase = if end_of_run {
+            "end of run"
+        } else {
+            "fault epoch"
+        };
         let mut queued = 0u64;
         for (i, link) in links.iter().enumerate() {
             let bytes: u64 = link.audit_queue().map(|p| p.size_bytes as u64).sum();
@@ -128,21 +148,22 @@ impl Auditor {
                 self.stop_cut,
             );
         }
-        // Trace-table leak freedom: every live trace must belong to a
-        // packet that is still in flight (pool or link queue).
-        if traces.enabled() {
-            let in_flight: std::collections::BTreeSet<u64> = pool
-                .live_ids()
-                .chain(links.iter().flat_map(|l| l.audit_queue().map(|p| p.id)))
-                .collect();
-            for id in traces.live_ids() {
-                assert!(
-                    in_flight.contains(&id),
-                    "audit[{phase}] at {now}: trace table leaks packet {id} \
-                     (traced but not in flight)"
-                );
-            }
-        }
+    }
+}
+
+/// Trace-table leak freedom, checked beside every audited checkpoint of
+/// a traced run: every live trace must belong to a packet that is still
+/// in flight (pool or link queue).
+pub(crate) fn audit_traces(now: Time, links: &[LinkState], pool: &PacketPool, traces: &TraceTable) {
+    let in_flight: std::collections::BTreeSet<u64> = pool
+        .live_ids()
+        .chain(links.iter().flat_map(|l| l.audit_queue().map(|p| p.id)))
+        .collect();
+    for id in traces.live_ids() {
+        assert!(
+            in_flight.contains(&id),
+            "audit at {now}: trace table leaks packet {id} (traced but not in flight)"
+        );
     }
 }
 
@@ -161,44 +182,9 @@ mod tests {
         assert_eq!(e.to_string(), "no node n42");
     }
 
-    #[test]
-    fn clean_auditor_verifies_empty_state() {
-        let aud = Auditor::default();
-        aud.verify(
-            "test",
-            Time::ZERO,
-            &[],
-            &PacketPool::default(),
-            &TraceTable::new(false),
-            true,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "packet conservation violated")]
-    fn conservation_violation_panics() {
-        let aud = Auditor {
-            offered: 2,
-            taken: 1,
-            lost: 0,
-            stop_cut: 0,
-        };
-        aud.verify(
-            "test",
-            Time::ZERO,
-            &[],
-            &PacketPool::default(),
-            &TraceTable::new(false),
-            false,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "packet pool leaks")]
-    fn pool_leak_panics_at_end_of_run() {
-        let mut pool = PacketPool::default();
-        pool.insert(crate::packet::Packet {
-            id: 7,
+    fn packet(id: u64) -> crate::packet::Packet {
+        crate::packet::Packet {
+            id,
             kind: crate::packet::PacketKind::Udp,
             src_host: NodeId(0),
             dst_host: NodeId(1),
@@ -211,20 +197,104 @@ mod tests {
             pid: 0,
             ttl: crate::packet::INITIAL_TTL,
             flow_hash: 0,
-        });
-        let aud = Auditor {
-            offered: 1,
-            taken: 0,
-            lost: 0,
-            stop_cut: 0,
+        }
+    }
+
+    /// An auditor fed `offered`/`taken` counts and one drop on and one
+    /// off a link leg, then checkpointed against `pool`.
+    fn audited(offered: u32, taken: u32, pool: &PacketPool, end_of_run: bool) -> Auditor {
+        let mut aud = Auditor::default();
+        let feed = |aud: &mut Auditor, n: u32, obs: Obs<'_>| {
+            (0..n).for_each(|_| aud.on(Time::ZERO, &obs));
         };
-        aud.verify(
-            "test",
-            Time::ZERO,
-            &[],
-            &pool,
-            &TraceTable::new(false),
-            true,
-        );
+        feed(&mut aud, offered, Obs::Offered);
+        feed(&mut aud, taken, Obs::Taken);
+        for on_link_leg in [true, false] {
+            let obs = Obs::Drop {
+                reason: crate::link::DropReason::NoRoute,
+                is_probe: false,
+                link: None,
+                pkt: 0,
+                on_link_leg,
+            };
+            aud.on(Time::ZERO, &obs);
+        }
+        let obs = Obs::Checkpoint {
+            end_of_run,
+            links: &[],
+            pool,
+        };
+        aud.on(Time::ZERO, &obs);
+        aud
+    }
+
+    /// `offered = taken + lost + pool + queued` from observations alone,
+    /// and only a drop on a link leg counts as lost: a packet a switch
+    /// declined to forward had already been taken.
+    #[test]
+    fn conservation_holds_from_observations_alone() {
+        let mut pool = PacketPool::default();
+        audited(2, 1, &pool, true);
+        pool.insert(packet(7));
+        let aud = audited(3, 1, &pool, false);
+        assert_eq!((aud.offered, aud.taken, aud.lost), (3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet conservation violated")]
+    fn conservation_violation_panics() {
+        audited(3, 1, &PacketPool::default(), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet pool leaks")]
+    fn pool_leak_panics_at_end_of_run() {
+        let mut pool = PacketPool::default();
+        pool.insert(packet(7));
+        audited(3, 1, &pool, true);
+    }
+
+    /// A packet whose arrival lies past `stop_at` is in the pool at end
+    /// of run by design.
+    #[test]
+    fn stop_cut_packets_are_no_leak() {
+        let mut pool = PacketPool::default();
+        pool.insert(packet(7));
+        let mut aud = audited(3, 1, &pool, false);
+        aud.on(Time::ZERO, &Obs::StopCut);
+        let obs = Obs::Checkpoint {
+            end_of_run: true,
+            links: &[],
+            pool: &pool,
+        };
+        aud.on(Time::ZERO, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "TxDone addressed to live epoch 1 of down link 4")]
+    fn completion_for_a_dead_epoch_panics() {
+        let mut state = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
+        let mut aud = Auditor::default();
+        let mut done = |epoch, state: &LinkState| {
+            let link = 4;
+            aud.on(Time::ZERO, &Obs::TxDone { link, epoch, state });
+        };
+        done(0, &state);
+        state.set_down();
+        done(0, &state); // stale: from before the failure
+        done(1, &state);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace table leaks packet 8")]
+    fn trace_of_a_dead_packet_panics() {
+        let mut pool = PacketPool::default();
+        pool.insert(packet(7));
+        let mut traces = TraceTable::default();
+        for pkt in [7, 8] {
+            let node = NodeId(0);
+            traces.on(Time::ZERO, &Obs::Visit { pkt, node });
+        }
+        audit_traces(Time::ZERO, &[], &pool, &traces);
     }
 }

@@ -36,15 +36,19 @@
 //!
 //! The crate is layered (PR 5): [`sched`] (event order), [`link`]
 //! (serializers and queues), [`transport`] (host endpoints), [`switch`]
-//! (dataplane programs), [`trace`] (path side table), [`stats`]
-//! (measurement), with [`engine`] as the dispatcher that composes them
-//! and [`config`] naming the knobs.
+//! (dataplane programs), with [`engine`] as the dispatcher that composes
+//! them and [`config`] naming the knobs. Everything that watches a run
+//! hangs off one seam, [`observe`]: the engine emits a typed
+//! [`observe::Obs`] where something happens, and [`stats`]
+//! (measurement), [`trace`] (path side table), [`fault`] (invariant
+//! auditor) and [`recorder`] (telemetry) each consume the stream.
 
 pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod fx;
 pub mod link;
+pub mod observe;
 pub mod packet;
 pub mod recorder;
 pub mod sched;
@@ -273,8 +277,8 @@ mod tests {
             bytes: 5_000_000,
             start: Time::ZERO,
         });
-        sim.fail_link_at(s0, s1, Time::us(300));
-        sim.recover_link_at(s0, s1, Time::ms(2));
+        sim.try_fail_link_at(s0, s1, Time::us(300)).unwrap();
+        sim.try_recover_link_at(s0, s1, Time::ms(2)).unwrap();
         let stats = sim.run();
         assert_eq!(
             stats.completion_rate(),
@@ -434,6 +438,17 @@ mod tests {
         );
     }
 
+    /// Whether the environment (`CONTRA_TELEM=0`) vetoes a requested
+    /// recorder.
+    fn telemetry_forced_off() -> bool {
+        let mut cfg = SimConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..SimConfig::default()
+        };
+        cfg.apply_env();
+        cfg.telemetry.is_none()
+    }
+
     /// cwnd telemetry is one sample per transport action (per ACK),
     /// never per emitted packet, so the series length stays bounded by
     /// the ACK count.
@@ -460,7 +475,7 @@ mod tests {
         let out = sim.run_full();
         let Some(report) = &out.telemetry else {
             assert!(
-                crate::recorder::telemetry_from_env() == Some(false),
+                telemetry_forced_off(),
                 "report must exist unless CONTRA_TELEM forced telemetry off"
             );
             return;
@@ -516,7 +531,7 @@ mod tests {
             assert!(report.metrics.total_points() > 0);
         } else {
             assert!(
-                crate::recorder::telemetry_from_env() == Some(false),
+                telemetry_forced_off(),
                 "report must exist unless CONTRA_TELEM forced telemetry off"
             );
         }

@@ -105,7 +105,7 @@ impl Packet {
 /// events. Slots are recycled LIFO, so the working set stays
 /// cache-resident.
 #[derive(Debug, Default)]
-pub(crate) struct PacketPool {
+pub struct PacketPool {
     slots: Vec<Option<Packet>>,
     free: Vec<u32>,
 }

@@ -1,12 +1,14 @@
-//! The telemetry recorder: the engine's structured-observation seam.
+//! The telemetry recorder: structured trace events and time series.
 //!
 //! Same contract as the invariant auditor ([`crate::fault::Auditor`],
-//! PR 7): **pure observation**. The recorder never touches `SimStats`,
-//! never schedules an event, and never changes engine behavior, so
-//! golden fingerprints are byte-identical with telemetry on or off —
-//! and `events_processed` stays telemetry-invariant because metric
-//! sampling piggybacks on the event loop (a lazy cadence check after
-//! each dispatched event) instead of scheduling events of its own.
+//! PR 7): **pure observation**. The recorder is an [`Observer`] of the
+//! engine's seam ([`crate::observe`]): it sees only the [`Obs`] stream,
+//! never touches `SimStats`, never schedules an event, and never
+//! changes engine behavior, so golden fingerprints are byte-identical
+//! with telemetry on or off — and `events_processed` stays
+//! telemetry-invariant because metric sampling piggybacks on the event
+//! loop (a lazy cadence check after each dispatched event, answered by
+//! an [`Obs::Sample`]) instead of scheduling events of its own.
 //!
 //! What it captures, into a bounded [`EventRing`] plus a
 //! [`MetricsRegistry`] (both from `contra-telemetry`):
@@ -21,17 +23,17 @@
 //!   cumulative drops by reason, per-switch probe/table-update churn,
 //!   and `events_processed`.
 //!
-//! Disabled cost: the engine holds an `Option<Box<Recorder>>`; every
-//! hook is one null check.
+//! Disabled cost: the engine's observers hold no recorder at all.
 
-use crate::link::DropReason;
-use crate::stats::SimStats;
+use crate::link::{DropReason, LinkState};
+use crate::observe::{Obs, Observer};
+use crate::switch::SwitchLogic;
 use crate::time::Time;
 use contra_telemetry::{
     ArgVal, EventRing, MetricsRegistry, Phase, SeriesId, TelemetryReport, TraceEvent,
 };
 use contra_topology::Topology;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Track id of engine-global events (faults, engine counters).
 pub const ENGINE_TRACK: u64 = 0;
@@ -65,24 +67,14 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// The `CONTRA_TELEM` override, if set: `0`, `off`, `false`, `no` and
-/// the empty string disable telemetry, any other value enables it with
-/// default knobs (mirroring `CONTRA_SIM_AUDIT`).
-pub fn telemetry_from_env() -> Option<bool> {
-    let raw = std::env::var("CONTRA_TELEM").ok()?;
-    Some(!matches!(
-        raw.trim().to_ascii_lowercase().as_str(),
-        "" | "0" | "off" | "false" | "no"
-    ))
-}
-
-/// Per-run recorder state. Owned by the engine as
-/// `Option<Box<Recorder>>`, drained into a [`TelemetryReport`] by
+/// Per-run recorder state, drained into a [`TelemetryReport`] by
 /// [`crate::engine::Simulator::run_full`].
 #[derive(Debug)]
 pub struct Recorder {
     sample_every: Time,
-    next_sample: Time,
+    /// The next cadence boundary: a sample is due at the first event at
+    /// or past this instant.
+    pub(crate) next_sample: Time,
     ring: EventRing,
     metrics: MetricsRegistry,
     /// Track metadata for links/switches (flows appended at finish).
@@ -107,6 +99,10 @@ pub struct Recorder {
     cwnd_series: Vec<Option<SeriesId>>,
     /// Flows that appeared on any event, for track naming.
     flows_seen: BTreeSet<u32>,
+    /// Cumulative drops by reason (the `drops` series).
+    drops: BTreeMap<DropReason, u64>,
+    /// Fault epochs seen so far — the next epoch's index.
+    fault_epochs: u64,
 }
 
 fn reason_name(r: DropReason) -> &'static str {
@@ -120,6 +116,60 @@ fn reason_name(r: DropReason) -> &'static str {
 
 fn link_track(l: u32) -> u64 {
     LINK_TRACK_BASE + l as u64
+}
+
+fn flow_track(f: u32) -> u64 {
+    FLOW_TRACK_BASE + f as u64
+}
+
+impl Observer for Recorder {
+    #[inline(always)]
+    fn on(&mut self, now: Time, obs: &Obs<'_>) {
+        use Phase::Instant;
+        match *obs {
+            // Only the idle→busy transition: a fresh busy period.
+            Obs::OnWire {
+                busy_start: true,
+                link,
+                ..
+            } => self.tx_start(now, link),
+            // `link` is `None` for drops with no link context.
+            Obs::Drop { reason, link, .. } => {
+                *self.drops.entry(reason).or_insert(0) += 1;
+                let track = link.map_or(ENGINE_TRACK, link_track);
+                let args = [("reason", ArgVal::S(reason_name(reason)))];
+                self.event(now, Instant, "drop", "link", track, &args);
+            }
+            Obs::Deliver { flow, seq, .. } => self.deliver(now, flow.0, seq),
+            Obs::FlowStart { flow } => {
+                self.flows_seen.insert(flow);
+                self.event(now, Instant, "flow_start", "flow", flow_track(flow), &[]);
+            }
+            Obs::Cwnd { flow, cwnd } => self.cwnd(now, flow, cwnd),
+            Obs::FaultEpoch { down, .. } => {
+                let dir = ArgVal::S(if down { "down" } else { "up" });
+                let args = [("epoch", ArgVal::U(self.fault_epochs)), ("dir", dir)];
+                self.event(now, Instant, "fault", "fault", ENGINE_TRACK, &args);
+                self.fault_epochs += 1;
+            }
+            Obs::LinkDown { link } => self.down_span(now, link, true),
+            Obs::LinkUp { link } => self.down_span(now, link, false),
+            Obs::Sample {
+                links,
+                fabric,
+                logics,
+                events,
+            } => self.sample(now, links, fabric, logics, events),
+            // Close every open span so the exported trace always has
+            // matched begin/end pairs.
+            Obs::End { .. } => {
+                for l in 0..self.open_down.len() as u32 {
+                    self.down_span(now, l, false);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 impl Recorder {
@@ -157,69 +207,46 @@ impl Recorder {
             last_cwnd: Vec::new(),
             cwnd_series: Vec::new(),
             flows_seen: BTreeSet::new(),
+            drops: BTreeMap::new(),
+            fault_epochs: 0,
         }
     }
 
-    /// The next cadence boundary — the engine samples at the first
-    /// event at or past this instant.
-    #[inline]
-    pub fn next_sample(&self) -> Time {
-        self.next_sample
+    /// The two per-packet events build their one shape in place, out of
+    /// line: going through [`Recorder::event`] measurably slows a probe-
+    /// heavy run.
+    fn tx_start(&mut self, now: Time, link: u32) {
+        let track = link_track(link);
+        let event = TraceEvent::new(now.0, Phase::Instant, "tx_start", "link", track);
+        self.ring.push(event);
     }
 
-    // ---- trace events ---------------------------------------------------
-
-    /// A packet drop (`link = None` for drops with no link context).
-    pub fn drop_event(&mut self, now: Time, reason: DropReason, link: Option<u32>) {
-        let track = link.map_or(ENGINE_TRACK, link_track);
-        self.ring.push(
-            TraceEvent::new(now.0, Phase::Instant, "drop", "link", track)
-                .arg("reason", ArgVal::S(reason_name(reason))),
-        );
-    }
-
-    /// A serializer idle→busy transition on `link`.
-    pub fn tx_start(&mut self, now: Time, link: u32) {
-        self.ring.push(TraceEvent::new(
-            now.0,
-            Phase::Instant,
-            "tx_start",
-            "link",
-            link_track(link),
-        ));
-    }
-
-    /// A TCP flow became active.
-    pub fn flow_start(&mut self, now: Time, flow: u32) {
+    fn deliver(&mut self, now: Time, flow: u32, seq: u32) {
         self.flows_seen.insert(flow);
-        self.ring.push(TraceEvent::new(
-            now.0,
-            Phase::Instant,
-            "flow_start",
-            "flow",
-            FLOW_TRACK_BASE + flow as u64,
-        ));
+        let event = TraceEvent::new(now.0, Phase::Instant, "deliver", "flow", flow_track(flow));
+        self.ring.push(event.arg("seq", ArgVal::U(seq as u64)));
     }
 
-    /// A payload packet reached its destination host.
-    pub fn deliver(&mut self, now: Time, flow: u32, seq: u32) {
-        self.flows_seen.insert(flow);
-        self.ring.push(
-            TraceEvent::new(
-                now.0,
-                Phase::Instant,
-                "deliver",
-                "flow",
-                FLOW_TRACK_BASE + flow as u64,
-            )
-            .arg("seq", ArgVal::U(seq as u64)),
-        );
+    /// Appends one trace event of any shape to the ring.
+    #[inline(never)]
+    fn event(
+        &mut self,
+        now: Time,
+        phase: Phase,
+        name: &'static str,
+        cat: &'static str,
+        track: u64,
+        args: &[(&'static str, ArgVal)],
+    ) {
+        let event = TraceEvent::new(now.0, phase, name, cat, track);
+        let with_args = (args.iter()).fold(event, |e, &(key, val)| e.arg(key, val));
+        self.ring.push(with_args);
     }
 
     /// The congestion window of `flow` after a transport action;
     /// recorded (as a counter trace event plus a series point) only
     /// when it changed.
-    pub fn cwnd(&mut self, now: Time, flow: u32, cwnd: f64) {
+    fn cwnd(&mut self, now: Time, flow: u32, cwnd: f64) {
         let idx = flow as usize;
         if idx >= self.last_cwnd.len() {
             self.last_cwnd.resize(idx + 1, f64::NAN);
@@ -230,16 +257,8 @@ impl Recorder {
         }
         self.last_cwnd[idx] = cwnd;
         self.flows_seen.insert(flow);
-        self.ring.push(
-            TraceEvent::new(
-                now.0,
-                Phase::Counter,
-                "cwnd",
-                "flow",
-                FLOW_TRACK_BASE + flow as u64,
-            )
-            .arg("cwnd", ArgVal::F(cwnd)),
-        );
+        let args = [("cwnd", ArgVal::F(cwnd))];
+        self.event(now, Phase::Counter, "cwnd", "flow", flow_track(flow), &args);
         let id = match self.cwnd_series[idx] {
             Some(id) => id,
             None => {
@@ -251,49 +270,54 @@ impl Recorder {
         self.metrics.push_id(id, now.0, cwnd);
     }
 
-    /// A fault event actually changed link state (epoch `idx` just
-    /// opened in the stats).
-    pub fn fault(&mut self, now: Time, idx: u64, down: bool) {
-        self.ring.push(
-            TraceEvent::new(now.0, Phase::Instant, "fault", "fault", ENGINE_TRACK)
-                .arg("epoch", ArgVal::U(idx))
-                .arg("dir", ArgVal::S(if down { "down" } else { "up" })),
-        );
-    }
-
-    /// A directed link actually went down: opens its `down` span.
-    pub fn link_down(&mut self, now: Time, link: u32) {
-        if !self.open_down[link as usize] {
-            self.open_down[link as usize] = true;
-            self.ring.push(TraceEvent::new(
-                now.0,
-                Phase::Begin,
-                "down",
-                "link",
-                link_track(link),
-            ));
-        }
-    }
-
-    /// A directed link actually came back up: closes its span.
-    pub fn link_up(&mut self, now: Time, link: u32) {
-        if self.open_down[link as usize] {
-            self.open_down[link as usize] = false;
-            self.ring.push(TraceEvent::new(
-                now.0,
-                Phase::End,
-                "down",
-                "link",
-                link_track(link),
-            ));
+    /// Opens (`down`) or closes the `down` span of a directed link;
+    /// idempotent, so spans always pair up.
+    fn down_span(&mut self, now: Time, link: u32, down: bool) {
+        if self.open_down[link as usize] != down {
+            self.open_down[link as usize] = down;
+            let phase = if down { Phase::Begin } else { Phase::End };
+            self.event(now, phase, "down", "link", link_track(link), &[]);
         }
     }
 
     // ---- cadence sampling ----------------------------------------------
 
+    /// Takes one metric sample: fabric-link utilization and queue
+    /// depth, cumulative drops by reason, per-switch control-plane
+    /// churn, and engine counters; then advances the cadence to the
+    /// next boundary strictly after `now` (one catch-up sample per gap,
+    /// not a backlog).
+    fn sample(
+        &mut self,
+        now: Time,
+        links: &[LinkState],
+        fabric: &[u32],
+        logics: &[Option<Box<dyn SwitchLogic>>],
+        events: u64,
+    ) {
+        for &i in fabric {
+            let link = &links[i as usize];
+            self.sample_link(now, i, link.utilization(now), link.queued_bytes());
+        }
+        for (&reason, &count) in &self.drops {
+            self.metrics
+                .push("drops", reason_name(reason), now.0, count as f64);
+        }
+        for (n, logic) in logics.iter().enumerate() {
+            if let Some(logic) = logic {
+                let (probes, updates) = logic.control_churn();
+                self.sample_churn(now, n as u32, probes, updates);
+            }
+        }
+        self.metrics
+            .push("events_processed", "engine", now.0, events as f64);
+        self.metrics.inc("telem_samples", "engine", 1);
+        self.next_sample = Time((now.0 / self.sample_every.0 + 1) * self.sample_every.0);
+    }
+
     /// One fabric link's utilization and queue depth at a sample
     /// boundary.
-    pub fn sample_link(&mut self, now: Time, link: u32, util: f64, qdepth: u32) {
+    fn sample_link(&mut self, now: Time, link: u32, util: f64, qdepth: u32) {
         let idx = link as usize;
         let (util_id, depth_id) = match self.link_series[idx] {
             Some(ids) => ids,
@@ -314,25 +338,17 @@ impl Recorder {
         let (last_u, last_q) = self.last_link_sample[idx];
         if last_u != util || last_q != qdepth {
             self.last_link_sample[idx] = (util, qdepth);
-            self.ring.push(
-                TraceEvent::new(now.0, Phase::Counter, "link", "link", link_track(link))
-                    .arg("util", ArgVal::F(util))
-                    .arg("queued_bytes", ArgVal::U(qdepth as u64)),
-            );
-        }
-    }
-
-    /// Cumulative drops by reason at a sample boundary.
-    pub fn sample_drops(&mut self, now: Time, stats: &SimStats) {
-        for (&reason, &count) in &stats.drops {
-            self.metrics
-                .push("drops", reason_name(reason), now.0, count as f64);
+            let args = [
+                ("util", ArgVal::F(util)),
+                ("queued_bytes", ArgVal::U(qdepth as u64)),
+            ];
+            self.event(now, Phase::Counter, "link", "link", link_track(link), &args);
         }
     }
 
     /// One switch's cumulative control-plane churn at a sample
     /// boundary; records only when it moved.
-    pub fn sample_churn(&mut self, now: Time, node: u32, probes: u64, updates: u64) {
+    fn sample_churn(&mut self, now: Time, node: u32, probes: u64, updates: u64) {
         let idx = node as usize;
         if self.last_churn[idx] == (probes, updates) {
             return;
@@ -354,57 +370,21 @@ impl Recorder {
         };
         self.metrics.push_id(probes_id, now.0, probes as f64);
         self.metrics.push_id(updates_id, now.0, updates as f64);
-        self.ring.push(
-            TraceEvent::new(
-                now.0,
-                Phase::Counter,
-                "churn",
-                "control",
-                NODE_TRACK_BASE + node as u64,
-            )
-            .arg("probes_sent", ArgVal::U(probes))
-            .arg("table_updates", ArgVal::U(updates)),
-        );
-    }
-
-    /// Engine-global series at a sample boundary.
-    pub fn sample_engine(&mut self, now: Time, events_processed: u64) {
-        self.metrics
-            .push("events_processed", "engine", now.0, events_processed as f64);
-        self.metrics.inc("telem_samples", "engine", 1);
-    }
-
-    /// Advances the cadence to the next boundary strictly after `now`
-    /// (one catch-up sample per gap, not a backlog).
-    pub fn bump_next(&mut self, now: Time) {
-        self.next_sample = Time((now.0 / self.sample_every.0 + 1) * self.sample_every.0);
+        let track = NODE_TRACK_BASE + node as u64;
+        let args = [
+            ("probes_sent", ArgVal::U(probes)),
+            ("table_updates", ArgVal::U(updates)),
+        ];
+        self.event(now, Phase::Counter, "churn", "control", track, &args);
     }
 
     // ---- end of run -----------------------------------------------------
-
-    /// Closes every open span at `now` so the exported trace always has
-    /// matched begin/end pairs.
-    pub fn finish(&mut self, now: Time) {
-        for l in 0..self.open_down.len() {
-            if self.open_down[l] {
-                self.open_down[l] = false;
-                self.ring.push(TraceEvent::new(
-                    now.0,
-                    Phase::End,
-                    "down",
-                    "link",
-                    link_track(l as u32),
-                ));
-            }
-        }
-    }
 
     /// Drains the recorder into its report (flow tracks named here —
     /// they are only known once the run has happened).
     pub fn into_report(mut self) -> TelemetryReport {
         for f in &self.flows_seen {
-            self.track_names
-                .push((FLOW_TRACK_BASE + *f as u64, format!("flow {f}")));
+            self.track_names.push((flow_track(*f), format!("flow {f}")));
         }
         TelemetryReport {
             events_evicted: self.ring.evicted(),
@@ -419,35 +399,103 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TrafficKind;
     use contra_topology::Topology;
 
-    fn tiny() -> Topology {
+    fn recorder(ring_capacity: usize) -> Recorder {
         let mut t = Topology::builder();
         let a = t.switch("a");
         let b = t.switch("b");
         t.biline(a, b, 1e9, 1_000);
-        t.build()
+        let cfg = TelemetryConfig {
+            sample_every: Time::us(100),
+            ring_capacity,
+        };
+        Recorder::new(&cfg, &t.build())
+    }
+
+    /// `(name, phase)` of every recorded trace event, in record order.
+    fn events_of(rec: Recorder) -> Vec<(&'static str, Phase)> {
+        let report = rec.into_report();
+        report.events.iter().map(|e| (e.name, e.phase)).collect()
     }
 
     #[test]
-    fn spans_close_at_finish() {
-        let topo = tiny();
-        let mut rec = Recorder::new(&TelemetryConfig::default(), &topo);
-        rec.link_down(Time::us(10), 0);
-        rec.link_down(Time::us(11), 0); // idempotent: no second Begin
-        rec.finish(Time::us(20));
+    fn spans_close_at_end_of_run() {
+        let mut rec = recorder(16);
+        rec.on(Time::us(10), &Obs::LinkDown { link: 0 });
+        rec.on(Time::us(11), &Obs::LinkDown { link: 0 }); // idempotent: no second Begin
+        let end = Obs::End {
+            events: 0,
+            sched: Default::default(),
+            collisions: (0, 0),
+        };
+        rec.on(Time::us(20), &end);
+        assert_eq!(
+            events_of(rec),
+            vec![("down", Phase::Begin), ("down", Phase::End)]
+        );
+    }
+
+    /// Within the instant of a fault the trace reads: the fault epoch
+    /// (numbered from zero), the drops of the flushed packets on the
+    /// failing link's track, then that link's `down` span opening.
+    #[test]
+    fn fault_then_flush_drops_then_down_span() {
+        let mut rec = recorder(16);
+        let now = Time::us(10);
+        for (label, down) in [("up a~b", false), ("down a~b", true)] {
+            rec.on(now, &Obs::FaultEpoch { label, down });
+        }
+        for pkt in [4, 5] {
+            let obs = Obs::Drop {
+                reason: DropReason::LinkDown,
+                is_probe: false,
+                link: Some(1),
+                pkt,
+                on_link_leg: true,
+            };
+            rec.on(now, &obs);
+        }
+        rec.on(now, &Obs::LinkDown { link: 1 });
         let report = rec.into_report();
-        let phases: Vec<Phase> = report.events.iter().map(|e| e.phase).collect();
-        assert_eq!(phases, vec![Phase::Begin, Phase::End]);
+        let seen: Vec<_> = (report.events.iter())
+            .map(|e| (e.name, e.track, e.args().first().map(|a| a.1)))
+            .collect();
+        let dropped = Some(ArgVal::S("LinkDown"));
+        assert_eq!(
+            seen,
+            vec![
+                ("fault", ENGINE_TRACK, Some(ArgVal::U(0))),
+                ("fault", ENGINE_TRACK, Some(ArgVal::U(1))),
+                ("drop", LINK_TRACK_BASE + 1, dropped),
+                ("drop", LINK_TRACK_BASE + 1, dropped),
+                ("down", LINK_TRACK_BASE + 1, None),
+            ]
+        );
+    }
+
+    #[test]
+    fn tx_start_only_on_idle_to_busy() {
+        let mut rec = recorder(16);
+        for busy_start in [true, false, false, true] {
+            let obs = Obs::OnWire {
+                kind: TrafficKind::Data,
+                bytes: 1500,
+                link: 0,
+                busy_start,
+            };
+            rec.on(Time::us(1), &obs);
+        }
+        assert_eq!(events_of(rec), vec![("tx_start", Phase::Instant); 2]);
     }
 
     #[test]
     fn cwnd_dedups_on_unchanged_value() {
-        let topo = tiny();
-        let mut rec = Recorder::new(&TelemetryConfig::default(), &topo);
-        rec.cwnd(Time::us(1), 0, 10.0);
-        rec.cwnd(Time::us(2), 0, 10.0);
-        rec.cwnd(Time::us(3), 0, 11.0);
+        let mut rec = recorder(16);
+        for (us, cwnd) in [(1, 10.0), (2, 10.0), (3, 11.0)] {
+            rec.on(Time::us(us), &Obs::Cwnd { flow: 0, cwnd });
+        }
         let report = rec.into_report();
         assert_eq!(report.events.len(), 2);
         assert_eq!(report.metrics.points("cwnd", "flow0").unwrap().len(), 2);
@@ -460,20 +508,21 @@ mod tests {
 
     #[test]
     fn cadence_advances_past_gaps() {
-        let topo = tiny();
-        let mut rec = Recorder::new(
-            &TelemetryConfig {
-                sample_every: Time::us(100),
-                ring_capacity: 16,
-            },
-            &topo,
-        );
-        assert_eq!(rec.next_sample(), Time::us(100));
+        let mut rec = recorder(16);
+        assert_eq!(rec.next_sample, Time::us(100));
         // An event lands long after several boundaries: one catch-up
         // sample, then the next boundary strictly after it.
-        rec.bump_next(Time::us(1_250));
-        assert_eq!(rec.next_sample(), Time::us(1_300));
-        rec.bump_next(Time::us(1_300));
-        assert_eq!(rec.next_sample(), Time::us(1_400));
+        for (at, next) in [(1_250, 1_300), (1_300, 1_400)] {
+            let obs = Obs::Sample {
+                links: &[],
+                fabric: &[],
+                logics: &[],
+                events: 3,
+            };
+            rec.on(Time::us(at), &obs);
+            assert_eq!(rec.next_sample, Time::us(next));
+        }
+        let report = rec.into_report();
+        assert_eq!(report.metrics.counter("telem_samples", "engine"), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! Measurement: everything the paper's figures read out of a run.
 
 use crate::link::DropReason;
+use crate::observe::{Obs, Observer};
 use crate::packet::FlowId;
 use crate::time::Time;
 use std::collections::BTreeMap;
@@ -46,8 +47,8 @@ impl FlowRecord {
 
 /// Per-kind wire-byte counters with a map-like surface.
 ///
-/// [`SimStats::on_wire`] runs once per packet per hop — the hottest stats
-/// call in the engine — so the storage is a flat array indexed by
+/// [`Obs::OnWire`] arrives once per packet per hop — the hottest
+/// observation the statistics take — so the storage is a flat array indexed by
 /// [`TrafficKind`] discriminant rather than a tree. Iteration and `get`
 /// mimic the `BTreeMap<TrafficKind, u64>` this replaced: kinds that never
 /// saw a byte are absent.
@@ -261,55 +262,12 @@ impl SimStats {
         }
     }
 
-    /// Records wire bytes for a transmission.
-    #[inline]
-    pub fn on_wire(&mut self, kind: TrafficKind, bytes: u32) {
-        self.wire_bytes.add(kind, bytes as u64);
-    }
-
-    /// Records a drop.
-    pub fn on_drop(&mut self, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
-    }
-
-    /// Records a drop at `now`, attributing `NoRoute`/`LinkDown` losses
-    /// to the most recently opened fault epoch (convergence telemetry).
-    /// Drops before any fault — e.g. `NoRoute` during a routing
-    /// protocol's cold start — are counted but attributed to no epoch.
-    /// Probe drops (`probe == true`) are likewise counted but never
-    /// attributed: probes dying on a dead cable are the *detection
-    /// mechanism*, not convergence loss, and would otherwise stretch
-    /// every epoch's last-disruption instant to the end of the run.
-    pub fn on_drop_at(&mut self, reason: DropReason, now: Time, probe: bool) {
-        self.on_drop(reason);
-        if !probe && matches!(reason, DropReason::NoRoute | DropReason::LinkDown) {
-            if let Some(epoch) = self.fault_epochs.last_mut() {
-                epoch.last_disruption = Some(now);
-                epoch.disruption_drops += 1;
-            }
-        }
-    }
-
-    /// Opens a fault epoch: subsequent disruption drops are attributed
-    /// to it. Called by the engine only when a fault event actually
-    /// changed link state.
-    pub fn open_fault_epoch(&mut self, at: Time, label: String, is_down: bool) {
-        self.fault_epochs.push(FaultEpoch {
-            at,
-            label,
-            is_down,
-            last_disruption: None,
-            disruption_drops: 0,
-        });
-    }
-
     /// Records UDP payload delivery at `now`. Deliveries arrive in
     /// nondecreasing time order (the event loop's clock), so same-bucket
     /// deliveries — the overwhelmingly common case — fold into the open
-    /// accumulator without touching the map. Call
-    /// [`SimStats::flush_udp`] before reading `udp_delivered`.
+    /// accumulator without touching the map.
     #[inline]
-    pub fn on_udp_delivered(&mut self, now: Time, bytes: u32) {
+    fn on_udp_delivered(&mut self, now: Time, bytes: u32) {
         let bucket = now.0 / self.udp_bucket.0.max(1);
         match &mut self.udp_cur {
             Some((b, acc)) if *b == bucket => *acc += bytes as u64,
@@ -320,8 +278,8 @@ impl SimStats {
         }
     }
 
-    /// Folds the open delivery bucket into `udp_delivered`. The engine
-    /// calls this at end of run; safe to call any number of times.
+    /// Folds the open delivery bucket into `udp_delivered`; done at
+    /// [`Obs::End`], safe to call any number of times.
     pub fn flush_udp(&mut self) {
         if let Some((b, acc)) = self.udp_cur.take() {
             *self.udp_delivered.entry(b).or_insert(0) += acc;
@@ -446,6 +404,75 @@ impl SimStats {
     }
 }
 
+/// What the statistics take from the engine's observations.
+impl Observer for SimStats {
+    #[inline(always)]
+    fn on(&mut self, now: Time, obs: &Obs<'_>) {
+        match *obs {
+            // Once per packet per hop — the hottest arm.
+            Obs::OnWire { kind, bytes, .. } => self.wire_bytes.add(kind, bytes as u64),
+            // `NoRoute`/`LinkDown` losses are attributed to the most
+            // recently opened fault epoch. Drops before any fault — e.g.
+            // `NoRoute` during a routing protocol's cold start — are
+            // counted but attributed to no epoch; so are probe drops:
+            // probes dying on a dead cable are the *detection mechanism*,
+            // not convergence loss, and would otherwise stretch every
+            // epoch's last-disruption instant to the end of the run.
+            Obs::Drop {
+                reason, is_probe, ..
+            } => {
+                *self.drops.entry(reason).or_insert(0) += 1;
+                if !is_probe && matches!(reason, DropReason::NoRoute | DropReason::LinkDown) {
+                    if let Some(epoch) = self.fault_epochs.last_mut() {
+                        epoch.last_disruption = Some(now);
+                        epoch.disruption_drops += 1;
+                    }
+                }
+            }
+            Obs::Deliver { udp_payload, .. } => {
+                self.delivered_packets += 1;
+                if let Some(bytes) = udp_payload {
+                    self.on_udp_delivered(now, bytes);
+                }
+            }
+            Obs::LoopBreaks(n) => self.loop_breaks += n,
+            Obs::FaultEpoch { label, down } => self.fault_epochs.push(FaultEpoch {
+                at: now,
+                label: label.to_string(),
+                is_down: down,
+                last_disruption: None,
+                disruption_drops: 0,
+            }),
+            // Bounded retention: sampling (and the event schedule)
+            // continues past the cap, overflow is counted, not stored.
+            Obs::QueueDepth { link, bytes, cap } => {
+                if self.queue_samples.len() < cap {
+                    self.queue_samples.push(QueueSample {
+                        at: now,
+                        link,
+                        bytes,
+                    });
+                } else {
+                    self.queue_samples_capped += 1;
+                }
+            }
+            Obs::End {
+                events,
+                sched,
+                collisions,
+            } => {
+                self.flush_udp();
+                self.events_processed = events;
+                self.sched_peak_pending = sched.peak_pending;
+                self.sched_cascades = sched.cascades;
+                self.sched_overflow = sched.overflow_pushes;
+                (self.flowlet_collisions, self.loop_collisions) = collisions;
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,27 +561,46 @@ mod tests {
         assert_eq!(cdf, vec![(0, 0.25), (1, 0.75), (2, 1.0)]);
     }
 
+    /// Fed observations alone, no engine: drops attribute to the latest
+    /// fault epoch; probe drops and pre-fault drops are counted but
+    /// attributed to none.
     #[test]
     fn drops_attribute_to_latest_fault_epoch() {
         let mut s = SimStats::new(Time::ms(1));
+        let at = |s: &mut SimStats, us: u64, reason: DropReason, is_probe: bool| {
+            let obs = Obs::Drop {
+                reason,
+                is_probe,
+                link: None,
+                pkt: us,
+                on_link_leg: false,
+            };
+            s.on(Time::us(us), &obs);
+        };
+        let epoch = |s: &mut SimStats, us: u64, label: &str, down: bool| {
+            s.on(Time::us(us), &Obs::FaultEpoch { label, down });
+        };
         // Pre-fault drops (cold start) attach to no epoch.
-        s.on_drop_at(DropReason::NoRoute, Time::us(5), false);
-        s.open_fault_epoch(Time::us(100), "down a~b".into(), true);
-        s.on_drop_at(DropReason::LinkDown, Time::us(110), false);
-        s.on_drop_at(DropReason::NoRoute, Time::us(150), false);
+        at(&mut s, 5, DropReason::NoRoute, false);
+        epoch(&mut s, 100, "down a~b", true);
+        at(&mut s, 110, DropReason::LinkDown, false);
+        at(&mut s, 150, DropReason::NoRoute, false);
         // A probe dying on the dead cable is detection, not disruption.
-        s.on_drop_at(DropReason::LinkDown, Time::us(155), true);
-        s.on_drop_at(DropReason::QueueFull, Time::us(160), false); // not a disruption
-        s.open_fault_epoch(Time::us(200), "up a~b".into(), false);
-        s.on_drop_at(DropReason::LinkDown, Time::us(210), false);
+        at(&mut s, 155, DropReason::LinkDown, true);
+        at(&mut s, 160, DropReason::QueueFull, false); // not a disruption
+        epoch(&mut s, 200, "up a~b", false);
+        at(&mut s, 210, DropReason::LinkDown, false);
         assert_eq!(s.fault_epochs.len(), 2);
         let down = &s.fault_epochs[0];
+        assert_eq!((down.at, down.label.as_str()), (Time::us(100), "down a~b"));
+        assert!(down.is_down && !s.fault_epochs[1].is_down);
         assert_eq!(down.disruption_drops, 2);
         assert_eq!(down.last_disruption, Some(Time::us(150)));
         assert_eq!(down.convergence(), Time::us(50));
         let up = &s.fault_epochs[1];
         assert_eq!(up.disruption_drops, 1);
         assert_eq!(s.drops[&DropReason::NoRoute], 2);
+        assert_eq!(s.drops[&DropReason::LinkDown], 3);
         assert_eq!(s.drops[&DropReason::QueueFull], 1);
     }
 
@@ -580,12 +626,44 @@ mod tests {
     }
 
     #[test]
-    fn wire_accounting() {
+    fn wire_and_delivery_accounting() {
         let mut s = SimStats::new(Time::ms(1));
-        s.on_wire(TrafficKind::Data, 1500);
-        s.on_wire(TrafficKind::Data, 1500);
-        s.on_wire(TrafficKind::Probe, 64);
+        for (kind, bytes) in [
+            (TrafficKind::Data, 1500),
+            (TrafficKind::Data, 1500),
+            (TrafficKind::Probe, 64),
+        ] {
+            let obs = Obs::OnWire {
+                kind,
+                bytes,
+                link: 0,
+                busy_start: false,
+            };
+            s.on(Time::ZERO, &obs);
+        }
         assert_eq!(s.wire_bytes[&TrafficKind::Data], 3000);
         assert_eq!(s.total_wire_bytes(), 3064);
+        // A UDP delivery also feeds the goodput timeline; TCP data and
+        // everything the statistics have no use for do not.
+        for udp_payload in [Some(1000), None] {
+            let obs = Obs::Deliver {
+                flow: FlowId(0),
+                seq: 0,
+                pkt: 9,
+                udp_payload,
+            };
+            s.on(Time::us(10), &obs);
+        }
+        s.on(Time::us(11), &Obs::Offered);
+        s.on(Time::us(12), &Obs::LoopBreaks(2));
+        let end = Obs::End {
+            events: 7,
+            sched: Default::default(),
+            collisions: (3, 4),
+        };
+        s.on(Time::us(20), &end);
+        assert_eq!((s.delivered_packets, s.loop_breaks), (2, 2));
+        assert_eq!(s.udp_delivered[&0], 1000);
+        assert_eq!((s.events_processed, s.loop_collisions), (7, 4));
     }
 }

@@ -7,22 +7,23 @@
 //! tests. The table lives *beside* the packets (keyed by packet id) so
 //! the hot path carries no per-packet `Vec` when tracing is off.
 //!
-//! Interface contract with the engine:
+//! The table is an [`Observer`] of the engine's seam:
 //!
-//! * [`TraceTable::visit`] appends a switch to a packet's path and
-//!   reports whether this visit closed the packet's *first* loop (the
-//!   engine counts `SimStats::looped_packets` from that signal).
-//! * [`TraceTable::deliver`] retires a live trace into the delivered
-//!   list returned by `Simulator::run_traced`.
-//! * [`TraceTable::forget`] drops the trace of a packet that died in
-//!   flight (TTL, queue drop, no-route, link failure) so the table only
-//!   ever holds in-flight packets.
+//! * [`Obs::Visit`] appends a switch to a packet's path; the visit that
+//!   closes a packet's *first* loop counts it once
+//!   (`SimStats::looped_packets`).
+//! * [`Obs::Deliver`] retires a live trace into the delivered list
+//!   returned by `Simulator::run_traced`.
+//! * [`Obs::Drop`] and [`Obs::AckConsumed`] drop the trace of a packet
+//!   that died in flight (TTL, queue drop, no-route, link failure) or
+//!   was consumed, so the table only ever holds in-flight packets.
 //!
-//! Every method is a no-op when the table was built disabled, so the
-//! engine calls them unconditionally.
+//! Tracing off means the engine holds no table at all.
 
 use crate::fx::FxHashMap;
-use crate::packet::{FlowId, Packet};
+use crate::observe::{Obs, Observer};
+use crate::packet::FlowId;
+use crate::time::Time;
 use contra_topology::NodeId;
 
 /// Side-table record of one traced packet's switch path.
@@ -38,76 +39,44 @@ struct TraceRec {
 /// the retired traces of delivered ones.
 #[derive(Debug, Default)]
 pub struct TraceTable {
-    enabled: bool,
     /// In-flight packets, keyed by packet id.
     live: FxHashMap<u64, TraceRec>,
     /// Delivered payload packet traces: for each delivered data/UDP
     /// packet, its flow and the switch sequence it took.
     delivered: Vec<(FlowId, Vec<NodeId>)>,
+    /// Packets that revisited a switch.
+    looped_packets: u64,
+}
+
+impl Observer for TraceTable {
+    #[inline(always)]
+    fn on(&mut self, _now: Time, obs: &Obs<'_>) {
+        match *obs {
+            Obs::Visit { pkt, node } => {
+                let rec = self.live.entry(pkt).or_default();
+                if rec.path.contains(&node) && !rec.looped {
+                    rec.looped = true;
+                    self.looped_packets += 1;
+                }
+                rec.path.push(node);
+            }
+            Obs::Drop { pkt, .. } | Obs::AckConsumed { pkt } => {
+                self.live.remove(&pkt);
+            }
+            // No re-allocation: the recorded path is reused.
+            Obs::Deliver { pkt, flow, .. } => {
+                let path = self.live.remove(&pkt).map(|r| r.path).unwrap_or_default();
+                self.delivered.push((flow, path));
+            }
+            _ => {}
+        }
+    }
 }
 
 impl TraceTable {
-    /// A table that records (`enabled`) or ignores every call.
-    pub fn new(enabled: bool) -> TraceTable {
-        TraceTable {
-            enabled,
-            ..TraceTable::default()
-        }
-    }
-
-    /// Whether tracing is on (the engine never needs to re-check its
-    /// config).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records that `pkt` arrived at switch `node`. Returns `true` when
-    /// this visit revisits a switch already on the path *and* the packet
-    /// had not looped before — i.e. exactly once per looping packet.
-    #[inline]
-    pub fn visit(&mut self, pkt: &Packet, node: NodeId) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let rec = self.live.entry(pkt.id).or_default();
-        let newly_looped = rec.path.contains(&node) && !rec.looped;
-        if newly_looped {
-            rec.looped = true;
-        }
-        rec.path.push(node);
-        newly_looped
-    }
-
-    /// Drops the trace of a packet that died in flight (no-op unless
-    /// tracing is on).
-    #[inline]
-    pub fn forget(&mut self, pkt_id: u64) {
-        if self.enabled {
-            self.live.remove(&pkt_id);
-        }
-    }
-
-    /// Moves a delivered packet's trace into the delivered list (no
-    /// re-allocation: the recorded path is reused).
-    pub fn deliver(&mut self, pkt: &Packet) {
-        if !self.enabled {
-            return;
-        }
-        let path = self
-            .live
-            .remove(&pkt.id)
-            .map(|r| r.path)
-            .unwrap_or_default();
-        self.delivered.push((pkt.flow, path));
-    }
-
-    /// The last up-to-8 switches of an in-flight packet's path (TTL-death
-    /// diagnostics).
-    pub fn tail(&self, pkt_id: u64) -> &[NodeId] {
-        self.live
-            .get(&pkt_id)
-            .map(|r| &r.path[r.path.len().saturating_sub(8)..])
-            .unwrap_or(&[])
+    /// Packets that visited some switch twice (each counted once).
+    pub fn looped_packets(&self) -> u64 {
+        self.looped_packets
     }
 
     /// Consumes the table, returning the delivered traces.
@@ -124,36 +93,31 @@ impl TraceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{PacketKind, INITIAL_TTL};
-    use crate::time::Time;
 
-    fn pkt(id: u64) -> Packet {
-        Packet {
-            id,
-            kind: PacketKind::Udp,
-            src_host: NodeId(10),
-            dst_host: NodeId(11),
-            dst_switch: NodeId(1),
+    fn visit(t: &mut TraceTable, pkt: u64, node: u32) {
+        let node = NodeId(node);
+        t.on(Time::ZERO, &Obs::Visit { pkt, node });
+    }
+
+    fn deliver(t: &mut TraceTable, pkt: u64) {
+        let obs = Obs::Deliver {
             flow: FlowId(3),
             seq: 0,
-            size_bytes: 100,
-            sent_at: Time::ZERO,
-            tag: 0,
-            pid: 0,
-            ttl: INITIAL_TTL,
-            flow_hash: 0,
-        }
+            pkt,
+            udp_payload: None,
+        };
+        t.on(Time::ZERO, &obs);
     }
 
     #[test]
     fn loop_is_counted_once_per_packet() {
-        let mut t = TraceTable::new(true);
-        let p = pkt(7);
-        assert!(!t.visit(&p, NodeId(0)));
-        assert!(!t.visit(&p, NodeId(1)));
-        assert!(t.visit(&p, NodeId(0)), "revisit closes the loop");
-        assert!(!t.visit(&p, NodeId(1)), "second revisit not re-counted");
-        t.deliver(&p);
+        let mut t = TraceTable::default();
+        for (node, loops) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            visit(&mut t, 7, node);
+            assert_eq!(t.looped_packets(), loops, "at switch {node}");
+        }
+        deliver(&mut t, 7);
+        assert_eq!(t.live_ids().count(), 0);
         let d = t.into_delivered();
         assert_eq!(
             d,
@@ -162,23 +126,27 @@ mod tests {
     }
 
     #[test]
-    fn disabled_table_ignores_everything() {
-        let mut t = TraceTable::new(false);
-        let p = pkt(1);
-        assert!(!t.visit(&p, NodeId(0)));
-        assert!(!t.visit(&p, NodeId(0)));
-        t.deliver(&p);
-        assert!(t.into_delivered().is_empty());
-    }
-
-    #[test]
     fn forget_drops_only_the_named_packet() {
-        let mut t = TraceTable::new(true);
-        let (a, b) = (pkt(1), pkt(2));
-        t.visit(&a, NodeId(0));
-        t.visit(&b, NodeId(5));
-        t.forget(a.id);
-        assert!(t.tail(a.id).is_empty());
-        assert_eq!(t.tail(b.id), &[NodeId(5)]);
+        let mut t = TraceTable::default();
+        for pkt in [1, 2, 3] {
+            visit(&mut t, pkt, 5);
+        }
+        let obs = Obs::Drop {
+            reason: crate::link::DropReason::QueueFull,
+            is_probe: false,
+            link: Some(0),
+            pkt: 1,
+            on_link_leg: true,
+        };
+        t.on(Time::ZERO, &obs);
+        t.on(Time::ZERO, &Obs::AckConsumed { pkt: 3 });
+        t.on(Time::ZERO, &Obs::Taken);
+        assert_eq!(t.live_ids().collect::<Vec<_>>(), vec![2]);
+        // Dead packets left no path behind; the survivor kept its own.
+        for pkt in [1, 2] {
+            deliver(&mut t, pkt);
+        }
+        let d = t.into_delivered();
+        assert_eq!(d, vec![(FlowId(3), vec![]), (FlowId(3), vec![NodeId(5)])]);
     }
 }

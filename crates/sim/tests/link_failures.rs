@@ -93,7 +93,7 @@ fn mid_burst_failure_counts_linkdown_drops() {
             bytes: 10 * 1460,
             start: Time::ZERO,
         });
-        sim.fail_link_at(s0, s1, Time::us(30));
+        sim.try_fail_link_at(s0, s1, Time::us(30)).unwrap();
         sim.run()
     };
     let stats = run(Time::ms(2));
@@ -149,8 +149,8 @@ fn stale_txdone_across_flap_is_ignored() {
     // Fail inside a serialization window and recover before the
     // pre-failure completion instant, so the stale TxDone fires at a
     // moment the link is up and busy again.
-    sim.fail_link_at(s0, s1, Time::us(100));
-    sim.recover_link_at(s0, s1, Time::us(103));
+    sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
+    sim.try_recover_link_at(s0, s1, Time::us(103)).unwrap();
     let stats = sim.run();
     assert!(
         *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
@@ -208,8 +208,8 @@ fn flap_across_an_unqueued_busy_period_neither_stalls_nor_leaks() {
         if flap {
             // Datagrams of the slow stream reach s0 every 24 µs from
             // 1.7 µs and take 12 µs: 100 µs is inside the fifth.
-            sim.fail_link_at(s0, s1, Time::us(100));
-            sim.recover_link_at(s0, s1, Time::us(103));
+            sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
+            sim.try_recover_link_at(s0, s1, Time::us(103)).unwrap();
         }
         sim.run()
     };
@@ -265,17 +265,6 @@ fn fault_scheduling_validates_symmetrically() {
     assert_eq!(sim.try_recover_node_at(s1, Time::us(4)), Ok(()));
 }
 
-/// The panicking convenience wrapper surfaces the typed error's message.
-#[test]
-#[should_panic(expected = "no cable")]
-fn recover_unknown_cable_panics() {
-    let topo = bottleneck();
-    let h0 = topo.find("h0").unwrap();
-    let h1 = topo.find("h1").unwrap();
-    let mut sim = Simulator::new(topo, SimConfig::default());
-    sim.recover_link_at(h0, h1, Time::us(1));
-}
-
 /// `LinkDown` on an already-down link and `LinkUp` on an already-up link
 /// are explicit no-ops: a doubled failure (or doubled recovery) produces
 /// byte-identical statistics to the single one. This idempotence is what
@@ -303,14 +292,14 @@ fn doubled_fault_events_are_noops() {
             start: Time::ZERO,
             stop: Time::us(900),
         });
-        sim.fail_link_at(s0, s1, Time::us(100));
-        sim.recover_link_at(s0, s1, Time::us(150));
+        sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
+        sim.try_recover_link_at(s0, s1, Time::us(150)).unwrap();
         if doubled {
             // Second failure while already down, second recovery while
             // already up — both must change nothing, not even a fault
             // epoch (no state transition, no epoch).
-            sim.fail_link_at(s0, s1, Time::us(120));
-            sim.recover_link_at(s0, s1, Time::us(180));
+            sim.try_fail_link_at(s0, s1, Time::us(120)).unwrap();
+            sim.try_recover_link_at(s0, s1, Time::us(180)).unwrap();
         }
         let stats = sim.run();
         assert_eq!(
@@ -358,8 +347,8 @@ fn node_failure_downs_all_incident_links() {
         start: Time::ZERO,
         stop: Time::us(900),
     });
-    sim.fail_node_at(s1, Time::us(100));
-    sim.recover_node_at(s1, Time::us(300));
+    sim.try_fail_node_at(s1, Time::us(100)).unwrap();
+    sim.try_recover_node_at(s1, Time::us(300)).unwrap();
     let stats = sim.run();
     // One epoch per transition that changed anything: the node down
     // and the node up.
