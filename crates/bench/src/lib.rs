@@ -1,65 +1,110 @@
-//! # contra-bench — experiment harnesses for every figure in the paper
+//! # contra-bench — the `contra` binary: the paper's evaluation and the operator commands
 //!
-//! One binary per table/figure of §6 (see `src/bin/`), each printing the
-//! same series the paper plots, as CSV on stdout plus a short
-//! paper-vs-measured summary on stderr. Performance is tracked by the
-//! `contra_benchmark/` package at the repository root, not here.
+//! One binary, `contra` (`src/bin/contra.rs`). Its `main` reads the
+//! process environment and the arguments — nothing below it does — and
+//! dispatches: `contra fig <name>… | all | list` runs entries of the
+//! [`figures::FIGURES`] table (Figs 9–16 and the §6.5 loop table of §6,
+//! each printing the series the paper plots), and `compile`, `lint`,
+//! `report` and `chaos` are the functions of [`cli`]. Everything is
+//! printed through one [`Out`]: CSV rows on stdout, a short
+//! paper-vs-measured summary on stderr — or, in a test, two buffers.
+//! Performance is tracked by the `contra_benchmark/` package at the
+//! repository root, not here.
 //!
-//! The binaries are thin: experiment setup is a
+//! Figures are thin: experiment setup is a
 //! [`contra_experiments::Scenario`], the systems under test are
-//! [`contra_experiments::RoutingSystem`] values, and batched sweeps go
-//! through [`contra_experiments::Scenario::matrix`], which compiles each
-//! distinct policy once per topology. This crate adds only the CSV/CLI
-//! conveniences the binaries share.
+//! [`contra_experiments::RoutingSystem`] values, and grids go through
+//! [`contra_experiments::SweepSpec`], which compiles each distinct policy
+//! once per topology.
+
+pub mod cli;
+pub mod figures;
 
 pub use contra_experiments::*;
 
 use contra_topology::{generators, Topology};
+use std::fmt::Display;
+use std::io::Write;
 
-/// `true` when the `CONTRA_BENCH_FAST` env var asks for smoke-test scale.
-pub fn fast_mode() -> bool {
-    std::env::var_os("CONTRA_BENCH_FAST").is_some()
+/// How large the sweeps are: `CONTRA_BENCH_FAST` (read by `main`) asks
+/// for smoke-test scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Two loads, two seeds, two sizes per ladder: seconds, for CI.
+    Fast,
+    /// The paper's axes.
+    Full,
 }
 
-/// Standard sweep of offered loads (the paper's x-axis).
-pub fn load_sweep() -> Vec<f64> {
-    if fast_mode() {
-        vec![0.2, 0.6]
-    } else {
-        vec![0.2, 0.4, 0.6, 0.8, 0.9]
-    }
-}
-
-/// Emits one CSV row on stdout.
-pub fn csv_row(figure: &str, series: &str, x: impl std::fmt::Display, y: impl std::fmt::Display) {
-    println!("{figure},{series},{x},{y}");
-}
-
-/// Escapes a string for embedding in a JSON string literal (RFC 8259):
-/// quotes, backslashes and control characters. Used by `contra_lint
-/// --json`, which emits machine-readable diagnostics without pulling a
-/// serialization dependency into the workspace.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+impl Scale {
+    /// `fast` at smoke scale, `full` otherwise.
+    pub fn pick<T>(self, fast: T, full: T) -> T {
+        match self {
+            Scale::Fast => fast,
+            Scale::Full => full,
         }
     }
-    out
+}
+
+/// The one emit path. The binary points it at stdout and stderr; a test
+/// points it at two buffers and reads a figure back.
+pub struct Out<'a> {
+    /// Machine-readable output: the figures' CSV rows, `lint --json`.
+    pub rows: &'a mut dyn Write,
+    /// Human-readable output: summaries, `paper:` lines, reports.
+    pub notes: &'a mut dyn Write,
+}
+
+impl Out<'_> {
+    /// Emits one CSV row (the caller's comma-separated columns) on `rows`.
+    pub fn row(&mut self, row: impl Display) {
+        writeln!(self.rows, "{row}").expect("emit row");
+    }
+
+    /// Emits one line on `notes`.
+    pub fn note(&mut self, line: impl Display) {
+        writeln!(self.notes, "{line}").expect("emit note");
+    }
+}
+
+/// Why a command did not exit 0. The exit codes are a contract CI relies
+/// on: 0 — done (for `lint`: clean, or warnings only); 1 — the command
+/// ran and found errors; 2 — it could not make sense of its input, and
+/// nothing ran.
+#[derive(Debug)]
+pub enum Exit {
+    /// Exit 1. What failed (ERROR diagnostics, a compile error, an
+    /// invalid program, an unwritable file) is already on [`Out::notes`].
+    Failed,
+    /// Exit 2: unknown command, figure or flag, a flag without its
+    /// value or its partner, an unparsable topology spec. `main` prints
+    /// this message and then [`usage`].
+    Usage(String),
+}
+
+/// The usage text, shared by `--help` and every [`Exit::Usage`].
+pub fn usage() -> String {
+    let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
+    format!(
+        "usage: contra <command>\n\
+         \x20 fig <name>... | all | list   figures of the paper: CSV on stdout, summary on stderr\n\
+         \x20                              names: {}\n\
+         \x20 compile --topology <spec> --policy '<minimize(...)>' [--out DIR] [--verify]\n\
+         \x20 lint [--json] [--topology <spec> --policy '<minimize(...)>']\n\
+         \x20                              no --topology/--policy: the builtin P1-P9 corpus;\n\
+         \x20                              --json: a JSON array of diagnostics instead of CSV rows\n\
+         \x20 report                       the Fig 14 cell with telemetry on: TELEM_*, RUN_REPORT.txt\n\
+         \x20 chaos                        a seeded random fault plan, audited: CHAOS_PLAN.txt\n\
+         <spec>: fat-tree:K | leaf-spine:L,S,H | abilene | random:N | zoo:FILE\n\
+         exit codes: 0 = ok (lint: clean or warnings only), 1 = errors found, 2 = usage error\n\
+         environment: CONTRA_BENCH_FAST=1 (smoke scale), CONTRA_CHAOS_SEED=<u64>, CONTRA_JOBS=<n>",
+        names.join(" ")
+    )
 }
 
 /// The three §6.2 compiler-scalability policies (MU, WP, CA), with the
 /// waypoints resolved to this topology's first two switches — shared by
-/// the Fig 9/10 binaries and `contra_benchmark`.
+/// Figs 9/10 and `contra_benchmark`.
 pub fn compiler_policy_suite(topo: &contra_topology::Topology) -> Vec<(&'static str, String)> {
     let s = topo.switches();
     let f1 = topo.node(s[0]).name.clone();
@@ -122,7 +167,7 @@ fn abilene_transit_denver() -> Topology {
     tb.build()
 }
 
-/// The `contra_lint` corpus: each topology with waypoint/link names that
+/// The `contra lint` corpus: each topology with waypoint/link names that
 /// exist in it (the policies are `contra_core::policies::catalogue`).
 /// `(label, topology, f1, f2, x, y)` — f1/f2 are the P5 waypoints, X–Y
 /// must be a physical cable for P6/P7 to be satisfiable, and X must be a
@@ -148,20 +193,4 @@ pub fn lint_corpus() -> Vec<(&'static str, Topology, [&'static str; 4])> {
         ),
         ("fig6-diamond", fig6_topo(), ["B", "C", "C", "B"]),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_escape;
-
-    #[test]
-    fn json_escape_handles_quotes_controls_and_unicode() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("line1\nline2\ttab"), "line1\\nline2\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        // Non-ASCII passes through unescaped — JSON strings are UTF-8.
-        assert_eq!(json_escape("café ∞"), "café ∞");
-    }
 }

@@ -1,0 +1,62 @@
+//! The figure table, driven in-process: a figure is a function of
+//! `(Scale, &mut Out)`, so a test can run one into a buffer and compare
+//! it with the checked-in golden — `golden/figures_fast.csv`, the stdout
+//! of `contra fig all` at `CONTRA_BENCH_FAST=1` scale with `fig09`'s
+//! wall-clock column blanked. CI compares the whole file against a real
+//! `fig all` run; this suite drives the figures that take well under a
+//! second in release.
+
+use contra_bench::figures::{self, FIGURES};
+use contra_bench::{Out, Scale};
+
+const GOLDEN: &str = include_str!("golden/figures_fast.csv");
+
+/// Runs `contra fig <names>` at smoke scale into `(rows, notes)`.
+fn run(names: &[&str]) -> (String, String) {
+    let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+    let (mut rows, mut notes) = (Vec::new(), Vec::new());
+    let mut out = Out {
+        rows: &mut rows,
+        notes: &mut notes,
+    };
+    figures::run(&names, Scale::Fast, &mut out).expect("known figures run");
+    let text = |bytes| String::from_utf8(bytes).expect("figures emit UTF-8");
+    (text(rows), text(notes))
+}
+
+/// The golden's rows for one figure (its sub-figures included).
+fn golden_rows(figure: &str) -> String {
+    let of_figure = |row: &&str| row.starts_with(figure);
+    GOLDEN
+        .lines()
+        .filter(of_figure)
+        .fold(String::new(), |all, row| all + row + "\n")
+}
+
+#[test]
+fn fast_figures_match_the_golden() {
+    let (rows, notes) = run(&["fig10", "fig13", "fig14"]);
+    let golden = golden_rows("fig10") + &golden_rows("fig13") + &golden_rows("fig14");
+    assert!(
+        rows == golden,
+        "figure rows moved; got:\n{rows}\nexpected:\n{golden}"
+    );
+    // Each figure closes its summary with the paper's claim.
+    assert_eq!(notes.matches("\npaper: ").count(), 3, "{notes}");
+}
+
+#[test]
+fn golden_covers_the_whole_table() {
+    for f in &FIGURES {
+        assert!(
+            !golden_rows(f.name).is_empty(),
+            "golden/figures_fast.csv has no rows for {}",
+            f.name
+        );
+    }
+    let tabled = |row: &str| FIGURES.iter().any(|f| row.starts_with(f.name));
+    assert!(
+        GOLDEN.lines().all(tabled),
+        "golden row from no known figure"
+    );
+}

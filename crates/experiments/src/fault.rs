@@ -177,10 +177,12 @@ impl FaultPlan {
         &self.chaos
     }
 
-    /// Reassembles a plan from stored parts (the scenario keeps the
-    /// command and chaos lists inline and rebuilds a plan to expand).
-    pub(crate) fn from_parts(cmds: Vec<FaultCmd>, chaos: Vec<ChaosSpec>) -> FaultPlan {
-        FaultPlan { cmds, chaos }
+    /// Appends everything `other` schedules, keeping insertion order
+    /// (which [`FaultPlan::expand`]'s stable sort makes part of a plan's
+    /// identity).
+    pub(crate) fn merge(&mut self, other: FaultPlan) {
+        self.cmds.extend(other.cmds);
+        self.chaos.extend(other.chaos);
     }
 
     /// Whether the plan schedules nothing at all.

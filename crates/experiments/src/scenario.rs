@@ -6,9 +6,9 @@
 //! [`RoutingSystem`] is a method call; sweeping the cartesian product of
 //! systems × loads is [`Scenario::matrix`].
 
-use crate::fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
+use crate::fault::{FaultCmd, FaultPlan, FaultTarget};
 use crate::result::{Figures, RunResult, ScenarioInfo};
-use crate::sweep::{Jobs, SweepSpec};
+use crate::sweep::SweepSpec;
 use contra_sim::{
     CompileCache, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig, Simulator, Time,
 };
@@ -96,8 +96,7 @@ pub struct Scenario {
     warmup: Time,
     drain: Time,
     seed: u64,
-    faults: Vec<FaultCmd>,
-    chaos: Vec<ChaosSpec>,
+    faults: FaultPlan,
     audit: Option<bool>,
     queue_sampling: Option<Time>,
     telemetry: Option<bool>,
@@ -108,7 +107,6 @@ pub struct Scenario {
     min_rto: Option<Time>,
     udp_bucket: Option<Time>,
     extra_flows: Vec<FlowSpec>,
-    jobs: Jobs,
     verify_policy: bool,
 }
 
@@ -130,8 +128,7 @@ impl Scenario {
             warmup: Time::ms(2),
             drain: Time::ms(40),
             seed: 1,
-            faults: Vec::new(),
-            chaos: Vec::new(),
+            faults: FaultPlan::new(),
             audit: None,
             queue_sampling: None,
             telemetry: None,
@@ -142,7 +139,6 @@ impl Scenario {
             min_rto: None,
             udp_bucket: None,
             extra_flows: Vec::new(),
-            jobs: Jobs::Serial,
             verify_policy: false,
         }
     }
@@ -284,58 +280,22 @@ impl Scenario {
 
     /// Fails the cable between the named nodes (both directions) at `at`.
     /// May be called repeatedly for multiple failures.
-    pub fn fail_link(mut self, a: impl Into<String>, b: impl Into<String>, at: Time) -> Scenario {
-        self.faults.push(FaultCmd {
-            at,
-            target: FaultTarget::Cable(a.into(), b.into()),
-            up: false,
-        });
-        self
+    pub fn fail_link(self, a: impl Into<String>, b: impl Into<String>, at: Time) -> Scenario {
+        self.fault_plan(FaultPlan::new().fail_link(a, b, at))
     }
 
     /// Brings the cable between the named nodes back up at `at`
     /// (pair with [`Scenario::fail_link`] for a flap).
-    pub fn recover_link(
-        mut self,
-        a: impl Into<String>,
-        b: impl Into<String>,
-        at: Time,
-    ) -> Scenario {
-        self.faults.push(FaultCmd {
-            at,
-            target: FaultTarget::Cable(a.into(), b.into()),
-            up: true,
-        });
-        self
-    }
-
-    /// Fails the named node at `at`: every incident link goes down
-    /// atomically, flushing queues.
-    pub fn fail_node(mut self, node: impl Into<String>, at: Time) -> Scenario {
-        self.faults.push(FaultCmd {
-            at,
-            target: FaultTarget::Node(node.into()),
-            up: false,
-        });
-        self
-    }
-
-    /// Recovers the named node at `at`: every incident link comes back.
-    pub fn recover_node(mut self, node: impl Into<String>, at: Time) -> Scenario {
-        self.faults.push(FaultCmd {
-            at,
-            target: FaultTarget::Node(node.into()),
-            up: true,
-        });
-        self
+    pub fn recover_link(self, a: impl Into<String>, b: impl Into<String>, at: Time) -> Scenario {
+        self.fault_plan(FaultPlan::new().recover_link(a, b, at))
     }
 
     /// Merges a whole [`FaultPlan`] into the scenario — its explicit
-    /// commands and its chaos processes (expanded deterministically at
-    /// run time, before the simulation starts).
+    /// commands (node failures included) and its chaos processes
+    /// (expanded deterministically at run time, before the simulation
+    /// starts).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Scenario {
-        self.faults.extend(plan.commands().iter().cloned());
-        self.chaos.extend(plan.chaos_specs().iter().cloned());
+        self.faults.merge(plan);
         self
     }
 
@@ -424,16 +384,6 @@ impl Scenario {
         self
     }
 
-    /// Worker-pool size for [`Scenario::matrix`] sweeps (default
-    /// [`Jobs::Serial`], preserving the historical sequential behavior;
-    /// the `CONTRA_JOBS` env var overrides whatever is set here at run
-    /// time). Results are byte-identical at any setting — cells are
-    /// independent deterministic simulations reassembled in sweep order.
-    pub fn jobs(mut self, jobs: Jobs) -> Scenario {
-        self.jobs = jobs;
-        self
-    }
-
     // ---- accessors ------------------------------------------------------
 
     /// The scenario's topology.
@@ -461,18 +411,13 @@ impl Scenario {
         self.seed
     }
 
-    /// The configured sweep worker-pool setting.
-    pub fn jobs_setting(&self) -> Jobs {
-        self.jobs
-    }
-
     /// The fully-resolved fault schedule this scenario will run: explicit
     /// commands plus every chaos process expanded against the topology,
     /// sorted by instant. Pure — calling it twice (or in another
     /// process) yields the same list byte for byte, which is what makes
     /// chaos runs replayable.
     pub fn resolved_faults(&self) -> Vec<FaultCmd> {
-        FaultPlan::from_parts(self.faults.clone(), self.chaos.clone())
+        self.faults
             .expand(&self.topology, self.duration + self.drain)
     }
 
@@ -654,10 +599,9 @@ impl Scenario {
     /// each distinct policy compiles exactly once.
     ///
     /// A thin wrapper over the sweep engine
-    /// ([`SweepSpec`](crate::SweepSpec)): the cells run on the worker
-    /// pool selected by [`Scenario::jobs`] (default serial) or the
-    /// `CONTRA_JOBS` env var, with results byte-identical to the
-    /// sequential path in every configuration.
+    /// ([`SweepSpec`](crate::SweepSpec)): the cells run on one worker
+    /// per core unless the `CONTRA_JOBS` env var says otherwise, with
+    /// results byte-identical to the sequential path either way.
     pub fn matrix(&self, systems: &[&dyn RoutingSystem], loads: &[f64]) -> Vec<RunResult> {
         self.matrix_cached(systems, loads, &CompileCache::new())
     }

@@ -1,13 +1,17 @@
 //! Textual topology specs: scenarios as data.
 //!
-//! The same one-line syntax serves the `contra_compile` CLI and
-//! [`crate::Scenario::from_spec`]:
+//! The same one-line syntax serves the `contra compile` / `contra lint`
+//! commands and [`crate::Scenario::from_spec`]:
 //!
-//! * `fat-tree:K` — K-ary fat-tree (switches only),
-//! * `leaf-spine:LEAVES,SPINES,HOSTS_PER_LEAF`,
+//! * `fat-tree:K` — K-ary fat-tree (switches only; K even, ≥ 2),
+//! * `leaf-spine:LEAVES,SPINES,HOSTS_PER_LEAF` (each ≥ 1),
 //! * `abilene` — the §6.4 backbone (40 Gbps),
-//! * `random:N` — connected random graph with ~2N extra edges (seed 42),
+//! * `random:N` — connected random graph with ~2N extra edges (seed 42;
+//!   N ≥ 2),
 //! * `zoo:FILE` — a Topology-Zoo GraphML file.
+//!
+//! Sizes the generators would `assert!` on are rejected here, as
+//! [`SpecError::Malformed`]: a spec is outside input.
 
 use contra_topology::{generators, zoo, Topology};
 
@@ -40,13 +44,16 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
     let malformed = || SpecError::Malformed(spec.to_string());
     if let Some(k) = spec.strip_prefix("fat-tree:") {
         let k: usize = k.parse().map_err(|_| malformed())?;
+        if k < 2 || !k.is_multiple_of(2) {
+            return Err(malformed());
+        }
         Ok(generators::fat_tree(k, 0, default))
     } else if let Some(rest) = spec.strip_prefix("leaf-spine:") {
         let parts: Vec<usize> = rest
             .split(',')
             .map(|p| p.parse().map_err(|_| malformed()))
             .collect::<Result<_, _>>()?;
-        if parts.len() != 3 {
+        if parts.len() != 3 || parts.contains(&0) {
             return Err(malformed());
         }
         Ok(generators::leaf_spine(
@@ -56,6 +63,9 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
         Ok(generators::abilene(40e9))
     } else if let Some(n) = spec.strip_prefix("random:") {
         let n: usize = n.parse().map_err(|_| malformed())?;
+        if n < 2 {
+            return Err(malformed());
+        }
         Ok(generators::random_connected(n, 2 * n, default, 42))
     } else if let Some(path) = spec.strip_prefix("zoo:") {
         let text = std::fs::read_to_string(path)
@@ -85,8 +95,22 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        for bad in ["", "fat-tree:", "leaf-spine:4,2", "mesh:9", "random:x"] {
-            assert!(parse_topology_spec(bad).is_err(), "{bad:?} must not parse");
+        let shapeless = ["", "fat-tree:", "leaf-spine:4,2", "mesh:9", "random:x"];
+        // Well-formed numbers the generators would panic on (or, for the
+        // empty fabric, silently accept).
+        let out_of_range = [
+            "fat-tree:0",
+            "fat-tree:3",
+            "random:0",
+            "random:1",
+            "leaf-spine:0,0,0",
+            "leaf-spine:4,0,8",
+        ];
+        for bad in shapeless.iter().chain(&out_of_range) {
+            assert!(
+                matches!(parse_topology_spec(bad), Err(SpecError::Malformed(_))),
+                "{bad:?} must be rejected as malformed"
+            );
         }
     }
 }

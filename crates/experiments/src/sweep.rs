@@ -2,7 +2,7 @@
 //! scenario matrices.
 //!
 //! Every figure in §5–§6 of the paper is a sweep — a (system × load ×
-//! topology × knob) grid where each cell is an independent, fully
+//! seed × knob) grid where each cell is an independent, fully
 //! deterministic simulation. A [`SweepSpec`] names the axes; the engine
 //! expands them into [`SweepCell`]s, executes the cells on a
 //! `std::thread` worker pool sized by [`Jobs`], and reassembles the
@@ -12,7 +12,7 @@
 //! exactly-once even under races).
 //!
 //! ```no_run
-//! use contra_experiments::{Contra, Ecmp, Jobs, RoutingSystem, Scenario, SweepSpec};
+//! use contra_experiments::{Contra, Ecmp, RoutingSystem, Scenario, SweepSpec};
 //!
 //! let contra = Contra::dc();
 //! let systems: [&dyn RoutingSystem; 2] = [&contra, &Ecmp];
@@ -20,15 +20,14 @@
 //!     .systems(&systems)
 //!     .loads(&[0.2, 0.5, 0.8])
 //!     .seeds(&[1, 2, 3])
-//!     .jobs(Jobs::Auto)
 //!     .run();
 //! assert_eq!(results.len(), 2 * 3 * 3);
 //! ```
 //!
-//! `CONTRA_JOBS` overrides the programmed [`Jobs`] value at run time
-//! (`CONTRA_JOBS=1` forces serial, `CONTRA_JOBS=0`/`auto` uses every
-//! core, `CONTRA_JOBS=n` pins `n` workers), so any sweep binary can be
-//! re-parallelized or forced serial without a rebuild.
+//! A sweep runs one worker per core ([`Jobs::Auto`]); `CONTRA_JOBS`
+//! overrides that at run time (`CONTRA_JOBS=1` forces serial,
+//! `CONTRA_JOBS=0`/`auto` uses every core, `CONTRA_JOBS=n` pins `n`
+//! workers), so any sweep can be forced serial without a rebuild.
 
 use crate::result::RunResult;
 use crate::scenario::Scenario;
@@ -39,13 +38,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How many workers a sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Jobs {
-    /// Run cells inline on the calling thread (the default — identical to
-    /// the historical sequential `Scenario::matrix` behavior).
-    #[default]
+    /// Run cells inline on the calling thread.
     Serial,
-    /// One worker per available core (`std::thread::available_parallelism`).
+    /// One worker per available core
+    /// (`std::thread::available_parallelism`) — what a [`SweepSpec`]
+    /// uses unless told otherwise.
     Auto,
     /// Exactly this many workers (`N(0)` and `N(1)` degenerate to the
     /// inline [`Jobs::Serial`] path — one lane is one lane).
@@ -173,13 +172,14 @@ struct Knob {
     apply: Box<dyn Fn(Scenario) -> Scenario + Send + Sync>,
 }
 
-/// A scenario matrix: base scenario(s) × systems × optional load / seed /
+/// A scenario matrix: a base scenario × systems × optional load / seed /
 /// knob axes, plus a [`Jobs`] knob. Axis iteration order (outermost
-/// first): scenarios, knobs, seeds, loads, systems — so a plain
-/// `systems × loads` sweep keeps the figures' historical CSV ordering
-/// (loads outermost, systems innermost).
+/// first): knobs, seeds, loads, systems — so a plain `systems × loads`
+/// sweep keeps the figures' historical CSV ordering (loads outermost,
+/// systems innermost). Grids over several topologies build their own
+/// cells and call [`run_cells`].
 pub struct SweepSpec<'a> {
-    scenarios: Vec<Scenario>,
+    base: Scenario,
     systems: Vec<&'a dyn RoutingSystem>,
     loads: Option<Vec<f64>>,
     seeds: Option<Vec<u64>>,
@@ -190,24 +190,16 @@ pub struct SweepSpec<'a> {
 impl<'a> SweepSpec<'a> {
     /// A sweep over one base scenario. Its configured load/seed hold for
     /// every cell unless [`SweepSpec::loads`] / [`SweepSpec::seeds`] add
-    /// those axes; its `jobs` setting seeds the sweep's [`Jobs`] knob.
+    /// those axes.
     pub fn new(base: Scenario) -> SweepSpec<'a> {
-        let jobs = base.jobs_setting();
         SweepSpec {
-            scenarios: vec![base],
+            base,
             systems: Vec::new(),
             loads: None,
             seeds: None,
             knobs: None,
-            jobs,
+            jobs: Jobs::Auto,
         }
-    }
-
-    /// Replaces the scenario axis wholesale (topology axis).
-    pub fn scenarios(mut self, scenarios: Vec<Scenario>) -> SweepSpec<'a> {
-        assert!(!scenarios.is_empty(), "a sweep needs at least one scenario");
-        self.scenarios = scenarios;
-        self
     }
 
     /// The systems axis.
@@ -256,7 +248,7 @@ impl<'a> SweepSpec<'a> {
         self
     }
 
-    /// Sets the worker-pool size ([`Jobs::Serial`] is the default;
+    /// Sets the worker-pool size ([`Jobs::Auto`] unless set;
     /// `CONTRA_JOBS` overrides whatever is set here at run time).
     pub fn jobs(mut self, jobs: Jobs) -> SweepSpec<'a> {
         self.jobs = jobs;
@@ -265,8 +257,7 @@ impl<'a> SweepSpec<'a> {
 
     /// Number of cells this spec expands to.
     pub fn num_cells(&self) -> usize {
-        self.scenarios.len()
-            * self.systems.len()
+        self.systems.len()
             * self.loads.as_ref().map_or(1, Vec::len)
             * self.seeds.as_ref().map_or(1, Vec::len)
             * self.knobs.as_ref().map_or(1, Vec::len)
@@ -279,29 +270,27 @@ impl<'a> SweepSpec<'a> {
             "a sweep needs at least one system"
         );
         let mut cells = Vec::with_capacity(self.num_cells());
-        for base in &self.scenarios {
-            let knobbed: Vec<(Option<String>, Scenario)> = match &self.knobs {
-                None => vec![(None, base.clone())],
-                Some(knobs) => knobs
-                    .iter()
-                    .map(|k| (Some(k.label.clone()), (k.apply)(base.clone())))
-                    .collect(),
+        let knobbed: Vec<(Option<String>, Scenario)> = match &self.knobs {
+            None => vec![(None, self.base.clone())],
+            Some(knobs) => knobs
+                .iter()
+                .map(|k| (Some(k.label.clone()), (k.apply)(self.base.clone())))
+                .collect(),
+        };
+        for (knob, scenario) in knobbed {
+            let seeds: Vec<u64> = match &self.seeds {
+                None => vec![scenario.seed_value()],
+                Some(s) => s.clone(),
             };
-            for (knob, scenario) in knobbed {
-                let seeds: Vec<u64> = match &self.seeds {
-                    None => vec![scenario.seed_value()],
-                    Some(s) => s.clone(),
-                };
-                let loads: Vec<f64> = match &self.loads {
-                    None => vec![scenario.load_fraction()],
-                    Some(l) => l.clone(),
-                };
-                for &seed in &seeds {
-                    for &load in &loads {
-                        for system in &self.systems {
-                            let cell = scenario.clone().seed(seed).load(load);
-                            cells.push(SweepCell::new(cells.len(), cell, *system, knob.clone()));
-                        }
+            let loads: Vec<f64> = match &self.loads {
+                None => vec![scenario.load_fraction()],
+                Some(l) => l.clone(),
+            };
+            for &seed in &seeds {
+                for &load in &loads {
+                    for system in &self.systems {
+                        let cell = scenario.clone().seed(seed).load(load);
+                        cells.push(SweepCell::new(cells.len(), cell, *system, knob.clone()));
                     }
                 }
             }

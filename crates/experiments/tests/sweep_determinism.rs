@@ -165,8 +165,8 @@ fn racing_cells_compile_exactly_once() {
     assert_eq!(cache.compiles(), 1, "the cache persists across sweeps");
 }
 
-/// Knob and scenario axes expand in declared order and land in the
-/// result metadata where the figure binaries expect them.
+/// The knob axis expands in declared order and lands in the result
+/// metadata where the figures expect it.
 #[test]
 fn axis_expansion_preserves_sweep_order() {
     let systems: [&dyn RoutingSystem; 2] = [&Ecmp, &Sp];
@@ -209,9 +209,9 @@ fn axis_expansion_preserves_sweep_order() {
     assert_eq!(got[7], (0.4, "SP".into()));
 }
 
-/// `Scenario::matrix` is a wrapper over the engine: with a `jobs` knob it
-/// still produces the historical loads-outermost ordering and compiles
-/// once.
+/// `Scenario::matrix` is a wrapper over the engine: on the default
+/// worker pool it still produces the loads-outermost ordering of a
+/// literal serial sweep over the same axes.
 #[test]
 fn matrix_parallel_matches_matrix_serial() {
     let contra = Contra::mu();
@@ -221,14 +221,14 @@ fn matrix_parallel_matches_matrix_serial() {
         .duration(Time::ms(5))
         .warmup(Time::ms(1))
         .drain(Time::ms(8));
-    let serial: Vec<String> = scenario
-        .matrix(&systems, &[0.2, 0.5])
+    let spec = SweepSpec::new(scenario.clone())
+        .systems(&systems)
+        .loads(&[0.2, 0.5]);
+    let serial: Vec<String> = run_cells(spec.cells(), Jobs::Serial, &CompileCache::new())
         .iter()
         .map(fingerprint)
         .collect();
     let parallel: Vec<String> = scenario
-        .clone()
-        .jobs(Jobs::N(4))
         .matrix(&systems, &[0.2, 0.5])
         .iter()
         .map(fingerprint)

@@ -140,6 +140,17 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_handles_quotes_controls_and_unicode() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("say \"hi\""), "say \\\"hi\\\"");
+        assert_eq!(json_escape("a\\b"), "a\\\\b");
+        assert_eq!(json_escape("line1\nline2\ttab"), "line1\\nline2\\ttab");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // Non-ASCII passes through unescaped — JSON strings are UTF-8.
+        assert_eq!(json_escape("café ∞"), "café ∞");
+    }
+
+    #[test]
     fn chrome_json_is_valid_and_named() {
         let doc = chrome_trace_json(&sample(), &[(3, "link a→b".into())], "contra-sim");
         validate_json(&doc).expect("valid JSON");
