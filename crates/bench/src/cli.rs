@@ -286,7 +286,8 @@ pub fn lint(args: &[String], out: &mut Out) -> Result<(), Exit> {
 /// The expanded plan is written to `CHAOS_PLAN.txt` **before** the first
 /// simulation starts, so if the auditor (or anything else) panics, the
 /// exact event list that killed the run survives as an artifact and the
-/// failure replays with `CONTRA_CHAOS_SEED=<seed>` (`seed` here).
+/// failure replays with `CONTRA_CHAOS_SEED=<seed>` (which `main` reads
+/// and passes as `seed`; unset, a fixed default).
 ///
 /// Every system runs twice; the runs must agree byte for byte — chaos
 /// lives in the plan, never in the execution.

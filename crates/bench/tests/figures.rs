@@ -60,3 +60,52 @@ fn golden_covers_the_whole_table() {
         "golden row from no known figure"
     );
 }
+
+/// Fig 14's protocol claim, per adaptive system: after the `leaf0`–`spine0`
+/// cut, routing stops losing packets within ~1 ms and goodput returns to
+/// its pre-failure level. Contra passes; **Hula fails** — flowlets on
+/// *other* leaves stay pinned to the live `spine0`, which has lost its
+/// only link to `leaf0` and black-holes them until the stream ends
+/// (`HulaSwitch::forward` honours a flowlet while its next hop is alive,
+/// not while that hop still advertises the destination). Ignored until
+/// that is fixed: the per-destination rule that fixes it also re-pins a
+/// flowlet when congestion starves one ToR's probes for three periods,
+/// which moves one *non-failure* Fig 11 cell in its third decimal, and
+/// moving such a row needs a decision first (CHANGES.md, PR 17).
+#[test]
+#[ignore = "Hula never reconverges in the Fig 14 cell (known bug, see CHANGES.md PR 17)"]
+fn every_adaptive_system_reconverges_in_fig14() {
+    use contra_bench::{Contra, Hula, RoutingSystem};
+    use contra_sim::Time;
+    let systems: [&dyn RoutingSystem; 2] = [&Contra::dc(), &Hula::default()];
+    for system in systems {
+        let r = figures::failure_cell(Time::ms(60), Time::ms(50), 1).run(system);
+        let conv = r
+            .figures
+            .convergence_ms
+            .expect("the cut is a failure epoch");
+        assert!(
+            conv < 2.0,
+            "{}: still dropping {conv} ms after the cut",
+            r.system
+        );
+        let goodput = r.stats.udp_goodput_gbps();
+        let mean_over = |from: Time, to: Time| {
+            let window: Vec<f64> = goodput
+                .iter()
+                .filter(|(t, _)| *t >= from && *t < to)
+                .map(|&(_, gbps)| gbps)
+                .collect();
+            window.iter().sum::<f64>() / window.len() as f64
+        };
+        let (before, after) = (
+            mean_over(Time::ms(40), Time::ms(50)),
+            mean_over(Time::ms(59), Time::ms(60)),
+        );
+        assert!(
+            after >= 0.95 * before,
+            "{}: {after:.3} Gbps in the last millisecond, {before:.3} before the cut",
+            r.system
+        );
+    }
+}

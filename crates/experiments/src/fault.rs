@@ -167,16 +167,6 @@ impl FaultPlan {
         self
     }
 
-    /// The explicit commands (chaos processes not yet expanded).
-    pub fn commands(&self) -> &[FaultCmd] {
-        &self.cmds
-    }
-
-    /// The chaos processes, unexpanded.
-    pub fn chaos_specs(&self) -> &[ChaosSpec] {
-        &self.chaos
-    }
-
     /// Appends everything `other` schedules, keeping insertion order
     /// (which [`FaultPlan::expand`]'s stable sort makes part of a plan's
     /// identity).
