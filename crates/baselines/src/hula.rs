@@ -13,12 +13,14 @@
 //! Faithfulness notes: the "probe from the current best next hop always
 //! refreshes" rule (so a worsening best path is re-learned), aging of best
 //! entries, and flowlet expiry through silent next hops all follow the
-//! Hula paper; the probe period, flowlet timeout and failure window are
-//! shared with Contra's configuration for an apples-to-apples comparison.
+//! Hula paper; the probe period, flowlet timeout, failure window and entry
+//! expiry are the constants Contra's dataplane reads
+//! ([`PROBE_PERIOD`], [`FLOWLET_TIMEOUT`], [`FAILURE_PERIODS`],
+//! [`EXPIRY_PERIODS`]), for an apples-to-apples comparison.
 
 use contra_sim::{
-    FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, INITIAL_TTL,
-    PROBE_BASE_BYTES,
+    FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, EXPIRY_PERIODS,
+    FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -47,30 +49,6 @@ pub fn infer_roles(topo: &Topology) -> BTreeMap<NodeId, HulaRole> {
         .collect()
 }
 
-/// Hula tunables (shared defaults with the Contra dataplane).
-#[derive(Debug, Clone)]
-pub struct HulaConfig {
-    /// Probe origination period (256 µs in §6.3).
-    pub probe_period: Time,
-    /// Flowlet idle timeout (200 µs in §6.3).
-    pub flowlet_timeout: Time,
-    /// Next hop considered failed after this many silent periods.
-    pub failure_periods: u32,
-    /// Best-path entries older than this many periods are stale.
-    pub expiry_periods: u32,
-}
-
-impl Default for HulaConfig {
-    fn default() -> Self {
-        HulaConfig {
-            probe_period: Time::us(256),
-            flowlet_timeout: Time::us(200),
-            failure_periods: 3,
-            expiry_periods: 8,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct BestEntry {
     util: f64,
@@ -88,7 +66,6 @@ struct FlowletEntry {
 pub struct HulaSwitch {
     switch: NodeId,
     role: HulaRole,
-    cfg: HulaConfig,
     /// Best known path per destination ToR, indexed by node id (dense:
     /// consulted per packet).
     best: Vec<Option<BestEntry>>,
@@ -106,7 +83,7 @@ impl HulaSwitch {
     /// Builds the Hula program for `switch`. Panics if the topology is not
     /// two-tier (a leaf adjacent to a leaf, say) — Hula simply does not
     /// support such networks, which is the paper's point.
-    pub fn new(topo: &Topology, switch: NodeId, cfg: HulaConfig) -> HulaSwitch {
+    pub fn new(topo: &Topology, switch: NodeId) -> HulaSwitch {
         let roles = infer_roles(topo);
         let role = roles[&switch];
         let mut up = Vec::new();
@@ -123,7 +100,6 @@ impl HulaSwitch {
         HulaSwitch {
             switch,
             role,
-            cfg,
             best: vec![None; topo.num_nodes()],
             flowlets: FxHashMap::default(),
             last_probe_from: vec![Time::ZERO; topo.num_nodes()],
@@ -134,12 +110,11 @@ impl HulaSwitch {
 
     fn nhop_failed(&self, nhop: NodeId, now: Time) -> bool {
         let last = self.last_probe_from[nhop.0 as usize];
-        now.saturating_sub(last) > Time(self.cfg.probe_period.0 * self.cfg.failure_periods as u64)
+        now.saturating_sub(last) > Time(PROBE_PERIOD.0 * FAILURE_PERIODS)
     }
 
     fn entry_valid(&self, e: &BestEntry, now: Time) -> bool {
-        now.saturating_sub(e.updated)
-            <= Time(self.cfg.probe_period.0 * self.cfg.expiry_periods as u64)
+        now.saturating_sub(e.updated) <= Time(PROBE_PERIOD.0 * EXPIRY_PERIODS)
             && !self.nhop_failed(e.nhop, now)
     }
 
@@ -216,8 +191,7 @@ impl HulaSwitch {
         // Flowlet fast path.
         if let Some(e) = self.flowlets.get(&pkt.flow_hash) {
             let (nhop, last) = (e.nhop, e.last);
-            if now.saturating_sub(last) <= self.cfg.flowlet_timeout && !self.nhop_failed(nhop, now)
-            {
+            if now.saturating_sub(last) <= FLOWLET_TIMEOUT && !self.nhop_failed(nhop, now) {
                 if let Some(e) = self.flowlets.get_mut(&pkt.flow_hash) {
                     e.last = now;
                 }
@@ -236,11 +210,6 @@ impl HulaSwitch {
             }
             _ => ctx.drop_no_route(pkt),
         }
-    }
-
-    /// Current best-table size (state accounting in tests).
-    pub fn best_entries(&self) -> usize {
-        self.best.iter().filter(|e| e.is_some()).count()
     }
 }
 
@@ -265,7 +234,7 @@ impl SwitchLogic for HulaSwitch {
     }
 
     fn tick_interval(&self) -> Option<Time> {
-        Some(self.cfg.probe_period)
+        Some(PROBE_PERIOD)
     }
 }
 
@@ -275,10 +244,10 @@ mod tests {
     use contra_sim::{CompileCache, FlowSpec, InstallCtx, RoutingSystem, SimConfig, Simulator};
     use contra_topology::generators;
 
-    fn install_hula(sim: &mut Simulator, cfg: &HulaConfig) {
+    fn install_hula(sim: &mut Simulator) {
         let topo = sim.topology().clone();
         let cache = CompileCache::new();
-        crate::systems::Hula::with_config(cfg.clone())
+        crate::systems::Hula
             .install(sim, &InstallCtx::new(&topo, &[], &cache))
             .unwrap();
     }
@@ -312,7 +281,7 @@ mod tests {
             generators::LinkSpec::default(),
         );
         let any = topo.find("Denver").unwrap();
-        let _ = HulaSwitch::new(&topo, any, HulaConfig::default());
+        let _ = HulaSwitch::new(&topo, any);
     }
 
     #[test]
@@ -326,7 +295,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        install_hula(&mut sim, &HulaConfig::default());
+        install_hula(&mut sim);
         let hosts = topo.hosts();
         for i in 0..6 {
             sim.add_flow(FlowSpec::Tcp {
@@ -357,7 +326,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        install_hula(&mut sim, &HulaConfig::default());
+        install_hula(&mut sim);
         let hosts = topo.hosts();
         // Elephant UDP flow pinned by steady transmission through one
         // spine; then short flows should prefer the other spine.
@@ -412,7 +381,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        install_hula(&mut sim, &HulaConfig::default());
+        install_hula(&mut sim);
         let hosts = topo.hosts();
         sim.try_fail_link_at(leaf0, spine0, Time::ms(1)).unwrap();
         for i in 0..10 {

@@ -1,12 +1,12 @@
 //! The baselines as first-class [`RoutingSystem`]s.
 //!
 //! Each unit of §6's comparison surface is a value: `&Ecmp`, `&Sp`,
-//! `&Hula::default()`, `&Spain::new(4)`. The experiment layer sweeps
+//! `&Hula`, `&Spain::new(4)`. The experiment layer sweeps
 //! slices of `&dyn RoutingSystem`, so adding a baseline to a figure is
 //! adding an element to an array.
 
 use crate::ecmp::{EcmpSwitch, SpSwitch};
-use crate::hula::{HulaConfig, HulaSwitch};
+use crate::hula::HulaSwitch;
 use crate::spain::{SpainPaths, SpainSwitch};
 use contra_sim::{InstallCtx, InstallError, RoutingSystem, Simulator};
 use std::rc::Rc;
@@ -58,18 +58,8 @@ impl RoutingSystem for Sp {
 
 /// Hula (SOSR'16): the hand-crafted utilization-aware load balancer for
 /// leaf-spine fabrics (Figs 11, 12, 14, 16).
-#[derive(Debug, Clone, Default)]
-pub struct Hula {
-    /// Probe and flowlet tunables (defaults follow §6.3).
-    pub config: HulaConfig,
-}
-
-impl Hula {
-    /// Hula with explicit tunables.
-    pub fn with_config(config: HulaConfig) -> Hula {
-        Hula { config }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Hula;
 
 impl RoutingSystem for Hula {
     fn name(&self) -> String {
@@ -97,10 +87,7 @@ impl RoutingSystem for Hula {
             }
         }
         for sw in ctx.topology.switches() {
-            sim.install(
-                sw,
-                Box::new(HulaSwitch::new(ctx.topology, sw, self.config.clone())),
-            );
+            sim.install(sw, Box::new(HulaSwitch::new(ctx.topology, sw)));
         }
         Ok(())
     }
@@ -143,7 +130,7 @@ mod tests {
     fn names_are_stable_labels() {
         assert_eq!(Ecmp.name(), "ECMP");
         assert_eq!(Sp.name(), "SP");
-        assert_eq!(Hula::default().name(), "Hula");
+        assert_eq!(Hula.name(), "Hula");
         assert_eq!(Spain::new(7).name(), "SPAIN");
     }
 }

@@ -332,8 +332,8 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
             s.fault_epochs.len(),
         )
     };
-    let (contra, hula) = (Contra::dc(), Hula::default());
-    let systems: [&dyn RoutingSystem; 2] = [&contra, &hula];
+    let contra = Contra::dc();
+    let systems: [&dyn RoutingSystem; 2] = [&contra, &Hula];
     for system in systems {
         let a = base.run(system);
         let b = base.run(system);

@@ -314,11 +314,11 @@ fn fig10(scale: Scale, out: &mut Out) {
 /// Paper shape to reproduce: Contra ≈ Hula, both clearly better than ECMP
 /// at high load (paper: ~30% / ~47% lower FCT at 90%).
 fn fig11(scale: Scale, out: &mut Out) {
-    let (contra, hula) = (Contra::dc(), Hula::default());
+    let contra = Contra::dc();
     fct_vs_load(
         "fig11",
         Scenario::leaf_spine(4, 2, 8),
-        &[&Ecmp, &contra, &hula],
+        &[&Ecmp, &contra, &Hula],
         &[],
         "Contra ~ Hula << ECMP at high load (30-47% FCT reduction at 90%)",
         scale,
@@ -334,7 +334,7 @@ fn fig11(scale: Scale, out: &mut Out) {
 /// hashing half of leaf0's traffic onto the halved uplink capacity);
 /// Contra and Hula degrade gracefully (~1.7-1.8× their symmetric FCT).
 fn fig12(scale: Scale, out: &mut Out) {
-    let (contra, hula) = (Contra::dc(), Hula::default());
+    let contra = Contra::dc();
     // Uplinks die before traffic starts; adaptive systems detect them
     // during warm-up, ECMP keeps hashing into them (§6.3 asymmetric
     // setting — its control plane is slow on this timescale).
@@ -343,7 +343,7 @@ fn fig12(scale: Scale, out: &mut Out) {
     fct_vs_load(
         "fig12",
         Scenario::leaf_spine(4, 2, 8),
-        &[&Ecmp, &contra, &hula],
+        &[&Ecmp, &contra, &Hula],
         &[("1-uplink", one), ("2-uplink", two)],
         "ECMP inflates 3.2-8.7x beyond 50% load; Contra/Hula only ~1.7-1.8x",
         scale,
@@ -414,8 +414,8 @@ fn fig14(scale: Scale, out: &mut Out) {
     // Seed 1 fails at exactly 50 ms (the paper's instant); later seeds
     // shift the cut by 37 µs steps across the serialization schedule.
     let fail_at = |seed: u64| Time::ms(50) + Time::us(37 * (seed - 1));
-    let (contra, hula) = (Contra::dc(), Hula::default());
-    let systems: [&dyn RoutingSystem; 3] = [&contra, &hula, &Sp];
+    let contra = Contra::dc();
+    let systems: [&dyn RoutingSystem; 3] = [&contra, &Hula, &Sp];
     // The failure instant depends on the seed, so the grid is built by
     // hand (a SweepSpec seed axis would vary only the RNG seed) and fed
     // to the same worker pool the spec-level sweeps use.
@@ -497,10 +497,10 @@ fn fig15(scale: Scale, out: &mut Out) {
 ///
 /// Output: CSV `fig,system,workload_load,ratio`.
 fn fig16(_: Scale, out: &mut Out) {
-    let (contra, hula) = (Contra::dc(), Hula::default());
+    let contra = Contra::dc();
     for workload in [Workload::WebSearch, Workload::Cache] {
         let results = SweepSpec::new(Scenario::leaf_spine(4, 2, 8).workload(workload))
-            .systems(&[&Ecmp, &hula, &contra])
+            .systems(&[&Ecmp, &Hula, &contra])
             .loads(&[0.1, 0.6])
             .run();
         // Loads outermost, systems innermost: each chunk is one load, ECMP

@@ -77,7 +77,7 @@ fn golden_covers_the_whole_table() {
 fn every_adaptive_system_reconverges_in_fig14() {
     use contra_bench::{Contra, Hula, RoutingSystem};
     use contra_sim::Time;
-    let systems: [&dyn RoutingSystem; 2] = [&Contra::dc(), &Hula::default()];
+    let systems: [&dyn RoutingSystem; 2] = [&Contra::dc(), &Hula];
     for system in systems {
         let r = figures::failure_cell(Time::ms(60), Time::ms(50), 1).run(system);
         let conv = r

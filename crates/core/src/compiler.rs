@@ -92,32 +92,6 @@ impl From<ResolveError> for CompileError {
     }
 }
 
-/// Compiler knobs. The defaults match the paper's system; the ablation
-/// flags exist so benches can quantify each optimization.
-#[derive(Debug, Clone)]
-pub struct CompilerOptions {
-    /// Which switches originate probes (i.e. are traffic destinations).
-    /// `None` ⇒ every switch with attached hosts, or every switch if the
-    /// topology has no hosts (the scalability sweeps use host-less graphs).
-    pub destinations: Option<Vec<NodeId>>,
-    /// Minimize each policy automaton before forming the product
-    /// (tag-count optimization). Disable only for ablation.
-    pub minimize_automata: bool,
-    /// Prune product-graph nodes that cannot contribute finite-rank paths.
-    /// Disable only for ablation.
-    pub prune_pg: bool,
-}
-
-impl Default for CompilerOptions {
-    fn default() -> Self {
-        CompilerOptions {
-            destinations: None,
-            minimize_automata: true,
-            prune_pg: true,
-        }
-    }
-}
-
 /// The static program for one switch: everything the runtime protocol needs
 /// besides the (runtime-populated) FwdT/BestT/flowlet tables.
 #[derive(Debug, Clone)]
@@ -149,7 +123,7 @@ pub struct CompiledPolicy {
     /// Traffic-direction resolved regexes (used by oracles and BestT
     /// evaluation in tests).
     pub traffic_regexes: Vec<Regex>,
-    /// Reversed, determinized (and optionally minimized) automata — the
+    /// Reversed, determinized and minimized automata — the
     /// ones the product graph runs on.
     pub automata: Vec<Dfa>,
     /// The product graph.
@@ -213,24 +187,32 @@ impl CompiledPolicy {
     }
 }
 
+/// The switches that source and sink traffic — the probe-originating
+/// destinations the compiler picks and the sources the verifier checks:
+/// every switch with attached hosts, or every switch when the topology
+/// has no hosts (the scalability sweeps use host-less graphs).
+pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
+    let with_hosts: Vec<NodeId> = topo
+        .switches()
+        .into_iter()
+        .filter(|&s| !topo.hosts_of(s).is_empty())
+        .collect();
+    if with_hosts.is_empty() {
+        topo.switches()
+    } else {
+        with_hosts
+    }
+}
+
 /// The Contra compiler, bound to one topology.
 pub struct Compiler<'t> {
     topo: &'t Topology,
-    opts: CompilerOptions,
 }
 
 impl<'t> Compiler<'t> {
-    /// A compiler with default options.
+    /// A compiler for policies over `topo`.
     pub fn new(topo: &'t Topology) -> Compiler<'t> {
-        Compiler {
-            topo,
-            opts: CompilerOptions::default(),
-        }
-    }
-
-    /// A compiler with explicit options.
-    pub fn with_options(topo: &'t Topology, opts: CompilerOptions) -> Compiler<'t> {
-        Compiler { topo, opts }
+        Compiler { topo }
     }
 
     /// Compiles a parsed policy.
@@ -238,23 +220,8 @@ impl<'t> Compiler<'t> {
         self.compile_with(policy, &mut Profiler::new(false))
     }
 
-    /// Compiles a parsed policy and returns a per-stage wall-clock
-    /// breakdown alongside the result (Fig 9 instrumentation). Stage
-    /// names: `normalize`, `analyze`, `resolve`, `determinize` (which
-    /// covers reversal, subset construction and minimization),
-    /// `product`, and `tablegen`, plus the `other` residual; the
-    /// breakdown sums to the measured total by construction.
-    pub fn compile_profiled(
-        &self,
-        policy: &Policy,
-    ) -> Result<(CompiledPolicy, PipelineProfile), CompileError> {
-        let mut prof = Profiler::new(true);
-        let cp = self.compile_with(policy, &mut prof)?;
-        Ok((cp, prof.finish().expect("profiler enabled")))
-    }
-
     /// The pipeline behind [`Compiler::compile`] and
-    /// [`Compiler::compile_profiled`]: one code path whether or not a
+    /// [`Compiler::compile_str_profiled`]: one code path whether or not a
     /// profile is being taken (a disabled profiler's spans are free).
     fn compile_with(
         &self,
@@ -271,41 +238,13 @@ impl<'t> Compiler<'t> {
             let alphabet: Vec<u32> = self.topo.switches().iter().map(|s| s.0).collect();
             traffic_regexes
                 .iter()
-                .map(|r| {
-                    let dfa = Dfa::from_regex(&r.reverse(), &alphabet);
-                    if self.opts.minimize_automata {
-                        dfa.minimize().0
-                    } else {
-                        dfa
-                    }
-                })
+                .map(|r| Dfa::from_regex(&r.reverse(), &alphabet).minimize().0)
                 .collect()
         });
 
         let (destinations, pg) = prof.span("product", || {
-            let destinations: Vec<NodeId> = match &self.opts.destinations {
-                Some(d) => d.clone(),
-                None => {
-                    let with_hosts: Vec<NodeId> = self
-                        .topo
-                        .switches()
-                        .into_iter()
-                        .filter(|&s| !self.topo.hosts_of(s).is_empty())
-                        .collect();
-                    if with_hosts.is_empty() {
-                        self.topo.switches()
-                    } else {
-                        with_hosts
-                    }
-                }
-            };
-            let pg = ProductGraph::build(
-                self.topo,
-                &automata,
-                &normal,
-                &destinations,
-                self.opts.prune_pg,
-            );
+            let destinations = traffic_endpoints(self.topo);
+            let pg = ProductGraph::build(self.topo, &automata, &normal, &destinations, true);
             (destinations, pg)
         });
         if pg.is_empty() || pg.sending.is_empty() {
@@ -375,8 +314,12 @@ impl<'t> Compiler<'t> {
         self.compile(&policy)
     }
 
-    /// Parse + compile with the per-stage profile (adds a `parse` stage
-    /// ahead of [`Compiler::compile_profiled`]'s pipeline stages).
+    /// Parse + compile with the per-stage wall-clock breakdown (Fig 9
+    /// instrumentation). Stage names: `parse`, `normalize`, `analyze`,
+    /// `resolve`, `determinize` (which covers reversal, subset
+    /// construction and minimization), `product`, and `tablegen`, plus
+    /// the `other` residual; the breakdown sums to the measured total by
+    /// construction.
     pub fn compile_str_profiled(
         &self,
         src: &str,

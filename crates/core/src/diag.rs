@@ -2,7 +2,7 @@
 //! rustc-style renderer.
 //!
 //! Every front-end stage (lexer, parser, normalizer, analysis, resolution)
-//! and the static verifier ([`crate::verify`]) report through [`Diagnostic`]
+//! and the static verifier ([`mod@crate::verify`]) report through [`Diagnostic`]
 //! so callers get one uniform stream: a [`Severity`], a stable code such as
 //! `C0001`, a human message, the byte [`Span`] in the policy source that
 //! provoked it, and free-form notes. [`render`] pretty-prints a batch

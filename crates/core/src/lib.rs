@@ -56,7 +56,7 @@ pub use analysis::{Analysis, AnalysisError, AnalysisWarning, Subpolicy};
 pub use ast::{
     Attr, BinOp, BoolExpr, BoolExprKind, CmpOp, Expr, ExprKind, PathRegex, PathRegexKind, Policy,
 };
-pub use compiler::{CompileError, CompiledPolicy, Compiler, CompilerOptions, SwitchProgram};
+pub use compiler::{CompileError, CompiledPolicy, Compiler, SwitchProgram};
 pub use contra_telemetry::{PipelineProfile, Profiler};
 pub use diag::{Diagnostic, Severity, Span};
 pub use metric::{MetricBasis, MetricVec};

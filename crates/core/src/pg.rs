@@ -305,8 +305,8 @@ impl ProductGraph {
     }
 
     /// Looks up the virtual node at `switch` with exactly these automaton
-    /// states. Collapses every failure into `None`; use [`try_find`]
-    /// (ProductGraph::try_find) when the reason matters.
+    /// states. Collapses every failure into `None`; use
+    /// [`ProductGraph::try_find`] when the reason matters.
     pub fn find(&self, switch: NodeId, states: &[usize]) -> Option<VNodeId> {
         debug_assert!(
             self.arity().is_none_or(|n| n == states.len()),

@@ -9,7 +9,7 @@
 //! [`codes::SHADOWED_BRANCH`]), guards no reachable metric vector can
 //! satisfy ([`codes::UNSAT_GUARD`]), or automaton states that are pure
 //! table bloat ([`codes::DEAD_DFA_STATE`])? Everything is reported as
-//! [`Diagnostic`]s with source [`Span`]s, alongside a machine-readable
+//! [`Diagnostic`]s with source [`diag::Span`]s, alongside a machine-readable
 //! [`Verdicts`] record that the differential test-suite replays against the
 //! packet-level simulator.
 //!
@@ -21,12 +21,12 @@
 //! enumeration to trust.
 
 use crate::ast::{Attr, CmpOp};
-use crate::compiler::{CompileError, CompiledPolicy, Compiler, CompilerOptions};
+use crate::compiler::{traffic_endpoints, CompileError, CompiledPolicy, Compiler};
 use crate::diag::{self, codes, Diagnostic};
 use crate::metric::MetricVec;
 use crate::normal::{BranchRank, MetricExpr};
 use crate::pg::{ProductGraph, VNodeId};
-use contra_topology::{NodeId, Topology};
+use contra_topology::{paths, NodeId, Topology};
 use std::collections::BTreeSet;
 
 /// A source switch with no policy-compliant route to a destination.
@@ -108,7 +108,7 @@ impl Report {
 /// diagnostics (`C02xx`/`C0102`) instead of an `Err`, so lint drivers can
 /// render every failure mode uniformly.
 pub fn verify_source(src: &str, topo: &Topology) -> (Option<CompiledPolicy>, Report) {
-    match Compiler::with_options(topo, CompilerOptions::default()).compile_str(src) {
+    match Compiler::new(topo).compile_str(src) {
         Ok(cp) => {
             let report = verify(&cp, topo);
             (Some(cp), report)
@@ -137,7 +137,7 @@ pub fn verify_source(src: &str, topo: &Topology) -> (Option<CompiledPolicy>, Rep
 pub fn verify(cp: &CompiledPolicy, topo: &Topology) -> Report {
     let mut r = Report::default();
     let policy_span = cp.policy.expr.span;
-    let sources = traffic_sources(topo);
+    let sources = traffic_endpoints(topo);
 
     // Re-home the compiler's analysis warnings into the diagnostic stream.
     for w in &cp.warnings {
@@ -207,21 +207,6 @@ pub fn verify(cp: &CompiledPolicy, topo: &Topology) -> Report {
     report_fragility(cp, topo, &reach.cables, &reach.lost_routes, &mut r);
 
     r
-}
-
-/// The switches that source traffic: host-bearing ones, or every switch
-/// when the topology models no hosts.
-fn traffic_sources(topo: &Topology) -> Vec<NodeId> {
-    let with_hosts: Vec<NodeId> = topo
-        .switches()
-        .into_iter()
-        .filter(|&s| !topo.hosts_of(s).is_empty())
-        .collect();
-    if with_hosts.is_empty() {
-        topo.switches()
-    } else {
-        with_hosts
-    }
 }
 
 /// Dead / shadowed branches and unsatisfiable guards, over the acceptance
@@ -775,57 +760,19 @@ fn switch_components_without(topo: &Topology, cable: (NodeId, NodeId)) -> Vec<u3
     comp
 }
 
-/// Per node id, for the switches connected to some destination over the
+/// Per node id, for the nodes connected to some destination over the
 /// physical switch graph: (least latency in seconds, least hop count).
 type LowerBounds = Vec<Option<(f64, f64)>>;
 
 /// The [`LowerBounds`] to `d`. The two minima may come from different
-/// paths — each is separately a valid lower bound.
+/// paths — each is separately a valid lower bound. Cables are symmetric,
+/// so the delay out of `d` is the delay into it.
 fn shortest_to(topo: &Topology, d: NodeId) -> LowerBounds {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, VecDeque};
-
-    let switch_links = |x: NodeId| {
-        topo.adjacency(x)
-            .iter()
-            .filter(|&&(y, _)| topo.is_switch(y))
-    };
-
-    // Hops: BFS.
-    let mut hops = vec![NONE; topo.num_nodes()];
-    hops[d.0 as usize] = 0;
-    let mut queue = VecDeque::from([d]);
-    while let Some(x) = queue.pop_front() {
-        for &(y, _) in switch_links(x) {
-            if hops[y.0 as usize] == NONE {
-                hops[y.0 as usize] = hops[x.0 as usize] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-
-    // Latency: Dijkstra over link delays (symmetric cables, so the
-    // direction read does not matter for propagation delay).
-    let mut lat = vec![u64::MAX; topo.num_nodes()];
-    let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-    lat[d.0 as usize] = 0;
-    heap.push(Reverse((0, d)));
-    while let Some(Reverse((dist, x))) = heap.pop() {
-        if lat[x.0 as usize] != dist {
-            continue;
-        }
-        for &(y, l) in switch_links(x) {
-            let nd = dist + topo.link(l).delay_ns;
-            if nd < lat[y.0 as usize] {
-                lat[y.0 as usize] = nd;
-                heap.push(Reverse((nd, y)));
-            }
-        }
-    }
-
+    let hops = paths::hop_distances_to(topo, d);
+    let lat = paths::dijkstra_delay(topo, d);
     hops.iter()
         .zip(&lat)
-        .map(|(&h, &ns)| (h != NONE).then_some((ns as f64 * 1e-9, h as f64)))
+        .map(|(h, ns)| h.zip(*ns).map(|(h, ns)| (ns as f64 * 1e-9, h as f64)))
         .collect()
 }
 

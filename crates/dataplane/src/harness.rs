@@ -10,7 +10,7 @@
 
 use crate::switch::{ContraSwitch, DataplaneConfig};
 use crate::tables::FwdKey;
-use contra_core::{CompiledPolicy, VNodeId};
+use contra_core::CompiledPolicy;
 use contra_sim::{LinkState, Packet, PacketKind, SwitchCtx, Time};
 use contra_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
@@ -190,15 +190,6 @@ impl ProtocolHarness {
             tag = entry.ntag;
         }
         None // walked too far: a loop (tests treat this as failure)
-    }
-
-    /// The (tag, pid) a source switch would stamp on fresh traffic.
-    pub fn source_key(&mut self, src: NodeId, dst: NodeId) -> Option<(VNodeId, u8)> {
-        let now = self.now;
-        self.switches
-            .get_mut(&src)?
-            .best_key(dst, now)
-            .map(|k| (k.tag, k.pid))
     }
 
     /// Direct access to one switch's state (debugging, tests).

@@ -182,9 +182,9 @@ mod tests {
         h.run_rounds(3);
         assert_eq!(h.traffic_path(s, d), Some(vec![s, a, d]));
         h.fail_link(a, d);
-        // A (adjacent to the failure) detects within `failure_periods`;
+        // A (adjacent to the failure) detects within `FAILURE_PERIODS`;
         // S's row through A only yields once the metric-expiration window
-        // (`expiry_periods` = 8) passes, since the S–A cable itself stays
+        // (`EXPIRY_PERIODS` = 8) passes, since the S–A cable itself stays
         // alive. Run past both windows.
         h.run_rounds(10);
         let p = h.traffic_path(s, d).expect("reroute must exist");

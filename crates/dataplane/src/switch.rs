@@ -21,49 +21,41 @@ use crate::tables::{
 };
 use contra_core::{CompiledPolicy, MetricVec, Rank, SwitchProgram, VNodeId};
 use contra_sim::{
-    Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, INITIAL_TTL, PROBE_BASE_BYTES,
+    Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, EXPIRY_PERIODS, FAILURE_PERIODS,
+    FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::NodeId;
 use std::sync::Arc;
 
-/// Tunables of the runtime protocol. Paper values as defaults.
+/// TTL drift (δ = maxttl − minttl) that triggers a flowlet flush (§5.5).
+/// Must exceed the legitimate path-length spread.
+const LOOP_DELTA_THRESHOLD: u8 = 6;
+
+/// Tunables of the runtime protocol: the timings
+/// [`DataplaneConfig::for_policy`] derives from the compiled policy, and
+/// the one table size an experiment sweeps. Paper values as defaults.
 #[derive(Debug, Clone)]
 pub struct DataplaneConfig {
-    /// Probe generation period (§6.3 uses 256 µs; must respect the §5.2
+    /// Probe generation period ([`PROBE_PERIOD`]; must respect the §5.2
     /// floor of 0.5 × max RTT — see [`DataplaneConfig::for_policy`]).
     pub probe_period: Time,
-    /// Flowlet idle timeout (§6.3 uses 200 µs).
+    /// Flowlet idle timeout ([`FLOWLET_TIMEOUT`]).
     pub flowlet_timeout: Time,
-    /// A link is considered failed after this many silent probe periods
-    /// (§5.4; the failure experiment uses 3).
-    pub failure_periods: u32,
-    /// FwdT entries older than this many periods are ignored (metric
-    /// expiration).
-    pub expiry_periods: u32,
-    /// TTL drift (δ = maxttl − minttl) that triggers a flowlet flush
-    /// (§5.5). Must exceed the legitimate path-length spread.
-    pub loop_delta_threshold: u8,
     /// Aging window for loop-detection rows.
     pub loop_age_out: Time,
     /// Register slots of the policy-aware flowlet table (rounded up to a
     /// power of two). Like SRAM on the switch, the table never grows:
     /// exceeding it makes flowlets alias (counted, not fatal).
     pub flowlet_slots: usize,
-    /// Register slots of the TTL-drift loop-detection table.
-    pub loop_slots: usize,
 }
 
 impl Default for DataplaneConfig {
     fn default() -> Self {
         DataplaneConfig {
-            probe_period: Time::us(256),
-            flowlet_timeout: Time::us(200),
-            failure_periods: 3,
-            expiry_periods: 8,
-            loop_delta_threshold: 6,
+            probe_period: PROBE_PERIOD,
+            flowlet_timeout: FLOWLET_TIMEOUT,
             loop_age_out: Time::ms(1),
             flowlet_slots: crate::tables::DEFAULT_FLOWLET_SLOTS,
-            loop_slots: crate::tables::DEFAULT_LOOP_SLOTS,
         }
     }
 }
@@ -120,7 +112,7 @@ impl ContraSwitch {
             .get(&switch)
             .unwrap_or_else(|| panic!("no compiled program for {switch}"))
             .clone();
-        let (flowlet_slots, loop_slots) = (cfg.flowlet_slots, cfg.loop_slots);
+        let flowlet_slots = cfg.flowlet_slots;
         ContraSwitch {
             cp,
             switch,
@@ -129,7 +121,7 @@ impl ContraSwitch {
             fwdt: FwdTable::default(),
             best: BestTable::default(),
             flowlets: FlowletTable::with_slots(flowlet_slots),
-            loops: LoopTable::with_slots(loop_slots),
+            loops: LoopTable::default(),
             last_probe_from: Vec::new(),
             version: 0,
             probes_sent: 0,
@@ -142,18 +134,18 @@ impl ContraSwitch {
     }
 
     fn expiry(&self) -> Time {
-        Time(self.cfg.probe_period.0 * self.cfg.expiry_periods as u64)
+        Time(self.cfg.probe_period.0 * EXPIRY_PERIODS)
     }
 
     /// §5.4: a next hop is considered failed when no probe has arrived
-    /// from it for `failure_periods` probe periods.
+    /// from it for [`FAILURE_PERIODS`] probe periods.
     fn nhop_failed(&self, nhop: NodeId, now: Time) -> bool {
         let last = self
             .last_probe_from
             .get(nhop.0 as usize)
             .copied()
             .unwrap_or(Time::ZERO);
-        now.saturating_sub(last) > Time(self.cfg.probe_period.0 * self.cfg.failure_periods as u64)
+        now.saturating_sub(last) > Time(self.cfg.probe_period.0 * FAILURE_PERIODS)
     }
 
     fn note_probe_from(&mut self, from: NodeId, now: Time) {
@@ -232,11 +224,6 @@ impl ContraSwitch {
     /// Raw FwdT lookup (protocol test harnesses).
     pub fn fwd_lookup(&self, key: &FwdKey) -> Option<&FwdEntry> {
         self.fwdt.get(key)
-    }
-
-    /// Table occupancy: (FwdT rows, BestT entries, live flowlet pins).
-    pub fn table_sizes(&self) -> (usize, usize, usize) {
-        (self.fwdt.len(), self.best.len(), self.flowlets.len())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -376,7 +363,7 @@ impl ContraSwitch {
         let delta = self
             .loops
             .observe(pkt.flow_hash, pkt.ttl, now, self.cfg.loop_age_out);
-        if delta >= self.cfg.loop_delta_threshold {
+        if delta >= LOOP_DELTA_THRESHOLD {
             self.flowlets.flush_fid(pkt.flow_hash);
             self.loops.reset(pkt.flow_hash);
             ctx.note_loop_break();

@@ -14,8 +14,9 @@
 //! bounded probe window. As on the switch, the arrays do not grow: when a
 //! key's window is exhausted the oldest entry is overwritten and the event
 //! is counted — hash collisions are a modeled artifact of the design, not
-//! an error (size them via [`crate::DataplaneConfig::flowlet_slots`] /
-//! [`crate::DataplaneConfig::loop_slots`]).
+//! an error (the flowlet table is sized by
+//! [`crate::DataplaneConfig::flowlet_slots`], the loop table by
+//! [`DEFAULT_LOOP_SLOTS`]).
 
 use contra_core::{MetricVec, VNodeId};
 use contra_sim::{FxHasher64, Time};
@@ -159,10 +160,10 @@ impl BestTable {
 /// rare enough to stay an artifact instead of a behavior.
 const PROBE_WINDOW: usize = 8;
 
-/// Default register-array sizes (slots). Overridden via
-/// [`crate::DataplaneConfig`].
+/// Default flowlet-table size (slots). Overridden via
+/// [`crate::DataplaneConfig::flowlet_slots`].
 pub const DEFAULT_FLOWLET_SLOTS: usize = 8192;
-/// Default loop-table size (slots).
+/// Loop-table size (slots).
 pub const DEFAULT_LOOP_SLOTS: usize = 8192;
 
 /// Values stored in a [`RegisterArray`] expose their recency so eviction
@@ -342,25 +343,10 @@ impl FlowletTable {
         }
     }
 
-    /// Looks up a live entry: present and within `timeout` of `now`.
-    /// Expired entries are removed on access.
-    pub fn lookup(&mut self, key: FlowletKey, now: Time, timeout: Time) -> Option<FlowletEntry> {
-        let i = self.arr.find(key.slot_hash(), key)?;
-        let (_, e) = self.arr.slots[i]
-            .as_ref()
-            .expect("find returned a live slot");
-        if now.saturating_sub(e.last) <= timeout {
-            return Some(e.clone());
-        }
-        self.arr.clear(i);
-        None
-    }
-
     /// Combined lookup-and-refresh for the forwarding fast path: a live
-    /// hit gets its `last` stamped to `now` in place (one window scan
-    /// instead of a lookup followed by a touch) and returns the pinned
-    /// decision. Expired entries are removed, as in
-    /// [`FlowletTable::lookup`].
+    /// hit — present and within `timeout` of `now` — gets its `last`
+    /// stamped to `now` in place (one window scan) and returns the pinned
+    /// decision. Expired entries are removed on access.
     pub fn lookup_touch(
         &mut self,
         key: FlowletKey,
@@ -387,15 +373,6 @@ impl FlowletTable {
         match self.arr.find(hash, key) {
             Some(i) => self.arr.slots[i] = Some((key, entry)),
             None => self.arr.write(hash, key, entry),
-        }
-    }
-
-    /// Refreshes the last-used timestamp of a live entry.
-    pub fn touch(&mut self, key: FlowletKey, now: Time) {
-        if let Some(i) = self.arr.find(key.slot_hash(), key) {
-            if let Some((_, e)) = &mut self.arr.slots[i] {
-                e.last = now;
-            }
         }
     }
 
@@ -606,9 +583,12 @@ mod tests {
             },
         );
         // Live within the timeout.
-        assert!(t.lookup(k, Time::us(100), Time::us(200)).is_some());
+        assert_eq!(
+            t.lookup_touch(k, Time::us(100), Time::us(200)),
+            Some((NodeId(5), VNodeId(1)))
+        );
         // Expired after it.
-        assert!(t.lookup(k, Time::us(400), Time::us(200)).is_none());
+        assert!(t.lookup_touch(k, Time::us(400), Time::us(200)).is_none());
         assert_eq!(t.len(), 0, "expired entry is evicted");
 
         // Flush by fid and by nhop.
@@ -636,21 +616,30 @@ mod tests {
     #[test]
     fn flowlet_touch_extends_life() {
         let mut t = FlowletTable::default();
-        let k = FlowletKey {
+        let [touched, idle] = [1, 2].map(|fid| FlowletKey {
             tag: VNodeId(0),
             pid: 0,
-            fid: 1,
-        };
-        t.pin(
-            k,
-            FlowletEntry {
-                nhop: NodeId(5),
-                ntag: VNodeId(1),
-                last: Time::ZERO,
-            },
-        );
-        t.touch(k, Time::us(150));
-        assert!(t.lookup(k, Time::us(300), Time::us(200)).is_some());
+            fid,
+        });
+        for k in [touched, idle] {
+            t.pin(
+                k,
+                FlowletEntry {
+                    nhop: NodeId(5),
+                    ntag: VNodeId(1),
+                    last: Time::ZERO,
+                },
+            );
+        }
+        // The hit at 150 µs restamps the pin, so it is still live at 300 µs;
+        // the pin nobody used since time zero is not.
+        assert!(t
+            .lookup_touch(touched, Time::us(150), Time::us(200))
+            .is_some());
+        assert!(t
+            .lookup_touch(touched, Time::us(300), Time::us(200))
+            .is_some());
+        assert!(t.lookup_touch(idle, Time::us(300), Time::us(200)).is_none());
     }
 
     #[test]
@@ -677,7 +666,7 @@ mod tests {
         // The table still answers lookups for *some* recent pin.
         let hits = (0..64u64)
             .filter(|&fid| {
-                t.lookup(
+                t.lookup_touch(
                     FlowletKey {
                         tag: VNodeId(0),
                         pid: 0,

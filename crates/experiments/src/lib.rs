@@ -2,9 +2,9 @@
 //!
 //! One vocabulary for every evaluation in the paper (and any you can
 //! imagine): a [`Scenario`] describes *where and what* (topology,
-//! workload, load, failures, measurement), a
-//! [`RoutingSystem`](contra_sim::RoutingSystem) describes *who* (Contra
-//! with some policy, Hula, ECMP, SP, SPAIN, or your own scheme), and
+//! workload, load, failures, measurement), a [`RoutingSystem`] describes
+//! *who* (Contra with some policy, Hula, ECMP, SP, SPAIN, or your own
+//! scheme), and
 //! [`Scenario::run`] produces a [`RunResult`] bundling raw
 //! [`SimStats`](contra_sim::SimStats) with the system label, the scenario
 //! parameters and derived figures of merit.
@@ -19,15 +19,15 @@
 //!     .warmup(Time::ms(1))
 //!     .drain(Time::ms(10))
 //!     .seed(7);
-//! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula::default()];
+//! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula];
 //! for r in scenario.matrix(&systems, &[0.3]) {
 //!     println!("{} @ {:.0}%: {:?} ms", r.system, r.scenario.load * 100.0,
 //!              r.figures.mean_fct_ms);
 //! }
 //! ```
 //!
-//! Sweeps share a [`CompileCache`](contra_sim::CompileCache), so a matrix
-//! over `{Contra, ECMP, Hula} × loads` compiles each distinct policy text
+//! Sweeps share a [`CompileCache`], so a matrix over
+//! `{Contra, ECMP, Hula} × loads` compiles each distinct policy text
 //! exactly once.
 //!
 //! Grids run in parallel through the [`sweep`] engine: a [`SweepSpec`]

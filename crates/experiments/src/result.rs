@@ -138,11 +138,6 @@ impl RunResult {
     pub fn looped_pct(&self) -> f64 {
         100.0 * self.figures.looped_packets as f64 / self.figures.delivered_packets.max(1) as f64
     }
-
-    /// Engine throughput in millions of events per wall-clock second.
-    pub fn mevents_per_sec(&self) -> f64 {
-        self.stats.events_processed as f64 / self.wall_secs.max(1e-12) / 1e6
-    }
 }
 
 /// Mean plus min/max error band of one quantity across seeds.

@@ -97,15 +97,9 @@ pub struct Scenario {
     drain: Time,
     seed: u64,
     faults: FaultPlan,
-    audit: Option<bool>,
-    queue_sampling: Option<Time>,
-    telemetry: Option<bool>,
-    telemetry_sampling: Option<Time>,
-    telemetry_ring: Option<usize>,
-    trace_paths: bool,
-    util_tau: Option<Time>,
-    min_rto: Option<Time>,
-    udp_bucket: Option<Time>,
+    /// The engine configuration the setters write through to; `stop_at`
+    /// is filled in at run time from `duration + drain`.
+    sim: SimConfig,
     extra_flows: Vec<FlowSpec>,
     verify_policy: bool,
 }
@@ -129,15 +123,7 @@ impl Scenario {
             drain: Time::ms(40),
             seed: 1,
             faults: FaultPlan::new(),
-            audit: None,
-            queue_sampling: None,
-            telemetry: None,
-            telemetry_sampling: None,
-            telemetry_ring: None,
-            trace_paths: false,
-            util_tau: None,
-            min_rto: None,
-            udp_bucket: None,
+            sim: SimConfig::default(),
             extra_flows: Vec::new(),
             verify_policy: false,
         }
@@ -190,20 +176,9 @@ impl Scenario {
         // WAN RTTs are ms-scale: size the estimator window accordingly,
         // and keep the RTO above the ~40 ms utilization-detour RTTs or
         // every first ACK loses to a spurious timeout.
-        s.util_tau = Some(Time::ms(20));
-        s.min_rto = Some(Time::ms(50));
+        s.sim.util_tau = Time::ms(20);
+        s.sim.min_rto = Time::ms(50);
         s
-    }
-
-    /// A scenario from a textual topology spec
-    /// (`fat-tree:4`, `leaf-spine:4,2,8`, `abilene`, `random:100`,
-    /// `zoo:FILE.graphml`), with family-appropriate defaults.
-    pub fn from_spec(spec: &str) -> Result<Scenario, crate::spec::SpecError> {
-        if spec == "abilene" {
-            return Ok(Scenario::abilene());
-        }
-        let topo = crate::spec::parse_topology_spec(spec)?;
-        Ok(Scenario::custom(spec, topo))
     }
 
     // ---- builder setters ------------------------------------------------
@@ -303,13 +278,13 @@ impl Scenario {
     /// (default: the engine's own default — on in debug builds; the
     /// `CONTRA_SIM_AUDIT` env var still wins over both).
     pub fn audit(mut self, on: bool) -> Scenario {
-        self.audit = Some(on);
+        self.sim.audit = on;
         self
     }
 
     /// Samples fabric queue occupancy this often (Fig 13).
     pub fn queue_sampling(mut self, every: Time) -> Scenario {
-        self.queue_sampling = Some(every);
+        self.sim.queue_sample_every = Some(every);
         self
     }
 
@@ -318,15 +293,11 @@ impl Scenario {
     /// When on, the run's trace events and metrics land in
     /// [`RunResult::telemetry`].
     pub fn telemetry(mut self, on: bool) -> Scenario {
-        self.telemetry = Some(on);
-        self
-    }
-
-    /// Telemetry metric-sampling cadence (implies [`Scenario::telemetry`]
-    /// on; default cadence: 100 µs).
-    pub fn telemetry_sampling(mut self, every: Time) -> Scenario {
-        self.telemetry = Some(true);
-        self.telemetry_sampling = Some(every);
+        if on {
+            self.sim.telemetry.get_or_insert_with(Default::default);
+        } else {
+            self.sim.telemetry = None;
+        }
         self
     }
 
@@ -336,8 +307,9 @@ impl Scenario {
     /// `events_evicted` says how many — so size this up when a test
     /// needs the complete event history.
     pub fn telemetry_ring(mut self, capacity: usize) -> Scenario {
-        self.telemetry = Some(true);
-        self.telemetry_ring = Some(capacity);
+        self.sim.telemetry = Some(contra_sim::TelemetryConfig {
+            ring_capacity: capacity,
+        });
         self
     }
 
@@ -345,25 +317,19 @@ impl Scenario {
     /// policy-compliance checks); the traces land in
     /// [`RunResult::traces`].
     pub fn trace_paths(mut self, on: bool) -> Scenario {
-        self.trace_paths = on;
-        self
-    }
-
-    /// Overrides the utilization-estimator window.
-    pub fn util_tau(mut self, tau: Time) -> Scenario {
-        self.util_tau = Some(tau);
+        self.sim.trace_paths = on;
         self
     }
 
     /// Overrides the TCP minimum RTO.
     pub fn min_rto(mut self, rto: Time) -> Scenario {
-        self.min_rto = Some(rto);
+        self.sim.min_rto = rto;
         self
     }
 
     /// Bucket width for UDP goodput timelines (Fig 14).
     pub fn udp_bucket(mut self, bucket: Time) -> Scenario {
-        self.udp_bucket = Some(bucket);
+        self.sim.udp_bucket = bucket;
         self
     }
 
@@ -482,34 +448,10 @@ impl Scenario {
         let faults = self.resolved_faults();
         let failed = self.final_down_cables(&faults);
 
-        let mut cfg = SimConfig {
+        let cfg = SimConfig {
             stop_at: self.duration + self.drain,
-            queue_sample_every: self.queue_sampling,
-            trace_paths: self.trace_paths,
-            ..SimConfig::default()
+            ..self.sim.clone()
         };
-        if let Some(tau) = self.util_tau {
-            cfg.util_tau = tau;
-        }
-        if let Some(rto) = self.min_rto {
-            cfg.min_rto = rto;
-        }
-        if let Some(bucket) = self.udp_bucket {
-            cfg.udp_bucket = bucket;
-        }
-        if let Some(audit) = self.audit {
-            cfg.audit = audit;
-        }
-        if self.telemetry == Some(true) {
-            let mut tcfg = contra_sim::TelemetryConfig::default();
-            if let Some(every) = self.telemetry_sampling {
-                tcfg.sample_every = every;
-            }
-            if let Some(cap) = self.telemetry_ring {
-                tcfg.ring_capacity = cap;
-            }
-            cfg.telemetry = Some(tcfg);
-        }
 
         // The simulator shares the scenario's topology (`Arc`): building a
         // cell costs no node/link-table copy.
@@ -599,7 +541,7 @@ impl Scenario {
     /// each distinct policy compiles exactly once.
     ///
     /// A thin wrapper over the sweep engine
-    /// ([`SweepSpec`](crate::SweepSpec)): the cells run on one worker
+    /// ([`SweepSpec`]): the cells run on one worker
     /// per core unless the `CONTRA_JOBS` env var says otherwise, with
     /// results byte-identical to the sequential path either way.
     pub fn matrix(&self, systems: &[&dyn RoutingSystem], loads: &[f64]) -> Vec<RunResult> {
@@ -735,5 +677,25 @@ impl Scenario {
                 stop: self.duration,
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The observer setters write straight into the scenario's
+    /// `SimConfig`, so the last call wins.
+    #[test]
+    fn setters_write_through_to_sim_config() {
+        let s = Scenario::leaf_spine(2, 2, 2);
+        let off = s.clone().telemetry_ring(8).telemetry(false);
+        assert!(off.sim.telemetry.is_none());
+        let on = s.clone().telemetry(false).telemetry_ring(8);
+        assert_eq!(on.sim.telemetry.map(|t| t.ring_capacity), Some(8));
+        let kept = s.clone().telemetry_ring(8).telemetry(true);
+        assert_eq!(kept.sim.telemetry.map(|t| t.ring_capacity), Some(8));
+        assert!(!s.clone().audit(false).sim.audit);
+        assert!(s.audit(true).sim.audit);
     }
 }

@@ -1,7 +1,6 @@
-//! Textual topology specs: scenarios as data.
+//! Textual topology specs.
 //!
-//! The same one-line syntax serves the `contra compile` / `contra lint`
-//! commands and [`crate::Scenario::from_spec`]:
+//! The one-line syntax of the `contra compile` / `contra lint` commands:
 //!
 //! * `fat-tree:K` — K-ary fat-tree (switches only; K even, ≥ 2),
 //! * `leaf-spine:LEAVES,SPINES,HOSTS_PER_LEAF` (each ≥ 1),

@@ -7,11 +7,62 @@ use contra_experiments::{
 };
 use contra_sim::Time;
 
+/// The configuration ledger: every independently settable value of the
+/// three config structs, destructured without `..`, so a new field is a
+/// compile error here. A field is justified by a non-test caller that
+/// needs a second value (README, *Configuration*, names each one); with one
+/// value in use it is a constant, like the §6.3 timings below.
+#[test]
+fn configuration_ledger() {
+    use contra_dataplane::DataplaneConfig;
+    use contra_sim::{
+        SimConfig, TelemetryConfig, EXPIRY_PERIODS, FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_PERIOD,
+    };
+
+    // Defined once; Contra's and Hula's switches both read these names.
+    assert_eq!(PROBE_PERIOD, Time::us(256));
+    assert_eq!(FLOWLET_TIMEOUT, Time::us(200));
+    assert_eq!((FAILURE_PERIODS, EXPIRY_PERIODS), (3, 8));
+
+    let DataplaneConfig {
+        probe_period,
+        flowlet_timeout,
+        loop_age_out,
+        flowlet_slots,
+    } = DataplaneConfig::default();
+    assert_eq!(probe_period, PROBE_PERIOD);
+    assert_eq!(flowlet_timeout, FLOWLET_TIMEOUT);
+    assert_eq!(loop_age_out, Time::ms(1));
+    assert_eq!(flowlet_slots, 8192);
+
+    let SimConfig {
+        util_tau,
+        stop_at,
+        queue_sample_every,
+        queue_sample_cap,
+        min_rto,
+        udp_bucket,
+        trace_paths,
+        audit,
+        telemetry,
+    } = SimConfig::default();
+    assert_eq!(util_tau, Time(2 * PROBE_PERIOD.0));
+    assert_eq!(stop_at, Time::ms(100));
+    assert_eq!(queue_sample_every, None);
+    assert_eq!(queue_sample_cap, contra_sim::QUEUE_SAMPLE_CAP);
+    assert_eq!((min_rto, udp_bucket), (Time::ms(1), Time::ms(1)));
+    assert!(!trace_paths && telemetry.is_none());
+    assert_eq!(audit, cfg!(debug_assertions));
+
+    let TelemetryConfig { ring_capacity } = TelemetryConfig::default();
+    assert_eq!(ring_capacity, 1 << 16);
+}
+
 /// Hula cannot run outside a two-tier leaf-spine fabric: the scenario
 /// surfaces that as a typed error instead of a mid-install panic.
 #[test]
 fn hula_is_unsupported_on_wan_topologies() {
-    let err = Scenario::abilene().try_run(&Hula::default()).unwrap_err();
+    let err = Scenario::abilene().try_run(&Hula).unwrap_err();
     match err {
         InstallError::Unsupported { system, reason } => {
             assert_eq!(system, "Hula");
@@ -56,8 +107,7 @@ fn scenario_round_trips_into_run_result() {
 fn matrix_sweep_compiles_each_policy_once() {
     let cache = CompileCache::new();
     let contra = Contra::mu();
-    let hula = Hula::default();
-    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &hula];
+    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &Hula];
     let results = small_dc().matrix_cached(&systems, &[0.2, 0.4, 0.6], &cache);
     assert_eq!(results.len(), 9);
     assert_eq!(
@@ -169,8 +219,7 @@ fn undersized_flowlet_table_reports_collisions() {
 fn dc_scenario_smoke() {
     let scenario = small_dc();
     let contra = Contra::mu();
-    let hula = Hula::default();
-    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &hula];
+    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &Hula];
     for system in systems {
         let r = scenario.run(system);
         assert!(

@@ -115,7 +115,7 @@ fn golden_leaf_spine_ecmp() {
 
 #[test]
 fn golden_leaf_spine_hula() {
-    check(&leaf_spine(), &Hula::default(), "mean=3ff486785234bacb p50=3fb8027d88c1db01 p99=4024795e7c8d1959 done=3ff0000000000000 drop[QueueFull]=2266 wire[Data]=155872928 wire[Ack]=4161280 wire[Probe]=63616 delivered=26008 looped=0 breaks=0");
+    check(&leaf_spine(), &Hula, "mean=3ff486785234bacb p50=3fb8027d88c1db01 p99=4024795e7c8d1959 done=3ff0000000000000 drop[QueueFull]=2266 wire[Data]=155872928 wire[Ack]=4161280 wire[Probe]=63616 delivered=26008 looped=0 breaks=0");
 }
 
 #[test]

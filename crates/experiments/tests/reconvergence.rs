@@ -103,7 +103,7 @@ fn hula_reconverges_on_leaf_spine_flap() {
         .drain(Time::ms(2))
         .fail_link("leaf0", "spine0", down)
         .recover_link("leaf0", "spine0", up)
-        .run(&Hula::default());
+        .run(&Hula);
     let epochs = &r.stats.fault_epochs;
     assert_eq!(epochs.len(), 2, "one down + one up epoch: {epochs:#?}");
     let fail = &epochs[0];

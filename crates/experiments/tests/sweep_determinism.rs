@@ -96,8 +96,7 @@ fn assert_parallel_matches_serial<'a>(build: impl Fn() -> SweepSpec<'a>, expect_
 #[test]
 fn leaf_spine_grid_is_deterministic_at_every_jobs_setting() {
     let contra = Contra::dc();
-    let hula = Hula::default();
-    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &hula];
+    let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &Hula];
     assert_parallel_matches_serial(
         || {
             SweepSpec::new(

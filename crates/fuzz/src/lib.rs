@@ -6,7 +6,7 @@
 //! mechanically: it generates random topologies and policies from a
 //! single `u64` seed, runs them through a stack of independent oracles
 //! (see [`oracle`]), shrinks any disagreement to a minimized reproducer
-//! (see [`shrink`]), and renders a byte-stable triage report (see
+//! (see [`mod@shrink`]), and renders a byte-stable triage report (see
 //! [`driver`]). The same harness is the acceptance gate the planned
 //! incremental recompiler will be fuzzed against.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Renders each compiled `SwitchProgram` as a P4₁₆ (v1model) program
 //! ([`emit_switch_program`]), checks the output's structural consistency
-//! ([`validate`]) and models per-switch SRAM use ([`state`]) — the numbers
+//! ([`validate()`]) and models per-switch SRAM use ([`state`]) — the numbers
 //! behind Figure 10.
 //!
 //! The simulator (`contra-dataplane`) and this backend consume the same

@@ -23,7 +23,7 @@ impl std::error::Error for ValidationError {}
 
 /// Validates one emitted program; returns every finding (empty = OK).
 ///
-/// The text is read once ([`Scan::of`]); what it declares is resolved
+/// The text is read once (`Scan::of`); what it declares is resolved
 /// against what it uses afterwards, from the few names the scan kept.
 pub fn validate(src: &str) -> Vec<ValidationError> {
     let mut errors = Vec::new();

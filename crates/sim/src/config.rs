@@ -1,17 +1,18 @@
 //! [`SimConfig`]: everything a [`crate::Simulator`] is parameterized by.
 
-use crate::packet::{HDR_BYTES, MSS};
+use crate::packet::{HDR_BYTES, MSS, PROBE_PERIOD};
 use crate::recorder::TelemetryConfig;
 use crate::stats::QUEUE_SAMPLE_CAP;
 use crate::time::Time;
+
+/// Drop-tail queue capacity of every link, in bytes (§6.3: 1000 MSS).
+pub const QUEUE_CAPACITY_BYTES: u32 = 1000 * (MSS + HDR_BYTES);
 
 /// Engine configuration. Defaults follow §6.3 of the paper where one
 /// exists.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Per-link queue capacity in bytes (paper: 1000 MSS).
-    pub queue_capacity_bytes: u32,
-    /// Utilization estimator window (typically 2× the probe period).
+    /// Utilization estimator window (default: 2× the probe period).
     pub util_tau: Time,
     /// Hard stop: events after this instant are not processed.
     pub stop_at: Time,
@@ -25,8 +26,6 @@ pub struct SimConfig {
     pub queue_sample_cap: usize,
     /// TCP minimum/initial retransmission timeout.
     pub min_rto: Time,
-    /// TCP initial congestion window in packets.
-    pub init_cwnd: f64,
     /// Bucket width for UDP goodput timelines (Fig 14).
     pub udp_bucket: Time,
     /// Record per-packet switch paths; enables exact loop accounting
@@ -54,13 +53,11 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            queue_capacity_bytes: 1000 * (MSS + HDR_BYTES),
-            util_tau: Time::us(512),
+            util_tau: Time(2 * PROBE_PERIOD.0),
             stop_at: Time::ms(100),
             queue_sample_every: None,
             queue_sample_cap: QUEUE_SAMPLE_CAP,
             min_rto: Time::ms(1),
-            init_cwnd: 10.0,
             udp_bucket: Time::ms(1),
             trace_paths: false,
             audit: cfg!(debug_assertions),

@@ -19,7 +19,7 @@
 //! runs strictly one event at a time. The same inputs always produce
 //! byte-identical statistics.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, QUEUE_CAPACITY_BYTES};
 use crate::fault::FaultError;
 use crate::link::{DropReason, LinkState};
 use crate::observe::{Obs, Observers};
@@ -126,7 +126,7 @@ impl Simulator {
                 LinkState::new(
                     l.bandwidth_bps,
                     crate::time::Time(l.delay_ns),
-                    cfg.queue_capacity_bytes,
+                    QUEUE_CAPACITY_BYTES,
                     cfg.util_tau,
                 )
             })
@@ -143,7 +143,7 @@ impl Simulator {
             .filter(|&(_, &f)| f)
             .map(|(i, _)| i as u32)
             .collect();
-        let transport = Transport::new(cfg.min_rto, cfg.init_cwnd);
+        let transport = Transport::new(cfg.min_rto);
         let obs = Observers::new(&cfg, &topo);
         let mut sim = Simulator {
             topo,
@@ -364,7 +364,7 @@ impl Simulator {
     }
 
     /// Runs to completion (queue empty, which includes the stop time
-    /// being reached — see [`Simulator::push`]) and returns the
+    /// being reached — see `Simulator::push`) and returns the
     /// statistics.
     pub fn run(self) -> SimStats {
         self.run_full().stats

@@ -6,7 +6,7 @@
 //! unknown cables and nodes with a [`FaultError`] instead of the old
 //! asymmetric assert-on-fail / silently-accept-on-recover behavior.
 //!
-//! The [`Auditor`] turns the engine's implicit conservation laws into
+//! The `Auditor` turns the engine's implicit conservation laws into
 //! hard failures. It is pure observation: it never touches `SimStats`
 //! or engine behavior, so golden fingerprints are byte-identical with
 //! auditing on or off. It is an [`Observer`] of the engine's seam: it

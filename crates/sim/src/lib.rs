@@ -3,7 +3,7 @@
 //! The ns-3 stand-in for the Contra reproduction. It models:
 //!
 //! * **Links** with store-and-forward serialization, propagation delay and
-//!   drop-tail queues (default 1000 MSS, §6.3), plus the Hula-style decaying
+//!   drop-tail queues (1000 MSS, §6.3), plus the Hula-style decaying
 //!   utilization estimator that feeds `path.util`.
 //! * **Hosts** running a lightweight NewReno-flavored TCP (slow start,
 //!   AIMD, triple-dup-ACK fast retransmit, go-back-N timeout with back-off)
@@ -59,13 +59,14 @@ pub mod time;
 pub mod trace;
 pub mod transport;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, QUEUE_CAPACITY_BYTES};
 pub use engine::{RunOutput, Simulator};
 pub use fault::FaultError;
 pub use fx::{fx_mix64, FxBuildHasher, FxHashMap, FxHasher64};
 pub use link::{DropReason, LinkState, UtilEstimator};
 pub use packet::{
-    flow_hash, FlowId, Packet, PacketKind, Probe, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES,
+    flow_hash, FlowId, Packet, PacketKind, Probe, EXPIRY_PERIODS, FAILURE_PERIODS, FLOWLET_TIMEOUT,
+    HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 pub use recorder::{Recorder, TelemetryConfig};
 pub use sched::{HeapQueue, SchedCounters, SchedEntry, TimingWheel};

@@ -1,8 +1,8 @@
 //! The observation seam: the one place the engine reports what happened.
 //!
 //! The engine measures nothing itself. At each seam point it emits one
-//! typed, `Copy` [`Obs`] through [`Observers::emit`], and the four
-//! consumers — [`SimStats`] (always on), the [`Auditor`]
+//! typed, `Copy` [`Obs`] through `Observers::emit`, and the four
+//! consumers — [`SimStats`] (always on), the `Auditor`
 //! (`SimConfig::audit`), the [`Recorder`] (`SimConfig::telemetry`) and
 //! the [`TraceTable`] (`SimConfig::trace_paths`) — each pick out, in
 //! their one [`Observer::on`], the kinds they care about. A consumer
@@ -93,7 +93,7 @@ pub enum Obs<'a> {
         links: &'a [LinkState],
         pool: &'a PacketPool,
     },
-    /// The telemetry cadence came due ([`Observers::wants_sample`]).
+    /// The telemetry cadence came due (`Observers::wants_sample`).
     Sample {
         links: &'a [LinkState],
         fabric: &'a [u32],

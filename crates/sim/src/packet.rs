@@ -20,6 +20,18 @@ pub const MSS: u32 = 1460;
 /// pid, version, tag and framing).
 pub const PROBE_BASE_BYTES: u32 = 24;
 
+/// Probe origination period of the §6.3 deployment, Contra's and Hula's
+/// alike (Contra raises it to a policy's §5.2 floor on WAN topologies).
+pub const PROBE_PERIOD: Time = Time::us(256);
+/// Flowlet idle timeout (§6.3).
+pub const FLOWLET_TIMEOUT: Time = Time::us(200);
+/// A next hop is considered failed after this many probe periods of
+/// silence (§5.4; the failure experiment uses 3).
+pub const FAILURE_PERIODS: u64 = 3;
+/// Forwarding entries not refreshed for this many probe periods are
+/// ignored (metric expiration).
+pub const EXPIRY_PERIODS: u64 = 8;
+
 /// What a packet is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {

@@ -1,6 +1,6 @@
 //! The telemetry recorder: structured trace events and time series.
 //!
-//! Same contract as the invariant auditor ([`crate::fault::Auditor`],
+//! Same contract as the invariant auditor (`crate::fault::Auditor`,
 //! PR 7): **pure observation**. The recorder is an [`Observer`] of the
 //! engine's seam ([`crate::observe`]): it sees only the [`Obs`] stream,
 //! never touches `SimStats`, never schedules an event, and never
@@ -44,15 +44,16 @@ pub const NODE_TRACK_BASE: u64 = 1_000_000;
 /// Flow `f` records on track `FLOW_TRACK_BASE + f`.
 pub const FLOW_TRACK_BASE: u64 = 2_000_000;
 
+/// Metric sampling cadence (and the spacing of counter trace events).
+/// The check is lazy — a sample is taken at the first event at or after
+/// each cadence boundary, timestamped at that event's instant — so
+/// sparse event streams yield sparse samples rather than fabricated
+/// ones.
+pub const SAMPLE_EVERY: Time = Time::us(100);
+
 /// Telemetry knobs ([`crate::SimConfig::telemetry`]).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Metric sampling cadence (and the spacing of counter trace
-    /// events). The check is lazy — a sample is taken at the first
-    /// event at or after each cadence boundary, timestamped at that
-    /// event's instant — so sparse event streams yield sparse samples
-    /// rather than fabricated ones.
-    pub sample_every: Time,
     /// Trace-event ring capacity (oldest evicted first; the report
     /// carries the eviction count).
     pub ring_capacity: usize,
@@ -61,7 +62,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            sample_every: Time::us(100),
             ring_capacity: 1 << 16,
         }
     }
@@ -71,7 +71,6 @@ impl Default for TelemetryConfig {
 /// [`crate::engine::Simulator::run_full`].
 #[derive(Debug)]
 pub struct Recorder {
-    sample_every: Time,
     /// The next cadence boundary: a sample is due at the first event at
     /// or past this instant.
     pub(crate) next_sample: Time,
@@ -175,7 +174,6 @@ impl Observer for Recorder {
 impl Recorder {
     /// A recorder for one run over `topo`.
     pub fn new(cfg: &TelemetryConfig, topo: &Topology) -> Recorder {
-        let sample_every = Time(cfg.sample_every.0.max(1));
         let nlinks = topo.links().len();
         let mut track_names = Vec::with_capacity(nlinks + topo.num_nodes() + 1);
         track_names.push((ENGINE_TRACK, "engine".to_string()));
@@ -192,8 +190,7 @@ impl Recorder {
             switch_names[s.0 as usize] = Some(name);
         }
         Recorder {
-            sample_every,
-            next_sample: sample_every,
+            next_sample: SAMPLE_EVERY,
             ring: EventRing::new(cfg.ring_capacity),
             metrics: MetricsRegistry::new(),
             track_names,
@@ -312,7 +309,7 @@ impl Recorder {
         self.metrics
             .push("events_processed", "engine", now.0, events as f64);
         self.metrics.inc("telem_samples", "engine", 1);
-        self.next_sample = Time((now.0 / self.sample_every.0 + 1) * self.sample_every.0);
+        self.next_sample = Time((now.0 / SAMPLE_EVERY.0 + 1) * SAMPLE_EVERY.0);
     }
 
     /// One fabric link's utilization and queue depth at a sample
@@ -407,10 +404,7 @@ mod tests {
         let a = t.switch("a");
         let b = t.switch("b");
         t.biline(a, b, 1e9, 1_000);
-        let cfg = TelemetryConfig {
-            sample_every: Time::us(100),
-            ring_capacity,
-        };
+        let cfg = TelemetryConfig { ring_capacity };
         Recorder::new(&cfg, &t.build())
     }
 

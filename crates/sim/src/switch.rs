@@ -181,28 +181,9 @@ impl<'a> SwitchCtx<'a> {
             .unwrap_or(false)
     }
 
-    /// Switch neighbors of this switch (sorted).
-    pub fn switch_neighbors(&self) -> Vec<NodeId> {
-        let mut n = self.topo.switch_neighbors(self.switch);
-        n.sort_unstable();
-        n.dedup();
-        n
-    }
-
-    /// Hosts attached to this switch.
-    pub fn hosts(&self) -> Vec<NodeId> {
-        self.topo.hosts_of(self.switch)
-    }
-
     /// Whether a node id refers to a switch (e.g. to test if a packet came
     /// from an attached host — Fig 7's `fromHost`).
     pub fn is_switch(&self, n: NodeId) -> bool {
         self.topo.is_switch(n)
-    }
-
-    /// Read-only access to the topology (static configuration knowledge a
-    /// compiled switch program legitimately has).
-    pub fn topology(&self) -> &Topology {
-        self.topo
     }
 }

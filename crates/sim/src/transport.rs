@@ -143,22 +143,23 @@ impl FlowState {
     }
 }
 
-/// All host endpoints of a simulation: flow table plus the transport
-/// parameters lifted from `SimConfig`.
+/// TCP initial congestion window in packets.
+pub const INIT_CWND: f64 = 10.0;
+
+/// All host endpoints of a simulation: flow table plus the minimum RTO
+/// lifted from `SimConfig`.
 pub struct Transport {
     flows: Vec<FlowState>,
     min_rto: Time,
-    init_cwnd: f64,
     next_pkt_id: u64,
 }
 
 impl Transport {
     /// A transport with no flows.
-    pub fn new(min_rto: Time, init_cwnd: f64) -> Transport {
+    pub fn new(min_rto: Time) -> Transport {
         Transport {
             flows: Vec::new(),
             min_rto,
-            init_cwnd,
             next_pkt_id: 0,
         }
     }
@@ -214,7 +215,7 @@ impl Transport {
             next_seq: 0,
             cum_acked: 0,
             dup_acks: 0,
-            cwnd: self.init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
             in_recovery: false,
             recovery_point: 0,
@@ -385,7 +386,7 @@ impl Transport {
             return;
         }
         f.ssthresh = (f.cwnd / 2.0).max(2.0);
-        f.cwnd = self.init_cwnd.clamp(1.0, 2.0);
+        f.cwnd = INIT_CWND.clamp(1.0, 2.0);
         f.in_recovery = false;
         f.dup_acks = 0;
         f.next_seq = f.cum_acked;

@@ -15,8 +15,8 @@ fn main() {
         .warmup(Time::ms(2))
         .drain(Time::ms(35))
         .seed(7);
-    let (contra, hula) = (Contra::dc(), Hula::default());
-    let systems: [&dyn RoutingSystem; 3] = [&Ecmp, &contra, &hula];
+    let contra = Contra::dc();
+    let systems: [&dyn RoutingSystem; 3] = [&Ecmp, &contra, &Hula];
 
     println!("load  system  fct_ms  completion   (web-search workload, 32 hosts, 4:1 oversub)");
     for r in scenario.matrix(&systems, &[0.3, 0.6, 0.8]) {

@@ -35,7 +35,7 @@
 //!     .duration(Time::ms(8))
 //!     .warmup(Time::ms(1))
 //!     .drain(Time::ms(10));
-//! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula::default()];
+//! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula];
 //! for r in scenario.matrix(&systems, &[0.3]) {
 //!     println!("{} @ {:.0}%: {:?} ms (completion {:.2})",
 //!              r.system, r.scenario.load * 100.0,
