@@ -12,8 +12,8 @@
 //!
 //! Faithfulness notes: the "probe from the current best next hop always
 //! refreshes" rule (so a worsening best path is re-learned), aging of best
-//! entries, and flowlet expiry through silent next hops all follow the
-//! Hula paper; the probe period, flowlet timeout, failure window and entry
+//! entries, and flowlet expiry through next hops that stopped advertising
+//! the destination all follow the Hula paper; the probe period, flowlet timeout, failure window and entry
 //! expiry are the constants Contra's dataplane reads
 //! ([`PROBE_PERIOD`], [`FLOWLET_TIMEOUT`], [`FAILURE_PERIODS`],
 //! [`EXPIRY_PERIODS`]), for an apples-to-apples comparison.
@@ -49,6 +49,9 @@ pub fn infer_roles(topo: &Topology) -> BTreeMap<NodeId, HulaRole> {
         .collect()
 }
 
+/// §5.4: a next hop silent for longer than this has failed.
+const FAILURE_WINDOW: Time = Time(PROBE_PERIOD.0 * FAILURE_PERIODS);
+
 #[derive(Debug, Clone)]
 struct BestEntry {
     util: f64,
@@ -74,6 +77,10 @@ pub struct HulaSwitch {
     flowlets: FxHashMap<u64, FlowletEntry>,
     /// Last probe heard per neighbor id (`Time::ZERO` = never).
     last_probe_from: Vec<Time>,
+    /// Last probe of each origin ToR heard from each neighbor, keyed
+    /// `(origin, from)`: while fresh, `from` still advertises a path to
+    /// `origin`.
+    advertised: FxHashMap<(NodeId, NodeId), Time>,
     /// Leaf neighbors (down-links) and spine neighbors (up-links).
     up_neighbors: Vec<NodeId>,
     down_neighbors: Vec<NodeId>,
@@ -103,6 +110,7 @@ impl HulaSwitch {
             best: vec![None; topo.num_nodes()],
             flowlets: FxHashMap::default(),
             last_probe_from: vec![Time::ZERO; topo.num_nodes()],
+            advertised: FxHashMap::default(),
             up_neighbors: up,
             down_neighbors: down,
         }
@@ -110,7 +118,17 @@ impl HulaSwitch {
 
     fn nhop_failed(&self, nhop: NodeId, now: Time) -> bool {
         let last = self.last_probe_from[nhop.0 as usize];
-        now.saturating_sub(last) > Time(PROBE_PERIOD.0 * FAILURE_PERIODS)
+        now.saturating_sub(last) > FAILURE_WINDOW
+    }
+
+    /// Whether `nhop` still advertises `dst`: a probe that `dst` originated
+    /// arrived from it within the failure window. A live next hop that lost
+    /// its own path to `dst` falls silent for that destination only, which
+    /// [`HulaSwitch::nhop_failed`] cannot see.
+    fn advertises(&self, nhop: NodeId, dst: NodeId, now: Time) -> bool {
+        self.advertised
+            .get(&(dst, nhop))
+            .is_some_and(|&last| now.saturating_sub(last) <= FAILURE_WINDOW)
     }
 
     fn entry_valid(&self, e: &BestEntry, now: Time) -> bool {
@@ -148,6 +166,7 @@ impl HulaSwitch {
         if p.origin == self.switch {
             return;
         }
+        self.advertised.insert((p.origin, from), now);
         let util = p.mv[0].max(ctx.util_to(from));
         let accept = match &self.best[p.origin.0 as usize] {
             None => true,
@@ -188,10 +207,15 @@ impl HulaSwitch {
             ctx.send(host, pkt);
             return;
         }
-        // Flowlet fast path.
+        // Flowlet fast path: a pin is honoured while its next hop still
+        // advertises the destination. Constant-rate traffic never leaves
+        // the idle gap that would expire a pin through a live next hop
+        // whose own link to the destination was cut.
         if let Some(e) = self.flowlets.get(&pkt.flow_hash) {
             let (nhop, last) = (e.nhop, e.last);
-            if now.saturating_sub(last) <= FLOWLET_TIMEOUT && !self.nhop_failed(nhop, now) {
+            if now.saturating_sub(last) <= FLOWLET_TIMEOUT
+                && self.advertises(nhop, pkt.dst_switch, now)
+            {
                 if let Some(e) = self.flowlets.get_mut(&pkt.flow_hash) {
                     e.last = now;
                 }

@@ -395,10 +395,9 @@ fn fig13(_: Scale, out: &mut Out) {
 /// Paper shape to reproduce: throughput dips when the uplink dies at
 /// t = 50 ms, the failure is detected after ≈ 3 probe periods (the paper's
 /// 3×RTT ≈ 768 µs threshold equals our 3 × 256 µs), and goodput recovers
-/// within ~1 ms. SP is the degenerate baseline: it never reroutes, so its
-/// "convergence" spans to the end of the stream. Known gap: our Hula
-/// matches SP here, not the paper — other leaves' flowlets stay pinned to
-/// the spine that lost the link (the ignored test in `tests/figures.rs`).
+/// within ~1 ms — for Contra and for Hula, whose switches read the same
+/// `FAILURE_PERIODS × PROBE_PERIOD` window. SP is the degenerate baseline:
+/// it never reroutes, so its "convergence" spans to the end of the stream.
 ///
 /// Each system runs over a seed band à la Fig 11. Constant-rate UDP is
 /// seed-invariant, so the band jitters the *failure instant* per seed

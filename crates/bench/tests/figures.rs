@@ -63,17 +63,11 @@ fn golden_covers_the_whole_table() {
 
 /// Fig 14's protocol claim, per adaptive system: after the `leaf0`–`spine0`
 /// cut, routing stops losing packets within ~1 ms and goodput returns to
-/// its pre-failure level. Contra passes; **Hula fails** — flowlets on
-/// *other* leaves stay pinned to the live `spine0`, which has lost its
-/// only link to `leaf0` and black-holes them until the stream ends
-/// (`HulaSwitch::forward` honours a flowlet while its next hop is alive,
-/// not while that hop still advertises the destination). Ignored until
-/// that is fixed: the per-destination rule that fixes it also re-pins a
-/// flowlet when congestion starves one ToR's probes for three periods,
-/// which moves one *non-failure* Fig 11 cell in its third decimal, and
-/// moving such a row needs a decision first (CHANGES.md, PR 17).
+/// its pre-failure level. For Hula this is the regression test of the
+/// per-destination flowlet rule: flowlets on *other* leaves were pinned to
+/// the live `spine0`, which had lost its only link to `leaf0`, and
+/// constant-rate UDP never left the idle gap that would have expired them.
 #[test]
-#[ignore = "Hula never reconverges in the Fig 14 cell (known bug, see CHANGES.md PR 17)"]
 fn every_adaptive_system_reconverges_in_fig14() {
     use contra_bench::{Contra, Hula, RoutingSystem};
     use contra_sim::Time;
