@@ -13,10 +13,11 @@
 //! Faithfulness notes: the "probe from the current best next hop always
 //! refreshes" rule (so a worsening best path is re-learned), aging of best
 //! entries, and flowlet expiry through next hops that stopped advertising
-//! the destination all follow the Hula paper; the probe period, flowlet timeout, failure window and entry
-//! expiry are the constants Contra's dataplane reads
-//! ([`PROBE_PERIOD`], [`FLOWLET_TIMEOUT`], [`FAILURE_PERIODS`],
-//! [`EXPIRY_PERIODS`]), for an apples-to-apples comparison.
+//! the destination all follow the Hula paper; the probe period, flowlet
+//! timeout, failure window and entry expiry are the constants Contra's
+//! dataplane reads ([`PROBE_PERIOD`], [`FLOWLET_TIMEOUT`],
+//! [`FAILURE_PERIODS`], [`EXPIRY_PERIODS`]), for an apples-to-apples
+//! comparison.
 
 use contra_sim::{
     FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, EXPIRY_PERIODS,

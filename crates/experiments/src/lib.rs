@@ -4,8 +4,7 @@
 //! imagine): a [`Scenario`] describes *where and what* (topology,
 //! workload, load, failures, measurement), a [`RoutingSystem`] describes
 //! *who* (Contra with some policy, Hula, ECMP, SP, SPAIN, or your own
-//! scheme), and
-//! [`Scenario::run`] produces a [`RunResult`] bundling raw
+//! scheme), and [`Scenario::run`] produces a [`RunResult`] bundling raw
 //! [`SimStats`](contra_sim::SimStats) with the system label, the scenario
 //! parameters and derived figures of merit.
 //!

@@ -386,7 +386,7 @@ impl Transport {
             return;
         }
         f.ssthresh = (f.cwnd / 2.0).max(2.0);
-        f.cwnd = INIT_CWND.clamp(1.0, 2.0);
+        f.cwnd = INIT_CWND.min(2.0);
         f.in_recovery = false;
         f.dup_acks = 0;
         f.next_seq = f.cum_acked;
