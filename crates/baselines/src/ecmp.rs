@@ -8,7 +8,7 @@
 //! used on Abilene in §6.4) always uses one deterministic lowest-cost next
 //! hop and adapts to nothing.
 
-use contra_sim::{Packet, SwitchCtx, SwitchLogic};
+use contra_sim::{Packet, SwitchCtx, SwitchLogic, Verdict};
 use contra_topology::{paths, NodeId, Topology};
 
 /// For each of `switches`, in order, its shortest-path next hops toward
@@ -63,19 +63,16 @@ impl EcmpSwitch {
 }
 
 impl SwitchLogic for EcmpSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, _from: NodeId) {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, _: NodeId) -> Verdict {
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
-            return;
+            return Verdict::Forward(pkt.dst_host);
         }
         let hops = &self.next_hops[pkt.dst_switch.0 as usize];
         // Idealized repair: hash over the *live* subset — selected by
         // counting, without materializing the subset.
         let n_live = hops.iter().filter(|&&h| ctx.link_up(h)).count();
         if n_live == 0 {
-            ctx.drop_no_route(pkt);
-            return;
+            return Verdict::NoRoute;
         }
         let k = (pkt.flow_hash % n_live as u64) as usize;
         let pick = hops
@@ -84,7 +81,7 @@ impl SwitchLogic for EcmpSwitch {
             .filter(|&h| ctx.link_up(h))
             .nth(k)
             .expect("k < n_live");
-        ctx.send(pick, pkt);
+        Verdict::Forward(pick)
     }
 
     // Hashes over live links only — never reads utilization.
@@ -122,15 +119,13 @@ impl SpSwitch {
 }
 
 impl SwitchLogic for SpSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, _from: NodeId) {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, _: NodeId) -> Verdict {
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
-            return;
+            return Verdict::Forward(pkt.dst_host);
         }
         match self.next_hop[pkt.dst_switch.0 as usize] {
-            Some(nh) => ctx.send(nh, pkt),
-            None => ctx.drop_no_route(pkt),
+            Some(nh) => Verdict::Forward(nh),
+            None => Verdict::NoRoute,
         }
     }
 

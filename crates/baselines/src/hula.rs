@@ -20,7 +20,7 @@
 //! comparison.
 
 use contra_sim::{
-    FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, EXPIRY_PERIODS,
+    FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
     FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::{NodeId, Topology};
@@ -161,7 +161,7 @@ impl HulaSwitch {
         }
     }
 
-    fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: Probe, from: NodeId) {
+    fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
         self.last_probe_from[from.0 as usize] = now;
         if p.origin == self.switch {
@@ -201,12 +201,10 @@ impl HulaSwitch {
         }
     }
 
-    fn forward(&mut self, ctx: &mut SwitchCtx<'_>, mut pkt: Packet, _from: NodeId) {
+    fn forward(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet) -> Verdict {
         let now = ctx.now;
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
-            return;
+            return Verdict::Forward(pkt.dst_host);
         }
         // Flowlet fast path: a pin is honoured while its next hop still
         // advertises the destination. Constant-rate traffic never leaves
@@ -221,8 +219,7 @@ impl HulaSwitch {
                     e.last = now;
                 }
                 pkt.tag = 0;
-                ctx.send(nhop, pkt);
-                return;
+                return Verdict::Forward(nhop);
             }
             self.flowlets.remove(&pkt.flow_hash);
         }
@@ -231,20 +228,20 @@ impl HulaSwitch {
                 let nhop = e.nhop;
                 self.flowlets
                     .insert(pkt.flow_hash, FlowletEntry { nhop, last: now });
-                ctx.send(nhop, pkt);
+                Verdict::Forward(nhop)
             }
-            _ => ctx.drop_no_route(pkt),
+            _ => Verdict::NoRoute,
         }
     }
 }
 
 impl SwitchLogic for HulaSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, from: NodeId) {
-        match pkt.kind {
-            // Moves the probe out instead of cloning the whole kind.
-            PacketKind::Probe(p) => self.process_probe(ctx, p, from),
-            _ => self.forward(ctx, pkt, from),
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, from: NodeId) -> Verdict {
+        if let PacketKind::Probe(p) = &pkt.kind {
+            self.process_probe(ctx, p, from);
+            return Verdict::Consume;
         }
+        self.forward(ctx, pkt)
     }
 
     fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {

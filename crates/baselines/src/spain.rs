@@ -15,7 +15,7 @@
 //! consistent and loop-free — the property SPAIN gets from per-VLAN
 //! spanning subgraphs — while different VLANs spread over different links.
 
-use contra_sim::{Packet, SwitchCtx, SwitchLogic};
+use contra_sim::{Packet, SwitchCtx, SwitchLogic, Verdict};
 use contra_topology::{NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -177,25 +177,22 @@ impl SpainSwitch {
 }
 
 impl SwitchLogic for SpainSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, mut pkt: Packet, from: NodeId) {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, from: NodeId) -> Verdict {
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
-            return;
+            return Verdict::Forward(pkt.dst_host);
         }
         // Ingress stamps the VLAN by flow hash; core switches follow it.
         if !ctx.is_switch(from) {
             let n = self.paths.vlans_for(pkt.dst_switch);
             if n == 0 {
-                ctx.drop_no_route(pkt);
-                return;
+                return Verdict::NoRoute;
             }
             pkt.tag = (pkt.flow_hash % n as u64) as u32;
         }
         let vlan = pkt.tag as u8;
         match self.paths.next_hop(ctx.switch, pkt.dst_switch, vlan) {
-            Some(nh) => ctx.send(nh, pkt),
-            None => ctx.drop_no_route(pkt),
+            Some(nh) => Verdict::Forward(nh),
+            None => Verdict::NoRoute,
         }
     }
 

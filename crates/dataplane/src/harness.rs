@@ -11,7 +11,7 @@
 use crate::switch::{ContraSwitch, DataplaneConfig};
 use crate::tables::FwdKey;
 use contra_core::CompiledPolicy;
-use contra_sim::{LinkState, Packet, PacketKind, SwitchCtx, Time};
+use contra_sim::{LinkState, Packet, SwitchCtx, Time, Verdict};
 use contra_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -134,13 +134,12 @@ impl ProtocolHarness {
             }
         }
         let mut guard = 0u64;
-        while let Some((from, to, pkt)) = queue.pop_front() {
+        while let Some((from, to, mut pkt)) = queue.pop_front() {
             guard += 1;
             assert!(
                 guard < 10_000_000,
                 "probe propagation did not quiesce — monotonicity violated?"
             );
-            debug_assert!(matches!(pkt.kind, PacketKind::Probe(_)));
             // Down links swallow probes.
             let Some(l) = self.topo.link_between(from, to) else {
                 continue;
@@ -151,7 +150,8 @@ impl ProtocolHarness {
             self.probes_delivered += 1;
             let sw = self.switches.get_mut(&to).expect("probe sent to a switch");
             let mut ctx = SwitchCtx::detached(to, self.now, &self.topo, &self.links);
-            contra_sim::SwitchLogic::on_packet(sw, &mut ctx, pkt, from);
+            let verdict = contra_sim::SwitchLogic::on_packet(sw, &mut ctx, &mut pkt, from);
+            debug_assert_eq!(verdict, Verdict::Consume, "only probes circulate here");
             for (nxt, p) in ctx.take_outputs() {
                 queue.push_back((to, nxt, p));
             }

@@ -21,8 +21,8 @@ use crate::tables::{
 };
 use contra_core::{CompiledPolicy, MetricVec, Rank, SwitchProgram, VNodeId};
 use contra_sim::{
-    Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, EXPIRY_PERIODS, FAILURE_PERIODS,
-    FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
+    Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
+    FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::NodeId;
 use std::sync::Arc;
@@ -261,7 +261,7 @@ impl ContraSwitch {
     }
 
     /// `PROCESSPROBE`.
-    fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: Probe, from: NodeId) {
+    fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
         // Any probe from `from` proves the cable is alive.
         self.note_probe_from(from, now);
@@ -349,13 +349,11 @@ impl ContraSwitch {
     }
 
     /// `SWIFORWARDPKT` with policy-aware flowlets, failure expiry and loop
-    /// breaking.
-    fn forward(&mut self, ctx: &mut SwitchCtx<'_>, mut pkt: Packet, from: NodeId) {
+    /// breaking: re-stamps `tag`/`pid` in the header and picks the port.
+    fn forward(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, from: NodeId) -> Verdict {
         let now = ctx.now;
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
-            return;
+            return Verdict::Forward(pkt.dst_host);
         }
 
         // §5.5: TTL-drift loop detection. δ grows without bound only when
@@ -373,10 +371,7 @@ impl ContraSwitch {
         let (tag, pid) = if !ctx.is_switch(from) {
             match self.best_key(pkt.dst_switch, now) {
                 Some(k) => (k.tag, k.pid),
-                None => {
-                    ctx.drop_no_route(pkt);
-                    return;
-                }
+                None => return Verdict::NoRoute,
             }
         } else {
             (VNodeId(pkt.tag), pkt.pid)
@@ -395,8 +390,7 @@ impl ContraSwitch {
             if !self.nhop_failed(nhop, now) {
                 pkt.tag = ntag.0;
                 pkt.pid = pid;
-                ctx.send(nhop, pkt);
-                return;
+                return Verdict::Forward(nhop);
             }
             // §5.4: next hop silent — expire every pin through it so
             // traffic reroutes now rather than at flowlet timeout (the
@@ -422,20 +416,20 @@ impl ContraSwitch {
                 );
                 pkt.tag = ntag.0;
                 pkt.pid = pid;
-                ctx.send(nhop, pkt);
+                Verdict::Forward(nhop)
             }
-            _ => ctx.drop_no_route(pkt),
+            _ => Verdict::NoRoute,
         }
     }
 }
 
 impl SwitchLogic for ContraSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, from: NodeId) {
-        match pkt.kind {
-            // Moves the probe out instead of cloning the whole kind.
-            PacketKind::Probe(p) => self.process_probe(ctx, p, from),
-            _ => self.forward(ctx, pkt, from),
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, from: NodeId) -> Verdict {
+        if let PacketKind::Probe(p) = &pkt.kind {
+            self.process_probe(ctx, p, from);
+            return Verdict::Consume;
         }
+        self.forward(ctx, pkt, from)
     }
 
     /// `INITPROBE`: originate one probe per subpolicy per period, tagged

@@ -26,7 +26,7 @@ use crate::observe::{Obs, Observers};
 use crate::packet::{FlowId, Packet, PacketKind, PacketPool, HDR_BYTES};
 use crate::sched::TimingWheel;
 use crate::stats::SimStats;
-use crate::switch::{SwitchCtx, SwitchLogic};
+use crate::switch::{SwitchCtx, SwitchLogic, Verdict};
 use crate::time::Time;
 use crate::transport::{FlowSpec, Transport, TransportEffect, TransportFx, TransportTimer};
 use contra_telemetry::TelemetryReport;
@@ -49,9 +49,9 @@ pub struct RunOutput {
 #[derive(Debug)]
 enum Event {
     /// Packet fully received at `node`, having traversed the link from
-    /// `from`. The packet itself sits in the engine's slab
-    /// ([`PacketPool`], slot `pkt`) so queue entries stay a few words
-    /// wide — the scheduler copies every entry it sorts.
+    /// `from`. The packet itself stays in its [`PacketPool`] slot `pkt`,
+    /// so queue entries stay a few words wide — the scheduler copies
+    /// every entry it sorts.
     Arrive {
         node: NodeId,
         from: NodeId,
@@ -90,10 +90,12 @@ pub struct Simulator {
     transport: Transport,
     queue: TimingWheel<Event>,
     now: Time,
-    /// In-flight packets referenced by `Event::Arrive`.
+    /// Every packet in the network, from mint to its end: link queues
+    /// and `Event::Arrive` name a packet by its slot here.
     pool: PacketPool,
-    /// Recycled output buffer lent to [`SwitchCtx`] for each dispatch, so
-    /// switch handlers never allocate in steady state.
+    /// Recycled buffer for the packets a handler originates, lent to
+    /// [`SwitchCtx`] for each dispatch, so switch handlers never
+    /// allocate in steady state.
     out_buf: Vec<(NodeId, Packet)>,
     /// Recycled transport-effects buffer (sends + timers), applied in
     /// append order after each transport handler returns.
@@ -489,7 +491,10 @@ impl Simulator {
         let mut fx = std::mem::take(&mut self.tfx);
         for effect in fx.drain(..) {
             match effect {
-                TransportEffect::Send { src, via, pkt } => self.transmit(src, via, pkt),
+                TransportEffect::Send { src, via, pkt } => {
+                    let slot = self.pool.insert(pkt);
+                    self.transmit(src, via, slot);
+                }
                 TransportEffect::Timer { at, timer } => {
                     let ev = match timer {
                         TransportTimer::Rto { flow, epoch } => Event::RtoCheck { flow, epoch },
@@ -504,88 +509,95 @@ impl Simulator {
 
     // ---- switch dispatch ----------------------------------------------
 
+    /// An arrival is realized. At a switch the packet is lent to the
+    /// installed logic where it sits and the returned [`Verdict`] is
+    /// enacted on its slot — the lent packet first, then whatever the
+    /// handler originated, in emission order.
     fn on_arrive(&mut self, node: NodeId, from: NodeId, slot: u32) {
-        let pkt = self.pool.take(slot);
         self.obs.emit(self.now, Obs::Taken);
         if !self.topo.is_switch(node) {
-            return self.host_receive(node, pkt);
+            return self.host_receive(node, slot);
         }
-        let who = (pkt.id, pkt.is_probe());
+        let pkt = self.pool.get_mut(slot);
         // Path and loop accounting covers routed traffic: payload, ACKs.
         if !pkt.is_probe() {
             self.obs.emit(self.now, Obs::Visit { pkt: pkt.id, node });
         }
-        if !self.run_logic(node, |logic, ctx| logic.on_packet(ctx, pkt, from)) {
+        let Some(logic) = self.logics[node.0 as usize].as_deref_mut() else {
             // No logic installed (test harness omission): drop.
-            self.emit_drop(DropReason::NoRoute, who, None, false);
+            return self.drop_slot(slot, DropReason::NoRoute, None, false);
+        };
+        let out_buf = std::mem::take(&mut self.out_buf);
+        let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
+        let verdict = logic.on_packet(&mut ctx, pkt, from);
+        let SwitchCtx {
+            out, loop_breaks, ..
+        } = ctx;
+        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
+        match verdict {
+            Verdict::Forward(next) => self.transmit(node, next, slot),
+            Verdict::Consume => self.pool.free(slot),
+            Verdict::NoRoute => self.drop_slot(slot, DropReason::NoRoute, None, false),
         }
+        self.send_originated(node, out);
     }
 
     fn on_tick(&mut self, node: NodeId) {
-        if !self.run_logic(node, |logic, ctx| logic.on_tick(ctx)) {
+        let Some(logic) = self.logics[node.0 as usize].as_deref_mut() else {
             return;
-        }
+        };
+        let out_buf = std::mem::take(&mut self.out_buf);
+        let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
+        logic.on_tick(&mut ctx);
+        let SwitchCtx {
+            out, loop_breaks, ..
+        } = ctx;
+        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
+        self.send_originated(node, out);
         if let Some(t) = self.tick_of[node.0 as usize] {
             let at = self.now + t;
             self.push(at, Event::Tick { node });
         }
     }
 
-    /// Runs one handler of the logic installed on `node` (`false` when
-    /// there is none) and applies what it produced: loop-break counts,
-    /// no-route drops, and the emitted packets, transmitted in emission
-    /// order. The output buffer is lent to the handler and recycled.
-    fn run_logic(
-        &mut self,
-        node: NodeId,
-        handler: impl FnOnce(&mut dyn SwitchLogic, &mut SwitchCtx<'_>),
-    ) -> bool {
-        let Some(logic) = self.logics[node.0 as usize].as_deref_mut() else {
-            return false;
-        };
-        let out_buf = std::mem::take(&mut self.out_buf);
-        let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
-        handler(logic, &mut ctx);
-        let SwitchCtx {
-            mut out,
-            loop_breaks,
-            no_route,
-            ..
-        } = ctx;
-        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
-        for who in no_route {
-            self.emit_drop(DropReason::NoRoute, who, None, false);
-        }
-        for (next, p) in out.drain(..) {
-            self.transmit(node, next, p);
+    /// Mints the packets a handler at `node` originated and transmits
+    /// them in emission order; the buffer they came in is recycled.
+    fn send_originated(&mut self, node: NodeId, mut out: Vec<(NodeId, Packet)>) {
+        for (next, pkt) in out.drain(..) {
+            let slot = self.pool.insert(pkt);
+            self.transmit(node, next, slot);
         }
         self.out_buf = out;
-        true
     }
 
-    /// Packet `pkt` dies: on a link leg (between being offered to `link`
-    /// and being taken off it) or, with no link, inside a switch that
-    /// had no route for it.
-    pub(super) fn emit_drop(
+    /// The packet in `slot` dies, and the slot with it: on a link leg
+    /// (between being offered to `link` and being taken off it) or,
+    /// with no link, inside a switch that had no route for it.
+    pub(super) fn drop_slot(
         &mut self,
+        slot: u32,
         reason: DropReason,
-        (pkt, is_probe): (u64, bool),
         link: Option<LinkId>,
         on_link_leg: bool,
     ) {
+        let pkt = self.pool.get(slot);
         let drop = Obs::Drop {
             reason,
-            is_probe,
+            is_probe: pkt.is_probe(),
             link: link.map(|l| l.0),
-            pkt,
+            pkt: pkt.id,
             on_link_leg,
         };
+        self.pool.free(slot);
         self.obs.emit(self.now, drop);
     }
 
     // ---- host delivery --------------------------------------------------
 
-    fn host_receive(&mut self, host: NodeId, pkt: Packet) {
+    /// The packet in `slot` reached `host`: it is read where it sits and
+    /// its slot freed before the transport's answer goes out.
+    fn host_receive(&mut self, host: NodeId, slot: u32) {
+        let pkt = self.pool.get(slot);
         let deliver = |udp_payload| Obs::Deliver {
             flow: pkt.flow,
             seq: pkt.seq,
@@ -596,12 +608,14 @@ impl Simulator {
             PacketKind::Data => {
                 debug_assert_eq!(pkt.dst_host, host);
                 self.obs.emit(self.now, deliver(None));
-                self.transport.on_data(&pkt, self.now, &mut self.tfx);
+                self.transport.on_data(pkt, self.now, &mut self.tfx);
+                self.pool.free(slot);
                 self.apply_transport_fx();
             }
             PacketKind::Ack { ack_seq, echo_ts } => {
                 let flow = pkt.flow.0;
                 self.obs.emit(self.now, Obs::AckConsumed { pkt: pkt.id });
+                self.pool.free(slot);
                 self.transport.on_ack(
                     flow,
                     ack_seq,
@@ -617,9 +631,11 @@ impl Simulator {
                 debug_assert_eq!(pkt.dst_host, host);
                 let payload = pkt.size_bytes.saturating_sub(HDR_BYTES);
                 self.obs.emit(self.now, deliver(Some(payload)));
+                self.pool.free(slot);
             }
             PacketKind::Probe(_) => {
                 debug_assert!(false, "probes must never reach hosts");
+                self.pool.free(slot);
             }
         }
     }
@@ -629,5 +645,239 @@ impl Simulator {
         if let Some(cwnd) = self.transport.cwnd_of(flow) {
             self.obs.emit(self.now, Obs::Cwnd { flow, cwnd });
         }
+    }
+}
+
+/// The slot lifecycle, one test per exit: a packet's pool slot is freed
+/// exactly where the packet ends. Every run is audited, none is cut by
+/// `stop_at`, so no slot may outlive it.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::{Probe, INITIAL_TTL, PROBE_BASE_BYTES};
+    use crate::sched::SchedEntry;
+    use crate::stats::TrafficKind;
+
+    /// Growth of a per-event type is a failing test, not a silent
+    /// slowdown: the scheduler copies every entry it sorts.
+    #[test]
+    fn per_event_types_stay_small() {
+        assert!(std::mem::size_of::<Event>() <= 16);
+        assert!(std::mem::size_of::<SchedEntry<Event>>() <= 32);
+    }
+
+    /// A switch doing what it was told: traffic for an attached host is
+    /// delivered (unless `deliver` is off), the rest goes `toward` its
+    /// next hop (or has no route), probes are absorbed, and the first
+    /// `probes` ticks originate one probe toward `toward`.
+    struct Scripted {
+        toward: Option<NodeId>,
+        deliver: bool,
+        probes: u32,
+    }
+
+    impl SwitchLogic for Scripted {
+        fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, _: NodeId) -> Verdict {
+            if pkt.is_probe() {
+                Verdict::Consume
+            } else if self.deliver && pkt.dst_switch == ctx.switch {
+                Verdict::Forward(pkt.dst_host)
+            } else {
+                self.toward.map_or(Verdict::NoRoute, Verdict::Forward)
+            }
+        }
+
+        fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {
+            let Some(to) = self.toward.filter(|_| self.probes > 0) else {
+                return;
+            };
+            self.probes -= 1;
+            let probe = Probe {
+                origin: ctx.switch,
+                pid: 0,
+                version: 1,
+                tag: 0,
+                mv: [0.0; 3],
+            };
+            let pkt = Packet {
+                id: 0,
+                kind: PacketKind::Probe(probe),
+                src_host: ctx.switch,
+                dst_host: to,
+                dst_switch: to,
+                flow: FlowId(u32::MAX),
+                seq: 0,
+                size_bytes: PROBE_BASE_BYTES,
+                sent_at: ctx.now,
+                tag: 0,
+                pid: 0,
+                ttl: INITIAL_TTL,
+                flow_hash: 0,
+            };
+            ctx.send(to, pkt);
+        }
+
+        fn tick_interval(&self) -> Option<Time> {
+            Some(Time::us(10))
+        }
+    }
+
+    /// h0 – s0 – s1 – h1 with 10 Gbps access links, an audited simulator
+    /// over it that stops at 30 ms, and a 1 ms UDP stream h0 → h1.
+    fn line(fabric_bps: f64, udp_bps: f64) -> (Simulator, NodeId, NodeId) {
+        let mut t = Topology::builder();
+        let (s0, s1) = (t.switch("s0"), t.switch("s1"));
+        let (h0, h1) = (t.host("h0"), t.host("h1"));
+        t.biline(s0, s1, fabric_bps, 1_000);
+        t.biline(h0, s0, 10e9, 500);
+        t.biline(h1, s1, 10e9, 500);
+        let cfg = SimConfig {
+            stop_at: Time::ms(30),
+            audit: true,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(t.build(), cfg);
+        sim.add_flow(FlowSpec::Udp {
+            src: h0,
+            dst: h1,
+            rate_bps: udp_bps,
+            start: Time::ZERO,
+            stop: Time::ms(1),
+        });
+        (sim, s0, s1)
+    }
+
+    fn routed(toward: NodeId) -> Box<Scripted> {
+        Box::new(Scripted {
+            toward: Some(toward),
+            deliver: true,
+            probes: 0,
+        })
+    }
+
+    /// Runs to the end and returns the statistics with the number of
+    /// slots still live.
+    fn run(mut sim: Simulator) -> (SimStats, u64) {
+        sim.run_loop();
+        let live = sim.pool.live();
+        (sim.obs.into_output().stats, live)
+    }
+
+    fn drops(stats: &SimStats, reason: DropReason) -> u64 {
+        stats.drops.get(&reason).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn delivery_frees_the_slot() {
+        let (mut sim, s0, s1) = line(10e9, 1e9);
+        sim.install(s0, routed(s1));
+        sim.install(s1, routed(s0));
+        let (stats, live) = run(sim);
+        assert!(stats.delivered_packets > 80, "{}", stats.delivered_packets);
+        assert!(stats.drops.is_empty(), "{:?}", stats.drops);
+        assert_eq!(live, 0);
+    }
+
+    #[test]
+    fn an_absorbed_probe_frees_the_slot() {
+        let (mut sim, s0, s1) = line(10e9, 1e9);
+        let prober = Scripted {
+            toward: Some(s1),
+            deliver: true,
+            probes: 5,
+        };
+        sim.install(s0, Box::new(prober));
+        sim.install(s1, routed(s0));
+        let (stats, live) = run(sim);
+        let probe_bytes = stats.wire_bytes[&TrafficKind::Probe];
+        assert_eq!(probe_bytes, 5 * PROBE_BASE_BYTES as u64);
+        assert!(stats.drops.is_empty(), "{:?}", stats.drops);
+        assert_eq!(live, 0);
+    }
+
+    #[test]
+    fn no_route_frees_the_slot() {
+        let (mut sim, s0, s1) = line(10e9, 1e9);
+        let lost = Scripted {
+            toward: None,
+            deliver: true,
+            probes: 0,
+        };
+        sim.install(s0, Box::new(lost));
+        sim.install(s1, routed(s0));
+        let (stats, live) = run(sim);
+        assert!(drops(&stats, DropReason::NoRoute) > 80);
+        assert_eq!((stats.delivered_packets, live), (0, 0));
+    }
+
+    #[test]
+    fn a_switch_without_logic_frees_the_slot() {
+        let (mut sim, s0, s1) = line(10e9, 1e9);
+        sim.install(s0, routed(s1));
+        let (stats, live) = run(sim);
+        assert!(drops(&stats, DropReason::NoRoute) > 80);
+        assert_eq!((stats.delivered_packets, live), (0, 0));
+    }
+
+    /// Two switches that hand every datagram back to each other: each
+    /// dies of TTL after `INITIAL_TTL` fabric hops.
+    #[test]
+    fn ttl_expiry_frees_the_slot() {
+        let (mut sim, s0, s1) = line(10e9, 0.1e9);
+        for (sw, peer) in [(s0, s1), (s1, s0)] {
+            let bounce = Scripted {
+                toward: Some(peer),
+                deliver: false,
+                probes: 0,
+            };
+            sim.install(sw, Box::new(bounce));
+        }
+        let (stats, live) = run(sim);
+        let expired = drops(&stats, DropReason::TtlExpired);
+        assert!(expired > 5, "{expired}");
+        let fabric_hops = stats.wire_bytes[&TrafficKind::Udp] / 1_500 - expired;
+        assert_eq!(fabric_hops, expired * INITIAL_TTL as u64);
+        assert_eq!((stats.delivered_packets, live), (0, 0));
+    }
+
+    /// 2 Gbps offered to a 1 Gbps cable that queues ten datagrams.
+    #[test]
+    fn a_full_queue_frees_the_slot() {
+        let (mut sim, s0, s1) = line(1e9, 2e9);
+        sim.install(s0, routed(s1));
+        sim.install(s1, routed(s0));
+        let cable = sim.topo.link_between(s0, s1).unwrap();
+        sim.links[cable.0 as usize].qcap_bytes = 15_000;
+        let (stats, live) = run(sim);
+        assert!(drops(&stats, DropReason::QueueFull) > 50);
+        assert!(stats.delivered_packets > 80);
+        assert_eq!(live, 0);
+    }
+
+    #[test]
+    fn a_down_link_frees_the_slot_at_enqueue() {
+        let (mut sim, s0, s1) = line(10e9, 1e9);
+        sim.install(s0, routed(s1));
+        sim.install(s1, routed(s0));
+        sim.try_fail_link_at(s0, s1, Time::ZERO).unwrap();
+        let (stats, live) = run(sim);
+        assert!(drops(&stats, DropReason::LinkDown) > 80);
+        assert_eq!((stats.delivered_packets, live), (0, 0));
+    }
+
+    /// The cable fails with datagrams queued behind the one on the
+    /// wire: the flush frees the queued slots, the one in flight still
+    /// arrives and is freed by its delivery. 167 datagrams reach s0 6 µs
+    /// apart until 1 ms and the cable takes one every 12 µs from
+    /// 1.7 µs, so at 1.1 ms it has started 92 of them.
+    #[test]
+    fn a_failure_flush_frees_queued_slots_and_spares_the_wire() {
+        let (mut sim, s0, s1) = line(1e9, 2e9);
+        sim.install(s0, routed(s1));
+        sim.install(s1, routed(s0));
+        sim.try_fail_link_at(s0, s1, Time::us(1_100)).unwrap();
+        let (stats, live) = run(sim);
+        assert_eq!(drops(&stats, DropReason::LinkDown), 167 - 92);
+        assert_eq!((stats.delivered_packets, live), (92, 0));
     }
 }

@@ -7,31 +7,36 @@
 use super::{Event, Simulator};
 use crate::link::{DropReason, EnqueueOutcome};
 use crate::observe::Obs;
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Packet, PacketKind, PktRef};
 use crate::stats::TrafficKind;
 use contra_topology::{LinkId, NodeId};
 
 impl Simulator {
-    /// Queues `pkt` on the link `from → to`, starting the serializer if
-    /// idle. Handles TTL decrement on switch-to-switch hops.
-    pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, mut pkt: Packet) {
+    /// Queues the packet in `slot` on the link `from → to`, starting the
+    /// serializer if idle. Decrements its TTL, where it sits, on
+    /// switch-to-switch hops. A packet the link does not take ends here.
+    pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, slot: u32) {
         self.obs.emit(self.now, Obs::Offered);
-        let who = (pkt.id, pkt.is_probe());
         let Some(lid) = self.topo.link_between(from, to) else {
             debug_assert!(false, "no link {from}→{to}");
-            return self.emit_drop(DropReason::NoRoute, who, None, true);
+            return self.drop_slot(slot, DropReason::NoRoute, None, true);
         };
+        let pkt = self.pool.get_mut(slot);
         if self.fabric_link[lid.0 as usize] && !pkt.is_probe() {
             if pkt.ttl == 0 {
-                return self.emit_drop(DropReason::TtlExpired, who, Some(lid), true);
+                return self.drop_slot(slot, DropReason::TtlExpired, Some(lid), true);
             }
             pkt.ttl -= 1;
         }
-        let kind = traffic_kind(&pkt);
+        let kind = traffic_kind(pkt);
         let bytes = pkt.size_bytes;
-        let outcome = self.links[lid.0 as usize].enqueue(pkt, self.now);
+        let queued = PktRef {
+            slot,
+            size_bytes: bytes,
+        };
+        let outcome = self.links[lid.0 as usize].enqueue(queued, self.now);
         if let EnqueueOutcome::Dropped(reason) = outcome {
-            return self.emit_drop(reason, who, Some(lid), true);
+            return self.drop_slot(slot, reason, Some(lid), true);
         }
         // Idle→busy starts a fresh serializer busy period.
         let busy_start = outcome == EnqueueOutcome::StartTx;
@@ -61,18 +66,17 @@ impl Simulator {
         let (from, to) = (l.src, l.dst);
         let arrive_at = self.now + tx + delay;
         if arrive_at > self.cfg.stop_at {
-            // The arrival below is never enqueued: the packet stays in
-            // the pool at end of run by design, not as a leak.
+            // The arrival below is never enqueued: the packet keeps its
+            // slot at end of run by design, not as a leak.
             self.obs.emit(self.now, Obs::StopCut);
         }
-        let slot = self.pool.insert(pkt);
         self.push_arrival(
             arrive_at,
             lid,
             Event::Arrive {
                 node: to,
                 from,
-                pkt: slot,
+                pkt: pkt.slot,
             },
         );
         self.arm_completion(lid);
@@ -116,9 +120,8 @@ impl Simulator {
     /// link epoch advances so in-flight completions are recognized as
     /// stale.
     pub(super) fn take_link_down(&mut self, lid: LinkId) {
-        for pkt in &self.links[lid.0 as usize].set_down() {
-            let who = (pkt.id, pkt.is_probe());
-            self.emit_drop(DropReason::LinkDown, who, Some(lid), true);
+        for pkt in self.links[lid.0 as usize].set_down() {
+            self.drop_slot(pkt.slot, DropReason::LinkDown, Some(lid), true);
         }
         self.obs.emit(self.now, Obs::LinkDown { link: lid.0 });
     }

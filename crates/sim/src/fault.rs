@@ -14,18 +14,20 @@
 //! every [`Obs::Checkpoint`] (each fault epoch and end of run):
 //!
 //! * **Packet conservation** — every packet offered to a link is either
-//!   taken at its arrival, lost to an accounted drop, in the packet
-//!   pool (on the wire), or sitting in a link queue.
-//!   `offered = taken + lost + pool + queued`, at every instant.
+//!   taken at its arrival, lost to an accounted drop, or still holds its
+//!   pool slot, sitting in a link queue or on the wire:
+//!   `offered = taken + lost + queued + on_wire`, where
+//!   `on_wire = pool.live() − queued`, at every instant.
 //! * **Queue occupancy** — per link, `queued_bytes` both matches the
-//!   sum of queued packet sizes and stays within `qcap_bytes`.
-//! * **Pool leak freedom** (end of run) — the only packets left in the
-//!   pool are those whose arrival was scheduled past `stop_at` (the
+//!   sum of queued packet sizes and stays within `qcap_bytes`; every
+//!   queued reference addresses a live slot of that size.
+//! * **Pool leak freedom** (end of run) — the only packets left on the
+//!   wire are those whose arrival was scheduled past `stop_at` (the
 //!   engine never enqueues such events, so they are stranded by
 //!   design, and their count is tracked exactly as `stop_cut`).
-//! * **Trace-table leak freedom** — every live trace belongs to an
-//!   in-flight packet (pool or link queue); packets that died in
-//!   flight must have been forgotten.
+//! * **Trace-table leak freedom** — every live trace belongs to a
+//!   packet that still holds a pool slot; packets that died in flight
+//!   must have been forgotten.
 //!
 //! A fifth check runs at every [`Obs::TxDone`]: a completion carrying
 //! a link's *current* epoch while the link is down would mean an event
@@ -72,14 +74,14 @@ impl std::error::Error for FaultError {}
 pub(crate) struct Auditor {
     /// Packets offered to a link (every hop attempt).
     offered: u64,
-    /// Arrivals realized (successful pool takes).
+    /// Arrivals realized.
     taken: u64,
     /// Packets lost on a link leg: TTL death, missing link, enqueue
     /// rejection, failure flush.
     lost: u64,
-    /// Pool entries whose scheduled arrival lies past `stop_at` — the
-    /// engine never enqueues those events, so the packets legitimately
-    /// remain in the pool at end of run.
+    /// Packets whose scheduled arrival lies past `stop_at` — the engine
+    /// never enqueues those events, so the packets legitimately keep
+    /// their slots at end of run.
     stop_cut: u64,
 }
 
@@ -117,7 +119,17 @@ impl Auditor {
         };
         let mut queued = 0u64;
         for (i, link) in links.iter().enumerate() {
-            let bytes: u64 = link.audit_queue().map(|p| p.size_bytes as u64).sum();
+            let mut bytes = 0u64;
+            for entry in link.audit_queue() {
+                assert!(
+                    pool.get(entry.slot).size_bytes == entry.size_bytes,
+                    "audit[{phase}] at {now}: link {i} queues slot {} as {} bytes",
+                    entry.slot,
+                    entry.size_bytes,
+                );
+                bytes += entry.size_bytes as u64;
+                queued += 1;
+            }
             assert!(
                 bytes == link.queued_bytes() as u64,
                 "audit[{phase}] at {now}: link {i} queued_bytes={} but packets sum to {bytes}",
@@ -129,22 +141,22 @@ impl Auditor {
                 link.queued_bytes(),
                 link.qcap_bytes,
             );
-            queued += link.audit_queue().count() as u64;
         }
-        let in_pool = pool.live();
+        let live = pool.live();
+        let on_wire = live.checked_sub(queued);
         assert!(
-            self.offered == self.taken + self.lost + in_pool + queued,
+            on_wire.is_some_and(|w| self.offered == self.taken + self.lost + queued + w),
             "audit[{phase}] at {now}: packet conservation violated: offered={} \
-             != taken={} + lost={} + pool={in_pool} + queued={queued}",
+             != taken={} + lost={} + pool={live} (queued={queued})",
             self.offered,
             self.taken,
             self.lost,
         );
         if end_of_run {
             assert!(
-                in_pool == self.stop_cut,
-                "audit[{phase}] at {now}: packet pool leaks: {in_pool} live \
-                 entries, {} stranded past stop_at",
+                on_wire == Some(self.stop_cut),
+                "audit[{phase}] at {now}: packet pool leaks: {on_wire:?} slots \
+                 on the wire, {} stranded past stop_at",
                 self.stop_cut,
             );
         }
@@ -153,12 +165,9 @@ impl Auditor {
 
 /// Trace-table leak freedom, checked beside every audited checkpoint of
 /// a traced run: every live trace must belong to a packet that is still
-/// in flight (pool or link queue).
-pub(crate) fn audit_traces(now: Time, links: &[LinkState], pool: &PacketPool, traces: &TraceTable) {
-    let in_flight: std::collections::BTreeSet<u64> = pool
-        .live_ids()
-        .chain(links.iter().flat_map(|l| l.audit_queue().map(|p| p.id)))
-        .collect();
+/// in flight, which is to say in the pool.
+pub(crate) fn audit_traces(now: Time, pool: &PacketPool, traces: &TraceTable) {
+    let in_flight: std::collections::BTreeSet<u64> = pool.live_ids().collect();
     for id in traces.live_ids() {
         assert!(
             in_flight.contains(&id),
@@ -228,9 +237,9 @@ mod tests {
         aud
     }
 
-    /// `offered = taken + lost + pool + queued` from observations alone,
-    /// and only a drop on a link leg counts as lost: a packet a switch
-    /// declined to forward had already been taken.
+    /// `offered = taken + lost + pool` from observations alone, and only
+    /// a drop on a link leg counts as lost: a packet a switch declined
+    /// to forward had already been taken.
     #[test]
     fn conservation_holds_from_observations_alone() {
         let mut pool = PacketPool::default();
@@ -270,6 +279,31 @@ mod tests {
         aud.on(Time::ZERO, &obs);
     }
 
+    /// A slot a link queue refers to is queued, not on the wire: it is
+    /// no leak at end of run, and the reference must describe it.
+    #[test]
+    #[should_panic(expected = "link 0 queues slot 0 as 60 bytes")]
+    fn queued_slots_are_accounted_to_their_queue() {
+        let mut pool = PacketPool::default();
+        let slot = pool.insert(packet(7));
+        let mut link = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
+        let checkpoint = |size_bytes, link: &mut LinkState| {
+            link.enqueue(crate::packet::PktRef { slot, size_bytes }, Time::ZERO);
+            let mut aud = Auditor::default();
+            aud.on(Time::ZERO, &Obs::Offered);
+            let obs = Obs::Checkpoint {
+                end_of_run: true,
+                links: std::slice::from_ref(link),
+                pool: &pool,
+            };
+            aud.on(Time::ZERO, &obs);
+            link.set_down();
+            link.set_up();
+        };
+        checkpoint(100, &mut link);
+        checkpoint(60, &mut link);
+    }
+
     #[test]
     #[should_panic(expected = "TxDone addressed to live epoch 1 of down link 4")]
     fn completion_for_a_dead_epoch_panics() {
@@ -295,6 +329,6 @@ mod tests {
             let node = NodeId(0);
             traces.on(Time::ZERO, &Obs::Visit { pkt, node });
         }
-        audit_traces(Time::ZERO, &[], &pool, &traces);
+        audit_traces(Time::ZERO, &pool, &traces);
     }
 }

@@ -65,8 +65,8 @@ pub use fault::FaultError;
 pub use fx::{fx_mix64, FxBuildHasher, FxHashMap, FxHasher64};
 pub use link::{DropReason, LinkState, UtilEstimator};
 pub use packet::{
-    flow_hash, FlowId, Packet, PacketKind, Probe, EXPIRY_PERIODS, FAILURE_PERIODS, FLOWLET_TIMEOUT,
-    HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES, PROBE_PERIOD,
+    flow_hash, FlowId, Packet, PacketKind, PktRef, Probe, WireSize, EXPIRY_PERIODS,
+    FAILURE_PERIODS, FLOWLET_TIMEOUT, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 pub use recorder::{Recorder, TelemetryConfig};
 pub use sched::{HeapQueue, SchedCounters, SchedEntry, TimingWheel};
@@ -74,7 +74,7 @@ pub use stats::{
     percentile, FaultEpoch, FlowRecord, GoodputDip, QueueSample, SimStats, TrafficKind, WireBytes,
     QUEUE_SAMPLE_CAP,
 };
-pub use switch::{SwitchCtx, SwitchLogic};
+pub use switch::{SwitchCtx, SwitchLogic, Verdict};
 pub use system::{CompileCache, InstallCtx, InstallError, RoutingSystem};
 pub use time::{tx_time, Time};
 pub use trace::TraceTable;
@@ -92,14 +92,13 @@ mod tests {
     }
 
     impl SwitchLogic for StaticLogic {
-        fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, _from: NodeId) {
+        fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, _: NodeId) -> Verdict {
             if pkt.dst_switch == ctx.switch {
-                let host = pkt.dst_host;
-                ctx.send(host, pkt);
+                Verdict::Forward(pkt.dst_host)
             } else if let Some(&nh) = self.next_hop.get(&pkt.dst_switch) {
-                ctx.send(nh, pkt);
+                Verdict::Forward(nh)
             } else {
-                ctx.drop_no_route(pkt);
+                Verdict::NoRoute
             }
         }
     }

@@ -10,7 +10,7 @@
 //! [`LinkState::tx_done`]); a busy period nobody queued behind ends by
 //! the clock, noticed by the next [`LinkState::enqueue`].
 
-use crate::packet::Packet;
+use crate::packet::{PktRef, WireSize};
 use crate::time::{tx_time, Time};
 use std::collections::VecDeque;
 
@@ -87,9 +87,11 @@ pub enum DropReason {
     NoRoute,
 }
 
-/// Runtime state of one directed link.
+/// Runtime state of one directed link. Generic over what it queues,
+/// of which it reads only the wire size ([`WireSize`]): the engine's
+/// links queue [`PktRef`] pool slots, the default.
 #[derive(Debug)]
-pub struct LinkState {
+pub struct LinkState<P = PktRef> {
     /// Capacity (bits/second), copied from the topology.
     pub bandwidth_bps: f64,
     /// One-way propagation delay.
@@ -97,7 +99,7 @@ pub struct LinkState {
     /// Queue capacity in bytes.
     pub qcap_bytes: u32,
     /// Queued packets (head is next to transmit).
-    queue: VecDeque<Packet>,
+    queue: VecDeque<P>,
     /// Bytes of packets whose serialization has not started (drop-tail
     /// capacity and queue-occupancy sampling both measure this).
     queued_bytes: u32,
@@ -148,9 +150,9 @@ pub enum EnqueueOutcome {
     Dropped(DropReason),
 }
 
-impl LinkState {
+impl<P: WireSize> LinkState<P> {
     /// Fresh link state.
-    pub fn new(bandwidth_bps: f64, delay: Time, qcap_bytes: u32, tau: Time) -> LinkState {
+    pub fn new(bandwidth_bps: f64, delay: Time, qcap_bytes: u32, tau: Time) -> LinkState<P> {
         LinkState {
             bandwidth_bps,
             delay,
@@ -185,7 +187,7 @@ impl LinkState {
     }
 
     /// Offers a packet to the queue at `now`.
-    pub fn enqueue(&mut self, pkt: Packet, now: Time) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, pkt: P, now: Time) -> EnqueueOutcome {
         if !self.up {
             self.drops += 1;
             return EnqueueOutcome::Dropped(DropReason::LinkDown);
@@ -196,11 +198,12 @@ impl LinkState {
         if self.busy && !self.armed && now > self.busy_until {
             self.busy = false;
         }
-        if self.queued_bytes + pkt.size_bytes > self.qcap_bytes {
+        let bytes = pkt.wire_bytes();
+        if self.queued_bytes + bytes > self.qcap_bytes {
             self.drops += 1;
             return EnqueueOutcome::Dropped(DropReason::QueueFull);
         }
-        self.queued_bytes += pkt.size_bytes;
+        self.queued_bytes += bytes;
         self.queue.push_back(pkt);
         if self.busy {
             EnqueueOutcome::Queued
@@ -213,15 +216,16 @@ impl LinkState {
     /// Begins serializing the head packet at `now`. Returns the packet and
     /// its transmission time; the caller schedules arrival (`+ delay`) and
     /// asks [`LinkState::arm_completion`] whether anyone waits for the end.
-    pub fn start_tx(&mut self, now: Time) -> Option<(Packet, Time)> {
+    pub fn start_tx(&mut self, now: Time) -> Option<(P, Time)> {
         debug_assert!(self.busy);
         let pkt = self.queue.pop_front()?;
-        self.queued_bytes -= pkt.size_bytes;
+        let bytes = pkt.wire_bytes();
+        self.queued_bytes -= bytes;
         if self.track_util {
-            self.estimator.on_tx(pkt.size_bytes, now);
+            self.estimator.on_tx(bytes, now);
         }
-        self.bytes_tx += pkt.size_bytes as u64;
-        let t = self.tx_of(pkt.size_bytes);
+        self.bytes_tx += bytes as u64;
+        let t = self.tx_of(bytes);
         self.busy_until = now + t;
         Some((pkt, t))
     }
@@ -252,7 +256,7 @@ impl LinkState {
     /// Takes the link down, discarding every packet whose serialization
     /// had not started. Returns the flushed packets so the caller can
     /// account the drops.
-    pub fn set_down(&mut self) -> VecDeque<Packet> {
+    pub fn set_down(&mut self) -> VecDeque<P> {
         self.up = false;
         self.busy = false;
         self.armed = false;
@@ -283,7 +287,7 @@ impl LinkState {
     }
 
     /// Queued packets (auditor view).
-    pub(crate) fn audit_queue(&self) -> impl Iterator<Item = &Packet> {
+    pub(crate) fn audit_queue(&self) -> impl Iterator<Item = &P> {
         self.queue.iter()
     }
 }
@@ -291,7 +295,7 @@ impl LinkState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, PacketKind, INITIAL_TTL};
+    use crate::packet::{FlowId, Packet, PacketKind, INITIAL_TTL};
     use contra_topology::NodeId;
 
     fn pkt(size: u32) -> Packet {
@@ -363,7 +367,7 @@ mod tests {
 
     /// One packet in service until 1.2 µs, nothing behind it, no completion
     /// armed: what the next packet finds depends on the clock alone.
-    fn serving_one() -> LinkState {
+    fn serving_one() -> LinkState<Packet> {
         let mut l = LinkState::new(10e9, Time::us(1), 10_000, Time::us(100));
         assert_eq!(l.enqueue(pkt(1_500), Time::ZERO), EnqueueOutcome::StartTx);
         assert_eq!(l.start_tx(Time::ZERO).unwrap().1, Time::ns(1_200));

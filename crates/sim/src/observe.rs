@@ -39,7 +39,7 @@ pub enum Obs<'a> {
         link: u32,
         busy_start: bool,
     },
-    /// An arrival was realized: the packet left the in-flight pool.
+    /// An arrival was realized: the packet left the wire.
     Taken,
     /// A routed payload packet or ACK arrived at switch `node`.
     Visit { pkt: u64, node: NodeId },
@@ -76,7 +76,7 @@ pub enum Obs<'a> {
     /// A fault event is about to change link state: an epoch opens.
     FaultEpoch { label: &'a str, down: bool },
     /// A packet's arrival lies past `stop_at` and is never scheduled, so
-    /// it stays in the pool at end of run by design.
+    /// it keeps its pool slot at end of run by design.
     StopCut,
     /// A serializer completion addressed to `epoch` fired on `state`.
     TxDone {
@@ -164,10 +164,10 @@ impl Observers {
         self.telem.on(now, &obs);
         // The one read across observers: a traced packet that is no
         // longer in flight is a leak only the auditor can call out.
-        if let (Obs::Checkpoint { links, pool, .. }, Some(_), Some(traces)) =
+        if let (Obs::Checkpoint { pool, .. }, Some(_), Some(traces)) =
             (obs, &self.audit, &self.traces)
         {
-            audit_traces(now, links, pool, traces);
+            audit_traces(now, pool, traces);
         }
     }
 

@@ -113,9 +113,44 @@ impl Packet {
     }
 }
 
-/// Slab of packets on the wire, referenced by their scheduled arrival
-/// events. Slots are recycled LIFO, so the working set stays
-/// cache-resident.
+/// What measures a queued item for a link: its size on the wire. The
+/// link layer needs nothing else of what it queues, so it is generic
+/// over this one method — the engine queues [`PktRef`]s, while unit
+/// tests and micro-benchmarks drive a link with whole [`Packet`]s.
+pub trait WireSize {
+    /// Wire size in bytes (headers included).
+    fn wire_bytes(&self) -> u32;
+}
+
+impl WireSize for Packet {
+    #[inline]
+    fn wire_bytes(&self) -> u32 {
+        self.size_bytes
+    }
+}
+
+/// A packet as the engine's link queues hold it: its [`PacketPool`]
+/// slot, plus the one field a serializer reads, so queueing and
+/// serializing never touch the packet itself. Exists because a link
+/// moves what it queues twice per hop — 8 bytes instead of a 104-byte
+/// [`Packet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PktRef {
+    pub(crate) slot: u32,
+    pub(crate) size_bytes: u32,
+}
+
+impl WireSize for PktRef {
+    #[inline]
+    fn wire_bytes(&self) -> u32 {
+        self.size_bytes
+    }
+}
+
+/// The single home of every packet in the network: a slot is written
+/// once, when the packet is minted, and freed once, where the packet
+/// ends; link queues, arrival events and switch handlers pass the slot.
+/// Slots are recycled LIFO, so the working set stays cache-resident.
 #[derive(Debug, Default)]
 pub struct PacketPool {
     slots: Vec<Option<Packet>>,
@@ -140,18 +175,33 @@ impl PacketPool {
         }
     }
 
-    /// Removes and returns the packet in `slot`.
+    /// The packet in `slot`.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32) -> Packet {
-        let pkt = self.slots[slot as usize]
-            .take()
-            .expect("an arrival addresses a live slot exactly once");
+    pub(crate) fn get(&self, slot: u32) -> &Packet {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a slot is read only between its mint and its free")
+    }
+
+    /// The packet in `slot`, for the in-place rewrites of a hop (TTL,
+    /// `tag`/`pid`).
+    #[inline]
+    pub(crate) fn get_mut(&mut self, slot: u32) -> &mut Packet {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("a slot is written only between its mint and its free")
+    }
+
+    /// Ends the packet in `slot`; the slot is recycled.
+    #[inline]
+    pub(crate) fn free(&mut self, slot: u32) {
+        let ended = self.slots[slot as usize].take();
+        assert!(ended.is_some(), "a slot is freed exactly once");
         self.free.push(slot);
-        pkt
     }
 
     /// Number of live packets (auditor view; off the hot path, so a scan
-    /// beats carrying a counter every insert/take).
+    /// beats carrying a counter every insert/free).
     pub(crate) fn live(&self) -> u64 {
         self.slots.iter().flatten().count() as u64
     }
@@ -209,6 +259,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A queued packet costs a link 8 bytes per move; a `Packet` that
+    /// grows is paid for at every mint and in every pool slot.
+    #[test]
+    fn per_packet_types_stay_small() {
+        assert_eq!(std::mem::size_of::<PktRef>(), 8);
+        assert!(std::mem::size_of::<Packet>() <= 104);
+        assert!(std::mem::size_of::<Option<Packet>>() <= 104);
     }
 
     #[test]

@@ -3,22 +3,44 @@
 //!
 //! A [`SwitchLogic`] is the software analogue of one switch's P4 program:
 //! it sees packets with their ingress neighbor, reads local egress-port
-//! utilizations (the hardware counters a Tofino exposes), and emits packets
-//! on chosen ports. It deliberately has *no* global view — exactly the
-//! constraint the paper's protocol designs around.
+//! utilizations (the hardware counters a Tofino exposes), and picks a
+//! port. It deliberately has *no* global view — exactly the constraint
+//! the paper's protocol designs around.
+//!
+//! Like `SWIFORWARDPKT` (Fig 7), a handler never copies a packet to
+//! forward it: the engine lends the packet where it sits, the handler
+//! rewrites header fields in place and returns a [`Verdict`]. Only
+//! packets a switch *originates* (probes) are built and handed over, by
+//! [`SwitchCtx::send`].
 
 use crate::link::LinkState;
 use crate::packet::Packet;
 use crate::time::Time;
 use contra_topology::{NodeId, Topology};
 
+/// What a switch decided for the packet it was lent. Returned, not
+/// enacted through the context, so the packet never leaves its slot and
+/// the engine holds every system's forwarding decision at one site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use = "the engine enacts the verdict; dropping it strands the packet"]
+pub enum Verdict {
+    /// Transmit the packet, as the handler left it, to this directly
+    /// connected neighbor (switch or host).
+    Forward(NodeId),
+    /// The packet ends here, absorbed by the switch (a probe).
+    Consume,
+    /// No usable route existed: the packet is dropped and counted.
+    NoRoute,
+}
+
 /// Per-switch dataplane logic. The engine owns each installed program
 /// as a `Box<dyn SwitchLogic>`, so implementations own their tables.
 pub trait SwitchLogic {
     /// Handles a packet arriving from neighbor `from` (a switch or an
-    /// attached host). Forwarding decisions are made by calling
-    /// [`SwitchCtx::send`].
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, from: NodeId);
+    /// attached host): rewrites its header in place (`tag`, `pid`) and
+    /// says what becomes of it. Packets originated along the way go out
+    /// through [`SwitchCtx::send`], after the lent one.
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, from: NodeId) -> Verdict;
 
     /// Periodic timer (probe generation). Called every
     /// [`SwitchLogic::tick_interval`] if one is declared.
@@ -69,16 +91,11 @@ pub struct SwitchCtx<'a> {
     pub now: Time,
     pub(crate) topo: &'a Topology,
     pub(crate) links: &'a [LinkState],
-    /// Collected sends, applied by the engine after the handler returns.
+    /// Originated packets, transmitted by the engine after the handler
+    /// returns.
     pub(crate) out: Vec<(NodeId, Packet)>,
     /// Loop-break events reported by the logic (§5.5 statistics).
     pub(crate) loop_breaks: u64,
-    /// Packets the logic declined to forward (no usable entry) — the id
-    /// (not just a count, so the engine can release side-table traces)
-    /// plus whether the packet was a probe (probe losses are routine
-    /// during failures and excluded from convergence telemetry). Empty
-    /// in steady state, so it never allocates there.
-    pub(crate) no_route: Vec<(u64, bool)>,
 }
 
 impl<'a> SwitchCtx<'a> {
@@ -100,7 +117,6 @@ impl<'a> SwitchCtx<'a> {
             links,
             out,
             loop_breaks: 0,
-            no_route: Vec::new(),
         }
     }
 
@@ -123,8 +139,9 @@ impl<'a> SwitchCtx<'a> {
         std::mem::take(&mut self.out)
     }
 
-    /// Emits `pkt` toward the directly connected `next` (switch or host).
-    /// The packet is queued on the egress link after the handler returns.
+    /// Originates `pkt` toward the directly connected `next` (switch or
+    /// host). It is queued on the egress link after the handler returns.
+    /// A packet being forwarded is not sent: see [`Verdict::Forward`].
     pub fn send(&mut self, next: NodeId, pkt: Packet) {
         debug_assert!(
             self.topo.link_between(self.switch, next).is_some(),
@@ -133,15 +150,6 @@ impl<'a> SwitchCtx<'a> {
             next
         );
         self.out.push((next, pkt));
-    }
-
-    /// Declares that no usable route existed for a packet (it is dropped
-    /// and counted).
-    pub fn drop_no_route(&mut self, pkt: Packet) {
-        self.no_route.push((
-            pkt.id,
-            matches!(pkt.kind, crate::packet::PacketKind::Probe(_)),
-        ));
     }
 
     /// Records a flowlet loop-break event (§5.5).

@@ -8,6 +8,7 @@
 
 use contra_sim::{
     DropReason, FaultError, FlowSpec, Packet, SimConfig, Simulator, SwitchCtx, SwitchLogic, Time,
+    Verdict,
 };
 use contra_topology::{paths, NodeId, Topology};
 
@@ -18,14 +19,13 @@ struct StaticLogic {
 }
 
 impl SwitchLogic for StaticLogic {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, _from: NodeId) {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: &mut Packet, _: NodeId) -> Verdict {
         if pkt.dst_switch == ctx.switch {
-            let host = pkt.dst_host;
-            ctx.send(host, pkt);
+            Verdict::Forward(pkt.dst_host)
         } else if let Some(&nh) = self.next_hop.get(&pkt.dst_switch) {
-            ctx.send(nh, pkt);
+            Verdict::Forward(nh)
         } else {
-            ctx.drop_no_route(pkt);
+            Verdict::NoRoute
         }
     }
 }
@@ -70,7 +70,10 @@ fn bottleneck() -> Topology {
 /// and **7 are unstarted**. After the failure, ACKs of the surviving
 /// deliveries clock out 3 more transmissions that die at the down
 /// cable's `enqueue`, for 10 `LinkDown` drops in total — the run stopped
-/// at the failure instant shows the flush alone is 7.
+/// at the failure instant shows the flush alone is 7. Both runs are
+/// audited: at the fault the seven flushed slots are free again while the
+/// packet on the wire keeps its own, and at the end nothing holds a slot
+/// but what `stop_at` cut.
 #[test]
 fn mid_burst_failure_counts_linkdown_drops() {
     let run = |stop_at: Time| {
@@ -83,6 +86,7 @@ fn mid_burst_failure_counts_linkdown_drops() {
             topo,
             SimConfig {
                 stop_at,
+                audit: true,
                 ..SimConfig::default()
             },
         );
