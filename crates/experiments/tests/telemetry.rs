@@ -141,8 +141,15 @@ fn same_seed_exports_are_byte_identical() {
 /// would not notice two events swapping places inside one instant, or
 /// a hook that stopped firing; this does. Captured at the last commit
 /// with four hand-threaded observers, before the engine moved to one
-/// observation seam. Regenerate (only for an *intentional* change of
-/// what the recorder captures) with:
+/// observation seam, and re-captured once since: a cadence sample is
+/// taken at the first event at or past its boundary, and when the
+/// engine stopped scheduling superseded RTO checks five boundaries lost
+/// theirs. Those 47 `link` and `churn` samples moved to the next
+/// event's instant and the `events_processed` series counts fewer
+/// events; the other 93,982 trace events, every `cwnd` point among
+/// them, kept their bytes and their order, as did the run's
+/// statistics. Regenerate (only for an *intentional* change of what
+/// the recorder captures) with:
 /// `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test telemetry -- --nocapture`
 #[test]
 fn export_fingerprint_is_pinned() {
@@ -164,7 +171,7 @@ fn export_fingerprint_is_pinned() {
     }
     assert_eq!(
         got,
-        "trace=30a0d4709de5ba4f jsonl=8d42311c3027dadc csv=42ed504349ff14af"
+        "trace=69bc1c6d7601efcf jsonl=05cd137e542dc37e csv=f09934cec9243ed8"
     );
 }
 

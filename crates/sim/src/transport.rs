@@ -65,7 +65,8 @@ pub enum TransportTimer {
     Rto {
         /// Flow index.
         flow: u32,
-        /// Arm generation; stale checks are ignored.
+        /// Generation of the check; one superseded by an earlier check
+        /// is ignored.
         epoch: u64,
     },
     /// Next UDP datagram.
@@ -127,6 +128,13 @@ struct FlowState {
     srtt: Option<f64>,
     rttvar: f64,
     rto: Time,
+    /// When the flow times out unless re-armed: the last arm's instant
+    /// plus the RTO of that instant.
+    rto_deadline: Time,
+    /// When the one pending deadline check fires (never past
+    /// `rto_deadline`), if one is pending.
+    rto_check_at: Option<Time>,
+    /// Generation of the pending check.
     rto_epoch: u64,
     finished: bool,
     retransmits: u64,
@@ -140,6 +148,20 @@ struct FlowState {
 impl FlowState {
     fn inflight(&self) -> u32 {
         self.next_seq.saturating_sub(self.cum_acked)
+    }
+
+    /// Pushes the deadline check, at the deadline; a new epoch retires
+    /// the later check it may take over from.
+    fn push_rto_check(&mut self, flow: u32, fx: &mut TransportFx) {
+        self.rto_epoch += 1;
+        self.rto_check_at = Some(self.rto_deadline);
+        fx.push(TransportEffect::Timer {
+            at: self.rto_deadline,
+            timer: TransportTimer::Rto {
+                flow,
+                epoch: self.rto_epoch,
+            },
+        });
     }
 }
 
@@ -222,6 +244,8 @@ impl Transport {
             srtt: None,
             rttvar: 0.0,
             rto: Time(self.min_rto.0 * 3),
+            rto_deadline: Time::ZERO,
+            rto_check_at: None,
             rto_epoch: 0,
             finished: false,
             retransmits: 0,
@@ -376,14 +400,20 @@ impl Transport {
         }
     }
 
-    /// RTO deadline: on a live epoch, multiplicative back-off and
-    /// go-back-N from the hole.
+    /// RTO deadline check of a live epoch. One that fires before the
+    /// deadline (ACKs re-armed the flow since it was pushed) re-arms
+    /// itself at the deadline; one at the deadline is the timeout:
+    /// multiplicative back-off and go-back-N from the hole.
     pub fn on_rto(&mut self, flow: u32, epoch: u64, now: Time, fx: &mut TransportFx) {
         let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
         };
         if f.finished || f.rto_epoch != epoch {
             return;
+        }
+        f.rto_check_at = None;
+        if now < f.rto_deadline {
+            return f.push_rto_check(flow, fx);
         }
         f.ssthresh = (f.cwnd / 2.0).max(2.0);
         f.cwnd = INIT_CWND.min(2.0);
@@ -467,6 +497,12 @@ impl Transport {
         }
     }
 
+    /// Restarts the retransmission timer: the flow now times out at
+    /// `now + rto`. At most one deadline check is pending per flow, so a
+    /// timer is pushed only when none is, or when the new deadline is
+    /// earlier than the pending check (the initial `3 × min_rto` shrinks
+    /// after the first RTT sample) — the pending check re-arms itself
+    /// when it fires early ([`Transport::on_rto`]).
     fn arm_rto(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
         let Some(f) = self.flows.get_mut(flow as usize) else {
             return;
@@ -474,12 +510,10 @@ impl Transport {
         if f.finished || !matches!(f.kind, FlowKind::Tcp) {
             return;
         }
-        f.rto_epoch += 1;
-        let epoch = f.rto_epoch;
-        fx.push(TransportEffect::Timer {
-            at: now + f.rto,
-            timer: TransportTimer::Rto { flow, epoch },
-        });
+        f.rto_deadline = now + f.rto;
+        if f.rto_check_at.is_none_or(|at| f.rto_deadline < at) {
+            f.push_rto_check(flow, fx);
+        }
     }
 }
 
@@ -522,5 +556,113 @@ fn mk_packet(
         pid: 0,
         ttl: INITIAL_TTL,
         flow_hash: hash,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MIN_RTO: Time = Time::ms(1);
+
+    /// One TCP flow driven by hand: the caller plays the network and the
+    /// event queue, keeping the deadline checks the transport pushes.
+    struct Rig {
+        transport: Transport,
+        stats: SimStats,
+        /// Pushed deadline checks that have not fired, as `(at, epoch)`.
+        checks: Vec<(Time, u64)>,
+    }
+
+    impl Rig {
+        /// Starts a 100-segment flow at time zero.
+        fn start() -> Rig {
+            let mut t = Topology::builder();
+            let (s, a, b) = (t.switch("s"), t.host("a"), t.host("b"));
+            t.biline(a, s, 10e9, 500);
+            t.biline(b, s, 10e9, 500);
+            let mut rig = Rig {
+                transport: Transport::new(MIN_RTO),
+                stats: SimStats::new(Time::ms(1)),
+                checks: Vec::new(),
+            };
+            let spec = FlowSpec::Tcp {
+                src: a,
+                dst: b,
+                bytes: 100 * MSS as u64,
+                start: Time::ZERO,
+            };
+            rig.transport.add_flow(spec, &t.build(), &mut rig.stats);
+            rig.step(|tr, fx, _| tr.start_flow(0, Time::ZERO, fx));
+            rig
+        }
+
+        /// One transport action; keeps the checks it pushed and holds
+        /// the flow to at most one live check.
+        fn step(&mut self, act: impl FnOnce(&mut Transport, &mut TransportFx, &mut SimStats)) {
+            let mut fx = TransportFx::new();
+            act(&mut self.transport, &mut fx, &mut self.stats);
+            for effect in fx {
+                if let TransportEffect::Timer { at, timer } = effect {
+                    let TransportTimer::Rto { epoch, .. } = timer else {
+                        panic!("a TCP flow arms no other timer");
+                    };
+                    self.checks.push((at, epoch));
+                }
+            }
+            let live_epoch = self.transport.flows[0].rto_epoch;
+            let live = self.checks.iter().filter(|c| c.1 == live_epoch);
+            assert!(live.count() <= 1, "{:?}", self.checks);
+        }
+
+        /// A cumulative ACK of `ack_seq` arriving at `now`, its segment
+        /// sent `rtt` earlier.
+        fn ack(&mut self, ack_seq: u32, now: Time, rtt: Time) {
+            let sent = now.saturating_sub(rtt);
+            self.step(|tr, fx, stats| tr.on_ack(0, ack_seq, sent, now, fx, stats));
+        }
+
+        /// Fires pending checks in time order until one is the timeout;
+        /// returns its instant.
+        fn run_to_timeout(&mut self) -> Time {
+            loop {
+                self.checks.sort();
+                assert!(!self.checks.is_empty(), "a live flow always has a check");
+                let (at, epoch) = self.checks.remove(0);
+                self.step(|tr, fx, _| tr.on_rto(0, epoch, at, fx));
+                if self.transport.flows[0].retransmits > 0 {
+                    return at;
+                }
+            }
+        }
+    }
+
+    /// A train of ACKs re-arms the flow forty times and pushes no timer
+    /// after the first RTT sample; the flow times out at the instant the
+    /// last ACK's arm set, not at any earlier check.
+    #[test]
+    fn ack_train_times_out_at_last_arm_plus_rto() {
+        let mut rig = Rig::start();
+        for k in 1..=40u32 {
+            rig.ack(k, Time::us(100 * k as u64), Time::us(100));
+        }
+        // 3 × min_rto at the start, then 0.1 ms + min_rto after the
+        // first sample shrank the RTO to its floor.
+        assert_eq!(rig.checks, [(Time::ms(3), 1), (Time::us(1_100), 2)]);
+        assert_eq!(rig.run_to_timeout(), Time::us(4_000) + MIN_RTO);
+        // Four checks pushed in all, where every ACK used to push one:
+        // those two, the early one's re-arm, and the timeout's own.
+        assert_eq!(rig.transport.flows[0].rto_epoch, 4);
+    }
+
+    /// The first RTT sample shrinks the RTO below the initial
+    /// `3 × min_rto`: the earlier deadline gets its own check and fires
+    /// first.
+    #[test]
+    fn a_shrinking_rto_fires_at_the_earlier_deadline() {
+        let mut rig = Rig::start();
+        assert_eq!(rig.checks, [(Time::ms(3), 1)]);
+        rig.ack(1, Time::us(100), Time::us(100));
+        assert_eq!(rig.run_to_timeout(), Time::us(100) + MIN_RTO);
     }
 }
