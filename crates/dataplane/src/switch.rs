@@ -291,6 +291,9 @@ impl ContraSwitch {
             tag: n,
             pid: p.pid,
         };
+        // Ranked at most once: against the incumbent's stored key when it
+        // comes to that, else when the row is written.
+        let mut retention = None;
         let accept = match self.fwdt.get(&key) {
             None => true,
             Some(e) => {
@@ -308,15 +311,16 @@ impl ContraSwitch {
                     // this code accepted any newer-version probe and paid
                     // for it in transient loops and reordering every round.
                     true
-                } else if self.retention_key(p.pid, &mv) < self.retention_key(p.pid, &e.mv) {
-                    // Strict improvement (Fig 7's f-comparison, with the
-                    // hop-count tie-break).
-                    true
                 } else {
-                    // Last resort: the incumbent has gone silent or the
-                    // entry has outlived the metric-expiration window —
-                    // accept whatever is fresh (§5.4).
-                    self.nhop_failed(e.nhop, now) || now.saturating_sub(e.updated) > self.expiry()
+                    // Strict improvement (Fig 7's f-comparison, with the
+                    // hop-count tie-break) or, as a last resort, an
+                    // incumbent that has gone silent or outlived the
+                    // metric-expiration window — accept whatever is
+                    // fresh (§5.4).
+                    let ours = retention.insert(self.retention_key(p.pid, &mv));
+                    *ours < e.retention
+                        || self.nhop_failed(e.nhop, now)
+                        || now.saturating_sub(e.updated) > self.expiry()
                 }
             }
         };
@@ -324,10 +328,12 @@ impl ContraSwitch {
             return;
         }
         self.table_updates += 1;
+        let retention = retention.unwrap_or_else(|| self.retention_key(p.pid, &mv));
         self.fwdt.insert(
             key,
             FwdEntry {
                 mv,
+                retention,
                 ntag: VNodeId(p.tag),
                 nhop: from,
                 version: p.version,

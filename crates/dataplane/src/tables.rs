@@ -18,7 +18,7 @@
 //! [`crate::DataplaneConfig::flowlet_slots`], the loop table by
 //! [`DEFAULT_LOOP_SLOTS`]).
 
-use contra_core::{MetricVec, VNodeId};
+use contra_core::{MetricVec, Rank, VNodeId};
 use contra_sim::{FxHasher64, Time};
 use contra_topology::NodeId;
 use std::hash::Hasher;
@@ -40,6 +40,10 @@ pub struct FwdKey {
 pub struct FwdEntry {
     /// Metric vector of the best known path through `nhop`.
     pub mv: MetricVec,
+    /// The row's retention order — the subpolicy's rank of `mv`, then
+    /// its hop count — kept beside it because every same-version probe
+    /// is compared against the incumbent's, and most lose.
+    pub retention: (Rank, u64),
     /// Tag to write into packets before sending (the next switch's vnode).
     pub ntag: VNodeId,
     /// The next hop itself.
@@ -515,6 +519,7 @@ mod tests {
         let mut t = FwdTable::default();
         let e = FwdEntry {
             mv: MetricVec::zero(),
+            retention: (Rank::scalar(0.0), 0),
             ntag: VNodeId(0),
             nhop: NodeId(9),
             version: 1,
@@ -534,6 +539,7 @@ mod tests {
         let mut t = FwdTable::default();
         let e = FwdEntry {
             mv: MetricVec::zero(),
+            retention: (Rank::scalar(0.0), 0),
             ntag: VNodeId(0),
             nhop: NodeId(9),
             version: 1,
@@ -554,6 +560,7 @@ mod tests {
         let mut t = FwdTable::default();
         let mut e = FwdEntry {
             mv: MetricVec::zero(),
+            retention: (Rank::scalar(0.0), 0),
             ntag: VNodeId(0),
             nhop: NodeId(9),
             version: 1,
