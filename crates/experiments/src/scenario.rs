@@ -10,13 +10,71 @@ use crate::fault::{FaultCmd, FaultPlan, FaultTarget};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use crate::sweep::SweepSpec;
 use contra_sim::{
-    CompileCache, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig, Simulator, Time,
+    CompileCache, FaultError, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig,
+    Simulator, Time,
 };
 use contra_topology::{generators, NodeId, Topology};
 use contra_workloads::{cache, poisson_flows, web_search, EmpiricalCdf, PairPolicy, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// Why a scenario did not run. The two fault-plan variants name the
+/// scenario by its label and display as the panics they replace.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// The routing system could not be installed.
+    Install(InstallError),
+    /// The fault plan names a node the topology does not have.
+    UnknownNode {
+        /// The scenario's label.
+        scenario: String,
+        /// The name as given.
+        name: String,
+    },
+    /// The engine rejected a fault command: its nodes exist, the cable
+    /// between them does not.
+    Fault {
+        /// The scenario's label.
+        scenario: String,
+        /// The rejected command.
+        cmd: FaultCmd,
+        /// The engine's reason.
+        error: FaultError,
+    },
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::Install(e) => e.fmt(f),
+            ScenarioError::UnknownNode { scenario, name } => {
+                write!(f, "scenario {scenario}: no node named {name:?}")
+            }
+            ScenarioError::Fault {
+                scenario,
+                cmd,
+                error,
+            } => write!(f, "scenario {scenario}: {error} ({cmd})"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ScenarioError::Install(e) => Some(e),
+            ScenarioError::Fault { error, .. } => Some(error),
+            ScenarioError::UnknownNode { .. } => None,
+        }
+    }
+}
+
+impl From<InstallError> for ScenarioError {
+    fn from(e: InstallError) -> ScenarioError {
+        ScenarioError::Install(e)
+    }
+}
 
 /// Which flow-size distribution Poisson traffic draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,22 +474,26 @@ impl Scenario {
     // ---- execution ------------------------------------------------------
 
     /// Runs the scenario under `system`, panicking on installation
-    /// failure (policy texts in experiment code are trusted input).
+    /// failure or a fault plan that does not fit the topology (policy
+    /// texts and plans in experiment code are trusted input).
     pub fn run(&self, system: &dyn RoutingSystem) -> RunResult {
-        self.try_run(system)
-            .unwrap_or_else(|e| panic!("installing {}: {e}", system.name()))
+        self.run_cached(system, &CompileCache::new())
     }
 
-    /// Runs the scenario, surfacing installation errors.
-    pub fn try_run(&self, system: &dyn RoutingSystem) -> Result<RunResult, InstallError> {
+    /// Runs the scenario, surfacing installation and fault-plan errors.
+    pub fn try_run(&self, system: &dyn RoutingSystem) -> Result<RunResult, ScenarioError> {
         self.try_run_cached(system, &CompileCache::new())
     }
 
     /// Runs with a caller-provided compile cache (sweeps share one so
-    /// each distinct policy compiles once). Panics on install failure.
+    /// each distinct policy compiles once). Panics where
+    /// [`Scenario::try_run_cached`] returns an error.
     pub fn run_cached(&self, system: &dyn RoutingSystem, cache: &CompileCache) -> RunResult {
         self.try_run_cached(system, cache)
-            .unwrap_or_else(|e| panic!("installing {}: {e}", system.name()))
+            .unwrap_or_else(|e| match e {
+                ScenarioError::Install(e) => panic!("installing {}: {e}", system.name()),
+                plan => panic!("{plan}"),
+            })
     }
 
     /// Fallible form of [`Scenario::run_cached`].
@@ -439,14 +501,14 @@ impl Scenario {
         &self,
         system: &dyn RoutingSystem,
         cache: &CompileCache,
-    ) -> Result<RunResult, InstallError> {
+    ) -> Result<RunResult, ScenarioError> {
         let topo = &self.topology;
         // Chaos processes expand here, before the simulator exists: the
         // run consumes only the explicit list, so a replay (same
         // scenario value) is byte-identical and a failing plan can be
         // dumped and re-run verbatim.
         let faults = self.resolved_faults();
-        let failed = self.final_down_cables(&faults);
+        let failed = self.final_down_cables(&faults)?;
 
         let cfg = SimConfig {
             stop_at: self.duration + self.drain,
@@ -488,15 +550,19 @@ impl Scenario {
         for c in &faults {
             let res = match (&c.target, c.up) {
                 (FaultTarget::Cable(a, b), false) => {
-                    sim.try_fail_link_at(self.find(a), self.find(b), c.at)
+                    sim.try_fail_link_at(self.find(a)?, self.find(b)?, c.at)
                 }
                 (FaultTarget::Cable(a, b), true) => {
-                    sim.try_recover_link_at(self.find(a), self.find(b), c.at)
+                    sim.try_recover_link_at(self.find(a)?, self.find(b)?, c.at)
                 }
-                (FaultTarget::Node(n), false) => sim.try_fail_node_at(self.find(n), c.at),
-                (FaultTarget::Node(n), true) => sim.try_recover_node_at(self.find(n), c.at),
+                (FaultTarget::Node(n), false) => sim.try_fail_node_at(self.find(n)?, c.at),
+                (FaultTarget::Node(n), true) => sim.try_recover_node_at(self.find(n)?, c.at),
             };
-            res.unwrap_or_else(|e| panic!("scenario {}: {e}", self.label));
+            res.map_err(|error| ScenarioError::Fault {
+                scenario: self.label.clone(),
+                cmd: c.clone(),
+                error,
+            })?;
         }
         for f in self.generated_flows() {
             sim.add_flow(f);
@@ -568,7 +634,10 @@ impl Scenario {
     /// order with the engine's semantics — a node transition moves every
     /// incident cable, later commands override earlier ones — ignoring
     /// commands past the stop instant, which the engine never processes.
-    fn final_down_cables(&self, faults: &[FaultCmd]) -> Vec<(NodeId, NodeId)> {
+    fn final_down_cables(
+        &self,
+        faults: &[FaultCmd],
+    ) -> Result<Vec<(NodeId, NodeId)>, ScenarioError> {
         let stop = self.duration + self.drain;
         let mut state: std::collections::BTreeMap<(NodeId, NodeId), bool> =
             std::collections::BTreeMap::new();
@@ -576,26 +645,37 @@ impl Scenario {
         for c in faults.iter().filter(|c| c.at <= stop) {
             match &c.target {
                 FaultTarget::Cable(a, b) => {
-                    state.insert(canon(self.find(a), self.find(b)), !c.up);
+                    state.insert(canon(self.find(a)?, self.find(b)?), !c.up);
                 }
                 FaultTarget::Node(n) => {
-                    let n = self.find(n);
+                    let n = self.find(n)?;
                     for &(nbr, _) in self.topology.adjacency(n) {
                         state.insert(canon(n, nbr), !c.up);
                     }
                 }
             }
         }
-        state
+        let down = state
             .into_iter()
-            .filter_map(|(cable, down)| down.then_some(cable))
-            .collect()
+            .filter_map(|(cable, down)| down.then_some(cable));
+        Ok(down.collect())
     }
 
-    fn find(&self, name: &str) -> NodeId {
-        self.topology
-            .find(name)
-            .unwrap_or_else(|| panic!("scenario {}: no node named {name:?}", self.label))
+    fn find(&self, name: &str) -> Result<NodeId, ScenarioError> {
+        self.topology.find(name).ok_or_else(|| self.unknown(name))
+    }
+
+    /// Out of line and cold: built inline in `find`, these two `String`s
+    /// moved the release build's inlining (fat LTO, one codegen unit)
+    /// enough to slow topology generation 12 % on the ledger's
+    /// `policy_ladder`, which never comes here.
+    #[cold]
+    #[inline(never)]
+    fn unknown(&self, name: &str) -> ScenarioError {
+        ScenarioError::UnknownNode {
+            scenario: self.label.clone(),
+            name: name.to_string(),
+        }
     }
 
     /// The §6.3 aggregate uplink capacity, or the explicit override.

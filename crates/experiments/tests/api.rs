@@ -3,7 +3,8 @@
 //! scenarios the old `DcExperiment`/`WanExperiment` tests covered.
 
 use contra_experiments::{
-    CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, Sp, Spain, Workload,
+    CompileCache, Contra, Ecmp, FaultTarget, Hula, InstallError, RoutingSystem, Scenario,
+    ScenarioError, Sp, Spain, Workload,
 };
 use contra_sim::Time;
 
@@ -64,12 +65,47 @@ fn configuration_ledger() {
 fn hula_is_unsupported_on_wan_topologies() {
     let err = Scenario::abilene().try_run(&Hula).unwrap_err();
     match err {
-        InstallError::Unsupported { system, reason } => {
+        ScenarioError::Install(InstallError::Unsupported { system, reason }) => {
             assert_eq!(system, "Hula");
             assert!(reason.contains("leaf-spine"), "{reason}");
         }
         other => panic!("expected Unsupported, got: {other}"),
     }
+}
+
+/// A fault plan that does not fit the topology is a typed error naming
+/// the scenario and the offender, not a panic: a node that does not
+/// exist (in a failure, and in a recovery scheduled past the end of the
+/// run), and two nodes that exist with no cable between them.
+#[test]
+fn misfit_fault_plans_are_typed_errors() {
+    let at = Time::ms(1);
+    let base = small_dc();
+    let label = base.label().to_string();
+    for plan in [
+        base.clone().fail_link("leaf0", "spine9", at),
+        base.clone().recover_link("spine9", "leaf0", Time::ms(500)),
+    ] {
+        match plan.try_run(&Ecmp).unwrap_err() {
+            ScenarioError::UnknownNode { scenario, name } => {
+                assert_eq!((scenario, name.as_str()), (label.clone(), "spine9"));
+            }
+            other => panic!("expected UnknownNode, got: {other}"),
+        }
+    }
+    let err = base
+        .fail_link("leaf0", "leaf1", at)
+        .try_run(&Ecmp)
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!("scenario {label}: no cable n0–n1 (1.000ms down cable leaf0~leaf1)")
+    );
+    let ScenarioError::Fault { cmd, .. } = err else {
+        panic!("expected Fault, got: {err}");
+    };
+    let cable = FaultTarget::Cable("leaf0".into(), "leaf1".into());
+    assert_eq!((cmd.at, cmd.target, cmd.up), (at, cable, false));
 }
 
 /// A leaf-spine scenario small enough for debug-build test runs.

@@ -4,7 +4,7 @@
 //! `Scenario` runs.
 
 use contra::dataplane::{Contra, DataplaneConfig};
-use contra::experiments::{InstallError, Scenario, Traffic};
+use contra::experiments::{InstallError, Scenario, ScenarioError, Traffic};
 use contra::sim::{CompileCache, FlowSpec, Time};
 
 /// Two leaves, two spines, hosts — with a policy that forbids one spine.
@@ -105,7 +105,9 @@ fn impossible_policy_is_rejected_at_install_time() {
         .try_run(&Contra::new("minimize(inf)"))
         .unwrap_err();
     match err {
-        InstallError::Compile { policy, .. } => assert_eq!(policy, "minimize(inf)"),
+        ScenarioError::Install(InstallError::Compile { policy, .. }) => {
+            assert_eq!(policy, "minimize(inf)")
+        }
         other => panic!("expected a compile error, got: {other}"),
     }
 }
