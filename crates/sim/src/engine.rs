@@ -648,9 +648,10 @@ impl Simulator {
     }
 }
 
-/// The slot lifecycle, one test per exit: a packet's pool slot is freed
-/// exactly where the packet ends. Every run is audited, none is cut by
-/// `stop_at`, so no slot may outlive it.
+/// The size guard of the per-event types, then the slot lifecycle, one
+/// test per exit: a packet's pool slot is freed exactly where the packet
+/// ends. Every run is audited, none is cut by `stop_at`, so no slot may
+/// outlive it.
 #[cfg(test)]
 mod tests {
     use super::*;
