@@ -92,6 +92,14 @@ impl From<ResolveError> for CompileError {
     }
 }
 
+/// Slots of every switch's flowlet register array (§5.3) — the one
+/// definition behind the emitted program's `FLOWLET_SIZE`, the Fig 10
+/// byte count and the simulated switch's table.
+pub const FLOWLET_ENTRIES: usize = 1024;
+/// Slots of every switch's loop-detection register array (§5.5): the
+/// emitted `LOOP_SIZE`, its Fig 10 bytes and the simulated table.
+pub const LOOP_ENTRIES: usize = 512;
+
 /// The static program for one switch: everything the runtime protocol needs
 /// besides the (runtime-populated) FwdT/BestT/flowlet tables.
 #[derive(Debug, Clone)]

@@ -56,7 +56,9 @@ pub use analysis::{Analysis, AnalysisError, AnalysisWarning, Subpolicy};
 pub use ast::{
     Attr, BinOp, BoolExpr, BoolExprKind, CmpOp, Expr, ExprKind, PathRegex, PathRegexKind, Policy,
 };
-pub use compiler::{CompileError, CompiledPolicy, Compiler, SwitchProgram};
+pub use compiler::{
+    CompileError, CompiledPolicy, Compiler, SwitchProgram, FLOWLET_ENTRIES, LOOP_ENTRIES,
+};
 pub use contra_telemetry::{PipelineProfile, Profiler};
 pub use diag::{Diagnostic, Severity, Span};
 pub use metric::{MetricBasis, MetricVec};

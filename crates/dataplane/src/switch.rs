@@ -19,7 +19,9 @@
 use crate::tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
 };
-use contra_core::{CompiledPolicy, MetricVec, Rank, SwitchProgram, VNodeId};
+use contra_core::{
+    CompiledPolicy, MetricVec, Rank, SwitchProgram, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES,
+};
 use contra_sim::{
     Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
     FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
@@ -44,8 +46,10 @@ pub struct DataplaneConfig {
     /// Aging window for loop-detection rows.
     pub loop_age_out: Time,
     /// Register slots of the policy-aware flowlet table (rounded up to a
-    /// power of two). Like SRAM on the switch, the table never grows:
-    /// exceeding it makes flowlets alias (counted, not fatal).
+    /// power of two; [`FLOWLET_ENTRIES`], the emitted program's size,
+    /// unless an experiment sweeps it). Like SRAM on the switch, the
+    /// table never grows: exceeding it makes flowlets alias (counted,
+    /// not fatal).
     pub flowlet_slots: usize,
 }
 
@@ -55,7 +59,7 @@ impl Default for DataplaneConfig {
             probe_period: PROBE_PERIOD,
             flowlet_timeout: FLOWLET_TIMEOUT,
             loop_age_out: Time::ms(1),
-            flowlet_slots: crate::tables::DEFAULT_FLOWLET_SLOTS,
+            flowlet_slots: FLOWLET_ENTRIES,
         }
     }
 }
@@ -121,7 +125,7 @@ impl ContraSwitch {
             fwdt: FwdTable::default(),
             best: BestTable::default(),
             flowlets: FlowletTable::with_slots(flowlet_slots),
-            loops: LoopTable::default(),
+            loops: LoopTable::with_slots(LOOP_ENTRIES),
             last_probe_from: Vec::new(),
             version: 0,
             probes_sent: 0,
@@ -219,6 +223,17 @@ impl ContraSwitch {
             }
         }
         self.rescan_best(dst, now)
+    }
+
+    /// Rows held in `(FwdT, BestT)` — what the Fig 10 state model charges
+    /// `dests × tags × pids` and `dests` rows for.
+    pub fn table_rows(&self) -> (usize, usize) {
+        (self.fwdt.len(), self.best.len())
+    }
+
+    /// Slots allocated to the `(flowlet, loop)` register arrays.
+    pub fn register_slots(&self) -> (usize, usize) {
+        (self.flowlets.slots(), self.loops.slots())
     }
 
     /// Raw FwdT lookup (protocol test harnesses).

@@ -12,11 +12,12 @@
 //! indexing), while the flowlet and loop tables are **fixed-size
 //! hash-indexed register arrays** with deterministic Fx hashing and a
 //! bounded probe window. As on the switch, the arrays do not grow: when a
-//! key's window is exhausted the oldest entry is overwritten and the event
-//! is counted — hash collisions are a modeled artifact of the design, not
-//! an error (the flowlet table is sized by
-//! [`crate::DataplaneConfig::flowlet_slots`], the loop table by
-//! [`DEFAULT_LOOP_SLOTS`]).
+//! key's window holds no empty slot the oldest entry is overwritten and
+//! the event is counted — hash collisions are a modeled artifact of the
+//! design, not an error. Both arrays have the size the emitted program
+//! declares and Fig 10 charges for: [`contra_core::FLOWLET_ENTRIES`] (the
+//! default of [`crate::DataplaneConfig::flowlet_slots`]) and
+//! [`contra_core::LOOP_ENTRIES`].
 
 use contra_core::{MetricVec, Rank, VNodeId};
 use contra_sim::{FxHasher64, Time};
@@ -164,12 +165,6 @@ impl BestTable {
 /// rare enough to stay an artifact instead of a behavior.
 const PROBE_WINDOW: usize = 8;
 
-/// Default flowlet-table size (slots). Overridden via
-/// [`crate::DataplaneConfig::flowlet_slots`].
-pub const DEFAULT_FLOWLET_SLOTS: usize = 8192;
-/// Loop-table size (slots).
-pub const DEFAULT_LOOP_SLOTS: usize = 8192;
-
 /// Values stored in a [`RegisterArray`] expose their recency so eviction
 /// under register pressure can target the stalest entry.
 trait Stamped {
@@ -179,10 +174,12 @@ trait Stamped {
 /// The shared register-array machinery behind [`FlowletTable`] and
 /// [`LoopTable`]: a fixed-size power-of-two slot array, probed linearly
 /// over a bounded window from a hash-derived start. The array never
-/// grows; when a key's window holds only live foreign entries, the
-/// stalest one is overwritten and the collision counted — the hardware
-/// model (one overwritable register per index) lives here, in exactly
-/// one place.
+/// grows; when a key's window holds no empty slot, the stalest entry is
+/// overwritten and the collision counted — the hardware model (one
+/// overwritable register per index) lives here, in exactly one place.
+/// Entries are removed only when touched, so an occupied slot may hold
+/// an expired pin or an aged-out row: the count is of overwrites, not of
+/// live state lost.
 #[derive(Debug)]
 struct RegisterArray<K, V> {
     slots: Vec<Option<(K, V)>>,
@@ -233,7 +230,7 @@ impl<K: Copy + Eq, V: Stamped> RegisterArray<K, V> {
     }
 
     /// Writes `key → val` into the first empty slot of the window, or —
-    /// register pressure — over the stalest live entry (collision
+    /// register pressure — over the stalest occupant (collision
     /// counted). The caller has already ruled out a slot for `key`.
     fn write(&mut self, hash: u64, key: K, val: V) {
         let start = self.start(hash);
@@ -332,12 +329,6 @@ pub struct FlowletTable {
     arr: RegisterArray<FlowletKey, FlowletEntry>,
 }
 
-impl Default for FlowletTable {
-    fn default() -> Self {
-        FlowletTable::with_slots(DEFAULT_FLOWLET_SLOTS)
-    }
-}
-
 impl FlowletTable {
     /// A table with (at least) `slots` register slots, rounded up to a
     /// power of two.
@@ -370,8 +361,8 @@ impl FlowletTable {
     }
 
     /// Pins (or refreshes) a decision. When every slot in the key's probe
-    /// window holds a live foreign entry, the stalest one (oldest `last`)
-    /// is overwritten and the collision counted.
+    /// window holds a foreign entry, the stalest one (oldest `last`) is
+    /// overwritten and the collision counted.
     pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry) {
         let hash = key.slot_hash();
         match self.arr.find(hash, key) {
@@ -391,10 +382,18 @@ impl FlowletTable {
         self.arr.flush_where(|_, e| e.nhop == nhop)
     }
 
-    /// Pins that displaced a live foreign entry (the modeled
-    /// register-collision artifact).
+    /// Pins written over an occupied slot because the key's window had
+    /// no empty one (the modeled register-collision artifact). The
+    /// occupant may be past `flowlet_timeout`: an expired pin leaves its
+    /// slot only when looked up or flushed, so this is an upper bound on
+    /// the live pins displaced.
     pub fn collisions(&self) -> u64 {
         self.arr.collisions
+    }
+
+    /// Register slots allocated.
+    pub fn slots(&self) -> usize {
+        self.arr.slots.len()
     }
 
     /// Number of live pins.
@@ -430,12 +429,6 @@ pub struct LoopTable {
 impl Stamped for LoopRow {
     fn stamp(&self) -> Time {
         self.last
-    }
-}
-
-impl Default for LoopTable {
-    fn default() -> Self {
-        LoopTable::with_slots(DEFAULT_LOOP_SLOTS)
     }
 }
 
@@ -486,9 +479,17 @@ impl LoopTable {
         }
     }
 
-    /// Observations that displaced a live foreign row (window exhausted).
+    /// Observations written over an occupied slot because the hash's
+    /// window had no empty one. The occupant may be older than
+    /// `loop_age_out`: a row that is never seen again keeps its slot, so
+    /// this is an upper bound on the tracked rows displaced.
     pub fn collisions(&self) -> u64 {
         self.arr.collisions
+    }
+
+    /// Register slots allocated.
+    pub fn slots(&self) -> usize {
+        self.arr.slots.len()
     }
 
     /// Number of tracked hashes.
@@ -505,6 +506,7 @@ impl LoopTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contra_core::{FLOWLET_ENTRIES, LOOP_ENTRIES};
 
     fn key(dst: u32, tag: u32, pid: u8) -> FwdKey {
         FwdKey {
@@ -575,7 +577,7 @@ mod tests {
 
     #[test]
     fn flowlet_expiry_and_flush() {
-        let mut t = FlowletTable::default();
+        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
         let k = FlowletKey {
             tag: VNodeId(0),
             pid: 0,
@@ -622,7 +624,7 @@ mod tests {
 
     #[test]
     fn flowlet_touch_extends_life() {
-        let mut t = FlowletTable::default();
+        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
         let [touched, idle] = [1, 2].map(|fid| FlowletKey {
             tag: VNodeId(0),
             pid: 0,
@@ -653,7 +655,7 @@ mod tests {
     fn flowlet_register_pressure_evicts_stalest_and_counts() {
         // A tiny array (16 slots) so 17+ distinct fids must alias.
         let mut t = FlowletTable::with_slots(1);
-        assert_eq!(t.arr.slots.len(), PROBE_WINDOW * 2);
+        assert_eq!(t.slots(), PROBE_WINDOW * 2);
         for fid in 0..64u64 {
             t.pin(
                 FlowletKey {
@@ -690,7 +692,7 @@ mod tests {
 
     #[test]
     fn loop_table_delta_grows_on_revisits() {
-        let mut t = LoopTable::default();
+        let mut t = LoopTable::with_slots(LOOP_ENTRIES);
         let age = Time::ms(1);
         // Stable path: same TTL every time → δ = 0.
         assert_eq!(t.observe(7, 60, Time::us(1), age), 0);

@@ -34,7 +34,7 @@ fn configuration_ledger() {
     assert_eq!(probe_period, PROBE_PERIOD);
     assert_eq!(flowlet_timeout, FLOWLET_TIMEOUT);
     assert_eq!(loop_age_out, Time::ms(1));
-    assert_eq!(flowlet_slots, 8192);
+    assert_eq!(flowlet_slots, contra_core::FLOWLET_ENTRIES);
 
     let SimConfig {
         util_tau,

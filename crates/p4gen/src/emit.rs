@@ -21,9 +21,8 @@
 //! * ingress control mirroring Fig 7's `PROCESSPROBE`/`SWIFORWARDPKT`
 //!   with the §5 refinements.
 
-use crate::state::{FLOWLET_ENTRIES, LOOP_ENTRIES};
 use crate::writer::CodeWriter;
-use contra_core::{Attr, CompiledPolicy};
+use contra_core::{Attr, CompiledPolicy, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_topology::NodeId;
 use std::collections::BTreeMap;
 

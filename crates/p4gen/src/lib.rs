@@ -16,7 +16,8 @@ pub mod validate;
 mod writer;
 
 pub use emit::{emit_all, emit_switch_program};
-pub use state::{max_switch_state_kb, switch_state, StateModel, FLOWLET_ENTRIES, LOOP_ENTRIES};
+pub use contra_core::{FLOWLET_ENTRIES, LOOP_ENTRIES};
+pub use state::{max_switch_state_kb, switch_state, StateModel};
 pub use validate::{validate, ValidationError};
 
 #[cfg(test)]

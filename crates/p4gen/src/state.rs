@@ -4,15 +4,12 @@
 //! runtime tables need, which grows with the number of destinations, the
 //! switch's product-graph tags, and the policy's probe subpolicies. The
 //! dataplane-resident flowlet and loop-detection tables are fixed-size
-//! register arrays, as on real hardware.
+//! register arrays, as on real hardware: [`FLOWLET_ENTRIES`] and
+//! [`LOOP_ENTRIES`] slots, the sizes the emitted program declares and
+//! the simulated switch allocates.
 
-use contra_core::CompiledPolicy;
+use contra_core::{CompiledPolicy, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_topology::NodeId;
-
-/// Fixed flowlet-table capacity (entries) in the generated programs.
-pub const FLOWLET_ENTRIES: usize = 1024;
-/// Fixed loop-detection table capacity (entries).
-pub const LOOP_ENTRIES: usize = 512;
 
 /// Byte-level accounting of one switch's runtime state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

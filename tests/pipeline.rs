@@ -1,8 +1,10 @@
 //! Integration: the full compilation pipeline — parse → analyze → product
 //! graph → switch programs → P4 emission — for every catalogue policy
-//! (Fig 3), followed by protocol convergence in the stable-metric harness.
+//! (Fig 3), followed by protocol convergence in the stable-metric harness,
+//! and the two places the emitted program and the simulated switch must
+//! agree: register-array sizes and the table rows Fig 10 charges for.
 
-use contra::core::{policies, Compiler};
+use contra::core::{policies, CompiledPolicy, Compiler};
 use contra::dataplane::{DataplaneConfig, ProtocolHarness};
 use contra::p4gen;
 use contra::topology::{generators, Topology};
@@ -63,6 +65,71 @@ fn all_catalogue_policies_compile_emit_and_converge() {
             }
         }
         assert!(routed > 0, "{name}: protocol routed nothing");
+    }
+}
+
+/// The value of `const bit<32> NAME = value;` in an emitted program.
+fn p4_const(p4: &str, name: &str) -> usize {
+    let decl = format!("const bit<32> {name} = ");
+    let at = p4.find(&decl).unwrap_or_else(|| panic!("no {name}")) + decl.len();
+    let digits = p4[at..].split(';').next().unwrap();
+    digits.parse().unwrap_or_else(|_| panic!("{name} = {digits:?}"))
+}
+
+/// One definition: the flowlet and loop register arrays a
+/// default-configured simulated switch allocates are the ones its
+/// emitted program declares.
+#[test]
+fn simulated_register_arrays_have_the_emitted_sizes() {
+    let topo = topo();
+    let compiler = Compiler::new(&topo);
+    for (name, src) in policies::catalogue("B", "C", "X", "Y") {
+        let cp = Arc::new(compiler.compile_str(&src).unwrap());
+        let h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::default());
+        for &sw in cp.programs.keys() {
+            let p4 = p4gen::emit_switch_program(&cp, sw);
+            assert_eq!(
+                (p4_const(&p4, "FLOWLET_SIZE"), p4_const(&p4, "LOOP_SIZE")),
+                h.switch(sw).register_slots(),
+                "{name} @ {sw}: emitted (flowlet, loop) sizes vs simulated slots"
+            );
+        }
+    }
+}
+
+/// State fit: after convergence no simulated switch stores more FwdT or
+/// BestT rows than `p4gen::switch_state` sizes (and Fig 10 prices) them at.
+#[test]
+fn converged_tables_fit_the_fig10_state_model() {
+    fn check(topo: &Topology, name: &str, cp: CompiledPolicy) {
+        let cp = Arc::new(cp);
+        let mut h = ProtocolHarness::new(topo, cp.clone(), DataplaneConfig::default());
+        h.run_rounds(3);
+        let dests = cp.destinations.len();
+        let pids = cp.num_pids().max(1);
+        for (&sw, prog) in &cp.programs {
+            let (fwdt, best) = h.switch(sw).table_rows();
+            let fwdt_cap = dests * prog.tags.len().max(1) * pids;
+            assert!(fwdt > 0, "{name} @ {sw}: nothing converged");
+            assert!(fwdt <= fwdt_cap, "{name} @ {sw}: {fwdt} FwdT rows > {fwdt_cap}");
+            assert!(best <= dests, "{name} @ {sw}: {best} BestT rows > {dests}");
+        }
+    }
+    let fig6 = topo();
+    for (name, src) in policies::catalogue("B", "C", "X", "Y") {
+        check(&fig6, name, Compiler::new(&fig6).compile_str(&src).unwrap());
+    }
+    let fat_tree = generators::fat_tree(4, 0, generators::LinkSpec::default());
+    for (name, src) in [
+        ("MU", "minimize(path.util)"),
+        ("WP", "minimize(if .*(core0+core1).* then path.util else inf)"),
+        (
+            "CA",
+            "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))",
+        ),
+    ] {
+        let cp = Compiler::new(&fat_tree).compile_str(src).unwrap();
+        check(&fat_tree, name, cp);
     }
 }
 
