@@ -21,7 +21,7 @@
 
 use contra_sim::{
     FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
-    FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
+    FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
@@ -138,27 +138,14 @@ impl HulaSwitch {
     }
 
     fn mk_probe(&self, origin: NodeId, util: f64, to: NodeId, now: Time) -> Packet {
-        Packet {
-            id: 0,
-            kind: PacketKind::Probe(Probe {
-                origin,
-                pid: 0,
-                version: 0,
-                tag: 0,
-                mv: [util, 0.0, 0.0],
-            }),
-            src_host: self.switch,
-            dst_host: to,
-            dst_switch: to,
-            flow: contra_sim::FlowId(u32::MAX),
-            seq: 0,
-            size_bytes: PROBE_BASE_BYTES + 4,
-            sent_at: now,
-            tag: 0,
+        let probe = Probe {
+            origin,
             pid: 0,
-            ttl: INITIAL_TTL,
-            flow_hash: 0,
-        }
+            version: 0,
+            tag: 0,
+            mv: [util, 0.0, 0.0],
+        };
+        Packet::probe(self.switch, to, probe, PROBE_BASE_BYTES + 4, now)
     }
 
     fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
@@ -188,15 +175,10 @@ impl HulaSwitch {
         // Replication discipline: spines received from a leaf replicate to
         // every *other* leaf; leaves do not propagate further (two tiers).
         if self.role == HulaRole::Spine {
-            let targets: Vec<NodeId> = self
-                .down_neighbors
-                .iter()
-                .copied()
-                .filter(|&l| l != from && l != p.origin)
-                .collect();
-            for t in targets {
-                let probe = self.mk_probe(p.origin, util, t, now);
-                ctx.send(t, probe);
+            for &t in &self.down_neighbors {
+                if t != from && t != p.origin {
+                    ctx.send(t, self.mk_probe(p.origin, util, t, now));
+                }
             }
         }
     }
@@ -249,9 +231,8 @@ impl SwitchLogic for HulaSwitch {
             return;
         }
         let now = ctx.now;
-        for &up in &self.up_neighbors.clone() {
-            let probe = self.mk_probe(self.switch, 0.0, up, now);
-            ctx.send(up, probe);
+        for &up in &self.up_neighbors {
+            ctx.send(up, self.mk_probe(self.switch, 0.0, up, now));
         }
     }
 

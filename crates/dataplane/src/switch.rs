@@ -24,7 +24,7 @@ use contra_core::{
 };
 use contra_sim::{
     Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
-    FAILURE_PERIODS, FLOWLET_TIMEOUT, INITIAL_TTL, PROBE_BASE_BYTES, PROBE_PERIOD,
+    FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::NodeId;
 use std::sync::Arc;
@@ -241,40 +241,6 @@ impl ContraSwitch {
         self.fwdt.get(key)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn mk_probe(
-        &self,
-        origin: NodeId,
-        pid: u8,
-        version: u32,
-        tag: VNodeId,
-        mv: &MetricVec,
-        to: NodeId,
-        now: Time,
-    ) -> Packet {
-        Packet {
-            id: 0,
-            kind: PacketKind::Probe(Probe {
-                origin,
-                pid,
-                version,
-                tag: tag.0,
-                mv: mv.raw(),
-            }),
-            src_host: self.switch,
-            dst_host: to,
-            dst_switch: to,
-            flow: contra_sim::FlowId(u32::MAX),
-            seq: 0,
-            size_bytes: self.probe_size(),
-            sent_at: now,
-            tag: tag.0,
-            pid,
-            ttl: INITIAL_TTL,
-            flow_hash: 0,
-        }
-    }
-
     /// `PROCESSPROBE`.
     fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
@@ -361,9 +327,14 @@ impl ContraSwitch {
         // and our own tag, carrying the origin's version through (no
         // fan-out clone: probe processing is per-packet work).
         if let Some(fanout) = self.prog.multicast.get(&n) {
+            let probe = Probe {
+                tag: n.0,
+                mv: mv.raw(),
+                ..*p
+            };
+            let size = self.probe_size();
             for &(nbr, _w) in fanout {
-                let probe = self.mk_probe(p.origin, p.pid, p.version, n, &mv, nbr, now);
-                ctx.send(nbr, probe);
+                ctx.send(nbr, Packet::probe(self.switch, nbr, probe, size, now));
             }
             self.probes_sent += fanout.len() as u64;
         }
@@ -461,15 +432,21 @@ impl SwitchLogic for ContraSwitch {
         };
         self.version += 1;
         let now = ctx.now;
-        let mv = MetricVec::zero();
         let Some(fanout) = self.prog.multicast.get(&v0) else {
             return;
         };
         let pids = self.cp.num_pids();
+        let size = self.probe_size();
         for pid in 0..pids as u8 {
+            let probe = Probe {
+                origin: self.switch,
+                pid,
+                version: self.version,
+                tag: v0.0,
+                mv: MetricVec::zero().raw(),
+            };
             for &(nbr, _w) in fanout {
-                let probe = self.mk_probe(self.switch, pid, self.version, v0, &mv, nbr, now);
-                ctx.send(nbr, probe);
+                ctx.send(nbr, Packet::probe(self.switch, nbr, probe, size, now));
             }
         }
         self.probes_sent += (pids * fanout.len()) as u64;

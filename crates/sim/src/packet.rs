@@ -52,7 +52,7 @@ pub enum PacketKind {
 
 /// The probe header of the synthesized protocol (Fig 7: `origin`, `pid`,
 /// `mv`, `tag`, plus the §5.1 version number).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probe {
     /// Topology location of the originating (destination) switch.
     pub origin: NodeId,
@@ -102,6 +102,28 @@ pub struct Packet {
 pub const INITIAL_TTL: u8 = 64;
 
 impl Packet {
+    /// A probe a switch originates or re-multicasts: `from` → its neighbor
+    /// `to`, stamped with the probe's own `tag`/`pid`. The engine assigns
+    /// the id when the packet is sent.
+    #[inline]
+    pub fn probe(from: NodeId, to: NodeId, probe: Probe, size_bytes: u32, now: Time) -> Packet {
+        Packet {
+            id: 0,
+            src_host: from,
+            dst_host: to,
+            dst_switch: to,
+            flow: FlowId(u32::MAX),
+            seq: 0,
+            size_bytes,
+            sent_at: now,
+            tag: probe.tag,
+            pid: probe.pid,
+            ttl: INITIAL_TTL,
+            flow_hash: 0,
+            kind: PacketKind::Probe(probe),
+        }
+    }
+
     /// True for probe packets.
     pub fn is_probe(&self) -> bool {
         matches!(self.kind, PacketKind::Probe(_))
