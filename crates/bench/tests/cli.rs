@@ -76,3 +76,62 @@ fn list_and_help_exit_0() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: contra"));
     assert!(out.stderr.is_empty());
 }
+
+/// `zoo:FILE` through the front door: a GraphML file compiles, repeated
+/// labels (one of them already suffixed) come out as distinct switches,
+/// and a malformed file is a spec error carrying the parser's text.
+#[test]
+fn zoo_files_compile_or_exit_2_with_the_parse_error() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("zoo_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let compile = |name: &str, graphml: &str, out: Option<&str>| {
+        let file = dir.join(name);
+        std::fs::write(&file, graphml).unwrap();
+        let spec = format!("zoo:{}", file.display());
+        let mut args = vec![
+            "compile",
+            "--topology",
+            &spec,
+            "--policy",
+            "minimize(path.len)",
+        ];
+        args.extend(out.into_iter().flat_map(|dir| ["--out", dir]));
+        contra(&args)
+    };
+
+    let ring = r#"<graphml><graph edgedefault="undirected">
+        <node id="0"><data key="label">Vienna</data></node>
+        <node id="1"><data key="label">Graz</data></node>
+        <node id="2"/>
+        <edge source="0" target="1"/><edge source="1" target="2"/><edge source="2" target="0"/>
+    </graph></graphml>"#;
+    let out = compile("ring.graphml", ring, None);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("3 switches, 6 directed links"), "{err}");
+
+    let labels = r#"<graph>
+        <node id="0"><data key="label">A</data></node>
+        <node id="1"><data key="label">A</data></node>
+        <node id="2"><data key="label">A#1</data></node>
+        <edge source="0" target="1"/><edge source="1" target="2"/>
+    </graph>"#;
+    let p4 = dir.join("p4");
+    let out = compile("labels.graphml", labels, p4.to_str());
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    for name in ["A", "A#1", "A#1#1"] {
+        assert!(
+            p4.join(format!("{name}.p4")).is_file(),
+            "no program for {name}"
+        );
+    }
+
+    let repeated = r#"<node id="0"/><node id="0"/><edge source="0" target="0"/>"#;
+    let out = compile("repeated.graphml", repeated, None);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("GraphML parse error: duplicate node id 0"),
+        "{err}"
+    );
+}

@@ -15,8 +15,8 @@ pub mod state;
 pub mod validate;
 mod writer;
 
-pub use emit::{emit_all, emit_switch_program};
 pub use contra_core::{FLOWLET_ENTRIES, LOOP_ENTRIES};
+pub use emit::{emit_all, emit_switch_program};
 pub use state::{max_switch_state_kb, switch_state, StateModel};
 pub use validate::{validate, ValidationError};
 

@@ -8,7 +8,7 @@
 //! It is tolerant of unknown attributes and data keys.
 
 use crate::{Topology, TopologyBuilder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Error produced when a GraphML document cannot be understood.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +30,7 @@ impl std::error::Error for ZooError {}
 /// a single cable; self-loops are dropped.
 pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<Topology, ZooError> {
     let mut node_order: Vec<String> = Vec::new();
+    let mut node_ids: BTreeSet<String> = BTreeSet::new();
     let mut labels: BTreeMap<String, String> = BTreeMap::new();
     let mut edges: Vec<(String, String)> = Vec::new();
 
@@ -41,8 +42,11 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
             .ok_or_else(|| ZooError("unterminated tag".into()))?;
         let tag = &rest[..end];
         rest = &rest[end + 1..];
-        if tag.starts_with("node") {
+        if is_element(tag, "node") {
             let id = attr(tag, "id").ok_or_else(|| ZooError("node without id".into()))?;
+            if !node_ids.insert(id.clone()) {
+                return Err(ZooError(format!("duplicate node id {id}")));
+            }
             // Look ahead for a label inside this node element (if any).
             if !tag.ends_with('/') {
                 if let Some(close) = rest.find("</node>") {
@@ -53,7 +57,7 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
                 }
             }
             node_order.push(id);
-        } else if tag.starts_with("edge") {
+        } else if is_element(tag, "edge") {
             let s = attr(tag, "source").ok_or_else(|| ZooError("edge without source".into()))?;
             let t = attr(tag, "target").ok_or_else(|| ZooError("edge without target".into()))?;
             edges.push((s, t));
@@ -65,15 +69,18 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
 
     let mut tb: TopologyBuilder = Topology::builder();
     let mut ids = BTreeMap::new();
-    let mut used_names: BTreeMap<String, usize> = BTreeMap::new();
+    let mut used_names: BTreeSet<String> = BTreeSet::new();
+    let mut suffixes: BTreeMap<&str, usize> = BTreeMap::new();
     for raw in &node_order {
-        let mut name = labels.get(raw).cloned().unwrap_or_else(|| raw.clone());
-        // Zoo labels are not unique ("None" appears repeatedly); make them so.
-        let n = used_names.entry(name.clone()).or_insert(0);
-        if *n > 0 {
-            name = format!("{name}#{n}");
+        let label = labels.get(raw).unwrap_or(raw);
+        // Zoo labels are not unique ("None" appears repeatedly); suffix
+        // until the name is free — a later label may itself be "None#1".
+        let n = suffixes.entry(label).or_insert(0);
+        let mut name = label.clone();
+        while !used_names.insert(name.clone()) {
+            *n += 1;
+            name = format!("{label}#{n}");
         }
-        *used_names.get_mut(labels.get(raw).unwrap_or(raw)).unwrap() += 1;
         ids.insert(raw.clone(), tb.switch(&name));
     }
     let mut seen: Vec<(String, String)> = Vec::new();
@@ -99,6 +106,14 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
         tb.biline(a, b, bandwidth_bps, delay_ns);
     }
     Ok(tb.build())
+}
+
+/// Whether `tag` (the text between `<` and `>`) opens element `name`: the
+/// name must end there, at whitespace or at `/`, so `<nodes>` is no node.
+fn is_element(tag: &str, name: &str) -> bool {
+    tag.strip_prefix(name).is_some_and(|rest| {
+        rest.is_empty() || rest.starts_with(|c: char| c == '/' || c.is_whitespace())
+    })
 }
 
 /// Extracts `key="…"`-style attributes from a tag body.
@@ -174,6 +189,37 @@ mod tests {
         let t = parse_graphml(doc, 1e9, 1).unwrap();
         assert!(t.find("None").is_some());
         assert!(t.find("None#1").is_some());
+    }
+
+    #[test]
+    fn a_label_that_looks_like_a_suffixed_one_still_gets_a_free_name() {
+        let doc = r#"<graph>
+            <node id="0"><data key="label">A</data></node>
+            <node id="1"><data key="label">A</data></node>
+            <node id="2"><data key="label">A#1</data></node>
+            <edge source="0" target="1"/>
+            <edge source="1" target="2"/>
+        </graph>"#;
+        let t = parse_graphml(doc, 1e9, 1).unwrap();
+        assert_eq!(t.num_switches(), 3);
+        for name in ["A", "A#1", "A#1#1"] {
+            assert!(t.find(name).is_some(), "{name}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_repeated_node_id() {
+        let doc = r#"<node id="0"/><node id="0"/><node id="1"/><edge source="0" target="1"/>"#;
+        let err = parse_graphml(doc, 1e9, 1).unwrap_err();
+        assert_eq!(err, ZooError("duplicate node id 0".into()));
+    }
+
+    #[test]
+    fn element_names_match_whole() {
+        let doc = r#"<nodes id="9"><node id="a"/><node id="b"/></nodes>
+            <edge source="a" target="b"/><edgex source="b" target="9"/>"#;
+        let t = parse_graphml(doc, 1e9, 1).unwrap();
+        assert_eq!((t.num_switches(), t.num_links()), (2, 2));
     }
 
     #[test]
