@@ -243,16 +243,16 @@ fn fig09(scale: Scale, out: &mut Out) {
 }
 
 /// Figure 10: switch state (kB) of the generated programs vs topology
-/// size, for MU/WP/CA on fat-trees and random networks — plus the
-/// state-vs-quality trade-off behind the §5.3 sizing discussion:
-/// register-array collisions *and the FCT they cost* as the flowlet
-/// table shrinks.
+/// size, for MU/WP/CA on fat-trees and random networks — plus the two
+/// sides of the §5.3 sizing discussion: register-array collisions and
+/// FCT as the flowlet table shrinks.
 ///
 /// Paper shape to reproduce: WP and CA need more state than MU (tags and
-/// pids respectively); everything stays well under ~100 kB. Collisions
-/// (fig10c) grow as `flowlet_slots` falls below the live flowlet count,
-/// and the aliased flowlets degrade tail FCT (fig10c-fct) — the two
-/// sides of the state-vs-quality trade.
+/// pids respectively); everything stays well under ~100 kB. fig10c
+/// counts pins written over an occupied slot, and an expired pin keeps
+/// its slot until touched: the count rises as `flowlet_slots` shrinks,
+/// but this cell never holds a full window of *live* flowlets, so no
+/// live pin is displaced and fig10c-fct reads the same at every size.
 ///
 /// Output: CSV `fig,series,size,kB` (fig10a/b),
 /// `fig,series,flowlet_slots,collisions` (fig10c) and
@@ -268,7 +268,7 @@ fn fig10(scale: Scale, out: &mut Out) {
         }
     }
     // fig10c: modeled register collisions vs flowlet-table size on the
-    // §6.3 leaf-spine under load — the quality cost of shrinking SRAM.
+    // §6.3 leaf-spine under load.
     let slot_sweep: &[usize] = scale.pick(&[16, 1024], &[16, 64, 256, 1024, 4096, 8192]);
     let scenario = Scenario::leaf_spine(4, 2, 8)
         .load(0.6)
@@ -292,8 +292,8 @@ fn fig10(scale: Scale, out: &mut Out) {
     for (slots, r) in slot_sweep.iter().zip(&results) {
         let collisions = r.figures.register_collisions;
         out.row(format_args!("fig10c,Contra,{slots},{collisions}"));
-        // The FCT side of the same trade-off: shrinking SRAM aliases
-        // flowlets onto stale paths, which shows up in the tail.
+        // The FCT side: a displaced *live* pin would re-route its flowlet
+        // mid-burst and show in the tail.
         let p50 = r.stats.fct_percentile_ms(50.0).unwrap_or(f64::NAN);
         let p99 = r.stats.fct_percentile_ms(99.0).unwrap_or(f64::NAN);
         out.row(format_args!("fig10c-fct,Contra-p50,{slots},{p50:.3}"));
@@ -305,7 +305,10 @@ fn fig10(scale: Scale, out: &mut Out) {
         ));
     }
     out.note("paper: WP/CA > MU; no more than ~70-100 kB anywhere");
-    out.note("§5.3 trade-off: collisions and tail FCT grow as flowlet_slots shrinks");
+    out.note(
+        "§5.3: fig10c counts pins written over an occupied slot, expired occupants included; \
+         fig10c-fct moves only where a live pin is displaced, which this cell never does",
+    );
 }
 
 /// Figure 11: average FCT vs load on the symmetric leaf-spine fabric —

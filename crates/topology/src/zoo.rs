@@ -30,7 +30,6 @@ impl std::error::Error for ZooError {}
 /// a single cable; self-loops are dropped.
 pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<Topology, ZooError> {
     let mut node_order: Vec<String> = Vec::new();
-    let mut node_ids: BTreeSet<String> = BTreeSet::new();
     let mut labels: BTreeMap<String, String> = BTreeMap::new();
     let mut edges: Vec<(String, String)> = Vec::new();
 
@@ -44,9 +43,6 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
         rest = &rest[end + 1..];
         if is_element(tag, "node") {
             let id = attr(tag, "id").ok_or_else(|| ZooError("node without id".into()))?;
-            if !node_ids.insert(id.clone()) {
-                return Err(ZooError(format!("duplicate node id {id}")));
-            }
             // Look ahead for a label inside this node element (if any).
             if !tag.ends_with('/') {
                 if let Some(close) = rest.find("</node>") {
@@ -81,7 +77,9 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
             *n += 1;
             name = format!("{label}#{n}");
         }
-        ids.insert(raw.clone(), tb.switch(&name));
+        if ids.insert(raw.clone(), tb.switch(&name)).is_some() {
+            return Err(ZooError(format!("duplicate node id {raw}")));
+        }
     }
     let mut seen: Vec<(String, String)> = Vec::new();
     for (s, t) in edges {

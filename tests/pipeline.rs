@@ -73,7 +73,9 @@ fn p4_const(p4: &str, name: &str) -> usize {
     let decl = format!("const bit<32> {name} = ");
     let at = p4.find(&decl).unwrap_or_else(|| panic!("no {name}")) + decl.len();
     let digits = p4[at..].split(';').next().unwrap();
-    digits.parse().unwrap_or_else(|_| panic!("{name} = {digits:?}"))
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{name} = {digits:?}"))
 }
 
 /// One definition: the flowlet and loop register arrays a
@@ -111,7 +113,10 @@ fn converged_tables_fit_the_fig10_state_model() {
             let (fwdt, best) = h.switch(sw).table_rows();
             let fwdt_cap = dests * prog.tags.len().max(1) * pids;
             assert!(fwdt > 0, "{name} @ {sw}: nothing converged");
-            assert!(fwdt <= fwdt_cap, "{name} @ {sw}: {fwdt} FwdT rows > {fwdt_cap}");
+            assert!(
+                fwdt <= fwdt_cap,
+                "{name} @ {sw}: {fwdt} FwdT rows > {fwdt_cap}"
+            );
             assert!(best <= dests, "{name} @ {sw}: {best} BestT rows > {dests}");
         }
     }
@@ -122,7 +127,10 @@ fn converged_tables_fit_the_fig10_state_model() {
     let fat_tree = generators::fat_tree(4, 0, generators::LinkSpec::default());
     for (name, src) in [
         ("MU", "minimize(path.util)"),
-        ("WP", "minimize(if .*(core0+core1).* then path.util else inf)"),
+        (
+            "WP",
+            "minimize(if .*(core0+core1).* then path.util else inf)",
+        ),
         (
             "CA",
             "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))",
