@@ -3,11 +3,14 @@
 //! (Fig 3), followed by protocol convergence in the stable-metric harness,
 //! and the two places the emitted program and the simulated switch must
 //! agree: register-array sizes and the table rows Fig 10 charges for.
+//! `compile_fingerprint` pins what the compiler and the emitter hand on.
 
 use contra::core::{policies, CompiledPolicy, Compiler};
 use contra::dataplane::{DataplaneConfig, ProtocolHarness};
 use contra::p4gen;
+use contra::sim::FxHasher64;
 use contra::topology::{generators, Topology};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// The Fig 6 running-example topology plus an extra edge for diversity.
@@ -182,3 +185,167 @@ fn compile_scales_across_topology_families() {
         assert!(p4gen::max_switch_state_kb(&cp) < 150.0);
     }
 }
+
+/// Everything the compiler hands on, field by field: the product graph
+/// (`vnodes`, `out`, `by_switch`, `sending`), every `SwitchProgram`, the
+/// destinations and the probe-period floor. Lengths are hashed with the
+/// items so that moving an item between two lists shows.
+fn ir_digest(cp: &CompiledPolicy) -> u64 {
+    let mut h = FxHasher64::default();
+    let mut put = |x: usize| h.write_u64(x as u64);
+    put(cp.pg.vnodes.len());
+    for v in &cp.pg.vnodes {
+        put(v.switch.0 as usize);
+        put(v.states.len());
+        v.states.iter().for_each(|&s| put(s));
+        put(v.acc.len());
+        v.acc.iter().for_each(|&a| put(a as usize));
+        put(v.tag as usize);
+        put(v.finite as usize);
+    }
+    put(cp.pg.out.len());
+    for succs in &cp.pg.out {
+        put(succs.len());
+        succs.iter().for_each(|w| put(w.0 as usize));
+    }
+    put(cp.pg.by_switch.len());
+    for (sw, here) in &cp.pg.by_switch {
+        put(sw.0 as usize);
+        put(here.len());
+        here.iter().for_each(|v| put(v.0 as usize));
+    }
+    put(cp.pg.sending.len());
+    for (d, v) in &cp.pg.sending {
+        put(d.0 as usize);
+        put(v.0 as usize);
+    }
+    put(cp.programs.len());
+    for (sw, prog) in &cp.programs {
+        put(sw.0 as usize);
+        put(prog.switch.0 as usize);
+        put(prog.tags.len());
+        prog.tags.iter().for_each(|v| put(v.0 as usize));
+        put(prog.next_pg_node.len());
+        for (from, to) in &prog.next_pg_node {
+            put(from.0 as usize);
+            put(to.0 as usize);
+        }
+        put(prog.multicast.len());
+        for (v, fanout) in &prog.multicast {
+            put(v.0 as usize);
+            put(fanout.len());
+            for (y, w) in fanout {
+                put(y.0 as usize);
+                put(w.0 as usize);
+            }
+        }
+        put(prog.sending_vnode.map_or(usize::MAX, |v| v.0 as usize));
+    }
+    put(cp.destinations.len());
+    cp.destinations.iter().for_each(|d| put(d.0 as usize));
+    put(cp.min_probe_period_ns as usize);
+    h.finish()
+}
+
+/// Every emitted program's name and text, in `emit_all`'s order.
+fn p4_digest(cp: &CompiledPolicy, topo: &Topology) -> u64 {
+    let mut h = FxHasher64::default();
+    for (name, text) in p4gen::emit_all(cp, topo) {
+        h.write(name.as_bytes());
+        h.write_u64(text.len() as u64);
+        h.write(text.as_bytes());
+    }
+    h.finish()
+}
+
+/// The compiler's and the emitter's output, pinned per (topology, policy)
+/// cell: P1–P9 on the Fig 6 topology, fat-tree(4) with hosts and Abilene,
+/// and the MU / WP / CA texts of the scaling ladder on fat-tree(8) and a
+/// 100-switch random network. A change to how the product graph, the
+/// tables or the programs are *built* must leave every row as it is; a
+/// row moves only with a deliberate change to what they *are*.
+#[test]
+fn compile_fingerprint() {
+    let spec = generators::LinkSpec::default;
+    let catalogue = |f1, f2, x, y| policies::catalogue(f1, f2, x, y);
+    let ladder = |topo: &Topology| {
+        let s = topo.switches();
+        let (f1, f2) = (&topo.node(s[0]).name, &topo.node(s[1]).name);
+        vec![
+            ("MU", policies::min_util()),
+            ("WP", policies::waypoint(f1, f2)),
+            ("CA", policies::congestion_aware()),
+        ]
+    };
+    let fat8 = generators::fat_tree(8, 0, spec());
+    let random = generators::random_connected(100, 200, spec(), 42);
+    let cells = [
+        ("fig6", topo(), catalogue("B", "C", "X", "Y")),
+        (
+            "fat-tree(4)",
+            generators::fat_tree(4, 1, spec()),
+            catalogue("core0", "core1", "agg0_0", "edge0_0"),
+        ),
+        (
+            "abilene",
+            generators::abilene(40e9),
+            catalogue("Denver", "KansasCity", "Denver", "KansasCity"),
+        ),
+        ("fat-tree(8)", fat8.clone(), ladder(&fat8)),
+        ("random(100)", random.clone(), ladder(&random)),
+    ];
+    let mut got = String::new();
+    for (label, topo, suite) in &cells {
+        for (policy, text) in suite {
+            let policy = policy.split(' ').next().unwrap();
+            let cp = Compiler::new(topo)
+                .compile_str(text)
+                .unwrap_or_else(|e| panic!("{label}/{policy}: {e}"));
+            got.push_str(&format!(
+                "{label}/{policy} vnodes={} ir={:016x} p4={:016x}\n",
+                cp.pg.len(),
+                ir_digest(&cp),
+                p4_digest(&cp, topo)
+            ));
+        }
+    }
+    assert_eq!(got, COMPILE_FINGERPRINT, "got:\n{got}");
+}
+
+/// Captured at commit 593a935, before the operator path was rebuilt over
+/// flat arrays.
+const COMPILE_FINGERPRINT: &str = "\
+fig6/P1 vnodes=6 ir=190faa6d81fcea09 p4=c7735662260fb15d\n\
+fig6/P2 vnodes=6 ir=190faa6d81fcea09 p4=a5f9a5da8e928d1d\n\
+fig6/P3 vnodes=6 ir=190faa6d81fcea09 p4=3a50b04eb1c4d9d5\n\
+fig6/P4 vnodes=6 ir=190faa6d81fcea09 p4=dc712a361747ba08\n\
+fig6/P5 vnodes=10 ir=759c149fceaee039 p4=53b58b40017a7f92\n\
+fig6/P6 vnodes=12 ir=51d00c3c872cf255 p4=fda7f5e6f24b6a90\n\
+fig6/P7 vnodes=12 ir=715cb8d526caf8a2 p4=4e11453a26152c2b\n\
+fig6/P8 vnodes=6 ir=86c8c85555c4c425 p4=c5b045b9eba4e2a9\n\
+fig6/P9 vnodes=6 ir=190faa6d81fcea09 p4=dd672d9a0c37e11c\n\
+fat-tree(4)/P1 vnodes=20 ir=765b2551274e4b3b p4=7267e4e193c4767b\n\
+fat-tree(4)/P2 vnodes=20 ir=765b2551274e4b3b p4=59d16fd2db081408\n\
+fat-tree(4)/P3 vnodes=20 ir=765b2551274e4b3b p4=7633a635f5d7fbda\n\
+fat-tree(4)/P4 vnodes=20 ir=765b2551274e4b3b p4=5fe7e346c09eea77\n\
+fat-tree(4)/P5 vnodes=38 ir=ca02c592115e03c8 p4=495229feaa72b4d8\n\
+fat-tree(4)/P6 vnodes=40 ir=2621de2a4e2a9af8 p4=f1c152e23867eadf\n\
+fat-tree(4)/P7 vnodes=40 ir=49700be2415723eb p4=6a95d6847f3bfe2a\n\
+fat-tree(4)/P8 vnodes=20 ir=770c200030d28a7d p4=06a9b3da945726eb\n\
+fat-tree(4)/P9 vnodes=20 ir=765b2551274e4b3b p4=d10f845508eed420\n\
+abilene/P1 vnodes=11 ir=fe2cf09893156d41 p4=ee9038427756e584\n\
+abilene/P2 vnodes=11 ir=fe2cf09893156d41 p4=37bd6fceed44b804\n\
+abilene/P3 vnodes=11 ir=fe2cf09893156d41 p4=d6e31ed74c5fc01d\n\
+abilene/P4 vnodes=11 ir=fe2cf09893156d41 p4=e43810500163da6a\n\
+abilene/P5 vnodes=20 ir=6230f7dcae5706a3 p4=d013e5ee853c612c\n\
+abilene/P6 vnodes=22 ir=eea6559af4e76e64 p4=ae22c3d48c910237\n\
+abilene/P7 vnodes=22 ir=9094e73136fc1a89 p4=becbf97186b66462\n\
+abilene/P8 vnodes=11 ir=f433d0ed97e8d988 p4=7f84a04654337bf3\n\
+abilene/P9 vnodes=11 ir=fe2cf09893156d41 p4=81f08d40d3fc8520\n\
+fat-tree(8)/MU vnodes=80 ir=2de3bcbae1a576c5 p4=5fc0f793226c8d24\n\
+fat-tree(8)/WP vnodes=158 ir=332a3901e0cac4aa p4=60e97ac419abc9bf\n\
+fat-tree(8)/CA vnodes=80 ir=2de3bcbae1a576c5 p4=388c9b7feadf02b4\n\
+random(100)/MU vnodes=100 ir=b748bb3625f2e3c4 p4=4bd56103ab587744\n\
+random(100)/WP vnodes=198 ir=bd8d3ae2c8d8a8ed p4=bc2d34e8be55ac52\n\
+random(100)/CA vnodes=100 ir=b748bb3625f2e3c4 p4=9b895edb8e2a3c51\n\
+";
