@@ -172,7 +172,11 @@ impl Topology {
         &self.out[n.0 as usize]
     }
 
-    /// Out-neighbors of a node (deduplicated, in link order).
+    /// Out-neighbors of a node, one per out-link, in link order. Nothing
+    /// is de-duplicated and nothing needs to be: a topology holds at most
+    /// one link from a node to another ([`TopologyBuilder::build`] rejects
+    /// a second), so the entries are distinct. [`Topology::adjacency`]
+    /// lists the same nodes sorted by id, without allocating.
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         self.out[n.0 as usize]
             .iter()
@@ -324,7 +328,8 @@ impl TopologyBuilder {
         NodeId(self.nodes.len() as u32 - 1)
     }
 
-    /// Adds one directed link.
+    /// Adds one directed link. A second link between the same two nodes
+    /// is accepted here and rejected by [`TopologyBuilder::build`].
     pub fn line(&mut self, src: NodeId, dst: NodeId, bandwidth_bps: f64, delay_ns: u64) {
         assert_ne!(src, dst, "self-loops are not allowed");
         self.links.push(Link {
@@ -342,7 +347,9 @@ impl TopologyBuilder {
         self.line(b, a, bandwidth_bps, delay_ns);
     }
 
-    /// Finalizes the topology, computing adjacency indices.
+    /// Finalizes the topology, computing adjacency indices. Panics on a
+    /// second link from one node to another (a doubled cable): links are
+    /// looked up by their end points.
     pub fn build(self) -> Topology {
         let mut out = vec![Vec::new(); self.nodes.len()];
         let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); self.nodes.len()];
@@ -449,6 +456,34 @@ mod tests {
         let mut tb = Topology::builder();
         let a = tb.switch("a");
         tb.line(a, a, 1.0, 1);
+    }
+
+    /// A doubled cable never reaches a `Topology`, which is what lets
+    /// `neighbors` list one entry per link and still list no node twice.
+    #[test]
+    #[should_panic(expected = "parallel links between n0 and n1")]
+    fn doubled_cable_rejected() {
+        let mut tb = Topology::builder();
+        let a = tb.switch("a");
+        let b = tb.switch("b");
+        tb.biline(a, b, 10e9, 1_000);
+        tb.biline(a, b, 10e9, 400);
+        tb.build();
+    }
+
+    #[test]
+    fn neighbors_are_in_link_order_and_distinct() {
+        let mut tb = Topology::builder();
+        let [a, b, c] = ["a", "b", "c"].map(|n| tb.switch(n));
+        let h = tb.host("h");
+        tb.biline(a, c, 10e9, 1_000);
+        tb.biline(a, h, 10e9, 1_000);
+        tb.biline(a, b, 10e9, 1_000);
+        let t = tb.build();
+        assert_eq!(t.neighbors(a), vec![c, h, b]);
+        assert_eq!(t.switch_neighbors(a), vec![c, b]);
+        let sorted: Vec<NodeId> = t.adjacency(a).iter().map(|&(n, _)| n).collect();
+        assert_eq!(sorted, vec![b, c, h]);
     }
 
     #[test]

@@ -7,6 +7,18 @@
 //!
 //! All functions treat hosts as non-transit: paths never route *through* a
 //! host, matching real networks where only switches forward.
+//!
+//! Every shortest-path search runs on one kernel, `FlatGraph::settle`.
+//! The all-pairs RTT scan behind [`Topology::max_switch_rtt_ns`] asks it
+//! once per switch — O(V·E), the general path — unless every
+//! switch-to-switch link has the same delay, a property read off the
+//! links and true of every generator here. Then the largest delay is that
+//! delay times the hop diameter, and the diameter comes from
+//! breadth-first search run from 64 sources at a time, one bit per source
+//! in a word per node: V/64 sweeps of the edges instead of V. A WAN
+//! (Abilene, a GraphML file with per-link delays) has no such shortcut
+//! and takes the per-source scan, which is also what the unit tests hold
+//! the word-parallel one against.
 
 use crate::{NodeId, Topology};
 use std::collections::VecDeque;
@@ -78,10 +90,20 @@ impl FlatGraph {
     pub(crate) fn of(topo: &Topology) -> FlatGraph {
         let links = topo.links();
         let n = topo.num_nodes();
+        FlatGraph::new(
+            (0..n as u32).map(|i| topo.is_switch(NodeId(i))).collect(),
+            links.iter().map(|l| (l.src.0, l.dst.0, l.delay_ns)),
+        )
+    }
+
+    /// The graph of directed `links` (`(from, to, delay)`, in link order)
+    /// over `forwards.len()` nodes.
+    fn new(forwards: Vec<bool>, links: impl Iterator<Item = (u32, u32, u64)> + Clone) -> FlatGraph {
+        let n = forwards.len();
         FlatGraph {
-            forwards: (0..n as u32).map(|i| topo.is_switch(NodeId(i))).collect(),
-            out: Half::group(n, links.iter().map(|l| (l.src.0, l.dst.0, l.delay_ns))),
-            into: Half::group(n, links.iter().map(|l| (l.dst.0, l.src.0, l.delay_ns))),
+            forwards,
+            out: Half::group(n, links.clone()),
+            into: Half::group(n, links.map(|(from, to, delay)| (to, from, delay))),
         }
     }
 
@@ -152,17 +174,98 @@ impl FlatGraph {
     }
 
     /// Twice the largest shortest-delay distance between two switches.
+    /// When every switch-to-switch link has one delay, a shortest-delay
+    /// path is a fewest-hops path, so the answer is that delay times the
+    /// hop diameter; otherwise one search per switch.
     pub(crate) fn max_switch_rtt_ns(&self) -> u64 {
-        let switches = || (0..self.forwards.len()).filter(|&n| self.forwards[n]);
+        match self.uniform_switch_delay() {
+            Some(delay) => 2 * delay * self.switch_hop_diameter(),
+            None => self.max_switch_rtt_per_source(),
+        }
+    }
+
+    /// Nodes that forward, in id order.
+    fn switches(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.forwards.len()).filter(|&n| self.forwards[n])
+    }
+
+    /// The delay every switch-to-switch link has, if they all have one
+    /// (`None` also when there is no such link). Links to and from hosts
+    /// do not count: no path between two switches crosses one.
+    fn uniform_switch_delay(&self) -> Option<u64> {
+        let mut delays = self.switches().flat_map(|n| {
+            let to_switch = |&&(m, _): &&(u32, u64)| self.forwards[m as usize];
+            self.out.edges(n).iter().filter(to_switch).map(|e| e.1)
+        });
+        let first = delays.next()?;
+        delays.all(|d| d == first).then_some(first)
+    }
+
+    /// The general scan, and the oracle of the word-parallel one:
+    /// [`settle`](FlatGraph::settle) by delay from every switch.
+    fn max_switch_rtt_per_source(&self) -> u64 {
         let mut s = Scratch::default();
         let mut max = 0;
-        for src in switches() {
+        for src in self.switches() {
             self.settle::<false>(&self.out, NodeId(src as u32), &mut s);
-            for d in switches().map(|t| s.dist[t]).filter(|&d| d != UNREACHED) {
-                max = max.max(2 * d);
+            for d in self.switches().map(|t| s.dist[t]) {
+                if d != UNREACHED {
+                    max = max.max(2 * d);
+                }
             }
         }
         max
+    }
+
+    /// The largest hop distance from one switch to another it can reach
+    /// over switch-to-switch links: breadth-first search from 64 sources
+    /// at a time, one bit per source in a word per node. A level moves
+    /// the bits of each frontier node to the neighbours that have not
+    /// seen them; a batch is as deep as the levels that moved a bit.
+    fn switch_hop_diameter(&self) -> u64 {
+        let n = self.forwards.len();
+        // Per node: the sources that have reached it, those that reached
+        // it at this level, those reaching it at the next.
+        let (mut seen, mut cur, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+        // The nodes with a bit in `cur`, in `next`.
+        let (mut frontier, mut reached) = (Vec::<u32>::new(), Vec::<u32>::new());
+        let mut sources = self.switches().peekable();
+        let mut diameter = 0;
+        while sources.peek().is_some() {
+            seen.fill(0);
+            for (bit, src) in sources.by_ref().take(64).enumerate() {
+                (seen[src], cur[src]) = (1 << bit, 1 << bit);
+                frontier.push(src as u32);
+            }
+            let mut depth = 0;
+            loop {
+                for &v in &frontier {
+                    let bits = std::mem::take(&mut cur[v as usize]);
+                    for &(w, _) in self.out.edges(v as usize) {
+                        let w = w as usize;
+                        let new = bits & !seen[w];
+                        if new != 0 && self.forwards[w] {
+                            if next[w] == 0 {
+                                reached.push(w as u32);
+                            }
+                            next[w] |= new;
+                        }
+                    }
+                }
+                frontier.clear();
+                if reached.is_empty() {
+                    break;
+                }
+                depth += 1;
+                for &w in &reached {
+                    seen[w as usize] |= next[w as usize];
+                }
+                std::mem::swap(&mut cur, &mut next);
+                std::mem::swap(&mut frontier, &mut reached);
+            }
+            diameter = diameter.max(depth);
+        }
+        diameter
     }
 }
 
@@ -488,6 +591,127 @@ mod tests {
         tb.switch("y");
         let t2 = tb.build();
         assert!(!switch_graph_connected(&t2));
+    }
+
+    /// `topo` rebuilt link by link: `delay` (link index, link) gives each
+    /// directed link its delay, or `None` to leave it out.
+    fn relinked(topo: &Topology, delay: impl Fn(usize, &crate::Link) -> Option<u64>) -> Topology {
+        let mut tb = Topology::builder();
+        for node in topo.nodes() {
+            match node.kind {
+                crate::NodeKind::Switch => tb.switch(&node.name),
+                crate::NodeKind::Host => tb.host(&node.name),
+            };
+        }
+        for (i, l) in topo.links().iter().enumerate() {
+            if let Some(delay) = delay(i, l) {
+                tb.line(l.src, l.dst, l.bandwidth_bps, delay);
+            }
+        }
+        tb.build()
+    }
+
+    /// Twice the largest finite switch-to-switch entry of per-source
+    /// [`dijkstra_delay`] — the definition, through the public function.
+    fn max_rtt_by_dijkstra(topo: &Topology) -> u64 {
+        let switches = topo.switches();
+        let from = |&s: &NodeId| dijkstra_delay(topo, s);
+        let rows = switches.iter().map(from);
+        let far = rows.flat_map(|row| switches.iter().filter_map(move |t| row[t.0 as usize]));
+        2 * far.max().unwrap_or(0)
+    }
+
+    /// Where every switch-to-switch link has one delay the word-parallel
+    /// scan runs, and agrees with the per-source scan it stands in for.
+    #[test]
+    fn word_parallel_scan_matches_per_source_scan() {
+        use crate::generators::{fat_tree, leaf_spine, random_connected, LinkSpec};
+        let spec = LinkSpec::default();
+        let slow_edge = LinkSpec {
+            delay_ns: 7_000,
+            ..spec
+        };
+        let mut cases = vec![
+            ("fat-tree(4) with hosts", fat_tree(4, 2, spec)),
+            ("fat-tree(8), 80 switches", fat_tree(8, 0, spec)),
+            // Host links of another delay do not make the fabric uneven.
+            ("leaf-spine", leaf_spine(4, 2, 2, spec, slow_edge)),
+            ("two switches", random_connected(2, 0, spec, 1)),
+        ];
+        for seed in 1..=6 {
+            cases.push(("random, 64 switches", random_connected(64, 40, spec, seed)));
+            cases.push(("random, 65 switches", random_connected(65, 10, spec, seed)));
+            cases.push((
+                "random, 150 switches",
+                random_connected(150, 60, spec, seed),
+            ));
+        }
+        // A tree with one cable cut: two components.
+        let tree = random_connected(40, 0, spec, 9);
+        let bridge = &tree.links()[20];
+        let cut = tree.without_cables(&[(bridge.src, bridge.dst)]);
+        assert!(!switch_graph_connected(&cut));
+        cases.push(("cut tree", cut));
+        let flat4 = fat_tree(4, 1, spec);
+        cases.push(("zero delay", relinked(&flat4, |_, _| Some(0))));
+        // One direction of a cable gone: reachability is not symmetric.
+        let mesh = random_connected(12, 6, spec, 3);
+        let one_way = relinked(&mesh, |i, l| (i != 3).then_some(l.delay_ns));
+        cases.push(("one-way link", one_way));
+
+        for (what, topo) in &cases {
+            let g = topo.flat();
+            assert!(g.uniform_switch_delay().is_some(), "{what}: one delay");
+            let want = g.max_switch_rtt_per_source();
+            assert_eq!(g.max_switch_rtt_ns(), want, "{what}");
+            assert_eq!(max_rtt_by_dijkstra(topo), want, "{what}: the oracle's own");
+        }
+    }
+
+    /// A lone switch has no link to read a delay off and is its own
+    /// diameter; a doubled cable, which [`Topology`] cannot hold, is two
+    /// edges the scans must both take in their stride.
+    #[test]
+    fn scan_corner_graphs() {
+        let mut tb = Topology::builder();
+        tb.switch("only");
+        let lone = tb.build();
+        assert_eq!(lone.flat().uniform_switch_delay(), None);
+        assert_eq!(lone.flat().switch_hop_diameter(), 0);
+        assert_eq!(lone.max_switch_rtt_ns(), 0);
+
+        // a = b - c, the a–b cable doubled: once with the same delay…
+        let cable = |a, b, d| [(a, b, d), (b, a, d)];
+        let chain = |second| {
+            let links = [cable(0, 1, 1_000), cable(0, 1, second), cable(1, 2, 1_000)];
+            FlatGraph::new(vec![true; 3], links.into_iter().flatten())
+        };
+        let same = chain(1_000);
+        assert_eq!(same.uniform_switch_delay(), Some(1_000));
+        assert_eq!(same.switch_hop_diameter(), 2);
+        assert_eq!(same.max_switch_rtt_ns(), 4_000);
+        assert_eq!(same.max_switch_rtt_per_source(), 4_000);
+        // … and once faster, which the general scan must prefer.
+        let faster = chain(400);
+        assert_eq!(faster.uniform_switch_delay(), None);
+        assert_eq!(faster.max_switch_rtt_ns(), 2 * (400 + 1_000));
+    }
+
+    /// One link of another delay and the general scan runs — the same
+    /// answer per-source [`dijkstra_delay`] gives.
+    #[test]
+    fn uneven_delays_take_the_general_scan() {
+        use crate::generators::{abilene, random_connected, LinkSpec};
+        for seed in 1..=4 {
+            let even = random_connected(70, 50, LinkSpec::default(), seed);
+            let pick = 2 * seed as usize + 1;
+            let uneven = relinked(&even, |i, l| Some(l.delay_ns + 300 * u64::from(i == pick)));
+            assert_eq!(uneven.flat().uniform_switch_delay(), None);
+            assert_eq!(uneven.max_switch_rtt_ns(), max_rtt_by_dijkstra(&uneven));
+        }
+        let wan = abilene(40e9);
+        assert_eq!(wan.flat().uniform_switch_delay(), None);
+        assert_eq!(wan.max_switch_rtt_ns(), max_rtt_by_dijkstra(&wan));
     }
 
     #[test]
