@@ -115,11 +115,19 @@ impl Dfa {
     /// the full switch alphabet, so this is a programming error).
     pub fn step(&self, state: usize, sym: Sym) -> usize {
         match self.sym_index(sym) {
-            Some(i) => self.trans[state * self.alphabet.len() + i],
+            Some(column) => self.step_at(state, column),
             None => self
                 .dead
                 .expect("symbol outside alphabet and automaton has no dead state"),
         }
+    }
+
+    /// [`step`](Dfa::step) for a symbol whose [`sym_index`](Dfa::sym_index)
+    /// the caller already holds — the product graph steps every automaton
+    /// on the same switch once per edge into it.
+    pub fn step_at(&self, state: usize, column: usize) -> usize {
+        debug_assert!(column < self.alphabet.len(), "column outside alphabet");
+        self.trans[state * self.alphabet.len() + column]
     }
 
     /// Runs the automaton over a whole path from the start state.
@@ -420,6 +428,13 @@ mod tests {
         let d = Dfa::from_regex(&Regex::seq(&[1]), &abc());
         let dead = d.dead.unwrap();
         assert_eq!(d.step(d.start, 99), dead);
+        // Inside it, `step` is `sym_index` + `step_at`.
+        for (column, &sym) in d.alphabet.iter().enumerate() {
+            assert_eq!(d.sym_index(sym), Some(column));
+            for s in 0..d.num_states() {
+                assert_eq!(d.step(s, sym), d.step_at(s, column));
+            }
+        }
     }
 
     #[test]
