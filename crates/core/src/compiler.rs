@@ -200,16 +200,65 @@ impl CompiledPolicy {
 /// every switch with attached hosts, or every switch when the topology
 /// has no hosts (the scalability sweeps use host-less graphs).
 pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
-    let with_hosts: Vec<NodeId> = topo
-        .switches()
-        .into_iter()
-        .filter(|&s| !topo.hosts_of(s).is_empty())
-        .collect();
+    let hosted = |&s: &NodeId| topo.adjacency(s).iter().any(|&(m, _)| !topo.is_switch(m));
+    let with_hosts: Vec<NodeId> = topo.switches().into_iter().filter(hosted).collect();
     if with_hosts.is_empty() {
         topo.switches()
     } else {
         with_hosts
     }
+}
+
+/// One program per switch. Each table is built in one pass from a run
+/// that is already in key order: `multicast` from the switch's virtual
+/// nodes in tag order (fan-out at the probe's current switch),
+/// `next_pg_node` from the product-graph edges into the switch.
+fn switch_programs(topo: &Topology, pg: &ProductGraph) -> BTreeMap<NodeId, SwitchProgram> {
+    // Edges `(from, to)` bucketed by the switch of `to`: bucket `y` is
+    // `incoming[first[y]..first[y + 1]]`. The sweep is in `from` order, so
+    // every bucket comes out sorted by its `NEXTPGNODE` key — and a key
+    // is not repeated, a probe having one successor per neighbour.
+    let receiver = |w: VNodeId| pg.vnode(w).switch.0 as usize;
+    let edges = || {
+        pg.out
+            .iter()
+            .zip(0..)
+            .flat_map(|(succs, v)| succs.iter().map(move |&w| (VNodeId(v), w)))
+    };
+    let mut first = vec![0u32; topo.num_nodes() + 1];
+    for (_, w) in edges() {
+        first[receiver(w) + 1] += 1;
+    }
+    for y in 0..topo.num_nodes() {
+        first[y + 1] += first[y];
+    }
+    let mut at = first.clone();
+    let mut incoming = vec![(VNodeId(0), VNodeId(0)); first[topo.num_nodes()] as usize];
+    for (v, w) in edges() {
+        let slot = &mut at[receiver(w)];
+        incoming[*slot as usize] = (v, w);
+        *slot += 1;
+    }
+
+    let program = |sw: NodeId| {
+        let tags = pg.by_switch.get(&sw).cloned().unwrap_or_default();
+        let fanout = |&v: &VNodeId| {
+            let to = |&w: &VNodeId| (pg.vnode(w).switch, w);
+            (!pg.succs(v).is_empty()).then(|| (v, pg.succs(v).iter().map(to).collect()))
+        };
+        let into = first[sw.0 as usize] as usize..first[sw.0 as usize + 1] as usize;
+        SwitchProgram {
+            switch: sw,
+            next_pg_node: incoming[into].iter().copied().collect(),
+            multicast: tags.iter().filter_map(fanout).collect(),
+            tags,
+            sending_vnode: pg.sending.get(&sw).copied(),
+        }
+    };
+    let switches = (0..topo.num_nodes() as u32)
+        .map(NodeId)
+        .filter(|&n| topo.is_switch(n));
+    switches.map(|sw| (sw, program(sw))).collect()
 }
 
 /// The Contra compiler, bound to one topology.
@@ -259,45 +308,7 @@ impl<'t> Compiler<'t> {
             return Err(CompileError::NoUsefulPaths);
         }
 
-        let programs = prof.span("tablegen", || {
-            // Per-switch programs.
-            let mut programs: BTreeMap<NodeId, SwitchProgram> = BTreeMap::new();
-            for sw in self.topo.switches() {
-                let tags = pg.by_switch.get(&sw).cloned().unwrap_or_default();
-                programs.insert(
-                    sw,
-                    SwitchProgram {
-                        switch: sw,
-                        tags,
-                        next_pg_node: BTreeMap::new(),
-                        multicast: BTreeMap::new(),
-                        sending_vnode: pg.sending.get(&sw).copied(),
-                    },
-                );
-            }
-            // Fill multicast (at the probe's current switch) and
-            // next_pg_node (at the receiving switch) from the PG edges.
-            for (v_idx, succs) in pg.out.iter().enumerate() {
-                let v = VNodeId(v_idx as u32);
-                let x = pg.vnode(v).switch;
-                for &w in succs {
-                    let y = pg.vnode(w).switch;
-                    programs
-                        .get_mut(&x)
-                        .expect("switch program exists")
-                        .multicast
-                        .entry(v)
-                        .or_default()
-                        .push((y, w));
-                    programs
-                        .get_mut(&y)
-                        .expect("switch program exists")
-                        .next_pg_node
-                        .insert(v, w);
-                }
-            }
-            programs
-        });
+        let programs = prof.span("tablegen", || switch_programs(self.topo, &pg));
 
         let warnings = analysis.warnings.clone();
         let min_probe_period_ns = self.topo.max_switch_rtt_ns() / 2;

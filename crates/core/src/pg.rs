@@ -122,158 +122,124 @@ impl ProductGraph {
         destinations: &[NodeId],
         prune: bool,
     ) -> ProductGraph {
-        let mut index: BTreeMap<(NodeId, Vec<usize>), usize> = BTreeMap::new();
-        let mut switches_of: Vec<NodeId> = Vec::new();
-        let mut states_of: Vec<Vec<usize>> = Vec::new();
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        let mut sending: BTreeMap<NodeId, usize> = BTreeMap::new();
-
-        let mut work: Vec<usize> = Vec::new();
-        let add = |switch: NodeId,
-                   states: Vec<usize>,
-                   index: &mut BTreeMap<(NodeId, Vec<usize>), usize>,
-                   switches_of: &mut Vec<NodeId>,
-                   states_of: &mut Vec<Vec<usize>>,
-                   out: &mut Vec<Vec<usize>>,
-                   work: &mut Vec<usize>|
-         -> usize {
-            let key = (switch, states.clone());
-            if let Some(&i) = index.get(&key) {
-                return i;
-            }
-            let i = switches_of.len();
-            index.insert(key, i);
-            switches_of.push(switch);
-            states_of.push(states);
-            out.push(Vec::new());
-            work.push(i);
-            i
+        let k = automata.len();
+        let nodes = topo.num_nodes();
+        // Every automaton is stepped on switch `y` once per edge into `y`:
+        // resolve `y`'s column in each alphabet once, `cols[i * nodes + y]`.
+        let cols: Vec<Option<usize>> = automata
+            .iter()
+            .flat_map(|a| (0..nodes as u32).map(|y| a.sym_index(y)))
+            .collect();
+        let step = |i: usize, state: usize, y: NodeId| match cols[i * nodes + y.0 as usize] {
+            Some(column) => automata[i].step_at(state, column),
+            // Outside the alphabet: the dead state, or `step`'s panic.
+            None => automata[i].step(state, y.0),
         };
 
-        // Seed: probe-sending states per destination.
+        // Explore in probe direction from the probe-sending states. Raw
+        // nodes are expanded in the order they were found, so the
+        // successors of node `v` are `edges[first_edge[v]..first_edge[v + 1]]`.
+        let mut raw = RawNodes::new(k, nodes);
+        let mut sending: Vec<(NodeId, u32)> = Vec::with_capacity(destinations.len());
         for &d in destinations {
-            let states: Vec<usize> = automata.iter().map(|a| a.step(a.start, d.0)).collect();
-            let i = add(
-                d,
-                states,
-                &mut index,
-                &mut switches_of,
-                &mut states_of,
-                &mut out,
-                &mut work,
-            );
-            sending.insert(d, i);
-        }
-
-        // BFS in probe direction.
-        while let Some(v) = work.pop() {
-            let x = switches_of[v];
-            let mut nbrs = topo.switch_neighbors(x);
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            for y in nbrs {
-                let states: Vec<usize> = automata
-                    .iter()
-                    .zip(&states_of[v])
-                    .map(|(a, &s)| a.step(s, y.0))
-                    .collect();
-                let w = add(
-                    y,
-                    states,
-                    &mut index,
-                    &mut switches_of,
-                    &mut states_of,
-                    &mut out,
-                    &mut work,
-                );
-                if !out[v].contains(&w) {
-                    out[v].push(w);
-                }
+            for (i, a) in automata.iter().enumerate() {
+                raw.states.push(step(i, a.start, d));
             }
+            sending.push((d, raw.intern_tail(d)));
         }
+        let mut edges: Vec<u32> = Vec::new();
+        let mut first_edge: Vec<u32> = Vec::new();
+        let mut v = 0;
+        while v < raw.len() {
+            first_edge.push(edges.len() as u32);
+            let neighbors = topo.adjacency(raw.switch_of[v]);
+            // Distinct neighbours are distinct switches, so no successor
+            // of `v` is found twice.
+            debug_assert!(neighbors.windows(2).all(|n| n[0].0 < n[1].0));
+            for &(y, _) in neighbors.iter().filter(|&&(y, _)| topo.is_switch(y)) {
+                for i in 0..k {
+                    raw.states.push(step(i, raw.states[v * k + i], y));
+                }
+                edges.push(raw.intern_tail(y));
+            }
+            v += 1;
+        }
+        first_edge.push(edges.len() as u32);
+        let n = raw.len();
+        let succs =
+            |v: u32| &edges[first_edge[v as usize] as usize..first_edge[v as usize + 1] as usize];
 
         // Acceptance and finite-rank classification.
-        let n = switches_of.len();
-        let acc_of: Vec<Vec<bool>> = (0..n)
-            .map(|v| {
+        let acc_of: Vec<bool> = (0..n as u32)
+            .flat_map(|v| {
                 automata
                     .iter()
-                    .zip(&states_of[v])
+                    .zip(raw.states_of(v))
                     .map(|(a, &s)| a.accept[s])
-                    .collect()
             })
             .collect();
-        let finite_of: Vec<bool> = acc_of
-            .iter()
-            .map(|acc| finite_possible(normal, acc))
+        let acc = |v: u32| &acc_of[v as usize * k..][..k];
+        let finite_of: Vec<bool> = (0..n as u32)
+            .map(|v| finite_possible(normal, acc(v)))
             .collect();
 
         // Usefulness: a vnode is kept if it, or anything probes reach from
         // it, can carry a finite-rank path for some source.
-        let keep: Vec<bool> = if prune {
-            let mut keep = finite_of.clone();
-            // Fixpoint over the (small) PG: predecessor of a kept node is kept.
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for v in 0..n {
-                    if !keep[v] && out[v].iter().any(|&w| keep[w]) {
-                        keep[v] = true;
-                        changed = true;
-                    }
-                }
-            }
-            keep
+        let keep = if prune && !finite_of.iter().all(|&f| f) {
+            reaching(&finite_of, &first_edge, &edges)
         } else {
             vec![true; n]
         };
 
-        // Compact, deterministic renumbering: sort kept vnodes by
-        // (switch, states) so output is independent of BFS order.
-        let mut kept: Vec<usize> = (0..n).filter(|&v| keep[v]).collect();
-        kept.sort_by(|&a, &b| {
-            (switches_of[a], &states_of[a]).cmp(&(switches_of[b], &states_of[b]))
-        });
-        let mut renum = vec![usize::MAX; n];
+        // Compact, deterministic renumbering: kept vnodes in (switch,
+        // states) order, so output is independent of exploration order.
+        let mut kept: Vec<u32> = Vec::with_capacity(n);
+        let mut by_switch: Vec<(NodeId, Vec<VNodeId>)> = Vec::new();
+        for switch in (0..nodes as u32).map(NodeId) {
+            let from = kept.len();
+            kept.extend(raw.at(switch).filter(|&v| keep[v as usize]));
+            if kept.len() > from {
+                kept[from..].sort_unstable_by_key(|&v| raw.states_of(v));
+                let ids = (from..kept.len()).map(|new| VNodeId(new as u32));
+                by_switch.push((switch, ids.collect()));
+            }
+        }
+        let mut renum = vec![u32::MAX; n];
         for (new, &old) in kept.iter().enumerate() {
-            renum[old] = new;
+            renum[old as usize] = new as u32;
         }
 
         let mut vnodes = Vec::with_capacity(kept.len());
-        let mut new_out = vec![Vec::new(); kept.len()];
-        let mut by_switch: BTreeMap<NodeId, Vec<VNodeId>> = BTreeMap::new();
-        for (new, &old) in kept.iter().enumerate() {
-            let switch = switches_of[old];
-            let tag = by_switch.get(&switch).map_or(0, |v| v.len()) as u16;
-            by_switch
-                .entry(switch)
-                .or_default()
-                .push(VNodeId(new as u32));
-            vnodes.push(VNode {
-                switch,
-                states: states_of[old].clone(),
-                acc: acc_of[old].clone(),
-                tag,
-                finite: finite_of[old],
-            });
-            let mut succs: Vec<VNodeId> = out[old]
-                .iter()
-                .filter(|&&w| keep[w])
-                .map(|&w| VNodeId(renum[w] as u32))
-                .collect();
-            succs.sort_unstable();
-            new_out[new] = succs;
+        let mut out = Vec::with_capacity(kept.len());
+        for (switch, ids) in &by_switch {
+            for (tag, id) in ids.iter().enumerate() {
+                let old = kept[id.0 as usize];
+                vnodes.push(VNode {
+                    switch: *switch,
+                    states: raw.states_of(old).to_vec(),
+                    acc: acc(old).to_vec(),
+                    tag: tag as u16,
+                    finite: finite_of[old as usize],
+                });
+                let kept_succs = succs(old).iter().filter(|&&w| keep[w as usize]);
+                let renumbered: Vec<VNodeId> =
+                    kept_succs.map(|&w| VNodeId(renum[w as usize])).collect();
+                // Found in neighbour order, and new ids ascend with the
+                // switch: already sorted.
+                debug_assert!(renumbered.windows(2).all(|w| w[0] < w[1]));
+                out.push(renumbered);
+            }
         }
         let sending = sending
             .into_iter()
-            .filter(|&(_, v)| keep[v])
-            .map(|(d, v)| (d, VNodeId(renum[v] as u32)))
+            .filter(|&(_, v)| keep[v as usize])
+            .map(|(d, v)| (d, VNodeId(renum[v as usize])))
             .collect();
 
         ProductGraph {
             vnodes,
-            out: new_out,
-            by_switch,
+            out,
+            by_switch: by_switch.into_iter().collect(),
             sending,
         }
     }
@@ -394,6 +360,110 @@ fn finite_possible(normal: &NormalPolicy, acc: &[bool]) -> bool {
     })
 }
 
+/// The nodes [`ProductGraph::build`] has found, before pruning and
+/// renumbering: `k` automaton states per node in one arena, and per switch
+/// a chain through the nodes found there, which is what a lookup walks.
+struct RawNodes {
+    k: usize,
+    switch_of: Vec<NodeId>,
+    /// Node `v`'s states are `states[v * k..][..k]`; a candidate's states
+    /// sit at the tail while [`RawNodes::intern_tail`] looks it up.
+    states: Vec<usize>,
+    /// The node found last at each topology node, and from each node the
+    /// one found before it at the same switch; `u32::MAX` ends a chain.
+    last_at: Vec<u32>,
+    before: Vec<u32>,
+}
+
+impl RawNodes {
+    fn new(k: usize, topology_nodes: usize) -> RawNodes {
+        RawNodes {
+            k,
+            switch_of: Vec::new(),
+            states: Vec::new(),
+            last_at: vec![u32::MAX; topology_nodes],
+            before: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.switch_of.len()
+    }
+
+    fn states_of(&self, v: u32) -> &[usize] {
+        &self.states[v as usize * self.k..][..self.k]
+    }
+
+    /// The nodes at `switch`, last found first.
+    fn at(&self, switch: NodeId) -> impl Iterator<Item = u32> + '_ {
+        let mut next = self.last_at[switch.0 as usize];
+        std::iter::from_fn(move || {
+            let v = next;
+            (v != u32::MAX).then(|| {
+                next = self.before[v as usize];
+                v
+            })
+        })
+    }
+
+    /// The node at `switch` whose states are the `k` words at the arena's
+    /// tail: one found earlier, and the tail is dropped, or a new one,
+    /// whose states the tail becomes.
+    fn intern_tail(&mut self, switch: NodeId) -> u32 {
+        let tail_at = self.len() * self.k;
+        let tail = &self.states[tail_at..];
+        debug_assert_eq!(tail.len(), self.k);
+        // Element by element: `==` on slices is a call to `bcmp`, and with
+        // no regex in the policy (`k` = 0) both sides are empty and point
+        // nowhere, which measured 127 ns a call against 2 ns for any
+        // other pair — more than everything else the exploration does.
+        let found = (self.at(switch)).find(|&v| self.states_of(v).iter().eq(tail));
+        if let Some(v) = found {
+            self.states.truncate(tail_at);
+            return v;
+        }
+        let v = self.len() as u32;
+        self.switch_of.push(switch);
+        let last = std::mem::replace(&mut self.last_at[switch.0 as usize], v);
+        self.before.push(last);
+        v
+    }
+}
+
+/// `keep[v]`: whether node `v` is marked or an edge path leads from it to a
+/// marked node (node `v`'s successors are
+/// `edges[first_edge[v]..first_edge[v + 1]]`) — one backward sweep over the
+/// transposed graph.
+fn reaching(marked: &[bool], first_edge: &[u32], edges: &[u32]) -> Vec<bool> {
+    let n = marked.len();
+    let mut first_pred = vec![0u32; n + 1];
+    for &w in edges {
+        first_pred[w as usize + 1] += 1;
+    }
+    for w in 0..n {
+        first_pred[w + 1] += first_pred[w];
+    }
+    let mut at = first_pred.clone();
+    let mut preds = vec![0u32; edges.len()];
+    for v in 0..n {
+        for &w in &edges[first_edge[v] as usize..first_edge[v + 1] as usize] {
+            preds[at[w as usize] as usize] = v as u32;
+            at[w as usize] += 1;
+        }
+    }
+    let mut keep = marked.to_vec();
+    let mut work: Vec<u32> = (0..n as u32).filter(|&v| keep[v as usize]).collect();
+    while let Some(w) = work.pop() {
+        let w = w as usize;
+        for &v in &preds[first_pred[w] as usize..first_pred[w + 1] as usize] {
+            if !std::mem::replace(&mut keep[v as usize], true) {
+                work.push(v);
+            }
+        }
+    }
+    keep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +570,8 @@ mod tests {
         let (pg, ..) = build("minimize(path.len)", &topo, true);
         for (v, succs) in pg.out.iter().enumerate() {
             let x = pg.vnodes[v].switch;
+            // One successor per neighbour, in id order, none repeated.
+            assert!(succs.windows(2).all(|w| w[0] < w[1]), "{succs:?}");
             for &w in succs {
                 let y = pg.vnode(w).switch;
                 assert!(
