@@ -22,54 +22,48 @@
 //!   with the §5 refinements.
 
 use crate::writer::CodeWriter;
-use contra_core::{Attr, CompiledPolicy, FLOWLET_ENTRIES, LOOP_ENTRIES};
+use contra_core::{Attr, CompiledPolicy, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_topology::NodeId;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Emits the P4₁₆ program for one switch.
 pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     let prog = &cp.programs[&switch];
-    let topo_name = "contra";
     let metrics = cp.basis.attrs();
 
-    // Port numbering: sorted neighbor list (switches then hosts).
-    let mut ports: BTreeMap<NodeId, usize> = BTreeMap::new();
-    {
-        let mut i = 1usize; // port 0 reserved for CPU
-        let mut nbrs: Vec<NodeId> = Vec::new();
-        // Stable order: neighbor node id.
-        let mut all: Vec<NodeId> = prog
-            .multicast
-            .values()
-            .flat_map(|v| v.iter().map(|&(n, _)| n))
-            .collect();
-        all.extend(prog.next_pg_node.keys().map(|v| cp.pg.vnode(*v).switch));
-        all.sort_unstable();
-        all.dedup();
-        nbrs.extend(all);
-        for n in nbrs {
-            ports.entry(n).or_insert_with(|| {
-                let p = i;
-                i += 1;
-                p
-            });
-        }
-    }
+    // Port numbering: neighbours in node-id order (see `port_of`).
+    let mut ports: Vec<NodeId> = prog
+        .multicast
+        .values()
+        .flat_map(|v| v.iter().map(|&(n, _)| n))
+        .collect();
+    ports.extend(prog.next_pg_node.keys().map(|v| cp.pg.vnode(*v).switch));
+    ports.sort_unstable();
+    ports.dedup();
 
     let dests = cp.destinations.len().max(1);
     let tags = prog.tags.len().max(1);
     let pids = cp.num_pids().max(1);
     let fwdt_size = dests * tags * pids;
 
-    let mut w = CodeWriter::new();
-    w.line(&format!(
-        "// Contra-generated P4_16 program for switch {} (node {})",
-        "sw", switch.0
+    // The fixed text is about 6.5 kB; the rest grows with the tables.
+    let members: usize = prog.multicast.values().map(Vec::len).sum();
+    let mut w = CodeWriter::with_capacity(
+        6_800
+            + 200 * metrics.len()
+            + 44 * prog.next_pg_node.len()
+            + 80 * prog.multicast.len()
+            + 40 * members
+            + 12 * ports.len(),
+    );
+    w.linef(format_args!(
+        "// Contra-generated P4_16 program for switch sw (node {})",
+        switch.0
     ));
-    w.line(&format!("// policy: {}", cp.policy));
-    w.line(&format!(
-        "// tags: {}, pids: {}, destinations: {}, metric basis: {:?}",
-        tags, pids, dests, metrics
+    w.linef(format_args!("// policy: {}", cp.policy));
+    w.linef(format_args!(
+        "// tags: {tags}, pids: {pids}, destinations: {dests}, metric basis: {metrics:?}"
     ));
     w.line("#include <core.p4>");
     w.line("#include <v1model.p4>");
@@ -77,10 +71,12 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     w.line("typedef bit<9> port_t;");
     w.line("const bit<16> ETHERTYPE_CONTRA_DATA = 0x88B5;");
     w.line("const bit<16> ETHERTYPE_CONTRA_PROBE = 0x88B6;");
-    w.line(&format!("const bit<32> FWDT_SIZE = {fwdt_size};"));
-    w.line(&format!("const bit<32> BEST_SIZE = {dests};"));
-    w.line(&format!("const bit<32> FLOWLET_SIZE = {FLOWLET_ENTRIES};"));
-    w.line(&format!("const bit<32> LOOP_SIZE = {LOOP_ENTRIES};"));
+    w.linef(format_args!("const bit<32> FWDT_SIZE = {fwdt_size};"));
+    w.linef(format_args!("const bit<32> BEST_SIZE = {dests};"));
+    w.linef(format_args!(
+        "const bit<32> FLOWLET_SIZE = {FLOWLET_ENTRIES};"
+    ));
+    w.linef(format_args!("const bit<32> LOOP_SIZE = {LOOP_ENTRIES};"));
     w.blank();
 
     // ---- headers -------------------------------------------------------
@@ -102,7 +98,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     w.line("bit<32> version;  // per-origin round number (§5.1)");
     w.line("bit<16> tag;      // sender's virtual node");
     for m in &metrics {
-        w.line(&format!(
+        w.linef(format_args!(
             "bit<32> m_{};   // fixed-point metric",
             attr_field(*m)
         ));
@@ -144,7 +140,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     // ---- registers (runtime tables, Fig 7 + §5) --------------------------
     w.line("// FwdT: one slot per (destination, tag, pid); dataplane-written.");
     for m in &metrics {
-        w.line(&format!(
+        w.linef(format_args!(
             "register<bit<32>>(FWDT_SIZE) fwdt_m_{};",
             attr_field(*m)
         ));
@@ -185,7 +181,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     if !prog.next_pg_node.is_empty() {
         w.open("const entries = {");
         for (from, to) in &prog.next_pg_node {
-            w.line(&format!("{}: set_next_pg_node({});", from.0, to.0));
+            w.linef(format_args!("{}: set_next_pg_node({});", from.0, to.0));
         }
         w.close("}");
     }
@@ -203,8 +199,8 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     w.line("default_action = drop();");
     if !prog.multicast.is_empty() {
         w.open("const entries = {");
-        for (i, (v, _targets)) in prog.multicast.iter().enumerate() {
-            w.line(&format!("{}: set_probe_mcast({});", v.0, i + 1));
+        for (i, v) in prog.multicast.keys().enumerate() {
+            w.linef(format_args!("{}: set_probe_mcast({});", v.0, i + 1));
         }
         w.close("}");
     }
@@ -227,13 +223,15 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     for m in &metrics {
         let f = attr_field(*m);
         match m {
-            Attr::Util => w.line(&format!(
+            Attr::Util => w.linef(format_args!(
                 "// m_{f} = max(m_{f}, port_util[smeta.ingress_port]) — bottleneck"
             )),
-            Attr::Lat => w.line(&format!("// m_{f} = m_{f} + port_lat[smeta.ingress_port]")),
-            Attr::Len => w.line(&format!("// m_{f} = m_{f} + 1")),
+            Attr::Lat => w.linef(format_args!(
+                "// m_{f} = m_{f} + port_lat[smeta.ingress_port]"
+            )),
+            Attr::Len => w.linef(format_args!("// m_{f} = m_{f} + 1")),
         }
-        w.line(&format!(
+        w.linef(format_args!(
             "fwdt_m_{f}.write(meta.fwdt_index, hdr.probe.m_{f});"
         ));
     }
@@ -293,33 +291,64 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     // ---- control-plane companion data ------------------------------------
     w.line("// ---- control-plane configuration (multicast groups) ----");
     for (i, (v, targets)) in prog.multicast.iter().enumerate() {
-        let members: Vec<String> = targets
-            .iter()
-            .map(|(n, w_)| format!("port {} (to node {}, vnode {})", ports[n], n.0, w_.0))
-            .collect();
-        w.line(&format!(
+        w.linef(format_args!(
             "// mcast-group {} (vnode {}): {}",
             i + 1,
             v.0,
-            members.join(", ")
+            Members {
+                targets,
+                ports: &ports
+            }
         ));
     }
     if let Some(v0) = prog.sending_vnode {
-        w.line(&format!(
+        w.linef(format_args!(
             "// probe origin: vnode {} every probe period, one probe per pid (0..{})",
             v0.0,
             pids - 1
         ));
     }
-    w.line(&format!(
-        "// ports: {:?}",
-        ports
-            .iter()
-            .map(|(n, p)| format!("{}→{}", n.0, p))
-            .collect::<Vec<_>>()
-    ));
-    let _ = topo_name;
+    w.linef(format_args!("// ports: {}", PortMap(&ports)));
     w.finish()
+}
+
+/// The port facing neighbour `n`: `ports` lists the neighbours in port
+/// order, port 0 is the CPU's.
+fn port_of(ports: &[NodeId], n: NodeId) -> usize {
+    1 + ports.binary_search(&n).expect("a neighbour has a port")
+}
+
+/// One multicast group's members as the control-plane block lists them:
+/// `port 1 (to node 4, vnode 9), port 2 (…)`.
+struct Members<'a> {
+    targets: &'a [(NodeId, VNodeId)],
+    ports: &'a [NodeId],
+}
+
+impl fmt::Display for Members<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &(n, w)) in self.targets.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let port = port_of(self.ports, n);
+            write!(f, "{sep}port {port} (to node {}, vnode {})", n.0, w.0)?;
+        }
+        Ok(())
+    }
+}
+
+/// The port map, written as the `Debug` of a list of strings:
+/// `["4→1", "7→2"]`.
+struct PortMap<'a>(&'a [NodeId]);
+
+impl fmt::Display for PortMap<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[")?;
+        for (i, n) in self.0.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            write!(f, "{sep}\"{}→{}\"", n.0, i + 1)?;
+        }
+        f.write_str("]")
+    }
 }
 
 fn attr_field(a: Attr) -> &'static str {
