@@ -66,6 +66,28 @@ fn uncompilable_policy_exits_1() {
     );
 }
 
+/// The one timing the operator sees says something: milliseconds, and
+/// more than zero of them even for the smallest built-in cell.
+#[test]
+fn compile_reports_a_positive_time_in_ms() {
+    let out = contra(&[
+        "compile",
+        "--topology",
+        "fat-tree:4",
+        "--policy",
+        "minimize(path.util)",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let line = err.lines().find(|l| l.starts_with("compiled in "));
+    let ms = line.and_then(|l| l.strip_prefix("compiled in ")?.strip_suffix(" ms"));
+    let ms: f64 = ms
+        .unwrap_or_else(|| panic!("no `compiled in … ms` line: {err}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("{line:?}: {e}"));
+    assert!(ms > 0.0, "{line:?}");
+}
+
 #[test]
 fn list_and_help_exit_0() {
     let out = contra(&["fig", "list"]);
