@@ -16,7 +16,7 @@ use crate::ast::Policy;
 use crate::lexer::SyntaxError;
 use crate::metric::{MetricBasis, MetricVec};
 use crate::normal::{normalize, NormError, NormalPolicy};
-use crate::pg::{ProductGraph, VNodeId};
+use crate::pg::{bucketed, ProductGraph, VNodeId};
 use crate::rank::Rank;
 use crate::resolve::{resolve_regexes, ResolveError};
 use contra_automata::{Dfa, Regex};
@@ -214,31 +214,16 @@ pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
 /// nodes in tag order (fan-out at the probe's current switch),
 /// `next_pg_node` from the product-graph edges into the switch.
 fn switch_programs(topo: &Topology, pg: &ProductGraph) -> BTreeMap<NodeId, SwitchProgram> {
-    // Edges `(from, to)` bucketed by the switch of `to`: bucket `y` is
-    // `incoming[first[y]..first[y + 1]]`. The sweep is in `from` order, so
-    // every bucket comes out sorted by its `NEXTPGNODE` key — and a key
-    // is not repeated, a probe having one successor per neighbour.
-    let receiver = |w: VNodeId| pg.vnode(w).switch.0 as usize;
-    let edges = || {
-        pg.out
-            .iter()
-            .zip(0..)
-            .flat_map(|(succs, v)| succs.iter().map(move |&w| (VNodeId(v), w)))
-    };
-    let mut first = vec![0u32; topo.num_nodes() + 1];
-    for (_, w) in edges() {
-        first[receiver(w) + 1] += 1;
-    }
-    for y in 0..topo.num_nodes() {
-        first[y + 1] += first[y];
-    }
-    let mut at = first.clone();
-    let mut incoming = vec![(VNodeId(0), VNodeId(0)); first[topo.num_nodes()] as usize];
-    for (v, w) in edges() {
-        let slot = &mut at[receiver(w)];
-        incoming[*slot as usize] = (v, w);
-        *slot += 1;
-    }
+    // Edges `(from, to)` bucketed by the switch of `to`. The sweep is in
+    // `from` order, so every bucket comes out sorted by its `NEXTPGNODE`
+    // key — and a key is not repeated, a probe having one successor per
+    // neighbour.
+    let edges = pg.out.iter().zip(0..).flat_map(|(succs, v)| {
+        let into = move |&w: &VNodeId| (pg.vnode(w).switch.0 as usize, (VNodeId(v), w));
+        succs.iter().map(into)
+    });
+    let no_edge = (VNodeId(0), VNodeId(0));
+    let (first, incoming) = bucketed(topo.num_nodes(), edges, no_edge);
 
     let program = |sw: NodeId| {
         let tags = pg.by_switch.get(&sw).cloned().unwrap_or_default();
@@ -255,9 +240,7 @@ fn switch_programs(topo: &Topology, pg: &ProductGraph) -> BTreeMap<NodeId, Switc
             sending_vnode: pg.sending.get(&sw).copied(),
         }
     };
-    let switches = (0..topo.num_nodes() as u32)
-        .map(NodeId)
-        .filter(|&n| topo.is_switch(n));
+    let switches = topo.switches().into_iter();
     switches.map(|sw| (sw, program(sw))).collect()
 }
 

@@ -430,27 +430,41 @@ impl RawNodes {
     }
 }
 
+/// Counting sort of `items` — `(bucket, value)` pairs — into `buckets`
+/// runs that keep the items' order: bucket `b` is
+/// `values[first[b] as usize..first[b + 1] as usize]`.
+pub(crate) fn bucketed<T: Copy>(
+    buckets: usize,
+    items: impl Iterator<Item = (usize, T)> + Clone,
+    fill: T,
+) -> (Vec<u32>, Vec<T>) {
+    let mut first = vec![0u32; buckets + 1];
+    for (b, _) in items.clone() {
+        first[b + 1] += 1;
+    }
+    for b in 0..buckets {
+        first[b + 1] += first[b];
+    }
+    let mut at = first.clone();
+    let mut values = vec![fill; first[buckets] as usize];
+    for (b, value) in items {
+        values[at[b] as usize] = value;
+        at[b] += 1;
+    }
+    (first, values)
+}
+
 /// `keep[v]`: whether node `v` is marked or an edge path leads from it to a
 /// marked node (node `v`'s successors are
 /// `edges[first_edge[v]..first_edge[v + 1]]`) — one backward sweep over the
 /// transposed graph.
 fn reaching(marked: &[bool], first_edge: &[u32], edges: &[u32]) -> Vec<bool> {
     let n = marked.len();
-    let mut first_pred = vec![0u32; n + 1];
-    for &w in edges {
-        first_pred[w as usize + 1] += 1;
-    }
-    for w in 0..n {
-        first_pred[w + 1] += first_pred[w];
-    }
-    let mut at = first_pred.clone();
-    let mut preds = vec![0u32; edges.len()];
-    for v in 0..n {
-        for &w in &edges[first_edge[v] as usize..first_edge[v + 1] as usize] {
-            preds[at[w as usize] as usize] = v as u32;
-            at[w as usize] += 1;
-        }
-    }
+    let transposed = (0..n).flat_map(|v| {
+        let succs = &edges[first_edge[v] as usize..first_edge[v + 1] as usize];
+        succs.iter().map(move |&w| (w as usize, v as u32))
+    });
+    let (first_pred, preds) = bucketed(n, transposed, 0);
     let mut keep = marked.to_vec();
     let mut work: Vec<u32> = (0..n as u32).filter(|&v| keep[v as usize]).collect();
     while let Some(w) = work.pop() {
@@ -502,6 +516,14 @@ mod tests {
         let dests = topo.switches();
         let pg = ProductGraph::build(topo, &automata, &normal, &dests, prune);
         (pg, automata, normal)
+    }
+
+    #[test]
+    fn bucketed_keeps_the_order_within_a_bucket() {
+        let items = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')];
+        let (first, values) = bucketed(3, items.into_iter(), ' ');
+        assert_eq!(first, [0, 2, 2, 4]);
+        assert_eq!(values, ['b', 'd', 'a', 'c']);
     }
 
     #[test]

@@ -193,10 +193,10 @@ impl FlatGraph {
     /// (`None` also when there is no such link). Links to and from hosts
     /// do not count: no path between two switches crosses one.
     fn uniform_switch_delay(&self) -> Option<u64> {
-        let mut delays = self.switches().flat_map(|n| {
-            let to_switch = |&&(m, _): &&(u32, u64)| self.forwards[m as usize];
-            self.out.edges(n).iter().filter(to_switch).map(|e| e.1)
-        });
+        let from_switches = self.switches().flat_map(|n| self.out.edges(n));
+        let mut delays = from_switches
+            .filter(|e| self.forwards[e.0 as usize])
+            .map(|e| e.1);
         let first = delays.next()?;
         delays.all(|d| d == first).then_some(first)
     }

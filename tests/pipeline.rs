@@ -267,7 +267,7 @@ fn p4_digest(cp: &CompiledPolicy, topo: &Topology) -> u64 {
 #[test]
 fn compile_fingerprint() {
     let spec = generators::LinkSpec::default;
-    let catalogue = |f1, f2, x, y| policies::catalogue(f1, f2, x, y);
+    let catalogue = policies::catalogue;
     let ladder = |topo: &Topology| {
         let s = topo.switches();
         let (f1, f2) = (&topo.node(s[0]).name, &topo.node(s[1]).name);
