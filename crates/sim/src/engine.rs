@@ -13,11 +13,32 @@
 //!   itself.
 //!
 //! Deterministic by construction: the event queue breaks time ties by a
-//! class-encoded key (arrivals by directed link, timers in push order,
-//! serializer completions last — see [`crate::sched`]), all randomness
-//! comes from seeded generators in the workload layer, and switch logic
-//! runs strictly one event at a time. The same inputs always produce
-//! byte-identical statistics.
+//! class-encoded key (arrivals by directed link, then timers in push
+//! order — see [`crate::sched`]), all randomness comes from seeded
+//! generators in the workload layer, and switch logic runs strictly one
+//! event at a time. The same inputs always produce byte-identical
+//! statistics.
+//!
+//! ## Links without completion events
+//!
+//! A serializer finishing a packet is no event: the link computes every
+//! arrival when it accepts the packet ([`crate::link`]). A packet that
+//! finds the serializer idle is scheduled as an ordinary `Arrive`; one
+//! that queues joins the link's train, of which only the head is
+//! scheduled (`TrainHead`) and re-armed as it pops. Link state is settled
+//! lazily, at the next touch of the link, and before anything reads all
+//! links at once (a checkpoint, a telemetry sample, the end of the run).
+//!
+//! **Ordering across a flap.** Within one up period a link's arrivals
+//! strictly increase in serialization order, so the train can feed them
+//! one at a time. A failure ends that: a 1,500 B packet on the wire can be
+//! overtaken by a 64 B probe sent after recovery, or tie with it. So the
+//! failure settles the link, flushes what had not started, and detaches
+//! what is on the wire into ordinary arrivals, pushed then and there in
+//! serialization order. Everything accepted after recovery is pushed
+//! later, and same-instant arrivals on one link pop in push order — which
+//! is, as before, serialization order. The epoch bump makes the train
+//! head scheduled before the failure stale.
 
 use crate::config::{SimConfig, QUEUE_CAPACITY_BYTES};
 use crate::fault::FaultError;
@@ -57,8 +78,9 @@ enum Event {
         from: NodeId,
         pkt: u32,
     },
-    /// Link serializer finished a packet.
-    TxDone { link: LinkId, epoch: u64 },
+    /// The head of `link`'s train arrives; stale unless `epoch` is still
+    /// the link's.
+    TrainHead { link: LinkId, epoch: u64 },
     /// Periodic switch timer.
     Tick { node: NodeId },
     /// A TCP flow becomes active.
@@ -285,16 +307,6 @@ impl Simulator {
         self.queue.push_at_key(at, lid.0 as u64, ev);
     }
 
-    /// Schedules a serializer completion, sorting after every other
-    /// event at its instant: observers at a packet boundary see the
-    /// boundary as not yet crossed.
-    fn push_completion(&mut self, at: Time, ev: Event) {
-        if at > self.cfg.stop_at {
-            return;
-        }
-        self.queue.push_last(at, ev);
-    }
-
     /// The shared event loop behind [`Simulator::run`] and
     /// [`Simulator::run_traced`].
     fn run_loop(&mut self) {
@@ -323,6 +335,17 @@ impl Simulator {
                 self.emit_sample();
             }
         }
+        // The last settle is inclusive of `stop_at`, as the last
+        // completions were. Whatever a train still holds arrives past
+        // `stop_at` (its head was never scheduled); the part of it that
+        // has been handed over is on the wire for good.
+        for link in &mut self.links {
+            link.settle(Time(self.cfg.stop_at.0.saturating_add(1)));
+            debug_assert!(link.train_head().is_none_or(|(at, _)| at > self.cfg.stop_at));
+            for _ in 0..link.train_on_wire() {
+                self.obs.emit(self.now, Obs::StopCut);
+            }
+        }
         // Consistency check and a final sample at the end-of-run
         // instant, then the engine-side totals: the event count,
         // scheduler occupancy and the dataplane's modeled register
@@ -343,8 +366,17 @@ impl Simulator {
         self.obs.emit(self.now, end);
     }
 
+    /// Settles every link up to the current instant, for a reader of all
+    /// of them.
+    fn settle_links(&mut self) {
+        for link in &mut self.links {
+            link.settle(self.now);
+        }
+    }
+
     /// Tells the observers that engine state is consistent right now.
     fn emit_checkpoint(&mut self, end_of_run: bool) {
+        self.settle_links();
         let checkpoint = Obs::Checkpoint {
             end_of_run,
             links: &self.links,
@@ -356,6 +388,7 @@ impl Simulator {
     /// One metric sample at the current instant (taken by the telemetry
     /// recorder): what it reads is lent, not copied.
     fn emit_sample(&mut self) {
+        self.settle_links();
         let sample = Obs::Sample {
             links: &self.links,
             fabric: &self.fabric_links,
@@ -391,7 +424,7 @@ impl Simulator {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrive { node, from, pkt } => self.on_arrive(node, from, pkt),
-            Event::TxDone { link, epoch } => self.on_tx_done(link, epoch),
+            Event::TrainHead { link, epoch } => self.on_train_head(link, epoch),
             Event::Tick { node } => self.on_tick(node),
             Event::FlowStart { flow } => {
                 self.obs.emit(self.now, Obs::FlowStart { flow });
@@ -430,9 +463,11 @@ impl Simulator {
             Event::QueueSample => {
                 // Fabric links only (switch → switch), precomputed once.
                 for &link in &self.fabric_links {
+                    let state = &mut self.links[link as usize];
+                    state.settle(self.now);
                     let sample = Obs::QueueDepth {
                         link,
-                        bytes: self.links[link as usize].queued_bytes(),
+                        bytes: state.queued_bytes(),
                         cap: self.cfg.queue_sample_cap,
                     };
                     self.obs.emit(self.now, sample);
@@ -880,5 +915,153 @@ mod tests {
         let (stats, live) = run(sim);
         assert_eq!(drops(&stats, DropReason::LinkDown), 167 - 92);
         assert_eq!((stats.delivered_packets, live), (92, 0));
+    }
+
+    /// The work counter of the saturated cell above, without the fault:
+    /// 167 datagram sends and the one that finds the stream over; a tick
+    /// every 10 µs of the 30 ms at s0 (3,001) and at s1, whose first is
+    /// 7.919 µs in (3,000); and one arrival per hop — 167 at s0, then the
+    /// 93 the ten-deep queue let through at s1 and at h1. Not one event
+    /// per serialized packet besides: an event class that comes back
+    /// fails here, not in a profile.
+    #[test]
+    fn events_are_sends_ticks_and_arrivals() {
+        let (mut sim, s0, s1) = line(1e9, 2e9);
+        sim.install(s0, routed(s1));
+        sim.install(s1, routed(s0));
+        let cable = sim.topo.link_between(s0, s1).unwrap();
+        sim.links[cable.0 as usize].qcap_bytes = 15_000;
+        let (stats, _) = run(sim);
+        assert_eq!(stats.delivered_packets, 93);
+        assert_eq!(stats.events_processed, 168 + 3_001 + 3_000 + 167 + 2 * 93);
+    }
+
+    /// s0 –1 Gbps, 1 µs– s1 and nothing else: no hosts, no logic (an
+    /// arrival ends as a `NoRoute` drop, freeing its slot), audited. The
+    /// tests below offer packets to the cable by hand and dispatch the
+    /// events themselves, logging them.
+    fn bare_cable() -> (Simulator, LinkId) {
+        let mut t = Topology::builder();
+        let (s0, s1) = (t.switch("s0"), t.switch("s1"));
+        t.biline(s0, s1, 1e9, 1_000);
+        let cfg = SimConfig {
+            stop_at: Time::ms(1),
+            audit: true,
+            ..SimConfig::default()
+        };
+        let sim = Simulator::new(t.build(), cfg);
+        let cable = sim.topo.link_between(s0, s1).unwrap();
+        (sim, cable)
+    }
+
+    /// Offers a datagram of `size` bytes to `cable` at `at`; its slot.
+    fn offer(sim: &mut Simulator, cable: LinkId, at: Time, size: u32) -> u32 {
+        let l = sim.topo.link(cable);
+        let (from, to) = (l.src, l.dst);
+        let pkt = Packet {
+            id: 0,
+            kind: PacketKind::Udp,
+            src_host: from,
+            dst_host: to,
+            dst_switch: to,
+            flow: FlowId(0),
+            seq: 0,
+            size_bytes: size,
+            sent_at: at,
+            tag: 0,
+            pid: 0,
+            ttl: INITIAL_TTL,
+            flow_hash: 0,
+        };
+        sim.now = at;
+        let slot = sim.pool.insert(pkt);
+        sim.transmit(from, to, slot);
+        slot
+    }
+
+    /// Takes `cable` down and up again at `at`, as a fault event would.
+    fn flap(sim: &mut Simulator, cable: LinkId, at: Time) {
+        sim.now = at;
+        sim.apply_fault("s0~s1", vec![cable], true);
+        sim.apply_fault("s0~s1", vec![cable], false);
+    }
+
+    /// Pops and dispatches everything pending, then ends the run (the
+    /// audited end-of-run checkpoint). Returns what popped, in order:
+    /// the instant in ns, and the slot that arrived — `None` for a stale
+    /// train head, which brings none.
+    fn drain(mut sim: Simulator) -> (Vec<(u64, Option<u32>)>, SimStats, u64) {
+        let mut log = Vec::new();
+        while let Some(entry) = sim.queue.pop() {
+            sim.now = entry.at;
+            log.push(match entry.ev {
+                Event::Arrive { pkt, .. } => (entry.at.0, Some(pkt)),
+                Event::TrainHead { link, epoch } => {
+                    let link = &sim.links[link.0 as usize];
+                    let head = link.train_head().filter(|_| link.epoch == epoch);
+                    (entry.at.0, head.map(|(_, slot)| slot))
+                }
+                ref other => panic!("{other:?} on a bare cable"),
+            });
+            sim.dispatch(entry.ev);
+        }
+        let (stats, live) = run(sim);
+        (log, stats, live)
+    }
+
+    /// Three 1,500 B datagrams offered at once take the cable 12 µs each:
+    /// `a` alone on the wire until 12 µs, `b` and `c` on the train. The
+    /// flap at 14 µs finds `b` in service (arriving at 25 µs) and `c`
+    /// not started: `c` is flushed, never arrives, and its slot is freed
+    /// by the flush alone. A 64 B probe sent at 20 µs on the recovered
+    /// cable takes 512 ns and arrives at 21.512 µs: it overtakes `b`, so
+    /// `b` cannot have stayed on a train, and the head scheduled for it
+    /// at 25 µs pops stale and moves nothing.
+    #[test]
+    fn a_probe_sent_after_a_flap_overtakes_the_packet_in_service() {
+        let (mut sim, cable) = bare_cable();
+        let [a, b, c] = [0; 3].map(|_| offer(&mut sim, cable, Time::ZERO, 1_500));
+        flap(&mut sim, cable, Time::us(14));
+        assert!(!sim.pool.is_live(c), "the flush frees what it drops");
+        let probe = offer(&mut sim, cable, Time::us(20), 64);
+        assert_eq!(probe, c, "the freed slot is the next one minted");
+        let (log, stats, live) = drain(sim);
+        let expected = [
+            (13_000, Some(a)),
+            (21_512, Some(probe)),
+            (25_000, None),
+            (25_000, Some(b)),
+        ];
+        assert_eq!(log, expected);
+        assert_eq!(drops(&stats, DropReason::LinkDown), 1);
+        assert_eq!((drops(&stats, DropReason::NoRoute), live), (3, 0));
+    }
+
+    /// The same flap at 13 µs, and the probe sent at 23.488 µs: it
+    /// arrives at 25 µs exactly, with `b`. Arrivals on one link at one
+    /// instant pop in push order, and the failure pushed `b`'s: `b`
+    /// first, as serialized. A second train, behind the probe, is fed in
+    /// order after both.
+    #[test]
+    fn a_tie_across_a_flap_keeps_serialization_order() {
+        let (mut sim, cable) = bare_cable();
+        let [a, b] = [0; 2].map(|_| offer(&mut sim, cable, Time::ZERO, 1_500));
+        flap(&mut sim, cable, Time::us(13));
+        let [probe, d, e] = [64, 1_500, 1_500].map(|size| {
+            let at = Time::ns(23_488);
+            offer(&mut sim, cable, at, size)
+        });
+        let (log, stats, live) = drain(sim);
+        let expected = [
+            (13_000, Some(a)),
+            (25_000, None), // the head scheduled at time 0, stale
+            (25_000, Some(b)),
+            (25_000, Some(probe)),
+            (37_000, Some(d)),
+            (49_000, Some(e)),
+        ];
+        assert_eq!(log, expected);
+        assert!(stats.drops.keys().all(|&r| r == DropReason::NoRoute));
+        assert_eq!((drops(&stats, DropReason::NoRoute), live), (5, 0));
     }
 }

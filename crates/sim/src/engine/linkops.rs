@@ -1,19 +1,20 @@
 //! The engine's link-layer driver: how packets enter serializers and
-//! how completions fan back into the event loop.
+//! how a link's train feeds the event loop.
 //!
 //! Split out of `engine.rs` so the dispatcher stays a readable core; the
 //! methods here are the only code that schedules link events.
 
 use super::{Event, Simulator};
-use crate::link::{DropReason, EnqueueOutcome};
+use crate::link::{Arrival, DropReason};
 use crate::observe::Obs;
 use crate::packet::{Packet, PacketKind, PktRef};
 use crate::stats::TrafficKind;
+use crate::time::Time;
 use contra_topology::{LinkId, NodeId};
 
 impl Simulator {
-    /// Queues the packet in `slot` on the link `from → to`, starting the
-    /// serializer if idle. Decrements its TTL, where it sits, on
+    /// Offers the packet in `slot` to the link `from → to`, which knows
+    /// at once when it will arrive. Decrements its TTL, where it sits, on
     /// switch-to-switch hops. A packet the link does not take ends here.
     pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, slot: u32) {
         self.obs.emit(self.now, Obs::Offered);
@@ -34,12 +35,12 @@ impl Simulator {
             slot,
             size_bytes: bytes,
         };
-        let outcome = self.links[lid.0 as usize].enqueue(queued, self.now);
-        if let EnqueueOutcome::Dropped(reason) = outcome {
-            return self.drop_slot(slot, reason, Some(lid), true);
-        }
-        // Idle→busy starts a fresh serializer busy period.
-        let busy_start = outcome == EnqueueOutcome::StartTx;
+        let link = &mut self.links[lid.0 as usize];
+        let (busy_start, arrival) = match link.accept(queued, self.now) {
+            Ok(accepted) => accepted,
+            Err(reason) => return self.drop_slot(slot, reason, Some(lid), true),
+        };
+        let epoch = link.epoch;
         let on_wire = Obs::OnWire {
             kind,
             bytes,
@@ -47,80 +48,60 @@ impl Simulator {
             busy_start,
         };
         self.obs.emit(self.now, on_wire);
-        if busy_start {
-            self.start_tx(lid);
-        } else {
-            self.arm_completion(lid);
+        match arrival {
+            Arrival::Alone(at) => self.push_wire_arrival(at, lid, to, from, slot),
+            Arrival::Head(at) => self.push_arrival(at, lid, Event::TrainHead { link: lid, epoch }),
+            Arrival::Behind => {}
         }
     }
 
-    /// Starts serializing a link's head packet: schedules its arrival
-    /// and, if a packet waits behind it, the serializer's completion.
-    fn start_tx(&mut self, lid: LinkId) {
-        let link = &mut self.links[lid.0 as usize];
-        let Some((pkt, tx)) = link.start_tx(self.now) else {
-            return;
-        };
-        let delay = link.delay;
-        let l = self.topo.link(lid);
-        let (from, to) = (l.src, l.dst);
-        let arrive_at = self.now + tx + delay;
-        if arrive_at > self.cfg.stop_at {
-            // The arrival below is never enqueued: the packet keeps its
-            // slot at end of run by design, not as a leak.
+    /// Schedules the arrival of a packet that is on the wire and on no
+    /// train. One that would arrive past `stop_at` never does: it keeps
+    /// its slot at end of run by design, not as a leak.
+    fn push_wire_arrival(&mut self, at: Time, lid: LinkId, node: NodeId, from: NodeId, pkt: u32) {
+        if at > self.cfg.stop_at {
             self.obs.emit(self.now, Obs::StopCut);
         }
-        self.push_arrival(
-            arrive_at,
-            lid,
-            Event::Arrive {
-                node: to,
-                from,
-                pkt: pkt.slot,
-            },
-        );
-        self.arm_completion(lid);
+        self.push_arrival(at, lid, Event::Arrive { node, from, pkt });
     }
 
-    /// Schedules the completion of the packet in service on `lid` once a
-    /// packet is queued behind it. A completion that would find the queue
-    /// empty models nothing — it only marks the serializer idle, which
-    /// [`crate::link::LinkState::enqueue`] reads off the clock — so it is no
-    /// event.
-    fn arm_completion(&mut self, lid: LinkId) {
+    /// The head of `lid`'s train arrives, and the next entry becomes the
+    /// scheduled one. A head scheduled before a failure (epoch mismatch)
+    /// is ignored: the failure re-scheduled or flushed its packet.
+    pub(super) fn on_train_head(&mut self, lid: LinkId, epoch: u64) {
         let link = &mut self.links[lid.0 as usize];
-        if let Some(done_at) = link.arm_completion() {
-            let epoch = link.epoch;
-            self.push_completion(done_at, Event::TxDone { link: lid, epoch });
+        if link.epoch != epoch {
+            return;
         }
+        let (at, slot) = link.pop_train().expect("a scheduled head is on its train");
+        debug_assert_eq!(at, self.now);
+        if let Some((next, _)) = link.train_head() {
+            self.push_arrival(next, lid, Event::TrainHead { link: lid, epoch });
+        }
+        let l = self.topo.link(lid);
+        self.on_arrive(l.dst, l.src, slot);
     }
 
-    /// Serializer completion: starts the next queued packet, if any.
-    /// Stale completions from before a failure (epoch mismatch) are
-    /// ignored — were they honored, a flap could double-start the
-    /// serializer.
-    pub(super) fn on_tx_done(&mut self, lid: LinkId, epoch: u64) {
-        let link = &mut self.links[lid.0 as usize];
-        let done = Obs::TxDone {
-            link: lid.0,
-            epoch,
-            state: link,
-        };
-        self.obs.emit(self.now, done);
-        if !link.up || link.epoch != epoch {
-            return; // stale completion from before a failure
-        }
-        if link.tx_done() {
-            self.start_tx(lid);
-        }
-    }
-
-    /// A cable direction fails: packets whose serialization had not
-    /// started are lost and counted ([`DropReason::LinkDown`]), and the
-    /// link epoch advances so in-flight completions are recognized as
-    /// stale.
+    /// A cable direction fails. Packets whose serialization had not
+    /// started — a hand-over at this very instant included — are lost and
+    /// counted ([`DropReason::LinkDown`]). What the train still holds is
+    /// on the wire and becomes ordinary arrivals, pushed now and in
+    /// serialization order: after the flap a later, shorter packet may
+    /// arrive before one of these, or with it, so they can no longer wait
+    /// on a train whose arrivals must increase, and a tie must find them
+    /// pushed first. The epoch advances, so the head scheduled before the
+    /// failure is recognized as stale.
     pub(super) fn take_link_down(&mut self, lid: LinkId) {
-        for pkt in self.links[lid.0 as usize].set_down() {
+        let l = self.topo.link(lid);
+        let (from, to) = (l.src, l.dst);
+        let link = &mut self.links[lid.0 as usize];
+        link.settle(self.now);
+        let flushed = link.set_down();
+        let on_wire: Vec<(Time, u32)> = link.detach_train().collect();
+        for (at, slot) in on_wire {
+            self.push_wire_arrival(at, lid, to, from, slot);
+        }
+        for pkt in flushed {
             self.drop_slot(pkt.slot, DropReason::LinkDown, Some(lid), true);
         }
         self.obs.emit(self.now, Obs::LinkDown { link: lid.0 });

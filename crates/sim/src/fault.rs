@@ -11,7 +11,8 @@
 //! or engine behavior, so golden fingerprints are byte-identical with
 //! auditing on or off. It is an [`Observer`] of the engine's seam: it
 //! keeps four counters from the packet observations and checks, at
-//! every [`Obs::Checkpoint`] (each fault epoch and end of run):
+//! every [`Obs::Checkpoint`] (each fault epoch and end of run, the engine
+//! having settled every link first):
 //!
 //! * **Packet conservation** — every packet offered to a link is either
 //!   taken at its arrival, lost to an accounted drop, or still holds its
@@ -21,18 +22,19 @@
 //! * **Queue occupancy** — per link, `queued_bytes` both matches the
 //!   sum of queued packet sizes and stays within `qcap_bytes`; every
 //!   queued reference addresses a live slot of that size.
+//! * **Trains** — per link, every train entry addresses a live slot,
+//!   arrivals strictly increase from the head, and the entries that have
+//!   not been handed over are the link's queue, in order: a flush that
+//!   forgot the train, or a train that outlived a flap, fails here.
 //! * **Pool leak freedom** (end of run) — the only packets left on the
-//!   wire are those whose arrival was scheduled past `stop_at` (the
-//!   engine never enqueues such events, so they are stranded by
-//!   design, and their count is tracked exactly as `stop_cut`).
+//!   wire are those whose arrival lies past `stop_at` (the engine never
+//!   enqueues such events, so they are stranded by design, and their
+//!   count is tracked exactly as `stop_cut`: reported where a packet
+//!   goes on the wire outside a train, and for a train entry once it has
+//!   been handed over — never while it only waits in the queue).
 //! * **Trace-table leak freedom** — every live trace belongs to a
 //!   packet that still holds a pool slot; packets that died in flight
 //!   must have been forgotten.
-//!
-//! A fifth check runs at every [`Obs::TxDone`]: a completion carrying
-//! a link's *current* epoch while the link is down would mean an event
-//! was addressed to a dead epoch (`set_down` always bumps the epoch, so
-//! this cannot happen unless the bump was bypassed).
 
 use crate::link::LinkState;
 use crate::observe::{Obs, Observer};
@@ -93,11 +95,6 @@ impl Observer for Auditor {
             Obs::Taken => self.taken += 1,
             Obs::Drop { on_link_leg, .. } => self.lost += on_link_leg as u64,
             Obs::StopCut => self.stop_cut += 1,
-            // Every legitimately stale completion carries an older epoch.
-            Obs::TxDone { link, epoch, state } => assert!(
-                state.up || state.epoch != epoch,
-                "audit: TxDone addressed to live epoch {epoch} of down link {link} at {now}"
-            ),
             Obs::Checkpoint {
                 end_of_run,
                 links,
@@ -141,6 +138,35 @@ impl Auditor {
                 link.queued_bytes(),
                 link.qcap_bytes,
             );
+            let train = link.audit_train();
+            let on_wire = train.len().checked_sub(link.queue_len());
+            assert!(
+                on_wire.is_some(),
+                "audit[{phase}] at {now}: link {i} queues {} packets, its train holds {}",
+                link.queue_len(),
+                train.len(),
+            );
+            let mut waiting = link.audit_queue();
+            let mut last = None;
+            for (k, (arrival, slot)) in train.enumerate() {
+                assert!(
+                    pool.is_live(slot),
+                    "audit[{phase}] at {now}: link {i} train holds dead slot {slot}"
+                );
+                assert!(
+                    last < Some(arrival),
+                    "audit[{phase}] at {now}: link {i} train arrivals {last:?}, {arrival} do not increase"
+                );
+                last = Some(arrival);
+                if Some(k) >= on_wire {
+                    let queued = waiting.next().map(|entry| entry.slot);
+                    assert!(
+                        queued == Some(slot),
+                        "audit[{phase}] at {now}: link {i} train entry {k} is slot {slot}, \
+                         the queue has {queued:?} there"
+                    );
+                }
+            }
         }
         let live = pool.live();
         let on_wire = live.checked_sub(queued);
@@ -282,15 +308,25 @@ mod tests {
     /// A slot a link queue refers to is queued, not on the wire: it is
     /// no leak at end of run, and the reference must describe it.
     #[test]
-    #[should_panic(expected = "link 0 queues slot 0 as 60 bytes")]
+    #[should_panic(expected = "link 0 queues slot 1 as 60 bytes")]
     fn queued_slots_are_accounted_to_their_queue() {
+        use crate::packet::PktRef;
         let mut pool = PacketPool::default();
-        let slot = pool.insert(packet(7));
+        let (wire, slot) = (pool.insert(packet(6)), pool.insert(packet(7)));
         let mut link = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
         let checkpoint = |size_bytes, link: &mut LinkState| {
-            link.enqueue(crate::packet::PktRef { slot, size_bytes }, Time::ZERO);
+            // The first takes the serializer (and is cut by `stop_at`),
+            // the second queues behind it.
+            let on_wire = PktRef {
+                slot: wire,
+                size_bytes: 100,
+            };
             let mut aud = Auditor::default();
-            aud.on(Time::ZERO, &Obs::Offered);
+            for pkt in [on_wire, PktRef { slot, size_bytes }] {
+                link.accept(pkt, Time::ZERO).expect("room for two");
+                aud.on(Time::ZERO, &Obs::Offered);
+            }
+            aud.on(Time::ZERO, &Obs::StopCut);
             let obs = Obs::Checkpoint {
                 end_of_run: true,
                 links: std::slice::from_ref(link),
@@ -304,19 +340,61 @@ mod tests {
         checkpoint(60, &mut link);
     }
 
-    #[test]
-    #[should_panic(expected = "TxDone addressed to live epoch 1 of down link 4")]
-    fn completion_for_a_dead_epoch_panics() {
-        let mut state = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
+    /// Three packets accepted at once — one on the wire, two on the
+    /// train — then the link fails and the flushed slots are freed. The
+    /// real flush takes them off the train too; the mutant that leaves the
+    /// train's tail in place is caught at the next checkpoint.
+    fn flushed(mutant: bool) {
+        let mut pool = PacketPool::default();
+        let mut link = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
         let mut aud = Auditor::default();
-        let mut done = |epoch, state: &LinkState| {
-            let link = 4;
-            aud.on(Time::ZERO, &Obs::TxDone { link, epoch, state });
+        for id in 0..3 {
+            let slot = pool.insert(packet(id));
+            let pkt = crate::packet::PktRef {
+                slot,
+                size_bytes: 100,
+            };
+            link.accept(pkt, Time::ZERO).expect("room for three");
+            aud.on(Time::ZERO, &Obs::Offered);
+        }
+        let checkpoint = |aud: &mut Auditor, link: &LinkState, pool: &PacketPool| {
+            let obs = Obs::Checkpoint {
+                end_of_run: false,
+                links: std::slice::from_ref(link),
+                pool,
+            };
+            aud.on(Time::ZERO, &obs);
         };
-        done(0, &state);
-        state.set_down();
-        done(0, &state); // stale: from before the failure
-        done(1, &state);
+        checkpoint(&mut aud, &link, &pool);
+        let lost = if mutant {
+            link.set_down_keeping_train_tail()
+        } else {
+            link.set_down()
+        };
+        assert_eq!(lost.len(), 2);
+        for entry in lost {
+            pool.free(entry.slot);
+            let obs = Obs::Drop {
+                reason: crate::link::DropReason::LinkDown,
+                is_probe: false,
+                link: Some(0),
+                pkt: 0,
+                on_link_leg: true,
+            };
+            aud.on(Time::ZERO, &obs);
+        }
+        checkpoint(&mut aud, &link, &pool);
+    }
+
+    #[test]
+    fn a_flush_takes_the_tail_off_the_train() {
+        flushed(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0 train holds dead slot")]
+    fn a_flush_that_leaves_the_train_tail_panics() {
+        flushed(true);
     }
 
     #[test]

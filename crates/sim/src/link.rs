@@ -4,11 +4,40 @@
 //! paper's buffer size) and a Hula-style decaying utilization estimator
 //! that the dataplane reads when updating probe metric vectors.
 //!
-//! Serialization is per packet: the engine starts the head packet when
-//! the serializer frees up ([`LinkState::start_tx`]). A completion is an
-//! event only when a packet waits for it ([`LinkState::arm_completion`],
-//! [`LinkState::tx_done`]); a busy period nobody queued behind ends by
-//! the clock, noticed by the next [`LinkState::enqueue`].
+//! ## Serializers are arithmetic
+//!
+//! A link is FIFO, fixed-rate and never pre-empts, so the instant a queued
+//! packet starts serializing — its *hand-over* — is known the moment the
+//! link accepts it: the instant the serializer frees after everything
+//! accepted before it. The engine therefore schedules no completion
+//! event. `LinkState::accept` settles the link, computes the packet's
+//! arrival from that arithmetic, and either starts it at once (serializer
+//! idle) or appends it to the link's *train*, the FIFO of
+//! `(arrival, slot)` of which the engine keeps only the head scheduled.
+//!
+//! **Settling.** What a completion event used to change — the queue and
+//! `queued_bytes`, the estimator feed, the busy flag — is brought up to
+//! date by `LinkState::settle` at the next touch of the link: it runs
+//! [`LinkState::start_tx`] at every hand-over instant that has passed, in
+//! order, from the same integer nanoseconds the completions fired at.
+//!
+//! **Strictness.** A hand-over at instant S is visible to events *after*
+//! S only: `settle(now)` performs those with `S < now`. This is where the
+//! old "a completion sorts last in its instant" rule of the scheduler now
+//! lives — a packet offered at the very instant the serializer frees still
+//! queues behind it, and a queue sample at S still counts the packet that
+//! starts at S. (The engine's last settle, at end of run, is inclusive of
+//! `stop_at`, as the last completions were.)
+//!
+//! **Reads are pure.** Switch logic reads links through `&[LinkState]`
+//! and cannot settle them, so [`LinkState::utilization`] replays the
+//! hand-overs not yet settled on a copy of the estimator: the value — to
+//! the bit — that settling first would have produced.
+//!
+//! Driven by hand ([`LinkState::enqueue`], [`LinkState::start_tx`],
+//! [`LinkState::tx_done`] — micro-benchmarks, and the test-only reference
+//! model that *does* schedule completions), a link is the plain state
+//! machine it always was; the train stays empty.
 
 use crate::packet::{PktRef, WireSize};
 use crate::time::{tx_time, Time};
@@ -104,13 +133,23 @@ pub struct LinkState<P = PktRef> {
     /// capacity and queue-occupancy sampling both measure this).
     queued_bytes: u32,
     /// Whether a packet is being serialized — as far as the link has been
-    /// told: with no completion armed, `busy` outlives `busy_until` until
-    /// the next `enqueue` looks at the clock.
+    /// told: once nothing is queued, `busy` outlives `busy_until` until the
+    /// next `enqueue` looks at the clock.
     busy: bool,
-    /// When the packet in service leaves the serializer.
+    /// When the packet in service leaves the serializer: the next
+    /// hand-over instant while anything is queued.
     busy_until: Time,
-    /// Whether a completion event is scheduled for the packet in service.
-    armed: bool,
+    /// When the serializer frees after everything accepted so far —
+    /// `busy_until` plus the serialization of the whole queue. Kept by
+    /// `accept`; meaningless on a link driven by hand.
+    tail_free: Time,
+    /// Accepted packets that found the serializer taken and have not
+    /// arrived yet, as `(arrival, slot)` in serialization order: arrivals
+    /// strictly increase, and the not-started suffix is `queue`. The
+    /// engine keeps exactly the head scheduled. Lives here, not beside
+    /// the engine's links, so the transmit path tests its emptiness on a
+    /// cache line it already holds.
+    train: VecDeque<(Time, u32)>,
     /// Link up/down.
     pub up: bool,
     /// Utilization estimator fed by transmissions on this link.
@@ -119,8 +158,8 @@ pub struct LinkState<P = PktRef> {
     pub bytes_tx: u64,
     /// Packets dropped at this link's queue.
     pub drops: u64,
-    /// Bumped on every `set_down`, so in-flight serializer-completion
-    /// events from before a failure can be recognized as stale.
+    /// Bumped on every `set_down`, so the train-head event scheduled
+    /// before a failure can be recognized as stale.
     pub epoch: u64,
     /// Whether the utilization estimator is fed at all. The engine
     /// clears this before a run when nothing can observe the estimate —
@@ -161,7 +200,8 @@ impl<P: WireSize> LinkState<P> {
             queued_bytes: 0,
             busy: false,
             busy_until: Time::ZERO,
-            armed: false,
+            tail_free: Time::ZERO,
+            train: VecDeque::new(),
             up: true,
             estimator: UtilEstimator::new(tau),
             bytes_tx: 0,
@@ -178,12 +218,7 @@ impl<P: WireSize> LinkState<P> {
     /// memo.
     #[inline]
     fn tx_of(&mut self, bytes: u32) -> Time {
-        if self.tx_memo.0 == bytes {
-            return self.tx_memo.1;
-        }
-        let t = tx_time(bytes, self.bandwidth_bps);
-        self.tx_memo = (bytes, t);
-        t
+        memo_tx(&mut self.tx_memo, bytes, self.bandwidth_bps)
     }
 
     /// Offers a packet to the queue at `now`.
@@ -192,10 +227,11 @@ impl<P: WireSize> LinkState<P> {
             self.drops += 1;
             return EnqueueOutcome::Dropped(DropReason::LinkDown);
         }
-        // A busy period with no completion armed ends by the clock. At
-        // `busy_until` itself it has not ended: a completion sorts last in
-        // its instant, so this packet still finds the serializer taken.
-        if self.busy && !self.armed && now > self.busy_until {
+        // A busy period nothing queues behind ends by the clock. At
+        // `busy_until` itself it has not ended: a hand-over is visible
+        // after its instant only, so this packet still finds the
+        // serializer taken.
+        if self.busy && self.queue.is_empty() && now > self.busy_until {
             self.busy = false;
         }
         let bytes = pkt.wire_bytes();
@@ -214,8 +250,7 @@ impl<P: WireSize> LinkState<P> {
     }
 
     /// Begins serializing the head packet at `now`. Returns the packet and
-    /// its transmission time; the caller schedules arrival (`+ delay`) and
-    /// asks [`LinkState::arm_completion`] whether anyone waits for the end.
+    /// its transmission time; it arrives `delay` after that.
     pub fn start_tx(&mut self, now: Time) -> Option<(P, Time)> {
         debug_assert!(self.busy);
         let pkt = self.queue.pop_front()?;
@@ -230,21 +265,21 @@ impl<P: WireSize> LinkState<P> {
         Some((pkt, t))
     }
 
-    /// The instant to schedule a completion for, when one is needed and
-    /// none is scheduled: a packet is queued behind the one in service.
-    /// The caller owes exactly one [`LinkState::tx_done`] at that instant
-    /// (unless the link goes down first). Asked after every `start_tx` and
-    /// every [`EnqueueOutcome::Queued`].
-    pub fn arm_completion(&mut self) -> Option<Time> {
-        let needed = self.busy && !self.armed && !self.queue.is_empty();
-        self.armed |= needed;
-        needed.then_some(self.busy_until)
+    /// Performs every hand-over strictly before `now`: each queued packet
+    /// whose turn has come starts at the instant the serializer freed for
+    /// it. Tests the queue before the clock — most links, most of the
+    /// time, have nothing waiting.
+    #[inline]
+    pub(crate) fn settle(&mut self, now: Time) {
+        while !self.queue.is_empty() && self.busy_until < now {
+            self.start_tx(self.busy_until);
+        }
     }
 
-    /// Called when the serializer finishes a packet. Returns `true` if
-    /// another packet is waiting (caller should `start_tx` again).
+    /// For a caller that schedules completions itself: the serializer
+    /// finished a packet. Returns `true` if another packet is waiting
+    /// (caller should `start_tx` again).
     pub fn tx_done(&mut self) -> bool {
-        self.armed = false;
         if self.queue.is_empty() {
             self.busy = false;
             false
@@ -254,15 +289,18 @@ impl<P: WireSize> LinkState<P> {
     }
 
     /// Takes the link down, discarding every packet whose serialization
-    /// had not started. Returns the flushed packets so the caller can
-    /// account the drops.
+    /// had not started — off the queue and off the train's tail. Returns
+    /// the flushed packets so the caller can account the drops; what is
+    /// left of the train is on the wire.
     pub fn set_down(&mut self) -> VecDeque<P> {
         self.up = false;
         self.busy = false;
-        self.armed = false;
         self.epoch += 1;
         self.drops += self.queue.len() as u64;
         self.queued_bytes = 0;
+        // (A queue filled by hand has no train behind it.)
+        let on_wire = self.train.len().saturating_sub(self.queue.len());
+        self.train.truncate(on_wire);
         std::mem::take(&mut self.queue)
     }
 
@@ -271,24 +309,139 @@ impl<P: WireSize> LinkState<P> {
         self.up = true;
     }
 
-    /// Estimated utilization at `now`.
+    /// Estimated utilization at `now`, as if the link had been settled
+    /// first: hand-overs before `now` that are still owed are replayed on
+    /// a copy of the estimator.
     pub fn utilization(&self, now: Time) -> f64 {
-        self.estimator.utilization(self.bandwidth_bps, now)
+        if self.queue.is_empty() || self.busy_until >= now || !self.track_util {
+            return self.estimator.utilization(self.bandwidth_bps, now);
+        }
+        let mut estimator = self.estimator.clone();
+        let (mut at, mut memo) = (self.busy_until, self.tx_memo);
+        for pkt in &self.queue {
+            if at >= now {
+                break;
+            }
+            let bytes = pkt.wire_bytes();
+            estimator.on_tx(bytes, at);
+            at += memo_tx(&mut memo, bytes, self.bandwidth_bps);
+        }
+        estimator.utilization(self.bandwidth_bps, now)
     }
 
-    /// Bytes awaiting serialization.
+    /// Bytes awaiting serialization, as of the last settle.
     pub fn queued_bytes(&self) -> u32 {
         self.queued_bytes
     }
 
-    /// Packets awaiting serialization.
+    /// Packets awaiting serialization, as of the last settle.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
     /// Queued packets (auditor view).
-    pub(crate) fn audit_queue(&self) -> impl Iterator<Item = &P> {
+    pub(crate) fn audit_queue(&self) -> impl ExactSizeIterator<Item = &P> {
         self.queue.iter()
+    }
+}
+
+/// Serialization time of `bytes` at `bandwidth_bps` through a one-entry
+/// memo of the last answer.
+#[inline]
+fn memo_tx(memo: &mut (u32, Time), bytes: u32, bandwidth_bps: f64) -> Time {
+    if memo.0 != bytes {
+        *memo = (bytes, tx_time(bytes, bandwidth_bps));
+    }
+    memo.1
+}
+
+/// How the arrival of a packet a link accepted gets scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Serializer idle, train empty: nothing of this link's is
+    /// outstanding, so the packet is an ordinary arrival event at this
+    /// instant and no train entry.
+    Alone(Time),
+    /// First on the train: the entry to schedule, for this instant.
+    Head(Time),
+    /// On the train behind its head: scheduled when it gets there.
+    Behind,
+}
+
+/// The engine's side of a link: acceptance with the arrival computed up
+/// front, and the train.
+impl LinkState {
+    /// Settles the link and offers it the packet at `now`. An accepted
+    /// packet reports whether it took the serializer from idle to busy,
+    /// and its [`Arrival`].
+    #[inline]
+    pub(crate) fn accept(&mut self, pkt: PktRef, now: Time) -> Result<(bool, Arrival), DropReason> {
+        self.settle(now);
+        let busy_start = match self.enqueue(pkt, now) {
+            EnqueueOutcome::Dropped(reason) => return Err(reason),
+            EnqueueOutcome::StartTx => {
+                self.start_tx(now);
+                self.tail_free = self.busy_until;
+                true
+            }
+            EnqueueOutcome::Queued => {
+                let tx = self.tx_of(pkt.size_bytes);
+                self.tail_free += tx;
+                false
+            }
+        };
+        let arrival = self.tail_free + self.delay;
+        let first = self.train.is_empty();
+        if first && busy_start {
+            return Ok((true, Arrival::Alone(arrival)));
+        }
+        self.train.push_back((arrival, pkt.slot));
+        let scheduled = if first {
+            Arrival::Head(arrival)
+        } else {
+            Arrival::Behind
+        };
+        Ok((busy_start, scheduled))
+    }
+
+    /// Takes the head of the train off — its arrival event fired.
+    #[inline]
+    pub(crate) fn pop_train(&mut self) -> Option<(Time, u32)> {
+        self.train.pop_front()
+    }
+
+    /// The train's head: the one entry the engine keeps scheduled.
+    #[inline]
+    pub(crate) fn train_head(&self) -> Option<(Time, u32)> {
+        self.train.front().copied()
+    }
+
+    /// How many train entries are on the wire: handed over, as of the
+    /// last settle, and not arrived.
+    pub(crate) fn train_on_wire(&self) -> usize {
+        self.train.len() - self.queue.len()
+    }
+
+    /// Empties the train of a link that has just gone down: everything
+    /// left on it is on the wire.
+    pub(crate) fn detach_train(&mut self) -> impl Iterator<Item = (Time, u32)> + '_ {
+        debug_assert!(!self.up && self.queue.is_empty());
+        self.train.drain(..)
+    }
+
+    /// The train, head first (auditor view).
+    pub(crate) fn audit_train(&self) -> impl ExactSizeIterator<Item = (Time, u32)> + '_ {
+        self.train.iter().copied()
+    }
+
+    /// The mutant the auditor's train check must kill: a failure flush
+    /// that leaves the train's tail in place.
+    #[cfg(test)]
+    pub(crate) fn set_down_keeping_train_tail(&mut self) -> VecDeque<PktRef> {
+        let train = self.train.clone();
+        let flushed = self.set_down();
+        self.train = train;
+        flushed
     }
 }
 
@@ -365,71 +518,116 @@ mod tests {
         assert_eq!(l.bytes_tx, 3_000);
     }
 
-    /// One packet in service until 1.2 µs, nothing behind it, no completion
-    /// armed: what the next packet finds depends on the clock alone.
-    fn serving_one() -> LinkState<Packet> {
+    fn slot(slot: u32, size_bytes: u32) -> PktRef {
+        PktRef { slot, size_bytes }
+    }
+
+    /// The instant the one packet of [`serving_one`] leaves the serializer.
+    const S: Time = Time::ns(1_200);
+
+    /// A 10 Gbps link with 1 µs of delay, one 1,500 B packet in service
+    /// until [`S`] and nothing behind it: what the next packet finds
+    /// depends on the clock alone.
+    fn serving_one() -> LinkState {
         let mut l = LinkState::new(10e9, Time::us(1), 10_000, Time::us(100));
-        assert_eq!(l.enqueue(pkt(1_500), Time::ZERO), EnqueueOutcome::StartTx);
-        assert_eq!(l.start_tx(Time::ZERO).unwrap().1, Time::ns(1_200));
-        assert_eq!(l.arm_completion(), None, "nobody waits for the end");
+        let alone = Arrival::Alone(Time::ns(2_200));
+        assert_eq!(l.accept(slot(0, 1_500), Time::ZERO), Ok((true, alone)));
         l
     }
 
     #[test]
-    fn arrival_before_the_end_queues_and_arms_the_completion() {
+    fn arrival_before_the_end_joins_the_train() {
         let mut l = serving_one();
-        assert_eq!(l.enqueue(pkt(100), Time::ns(1_199)), EnqueueOutcome::Queued);
-        assert_eq!(l.arm_completion(), Some(Time::ns(1_200)));
-        // One completion per packet in service, however many queue.
-        assert_eq!(l.enqueue(pkt(100), Time::ns(1_199)), EnqueueOutcome::Queued);
-        assert_eq!(l.arm_completion(), None);
-        assert!(l.tx_done(), "the completion finds the queue");
-        l.start_tx(Time::ns(1_200)).unwrap();
-        assert_eq!(l.arm_completion(), Some(Time::ns(1_280)));
+        // Starts at S, serializes for 80 ns, flies for 1 µs.
+        let head = Arrival::Head(Time::ns(2_280));
+        assert_eq!(l.accept(slot(1, 100), Time::ns(1_199)), Ok((false, head)));
+        // One scheduled head per train, however many queue.
+        let behind = Ok((false, Arrival::Behind));
+        assert_eq!(l.accept(slot(2, 100), Time::ns(1_199)), behind);
+        let train: Vec<_> = l.audit_train().collect();
+        assert_eq!(train, [(Time::ns(2_280), 1), (Time::ns(2_360), 2)]);
+        assert_eq!((l.queued_bytes(), l.train_on_wire()), (200, 0));
     }
 
-    /// A completion is the last event of its instant, so a packet arriving
-    /// at that very instant still finds the serializer taken — and asks for
-    /// a completion at the instant it arrived in.
+    /// A hand-over is visible after its instant only, so a packet
+    /// arriving at that very instant still finds the serializer taken.
     #[test]
     fn arrival_at_the_end_still_queues() {
         let mut l = serving_one();
-        assert_eq!(l.enqueue(pkt(100), Time::ns(1_200)), EnqueueOutcome::Queued);
-        assert_eq!(l.arm_completion(), Some(Time::ns(1_200)));
+        let head = Arrival::Head(Time::ns(2_280));
+        assert_eq!(l.accept(slot(1, 100), S), Ok((false, head)));
     }
 
     #[test]
     fn arrival_after_the_end_finds_the_serializer_idle() {
         let mut l = serving_one();
-        assert_eq!(
-            l.enqueue(pkt(100), Time::ns(1_201)),
-            EnqueueOutcome::StartTx
-        );
-        assert_eq!(l.start_tx(Time::ns(1_201)).unwrap().1, Time::ns(80));
-        assert_eq!(l.arm_completion(), None);
-        // With a completion armed, only the completion ends the period.
-        assert_eq!(l.enqueue(pkt(100), Time::ns(1_250)), EnqueueOutcome::Queued);
-        assert_eq!(l.arm_completion(), Some(Time::ns(1_281)));
-        assert_eq!(l.enqueue(pkt(100), Time::ns(9_000)), EnqueueOutcome::Queued);
+        let after = S + Time::ns(1);
+        let alone = Arrival::Alone(after + Time::ns(1_080));
+        assert_eq!(l.accept(slot(1, 100), after), Ok((true, alone)));
+        // Anything queued keeps the busy period going, whatever the clock.
+        let head = Arrival::Head(Time::ns(1_281 + 1_080));
+        assert_eq!(l.accept(slot(2, 100), Time::ns(1_250)), Ok((false, head)));
+        // Long after, the serializer is idle again — but the train has
+        // not drained (nothing popped it), so the newcomer rides it.
+        let behind = Ok((true, Arrival::Behind));
+        assert_eq!(l.accept(slot(3, 100), Time::us(9)), behind);
+        assert_eq!((l.queued_bytes(), l.train_on_wire()), (0, 2));
     }
 
-    /// Going down ends the busy period, armed or not: after recovery the
-    /// first packet starts at once, and the first to queue behind it gets
-    /// a completion of its own.
+    /// One hand-over, at S, of a 100 B packet: invisible to an enqueue, a
+    /// queue sample and a utilization read made at S, visible to each of
+    /// them 1 ns later — and the read is pure.
+    #[test]
+    fn a_hand_over_is_visible_only_after_its_instant() {
+        let after = S + Time::ns(1);
+        let waiting = || {
+            let mut l = serving_one();
+            l.accept(slot(1, 100), Time::ns(10)).unwrap();
+            l
+        };
+        // Enqueue: 9,950 B fit the 10 kB queue only once the 100 B left it.
+        let mut l = waiting();
+        let full = Err(DropReason::QueueFull);
+        assert_eq!(l.accept(slot(2, 9_950), S), full);
+        assert_eq!(l.accept(slot(2, 9_950), after), Ok((false, Arrival::Behind)));
+        // Queue sample.
+        let mut l = waiting();
+        l.settle(S);
+        assert_eq!((l.queued_bytes(), l.bytes_tx), (100, 1_500));
+        l.settle(after);
+        assert_eq!((l.queued_bytes(), l.bytes_tx), (0, 1_600));
+        // Utilization, against an estimator fed by hand.
+        let l = waiting();
+        let mut by_hand = UtilEstimator::new(Time::us(100));
+        by_hand.on_tx(1_500, Time::ZERO);
+        let at_s = by_hand.utilization(10e9, S);
+        by_hand.on_tx(100, S);
+        let just_after = by_hand.utilization(10e9, after);
+        assert_eq!(l.utilization(S).to_bits(), at_s.to_bits());
+        assert_eq!(l.utilization(after).to_bits(), just_after.to_bits());
+        assert_eq!(l.queued_bytes(), 100, "reading settled nothing");
+        let mut l = l;
+        l.settle(after);
+        assert_eq!(l.utilization(after).to_bits(), just_after.to_bits());
+    }
+
+    /// Going down ends the busy period, whether or not anything waited
+    /// for its end: after recovery the first packet starts at once, and
+    /// the first to queue behind it heads a fresh train.
     #[test]
     fn set_down_forgets_the_busy_period() {
-        for armed in [false, true] {
+        for waiting in [false, true] {
             let mut l = serving_one();
-            if armed {
-                l.enqueue(pkt(100), Time::ns(10));
-                assert!(l.arm_completion().is_some());
+            if waiting {
+                l.accept(slot(1, 100), Time::ns(10)).unwrap();
             }
-            l.set_down();
+            assert_eq!(l.set_down().len(), waiting as usize);
+            assert_eq!(l.audit_train().len(), 0, "the flush covers the train");
             l.set_up();
-            assert_eq!(l.enqueue(pkt(100), Time::ns(500)), EnqueueOutcome::StartTx);
-            assert_eq!(l.start_tx(Time::ns(500)).unwrap().1, Time::ns(80));
-            assert_eq!(l.enqueue(pkt(100), Time::ns(500)), EnqueueOutcome::Queued);
-            assert_eq!(l.arm_completion(), Some(Time::ns(580)), "armed = {armed}");
+            let alone = Arrival::Alone(Time::ns(1_580));
+            assert_eq!(l.accept(slot(2, 100), Time::ns(500)), Ok((true, alone)));
+            let head = Arrival::Head(Time::ns(1_660));
+            assert_eq!(l.accept(slot(3, 100), Time::ns(500)), Ok((false, head)));
         }
     }
 

@@ -75,15 +75,9 @@ pub enum Obs<'a> {
     LinkUp { link: u32 },
     /// A fault event is about to change link state: an epoch opens.
     FaultEpoch { label: &'a str, down: bool },
-    /// A packet's arrival lies past `stop_at` and is never scheduled, so
-    /// it keeps its pool slot at end of run by design.
+    /// A packet on the wire arrives past `stop_at`: the arrival is never
+    /// scheduled, so it keeps its pool slot at end of run by design.
     StopCut,
-    /// A serializer completion addressed to `epoch` fired on `state`.
-    TxDone {
-        link: u32,
-        epoch: u64,
-        state: &'a LinkState,
-    },
     /// The periodic fabric queue sample of one link; `cap` bounds how
     /// many samples a run retains.
     QueueDepth { link: u32, bytes: u32, cap: usize },

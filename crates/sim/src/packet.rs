@@ -222,6 +222,11 @@ impl PacketPool {
         self.free.push(slot);
     }
 
+    /// Whether `slot` holds a packet (auditor view).
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
+        matches!(self.slots.get(slot as usize), Some(Some(_)))
+    }
+
     /// Number of live packets (auditor view; off the hot path, so a scan
     /// beats carrying a counter every insert/free).
     pub(crate) fn live(&self) -> u64 {

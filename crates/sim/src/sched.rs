@@ -12,9 +12,12 @@
 //!   rather than by when their events happened to be pushed.
 //! * **Timers** ([`TimingWheel::push`], class 1) order by the monotone
 //!   push counter — same-instant timers drain in push order.
-//! * **Serializer completions** ([`TimingWheel::push_last`], class 2)
-//!   sort after everything else at their instant: an observer at a
-//!   packet boundary sees the boundary as not-yet-crossed.
+//!
+//! There is no third class. Serializer completions used to be one,
+//! sorting last in their instant so that an observer at a packet boundary
+//! saw the boundary as not yet crossed; a completion is no event any
+//! more, and that rule now lives in [`crate::link`], which performs a
+//! hand-over only for a clock strictly past it.
 //!
 //! Under that order every run is byte-identical. A `BinaryHeap` delivers
 //! it at O(log n) per operation — and WAN and fat-tree scenarios keep
@@ -26,8 +29,8 @@
 //!
 //! The engine runs on the wheel. [`HeapQueue`] is the reference model:
 //! nothing outside tests constructs it, and
-//! `crates/sim/tests/sched_diff.rs` drives random event streams of all
-//! three classes through both and requires identical pop sequences.
+//! `crates/sim/tests/sched_diff.rs` drives random event streams of
+//! both classes through both and requires identical pop sequences.
 //!
 //! ## Wheel geometry
 //!
@@ -74,8 +77,6 @@ const fn level_shift(lvl: usize) -> u32 {
 pub const ARRIVAL_KEY_LIMIT: u64 = 1 << 30;
 /// Class tag of plain-push timer events.
 const TIMER_CLASS: u64 = 1 << 62;
-/// Class tag of sort-last serializer completions.
-const LAST_CLASS: u64 = 2 << 62;
 
 /// One scheduled event: the instant, the class-encoding tie-breaker, the
 /// payload. Ordered by `(at, key)` — the engine's total order.
@@ -150,20 +151,12 @@ impl<T> HeapQueue<T> {
 
     /// Schedules an arrival-class event with a caller-chosen tie-break
     /// key (`key < 2^30`): same-instant arrivals order by key, ahead of
-    /// every timer and completion at that instant; equal keys drain in
-    /// push order (the counter in the low bits breaks the tie).
+    /// every timer at that instant; equal keys drain in push order (the
+    /// counter in the low bits breaks the tie).
     pub fn push_at_key(&mut self, at: Time, key: u64, ev: T) {
         debug_assert!(key < ARRIVAL_KEY_LIMIT, "arrival key overflows its class");
         self.seq += 1;
         let key = (key << 32) | (self.seq & 0xFFFF_FFFF);
-        self.heap.push(Reverse(SchedEntry { at, key, ev }));
-    }
-
-    /// Schedules a completion-class event: sorts after everything else
-    /// at its instant (same-instant completions keep push order).
-    pub fn push_last(&mut self, at: Time, ev: T) {
-        self.seq += 1;
-        let key = LAST_CLASS | self.seq;
         self.heap.push(Reverse(SchedEntry { at, key, ev }));
     }
 
@@ -258,13 +251,6 @@ impl<T> TimingWheel<T> {
         debug_assert!(key < ARRIVAL_KEY_LIMIT, "arrival key overflows its class");
         self.seq += 1;
         let key = (key << 32) | (self.seq & 0xFFFF_FFFF);
-        self.push_entry(SchedEntry { at, key, ev });
-    }
-
-    /// Schedules a completion-class event (sorts last at its instant).
-    pub fn push_last(&mut self, at: Time, ev: T) {
-        self.seq += 1;
-        let key = LAST_CLASS | self.seq;
         self.push_entry(SchedEntry { at, key, ev });
     }
 
@@ -579,19 +565,17 @@ mod tests {
     }
 
     /// The class order at one instant: arrivals (by key), then timers
-    /// (push order), then completions (push order) — on both schedulers.
+    /// (push order) — on both schedulers.
     #[test]
-    fn classes_order_arrivals_timers_completions() {
+    fn classes_order_arrivals_then_timers() {
         on_both!(q => {
             let t = Time::us(3);
-            q.push_last(t, 100u32); // completion pushed first...
-            q.push(t, 10);
+            q.push(t, 10u32); // a timer pushed first...
             q.push_at_key(t, 7, 1);
             q.push(t, 11);
-            q.push_at_key(t, 2, 0); // ...arrival with the smallest key last
-            q.push_last(t, 101);
+            q.push_at_key(t, 2, 0); // ...the arrival with the smallest key last
             let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.ev)).collect();
-            assert_eq!(order, vec![0, 1, 10, 11, 100, 101]);
+            assert_eq!(order, vec![0, 1, 10, 11]);
         });
     }
 

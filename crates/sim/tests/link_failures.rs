@@ -3,8 +3,9 @@
 //! * Packets discarded by `LinkState::set_down` are counted as
 //!   [`DropReason::LinkDown`] in `SimStats` (they used to be invisible to
 //!   per-reason accounting when the flush happened mid-burst).
-//! * A `TxDone` whose epoch predates a `set_down`/`set_up` flap is
-//!   ignored and cannot double-start the serializer.
+//! * A train head whose epoch predates a `set_down`/`set_up` flap is
+//!   ignored: it can neither deliver a flushed packet nor feed the new
+//!   train out of turn.
 
 use contra_sim::{
     DropReason, FaultError, FlowSpec, Packet, SimConfig, Simulator, SwitchCtx, SwitchLogic, Time,
@@ -120,14 +121,14 @@ fn mid_burst_failure_counts_linkdown_drops() {
     );
 }
 
-/// A down/up flap while the serializer is busy: the in-flight completion
-/// carries the pre-failure epoch and must be ignored after recovery —
-/// honoring it would double-start the serializer and deliver packets
-/// faster than the cable can carry them. The UDP stream keeps the link
-/// busy across the flap, so a resurrected serializer would push the
-/// delivered count past the line-rate bound.
+/// A down/up flap while the serializer is busy: the train head scheduled
+/// before the failure carries the pre-failure epoch and must be ignored
+/// after recovery — honoring it would pop the new train early and
+/// deliver packets faster than the cable can carry them. The UDP stream
+/// keeps the link backlogged across the flap, so a train fed out of turn
+/// would push the delivered count past the line-rate bound.
 #[test]
-fn stale_txdone_across_flap_is_ignored() {
+fn stale_train_head_across_flap_is_ignored() {
     let topo = bottleneck();
     let h0 = topo.find("h0").unwrap();
     let h1 = topo.find("h1").unwrap();
@@ -142,7 +143,7 @@ fn stale_txdone_across_flap_is_ignored() {
     );
     install_static(&mut sim);
     // 2 Gbps offered into a 1 Gbps bottleneck: the queue never drains,
-    // so a completion is always in flight when the cable flaps.
+    // so a train head is always scheduled when the cable flaps.
     sim.add_flow(FlowSpec::Udp {
         src: h0,
         dst: h1,
@@ -150,9 +151,9 @@ fn stale_txdone_across_flap_is_ignored() {
         start: Time::ZERO,
         stop: Time::us(900),
     });
-    // Fail inside a serialization window and recover before the
-    // pre-failure completion instant, so the stale TxDone fires at a
-    // moment the link is up and busy again.
+    // Fail inside a serialization window and recover before the packet
+    // in service would have arrived, so the stale head fires at a moment
+    // the link is up and has a train again.
     sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
     sim.try_recover_link_at(s0, s1, Time::us(103)).unwrap();
     let stats = sim.run();
@@ -167,8 +168,8 @@ fn stale_txdone_across_flap_is_ignored() {
         "{} deliveries exceed the bottleneck's line rate",
         stats.delivered_packets
     );
-    // Nor may the flap leave it waiting for the completion it disowned:
-    // the cable is up and backlogged for all but 3 µs.
+    // Nor may the flap leave the new train waiting for the head it
+    // disowned: the cable is up and backlogged for all but 3 µs.
     assert!(
         stats.delivered_packets >= 70,
         "{} deliveries: the serializer stalled after the flap",
@@ -177,7 +178,7 @@ fn stale_txdone_across_flap_is_ignored() {
 }
 
 /// The same flap across a busy period nobody queued behind, which has no
-/// completion in flight at all: a 0.5 Gbps stream leaves the bottleneck
+/// train at all: a 0.5 Gbps stream leaves the bottleneck
 /// idle between datagrams, the cable flaps while one is in service, and a
 /// 2 Gbps burst follows. The serializer must neither stay taken by the
 /// packet the failure cut short nor lose track of the backlog: once the
