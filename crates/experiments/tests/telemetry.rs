@@ -141,15 +141,21 @@ fn same_seed_exports_are_byte_identical() {
 /// would not notice two events swapping places inside one instant, or
 /// a hook that stopped firing; this does. Captured at the last commit
 /// with four hand-threaded observers, before the engine moved to one
-/// observation seam, and re-captured once since: a cadence sample is
-/// taken at the first event at or past its boundary, and when the
-/// engine stopped scheduling superseded RTO checks five boundaries lost
-/// theirs. Those 47 `link` and `churn` samples moved to the next
-/// event's instant and the `events_processed` series counts fewer
-/// events; the other 93,982 trace events, every `cwnd` point among
-/// them, kept their bytes and their order, as did the run's
-/// statistics. Regenerate (only for an *intentional* change of what
-/// the recorder captures) with:
+/// observation seam, and re-captured twice since, both times because an
+/// event class that modelled nothing was deleted: a cadence sample is
+/// taken at the first event at or past its boundary, so a boundary whose
+/// first event is gone samples at the next one. Superseded RTO checks
+/// moved five boundaries; serializer completions, a third of this
+/// cell's events (202,519 → 132,007), moved 23 of its 153 — 1.6, 3.1,
+/// 3.6, 4.5, 4.6, 4.9, 5.4, 5.6, 7.0, 8.5, 10.0, 10.3, 10.4, 10.9, 12.0,
+/// 13.7, 14.0, 14.3, 14.6, 14.9, 15.2, 15.5 and 15.7 ms, by 1 to 328 ns
+/// each — and the end-of-run sample, which is stamped with the last
+/// event's instant, from 15,999,972 to 15,999,870 ns. Those 188 `link`
+/// and 52 `churn` samples carry the later instant's values and the
+/// `events_processed` series counts fewer events; the other 78,408
+/// trace events, every `cwnd` point among them, kept their bytes and
+/// their order, as did the run's statistics. Regenerate (only for an
+/// *intentional* change of what the recorder captures) with:
 /// `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test telemetry -- --nocapture`
 #[test]
 fn export_fingerprint_is_pinned() {
@@ -171,7 +177,7 @@ fn export_fingerprint_is_pinned() {
     }
     assert_eq!(
         got,
-        "trace=69bc1c6d7601efcf jsonl=05cd137e542dc37e csv=f09934cec9243ed8"
+        "trace=60fa4aed5ebfbede jsonl=609a3d5a9694cb75 csv=dd1857e972e7d97b"
     );
 }
 

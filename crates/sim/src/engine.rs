@@ -23,11 +23,12 @@
 //!
 //! A serializer finishing a packet is no event: the link computes every
 //! arrival when it accepts the packet ([`crate::link`]). A packet that
-//! finds the serializer idle is scheduled as an ordinary `Arrive`; one
-//! that queues joins the link's train, of which only the head is
-//! scheduled (`TrainHead`) and re-armed as it pops. Link state is settled
-//! lazily, at the next touch of the link, and before anything reads all
-//! links at once (a checkpoint, a telemetry sample, the end of the run).
+//! finds nothing of the link's outstanding is scheduled as an ordinary
+//! `Arrive`; any other joins the link's train, of which only the head is
+//! a scheduled event (`TrainHead`) — popping it schedules the next. Link
+//! state is settled lazily, at the next touch of the link, and before
+//! anything reads all links at once (a checkpoint, a telemetry sample,
+//! the end of the run).
 //!
 //! **Ordering across a flap.** Within one up period a link's arrivals
 //! strictly increase in serialization order, so the train can feed them
@@ -339,9 +340,9 @@ impl Simulator {
         // completions were. Whatever a train still holds arrives past
         // `stop_at` (its head was never scheduled); the part of it that
         // has been handed over is on the wire for good.
-        for link in &mut self.links {
-            link.settle(Time(self.cfg.stop_at.0.saturating_add(1)));
-            debug_assert!(link.train_head().is_none_or(|(at, _)| at > self.cfg.stop_at));
+        self.settle_links(Time(self.cfg.stop_at.0.saturating_add(1)));
+        for link in &self.links {
+            debug_assert!(link.audit_train().all(|(at, _)| at > self.cfg.stop_at));
             for _ in 0..link.train_on_wire() {
                 self.obs.emit(self.now, Obs::StopCut);
             }
@@ -366,17 +367,17 @@ impl Simulator {
         self.obs.emit(self.now, end);
     }
 
-    /// Settles every link up to the current instant, for a reader of all
-    /// of them.
-    fn settle_links(&mut self) {
+    /// Settles every link, for a reader of all of them: performs the
+    /// hand-overs strictly before `before`.
+    fn settle_links(&mut self, before: Time) {
         for link in &mut self.links {
-            link.settle(self.now);
+            link.settle(before);
         }
     }
 
     /// Tells the observers that engine state is consistent right now.
     fn emit_checkpoint(&mut self, end_of_run: bool) {
-        self.settle_links();
+        self.settle_links(self.now);
         let checkpoint = Obs::Checkpoint {
             end_of_run,
             links: &self.links,
@@ -388,7 +389,7 @@ impl Simulator {
     /// One metric sample at the current instant (taken by the telemetry
     /// recorder): what it reads is lent, not copied.
     fn emit_sample(&mut self) {
-        self.settle_links();
+        self.settle_links(self.now);
         let sample = Obs::Sample {
             links: &self.links,
             fabric: &self.fabric_links,
@@ -998,7 +999,7 @@ mod tests {
                 Event::Arrive { pkt, .. } => (entry.at.0, Some(pkt)),
                 Event::TrainHead { link, epoch } => {
                     let link = &sim.links[link.0 as usize];
-                    let head = link.train_head().filter(|_| link.epoch == epoch);
+                    let head = link.audit_train().next().filter(|_| link.epoch == epoch);
                     (entry.at.0, head.map(|(_, slot)| slot))
                 }
                 ref other => panic!("{other:?} on a bare cable"),

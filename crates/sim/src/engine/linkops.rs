@@ -73,10 +73,9 @@ impl Simulator {
         if link.epoch != epoch {
             return;
         }
-        let (at, slot) = link.pop_train().expect("a scheduled head is on its train");
-        debug_assert_eq!(at, self.now);
-        if let Some((next, _)) = link.train_head() {
-            self.push_arrival(next, lid, Event::TrainHead { link: lid, epoch });
+        let (slot, next) = link.pop_train(self.now);
+        if let Some(at) = next {
+            self.push_arrival(at, lid, Event::TrainHead { link: lid, epoch });
         }
         let l = self.topo.link(lid);
         self.on_arrive(l.dst, l.src, slot);

@@ -139,13 +139,13 @@ impl Auditor {
                 link.qcap_bytes,
             );
             let train = link.audit_train();
-            let on_wire = train.len().checked_sub(link.queue_len());
-            assert!(
-                on_wire.is_some(),
-                "audit[{phase}] at {now}: link {i} queues {} packets, its train holds {}",
-                link.queue_len(),
-                train.len(),
-            );
+            let Some(on_wire) = train.len().checked_sub(link.queue_len()) else {
+                panic!(
+                    "audit[{phase}] at {now}: link {i} queues {} packets, its train holds {}",
+                    link.queue_len(),
+                    train.len(),
+                );
+            };
             let mut waiting = link.audit_queue();
             let mut last = None;
             for (k, (arrival, slot)) in train.enumerate() {
@@ -158,7 +158,7 @@ impl Auditor {
                     "audit[{phase}] at {now}: link {i} train arrivals {last:?}, {arrival} do not increase"
                 );
                 last = Some(arrival);
-                if Some(k) >= on_wire {
+                if k >= on_wire {
                     let queued = waiting.next().map(|entry| entry.slot);
                     assert!(
                         queued == Some(slot),

@@ -10,10 +10,15 @@
 //! packet starts serializing — its *hand-over* — is known the moment the
 //! link accepts it: the instant the serializer frees after everything
 //! accepted before it. The engine therefore schedules no completion
-//! event. `LinkState::accept` settles the link, computes the packet's
-//! arrival from that arithmetic, and either starts it at once (serializer
-//! idle) or appends it to the link's *train*, the FIFO of
-//! `(arrival, slot)` of which the engine keeps only the head scheduled.
+//! event. `LinkState::accept` settles the link and computes the packet's
+//! arrival from that arithmetic. A packet that finds nothing of the
+//! link's outstanding — serializer idle, nothing in flight that queued —
+//! is an ordinary arrival event; any other is appended to the link's
+//! *train*, the FIFO of `(arrival, slot)` in serialization order, of
+//! which the engine keeps only the head scheduled. Arrivals on a train
+//! strictly increase, so feeding them to the scheduler one at a time
+//! changes no pop order; a WAN link's thousands of in-flight packets wait
+//! there, not in the scheduler.
 //!
 //! **Settling.** What a completion event used to change — the queue and
 //! `queued_bytes`, the estimator feed, the busy flag — is brought up to
@@ -143,12 +148,12 @@ pub struct LinkState<P = PktRef> {
     /// `busy_until` plus the serialization of the whole queue. Kept by
     /// `accept`; meaningless on a link driven by hand.
     tail_free: Time,
-    /// Accepted packets that found the serializer taken and have not
-    /// arrived yet, as `(arrival, slot)` in serialization order: arrivals
-    /// strictly increase, and the not-started suffix is `queue`. The
-    /// engine keeps exactly the head scheduled. Lives here, not beside
-    /// the engine's links, so the transmit path tests its emptiness on a
-    /// cache line it already holds.
+    /// Accepted packets that have not arrived yet — all but those that
+    /// found nothing outstanding — as `(arrival, slot)` in serialization
+    /// order: arrivals strictly increase, and the not-started suffix is
+    /// `queue`. The engine keeps exactly the head scheduled. Lives here,
+    /// not beside the engine's links, so the transmit path tests its
+    /// emptiness on a cache line it already holds.
     train: VecDeque<(Time, u32)>,
     /// Link up/down.
     pub up: bool,
@@ -404,16 +409,14 @@ impl LinkState {
         Ok((busy_start, scheduled))
     }
 
-    /// Takes the head of the train off — its arrival event fired.
+    /// Takes the head off the train — its arrival event fired at `now` —
+    /// and returns its slot with the arrival of the new head, the next
+    /// entry to schedule.
     #[inline]
-    pub(crate) fn pop_train(&mut self) -> Option<(Time, u32)> {
-        self.train.pop_front()
-    }
-
-    /// The train's head: the one entry the engine keeps scheduled.
-    #[inline]
-    pub(crate) fn train_head(&self) -> Option<(Time, u32)> {
-        self.train.front().copied()
+    pub(crate) fn pop_train(&mut self, now: Time) -> (u32, Option<Time>) {
+        let (arrival, slot) = self.train.pop_front().expect("a scheduled head");
+        debug_assert_eq!(arrival, now);
+        (slot, self.train.front().map(|&(next, _)| next))
     }
 
     /// How many train entries are on the wire: handed over, as of the
@@ -589,7 +592,10 @@ mod tests {
         let mut l = waiting();
         let full = Err(DropReason::QueueFull);
         assert_eq!(l.accept(slot(2, 9_950), S), full);
-        assert_eq!(l.accept(slot(2, 9_950), after), Ok((false, Arrival::Behind)));
+        assert_eq!(
+            l.accept(slot(2, 9_950), after),
+            Ok((false, Arrival::Behind))
+        );
         // Queue sample.
         let mut l = waiting();
         l.settle(S);

@@ -81,7 +81,8 @@ pub enum Obs<'a> {
     /// The periodic fabric queue sample of one link; `cap` bounds how
     /// many samples a run retains.
     QueueDepth { link: u32, bytes: u32, cap: usize },
-    /// State is consistent — after a fault epoch, and at end of run.
+    /// State is consistent, every link settled — after a fault epoch, and
+    /// at end of run.
     Checkpoint {
         end_of_run: bool,
         links: &'a [LinkState],

@@ -192,7 +192,12 @@ impl Reference<'_> {
 }
 
 fn reference(case: &Case) -> Log {
-    let link = LinkState::new(BANDWIDTH, Time(case.delay), QUEUE_CAPACITY_BYTES, util_tau());
+    let link = LinkState::new(
+        BANDWIDTH,
+        Time(case.delay),
+        QUEUE_CAPACITY_BYTES,
+        util_tau(),
+    );
     let mut model = Reference {
         case,
         link,
@@ -290,9 +295,11 @@ fn engine(case: &Case) -> (Log, u64) {
     sim.install(s1, Box::new(Sink(Rc::clone(&log))));
     for (i, &at) in case.faults.iter().enumerate() {
         if i % 2 == 0 {
-            sim.try_fail_link_at(s0, s1, Time(at)).expect("the cable exists");
+            sim.try_fail_link_at(s0, s1, Time(at))
+                .expect("the cable exists");
         } else {
-            sim.try_recover_link_at(s0, s1, Time(at)).expect("the cable exists");
+            sim.try_recover_link_at(s0, s1, Time(at))
+                .expect("the cable exists");
         }
     }
     let out = sim.run_full();
@@ -329,10 +336,17 @@ fn the_engine_agrees_with_a_link_whose_completions_are_events() {
         assert_eq!(got.utils, want.utils, "seed {seed}: utilization bits");
         arrivals += got.arrivals.len();
         drops += got.drops.len();
-        full += got.drops.iter().filter(|d| d.1 == DropReason::QueueFull).count();
+        full += got
+            .drops
+            .iter()
+            .filter(|d| d.1 == DropReason::QueueFull)
+            .count();
         events += popped;
     }
     // The generator must keep exercising what the comparison is for.
-    assert!(arrivals > 10_000 && drops > 500 && full > 100, "{arrivals} {drops} {full}");
+    assert!(
+        arrivals > 10_000 && drops > 500 && full > 100,
+        "{arrivals} {drops} {full}"
+    );
     assert!(events > 0);
 }

@@ -3,13 +3,13 @@
 //!
 //! The engine's contract is that events pop in strictly ascending
 //! `(at, key)` order. These properties drive identical randomized event
-//! streams — interleaved pushes of both classes (keyed arrivals,
-//! timers) and pops, deltas spanning every wheel
-//! level and the overflow heap, heavy same-instant ties with equal
-//! arrival keys — through [`HeapQueue`] and [`TimingWheel`] and require
-//! the popped sequences to be identical element by element. The engine
-//! only ever runs on the wheel, so this is the one place its order is
-//! checked against an independent implementation.
+//! streams — interleaved pushes of both classes (keyed arrivals, timers)
+//! and pops, deltas spanning every wheel level and the overflow heap,
+//! heavy same-instant ties with equal arrival keys — through
+//! [`HeapQueue`] and [`TimingWheel`] and require the popped sequences to
+//! be identical element by element. The engine only ever runs on the
+//! wheel, so this is the one place its order is checked against an
+//! independent implementation.
 
 use contra_sim::sched::ARRIVAL_KEY_LIMIT;
 use contra_sim::{HeapQueue, SchedEntry, Time, TimingWheel};
