@@ -7,9 +7,30 @@
 //! and keeps the empty subset as an explicit **dead state** — the paper's
 //! "garbage state −". Minimization shrinks tag space (the paper's
 //! "minimizing the number of bits to represent the tags" optimization).
+//!
+//! # Symbol classes
+//!
+//! The alphabet is every switch of the topology, but a regex can only tell
+//! apart the switches it names. Columns fall into *classes*: one per
+//! switch some NFA edge names ([`Nfa::named_symbols`]) and one for every
+//! other switch, which only `.` edges consume, so all of them step a state
+//! set to the same successor. [`Dfa::from_nfa`] therefore steps the NFA
+//! once per DFA state and class and fills the dense row from a per-state
+//! memo, reset for every state. States are still numbered in order of
+//! discovery — worklist order, then column order — and a state is
+//! discovered at the first column of its class, exactly where stepping
+//! every symbol would have found it: every later column of the class
+//! yields the same subset, already indexed. The automaton is the one the
+//! per-symbol construction built, state numbers included.
+//!
+//! [`Dfa::minimize`] refines with one column of each set of equal columns,
+//! because equal columns split every block alike. The coarsest stable
+//! partition it reaches is unique, so it is the one all `k` columns would
+//! reach; the renumbering walks all `k` columns from the start block as
+//! before, so the minimal automaton and the state mapping do not change.
 
 use crate::{nfa::Nfa, regex::Regex, Sym};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A deterministic automaton with a total transition function over a fixed,
 /// sorted alphabet of switch IDs.
@@ -43,11 +64,24 @@ impl Dfa {
     }
 
     /// Subset construction from an NFA over an explicit alphabet.
+    ///
+    /// The NFA is stepped once per state and symbol *class*, not per
+    /// symbol: see the module doc.
     pub fn from_nfa(nfa: &Nfa, alphabet: &[Sym]) -> Dfa {
         let mut index: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
         let mut subsets: Vec<Vec<u32>> = Vec::new();
         let mut trans: Vec<usize> = Vec::new();
         let k = alphabet.len();
+
+        // Class of each column: the position of its symbol among the named
+        // ones, or `named.len()` for every symbol no edge names.
+        let named = nfa.named_symbols();
+        let class_of: Vec<usize> = alphabet
+            .iter()
+            .map(|sym| named.binary_search(sym).unwrap_or(named.len()))
+            .collect();
+        // The successor of the current state per class, once computed.
+        let mut memo = vec![usize::MAX; named.len() + 1];
 
         let start_set = nfa.eps_closure(&[nfa.start]);
         index.insert(start_set.clone(), 0);
@@ -59,20 +93,26 @@ impl Dfa {
             if trans.len() < (s + 1) * k {
                 trans.resize((s + 1) * k, usize::MAX);
             }
+            memo.fill(usize::MAX);
             for (i, &sym) in alphabet.iter().enumerate() {
-                let stepped = nfa.step(&subsets[s], sym);
-                let closed = nfa.eps_closure(&stepped);
-                let t = match index.get(&closed) {
-                    Some(&t) => t,
-                    None => {
-                        let t = subsets.len();
-                        index.insert(closed.clone(), t);
-                        subsets.push(closed);
-                        work.push(t);
-                        t
-                    }
-                };
-                trans[s * k + i] = t;
+                let class = class_of[i];
+                if memo[class] == usize::MAX {
+                    // The class's first column: a new subset is numbered
+                    // here, where stepping every symbol meets it first too.
+                    let stepped = nfa.step(&subsets[s], sym);
+                    let closed = nfa.eps_closure(&stepped);
+                    memo[class] = match index.get(&closed) {
+                        Some(&t) => t,
+                        None => {
+                            let t = subsets.len();
+                            index.insert(closed.clone(), t);
+                            subsets.push(closed);
+                            work.push(t);
+                            t
+                        }
+                    };
+                }
+                trans[s * k + i] = memo[class];
             }
         }
         let n = subsets.len();
@@ -210,11 +250,25 @@ impl Dfa {
             return (self.clone(), Vec::new());
         }
 
-        // Pre-compute inverse transitions: inv[i][t] = states s with δ(s,i)=t.
-        let mut inv: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; k];
+        // Columns stored contiguously, `cols[i * n + s]` = δ(s, i). Two equal
+        // columns split every block alike, so the refinement only needs
+        // the first column of each set of equal ones.
+        let mut cols = vec![0usize; k * n];
         for s in 0..n {
             for i in 0..k {
-                inv[i][self.trans[s * k + i]].push(s);
+                cols[i * n + s] = self.trans[s * k + i];
+            }
+        }
+        let column = |i: usize| &cols[i * n..(i + 1) * n];
+        let mut distinct: BTreeSet<&[usize]> = BTreeSet::new();
+        let reps: Vec<usize> = (0..k).filter(|&i| distinct.insert(column(i))).collect();
+        let r = reps.len();
+
+        // Inverse transitions: inv[j][t] = states s with δ(s, reps[j]) = t.
+        let mut inv: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; r];
+        for (j, &i) in reps.iter().enumerate() {
+            for (s, &t) in column(i).iter().enumerate() {
+                inv[j][t].push(s);
             }
         }
 
@@ -233,16 +287,16 @@ impl Dfa {
             }
         }
 
-        // Hopcroft worklist of (block, symbol) splitters.
+        // Hopcroft worklist of (block, representative column) splitters.
         let mut work: Vec<(usize, usize)> = (0..blocks.len())
-            .flat_map(|b| (0..k).map(move |i| (b, i)))
+            .flat_map(|b| (0..r).map(move |j| (b, j)))
             .collect();
 
-        while let Some((b, i)) = work.pop() {
-            // X = preimage of block b under symbol i.
+        while let Some((b, j)) = work.pop() {
+            // X = preimage of block b under column reps[j].
             let mut touched: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for &t in &blocks[b] {
-                for &s in &inv[i][t] {
+                for &s in &inv[j][t] {
                     touched.entry(block_of[s]).or_default().push(s);
                 }
             }
@@ -271,8 +325,8 @@ impl Dfa {
                 }
                 blocks[blk] = large;
                 blocks.push(small);
-                for sym in 0..k {
-                    work.push((new_idx, sym));
+                for j in 0..r {
+                    work.push((new_idx, j));
                 }
             }
         }

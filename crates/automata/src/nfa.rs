@@ -112,6 +112,24 @@ impl Nfa {
         self.trans.len()
     }
 
+    /// Every symbol some edge names (sorted, deduplicated). Any other
+    /// symbol is consumed by the `.` edges alone, so all of them step a
+    /// state set to the same successor.
+    pub fn named_symbols(&self) -> Vec<Sym> {
+        let mut out: Vec<Sym> = self
+            .trans
+            .iter()
+            .flatten()
+            .filter_map(|&(label, _)| match label {
+                Label::Sym(x) => Some(x),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Epsilon closure of a set of states (sorted, deduplicated).
     pub fn eps_closure(&self, states: &[u32]) -> Vec<u32> {
         let mut seen = vec![false; self.trans.len()];
@@ -204,6 +222,19 @@ mod tests {
         assert!(!n.accepts(&[]));
         assert!(n.accepts(&[42]));
         assert!(!n.accepts(&[42, 43]));
+    }
+
+    #[test]
+    fn named_symbols_are_the_sym_edges() {
+        let r = Regex::cat_all([
+            Regex::any_star(),
+            Regex::alt(Regex::sym(5), Regex::seq(&[2, 5])),
+            Regex::any(),
+        ]);
+        assert_eq!(Nfa::from_regex(&r).named_symbols(), vec![2, 5]);
+        assert!(Nfa::from_regex(&Regex::any_star())
+            .named_symbols()
+            .is_empty());
     }
 
     #[test]

@@ -243,6 +243,127 @@ fn hand_written_mutations_validate_as_the_reference_says() {
     }
 }
 
+/// A prefix of `n` bytes that ends in a comment's line break: `//`, filler
+/// that is full of anchors, and `\n` as byte `n - 1`. Below three bytes
+/// there is no room for a comment: empty, a line break, a lone `/`.
+fn comment_prefix(n: usize) -> String {
+    const FILLER: &str = "table t; action a = { x.apply() } (state start) ";
+    match n {
+        0 => String::new(),
+        1 => "\n".into(),
+        2 => "/\n".into(),
+        _ => {
+            let filler: String = FILLER.chars().cycle().take(n - 3).collect();
+            format!("//{filler}\n")
+        }
+    }
+}
+
+/// The anchor scan works 32 bytes at a time. Every marker the seeded
+/// campaign edits is placed at each offset 0..=64 in front of `MINIMAL`,
+/// behind spaces and behind a comment that ends just before it — so a
+/// comment ends at every alignment, and from 34 bytes on runs across a
+/// chunk boundary.
+#[test]
+fn markers_at_every_alignment_validate_as_the_reference_says() {
+    for target in TARGETS {
+        for n in 0..=64 {
+            for prefix in [" ".repeat(n), comment_prefix(n)] {
+                assert_eq!(prefix.len(), n);
+                let program = format!("{prefix}{target}{MINIMAL}");
+                assert_same(&format!("{target:?} at offset {n}"), &program);
+            }
+        }
+    }
+}
+
+/// A space after `e` or `n` is the one anchor that needs the byte before
+/// it, which at a chunk's first byte is the previous chunk's last.
+#[test]
+fn pair_anchors_across_a_chunk_boundary_are_found() {
+    let cases = [
+        // `table`'s `e` is byte 31, its space byte 32.
+        (
+            format!("{}table ghost {{ }}\n{MINIMAL}", " ".repeat(27)),
+            vec![ValidationError(
+                "table `ghost` declared but never applied".into(),
+            )],
+        ),
+        // `action`'s `n` is byte 63, its space byte 64.
+        (
+            format!(
+                "{}action b() {{ }}\n{}",
+                " ".repeat(58),
+                MINIMAL.replace("action a()", "action c()")
+            ),
+            vec![ValidationError("action `a` listed but not declared".into())],
+        ),
+        // `state`'s `e` is byte 31; the program's own `state start` is
+        // gone.
+        (
+            format!(
+                "{}state start\n{}",
+                " ".repeat(27),
+                MINIMAL.replace("state start", "state begin")
+            ),
+            vec![],
+        ),
+    ];
+    for (program, want) in &cases {
+        assert_eq!(&validate(program), want, "{program}");
+        assert_same("pair across a boundary", program);
+    }
+}
+
+/// The first line of `p4` not indented four spaces per enclosing brace
+/// (one level less when it starts with `}`), or a program that does not
+/// end at depth 0. A line that continues an unclosed `(` — the key list of
+/// a `hash(` call — is exempt; comments are not code.
+fn misindented(p4: &str) -> Option<String> {
+    let (mut braces, mut parens) = (0i64, 0i64);
+    for (n, line) in p4.lines().enumerate() {
+        let code = line.find("//").map_or(line, |at| &line[..at]);
+        let text = line.trim_start_matches(' ');
+        if !text.is_empty() && parens == 0 {
+            let level = braces - i64::from(text.starts_with('}'));
+            let indent = (line.len() - text.len()) as i64;
+            if indent != 4 * level {
+                return Some(format!("line {}: {line:?} at depth {braces}", n + 1));
+            }
+        }
+        for c in code.bytes() {
+            match c {
+                b'{' => braces += 1,
+                b'}' => braces -= 1,
+                b'(' => parens += 1,
+                b')' => parens -= 1,
+                _ => {}
+            }
+        }
+    }
+    (braces != 0 || parens != 0).then(|| format!("ends at depth {braces}, {parens} open parens"))
+}
+
+/// What `CodeWriter` once asserted at run time, checked on the output:
+/// every program of the lint corpus is laid out by its brace depth.
+#[test]
+fn emitted_programs_are_indented_by_brace_depth() {
+    let programs = corpus_programs();
+    for (label, p4) in &programs {
+        assert_eq!(misindented(p4), None, "{label}:\n{p4}");
+    }
+    // The check itself catches a shifted line and a lost brace.
+    let (_, p4) = &programs[0];
+    let shifted = p4.replacen(
+        "\n        pkt.extract(hdr.data);",
+        "\n      pkt.extract(hdr.data);",
+        1,
+    );
+    assert!(misindented(&shifted).is_some());
+    let unclosed = p4.replacen("    }\n}\n", "    }\n", 1);
+    assert!(misindented(&unclosed).is_some());
+}
+
 /// What a single edit deletes or doubles: the six delimiters, the
 /// keywords and markers each rule looks for, and whole lines (a const
 /// entry, an action list, anything else).

@@ -20,12 +20,35 @@
 //!   Fig 10 ([`crate::state`]);
 //! * ingress control mirroring Fig 7's `PROCESSPROBE`/`SWIFORWARDPKT`
 //!   with the §5 refinements.
+//!
+//! # How the text is written
+//!
+//! About 5.5 kB of every program is the same for every switch and every
+//! policy: the headers but the metric fields, the parser, the register
+//! declarations, the two tables but their entries, the ingress and egress
+//! controls and the `main` instantiation. That text lives in a few
+//! pre-indented `&'static str` blocks, each pushed whole. Between the
+//! blocks go the lines that vary, in program order:
+//!
+//! * the three header comments (the policy is the one `fmt` call) and the
+//!   four size constants;
+//! * per carried metric, its probe field, its `FwdT` register and its two
+//!   ingress lines — whole static lines chosen by the metric
+//!   (`metric_text`);
+//! * the `NEXTPGNODE` and `probe_multicast` const entries;
+//! * the control-plane comments: multicast group members, the probe
+//!   origin and the port map.
+//!
+//! Every number in them is appended by `push_num`, a decimal-digit
+//! writer; every block and line is indented by hand, four spaces per open
+//! brace. The layout test in `crates/bench/tests/validate_reference.rs`
+//! checks that indentation against the brace depth on every program of the
+//! lint corpus.
 
-use crate::writer::CodeWriter;
-use contra_core::{Attr, CompiledPolicy, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES};
+use contra_core::{Attr, CompiledPolicy, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_topology::NodeId;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::Write;
 
 /// Emits the P4₁₆ program for one switch.
 pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
@@ -47,269 +70,138 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     let pids = cp.num_pids().max(1);
     let fwdt_size = dests * tags * pids;
 
-    // The fixed text is about 6.5 kB; the rest grows with the tables.
+    // Sized so that none of the 1,710 programs the `policy_ladder` workload
+    // emits grows its buffer: 500 bytes cover the header comments with a
+    // policy of about 100 characters.
     let members: usize = prog.multicast.values().map(Vec::len).sum();
-    let mut w = CodeWriter::with_capacity(
-        6_800
-            + 200 * metrics.len()
-            + 44 * prog.next_pg_node.len()
+    let mut out = String::with_capacity(
+        FIXED_LEN
+            + 500
+            + 240 * metrics.len()
+            + 46 * prog.next_pg_node.len()
             + 80 * prog.multicast.len()
             + 40 * members
-            + 12 * ports.len(),
+            + 14 * ports.len(),
     );
-    w.linef(format_args!(
-        "// Contra-generated P4_16 program for switch sw (node {})",
-        switch.0
-    ));
-    w.linef(format_args!("// policy: {}", cp.policy));
-    w.linef(format_args!(
-        "// tags: {tags}, pids: {pids}, destinations: {dests}, metric basis: {metrics:?}"
-    ));
-    w.line("#include <core.p4>");
-    w.line("#include <v1model.p4>");
-    w.blank();
-    w.line("typedef bit<9> port_t;");
-    w.line("const bit<16> ETHERTYPE_CONTRA_DATA = 0x88B5;");
-    w.line("const bit<16> ETHERTYPE_CONTRA_PROBE = 0x88B6;");
-    w.linef(format_args!("const bit<32> FWDT_SIZE = {fwdt_size};"));
-    w.linef(format_args!("const bit<32> BEST_SIZE = {dests};"));
-    w.linef(format_args!(
-        "const bit<32> FLOWLET_SIZE = {FLOWLET_ENTRIES};"
-    ));
-    w.linef(format_args!("const bit<32> LOOP_SIZE = {LOOP_ENTRIES};"));
-    w.blank();
+    let o = &mut out;
 
-    // ---- headers -------------------------------------------------------
-    w.open("header ethernet_t {");
-    w.line("bit<48> dst_addr;");
-    w.line("bit<48> src_addr;");
-    w.line("bit<16> ether_type;");
-    w.close("}");
-    w.open("header contra_data_t {");
-    w.line("bit<16> dst_sw;   // destination switch id");
-    w.line("bit<16> tag;      // product-graph virtual node");
-    w.line("bit<8>  pid;      // probe subpolicy id");
-    w.line("bit<8>  ttl;");
-    w.line("bit<32> fid;      // flowlet hash");
-    w.close("}");
-    w.open("header contra_probe_t {");
-    w.line("bit<16> origin;   // probe-originating switch");
-    w.line("bit<8>  pid;");
-    w.line("bit<32> version;  // per-origin round number (§5.1)");
-    w.line("bit<16> tag;      // sender's virtual node");
-    for m in &metrics {
-        w.linef(format_args!(
-            "bit<32> m_{};   // fixed-point metric",
-            attr_field(*m)
-        ));
+    o.push_str("// Contra-generated P4_16 program for switch sw (node ");
+    push_num(o, switch.0 as usize);
+    o.push_str(")\n// policy: ");
+    write!(o, "{}", cp.policy).expect("writing to a String cannot fail");
+    o.push_str("\n// tags: ");
+    push_num(o, tags);
+    o.push_str(", pids: ");
+    push_num(o, pids);
+    o.push_str(", destinations: ");
+    push_num(o, dests);
+    o.push_str(", metric basis: [");
+    for (i, &m) in metrics.iter().enumerate() {
+        if i > 0 {
+            o.push_str(", ");
+        }
+        o.push_str(metric_text(m).name);
     }
-    w.close("}");
-    w.open("struct headers_t {");
-    w.line("ethernet_t ethernet;");
-    w.line("contra_data_t data;");
-    w.line("contra_probe_t probe;");
-    w.close("}");
-    w.open("struct meta_t {");
-    w.line("bit<16> local_tag;");
-    w.line("bit<32> fwdt_index;");
-    w.line("bit<1>  from_host;");
-    w.close("}");
-    w.blank();
+    o.push_str("]\n");
+    o.push_str(PRELUDE);
+    push_num(o, fwdt_size);
+    o.push_str(";\nconst bit<32> BEST_SIZE = ");
+    push_num(o, dests);
+    o.push_str(";\nconst bit<32> FLOWLET_SIZE = ");
+    push_num(o, FLOWLET_ENTRIES);
+    o.push_str(";\nconst bit<32> LOOP_SIZE = ");
+    push_num(o, LOOP_ENTRIES);
+    o.push_str(";\n\n");
 
-    // ---- parser --------------------------------------------------------
-    w.open("parser ContraParser(packet_in pkt, out headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {");
-    w.open("state start {");
-    w.line("pkt.extract(hdr.ethernet);");
-    w.open("transition select(hdr.ethernet.ether_type) {");
-    w.line("ETHERTYPE_CONTRA_DATA: parse_data;");
-    w.line("ETHERTYPE_CONTRA_PROBE: parse_probe;");
-    w.line("default: accept;");
-    w.close("}");
-    w.close("}");
-    w.open("state parse_data {");
-    w.line("pkt.extract(hdr.data);");
-    w.line("transition accept;");
-    w.close("}");
-    w.open("state parse_probe {");
-    w.line("pkt.extract(hdr.probe);");
-    w.line("transition accept;");
-    w.close("}");
-    w.close("}");
-    w.blank();
-
-    // ---- registers (runtime tables, Fig 7 + §5) --------------------------
-    w.line("// FwdT: one slot per (destination, tag, pid); dataplane-written.");
-    for m in &metrics {
-        w.linef(format_args!(
-            "register<bit<32>>(FWDT_SIZE) fwdt_m_{};",
-            attr_field(*m)
-        ));
+    o.push_str(HEADERS);
+    for &m in &metrics {
+        o.push_str(metric_text(m).field);
     }
-    w.line("register<bit<32>>(FWDT_SIZE) fwdt_version;");
-    w.line("register<bit<16>>(FWDT_SIZE) fwdt_ntag;");
-    w.line("register<bit<9>>(FWDT_SIZE)  fwdt_nhop;");
-    w.line("register<bit<48>>(FWDT_SIZE) fwdt_updated;");
-    w.line("// BestT: per destination, the winning (tag, pid).");
-    w.line("register<bit<16>>(BEST_SIZE) best_tag;");
-    w.line("register<bit<8>>(BEST_SIZE)  best_pid;");
-    w.line("// Policy-aware flowlet table (§5.3), keyed h(tag, pid, fid).");
-    w.line("register<bit<9>>(FLOWLET_SIZE)  flowlet_nhop;");
-    w.line("register<bit<16>>(FLOWLET_SIZE) flowlet_ntag;");
-    w.line("register<bit<48>>(FLOWLET_SIZE) flowlet_ts;");
-    w.line("// Loop detection (§5.5): TTL drift per packet hash.");
-    w.line("register<bit<8>>(LOOP_SIZE)  loop_max_ttl;");
-    w.line("register<bit<8>>(LOOP_SIZE)  loop_min_ttl;");
-    w.line("register<bit<48>>(LOOP_SIZE) loop_ts;");
-    w.blank();
-
-    // ---- ingress -------------------------------------------------------
-    w.open("control ContraIngress(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {");
-    w.open("action drop() {");
-    w.line("mark_to_drop(smeta);");
-    w.close("}");
-    w.open("action set_next_pg_node(bit<16> tag) {");
-    w.line("meta.local_tag = tag;");
-    w.close("}");
-    w.blank();
-    w.line("// NEXTPGNODE (static product-graph edges into this switch).");
-    w.open("table next_pg_node {");
-    w.open("key = {");
-    w.line("hdr.probe.tag: exact;");
-    w.close("}");
-    w.line("actions = { set_next_pg_node; drop; }");
-    w.line("default_action = drop();");
+    o.push_str(PARSER);
+    for &m in &metrics {
+        o.push_str(metric_text(m).register);
+    }
+    o.push_str(REGISTERS_AND_NEXTPGNODE);
     if !prog.next_pg_node.is_empty() {
-        w.open("const entries = {");
+        o.push_str("        const entries = {\n");
         for (from, to) in &prog.next_pg_node {
-            w.linef(format_args!("{}: set_next_pg_node({});", from.0, to.0));
+            o.push_str("            ");
+            push_num(o, from.0 as usize);
+            o.push_str(": set_next_pg_node(");
+            push_num(o, to.0 as usize);
+            o.push_str(");\n");
         }
-        w.close("}");
+        o.push_str("        }\n");
     }
-    w.close("}");
-    w.blank();
-    w.open("action set_probe_mcast(bit<16> group) {");
-    w.line("smeta.mcast_grp = group;");
-    w.close("}");
-    w.line("// Probe re-multicast along product-graph edges (one group per local vnode).");
-    w.open("table probe_multicast {");
-    w.open("key = {");
-    w.line("meta.local_tag: exact;");
-    w.close("}");
-    w.line("actions = { set_probe_mcast; drop; }");
-    w.line("default_action = drop();");
+    o.push_str(PROBE_MULTICAST);
     if !prog.multicast.is_empty() {
-        w.open("const entries = {");
+        o.push_str("        const entries = {\n");
         for (i, v) in prog.multicast.keys().enumerate() {
-            w.linef(format_args!("{}: set_probe_mcast({});", v.0, i + 1));
+            o.push_str("            ");
+            push_num(o, v.0 as usize);
+            o.push_str(": set_probe_mcast(");
+            push_num(o, i + 1);
+            o.push_str(");\n");
         }
-        w.close("}");
+        o.push_str("        }\n");
     }
-    w.close("}");
-    w.blank();
-    w.open("action forward(port_t port, bit<16> ntag) {");
-    w.line("smeta.egress_spec = port;");
-    w.line("hdr.data.tag = ntag;");
-    w.line("hdr.data.ttl = hdr.data.ttl - 1;");
-    w.close("}");
-    w.blank();
-    w.open("apply {");
-    w.open("if (hdr.probe.isValid()) {");
-    w.line("// PROCESSPROBE (Fig 7): map tag, fold ingress-port metrics,");
-    w.line("// version-check (§5.1), retention compare, register update,");
-    w.line("// then re-multicast. Index = h(origin, local_tag, pid).");
-    w.line("next_pg_node.apply();");
-    w.line("hash(meta.fwdt_index, HashAlgorithm.crc32, 32w0,");
-    w.line("     { hdr.probe.origin, meta.local_tag, hdr.probe.pid }, FWDT_SIZE);");
-    for m in &metrics {
-        let f = attr_field(*m);
-        match m {
-            Attr::Util => w.linef(format_args!(
-                "// m_{f} = max(m_{f}, port_util[smeta.ingress_port]) — bottleneck"
-            )),
-            Attr::Lat => w.linef(format_args!(
-                "// m_{f} = m_{f} + port_lat[smeta.ingress_port]"
-            )),
-            Attr::Len => w.linef(format_args!("// m_{f} = m_{f} + 1")),
-        }
-        w.linef(format_args!(
-            "fwdt_m_{f}.write(meta.fwdt_index, hdr.probe.m_{f});"
-        ));
+    o.push_str(INGRESS_APPLY);
+    for &m in &metrics {
+        o.push_str(metric_text(m).ingress);
     }
-    w.line("fwdt_version.write(meta.fwdt_index, hdr.probe.version);");
-    w.line("fwdt_ntag.write(meta.fwdt_index, hdr.probe.tag);");
-    w.line("fwdt_nhop.write(meta.fwdt_index, smeta.ingress_port);");
-    w.line("fwdt_updated.write(meta.fwdt_index, smeta.ingress_global_timestamp);");
-    w.line("hdr.probe.tag = meta.local_tag;");
-    w.line("probe_multicast.apply();");
-    w.close("}");
-    w.open("else if (hdr.data.isValid()) {");
-    w.line("// SWIFORWARDPKT with policy-aware flowlets (§5.3), failure");
-    w.line("// expiry (§5.4) and TTL-drift loop breaking (§5.5).");
-    w.line("if (meta.from_host == 1) {");
-    w.line("    best_tag.read(hdr.data.tag, (bit<32>)hdr.data.dst_sw);");
-    w.line("    best_pid.read(hdr.data.pid, (bit<32>)hdr.data.dst_sw);");
-    w.line("}");
-    w.line("hash(meta.fwdt_index, HashAlgorithm.crc32, 32w0,");
-    w.line("     { hdr.data.dst_sw, hdr.data.tag, hdr.data.pid }, FWDT_SIZE);");
-    w.line("bit<9> nhop;");
-    w.line("bit<16> ntag;");
-    w.line("fwdt_nhop.read(nhop, meta.fwdt_index);");
-    w.line("fwdt_ntag.read(ntag, meta.fwdt_index);");
-    w.line("forward(nhop, ntag);");
-    w.close("}");
-    w.open("else {");
-    w.line("drop();");
-    w.close("}");
-    w.close("}");
-    w.close("}");
-    w.blank();
-
-    // ---- egress + plumbing ----------------------------------------------
-    w.open("control ContraEgress(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {");
-    w.open("apply {");
-    w.line("// Probes carry updated metrics out; egress port utilization is");
-    w.line("// folded in by the traffic manager's counters.");
-    w.close("}");
-    w.close("}");
-    w.open("control ContraDeparser(packet_out pkt, in headers_t hdr) {");
-    w.open("apply {");
-    w.line("pkt.emit(hdr.ethernet);");
-    w.line("pkt.emit(hdr.data);");
-    w.line("pkt.emit(hdr.probe);");
-    w.close("}");
-    w.close("}");
-    w.open("control ContraVerifyChecksum(inout headers_t hdr, inout meta_t meta) {");
-    w.line("apply { }");
-    w.close("}");
-    w.open("control ContraComputeChecksum(inout headers_t hdr, inout meta_t meta) {");
-    w.line("apply { }");
-    w.close("}");
-    w.blank();
-    w.line("V1Switch(ContraParser(), ContraVerifyChecksum(), ContraIngress(), ContraEgress(), ContraComputeChecksum(), ContraDeparser()) main;");
-    w.blank();
+    o.push_str(INGRESS_REST_AND_MAIN);
 
     // ---- control-plane companion data ------------------------------------
-    w.line("// ---- control-plane configuration (multicast groups) ----");
     for (i, (v, targets)) in prog.multicast.iter().enumerate() {
-        w.linef(format_args!(
-            "// mcast-group {} (vnode {}): {}",
-            i + 1,
-            v.0,
-            Members {
-                targets,
-                ports: &ports
-            }
-        ));
+        o.push_str("// mcast-group ");
+        push_num(o, i + 1);
+        o.push_str(" (vnode ");
+        push_num(o, v.0 as usize);
+        o.push_str("): ");
+        for (j, &(n, w)) in targets.iter().enumerate() {
+            o.push_str(if j > 0 { ", port " } else { "port " });
+            push_num(o, port_of(&ports, n));
+            o.push_str(" (to node ");
+            push_num(o, n.0 as usize);
+            o.push_str(", vnode ");
+            push_num(o, w.0 as usize);
+            o.push(')');
+        }
+        o.push('\n');
     }
     if let Some(v0) = prog.sending_vnode {
-        w.linef(format_args!(
-            "// probe origin: vnode {} every probe period, one probe per pid (0..{})",
-            v0.0,
-            pids - 1
-        ));
+        o.push_str("// probe origin: vnode ");
+        push_num(o, v0.0 as usize);
+        o.push_str(" every probe period, one probe per pid (0..");
+        push_num(o, pids - 1);
+        o.push_str(")\n");
     }
-    w.linef(format_args!("// ports: {}", PortMap(&ports)));
-    w.finish()
+    // The port map, as the `Debug` of a list of strings: `["4→1", "7→2"]`.
+    o.push_str("// ports: [");
+    for (i, n) in ports.iter().enumerate() {
+        o.push_str(if i > 0 { ", \"" } else { "\"" });
+        push_num(o, n.0 as usize);
+        o.push('→');
+        push_num(o, i + 1);
+        o.push('"');
+    }
+    o.push_str("]\n");
+    out
+}
+
+/// Appends `n` in decimal.
+fn push_num(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// The port facing neighbour `n`: `ports` lists the neighbours in port
@@ -318,46 +210,241 @@ fn port_of(ports: &[NodeId], n: NodeId) -> usize {
     1 + ports.binary_search(&n).expect("a neighbour has a port")
 }
 
-/// One multicast group's members as the control-plane block lists them:
-/// `port 1 (to node 4, vnode 9), port 2 (…)`.
-struct Members<'a> {
-    targets: &'a [(NodeId, VNodeId)],
-    ports: &'a [NodeId],
+/// What one carried metric writes, each a whole line or two.
+struct MetricText {
+    /// Its name in the header comment's basis (the `Debug` of [`Attr`]).
+    name: &'static str,
+    /// Its probe-header field.
+    field: &'static str,
+    /// Its `FwdT` register.
+    register: &'static str,
+    /// Its two lines in the probe branch of the ingress: the fold, as a
+    /// comment, and the register write.
+    ingress: &'static str,
 }
 
-impl fmt::Display for Members<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &(n, w)) in self.targets.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let port = port_of(self.ports, n);
-            write!(f, "{sep}port {port} (to node {}, vnode {})", n.0, w.0)?;
-        }
-        Ok(())
-    }
-}
-
-/// The port map, written as the `Debug` of a list of strings:
-/// `["4→1", "7→2"]`.
-struct PortMap<'a>(&'a [NodeId]);
-
-impl fmt::Display for PortMap<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("[")?;
-        for (i, n) in self.0.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            write!(f, "{sep}\"{}→{}\"", n.0, i + 1)?;
-        }
-        f.write_str("]")
-    }
-}
-
-fn attr_field(a: Attr) -> &'static str {
+fn metric_text(a: Attr) -> MetricText {
     match a {
-        Attr::Util => "util",
-        Attr::Lat => "lat",
-        Attr::Len => "len",
+        Attr::Util => MetricText {
+            name: "Util",
+            field: "    bit<32> m_util;   // fixed-point metric\n",
+            register: "register<bit<32>>(FWDT_SIZE) fwdt_m_util;\n",
+            ingress:
+                "            // m_util = max(m_util, port_util[smeta.ingress_port]) — bottleneck
+            fwdt_m_util.write(meta.fwdt_index, hdr.probe.m_util);\n",
+        },
+        Attr::Lat => MetricText {
+            name: "Lat",
+            field: "    bit<32> m_lat;   // fixed-point metric\n",
+            register: "register<bit<32>>(FWDT_SIZE) fwdt_m_lat;\n",
+            ingress: "            // m_lat = m_lat + port_lat[smeta.ingress_port]
+            fwdt_m_lat.write(meta.fwdt_index, hdr.probe.m_lat);\n",
+        },
+        Attr::Len => MetricText {
+            name: "Len",
+            field: "    bit<32> m_len;   // fixed-point metric\n",
+            register: "register<bit<32>>(FWDT_SIZE) fwdt_m_len;\n",
+            ingress: "            // m_len = m_len + 1
+            fwdt_m_len.write(meta.fwdt_index, hdr.probe.m_len);\n",
+        },
     }
 }
+
+/// The bytes of every program that the static blocks write.
+const FIXED_LEN: usize = PRELUDE.len()
+    + HEADERS.len()
+    + PARSER.len()
+    + REGISTERS_AND_NEXTPGNODE.len()
+    + PROBE_MULTICAST.len()
+    + INGRESS_APPLY.len()
+    + INGRESS_REST_AND_MAIN.len();
+
+/// After the header comments, up to the value of `FWDT_SIZE`.
+const PRELUDE: &str = "#include <core.p4>
+#include <v1model.p4>
+
+typedef bit<9> port_t;
+const bit<16> ETHERTYPE_CONTRA_DATA = 0x88B5;
+const bit<16> ETHERTYPE_CONTRA_PROBE = 0x88B6;
+const bit<32> FWDT_SIZE = ";
+
+/// The headers, up to the probe header's metric fields.
+const HEADERS: &str = "header ethernet_t {
+    bit<48> dst_addr;
+    bit<48> src_addr;
+    bit<16> ether_type;
+}
+header contra_data_t {
+    bit<16> dst_sw;   // destination switch id
+    bit<16> tag;      // product-graph virtual node
+    bit<8>  pid;      // probe subpolicy id
+    bit<8>  ttl;
+    bit<32> fid;      // flowlet hash
+}
+header contra_probe_t {
+    bit<16> origin;   // probe-originating switch
+    bit<8>  pid;
+    bit<32> version;  // per-origin round number (§5.1)
+    bit<16> tag;      // sender's virtual node
+";
+
+/// The rest of the headers and the parser, up to the per-metric `FwdT`
+/// registers.
+const PARSER: &str = "}
+struct headers_t {
+    ethernet_t ethernet;
+    contra_data_t data;
+    contra_probe_t probe;
+}
+struct meta_t {
+    bit<16> local_tag;
+    bit<32> fwdt_index;
+    bit<1>  from_host;
+}
+
+parser ContraParser(packet_in pkt, out headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {
+    state start {
+        pkt.extract(hdr.ethernet);
+        transition select(hdr.ethernet.ether_type) {
+            ETHERTYPE_CONTRA_DATA: parse_data;
+            ETHERTYPE_CONTRA_PROBE: parse_probe;
+            default: accept;
+        }
+    }
+    state parse_data {
+        pkt.extract(hdr.data);
+        transition accept;
+    }
+    state parse_probe {
+        pkt.extract(hdr.probe);
+        transition accept;
+    }
+}
+
+// FwdT: one slot per (destination, tag, pid); dataplane-written.
+";
+
+/// The other registers and the ingress up to `NEXTPGNODE`'s entries.
+const REGISTERS_AND_NEXTPGNODE: &str = "register<bit<32>>(FWDT_SIZE) fwdt_version;
+register<bit<16>>(FWDT_SIZE) fwdt_ntag;
+register<bit<9>>(FWDT_SIZE)  fwdt_nhop;
+register<bit<48>>(FWDT_SIZE) fwdt_updated;
+// BestT: per destination, the winning (tag, pid).
+register<bit<16>>(BEST_SIZE) best_tag;
+register<bit<8>>(BEST_SIZE)  best_pid;
+// Policy-aware flowlet table (§5.3), keyed h(tag, pid, fid).
+register<bit<9>>(FLOWLET_SIZE)  flowlet_nhop;
+register<bit<16>>(FLOWLET_SIZE) flowlet_ntag;
+register<bit<48>>(FLOWLET_SIZE) flowlet_ts;
+// Loop detection (§5.5): TTL drift per packet hash.
+register<bit<8>>(LOOP_SIZE)  loop_max_ttl;
+register<bit<8>>(LOOP_SIZE)  loop_min_ttl;
+register<bit<48>>(LOOP_SIZE) loop_ts;
+
+control ContraIngress(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {
+    action drop() {
+        mark_to_drop(smeta);
+    }
+    action set_next_pg_node(bit<16> tag) {
+        meta.local_tag = tag;
+    }
+
+    // NEXTPGNODE (static product-graph edges into this switch).
+    table next_pg_node {
+        key = {
+            hdr.probe.tag: exact;
+        }
+        actions = { set_next_pg_node; drop; }
+        default_action = drop();
+";
+
+/// From the end of `NEXTPGNODE` to `probe_multicast`'s entries.
+const PROBE_MULTICAST: &str = "    }
+
+    action set_probe_mcast(bit<16> group) {
+        smeta.mcast_grp = group;
+    }
+    // Probe re-multicast along product-graph edges (one group per local vnode).
+    table probe_multicast {
+        key = {
+            meta.local_tag: exact;
+        }
+        actions = { set_probe_mcast; drop; }
+        default_action = drop();
+";
+
+/// From the end of `probe_multicast` to the per-metric `FwdT` writes.
+const INGRESS_APPLY: &str = "    }
+
+    action forward(port_t port, bit<16> ntag) {
+        smeta.egress_spec = port;
+        hdr.data.tag = ntag;
+        hdr.data.ttl = hdr.data.ttl - 1;
+    }
+
+    apply {
+        if (hdr.probe.isValid()) {
+            // PROCESSPROBE (Fig 7): map tag, fold ingress-port metrics,
+            // version-check (§5.1), retention compare, register update,
+            // then re-multicast. Index = h(origin, local_tag, pid).
+            next_pg_node.apply();
+            hash(meta.fwdt_index, HashAlgorithm.crc32, 32w0,
+                 { hdr.probe.origin, meta.local_tag, hdr.probe.pid }, FWDT_SIZE);
+";
+
+/// The rest of the program, up to the control-plane comments.
+const INGRESS_REST_AND_MAIN: &str = "            fwdt_version.write(meta.fwdt_index, hdr.probe.version);
+            fwdt_ntag.write(meta.fwdt_index, hdr.probe.tag);
+            fwdt_nhop.write(meta.fwdt_index, smeta.ingress_port);
+            fwdt_updated.write(meta.fwdt_index, smeta.ingress_global_timestamp);
+            hdr.probe.tag = meta.local_tag;
+            probe_multicast.apply();
+        }
+        else if (hdr.data.isValid()) {
+            // SWIFORWARDPKT with policy-aware flowlets (§5.3), failure
+            // expiry (§5.4) and TTL-drift loop breaking (§5.5).
+            if (meta.from_host == 1) {
+                best_tag.read(hdr.data.tag, (bit<32>)hdr.data.dst_sw);
+                best_pid.read(hdr.data.pid, (bit<32>)hdr.data.dst_sw);
+            }
+            hash(meta.fwdt_index, HashAlgorithm.crc32, 32w0,
+                 { hdr.data.dst_sw, hdr.data.tag, hdr.data.pid }, FWDT_SIZE);
+            bit<9> nhop;
+            bit<16> ntag;
+            fwdt_nhop.read(nhop, meta.fwdt_index);
+            fwdt_ntag.read(ntag, meta.fwdt_index);
+            forward(nhop, ntag);
+        }
+        else {
+            drop();
+        }
+    }
+}
+
+control ContraEgress(inout headers_t hdr, inout meta_t meta, inout standard_metadata_t smeta) {
+    apply {
+        // Probes carry updated metrics out; egress port utilization is
+        // folded in by the traffic manager's counters.
+    }
+}
+control ContraDeparser(packet_out pkt, in headers_t hdr) {
+    apply {
+        pkt.emit(hdr.ethernet);
+        pkt.emit(hdr.data);
+        pkt.emit(hdr.probe);
+    }
+}
+control ContraVerifyChecksum(inout headers_t hdr, inout meta_t meta) {
+    apply { }
+}
+control ContraComputeChecksum(inout headers_t hdr, inout meta_t meta) {
+    apply { }
+}
+
+V1Switch(ContraParser(), ContraVerifyChecksum(), ContraIngress(), ContraEgress(), ContraComputeChecksum(), ContraDeparser()) main;
+
+// ---- control-plane configuration (multicast groups) ----
+";
 
 /// Emits programs for every switch, keyed by switch name.
 pub fn emit_all(cp: &CompiledPolicy, topo: &contra_topology::Topology) -> BTreeMap<String, String> {

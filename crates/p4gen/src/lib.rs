@@ -13,7 +13,6 @@
 pub mod emit;
 pub mod state;
 pub mod validate;
-mod writer;
 
 pub use contra_core::{FLOWLET_ENTRIES, LOOP_ENTRIES};
 pub use emit::{emit_all, emit_switch_program};

@@ -4,6 +4,36 @@
 //! emitter bugs that matter: unbalanced blocks, tables applied but never
 //! declared, actions referenced but never defined, duplicate const-entry
 //! keys, missing parser start state, missing `main` instantiation.
+//!
+//! # The scan
+//!
+//! [`validate`] reads the program once. It does not look at every byte:
+//! each text a rule searches for contains an *anchor*, and the scan visits
+//! only those — 7.9 % of the bytes of the 1,710 programs the
+//! `policy_ladder` workload emits:
+//!
+//! * the six delimiters `{ } ( ) [ ]`;
+//! * `/`, which may start a comment (`//` to the end of the line);
+//! * `.`, which starts `.apply()`;
+//! * `=`, the middle of `actions = {` and `const entries = {`;
+//! * a space after `e` or `n`, which ends `table`, `state` (of
+//!   `state start`) and `action`.
+//!
+//! At an anchor the scan checks the searched text around it — before it
+//! for the keywords that end there, after it for the rest. The anchors are
+//! found 32 bytes at a time: one pass writes a 0/1 flag per byte into an
+//! array (a loop the compiler vectorizes), each eight flags become a byte
+//! of a bit mask by one multiply, and the set bits are visited lowest
+//! first. A comment found at an anchor clears the bits up to its end, or
+//! moves the next chunk there.
+//!
+//! The findings and their order are those of a byte-by-byte scan. Anchors
+//! are visited in source order. A searched text holds no `/` and no line
+//! break, so it lies wholly inside a comment or wholly outside one, and the
+//! scan skips exactly the ones a byte-by-byte scan skips. Only the order
+//! of the blocks (`actions = {…}`, `const entries = {…}`) reaches the
+//! findings, and a block opens at its `=` and closes at the next `}` just
+//! as it did at its first letter: no `}` can fall between the two.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -105,9 +135,9 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     errors
 }
 
-/// What one forward pass over a program collects. Comments (`//` to the end
-/// of the line) are skipped where they stand; every `&str` is a slice of
-/// the source.
+/// What one forward pass over a program's anchors collects. Comments (`//`
+/// to the end of the line) are skipped where they stand; every `&str` is a
+/// slice of the source.
 #[derive(Default)]
 struct Scan<'a> {
     /// `{ } ( ) [ ]` outside comments.
@@ -136,75 +166,133 @@ impl<'a> Scan<'a> {
             let len = b[at..].iter().take_while(|&&c| is_ident(c)).count();
             (len > 0).then(|| &src[at..at + len])
         };
-        let mut i = 0;
-        while i < b.len() {
-            if !STARTS_SOMETHING[b[i] as usize] {
-                i += 1;
-                continue;
+        let mut base = 0;
+        while base < b.len() {
+            // Borrowed where the source has the bytes: a copy on the stack
+            // would be read back across two stores, which costs more than
+            // the flags.
+            let padded;
+            let w: &[u8; CHUNK + 1] = if base > 0 && base + CHUNK <= b.len() {
+                b[base - 1..base + CHUNK]
+                    .try_into()
+                    .expect("CHUNK + 1 bytes")
+            } else {
+                padded = padded_window(b, base);
+                &padded
+            };
+            let mut mask = anchor_mask(w);
+            let mut next = base + CHUNK;
+            while mask != 0 {
+                let i = base + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let rest = &b[i..];
+                // Whether `text` ends just before `i`.
+                let ends = |text: &[u8]| i >= text.len() && b[i - text.len()..].starts_with(text);
+                match b[i] {
+                    b'/' if rest.starts_with(b"//") => {
+                        let end = i + rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                        if end >= base + CHUNK {
+                            next = end;
+                            break;
+                        }
+                        mask &= u32::MAX << (end - base);
+                    }
+                    b'{' => scan.delimiters[0] += 1,
+                    b'}' => {
+                        scan.delimiters[1] += 1;
+                        if let Some(from) = action_list.take() {
+                            scan.action_lists.push(&src[from..i]);
+                        }
+                        if let Some(from) = entry_block.take() {
+                            scan.entry_blocks.push(&src[from..i]);
+                        }
+                    }
+                    b'(' => scan.delimiters[2] += 1,
+                    b')' => {
+                        scan.delimiters[3] += 1;
+                        scan.mains += usize::from(rest.starts_with(b") main;"));
+                    }
+                    b'[' => scan.delimiters[4] += 1,
+                    b']' => scan.delimiters[5] += 1,
+                    b'.' if rest.starts_with(b".apply()") => {
+                        let len = b[..i].iter().rev().take_while(|&&c| is_ident(c)).count();
+                        if len > 0 {
+                            scan.applies.push(&src[i - len..i]);
+                        }
+                    }
+                    b'=' if rest.starts_with(b"= {") => {
+                        if ends(b"actions ") && action_list.is_none() {
+                            action_list = Some(i + "= {".len());
+                        }
+                        if ends(b"const entries ") && entry_block.is_none() {
+                            entry_block = Some(i + "= {".len());
+                        }
+                    }
+                    // A space after `e` or `n`.
+                    b' ' => {
+                        if ends(b"table") && starts_word(b, i - "table".len()) {
+                            scan.tables.extend(ident_after(i + 1));
+                        } else if ends(b"state") && rest.starts_with(b" start") {
+                            scan.has_start_state = true;
+                        } else if ends(b"action") && starts_word(b, i - "action".len()) {
+                            scan.actions.extend(ident_after(i + 1));
+                        }
+                    }
+                    _ => {}
+                }
             }
-            let rest = &b[i..];
-            match b[i] {
-                b'/' if rest.starts_with(b"//") => {
-                    i += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
-                    continue;
-                }
-                b'{' => scan.delimiters[0] += 1,
-                b'}' => {
-                    scan.delimiters[1] += 1;
-                    if let Some(from) = action_list.take() {
-                        scan.action_lists.push(&src[from..i]);
-                    }
-                    if let Some(from) = entry_block.take() {
-                        scan.entry_blocks.push(&src[from..i]);
-                    }
-                }
-                b'(' => scan.delimiters[2] += 1,
-                b')' => {
-                    scan.delimiters[3] += 1;
-                    scan.mains += usize::from(rest.starts_with(b") main;"));
-                }
-                b'[' => scan.delimiters[4] += 1,
-                b']' => scan.delimiters[5] += 1,
-                b'.' if rest.starts_with(b".apply()") => {
-                    let len = b[..i].iter().rev().take_while(|&&c| is_ident(c)).count();
-                    if len > 0 {
-                        scan.applies.push(&src[i - len..i]);
-                    }
-                }
-                b't' if rest.starts_with(b"table ") && starts_word(b, i) => {
-                    scan.tables.extend(ident_after(i + "table ".len()));
-                }
-                b'a' if rest.starts_with(b"action") => {
-                    if rest.starts_with(b"action ") && starts_word(b, i) {
-                        scan.actions.extend(ident_after(i + "action ".len()));
-                    } else if rest.starts_with(b"actions = {") && action_list.is_none() {
-                        action_list = Some(i + "actions = {".len());
-                    }
-                }
-                b'c' if rest.starts_with(b"const entries = {") && entry_block.is_none() => {
-                    entry_block = Some(i + "const entries = {".len());
-                }
-                b's' if rest.starts_with(b"state start") => scan.has_start_state = true,
-                _ => {}
-            }
-            i += 1;
+            base = next;
         }
         scan
     }
 }
 
-/// The bytes a delimiter, a comment or one of the searched texts starts
-/// with; the scan steps over every other byte without looking further.
-const STARTS_SOMETHING: [bool; 256] = {
-    let mut table = [false; 256];
-    let starts = b"{}()[]/.tacs";
-    let mut i = 0;
-    while i < starts.len() {
-        table[starts[i] as usize] = true;
-        i += 1;
+/// Bytes per step of the anchor search.
+const CHUNK: usize = 32;
+
+/// The chunk at `base` with the byte before it in front, where the source
+/// cannot lend it whole (at either end): zeros stand in for the bytes
+/// before the first and after the last.
+fn padded_window(b: &[u8], base: usize) -> [u8; CHUNK + 1] {
+    let mut w = [0; CHUNK + 1];
+    if base > 0 {
+        w[0] = b[base - 1];
     }
-    table
-};
+    let tail = &b[base..b.len().min(base + CHUNK)];
+    w[1..1 + tail.len()].copy_from_slice(tail);
+    w
+}
+
+/// Bit `j` set where byte `j` of the chunk `w[1..]` is an anchor: one of
+/// the six delimiters, `/`, `.` or `=`, or a space after `e` or `n` (the
+/// last byte of `table`, `state` and `action`). The flags are computed
+/// into a byte array, which the compiler vectorizes, and each eight of
+/// them gathered into a byte by one multiply.
+fn anchor_mask(w: &[u8; CHUNK + 1]) -> u32 {
+    let mut flags = [0u8; CHUNK];
+    for (j, flag) in flags.iter_mut().enumerate() {
+        let (prev, x) = (w[j], w[j + 1]);
+        let single = (x == b'{')
+            | (x == b'}')
+            | (x == b'(')
+            | (x == b')')
+            | (x == b'[')
+            | (x == b']')
+            | (x == b'/')
+            | (x == b'.')
+            | (x == b'=');
+        let pair = (x == b' ') & ((prev == b'e') | (prev == b'n'));
+        *flag = u8::from(single | pair);
+    }
+    let mut mask = 0;
+    for (g, eight) in flags.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+        // Byte k of `word` is 0 or 1, so the products do not overlap and
+        // the top byte holds flag k in bit k.
+        mask |= ((word.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32) << (8 * g);
+    }
+    mask
+}
 
 /// The set of `names`, ascending.
 fn by_name(mut names: Vec<&str>) -> Vec<&str> {
