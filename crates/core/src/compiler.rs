@@ -8,12 +8,16 @@
 //! fan-out, probe-sending state).
 //!
 //! The compiler also computes the **probe period floor** (§5.2: period ≥
-//! 0.5 × max RTT) and exposes the rank-evaluation helpers the dataplane
-//! uses (`retention_rank` for FwdT updates, `full_rank` for BestT).
+//! 0.5 × max RTT) and lowers the policy's rank functions into the
+//! [`RankProgram`] the dataplane evaluates (retention keys for FwdT
+//! updates, full keys for BestT). `retention_rank` and `full_rank` are
+//! the reference semantics that program is held to, and what the verifier
+//! and the oracles rank with.
 
 use crate::analysis::{analyze, Analysis, AnalysisError, AnalysisWarning};
 use crate::ast::Policy;
 use crate::lexer::SyntaxError;
+use crate::lower::RankProgram;
 use crate::metric::{MetricBasis, MetricVec};
 use crate::normal::{normalize, NormError, NormalPolicy};
 use crate::pg::{bucketed, ProductGraph, VNodeId};
@@ -106,7 +110,8 @@ pub const LOOP_ENTRIES: usize = 512;
 pub struct SwitchProgram {
     /// The switch this program runs on.
     pub switch: NodeId,
-    /// This switch's virtual nodes, in tag order (tag i = `tags[i]`).
+    /// This switch's virtual nodes, in tag order (tag i = `tags[i]`). Their
+    /// ids are consecutive: `tags[i]` is `VNodeId(tags[0].0 + i)`.
     pub tags: Vec<VNodeId>,
     /// `NEXTPGNODE`: incoming probe tag → this switch's virtual node.
     pub next_pg_node: BTreeMap<VNodeId, VNodeId>,
@@ -140,6 +145,8 @@ pub struct CompiledPolicy {
     pub destinations: Vec<NodeId>,
     /// Per-switch programs.
     pub programs: BTreeMap<NodeId, SwitchProgram>,
+    /// The rank functions every switch evaluates, lowered once.
+    pub ranks: RankProgram,
     /// Analysis warnings (non-isotonic retention, …).
     pub warnings: Vec<AnalysisWarning>,
     /// Lower bound on the probe period in nanoseconds (0.5 × max RTT, §5.2).
@@ -152,16 +159,18 @@ impl CompiledPolicy {
         self.analysis.subpolicies.len()
     }
 
-    /// The retention rank `f(pid, mv)` used for FwdT updates (Fig 7):
+    /// The retention rank `f(pid, mv)` FwdT updates are decided by (Fig 7):
     /// lower is better; probes that do not improve it are not re-multicast.
+    /// The reference semantics of [`RankProgram::retention_key`].
     pub fn retention_rank(&self, pid: usize, mv: &MetricVec) -> Rank {
         let sub = &self.analysis.subpolicies[pid];
         sub.retention.iter().map(|e| e.eval(mv)).collect()
     }
 
-    /// The full policy rank `s(·)` used for BestT / source path selection:
-    /// evaluates the original policy given a virtual node's acceptance
-    /// vector and a metric vector.
+    /// The full policy rank `s(·)` BestT / source path selection is decided
+    /// by: evaluates the original policy given a virtual node's acceptance
+    /// vector and a metric vector. The reference semantics of
+    /// [`RankProgram::full_key`].
     pub fn full_rank(&self, vnode: VNodeId, mv: &MetricVec) -> Rank {
         let acc = &self.pg.vnode(vnode).acc;
         self.normal.rank(acc, mv)
@@ -291,7 +300,10 @@ impl<'t> Compiler<'t> {
             return Err(CompileError::NoUsefulPaths);
         }
 
-        let programs = prof.span("tablegen", || switch_programs(self.topo, &pg));
+        let (programs, ranks) = prof.span("tablegen", || {
+            let ranks = RankProgram::lower(&normal, &analysis, &pg);
+            (switch_programs(self.topo, &pg), ranks)
+        });
 
         let warnings = analysis.warnings.clone();
         let min_probe_period_ns = self.topo.max_switch_rtt_ns() / 2;
@@ -305,6 +317,7 @@ impl<'t> Compiler<'t> {
             pg,
             destinations,
             programs,
+            ranks,
             warnings,
             min_probe_period_ns,
         })

@@ -18,6 +18,10 @@
 //!    switch — the static tables (`NEXTPGNODE`, probe multicast fan-out,
 //!    probe-sending states) that configure the runtime protocol implemented
 //!    in `contra-dataplane`, and that `contra-p4gen` renders as P4₁₆.
+//! 6. **Lowering** ([`lower`]): the policy's retention and full rank
+//!    functions as one [`RankProgram`] that evaluates metric vectors into
+//!    integer [`RankKey`]s, ordered as the reference [`Rank`]s — what the
+//!    switches compare.
 //!
 //! The nine catalogue policies of Fig 3 are available in [`policies`].
 //!
@@ -43,6 +47,7 @@ pub mod ast;
 pub mod compiler;
 pub mod diag;
 pub mod lexer;
+pub mod lower;
 pub mod metric;
 pub mod normal;
 pub mod parser;
@@ -61,6 +66,7 @@ pub use compiler::{
 };
 pub use contra_telemetry::{PipelineProfile, Profiler};
 pub use diag::{Diagnostic, Severity, Span};
+pub use lower::{RankKey, RankProgram};
 pub use metric::{MetricBasis, MetricVec};
 pub use normal::{normalize, Branch, BranchRank, Guard, MetricExpr, NormalPolicy};
 pub use parser::parse_policy;

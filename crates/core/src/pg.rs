@@ -105,7 +105,8 @@ pub struct ProductGraph {
     /// Probe-direction adjacency: `out[v]` lists the virtual nodes probes
     /// at `v` are multicast to.
     pub out: Vec<Vec<VNodeId>>,
-    /// Virtual nodes per physical switch, in tag order.
+    /// Virtual nodes per physical switch, in tag order; a switch's ids are
+    /// consecutive.
     pub by_switch: BTreeMap<NodeId, Vec<VNodeId>>,
     /// For each destination that can be the origin of probes, its
     /// probe-sending virtual node.

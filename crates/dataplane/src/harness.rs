@@ -202,11 +202,8 @@ impl ProtocolHarness {
     /// decays between rounds, which would skew oracle comparisons).
     pub fn util(&self, a: NodeId, b: NodeId) -> f64 {
         match self.topo.link_between(a, b) {
-            Some(l) => self.pinned.get(&l.0).copied().unwrap_or_else(|| {
-                self.links[l.0 as usize]
-                    .estimator
-                    .utilization(self.links[l.0 as usize].bandwidth_bps, self.now)
-            }),
+            Some(l) => (self.pinned.get(&l.0).copied())
+                .unwrap_or_else(|| self.links[l.0 as usize].estimator.utilization(self.now)),
             None => 0.0,
         }
     }

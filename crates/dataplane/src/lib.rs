@@ -364,6 +364,34 @@ mod tests {
         assert_eq!(h.traffic_path(s, d), Some(vec![s, b, d]));
     }
 
+    /// The rows Fig 10 charges for, on the `fabric_probe` fabric after 20
+    /// rounds of MU, WP and CA (the compiler policy suite), summed over
+    /// the switches, and the probes it took: pinned, so a table layout
+    /// that loses or adds a row fails here.
+    #[test]
+    fn fabric_probe_table_rows_are_pinned() {
+        use contra_core::policies;
+        let topo = generators::fat_tree(8, 1, generators::LinkSpec::default());
+        let s = topo.switches();
+        let (f1, f2) = (&topo.node(s[0]).name, &topo.node(s[1]).name);
+        for (name, policy, pinned) in [
+            ("MU", policies::min_util(), (2528, 2528, 327_680)),
+            ("WP", policies::waypoint(f1, f2), (4992, 2528, 642_560)),
+            ("CA", policies::congestion_aware(), (5056, 2528, 655_360)),
+        ] {
+            let cp = Arc::new(Compiler::new(&topo).compile_str(&policy).unwrap());
+            let cfg = DataplaneConfig::for_policy(&cp);
+            let mut h = ProtocolHarness::new(&topo, cp.clone(), cfg);
+            h.run_rounds(20);
+            let (mut fwdt, mut best) = (0, 0);
+            for &sw in cp.programs.keys() {
+                let (f, b) = h.switch(sw).table_rows();
+                (fwdt, best) = (fwdt + f, best + b);
+            }
+            assert_eq!((fwdt, best, h.probes_delivered), pinned, "{name}");
+        }
+    }
+
     #[test]
     fn wan_config_respects_probe_period_floor() {
         let topo = generators::abilene(40e9);

@@ -11,6 +11,13 @@
 //!   `FwdT` under the version discipline of §5.1 (newer version always
 //!   wins; same version must improve the retention rank), refresh `BestT`,
 //!   and re-multicast along product-graph edges.
+//!
+//!   Ranks are compared as machine words: the compiled policy's
+//!   [`contra_core::RankProgram`] turns a metric vector into a
+//!   [`RankKey`] ordered as the policy's rank, and a row stores its
+//!   retention key and its full-policy key from the moment it is written,
+//!   so a rejected probe costs one key and a BestT rescan costs none.
+//!   `NEXTPGNODE` and the fan-out are sorted arrays built at install.
 //! * `SWIFORWARDPKT` — stamp host-originated packets from `BestT`, then
 //!   forward by `(dst, tag, pid)` through the policy-aware flowlet table
 //!   (§5.3), expiring pins through silent (failed) next hops (§5.4) and
@@ -19,9 +26,7 @@
 use crate::tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
 };
-use contra_core::{
-    CompiledPolicy, MetricVec, Rank, SwitchProgram, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES,
-};
+use contra_core::{CompiledPolicy, MetricVec, RankKey, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_sim::{
     Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
     FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
@@ -86,18 +91,26 @@ impl DataplaneConfig {
 pub struct ContraSwitch {
     cp: Arc<CompiledPolicy>,
     switch: NodeId,
-    /// This switch's own copy of `cp.programs[&switch]`: its tables are
-    /// read two to three times per probe, too often to search the
-    /// per-switch map each time.
-    prog: SwitchProgram,
+    /// `NEXTPGNODE`, sorted by incoming probe tag: `(incoming tag, this
+    /// switch's virtual node)`.
+    next_pg: Vec<(VNodeId, VNodeId)>,
+    /// The switch's first virtual node: tag `t` is `VNodeId(tag_base + t)`.
+    tag_base: u32,
+    /// Probe fan-out of tag `t`: `fanout[fan_first[t]..fan_first[t + 1]]`.
+    fan_first: Vec<u32>,
+    fanout: Vec<NodeId>,
+    sending_vnode: Option<VNodeId>,
+    /// Wire size of every probe of the policy.
+    probe_size: u32,
     cfg: DataplaneConfig,
     fwdt: FwdTable,
     best: BestTable,
     flowlets: FlowletTable,
     loops: LoopTable,
     /// Last probe heard from each neighbor, indexed by node id (failure
-    /// detection, §5.4; `Time::ZERO` = never heard). Consulted per packet,
-    /// so it is a flat array, not a map.
+    /// detection, §5.4; `Time::ZERO` = never heard), sized at install to
+    /// the highest switch id. Consulted per packet, so it is a flat
+    /// array, not a map.
     last_probe_from: Vec<Time>,
     /// Own origin version counter (§5.1).
     version: u32,
@@ -109,32 +122,61 @@ pub struct ContraSwitch {
 }
 
 impl ContraSwitch {
-    /// Creates the switch program for `switch`.
+    /// Creates the switch program for `switch`, flattening its static
+    /// tables (`NEXTPGNODE`, the fan-out) into sorted arrays.
     pub fn new(cp: Arc<CompiledPolicy>, switch: NodeId, cfg: DataplaneConfig) -> ContraSwitch {
         let prog = cp
             .programs
             .get(&switch)
-            .unwrap_or_else(|| panic!("no compiled program for {switch}"))
-            .clone();
-        let flowlet_slots = cfg.flowlet_slots;
+            .unwrap_or_else(|| panic!("no compiled program for {switch}"));
+        let tag_base = prog.tags.first().map_or(0, |v| v.0);
+        debug_assert!(
+            (prog.tags.iter()).zip(tag_base..).all(|(v, id)| v.0 == id),
+            "a switch's virtual nodes have consecutive ids"
+        );
+        let mut fan_first = Vec::with_capacity(prog.tags.len() + 1);
+        let mut fanout = Vec::new();
+        fan_first.push(0);
+        for v in &prog.tags {
+            let to = prog.multicast.get(v).into_iter().flatten();
+            fanout.extend(to.map(|&(nbr, _)| nbr));
+            fan_first.push(fanout.len() as u32);
+        }
+        let switches = cp
+            .programs
+            .keys()
+            .next_back()
+            .map_or(0, |n| n.0 as usize + 1);
         ContraSwitch {
-            cp,
             switch,
-            prog,
-            cfg,
-            fwdt: FwdTable::default(),
+            next_pg: prog.next_pg_node.iter().map(|(&i, &v)| (i, v)).collect(),
+            tag_base,
+            fan_first,
+            fanout,
+            sending_vnode: prog.sending_vnode,
+            probe_size: PROBE_BASE_BYTES + cp.basis.probe_metric_bytes() as u32,
+            fwdt: FwdTable::new(
+                &cp.destinations,
+                VNodeId(tag_base),
+                prog.tags.len(),
+                cp.num_pids(),
+            ),
             best: BestTable::default(),
-            flowlets: FlowletTable::with_slots(flowlet_slots),
+            flowlets: FlowletTable::with_slots(cfg.flowlet_slots),
             loops: LoopTable::with_slots(LOOP_ENTRIES),
-            last_probe_from: Vec::new(),
+            last_probe_from: vec![Time::ZERO; switches],
             version: 0,
             probes_sent: 0,
             table_updates: 0,
+            cfg,
+            cp,
         }
     }
 
-    fn probe_size(&self) -> u32 {
-        PROBE_BASE_BYTES + self.cp.basis.probe_metric_bytes() as u32
+    /// The neighbours probes at this switch's virtual node `v` go to.
+    fn fanout_of(&self, v: VNodeId) -> &[NodeId] {
+        let t = (v.0 - self.tag_base) as usize;
+        &self.fanout[self.fan_first[t] as usize..self.fan_first[t + 1] as usize]
     }
 
     fn expiry(&self) -> Time {
@@ -152,57 +194,25 @@ impl ContraSwitch {
         now.saturating_sub(last) > Time(self.cfg.probe_period.0 * FAILURE_PERIODS)
     }
 
-    fn note_probe_from(&mut self, from: NodeId, now: Time) {
-        let i = from.0 as usize;
-        if i >= self.last_probe_from.len() {
-            self.last_probe_from.resize(i + 1, Time::ZERO);
-        }
-        self.last_probe_from[i] = now;
-    }
-
     fn entry_valid(&self, e: &FwdEntry, now: Time) -> bool {
         now.saturating_sub(e.updated) <= self.expiry() && !self.nhop_failed(e.nhop, now)
     }
 
-    /// Rank of a FwdT row under the *full* policy (the `s(·)` of Fig 7).
-    fn full_rank_of(&self, key: &FwdKey, e: &FwdEntry) -> Rank {
-        self.cp.full_rank(key.tag, &e.mv)
-    }
-
-    /// Retention order for FwdT updates: the subpolicy's rank with the hop
-    /// count as final tie-break. Max-combined metrics produce *ties* (two
-    /// paths sharing a bottleneck), and tied rows frozen by the
-    /// strict-improvement rule can point at each other — a tie cycle the
-    /// walk of next hops never escapes. Probes always carry `len` (the
-    /// paper notes Contra "carr[ies] the path length as well as the
-    /// utilization"), and breaking ties toward shorter paths makes every
-    /// next-hop chain strictly length-decreasing, hence cycle-free, while
-    /// choosing only among retention-equivalent (equally good) paths.
-    fn retention_key(&self, pid: u8, mv: &MetricVec) -> (Rank, u64) {
-        (
-            self.cp.retention_rank(pid as usize, mv),
-            mv.get(contra_core::Attr::Len) as u64,
-        )
-    }
-
-    /// Recomputes the best row for `dst` over all valid FwdT rows.
+    /// Recomputes the best row for `dst` over all valid FwdT rows: the
+    /// first minimum of the stored full keys, in `(tag, pid)` order.
     fn rescan_best(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
-        let mut best: Option<(Rank, FwdKey)> = None;
+        let mut best: Option<(&RankKey, FwdKey)> = None;
         for (k, e) in self.fwdt.rows_for(dst) {
-            if !self.entry_valid(e, now) {
+            if !self.entry_valid(e, now) || e.full.is_inf() {
                 continue;
             }
-            let r = self.full_rank_of(k, e);
-            if r.is_inf() {
-                continue;
-            }
-            match &best {
-                Some((br, _)) if *br <= r => {}
-                _ => best = Some((r, *k)),
+            match best {
+                Some((b, _)) if *b <= e.full => {}
+                _ => best = Some((&e.full, k)),
             }
         }
-        match best {
-            Some((_, k)) => {
+        match best.map(|(_, k)| k) {
+            Some(k) => {
                 self.best.set(dst, k);
                 Some(k)
             }
@@ -217,7 +227,7 @@ impl ContraSwitch {
     pub fn best_key(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
         if let Some(k) = self.best.get(dst).copied() {
             if let Some(e) = self.fwdt.get(&k) {
-                if self.entry_valid(e, now) && !self.full_rank_of(&k, e).is_inf() {
+                if self.entry_valid(e, now) && !e.full.is_inf() {
                     return Some(k);
                 }
             }
@@ -245,7 +255,9 @@ impl ContraSwitch {
     fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
         // Any probe from `from` proves the cable is alive.
-        self.note_probe_from(from, now);
+        if let Some(last) = self.last_probe_from.get_mut(from.0 as usize) {
+            *last = now;
+        }
 
         // A probe that has looped back to its own origin describes a path
         // *through* the destination — but traffic is delivered on first
@@ -259,20 +271,21 @@ impl ContraSwitch {
         // NEXTPGNODE: probes whose tag cannot step into this switch's
         // pruned product graph die here — they cannot lead to any
         // finite-rank path.
-        let Some(&n) = self.prog.next_pg_node.get(&VNodeId(p.tag)) else {
+        let Ok(at) = (self.next_pg).binary_search_by_key(&VNodeId(p.tag), |&(i, _)| i) else {
             return;
         };
+        let n = self.next_pg[at].1;
         // UPDATEMVEC: fold in this switch's egress toward the neighbor the
         // probe arrived from — the first link of the traffic path.
-        let mv =
-            MetricVec::new(p.mv[0], p.mv[1], p.mv[2]).extend(ctx.util_to(from), ctx.lat_to(from));
+        let (util, lat) = ctx.util_lat_to(from);
+        let mv = MetricVec::new(p.mv[0], p.mv[1], p.mv[2]).extend(util, lat);
 
         let key = FwdKey {
             dst: p.origin,
             tag: n,
             pid: p.pid,
         };
-        // Ranked at most once: against the incumbent's stored key when it
+        // Keyed at most once: against the incumbent's stored key when it
         // comes to that, else when the row is written.
         let mut retention = None;
         let accept = match self.fwdt.get(&key) {
@@ -293,12 +306,12 @@ impl ContraSwitch {
                     // for it in transient loops and reordering every round.
                     true
                 } else {
-                    // Strict improvement (Fig 7's f-comparison, with the
-                    // hop-count tie-break) or, as a last resort, an
-                    // incumbent that has gone silent or outlived the
-                    // metric-expiration window — accept whatever is
-                    // fresh (§5.4).
-                    let ours = retention.insert(self.retention_key(p.pid, &mv));
+                    // Strict improvement (Fig 7's f-comparison, on the
+                    // integer keys, with the hop-count tie-break) or, as a
+                    // last resort, an incumbent that has gone silent or
+                    // outlived the metric-expiration window — accept
+                    // whatever is fresh (§5.4).
+                    let ours = retention.insert(self.cp.ranks.retention_key(p.pid as usize, &mv));
                     *ours < e.retention
                         || self.nhop_failed(e.nhop, now)
                         || now.saturating_sub(e.updated) > self.expiry()
@@ -309,12 +322,14 @@ impl ContraSwitch {
             return;
         }
         self.table_updates += 1;
-        let retention = retention.unwrap_or_else(|| self.retention_key(p.pid, &mv));
+        let retention =
+            retention.unwrap_or_else(|| self.cp.ranks.retention_key(p.pid as usize, &mv));
         self.fwdt.insert(
             key,
             FwdEntry {
                 mv,
                 retention,
+                full: self.cp.ranks.full_key(n, &mv),
                 ntag: VNodeId(p.tag),
                 nhop: from,
                 version: p.version,
@@ -326,18 +341,19 @@ impl ContraSwitch {
         // Re-multicast along product-graph edges with the updated vector
         // and our own tag, carrying the origin's version through (no
         // fan-out clone: probe processing is per-packet work).
-        if let Some(fanout) = self.prog.multicast.get(&n) {
-            let probe = Probe {
-                tag: n.0,
-                mv: mv.raw(),
-                ..*p
-            };
-            let size = self.probe_size();
-            for &(nbr, _w) in fanout {
-                ctx.send(nbr, Packet::probe(self.switch, nbr, probe, size, now));
-            }
-            self.probes_sent += fanout.len() as u64;
+        let probe = Probe {
+            tag: n.0,
+            mv: mv.raw(),
+            ..*p
+        };
+        let fanout = self.fanout_of(n);
+        for &nbr in fanout {
+            ctx.send(
+                nbr,
+                Packet::probe(self.switch, nbr, probe, self.probe_size, now),
+            );
         }
+        self.probes_sent += fanout.len() as u64;
     }
 
     /// `SWIFORWARDPKT` with policy-aware flowlets, failure expiry and loop
@@ -427,16 +443,13 @@ impl SwitchLogic for ContraSwitch {
     /// `INITPROBE`: originate one probe per subpolicy per period, tagged
     /// with the probe-sending virtual node and a fresh version.
     fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {
-        let Some(v0) = self.prog.sending_vnode else {
+        let Some(v0) = self.sending_vnode else {
             return;
         };
         self.version += 1;
         let now = ctx.now;
-        let Some(fanout) = self.prog.multicast.get(&v0) else {
-            return;
-        };
         let pids = self.cp.num_pids();
-        let size = self.probe_size();
+        let fanout = self.fanout_of(v0);
         for pid in 0..pids as u8 {
             let probe = Probe {
                 origin: self.switch,
@@ -445,8 +458,11 @@ impl SwitchLogic for ContraSwitch {
                 tag: v0.0,
                 mv: MetricVec::zero().raw(),
             };
-            for &(nbr, _w) in fanout {
-                ctx.send(nbr, Packet::probe(self.switch, nbr, probe, size, now));
+            for &nbr in fanout {
+                ctx.send(
+                    nbr,
+                    Packet::probe(self.switch, nbr, probe, self.probe_size, now),
+                );
             }
         }
         self.probes_sent += (pids * fanout.len()) as u64;

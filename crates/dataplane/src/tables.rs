@@ -6,20 +6,23 @@
 //! detection table (§5.5). The static configuration (tags, `NEXTPGNODE`,
 //! multicast fan-out) lives in `contra_core::SwitchProgram`.
 //!
-//! Layout follows the hardware the paper targets, not convenience maps:
-//! `FwdT`/`BestT` are dense arrays indexed by destination (a Tofino match
-//! table hits in O(1), and the software hot path gets the same by direct
-//! indexing), while the flowlet and loop tables are **fixed-size
-//! hash-indexed register arrays** with deterministic Fx hashing and a
-//! bounded probe window. As on the switch, the arrays do not grow: when a
-//! key's window holds no empty slot the oldest entry is overwritten and
-//! the event is counted — hash collisions are a modeled artifact of the
-//! design, not an error. Both arrays have the size the emitted program
-//! declares and Fig 10 charges for: [`contra_core::FLOWLET_ENTRIES`] (the
-//! default of [`crate::DataplaneConfig::flowlet_slots`]) and
+//! Layout follows the hardware the paper targets, not convenience maps.
+//! `FwdT` is one dense array per switch at the P4 index
+//! `dst × tags × pids + tag × pids + pid`, with `dst` the destination's
+//! index among the policy's destinations and `tag` the switch-local tag
+//! (a Tofino register read at a computed index, and the same one indexed
+//! load in software); `BestT` is a dense array indexed by destination.
+//! The flowlet and loop tables are **fixed-size hash-indexed register
+//! arrays** with deterministic Fx hashing and a bounded probe window. As
+//! on the switch, the arrays do not grow: when a key's window holds no
+//! empty slot the oldest entry is overwritten and the event is counted —
+//! hash collisions are a modeled artifact of the design, not an error.
+//! Both arrays have the size the emitted program declares and Fig 10
+//! charges for: [`contra_core::FLOWLET_ENTRIES`] (the default of
+//! [`crate::DataplaneConfig::flowlet_slots`]) and
 //! [`contra_core::LOOP_ENTRIES`].
 
-use contra_core::{MetricVec, Rank, VNodeId};
+use contra_core::{MetricVec, RankKey, VNodeId};
 use contra_sim::{FxHasher64, Time};
 use contra_topology::NodeId;
 use std::hash::Hasher;
@@ -41,10 +44,13 @@ pub struct FwdKey {
 pub struct FwdEntry {
     /// Metric vector of the best known path through `nhop`.
     pub mv: MetricVec,
-    /// The row's retention order — the subpolicy's rank of `mv`, then
-    /// its hop count — kept beside it because every same-version probe
-    /// is compared against the incumbent's, and most lose.
-    pub retention: (Rank, u64),
+    /// The row's retention key — the subpolicy's rank of `mv`, then its
+    /// hop count — kept beside it because every same-version probe is
+    /// compared against the incumbent's, and most lose.
+    pub retention: RankKey,
+    /// The full-policy key of `mv` at this row's tag: BestT's order,
+    /// computed once at write (it depends on the tag and `mv` alone).
+    pub full: RankKey,
     /// Tag to write into packets before sending (the next switch's vnode).
     pub ntag: VNodeId,
     /// The next hop itself.
@@ -55,52 +61,99 @@ pub struct FwdEntry {
     pub updated: Time,
 }
 
-/// The forwarding table of one switch: rows bucketed by destination in a
-/// dense array (grown to the highest destination seen at install time),
-/// each bucket sorted by `(tag, pid)` and binary-searched. Per-packet
-/// lookups touch one contiguous bucket instead of walking a tree over
-/// every `(dst, tag, pid)` triple on the switch.
-#[derive(Debug, Default)]
+/// The forwarding table of one switch: one dense array at the P4 index
+/// `dst × tags × pids + tag × pids + pid`, where `dst` numbers the
+/// policy's destinations and `tag` the switch's virtual nodes from its
+/// first, grown to the highest destination written. A destination's rows
+/// are contiguous and in ascending `(tag, pid)`.
+#[derive(Debug)]
 pub struct FwdTable {
-    rows: Vec<Vec<(FwdKey, FwdEntry)>>,
+    rows: Vec<Option<FwdEntry>>,
+    /// Each destination's index by node id; `u32::MAX` for the others.
+    dst_index: Vec<u32>,
+    /// The switch's first virtual node; its tags are `base..base + tags`.
+    base: u32,
+    tags: usize,
+    pids: usize,
     len: usize,
 }
 
 impl FwdTable {
+    /// An empty table for traffic to `dests`, at a switch whose virtual
+    /// nodes are the `tags` consecutive ids from `base`, under `pids`
+    /// subpolicies.
+    pub fn new(dests: &[NodeId], base: VNodeId, tags: usize, pids: usize) -> FwdTable {
+        let last = dests.iter().map(|d| d.0 as usize + 1).max().unwrap_or(0);
+        let mut dst_index = vec![u32::MAX; last];
+        for (i, d) in (0..).zip(dests) {
+            dst_index[d.0 as usize] = i;
+        }
+        FwdTable {
+            rows: Vec::new(),
+            dst_index,
+            base: base.0,
+            tags,
+            pids,
+            len: 0,
+        }
+    }
+
+    /// The first row of `dst`, if it is a destination.
     #[inline]
-    fn bucket(&self, dst: NodeId) -> Option<&Vec<(FwdKey, FwdEntry)>> {
-        self.rows.get(dst.0 as usize)
+    fn first_row(&self, dst: NodeId) -> Option<usize> {
+        let d = *self.dst_index.get(dst.0 as usize)?;
+        (d != u32::MAX).then(|| d as usize * self.tags * self.pids)
+    }
+
+    /// The P4 index of `key`; `None` for a node that is no destination, a
+    /// tag of another switch or a `pid` the policy does not have, which
+    /// have no row.
+    #[inline]
+    fn index(&self, key: &FwdKey) -> Option<usize> {
+        let tag = key.tag.0.wrapping_sub(self.base) as usize;
+        let pid = key.pid as usize;
+        if tag >= self.tags || pid >= self.pids {
+            return None;
+        }
+        Some(self.first_row(key.dst)? + tag * self.pids + pid)
     }
 
     /// Row lookup.
     pub fn get(&self, key: &FwdKey) -> Option<&FwdEntry> {
-        let bucket = self.bucket(key.dst)?;
-        bucket
-            .binary_search_by_key(&(key.tag, key.pid), |(k, _)| (k.tag, k.pid))
-            .ok()
-            .map(|i| &bucket[i].1)
+        self.rows.get(self.index(key)?)?.as_ref()
     }
 
-    /// Inserts/overwrites a row.
+    /// Inserts/overwrites a row. A key [`FwdTable::get`] cannot find is
+    /// not stored.
     pub fn insert(&mut self, key: FwdKey, entry: FwdEntry) {
-        let dst = key.dst.0 as usize;
-        if dst >= self.rows.len() {
-            self.rows.resize_with(dst + 1, Vec::new);
+        let Some(i) = self.index(&key) else {
+            return;
+        };
+        let stride = self.tags * self.pids;
+        let end = (i / stride + 1) * stride;
+        if self.rows.len() < end {
+            self.rows.resize_with(end, || None);
         }
-        let bucket = &mut self.rows[dst];
-        match bucket.binary_search_by_key(&(key.tag, key.pid), |(k, _)| (k.tag, k.pid)) {
-            Ok(i) => bucket[i].1 = entry,
-            Err(i) => {
-                bucket.insert(i, (key, entry));
-                self.len += 1;
-            }
+        if self.rows[i].replace(entry).is_none() {
+            self.len += 1;
         }
     }
 
-    /// All rows for one destination (every tag and pid, in `(tag, pid)`
-    /// order — the order the replaced `BTreeMap` range scan produced).
-    pub fn rows_for(&self, dst: NodeId) -> impl Iterator<Item = (&FwdKey, &FwdEntry)> {
-        self.bucket(dst).into_iter().flatten().map(|(k, e)| (k, e))
+    /// All rows for one destination, in ascending `(tag, pid)` — the
+    /// order BestT's first-minimum tie-break depends on.
+    pub fn rows_for(&self, dst: NodeId) -> impl Iterator<Item = (FwdKey, &FwdEntry)> {
+        let (base, pids, stride) = (self.base, self.pids, self.tags * self.pids);
+        let rows = (self.first_row(dst)).and_then(|start| self.rows.get(start..start + stride));
+        let rows = rows.unwrap_or_default();
+        rows.iter().enumerate().filter_map(move |(i, row)| {
+            let entry = row.as_ref()?;
+            let key = FwdKey {
+                dst,
+                tag: VNodeId(base + (i / pids) as u32),
+                pid: (i % pids) as u8,
+            };
+            Some((key, entry))
+        })
     }
 
     /// Number of rows (state accounting).
@@ -222,17 +275,11 @@ impl<K: Copy + Eq, V: Stamped> RegisterArray<K, V> {
             .find(|&i| matches!(&self.slots[i], Some((k, _)) if *k == key))
     }
 
-    /// Empties a slot.
-    fn clear(&mut self, i: usize) {
-        if self.slots[i].take().is_some() {
-            self.live -= 1;
-        }
-    }
-
-    /// Writes `key → val` into the first empty slot of the window, or —
-    /// register pressure — over the stalest occupant (collision
-    /// counted). The caller has already ruled out a slot for `key`.
-    fn write(&mut self, hash: u64, key: K, val: V) {
+    /// One pass over `key`'s window: `Ok` with the slot holding `key`, or
+    /// `Err` with the slot a write of it takes — the first empty one, else
+    /// (register pressure) the stalest occupant.
+    #[inline]
+    fn locate(&self, hash: u64, key: K) -> Result<usize, usize> {
         let start = self.start(hash);
         let mut empty: Option<usize> = None;
         let mut stalest: usize = self.idx(start, 0);
@@ -240,6 +287,7 @@ impl<K: Copy + Eq, V: Stamped> RegisterArray<K, V> {
         for p in 0..PROBE_WINDOW {
             let i = self.idx(start, p);
             match &self.slots[i] {
+                Some((k, _)) if *k == key => return Ok(i),
                 Some((_, v)) => {
                     if v.stamp() < stalest_stamp {
                         stalest_stamp = v.stamp();
@@ -247,23 +295,29 @@ impl<K: Copy + Eq, V: Stamped> RegisterArray<K, V> {
                     }
                 }
                 None => {
-                    if empty.is_none() {
-                        empty = Some(i);
-                    }
+                    empty.get_or_insert(i);
                 }
             }
         }
-        match empty {
-            Some(i) => {
-                self.slots[i] = Some((key, val));
-                self.live += 1;
-            }
-            None => {
-                // Register pressure: alias onto the stalest entry, exactly
-                // the overwrite a one-slot hardware register would do.
-                self.collisions += 1;
-                self.slots[stalest] = Some((key, val));
-            }
+        Err(empty.unwrap_or(stalest))
+    }
+
+    /// Writes `key → val` into slot `i`, which [`RegisterArray::locate`]
+    /// chose for a miss: a vacancy goes live, an occupant is overwritten
+    /// and the collision counted — exactly the overwrite a one-slot
+    /// hardware register would do.
+    fn claim(&mut self, i: usize, key: K, val: V) {
+        if self.slots[i].replace((key, val)).is_some() {
+            self.collisions += 1;
+        } else {
+            self.live += 1;
+        }
+    }
+
+    /// Empties a slot.
+    fn clear(&mut self, i: usize) {
+        if self.slots[i].take().is_some() {
+            self.live -= 1;
         }
     }
 
@@ -307,7 +361,7 @@ impl FlowletKey {
 }
 
 /// A pinned flowlet decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowletEntry {
     /// Pinned next hop.
     pub nhop: NodeId,
@@ -364,10 +418,9 @@ impl FlowletTable {
     /// window holds a foreign entry, the stalest one (oldest `last`) is
     /// overwritten and the collision counted.
     pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry) {
-        let hash = key.slot_hash();
-        match self.arr.find(hash, key) {
-            Some(i) => self.arr.slots[i] = Some((key, entry)),
-            None => self.arr.write(hash, key, entry),
+        match self.arr.locate(key.slot_hash(), key) {
+            Ok(i) => self.arr.slots[i] = Some((key, entry)),
+            Err(i) => self.arr.claim(i, key, entry),
         }
     }
 
@@ -408,7 +461,7 @@ impl FlowletTable {
 }
 
 /// Loop-detection row: min/max TTL observed for one packet hash (§5.5).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopRow {
     /// Largest TTL seen.
     pub max_ttl: u8,
@@ -432,6 +485,17 @@ impl Stamped for LoopRow {
     }
 }
 
+impl LoopRow {
+    /// A row that has seen one packet: no drift yet.
+    fn fresh(ttl: u8, now: Time) -> LoopRow {
+        LoopRow {
+            max_ttl: ttl,
+            min_ttl: ttl,
+            last: now,
+        }
+    }
+}
+
 impl LoopTable {
     /// A table with (at least) `slots` register slots, rounded up to a
     /// power of two.
@@ -445,31 +509,26 @@ impl LoopTable {
     /// `age_out` restart from scratch; a row evicted by register pressure
     /// restarts too (a fresh hardware register reads as "no drift yet").
     pub fn observe(&mut self, hash: u64, ttl: u8, now: Time, age_out: Time) -> u8 {
-        let mixed = contra_sim::fx_mix64(hash);
-        if let Some(i) = self.arr.find(mixed, hash) {
-            let (_, row) = self.arr.slots[i]
-                .as_mut()
-                .expect("find returned a live slot");
-            if now.saturating_sub(row.last) > age_out {
-                row.max_ttl = ttl;
-                row.min_ttl = ttl;
-            } else {
-                row.max_ttl = row.max_ttl.max(ttl);
-                row.min_ttl = row.min_ttl.min(ttl);
+        match self.arr.locate(contra_sim::fx_mix64(hash), hash) {
+            Ok(i) => self.fold(i, ttl, now, age_out),
+            Err(i) => {
+                self.arr.claim(i, hash, LoopRow::fresh(ttl, now));
+                0
             }
-            row.last = now;
-            return row.max_ttl - row.min_ttl;
         }
-        self.arr.write(
-            mixed,
-            hash,
-            LoopRow {
-                max_ttl: ttl,
-                min_ttl: ttl,
-                last: now,
-            },
-        );
-        0
+    }
+
+    /// Folds an observation into the live row at slot `i`; returns δ.
+    fn fold(&mut self, i: usize, ttl: u8, now: Time, age_out: Time) -> u8 {
+        let (_, row) = self.arr.slots[i].as_mut().expect("a live slot");
+        if now.saturating_sub(row.last) > age_out {
+            *row = LoopRow::fresh(ttl, now);
+        } else {
+            row.max_ttl = row.max_ttl.max(ttl);
+            row.min_ttl = row.min_ttl.min(ttl);
+            row.last = now;
+        }
+        row.max_ttl - row.min_ttl
     }
 
     /// Clears one row after a loop break so detection restarts fresh.
@@ -516,63 +575,221 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fwd_rows_for_scans_one_destination() {
-        let mut t = FwdTable::default();
-        let e = FwdEntry {
-            mv: MetricVec::zero(),
-            retention: (Rank::scalar(0.0), 0),
-            ntag: VNodeId(0),
-            nhop: NodeId(9),
-            version: 1,
-            updated: Time::ZERO,
-        };
-        t.insert(key(1, 0, 0), e.clone());
-        t.insert(key(1, 2, 1), e.clone());
-        t.insert(key(2, 0, 0), e);
-        assert_eq!(t.rows_for(NodeId(1)).count(), 2);
-        assert_eq!(t.rows_for(NodeId(2)).count(), 1);
-        assert_eq!(t.rows_for(NodeId(3)).count(), 0);
-        assert_eq!(t.len(), 3);
+    /// Destinations 1, 2 and 4 of a six-node topology.
+    fn dests() -> Vec<NodeId> {
+        [1, 2, 4].map(NodeId).to_vec()
     }
 
-    #[test]
-    fn fwd_rows_iterate_in_tag_pid_order() {
-        let mut t = FwdTable::default();
-        let e = FwdEntry {
-            mv: MetricVec::zero(),
-            retention: (Rank::scalar(0.0), 0),
+    /// A row carrying the keys a one-pid policy gives the zero vector.
+    fn entry(version: u32) -> FwdEntry {
+        let mut t = contra_topology::Topology::builder();
+        let (a, b) = (t.switch("A"), t.switch("B"));
+        t.biline(a, b, 10e9, 1_000);
+        let cp = contra_core::Compiler::new(&t.build())
+            .compile_str("minimize(path.util)")
+            .unwrap();
+        let mv = MetricVec::zero();
+        FwdEntry {
+            mv,
+            retention: cp.ranks.retention_key(0, &mv),
+            full: cp.ranks.full_key(VNodeId(0), &mv),
             ntag: VNodeId(0),
             nhop: NodeId(9),
-            version: 1,
+            version,
             updated: Time::ZERO,
-        };
-        for (tag, pid) in [(2u32, 0u8), (0, 1), (1, 0), (0, 0)] {
-            t.insert(key(7, tag, pid), e.clone());
         }
-        let order: Vec<(u32, u8)> = t
-            .rows_for(NodeId(7))
-            .map(|(k, _)| (k.tag.0, k.pid))
-            .collect();
-        assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (2, 0)]);
+    }
+
+    /// A destination's rows are one contiguous run of the array.
+    #[test]
+    fn fwd_rows_for_scans_one_destination() {
+        let mut t = FwdTable::new(&dests(), VNodeId(10), 3, 2);
+        let e = entry(1);
+        t.insert(key(1, 10, 0), e.clone());
+        t.insert(key(1, 12, 1), e.clone());
+        t.insert(key(2, 10, 0), e);
+        assert_eq!(t.rows_for(NodeId(1)).count(), 2);
+        assert_eq!(t.rows_for(NodeId(2)).count(), 1);
+        // Not a destination, or one past the highest written.
+        for dst in [0, 3, 4, 9] {
+            assert_eq!(t.rows_for(NodeId(dst)).count(), 0);
+        }
+        assert_eq!(t.len(), 3);
+        // A node that is no destination, another switch's tag and a pid
+        // the policy lacks have no row.
+        for k in [key(3, 10, 0), key(1, 13, 0), key(1, 9, 0), key(1, 10, 2)] {
+            t.insert(k, entry(1));
+        }
+        assert_eq!(t.len(), 3);
+        assert!(t.get(&key(1, 13, 0)).is_none() && t.get(&key(1, 9, 0)).is_none());
+    }
+
+    /// Rows come out in ascending `(tag, pid)` whatever order they were
+    /// written in: every permutation of six writes, by Heap's algorithm.
+    #[test]
+    fn fwd_rows_iterate_in_tag_pid_order() {
+        let mut cells: Vec<(u32, u8)> = vec![(7, 1), (5, 0), (6, 1), (5, 1), (7, 0), (6, 0)];
+        let mut expected = cells.clone();
+        expected.sort();
+        let e = entry(1);
+        let check = |order: &[(u32, u8)]| {
+            let mut t = FwdTable::new(&dests(), VNodeId(5), 3, 2);
+            for &(tag, pid) in order {
+                t.insert(key(4, tag, pid), e.clone());
+            }
+            let got: Vec<(u32, u8)> = t
+                .rows_for(NodeId(4))
+                .map(|(k, _)| (k.tag.0, k.pid))
+                .collect();
+            assert_eq!(got, expected, "written in order {order:?}");
+            assert!(t.rows_for(NodeId(4)).all(|(k, _)| t.get(&k).is_some()));
+        };
+        let n = cells.len();
+        let mut c = vec![0; n];
+        check(&cells);
+        let mut i = 0;
+        while i < n {
+            if c[i] < i {
+                cells.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                check(&cells);
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
     }
 
     #[test]
     fn fwd_insert_overwrites_in_place() {
-        let mut t = FwdTable::default();
-        let mut e = FwdEntry {
-            mv: MetricVec::zero(),
-            retention: (Rank::scalar(0.0), 0),
-            ntag: VNodeId(0),
-            nhop: NodeId(9),
-            version: 1,
-            updated: Time::ZERO,
-        };
-        t.insert(key(1, 0, 0), e.clone());
-        e.version = 2;
-        t.insert(key(1, 0, 0), e);
+        let mut t = FwdTable::new(&dests(), VNodeId(0), 1, 1);
+        t.insert(key(1, 0, 0), entry(1));
+        t.insert(key(1, 0, 0), entry(2));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&key(1, 0, 0)).unwrap().version, 2);
+    }
+
+    /// The two-pass write the one-pass `locate` replaced: `find`, then a
+    /// second scan of the window for the vacancy.
+    fn write_two_pass<K: Copy + Eq, V: Stamped>(
+        arr: &mut RegisterArray<K, V>,
+        hash: u64,
+        key: K,
+        val: V,
+    ) {
+        if let Some(i) = arr.find(hash, key) {
+            arr.slots[i] = Some((key, val));
+            return;
+        }
+        let start = arr.start(hash);
+        let mut empty: Option<usize> = None;
+        let mut stalest: usize = arr.idx(start, 0);
+        let mut stalest_stamp = Time(u64::MAX);
+        for p in 0..PROBE_WINDOW {
+            let i = arr.idx(start, p);
+            match &arr.slots[i] {
+                Some((_, v)) => {
+                    if v.stamp() < stalest_stamp {
+                        stalest_stamp = v.stamp();
+                        stalest = i;
+                    }
+                }
+                None => {
+                    if empty.is_none() {
+                        empty = Some(i);
+                    }
+                }
+            }
+        }
+        match empty {
+            Some(i) => {
+                arr.slots[i] = Some((key, val));
+                arr.live += 1;
+            }
+            None => {
+                arr.collisions += 1;
+                arr.slots[stalest] = Some((key, val));
+            }
+        }
+    }
+
+    /// `LoopTable::observe` over the two-pass write.
+    fn observe_two_pass(t: &mut LoopTable, hash: u64, ttl: u8, now: Time, age_out: Time) -> u8 {
+        let mixed = contra_sim::fx_mix64(hash);
+        match t.arr.find(mixed, hash) {
+            Some(i) => t.fold(i, ttl, now, age_out),
+            None => {
+                write_two_pass(&mut t.arr, mixed, hash, LoopRow::fresh(ttl, now));
+                0
+            }
+        }
+    }
+
+    /// Random pin / lookup / flush / observe / reset streams on 16-slot
+    /// arrays, through the one-pass writes and through the two-pass
+    /// reference: after every operation the slots, the live counts, the
+    /// collision counts and every answer agree.
+    #[test]
+    fn register_writes_match_the_two_pass_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let (mut fl, mut fl_ref) = (FlowletTable::with_slots(1), FlowletTable::with_slots(1));
+        let (mut lp, mut lp_ref) = (LoopTable::with_slots(1), LoopTable::with_slots(1));
+        let (timeout, age_out) = (Time(40), Time(60));
+        let mut now = Time::ZERO;
+        for _ in 0..20_000 {
+            now += Time(rng.gen_range(0u64..4));
+            let fid = rng.gen_range(0u64..48);
+            let key = FlowletKey {
+                tag: VNodeId(rng.gen_range(0u32..2)),
+                pid: 0,
+                fid,
+            };
+            let nhop = NodeId(rng.gen_range(0u32..4));
+            match rng.gen_range(0u32..8) {
+                0..=2 => {
+                    let e = FlowletEntry {
+                        nhop,
+                        ntag: VNodeId(1),
+                        last: now,
+                    };
+                    fl.pin(key, e.clone());
+                    write_two_pass(&mut fl_ref.arr, key.slot_hash(), key, e);
+                }
+                3 => assert_eq!(
+                    fl.lookup_touch(key, now, timeout),
+                    fl_ref.lookup_touch(key, now, timeout)
+                ),
+                4 => assert_eq!(fl.flush_fid(fid), fl_ref.flush_fid(fid)),
+                5 => assert_eq!(fl.flush_nhop(nhop), fl_ref.flush_nhop(nhop)),
+                6 => {
+                    let ttl = rng.gen_range(50u8..64);
+                    assert_eq!(
+                        lp.observe(fid, ttl, now, age_out),
+                        observe_two_pass(&mut lp_ref, fid, ttl, now, age_out)
+                    );
+                }
+                _ => {
+                    lp.reset(fid);
+                    lp_ref.reset(fid);
+                }
+            }
+            assert_eq!(fl.arr.slots, fl_ref.arr.slots);
+            assert_eq!(lp.arr.slots, lp_ref.arr.slots);
+            assert_eq!(
+                (fl.len(), fl.collisions()),
+                (fl_ref.len(), fl_ref.collisions())
+            );
+            assert_eq!(
+                (lp.len(), lp.collisions()),
+                (lp_ref.len(), lp_ref.collisions())
+            );
+        }
+        assert!(
+            fl.collisions() > 0 && lp.collisions() > 0,
+            "the stream must hit register pressure"
+        );
     }
 
     #[test]

@@ -57,16 +57,20 @@ pub struct UtilEstimator {
     bytes: f64,
     last: Time,
     tau: Time,
+    /// `bandwidth · τ / 8`: what the link sends in a window at capacity.
+    window_bytes: f64,
 }
 
 impl UtilEstimator {
-    /// New estimator with averaging window `tau`.
-    pub fn new(tau: Time) -> UtilEstimator {
+    /// New estimator with averaging window `tau` for a link of the given
+    /// capacity.
+    pub fn new(bandwidth_bps: f64, tau: Time) -> UtilEstimator {
         assert!(tau.0 > 0, "estimator window must be positive");
         UtilEstimator {
             bytes: 0.0,
             last: Time::ZERO,
             tau,
+            window_bytes: bandwidth_bps * tau.as_secs_f64() / 8.0,
         }
     }
 
@@ -95,16 +99,14 @@ impl UtilEstimator {
         self.bytes = util * bandwidth_bps * self.tau.as_secs_f64() / 8.0;
     }
 
-    /// Estimated utilization in `[0, ~2]` of a link with the given
-    /// capacity, decayed to `now`.
-    pub fn utilization(&self, bandwidth_bps: f64, now: Time) -> f64 {
+    /// Estimated utilization in `[0, ~2]`, decayed to `now`.
+    pub fn utilization(&self, now: Time) -> f64 {
         let dt = now.saturating_sub(self.last);
         if dt >= self.tau {
             return 0.0;
         }
         let decayed = self.bytes * (1.0 - dt.0 as f64 / self.tau.0 as f64);
-        let window_bytes = bandwidth_bps * self.tau.as_secs_f64() / 8.0;
-        decayed / window_bytes
+        decayed / self.window_bytes
     }
 }
 
@@ -208,7 +210,7 @@ impl<P: WireSize> LinkState<P> {
             tail_free: Time::ZERO,
             train: VecDeque::new(),
             up: true,
-            estimator: UtilEstimator::new(tau),
+            estimator: UtilEstimator::new(bandwidth_bps, tau),
             bytes_tx: 0,
             drops: 0,
             epoch: 0,
@@ -319,7 +321,7 @@ impl<P: WireSize> LinkState<P> {
     /// a copy of the estimator.
     pub fn utilization(&self, now: Time) -> f64 {
         if self.queue.is_empty() || self.busy_until >= now || !self.track_util {
-            return self.estimator.utilization(self.bandwidth_bps, now);
+            return self.estimator.utilization(now);
         }
         let mut estimator = self.estimator.clone();
         let (mut at, mut memo) = (self.busy_until, self.tx_memo);
@@ -331,7 +333,7 @@ impl<P: WireSize> LinkState<P> {
             estimator.on_tx(bytes, at);
             at += memo_tx(&mut memo, bytes, self.bandwidth_bps);
         }
-        estimator.utilization(self.bandwidth_bps, now)
+        estimator.utilization(now)
     }
 
     /// Bytes awaiting serialization, as of the last settle.
@@ -474,23 +476,23 @@ mod tests {
 
     #[test]
     fn estimator_decays_to_zero() {
-        let mut e = UtilEstimator::new(Time::us(100));
+        let mut e = UtilEstimator::new(10e9, Time::us(100));
         // Saturate a 10 Gbps link for the whole window: 125 kB / 100 µs.
         e.on_tx(125_000, Time::ZERO);
-        let u0 = e.utilization(10e9, Time::ZERO);
+        let u0 = e.utilization(Time::ZERO);
         assert!((u0 - 1.0).abs() < 1e-9, "{u0}");
-        let u_half = e.utilization(10e9, Time::us(50));
+        let u_half = e.utilization(Time::us(50));
         assert!((u_half - 0.5).abs() < 1e-9, "{u_half}");
-        assert_eq!(e.utilization(10e9, Time::us(100)), 0.0);
+        assert_eq!(e.utilization(Time::us(100)), 0.0);
     }
 
     #[test]
     fn estimator_accumulates() {
-        let mut e = UtilEstimator::new(Time::us(100));
+        let mut e = UtilEstimator::new(10e9, Time::us(100));
         for i in 0..10 {
             e.on_tx(12_500, Time::us(i * 10));
         }
-        let u = e.utilization(10e9, Time::us(90));
+        let u = e.utilization(Time::us(90));
         assert!(u > 0.5 && u < 1.1, "{u}");
     }
 
@@ -604,11 +606,11 @@ mod tests {
         assert_eq!((l.queued_bytes(), l.bytes_tx), (0, 1_600));
         // Utilization, against an estimator fed by hand.
         let l = waiting();
-        let mut by_hand = UtilEstimator::new(Time::us(100));
+        let mut by_hand = UtilEstimator::new(10e9, Time::us(100));
         by_hand.on_tx(1_500, Time::ZERO);
-        let at_s = by_hand.utilization(10e9, S);
+        let at_s = by_hand.utilization(S);
         by_hand.on_tx(100, S);
-        let just_after = by_hand.utilization(10e9, after);
+        let just_after = by_hand.utilization(after);
         assert_eq!(l.utilization(S).to_bits(), at_s.to_bits());
         assert_eq!(l.utilization(after).to_bits(), just_after.to_bits());
         assert_eq!(l.queued_bytes(), 100, "reading settled nothing");

@@ -168,12 +168,16 @@ impl<'a> SwitchCtx<'a> {
         }
     }
 
-    /// One-way propagation delay toward `next`, in seconds (for
-    /// `path.lat`).
-    pub fn lat_to(&self, next: NodeId) -> f64 {
+    /// [`SwitchCtx::util_to`] and the one-way propagation delay toward
+    /// `next` in seconds (for `path.lat`), from one link lookup: the two
+    /// fields `UPDATEMVEC` folds into a probe.
+    pub fn util_lat_to(&self, next: NodeId) -> (f64, f64) {
         match self.topo.link_between(self.switch, next) {
-            Some(l) => self.links[l.0 as usize].delay.as_secs_f64(),
-            None => 0.0,
+            Some(l) => {
+                let link = &self.links[l.0 as usize];
+                (link.utilization(self.now), link.delay.as_secs_f64())
+            }
+            None => (0.0, 0.0),
         }
     }
 
