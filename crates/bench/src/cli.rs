@@ -15,7 +15,7 @@ use contra_p4gen::{emit_switch_program, max_switch_state_kb, switch_state, valid
 use contra_sim::{SimStats, Time};
 use contra_telemetry::{json_escape, validate_json};
 use contra_topology::Topology;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -70,8 +70,10 @@ fn io_failed(out: &mut Out, what: &str, path: &str, e: std::io::Error) -> Exit {
 /// single-cable fragility, dead code) always runs and its findings are
 /// printed; `--verify` additionally makes the exit status non-zero if it
 /// reports errors. With `--out`, a program that fails validation is
-/// reported by switch and not written, and an output directory or file that
-/// cannot be written is reported by path; either exits 1.
+/// reported by switch and not written, an output directory or file that
+/// cannot be written is reported by path, and two switches whose names
+/// map to one file name (`/` is written as `_`) are reported by name
+/// before anything is written; each exits 1.
 pub fn compile(args: &[String], out: &mut Out) -> Result<(), Exit> {
     let mut flags = parse_flags(args, &["--topology", "--policy", "--out"], &["--verify"])?;
     let (Some(tspec), Some(policy)) = (flags.remove("--topology"), flags.remove("--policy")) else {
@@ -120,11 +122,33 @@ pub fn compile(args: &[String], out: &mut Out) -> Result<(), Exit> {
     ));
 
     if let Some(dir) = flags.remove("--out") {
+        // One file per switch, named after it with `/` as `_`: two
+        // switches whose names differ only there would share a file.
+        let files: Vec<_> = cp
+            .programs
+            .keys()
+            .map(|&sw| {
+                let name = &topo.node(sw).name;
+                (sw, name, format!("{dir}/{}.p4", name.replace('/', "_")))
+            })
+            .collect();
+        let mut written_by = BTreeMap::new();
+        let mut shared = false;
+        for (_, name, path) in &files {
+            if let Some(other) = written_by.insert(path, name) {
+                out.note(format_args!(
+                    "switches {other:?} and {name:?} would both be written to {path}"
+                ));
+                shared = true;
+            }
+        }
+        if shared {
+            return Err(Exit::Failed);
+        }
         std::fs::create_dir_all(&dir).map_err(|e| io_failed(out, "create", &dir, e))?;
         let (mut total, mut invalid) = (0usize, 0usize);
-        for &sw in cp.programs.keys() {
-            let p4 = emit_switch_program(&cp, sw);
-            let name = &topo.node(sw).name;
+        for (sw, name, path) in &files {
+            let p4 = emit_switch_program(&cp, *sw);
             let errs = validate(&p4);
             for e in &errs {
                 writeln!(out.notes, "{name}: {e}").expect("emit note");
@@ -133,8 +157,7 @@ pub fn compile(args: &[String], out: &mut Out) -> Result<(), Exit> {
                 invalid += 1;
                 continue;
             }
-            let path = format!("{dir}/{}.p4", name.replace('/', "_"));
-            std::fs::write(&path, &p4).map_err(|e| io_failed(out, "write", &path, e))?;
+            std::fs::write(path, &p4).map_err(|e| io_failed(out, "write", path, e))?;
             total += p4.len();
         }
         if invalid > 0 {

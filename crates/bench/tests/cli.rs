@@ -148,6 +148,25 @@ fn zoo_files_compile_or_exit_2_with_the_parse_error() {
         );
     }
 
+    // A program's file is its switch's name with `/` as `_`, so `a/b` and
+    // `a_b` would share one: the command names both and writes nothing.
+    let slashed = r#"<graph>
+        <node id="0"><data key="label">a/b</data></node>
+        <node id="1"><data key="label">a_b</data></node>
+        <edge source="0" target="1"/>
+    </graph>"#;
+    let shared = dir.join("shared");
+    let _ = std::fs::remove_dir_all(&shared);
+    let out = compile("slashed.graphml", slashed, shared.to_str());
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(r#"switches "a/b" and "a_b" would both be written to"#),
+        "{err}"
+    );
+    assert!(!err.contains("wrote"), "{err}");
+    assert!(!shared.exists(), "{err}");
+
     let repeated = r#"<node id="0"/><node id="0"/><edge source="0" target="0"/>"#;
     let out = compile("repeated.graphml", repeated, None);
     let err = stderr(&out);

@@ -14,6 +14,7 @@ use contra_bench::{compiler_policy_suite, lint_corpus};
 use contra_core::Compiler;
 use contra_fuzz::case_seed;
 use contra_p4gen::{emit_all, validate, ValidationError};
+use contra_topology::generators::{fat_tree, LinkSpec};
 use std::collections::BTreeSet;
 
 const MINIMAL: &str = r#"
@@ -233,6 +234,23 @@ fn hand_written_mutations_validate_as_the_reference_says() {
         MINIMAL.replace("state start", "state / start"),
         format!("{MINIMAL}V1Switch(P(), C()) main;"),
         format!("table table action action .apply() x.apply().apply()\n{MINIMAL}"),
+        // Keys that do not pack into a word, and more than the buffer holds.
+        MINIMAL.replace("1: a();", "123456789: a();\n 123456789 : a();"),
+        MINIMAL.replace("1: a();", "12345678: a(); 12345678: a();\n 12345678 : a();"),
+        MINIMAL.replace("1: a();", "1\0: a();\n 1: a();\n 1\0\0: a();\n 1\0: a();"),
+        MINIMAL.replace("1: a();", "1\0: a();\n 1: a();\n 1\0\0: a();"),
+        MINIMAL.replace(
+            "1: a();",
+            &(0..70).map(|k| format!("{k}: a();\n")).collect::<String>(),
+        ),
+        MINIMAL.replace(
+            "1: a();",
+            &(0..63).map(|k| format!("{k}: a();\n")).collect::<String>(),
+        ),
+        MINIMAL.replace(
+            "2: a();",
+            &(3..100).map(|k| format!("{k}: a();\n")).collect::<String>(),
+        ),
         String::new(),
         "//".to_string(),
         "table".to_string(),
@@ -312,6 +330,88 @@ fn pair_anchors_across_a_chunk_boundary_are_found() {
     for (program, want) in &cases {
         assert_eq!(&validate(program), want, "{program}");
         assert_same("pair across a boundary", program);
+    }
+}
+
+/// Static blocks of an emitted program, each found by its first and last
+/// text as the emitter writes it whole: the prelude, the headers, one
+/// metric field, the parser, the registers up to `NEXTPGNODE`'s entries,
+/// `probe_multicast` up to its entries, the ingress up to the metric
+/// writes and the rest up to the control-plane comments.
+fn static_blocks(p4: &str) -> Vec<&str> {
+    [
+        ("#include <core.p4>\n", "0x88B6;\n"),
+        ("header ethernet_t {\n", "// sender's virtual node\n"),
+        ("    bit<32> m_util;", "metric\n"),
+        ("}\nstruct headers_t {\n", "dataplane-written.\n"),
+        ("register<bit<32>>(FWDT_SIZE) fwdt_version;\n", "drop();\n"),
+        ("    }\n\n    action set_probe_mcast", "drop();\n"),
+        ("    }\n\n    action forward", "FWDT_SIZE);\n"),
+        (
+            "            fwdt_version.write",
+            "(multicast groups) ----\n",
+        ),
+    ]
+    .iter()
+    .map(|&(first, last)| {
+        let from = p4.find(first).unwrap_or_else(|| panic!("no {first:?}"));
+        let len = p4[from..].find(last).expect("the block ends") + last.len();
+        assert!(p4[..from].ends_with('\n'), "{first:?} starts a line");
+        &p4[from..from + len]
+    })
+    .collect()
+}
+
+/// `validate` takes a static block by comparison only at a line start
+/// outside any block; everywhere else, and for text that differs from the
+/// block in one byte or ends early, it reads the text as it reads any
+/// other. Each block is placed at those boundaries.
+#[test]
+fn static_blocks_at_their_boundaries_validate_as_the_reference_says() {
+    let topo = fat_tree(4, 0, LinkSpec::default());
+    let cp = Compiler::new(&topo)
+        .compile_str("minimize(path.util)")
+        .expect("MU compiles");
+    let programs = emit_all(&cp, &topo);
+    let p4 = programs.values().next().expect("a program");
+    let blocks = static_blocks(p4);
+    let mut cases = Vec::new();
+    for &block in &blocks {
+        cases.extend([
+            // At offset 0, and behind a byte that is not a line break.
+            format!("{block}{MINIMAL}"),
+            format!(" {block}{MINIMAL}"),
+            format!("{MINIMAL}x{block}"),
+            // Behind an unclosed block, whose text it then is.
+            format!("const entries = {{\n{block}{MINIMAL}"),
+            format!("{MINIMAL}const entries = {{\n1: a();\n{block}"),
+            format!("actions = {{\n{block}{MINIMAL}"),
+            format!("{MINIMAL}    actions = {{ a;\n{block}"),
+            // Right after a comment line.
+            format!("// c\n{block}{MINIMAL}"),
+            format!("{MINIMAL}// table ghost {{ x.apply() ) main;\n{block}"),
+        ]);
+        // One byte changed mid-way: a delimiter, a line break, a letter.
+        let mid = (block.len() / 2..)
+            .find(|&at| block.as_bytes()[at].is_ascii())
+            .expect("an ASCII byte");
+        for byte in ["{", "}", "\n", "x"] {
+            let changed = format!("{}{byte}{}", &block[..mid], &block[mid + 1..]);
+            cases.push(format!("{MINIMAL}{changed}{MINIMAL}"));
+        }
+        // Cut short at the end of the input.
+        for keep in [1, 7, 8, 9, block.len() / 2, block.len() - 1] {
+            let keep = (keep..).find(|&at| block.is_char_boundary(at)).unwrap();
+            cases.push(format!("{MINIMAL}{}", &block[..keep]));
+        }
+        // Two adjacent blocks, after a line break and at offset 0.
+        for &next in &blocks {
+            cases.push(format!("{MINIMAL}{block}{next}"));
+            cases.push(format!("{block}{next}"));
+        }
+    }
+    for (i, case) in cases.iter().enumerate() {
+        assert_same(&format!("boundary case {i}"), case);
     }
 }
 

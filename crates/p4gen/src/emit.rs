@@ -1,9 +1,14 @@
 //! The P4₁₆ emitter: one v1model program per switch.
 //!
-//! The generated program is the hardware rendering of what
-//! `contra-dataplane` interprets in simulation — both are produced from
-//! the same `SwitchProgram` IR, which is the repo's substitute for running
-//! bmv2: the simulated behaviour *is* the behaviour the P4 encodes.
+//! The program is rendered from the switch's compiled `SwitchProgram`, the
+//! IR that `contra-dataplane`'s `ContraSwitch` runs in simulation, but it
+//! encodes only part of that behaviour today: the product-graph edges
+//! (`NEXTPGNODE`), the probe multicast groups, the register arrays and
+//! their sizes, and an ingress that maps a probe's tag and writes `FwdT`
+//! unconditionally. The version check, the rank comparison (the policy's
+//! `f`), `BestT` updates, flowlet pinning, failure expiry and loop breaking
+//! are not emitted; the simulated switch is the protocol, and ROADMAP item
+//! 2 is making the program encode it.
 //!
 //! Layout of one program:
 //!
@@ -18,8 +23,8 @@
 //! * `FwdT`/`BestT`/flowlet/loop-detection state as register arrays
 //!   (dataplane-writable, like Hula's): sizes from the same model as
 //!   Fig 10 ([`crate::state`]);
-//! * ingress control mirroring Fig 7's `PROCESSPROBE`/`SWIFORWARDPKT`
-//!   with the §5 refinements.
+//! * an ingress control laid out as Fig 7's `PROCESSPROBE` /
+//!   `SWIFORWARDPKT`, without the parts named above.
 //!
 //! # How the text is written
 //!
@@ -44,6 +49,13 @@
 //! brace. The layout test in `crates/bench/tests/validate_reference.rs`
 //! checks that indentation against the brace depth on every program of the
 //! lint corpus.
+//!
+//! Every block and every metric line starts right after a line break and
+//! ends with one, and all of them are listed in `STATIC_TEXT`: `validate`
+//! takes such text by comparison instead of reading it (see its module
+//! doc), so new static text costs validation one comparison. A block
+//! written anywhere but at a line start is read byte by byte again, and
+//! fails the unit test `validation_skips_every_static_block`.
 
 use contra_core::{Attr, CompiledPolicy, FLOWLET_ENTRIES, LOOP_ENTRIES};
 use contra_topology::NodeId;
@@ -104,6 +116,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     }
     o.push_str("]\n");
     o.push_str(PRELUDE);
+    o.push_str(FWDT_SIZE_DECL);
     push_num(o, fwdt_size);
     o.push_str(";\nconst bit<32> BEST_SIZE = ");
     push_num(o, dests);
@@ -223,7 +236,7 @@ struct MetricText {
     ingress: &'static str,
 }
 
-fn metric_text(a: Attr) -> MetricText {
+const fn metric_text(a: Attr) -> MetricText {
     match a {
         Attr::Util => MetricText {
             name: "Util",
@@ -250,8 +263,10 @@ fn metric_text(a: Attr) -> MetricText {
     }
 }
 
-/// The bytes of every program that the static blocks write.
+/// The bytes of every program that the static blocks and the `FWDT_SIZE`
+/// declaration write.
 const FIXED_LEN: usize = PRELUDE.len()
+    + FWDT_SIZE_DECL.len()
     + HEADERS.len()
     + PARSER.len()
     + REGISTERS_AND_NEXTPGNODE.len()
@@ -259,14 +274,47 @@ const FIXED_LEN: usize = PRELUDE.len()
     + INGRESS_APPLY.len()
     + INGRESS_REST_AND_MAIN.len();
 
-/// After the header comments, up to the value of `FWDT_SIZE`.
+/// The text the emitter pushes whole: the seven blocks and every metric's
+/// lines. Each is written right after a line break and ends with one,
+/// which is what lets `validate` take it by comparison instead of reading
+/// it (see its module doc).
+pub(crate) const STATIC_TEXT: [&str; 16] = {
+    let [u, l, n] = [
+        metric_text(Attr::Util),
+        metric_text(Attr::Lat),
+        metric_text(Attr::Len),
+    ];
+    [
+        PRELUDE,
+        HEADERS,
+        PARSER,
+        REGISTERS_AND_NEXTPGNODE,
+        PROBE_MULTICAST,
+        INGRESS_APPLY,
+        INGRESS_REST_AND_MAIN,
+        u.field,
+        u.register,
+        u.ingress,
+        l.field,
+        l.register,
+        l.ingress,
+        n.field,
+        n.register,
+        n.ingress,
+    ]
+};
+
+/// After the header comments, up to the size constants.
 const PRELUDE: &str = "#include <core.p4>
 #include <v1model.p4>
 
 typedef bit<9> port_t;
 const bit<16> ETHERTYPE_CONTRA_DATA = 0x88B5;
 const bit<16> ETHERTYPE_CONTRA_PROBE = 0x88B6;
-const bit<32> FWDT_SIZE = ";
+";
+
+/// Up to the value of `FWDT_SIZE`, which ends the line.
+const FWDT_SIZE_DECL: &str = "const bit<32> FWDT_SIZE = ";
 
 /// The headers, up to the probe header's metric fields.
 const HEADERS: &str = "header ethernet_t {
