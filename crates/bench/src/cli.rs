@@ -315,7 +315,8 @@ pub fn lint(args: &[String], out: &mut Out) -> Result<(), Exit> {
 /// and passes as `seed`; unset, a fixed default).
 ///
 /// Every system runs twice; the runs must agree byte for byte — chaos
-/// lives in the plan, never in the execution.
+/// lives in the plan, never in the execution. A plan file that cannot be
+/// written is reported by path and exits 1 before anything runs.
 pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Exit> {
     parse_flags(args, &[], &[])?;
     let seed = seed.unwrap_or(20_260_808);
@@ -331,12 +332,17 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
         .audit(true);
 
     let cmds = base.resolved_faults();
-    let mut f = std::fs::File::create("CHAOS_PLAN.txt").expect("write CHAOS_PLAN.txt");
-    writeln!(f, "# chaos plan seed={seed} ({} events)", cmds.len()).expect("write CHAOS_PLAN.txt");
+    let mut text = format!("# chaos plan seed={seed} ({} events)\n", cmds.len());
     for c in &cmds {
-        writeln!(f, "{c}").expect("write CHAOS_PLAN.txt");
+        let _ = writeln!(text, "{c}");
     }
-    f.sync_all().expect("flush CHAOS_PLAN.txt");
+    let path = "CHAOS_PLAN.txt";
+    std::fs::File::create(path)
+        .and_then(|mut f| {
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        })
+        .map_err(|e| io_failed(out, "write", path, e))?;
     assert!(
         cmds.len() >= 100,
         "plan must realize at least 100 events, got {}",
@@ -393,7 +399,8 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
 ///   within 1%).
 ///
 /// [`Scale::Fast`] shrinks the cell (cut at 5 ms, 12 ms stream) so CI
-/// smoke runs stay cheap; the artifact schema is identical.
+/// smoke runs stay cheap; the artifact schema is identical. A file that
+/// cannot be written is reported by path and exits 1.
 pub fn report(args: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> {
     parse_flags(args, &[], &[])?;
     let (duration, cut) = scale.pick((Time::ms(12), Time::ms(5)), (Time::ms(60), Time::ms(50)));
@@ -408,11 +415,7 @@ pub fn report(args: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> 
         scenario.label()
     ));
     let a = scenario.run(&system);
-    let Some(telem_a) = a.telemetry.as_ref() else {
-        return Err(Exit::Usage(
-            "report: unset CONTRA_TELEM=0 first — it disables the recorder".to_string(),
-        ));
-    };
+    let telem_a = a.telemetry.as_ref().expect("telemetry requested");
     let b = scenario.run(&system);
     let telem_b = b.telemetry.as_ref().expect("telemetry requested");
 
@@ -451,7 +454,7 @@ pub fn report(args: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> 
         ("TELEM_METRICS.csv", &csv),
         ("RUN_REPORT.txt", &rpt),
     ] {
-        std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, contents).map_err(|e| io_failed(out, "write", path, e))?;
         out.note(format_args!("wrote {path} ({} bytes)", contents.len()));
     }
     write!(out.notes, "{rpt}").expect("emit note");

@@ -161,8 +161,8 @@ fn fct_vs_load(
 ) {
     for (sub, workload) in [("a", Workload::WebSearch), ("b", Workload::Cache)] {
         let fig = format!("{fig}{sub}");
-        // Cells fan out over all cores (CONTRA_JOBS overrides); results
-        // and CSV order are identical to the serial sweep.
+        // Cells fan out over all cores; results and CSV order are
+        // identical to the serial sweep.
         let results = SweepSpec::new(base.clone().workload(workload))
             .systems(systems)
             .loads(load_sweep(scale))
@@ -428,7 +428,7 @@ fn fig14(scale: Scale, out: &mut Out) {
             cells.push(SweepCell::new(cells.len(), cell, system, None));
         }
     }
-    let results = run_cells(cells, Jobs::Auto.or_env(), &CompileCache::new());
+    let results = run_cells(cells, Jobs::Auto, &CompileCache::new());
 
     // Seed 1: the goodput timeline around the failure, as the paper
     // plots it.

@@ -97,7 +97,7 @@ pub fn usage() -> String {
          \x20 chaos                        a seeded random fault plan, audited: CHAOS_PLAN.txt\n\
          <spec>: fat-tree:K | leaf-spine:L,S,H | abilene | random:N | zoo:FILE\n\
          exit codes: 0 = ok (lint: clean or warnings only), 1 = errors found, 2 = usage error\n\
-         environment: CONTRA_BENCH_FAST=1 (smoke scale), CONTRA_CHAOS_SEED=<u64>, CONTRA_JOBS=<n>",
+         environment: CONTRA_BENCH_FAST=1 (smoke scale), CONTRA_CHAOS_SEED=<u64>",
         names.join(" ")
     )
 }

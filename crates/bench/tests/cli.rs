@@ -6,11 +6,15 @@
 use std::process::{Command, Output};
 
 fn contra(args: &[&str]) -> Output {
+    // A command that gets as far as writing an artifact (`CONTRA_LINT.txt`,
+    // `CHAOS_PLAN.txt`) writes it under `target/`, not into the crate.
+    contra_in(env!("CARGO_TARGET_TMPDIR").as_ref(), args)
+}
+
+fn contra_in(dir: &std::path::Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_contra"))
         .args(args)
-        // A command that gets as far as writing an artifact (`CONTRA_LINT.txt`,
-        // `CHAOS_PLAN.txt`) writes it under `target/`, not into the crate.
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .current_dir(dir)
         .output()
         .expect("contra runs")
 }
@@ -86,6 +90,20 @@ fn compile_reports_a_positive_time_in_ms() {
         .parse()
         .unwrap_or_else(|e| panic!("{line:?}: {e}"));
     assert!(ms > 0.0, "{line:?}");
+}
+
+/// An artifact that cannot be written is an error the command reports by
+/// path, not a panic: here `CHAOS_PLAN.txt` is a directory.
+#[test]
+fn unwritable_chaos_plan_exits_1_naming_it() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos_unwritable");
+    std::fs::create_dir_all(dir.join("CHAOS_PLAN.txt")).unwrap();
+    let out = contra_in(&dir, &["chaos"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("cannot write CHAOS_PLAN.txt"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty(), "a system ran: {err}");
 }
 
 #[test]

@@ -46,8 +46,8 @@
 //! full-policy key holds 0 there.
 //!
 //! Four rank words and the hop word live inline in the key, the inline
-//! tuples are evaluated unrolled, and wider ranks spill to the heap, as
-//! [`Rank`]'s components do. There is no cap on width.
+//! tuples are evaluated unrolled, and wider ranks spill to the heap. There
+//! is no cap on width.
 
 use crate::analysis::Analysis;
 use crate::ast::{Attr, CmpOp};

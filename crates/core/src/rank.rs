@@ -8,7 +8,6 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
 
 /// A totally ordered path rank: either a lexicographic vector of finite
 /// reals, or ∞.
@@ -20,73 +19,16 @@ use std::ops::Deref;
 /// ranks in tests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Rank {
-    /// A finite rank; lower is better.
-    Finite(Components),
+    /// A finite rank; lower is better. Every component is finite.
+    Finite(Vec<f64>),
     /// The worst possible rank: the path may not be used.
     Inf,
 }
 
-/// Tuples up to this wide live inside the [`Rank`] itself.
-const INLINE: usize = 4;
-
-/// The components of a finite rank; dereferences to `[f64]`.
-///
-/// The dataplane evaluates a rank per probe and per table row, so the
-/// catalogue's widths (≤ 3) must not cost an allocation each; wider tuples
-/// spill to the heap, and there is no cap on width.
-#[derive(Debug, Clone)]
-pub struct Components(Repr);
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Inline { len: usize, buf: [f64; INLINE] },
-    Spilled(Vec<f64>),
-}
-
-impl Deref for Components {
-    type Target = [f64];
-
-    fn deref(&self) -> &[f64] {
-        match &self.0 {
-            Repr::Inline { len, buf } => &buf[..*len],
-            Repr::Spilled(v) => v,
-        }
-    }
-}
-
-impl PartialEq for Components {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl FromIterator<f64> for Components {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Components {
-        let mut iter = iter.into_iter();
-        let (mut len, mut buf) = (0, [0.0; INLINE]);
-        for v in iter.by_ref() {
-            if len == INLINE {
-                let mut spilled = buf.to_vec();
-                spilled.push(v);
-                spilled.extend(iter);
-                return Components(Repr::Spilled(spilled));
-            }
-            buf[len] = v;
-            len += 1;
-        }
-        Components(Repr::Inline { len, buf })
-    }
-}
-
-/// [`Rank::tuple`] straight from the components, without a `Vec` between.
+/// [`Rank::tuple`] straight from the components.
 impl FromIterator<f64> for Rank {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Rank {
-        let vs: Components = iter.into_iter().collect();
-        if vs.iter().any(|v| !v.is_finite()) {
-            Rank::Inf
-        } else {
-            Rank::Finite(vs)
-        }
+        Rank::tuple(iter.into_iter().collect())
     }
 }
 
@@ -94,13 +36,17 @@ impl Rank {
     /// A scalar finite rank.
     pub fn scalar(v: f64) -> Rank {
         assert!(v.is_finite(), "scalar rank must be finite, got {v}");
-        Rank::Finite([v].into_iter().collect())
+        Rank::Finite(vec![v])
     }
 
     /// A tuple rank. Any non-finite component collapses the whole rank to ∞
     /// (a path that is forbidden on one criterion is forbidden outright).
     pub fn tuple(vs: Vec<f64>) -> Rank {
-        vs.into_iter().collect()
+        if vs.iter().all(|v| v.is_finite()) {
+            Rank::Finite(vs)
+        } else {
+            Rank::Inf
+        }
     }
 
     /// Whether this is the ∞ rank.
@@ -111,7 +57,7 @@ impl Rank {
     /// The components if finite.
     pub fn values(&self) -> Option<&[f64]> {
         match self {
-            Rank::Finite(v) => Some(v.as_ref()),
+            Rank::Finite(v) => Some(v),
             Rank::Inf => None,
         }
     }
@@ -198,17 +144,15 @@ mod tests {
         assert!(Rank::tuple(vec![1.0, -0.5]) < Rank::scalar(1.0));
     }
 
-    /// Width is unbounded: past the inline capacity a tuple spills, and a
-    /// spilled rank orders and equals like any other.
+    /// Width is unbounded: a rank wider than any policy writes orders,
+    /// equals and collapses to ∞ like any other.
     #[test]
-    fn wide_tuples_spill_and_still_compare() {
+    fn wide_tuples_compare() {
         let wide = |last: f64| (0..7).map(f64::from).chain([last]).collect::<Rank>();
         assert_eq!(wide(1.0).values().unwrap().len(), 8);
         assert!(wide(1.0) < wide(2.0));
         assert_eq!(wide(1.0), wide(1.0));
         assert!(wide(f64::INFINITY).is_inf());
-        // Inline against spilled: zero-padding and equality see components
-        // only, not where they live.
         let narrow = Rank::tuple(vec![0.0, 1.0, 2.0]);
         assert!(narrow < wide(0.0));
         assert_eq!(

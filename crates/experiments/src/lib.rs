@@ -31,10 +31,9 @@
 //!
 //! Grids run in parallel through the [`sweep`] engine: a [`SweepSpec`]
 //! names the axes (systems × loads × seeds × knobs), the worker pool is
-//! one thread per core unless [`SweepSpec::jobs`] or the `CONTRA_JOBS`
-//! env var says otherwise, and results come back in exact sweep order,
-//! byte-identical to the serial path. [`Scenario::matrix`] is a thin
-//! wrapper over it.
+//! one thread per core unless [`SweepSpec::jobs`] says otherwise, and
+//! results come back in exact sweep order, byte-identical to the serial
+//! path. [`Scenario::matrix`] is a thin wrapper over it.
 
 pub mod fault;
 pub mod result;

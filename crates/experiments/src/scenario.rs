@@ -333,8 +333,7 @@ impl Scenario {
     }
 
     /// Forces the runtime invariant auditor on or off for this scenario
-    /// (default: the engine's own default — on in debug builds; the
-    /// `CONTRA_SIM_AUDIT` env var still wins over both).
+    /// (default: the engine's own default — on in debug builds).
     pub fn audit(mut self, on: bool) -> Scenario {
         self.sim.audit = on;
         self
@@ -347,9 +346,8 @@ impl Scenario {
     }
 
     /// Forces the telemetry recorder on or off for this scenario
-    /// (default: off; the `CONTRA_TELEM` env var still wins over both).
-    /// When on, the run's trace events and metrics land in
-    /// [`RunResult::telemetry`].
+    /// (default: off). When on, the run's trace events and metrics land
+    /// in [`RunResult::telemetry`].
     pub fn telemetry(mut self, on: bool) -> Scenario {
         if on {
             self.sim.telemetry.get_or_insert_with(Default::default);
@@ -607,9 +605,8 @@ impl Scenario {
     /// each distinct policy compiles exactly once.
     ///
     /// A thin wrapper over the sweep engine
-    /// ([`SweepSpec`]): the cells run on one worker
-    /// per core unless the `CONTRA_JOBS` env var says otherwise, with
-    /// results byte-identical to the sequential path either way.
+    /// ([`SweepSpec`]): the cells run on one worker per core, with
+    /// results byte-identical to the sequential path.
     pub fn matrix(&self, systems: &[&dyn RoutingSystem], loads: &[f64]) -> Vec<RunResult> {
         self.matrix_cached(systems, loads, &CompileCache::new())
     }

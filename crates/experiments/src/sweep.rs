@@ -24,10 +24,8 @@
 //! assert_eq!(results.len(), 2 * 3 * 3);
 //! ```
 //!
-//! A sweep runs one worker per core ([`Jobs::Auto`]); `CONTRA_JOBS`
-//! overrides that at run time (`CONTRA_JOBS=1` forces serial,
-//! `CONTRA_JOBS=0`/`auto` uses every core, `CONTRA_JOBS=n` pins `n`
-//! workers), so any sweep can be forced serial without a rebuild.
+//! A sweep runs one worker per core ([`Jobs::Auto`]) unless
+//! [`SweepSpec::jobs`] says otherwise.
 
 use crate::result::RunResult;
 use crate::scenario::Scenario;
@@ -52,29 +50,6 @@ pub enum Jobs {
 }
 
 impl Jobs {
-    /// The `CONTRA_JOBS` override, if set and parseable: `"0"` or
-    /// `"auto"` → [`Jobs::Auto`], `"1"` → [`Jobs::Serial`], `n` →
-    /// [`Jobs::N`]. Unset or unparseable → `None`.
-    pub fn from_env() -> Option<Jobs> {
-        Jobs::parse(&std::env::var("CONTRA_JOBS").ok()?)
-    }
-
-    /// Parses a `CONTRA_JOBS`-style value (the pure half of
-    /// [`Jobs::from_env`]).
-    pub fn parse(raw: &str) -> Option<Jobs> {
-        match raw.trim() {
-            "auto" | "Auto" | "AUTO" | "0" => Some(Jobs::Auto),
-            "1" | "serial" | "Serial" => Some(Jobs::Serial),
-            s => s.parse::<usize>().ok().map(Jobs::N),
-        }
-    }
-
-    /// This value, unless `CONTRA_JOBS` overrides it (the env var always
-    /// wins, so a user can force any sweep serial or parallel).
-    pub fn or_env(self) -> Jobs {
-        Jobs::from_env().unwrap_or(self)
-    }
-
     /// The worker count this resolves to on the current machine.
     pub fn workers(self) -> usize {
         match self {
@@ -248,8 +223,7 @@ impl<'a> SweepSpec<'a> {
         self
     }
 
-    /// Sets the worker-pool size ([`Jobs::Auto`] unless set;
-    /// `CONTRA_JOBS` overrides whatever is set here at run time).
+    /// Sets the worker-pool size ([`Jobs::Auto`] unless set).
     pub fn jobs(mut self, jobs: Jobs) -> SweepSpec<'a> {
         self.jobs = jobs;
         self
@@ -306,7 +280,7 @@ impl<'a> SweepSpec<'a> {
     /// Runs the sweep against a caller-visible compile cache (tests
     /// assert on [`CompileCache::compiles`]).
     pub fn run_cached(&self, cache: &CompileCache) -> Vec<RunResult> {
-        run_cells(self.cells(), self.jobs.or_env(), cache)
+        run_cells(self.cells(), self.jobs, cache)
     }
 }
 
@@ -418,18 +392,5 @@ mod tests {
         assert_eq!(Jobs::N(0).workers(), 1);
         assert_eq!(Jobs::N(5).workers(), 5);
         assert!(Jobs::Auto.workers() >= 1);
-    }
-
-    /// The override grammar (pure parsing — mutating the real env var
-    /// from a multithreaded test harness would race `getenv`).
-    #[test]
-    fn env_override_grammar() {
-        assert_eq!(Jobs::parse("3"), Some(Jobs::N(3)));
-        assert_eq!(Jobs::parse(" 4 "), Some(Jobs::N(4)));
-        assert_eq!(Jobs::parse("auto"), Some(Jobs::Auto));
-        assert_eq!(Jobs::parse("0"), Some(Jobs::Auto));
-        assert_eq!(Jobs::parse("1"), Some(Jobs::Serial));
-        assert_eq!(Jobs::parse("serial"), Some(Jobs::Serial));
-        assert_eq!(Jobs::parse("nonsense"), None);
     }
 }

@@ -40,7 +40,6 @@ fn configuration_ledger() {
         util_tau,
         stop_at,
         queue_sample_every,
-        queue_sample_cap,
         min_rto,
         udp_bucket,
         trace_paths,
@@ -50,7 +49,6 @@ fn configuration_ledger() {
     assert_eq!(util_tau, Time(2 * PROBE_PERIOD.0));
     assert_eq!(stop_at, Time::ms(100));
     assert_eq!(queue_sample_every, None);
-    assert_eq!(queue_sample_cap, contra_sim::QUEUE_SAMPLE_CAP);
     assert_eq!((min_rto, udp_bucket), (Time::ms(1), Time::ms(1)));
     assert!(!trace_paths && telemetry.is_none());
     assert_eq!(audit, cfg!(debug_assertions));

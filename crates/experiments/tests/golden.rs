@@ -20,6 +20,10 @@
 //! moved). PR 13 collapsed the engine's configuration matrix to one
 //! engine; every field survived byte-identical.
 //!
+//! Every cell also runs a second time with the telemetry recorder and the
+//! path table watching (the auditor already does in debug builds), and
+//! must reproduce the same fingerprint: observers never change a run.
+//!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test golden -- --nocapture`
 
@@ -72,6 +76,14 @@ fn check(scenario: &Scenario, system: &dyn RoutingSystem, golden: &str) {
         got,
         golden,
         "behavioral output changed for {} under {}",
+        scenario.label(),
+        system.name()
+    );
+    let observed = scenario.clone().telemetry(true).trace_paths(true);
+    assert_eq!(
+        fingerprint(&observed.run(system)),
+        golden,
+        "the recorder or the path table changed {} under {}",
         scenario.label(),
         system.name()
     );

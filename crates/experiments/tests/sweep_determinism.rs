@@ -4,11 +4,8 @@
 //! setting, on a datacenter and a WAN grid.
 //!
 //! The serial reference is built through [`run_cells`] with a literal
-//! `Jobs::Serial` — the one entry point that does *not* consult
-//! `CONTRA_JOBS` — so it stays genuinely sequential even when CI
-//! re-runs this file with `CONTRA_JOBS=4` exported (which re-routes
-//! every `SweepSpec::run_cached` call, whatever its programmed setting,
-//! through a 4-worker pool regardless of the runner's core count).
+//! `Jobs::Serial`; the sweeps under test run at `Jobs::N(1)`, `Jobs::N(4)`
+//! (four workers whatever the machine's core count) and `Jobs::Auto`.
 
 use contra_experiments::{
     run_cells, CompileCache, Contra, Ecmp, Hula, Jobs, RoutingSystem, RunResult, Scenario, Sp,
@@ -56,9 +53,7 @@ fn fingerprint(r: &RunResult) -> String {
 /// number of policy compilations.
 fn assert_parallel_matches_serial<'a>(build: impl Fn() -> SweepSpec<'a>, expect_compiles: usize) {
     let serial_cache = CompileCache::new();
-    // Literal serial execution: `run_cells` honors the passed `Jobs`
-    // verbatim (no CONTRA_JOBS override), so this reference is the true
-    // sequential path even when the env var re-routes everything else.
+    // Literal serial execution: the true sequential path.
     let serial: Vec<String> = run_cells(build().cells(), Jobs::Serial, &serial_cache)
         .iter()
         .map(fingerprint)

@@ -43,15 +43,11 @@ fn run_cell() -> RunResult {
 }
 
 fn run_report() -> TelemetryReport {
-    run_cell()
-        .telemetry
-        .expect("telemetry requested (CONTRA_TELEM=0 would disable it)")
+    run_cell().telemetry.expect("telemetry requested")
 }
 
 #[test]
 fn stats_identical_with_telemetry_on_and_off() {
-    // `CONTRA_TELEM`, when set, forces both arms to the same state; the
-    // equality still holds, it just stops being a contrast.
     let off = cell().run(&Contra::dc());
     let on = cell().telemetry(true).run(&Contra::dc());
     assert_eq!(

@@ -138,12 +138,9 @@ pub struct Simulator {
 impl Simulator {
     /// Creates a simulator over a topology. Accepts an owned [`Topology`]
     /// or an `Arc<Topology>`; sweeps pass the latter so every cell shares
-    /// one allocation. The `CONTRA_SIM_AUDIT` and `CONTRA_TELEM` env
-    /// vars, when set, override `cfg.audit` and `cfg.telemetry` here
-    /// ([`SimConfig::apply_env`]).
-    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, mut cfg: SimConfig) -> Simulator {
+    /// one allocation.
+    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, cfg: SimConfig) -> Simulator {
         let topo = topo.into();
-        cfg.apply_env();
         let links = topo
             .links()
             .iter()
@@ -469,7 +466,6 @@ impl Simulator {
                     let sample = Obs::QueueDepth {
                         link,
                         bytes: state.queued_bytes(),
-                        cap: self.cfg.queue_sample_cap,
                     };
                     self.obs.emit(self.now, sample);
                 }

@@ -406,49 +406,6 @@ mod tests {
         assert_eq!(links.len(), 2);
     }
 
-    /// Queue-sample retention is bounded: past the cap, sampling keeps
-    /// running (so the event schedule — and `events_processed` — is
-    /// unchanged) but samples are counted instead of stored.
-    #[test]
-    fn queue_sampling_is_capped() {
-        let run_with_cap = |cap: usize| {
-            let mut sim = Simulator::new(
-                line(),
-                SimConfig {
-                    stop_at: Time::ms(1),
-                    queue_sample_every: Some(Time::us(100)),
-                    queue_sample_cap: cap,
-                    ..SimConfig::default()
-                },
-            );
-            install_static(&mut sim);
-            sim.run()
-        };
-        let unbounded = run_with_cap(usize::MAX);
-        assert_eq!(unbounded.queue_samples_capped, 0);
-        let capped = run_with_cap(4);
-        assert_eq!(capped.queue_samples.len(), 4);
-        assert_eq!(
-            capped.queue_samples_capped,
-            unbounded.queue_samples.len() as u64 - 4
-        );
-        assert_eq!(
-            capped.events_processed, unbounded.events_processed,
-            "the cap must not perturb the event schedule"
-        );
-    }
-
-    /// Whether the environment (`CONTRA_TELEM=0`) vetoes a requested
-    /// recorder.
-    fn telemetry_forced_off() -> bool {
-        let mut cfg = SimConfig {
-            telemetry: Some(TelemetryConfig::default()),
-            ..SimConfig::default()
-        };
-        cfg.apply_env();
-        cfg.telemetry.is_none()
-    }
-
     /// cwnd telemetry is one sample per transport action (per ACK),
     /// never per emitted packet, so the series length stays bounded by
     /// the ACK count.
@@ -473,13 +430,7 @@ mod tests {
             start: Time::ZERO,
         });
         let out = sim.run_full();
-        let Some(report) = &out.telemetry else {
-            assert!(
-                telemetry_forced_off(),
-                "report must exist unless CONTRA_TELEM forced telemetry off"
-            );
-            return;
-        };
+        let report = out.telemetry.as_ref().expect("telemetry requested");
         let points = report.metrics.points("cwnd", "flow0").unwrap_or(&[]);
         assert!(points.len() >= 2, "slow start must record cwnd growth");
         // One cumulative ACK per delivered data packet, plus the start
@@ -517,8 +468,6 @@ mod tests {
             });
             sim.run_full()
         };
-        // `CONTRA_TELEM`, when set, forces both arms to the same state —
-        // the equality below still holds, it just stops being a contrast.
         let off = run(None);
         let on = run(Some(TelemetryConfig::default()));
         assert_eq!(
@@ -526,14 +475,9 @@ mod tests {
             format!("{:?}", on.stats),
             "recorder must not perturb the run"
         );
-        if let Some(report) = &on.telemetry {
-            assert!(!report.events.is_empty());
-            assert!(report.metrics.total_points() > 0);
-        } else {
-            assert!(
-                telemetry_forced_off(),
-                "report must exist unless CONTRA_TELEM forced telemetry off"
-            );
-        }
+        assert!(off.telemetry.is_none());
+        let report = on.telemetry.expect("telemetry requested");
+        assert!(!report.events.is_empty());
+        assert!(report.metrics.total_points() > 0);
     }
 }

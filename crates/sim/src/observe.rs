@@ -78,9 +78,8 @@ pub enum Obs<'a> {
     /// A packet on the wire arrives past `stop_at`: the arrival is never
     /// scheduled, so it keeps its pool slot at end of run by design.
     StopCut,
-    /// The periodic fabric queue sample of one link; `cap` bounds how
-    /// many samples a run retains.
-    QueueDepth { link: u32, bytes: u32, cap: usize },
+    /// The periodic fabric queue sample of one link.
+    QueueDepth { link: u32, bytes: u32 },
     /// State is consistent, every link settled — after a fault epoch, and
     /// at end of run.
     Checkpoint {

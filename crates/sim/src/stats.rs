@@ -177,8 +177,7 @@ pub struct GoodputDip {
     pub recovered: bool,
 }
 
-/// Default hard cap on retained queue samples
-/// ([`crate::SimConfig::queue_sample_cap`]). A leaf-spine Fig 13 cell at
+/// Hard cap on retained queue samples. A leaf-spine Fig 13 cell at
 /// 1 µs cadence produces ~16 samples per tick, so 2^20 entries covers
 /// runs three orders of magnitude longer than the paper's before
 /// truncation; beyond that, samples are counted
@@ -208,7 +207,7 @@ pub struct SimStats {
     /// Packet drops by reason (sum over all links/switches).
     pub drops: BTreeMap<DropReason, u64>,
     /// Queue samples (only when sampling is enabled). Bounded by
-    /// [`crate::SimConfig::queue_sample_cap`].
+    /// [`QUEUE_SAMPLE_CAP`].
     pub queue_samples: Vec<QueueSample>,
     /// Samples discarded after `queue_samples` hit its cap (0 in any
     /// run short enough to retain them all).
@@ -447,8 +446,8 @@ impl Observer for SimStats {
             }),
             // Bounded retention: sampling (and the event schedule)
             // continues past the cap, overflow is counted, not stored.
-            Obs::QueueDepth { link, bytes, cap } => {
-                if self.queue_samples.len() < cap {
+            Obs::QueueDepth { link, bytes } => {
+                if self.queue_samples.len() < QUEUE_SAMPLE_CAP {
                     self.queue_samples.push(QueueSample {
                         at: now,
                         link,
@@ -561,6 +560,22 @@ mod tests {
         }
         let cdf = s.queue_cdf_mss(1500);
         assert_eq!(cdf, vec![(0, 0.25), (1, 0.75), (2, 1.0)]);
+    }
+
+    /// Queue-sample retention is bounded: past the cap, samples are
+    /// counted instead of stored.
+    #[test]
+    fn queue_sampling_is_capped() {
+        let mut s = SimStats::new(Time::ms(1));
+        for link in 0..QUEUE_SAMPLE_CAP as u32 + 3 {
+            s.on(Time::ZERO, &Obs::QueueDepth { link, bytes: 0 });
+        }
+        assert_eq!(s.queue_samples.len(), QUEUE_SAMPLE_CAP);
+        assert_eq!(
+            s.queue_samples.last().map(|q| q.link),
+            Some(QUEUE_SAMPLE_CAP as u32 - 1)
+        );
+        assert_eq!(s.queue_samples_capped, 3);
     }
 
     /// Fed observations alone, no engine: drops attribute to the latest
