@@ -917,6 +917,56 @@ mod tests {
         assert!(ok.verdicts.unsat_guards.is_empty());
     }
 
+    /// The full C0008 text on fig6: a util-only guard refuted at the
+    /// all-zero floor still prints the real latency and length minima, as
+    /// a guard on latency does; a util guard no floor refutes says nothing.
+    #[test]
+    fn guard_floor_messages() {
+        let topo = fig6_topo();
+        let unsat = |src: &str| {
+            let r = check(src, &topo);
+            let found: Vec<_> = r
+                .diagnostics
+                .into_iter()
+                .filter(|d| d.code == codes::UNSAT_GUARD)
+                .map(|d| (d.message, d.notes))
+                .collect();
+            let [one] = <[_; 1]>::try_from(found).unwrap_or_else(|f| panic!("{src}: {f:?}"));
+            one
+        };
+        let zero_note = "the shortest path satisfying this branch's regexes already has \
+                         latency ≥ 0s and length ≥ 0";
+        assert_eq!(
+            unsat("minimize(if path.util < 0 then 0 else path.len)"),
+            (
+                "guard `path.util < 0` can never hold: its least possible value here is 0".into(),
+                vec![zero_note.to_string()]
+            )
+        );
+        assert_eq!(
+            unsat("minimize(if path.lat < 0 then 0 else path.len)"),
+            (
+                "guard `path.lat < 0` can never hold: its least possible value here is 0".into(),
+                vec![zero_note.to_string()]
+            )
+        );
+        // Only A B D satisfies the regex: two hops of 1 µs each.
+        assert_eq!(
+            unsat("minimize(if A B D then (if path.util < 0 then 0 else 1) else path.len)"),
+            (
+                "guard `path.util < 0` can never hold: its least possible value here is 0".into(),
+                vec![
+                    "the shortest path satisfying this branch's regexes already has \
+                     latency ≥ 0.0000020000000000000003s and length ≥ 2"
+                        .to_string()
+                ]
+            )
+        );
+        let fat8 = contra_topology::generators::fat_tree(8, 0, Default::default());
+        let r = check(&crate::policies::congestion_aware(), &fat8);
+        assert!(r.diagnostics.iter().all(|d| d.code != codes::UNSAT_GUARD));
+    }
+
     #[test]
     fn exact_path_policy_is_fragile() {
         let topo = fig6_topo();

@@ -3,9 +3,10 @@
 //! (Fig 3), followed by protocol convergence in the stable-metric harness,
 //! and the two places the emitted program and the simulated switch must
 //! agree: register-array sizes and the table rows Fig 10 charges for.
-//! `compile_fingerprint` pins what the compiler and the emitter hand on.
+//! `compile_fingerprint` pins what the compiler and the emitter hand on,
+//! `verify_fingerprint` what the static verifier reports.
 
-use contra::core::{policies, CompiledPolicy, Compiler};
+use contra::core::{policies, verify, CompiledPolicy, Compiler, Report};
 use contra::dataplane::{DataplaneConfig, ProtocolHarness};
 use contra::p4gen;
 use contra::sim::FxHasher64;
@@ -258,6 +259,18 @@ fn p4_digest(cp: &CompiledPolicy, topo: &Topology) -> u64 {
     h.finish()
 }
 
+/// The MU / WP / CA texts of the scaling ladder, waypoints drawn from the
+/// topology's first two switches.
+fn ladder(topo: &Topology) -> Vec<(&'static str, String)> {
+    let s = topo.switches();
+    let (f1, f2) = (&topo.node(s[0]).name, &topo.node(s[1]).name);
+    vec![
+        ("MU", policies::min_util()),
+        ("WP", policies::waypoint(f1, f2)),
+        ("CA", policies::congestion_aware()),
+    ]
+}
+
 /// The compiler's and the emitter's output, pinned per (topology, policy)
 /// cell: P1–P9 on the Fig 6 topology, fat-tree(4) with hosts and Abilene,
 /// and the MU / WP / CA texts of the scaling ladder on fat-tree(8) and a
@@ -268,15 +281,6 @@ fn p4_digest(cp: &CompiledPolicy, topo: &Topology) -> u64 {
 fn compile_fingerprint() {
     let spec = generators::LinkSpec::default;
     let catalogue = policies::catalogue;
-    let ladder = |topo: &Topology| {
-        let s = topo.switches();
-        let (f1, f2) = (&topo.node(s[0]).name, &topo.node(s[1]).name);
-        vec![
-            ("MU", policies::min_util()),
-            ("WP", policies::waypoint(f1, f2)),
-            ("CA", policies::congestion_aware()),
-        ]
-    };
     let fat8 = generators::fat_tree(8, 0, spec());
     let random = generators::random_connected(100, 200, spec(), 42);
     let cells = [
@@ -348,4 +352,114 @@ fat-tree(8)/CA vnodes=80 ir=2de3bcbae1a576c5 p4=388c9b7feadf02b4\n\
 random(100)/MU vnodes=100 ir=b748bb3625f2e3c4 p4=4bd56103ab587744\n\
 random(100)/WP vnodes=198 ir=bd8d3ae2c8d8a8ed p4=bc2d34e8be55ac52\n\
 random(100)/CA vnodes=100 ir=b748bb3625f2e3c4 p4=9b895edb8e2a3c51\n\
+";
+
+fn put(h: &mut FxHasher64, x: usize) {
+    h.write_u64(x as u64);
+}
+
+fn put_str(h: &mut FxHasher64, s: &str) {
+    put(h, s.len());
+    h.write(s.as_bytes());
+}
+
+/// Everything `verify` says, field by field: every verdict list, then each
+/// diagnostic's code, severity, span, message and notes, in report order.
+fn report_digest(r: &Report) -> u64 {
+    let mut h = FxHasher64::default();
+    let v = &r.verdicts;
+    put(&mut h, v.black_holes.len());
+    for bh in &v.black_holes {
+        put(&mut h, bh.src.0 as usize);
+        put(&mut h, bh.dst.0 as usize);
+    }
+    put(&mut h, v.fragile.len());
+    for f in &v.fragile {
+        for n in [f.cable.0, f.cable.1, f.src, f.dst] {
+            put(&mut h, n.0 as usize);
+        }
+        put(&mut h, f.partitions as usize);
+    }
+    for list in [
+        &v.dead_branches,
+        &v.shadowed_branches,
+        &v.unmatchable_regexes,
+    ] {
+        put(&mut h, list.len());
+        list.iter().for_each(|&i| put(&mut h, i));
+    }
+    put(&mut h, v.unsat_guards.len());
+    for &(b, g) in &v.unsat_guards {
+        put(&mut h, b);
+        put(&mut h, g);
+    }
+    put(&mut h, v.dead_dfa_states);
+    put(&mut h, v.pruned_vnodes);
+    put(&mut h, v.transient_loop_risk as usize);
+    put(&mut h, r.diagnostics.len());
+    for d in &r.diagnostics {
+        put_str(&mut h, d.code);
+        put_str(&mut h, &d.severity.to_string());
+        put(&mut h, d.span.start);
+        put(&mut h, d.span.end);
+        put_str(&mut h, &d.message);
+        put(&mut h, d.notes.len());
+        d.notes.iter().for_each(|n| put_str(&mut h, n));
+    }
+    h.finish()
+}
+
+/// What the static verifier reports, pinned per (topology, policy) cell:
+/// the seven cells the `policy_ladder` workload verifies (fat-tree(4) and
+/// fat-tree(8) × MU / WP / CA, a 100-switch random network × MU), plus a
+/// 500-switch random network × MU and fat-tree(16) × WP, sizes at which
+/// the rebuild-per-cable reference model is too slow to run. A change to
+/// how `verify` finds what it reports must leave every row as it is.
+#[test]
+fn verify_fingerprint() {
+    let spec = generators::LinkSpec::default;
+    let mu = |topo: &Topology| ladder(topo)[..1].to_vec();
+    let wp = |topo: &Topology| ladder(topo)[1..2].to_vec();
+    let fat4 = generators::fat_tree(4, 0, spec());
+    let fat8 = generators::fat_tree(8, 0, spec());
+    let fat16 = generators::fat_tree(16, 0, spec());
+    let random100 = generators::random_connected(100, 200, spec(), 42);
+    let random500 = generators::random_connected(500, 1000, spec(), 42);
+    let cells = [
+        ("fat-tree(4)", ladder(&fat4), fat4),
+        ("fat-tree(8)", ladder(&fat8), fat8),
+        ("random(100)", mu(&random100), random100),
+        ("random(500)", mu(&random500), random500),
+        ("fat-tree(16)", wp(&fat16), fat16),
+    ];
+    let mut got = String::new();
+    for (label, suite, topo) in &cells {
+        for (policy, text) in suite {
+            let cp = Compiler::new(topo)
+                .compile_str(text)
+                .unwrap_or_else(|e| panic!("{label}/{policy}: {e}"));
+            let r = verify(&cp, topo);
+            got.push_str(&format!(
+                "{label}/{policy} diags={} fragile={} report={:016x}\n",
+                r.diagnostics.len(),
+                r.verdicts.fragile.len(),
+                report_digest(&r)
+            ));
+        }
+    }
+    assert_eq!(got, VERIFY_FINGERPRINT, "got:\n{got}");
+}
+
+/// Captured at commit 210fec0, before the fragility walk certified cables
+/// from one predecessor.
+const VERIFY_FINGERPRINT: &str = "\
+fat-tree(4)/MU diags=1 fragile=0 report=d7f32e84285a31a4\n\
+fat-tree(4)/WP diags=17 fragile=16 report=9799e309f450bf78\n\
+fat-tree(4)/CA diags=1 fragile=0 report=309f6ee2a0aa45da\n\
+fat-tree(8)/MU diags=1 fragile=0 report=d7f32e84285a31a4\n\
+fat-tree(8)/WP diags=1 fragile=0 report=0fee92ec2eb8760f\n\
+fat-tree(8)/CA diags=1 fragile=0 report=309f6ee2a0aa45da\n\
+random(100)/MU diags=2 fragile=198 report=e2839dbcedb79b51\n\
+random(500)/MU diags=10 fragile=8982 report=8ca38a41ccd25127\n\
+fat-tree(16)/WP diags=1 fragile=0 report=0fee92ec2eb8760f\n\
 ";
