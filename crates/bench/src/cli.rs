@@ -214,8 +214,10 @@ pub fn compile(args: &[String], out: &mut Out) -> Result<(), Exit> {
 /// Machine-readable mode: `--json` replaces the CSV rows on stdout with a
 /// JSON array of diagnostic records — one object per diagnostic with
 /// `topology`, `policy`, `code`, `severity`, `span` (`{"start", "end"}`
-/// byte offsets, or `null` when the diagnostic has no source location)
-/// and `message`. The human-readable report still goes to stderr and
+/// byte offsets, or `null` when the diagnostic has no source location),
+/// `message` and `notes` (an array of strings, the lines the report prints
+/// beneath the snippet — empty when there are none). The human-readable
+/// report still goes to stderr and
 /// `CONTRA_LINT.txt` either way.
 pub fn lint(args: &[String], out: &mut Out) -> Result<(), Exit> {
     let mut flags = parse_flags(args, &["--topology", "--policy"], &["--json"])?;
@@ -272,15 +274,21 @@ pub fn lint(args: &[String], out: &mut Out) -> Result<(), Exit> {
                 } else {
                     format!("{{\"start\":{},\"end\":{}}}", d.span.start, d.span.end)
                 };
+                let notes: Vec<String> = d
+                    .notes
+                    .iter()
+                    .map(|n| format!("\"{}\"", json_escape(n)))
+                    .collect();
                 records.push(format!(
                     "{{\"topology\":\"{}\",\"policy\":\"{}\",\"code\":\"{}\",\
-                     \"severity\":\"{}\",\"span\":{},\"message\":\"{}\"}}",
+                     \"severity\":\"{}\",\"span\":{},\"message\":\"{}\",\"notes\":[{}]}}",
                     json_escape(topo_label),
                     json_escape(policy_label),
                     json_escape(d.code),
                     d.severity,
                     span,
                     json_escape(&d.message),
+                    notes.join(","),
                 ));
             }
         }

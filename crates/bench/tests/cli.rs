@@ -106,6 +106,36 @@ fn unwritable_chaos_plan_exits_1_naming_it() {
     assert!(out.stdout.is_empty(), "a system ran: {err}");
 }
 
+/// `lint --json` is one valid JSON array with a record per diagnostic, and
+/// every record carries the diagnostic's notes: C0008 its metric floor.
+#[test]
+fn lint_json_records_carry_notes() {
+    let out = contra(&[
+        "lint",
+        "--json",
+        "--topology",
+        "fat-tree:4",
+        "--policy",
+        "minimize(if path.util < 0 then 0 else path.len)",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let json = String::from_utf8(out.stdout).unwrap();
+    contra_telemetry::validate_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    let records: Vec<&str> = json.lines().filter(|l| l.contains("\"code\"")).collect();
+    assert!(records.iter().all(|r| r.contains(",\"notes\":[")), "{json}");
+    let unsat = records
+        .iter()
+        .find(|r| r.contains("\"code\":\"C0008\""))
+        .unwrap_or_else(|| panic!("no C0008 record: {json}"));
+    assert!(
+        unsat.contains(
+            "\"notes\":[\"the shortest path satisfying this branch's regexes already has \
+             latency ≥ 0s and length ≥ 0\"]"
+        ),
+        "{unsat}"
+    );
+}
+
 #[test]
 fn list_and_help_exit_0() {
     let out = contra(&["fig", "list"]);

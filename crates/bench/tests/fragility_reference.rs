@@ -11,7 +11,7 @@
 //! fixed-seed generated campaign and hand-built cut topologies is the
 //! evidence that the fast path is the same function.
 
-use contra_bench::lint_corpus;
+use contra_bench::{compiler_policy_suite, lint_corpus};
 use contra_core::diag::codes;
 use contra_core::{
     policies, verify, BlackHole, CompiledPolicy, Compiler, Diagnostic, Fragility, ProductGraph,
@@ -239,6 +239,48 @@ fn generated_campaign_reports_equal_the_reference() {
         }
     }
     assert!(compiled > 2000 && fragile > 1000, "{compiled} {fragile}");
+}
+
+/// The seven cells the `policy_ladder` workload verifies: fat-tree(4) and
+/// fat-tree(8) × MU / WP / CA, where breadth first hands one aggregation
+/// switch most of the tree, and a 100-switch random network × MU, whose
+/// cuts are mostly real bridges.
+#[test]
+fn ladder_cells_report_equal_the_reference() {
+    let spec = generators::LinkSpec::default;
+    for k in [4, 8] {
+        let topo = generators::fat_tree(k, 0, spec());
+        for (policy_label, policy) in compiler_policy_suite(&topo) {
+            check(&format!("fat-tree({k})/{policy_label}"), &topo, &policy);
+        }
+    }
+    let random = generators::random_connected(100, 200, spec(), 42);
+    let fragile = check("random(100)/MU", &random, &policies::min_util());
+    assert!(fragile > 0, "random(100) has bridges");
+}
+
+/// A ring and a line of 70 switches, one cable per neighbouring pair. On
+/// the ring, policies that must cross a given cable or switch route the
+/// long way round, so tree paths cross more than 64 cables and the
+/// verifier's 64-bit path summaries alias. On the line every cable is a
+/// bridge, no certificate holds, and every decision is a cut.
+#[test]
+fn long_rings_and_lines_report_equal_the_reference() {
+    for closed in [true, false] {
+        let mut t = Topology::builder();
+        let s: Vec<NodeId> = (0..70).map(|i| t.switch(&format!("s{i}"))).collect();
+        let cables = if closed { s.len() } else { s.len() - 1 };
+        for i in 0..cables {
+            t.biline(s[i], s[(i + 1) % s.len()], 10e9, 1_000);
+        }
+        let topo = t.build();
+        let label = if closed { "ring(70)" } else { "line(70)" };
+        let mut fragile = 0;
+        for (policy_label, policy) in catalogue_for(&topo) {
+            fragile += check(&format!("{label}/{policy_label}"), &topo, &policy);
+        }
+        assert!(fragile > 0, "{label}: nothing fragile");
+    }
 }
 
 /// Bridges and cut vertices: where `partitions` flips between cables of one

@@ -23,11 +23,10 @@
 use crate::ast::{Attr, CmpOp};
 use crate::compiler::{traffic_endpoints, CompileError, CompiledPolicy, Compiler};
 use crate::diag::{self, codes, Diagnostic};
-use crate::metric::MetricVec;
-use crate::normal::{BranchRank, MetricExpr};
+use crate::metric::{MetricBasis, MetricVec};
+use crate::normal::{BranchRank, Guard, MetricExpr};
 use crate::pg::{ProductGraph, VNodeId};
 use contra_topology::{paths, NodeId, Topology};
-use std::collections::BTreeSet;
 
 /// A source switch with no policy-compliant route to a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -212,14 +211,19 @@ pub fn verify(cp: &CompiledPolicy, topo: &Topology) -> Report {
 /// Dead / shadowed branches and unsatisfiable guards, over the acceptance
 /// vectors the unpruned product graph can realize.
 fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &mut Report) {
-    // Every acceptance vector some destination-ending walk realizes.
-    let acc_set: BTreeSet<&[bool]> = full.vnodes.iter().map(|v| v.acc.as_slice()).collect();
+    // Every acceptance vector some destination-ending walk realizes. The
+    // vectors are compared element-wise: with no regex each is an empty
+    // slice, and `==` on two of those is a `bcmp` call.
+    let mut acc_set: Vec<&[bool]> = full.vnodes.iter().map(|v| v.acc.as_slice()).collect();
+    acc_set.sort_unstable_by(|a, b| a.iter().cmp(b.iter()));
+    acc_set.dedup_by(|a, b| a.iter().eq(b.iter()));
 
     // Metric lower bounds per destination: least latency (seconds) and hop
     // count from each switch, over the physical switch graph. A compliant
     // path can only be longer, so evaluating an upper-bound guard here is
-    // sound. Only guarded branches read them.
+    // sound. They are computed for the first guard that can use them.
     let mut bounds: Option<Vec<(NodeId, LowerBounds)>> = None;
+    let (mut seen, mut work) = (Vec::new(), Vec::new());
 
     for (bi, b) in cp.normal.branches.iter().enumerate() {
         if !matches!(b.rank, BranchRank::Finite(_)) {
@@ -256,7 +260,20 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
             continue;
         }
 
-        if b.guards.is_empty() {
+        // The floor's latency and length matter only to a refutable guard
+        // that reads them, or to the note of one the all-zero floor already
+        // refutes; any other guard holds at every floor.
+        let floor_matters = |g: &Guard| {
+            let Some(c) = refutable_bound(g) else {
+                return false;
+            };
+            let mut reads = MetricBasis::default();
+            g.lhs.attrs(&mut reads);
+            reads.contains(Attr::Lat)
+                || reads.contains(Attr::Len)
+                || !g.op.eval(g.lhs.eval(&MetricVec::zero()), c)
+        };
+        if !b.guards.iter().any(floor_matters) {
             continue;
         }
         // Tightest metric lower bound over every (destination, vnode) at
@@ -272,8 +289,9 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
             let Some(&seed) = full.sending.get(&d) else {
                 continue;
             };
-            let mut seen = vec![false; full.len()];
-            let mut work = vec![seed];
+            seen.clear();
+            seen.resize(full.len(), false);
+            work.push(seed);
             seen[seed.0 as usize] = true;
             while let Some(v) = work.pop() {
                 let vn = full.vnode(v);
@@ -301,17 +319,11 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
         };
         let floor = MetricVec::new(0.0, min_lat, min_len);
         for (gi, g) in b.guards.iter().enumerate() {
-            // Only upper-bound guards on monotone expressions can be
-            // refuted from a lower bound: `mono ≤ c` failing at the floor
-            // fails everywhere above it.
-            let Some(c) = const_value(&g.rhs) else {
+            let Some(c) = refutable_bound(g) else {
                 continue;
             };
-            if !monotone_nondecreasing(&g.lhs) {
-                continue;
-            }
             let floor_val = g.lhs.eval(&floor);
-            if !matches!(g.op, CmpOp::Le | CmpOp::Lt) || g.op.eval(floor_val, c) {
+            if g.op.eval(floor_val, c) {
                 continue;
             }
             r.verdicts.unsat_guards.push((bi, gi));
@@ -394,28 +406,50 @@ struct CableGraph {
 
 impl CableGraph {
     fn new(pg: &ProductGraph, topo: &Topology) -> CableGraph {
-        let mut cables: Vec<(NodeId, NodeId)> = topo
+        // The cables ascending, and the cable of every switch-to-switch link.
+        let mut by_pair: Vec<((NodeId, NodeId), u32)> = topo
             .links()
             .iter()
-            .filter(|l| topo.is_switch(l.src) && topo.is_switch(l.dst))
-            .map(|l| (l.src.min(l.dst), l.src.max(l.dst)))
+            .enumerate()
+            .filter(|(_, l)| topo.is_switch(l.src) && topo.is_switch(l.dst))
+            .map(|(i, l)| ((l.src.min(l.dst), l.src.max(l.dst)), i as u32))
             .collect();
-        cables.sort_unstable();
-        cables.dedup();
+        by_pair.sort_unstable();
+        let mut cables = Vec::new();
+        let mut link_cable = vec![NONE; topo.num_links()];
+        for &(pair, l) in &by_pair {
+            if cables.last() != Some(&pair) {
+                cables.push(pair);
+            }
+            link_cable[l as usize] = cables.len() as u32 - 1;
+        }
 
         let n = pg.len();
         let switch: Vec<NodeId> = pg.vnodes.iter().map(|v| v.switch).collect();
         let mut out_off = Vec::with_capacity(n + 1);
         let mut out = Vec::new();
         let mut in_off = vec![0u32; n + 1];
+        // Per node id, the cable from the switch whose vnodes are being
+        // read (a switch's vnodes are consecutive) to it.
+        let mut cable_to = vec![NONE; topo.num_nodes()];
+        let mut at: Option<NodeId> = None;
         for (v, succs) in pg.out.iter().enumerate() {
+            if at != Some(switch[v]) {
+                if let Some(prev) = at {
+                    for &(y, _) in topo.adjacency(prev) {
+                        cable_to[y.0 as usize] = NONE;
+                    }
+                }
+                for &(y, l) in topo.adjacency(switch[v]) {
+                    cable_to[y.0 as usize] = link_cable[l.0 as usize];
+                }
+                at = Some(switch[v]);
+            }
             out_off.push(out.len() as u32);
             for &w in succs {
-                let (x, y) = (switch[v], switch[w.0 as usize]);
-                let cable = cables
-                    .binary_search(&(x.min(y), x.max(y)))
-                    .expect("product-graph edges follow physical links");
-                out.push((w.0, cable as u32));
+                let cable = cable_to[switch[w.0 as usize].0 as usize];
+                assert_ne!(cable, NONE, "product-graph edges follow physical links");
+                out.push((w.0, cable));
                 in_off[w.0 as usize + 1] += 1;
             }
         }
@@ -453,13 +487,35 @@ impl CableGraph {
 
 /// One destination's reachability tree over a [`CableGraph`], with the
 /// scratch to cut cables out of it.
+///
+/// Besides its parent, every tree vnode keeps a 64-bit summary of the
+/// cables on its tree path: bit `cable % 64` is set for each of them. A
+/// clear bit *proves* the path avoids that cable; a set bit proves
+/// nothing, since another cable may share it, and only defers the question
+/// to [`ProbeTree::cut`].
+///
+/// Breadth first hands a vnode to the first predecessor that finds it, so
+/// one vnode of the first level would own nearly everything below it, and
+/// every alternative way into it would be its own descendant. While
+/// growing, a vnode therefore moves to another predecessor on its parent's
+/// level that has fewer children. The tree stays breadth first — every
+/// depth is unchanged — but its siblings' subtrees hold each other's
+/// alternatives, which is what the certificate of [`Reachability::analyze`]
+/// looks for.
 struct ProbeTree<'g> {
     g: &'g CableGraph,
     /// The tree's vnodes in breadth-first order, the sending vnode first.
     nodes: Vec<u32>,
-    in_tree: Vec<bool>,
-    /// Per tree vnode but the first: the cable its tree edge crosses.
+    /// Per vnode: its depth in the tree, [`NONE`] when it is not in it.
+    depth: Vec<u32>,
+    /// Per tree vnode but the first: its parent, and the cable its tree
+    /// edge crosses.
+    parent: Vec<u32>,
     parent_cable: Vec<u32>,
+    /// Per tree vnode: its number of children.
+    children: Vec<u32>,
+    /// Per tree vnode: bit `cable % 64` of every cable on its tree path.
+    path_cables: Vec<u64>,
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
     /// Finite vnodes the tree holds per switch (by node id): a switch has
@@ -471,14 +527,22 @@ struct ProbeTree<'g> {
     work: Vec<u32>,
 }
 
+/// The bit of `cable` in a [`ProbeTree`] path summary.
+fn cable_bit(cable: u32) -> u64 {
+    1 << (cable % 64)
+}
+
 impl<'g> ProbeTree<'g> {
     fn new(g: &'g CableGraph, num_nodes: usize) -> ProbeTree<'g> {
         let n = g.switch.len();
         ProbeTree {
             g,
             nodes: Vec::new(),
-            in_tree: vec![false; n],
+            depth: vec![NONE; n],
+            parent: vec![NONE; n],
             parent_cable: vec![NONE; n],
+            children: vec![0; n],
+            path_cables: vec![0; n],
             first_child: vec![NONE; n],
             next_sibling: vec![NONE; n],
             finite_at: vec![0; num_nodes],
@@ -489,38 +553,70 @@ impl<'g> ProbeTree<'g> {
     }
 
     /// Replaces the tree by the breadth-first probe walk from `d`'s sending
-    /// vnode (an empty tree when the policy lets `d` send no probes). The
-    /// walk never re-enters `d`: the protocol drops probes that return to
-    /// their origin (§5.5), so a "path" through the destination is not
-    /// realizable in the dataplane even when the product graph contains it.
+    /// vnode (an empty tree when the policy lets `d` send no probes), with
+    /// parents balanced within each level. The walk never re-enters `d`:
+    /// the protocol drops probes that return to their origin (§5.5), so a
+    /// "path" through the destination is not realizable in the dataplane
+    /// even when the product graph contains it.
     fn grow(&mut self, seed: Option<VNodeId>, d: NodeId) {
         let g = self.g;
         for &v in &self.nodes {
-            self.in_tree[v as usize] = false;
+            self.depth[v as usize] = NONE;
+            self.children[v as usize] = 0;
             self.first_child[v as usize] = NONE;
             self.finite_at[g.switch[v as usize].0 as usize] = 0;
         }
         self.nodes.clear();
         if let Some(seed) = seed {
             self.nodes.push(seed.0);
-            self.in_tree[seed.0 as usize] = true;
+            self.depth[seed.0 as usize] = 0;
+            self.path_cables[seed.0 as usize] = 0;
         }
+        let (depth, parent, parent_cable, children) = (
+            &mut self.depth[..],
+            &mut self.parent[..],
+            &mut self.parent_cable[..],
+            &mut self.children[..],
+        );
         let mut head = 0;
         while head < self.nodes.len() {
-            let v = self.nodes[head];
+            let v = self.nodes[head] as usize;
             head += 1;
-            if g.finite[v as usize] {
-                self.finite_at[g.switch[v as usize].0 as usize] += 1;
+            if g.finite[v] {
+                self.finite_at[g.switch[v].0 as usize] += 1;
             }
-            for &(w, cable) in g.succs(v) {
-                if !self.in_tree[w as usize] && g.switch[w as usize] != d {
-                    self.in_tree[w as usize] = true;
-                    self.parent_cable[w as usize] = cable;
-                    self.next_sibling[w as usize] = self.first_child[v as usize];
-                    self.first_child[v as usize] = w;
-                    self.nodes.push(w);
+            let below = depth[v] + 1;
+            let mut kids = 0;
+            for &(w, cable) in g.succs(v as u32) {
+                let w = w as usize;
+                if depth[w] == NONE {
+                    if g.switch[w] == d {
+                        continue;
+                    }
+                    depth[w] = below;
+                    self.nodes.push(w as u32);
+                } else {
+                    // Found on this level already: take it over from a
+                    // sibling of `v` with at least two more children. While
+                    // `v`'s edges are scanned its own entry in `children` is
+                    // still 0, so a vnode already under `v` stays there.
+                    if depth[w] != below || kids + 1 >= children[parent[w] as usize] {
+                        continue;
+                    }
+                    children[parent[w] as usize] -= 1;
                 }
+                parent[w] = v as u32;
+                parent_cable[w] = cable;
+                kids += 1;
             }
+            children[v] = kids;
+        }
+        // Parents precede their children in breadth-first order.
+        for &w in self.nodes.iter().skip(1) {
+            let (w, p) = (w as usize, self.parent[w as usize] as usize);
+            self.path_cables[w] = self.path_cables[p] | cable_bit(self.parent_cable[w]);
+            self.next_sibling[w] = self.first_child[p];
+            self.first_child[p] = w as u32;
         }
     }
 
@@ -530,9 +626,29 @@ impl<'g> ProbeTree<'g> {
         self.finite_at[s.0 as usize] > 0
     }
 
+    /// Whether tree vnode `w` provably stays reachable once the cable of
+    /// its own tree edge fails: a tree vnode whose path summary has that
+    /// cable's bit clear enters it over other cables, directly or through
+    /// one more tree vnode.
+    fn certified(&self, w: u32) -> bool {
+        let cable = self.parent_cable[w as usize];
+        let bit = cable_bit(cable);
+        let in_tree = |u: u32| self.depth[u as usize] != NONE;
+        let avoids = |u: u32| in_tree(u) && self.path_cables[u as usize] & bit == 0;
+        let preds = |v: u32| {
+            self.g
+                .preds(v)
+                .iter()
+                .filter(move |&&(_, c)| c != cable)
+                .map(|&(u, _)| u)
+        };
+        preds(w).any(avoids) || preds(w).any(|u| in_tree(u) && preds(u).any(avoids))
+    }
+
     /// Appends to `lost` the switches that route now but not once `cable`
-    /// fails; `below` are the tree vnodes whose tree edge crosses it. Only
-    /// their subtrees are visited, and the tree is left as it was.
+    /// fails; `below` are the tree vnodes whose tree edge crosses it and
+    /// that no certificate keeps (every uncertified one must be there).
+    /// Only their subtrees are visited, and the tree is left as it was.
     fn cut(&mut self, cable: u32, below: &[(u32, u32)], lost: &mut Vec<NodeId>) {
         let g = self.g;
         // Detach every subtree hanging below one of the cable's edges.
@@ -555,11 +671,11 @@ impl<'g> ProbeTree<'g> {
         }
         // Re-attach whatever a surviving edge from the intact tree enters,
         // and everything reachable from there inside the cut.
-        let (in_tree, detached) = (&self.in_tree, &mut self.detached);
+        let (depth, detached) = (&self.depth, &mut self.detached);
         self.work.extend(self.cut.iter().copied().filter(|&v| {
             g.preds(v)
                 .iter()
-                .any(|&(u, c)| c != cable && in_tree[u as usize] && !detached[u as usize])
+                .any(|&(u, c)| c != cable && depth[u as usize] != NONE && !detached[u as usize])
         }));
         for &v in &self.work {
             detached[v as usize] = false;
@@ -615,11 +731,26 @@ impl Reachability {
     /// only ever removes vnodes that lie on no path to a finite vnode, and
     /// cutting edges creates no such path). A cable that owns no tree edge
     /// leaves the tree — and with it the destination's routable set —
-    /// intact. For one that does, only the subtrees below its tree edges
-    /// are detached and then re-attached wherever a surviving edge still
-    /// enters them, so the work per (destination, cable) is proportional to
-    /// the affected subtree; breadth first keeps the tree, and so the sum
-    /// of subtree sizes, shallow.
+    /// intact.
+    ///
+    /// Most cables that do own one lose nothing either, and a predecessor
+    /// shows it without a cut. A tree vnode `w` whose tree edge crosses
+    /// cable `c` is *certified* when a tree vnode `u` enters it over
+    /// another cable and `u`'s tree path avoids `c` (its path summary has
+    /// `c`'s bit clear) — or, failing that, when such a `u` enters a tree
+    /// predecessor of `w` that enters `w` over another cable. Either way
+    /// there is a walk to `w` without `c`, and every vnode below `w` whose
+    /// tree path does not cross `c` again stays reachable with it; one that
+    /// does cross it again is decided by its own edge. Only the uncertified
+    /// edges are collected, sorted by cable and handed to
+    /// [`ProbeTree::cut`], the one exact decision: it detaches the subtrees
+    /// below them and re-attaches whatever a surviving edge from the rest
+    /// of the tree — certified subtrees included — still enters. A set bit,
+    /// whether the cable is really on the path or another cable shares its
+    /// bit, only sends the edge there. The work per (destination, cable) is
+    /// a scan of its tree edges' predecessors, plus the affected subtrees
+    /// where no certificate exists; breadth first keeps the tree, and so
+    /// the sum of subtree sizes, shallow.
     fn analyze(cp: &CompiledPolicy, topo: &Topology, sources: &[NodeId]) -> Reachability {
         let g = CableGraph::new(&cp.pg, topo);
         let mut is_source = vec![false; topo.num_nodes()];
@@ -645,6 +776,7 @@ impl Reachability {
                 tree.nodes
                     .iter()
                     .skip(1)
+                    .filter(|&&v| !tree.certified(v))
                     .map(|&v| (tree.parent_cable[v as usize], v)),
             );
             tree_edges.sort_unstable();
@@ -774,6 +906,14 @@ fn shortest_to(topo: &Topology, d: NodeId) -> LowerBounds {
         .zip(&lat)
         .map(|(h, ns)| h.zip(*ns).map(|(h, ns)| (ns as f64 * 1e-9, h as f64)))
         .collect()
+}
+
+/// The constant `c` of a guard a metric lower bound can refute. Only
+/// upper bounds on monotone expressions qualify: `mono ≤ c` failing at the
+/// floor fails everywhere above it.
+fn refutable_bound(g: &Guard) -> Option<f64> {
+    let c = const_value(&g.rhs)?;
+    (matches!(g.op, CmpOp::Le | CmpOp::Lt) && monotone_nondecreasing(&g.lhs)).then_some(c)
 }
 
 /// The value of a metric-free expression, if it is one.
@@ -919,7 +1059,9 @@ mod tests {
 
     /// The full C0008 text on fig6: a util-only guard refuted at the
     /// all-zero floor still prints the real latency and length minima, as
-    /// a guard on latency does; a util guard no floor refutes says nothing.
+    /// guards on latency and length do, and a length guard the zero floor
+    /// satisfies is still refuted at the real one; a util guard no floor
+    /// refutes says nothing.
     #[test]
     fn guard_floor_messages() {
         let topo = fig6_topo();
@@ -951,15 +1093,21 @@ mod tests {
             )
         );
         // Only A B D satisfies the regex: two hops of 1 µs each.
+        let abd_note = "the shortest path satisfying this branch's regexes already has \
+                        latency ≥ 0.0000020000000000000003s and length ≥ 2";
         assert_eq!(
             unsat("minimize(if A B D then (if path.util < 0 then 0 else 1) else path.len)"),
             (
                 "guard `path.util < 0` can never hold: its least possible value here is 0".into(),
-                vec![
-                    "the shortest path satisfying this branch's regexes already has \
-                     latency ≥ 0.0000020000000000000003s and length ≥ 2"
-                        .to_string()
-                ]
+                vec![abd_note.to_string()]
+            )
+        );
+        // Holds at the all-zero floor, fails at the real one.
+        assert_eq!(
+            unsat("minimize(if A B D then (if path.len < 2 then 0 else 1) else path.len)"),
+            (
+                "guard `path.len < 2` can never hold: its least possible value here is 2".into(),
+                vec![abd_note.to_string()]
             )
         );
         let fat8 = contra_topology::generators::fat_tree(8, 0, Default::default());
