@@ -10,7 +10,7 @@ use contra::core::{policies, verify, CompiledPolicy, Compiler, Report};
 use contra::dataplane::{DataplaneConfig, ProtocolHarness};
 use contra::p4gen;
 use contra::sim::FxHasher64;
-use contra::topology::{generators, Topology};
+use contra::topology::{generators, NodeId, NodeKind, Topology};
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -352,6 +352,117 @@ fat-tree(8)/CA vnodes=80 ir=2de3bcbae1a576c5 p4=388c9b7feadf02b4\n\
 random(100)/MU vnodes=100 ir=b748bb3625f2e3c4 p4=4bd56103ab587744\n\
 random(100)/WP vnodes=198 ir=bd8d3ae2c8d8a8ed p4=bc2d34e8be55ac52\n\
 random(100)/CA vnodes=100 ir=b748bb3625f2e3c4 p4=9b895edb8e2a3c51\n\
+";
+
+/// Everything a topology answers from its links: every node's name and
+/// kind, every link's ends, bandwidth bits and delay, and each node's
+/// `out_links` and `adjacency` rows.
+fn topology_digest(topo: &Topology) -> u64 {
+    let mut h = FxHasher64::default();
+    put(&mut h, topo.num_nodes());
+    for node in topo.nodes() {
+        put_str(&mut h, &node.name);
+        put(&mut h, (node.kind == NodeKind::Switch) as usize);
+    }
+    put(&mut h, topo.num_links());
+    for l in topo.links() {
+        put(&mut h, l.src.0 as usize);
+        put(&mut h, l.dst.0 as usize);
+        h.write_u64(l.bandwidth_bps.to_bits());
+        h.write_u64(l.delay_ns);
+    }
+    for n in 0..topo.num_nodes() as u32 {
+        let out = topo.out_links(NodeId(n));
+        put(&mut h, out.len());
+        out.iter().for_each(|l| put(&mut h, l.0 as usize));
+        let adj = topo.adjacency(NodeId(n));
+        put(&mut h, adj.len());
+        for (m, l) in adj {
+            put(&mut h, m.0 as usize);
+            put(&mut h, l.0 as usize);
+        }
+    }
+    h.finish()
+}
+
+/// What the generators build, pinned per graph: the `policy_ladder` rungs
+/// at seeds 1–5 (fat-tree k ∈ {4, 8, 10, 14, 20} and `random_connected(n,
+/// 2n, default, 42..=46)` for n ∈ {100, 300, 500}), a 2,000-switch random
+/// network, fat-tree(32), fat-tree(8) with hosts, the §6.3 leaf-spine,
+/// Abilene and Abilene with hosts. A change to how a topology is *built*
+/// must leave every row as it is.
+#[test]
+fn topology_fingerprint() {
+    let spec = generators::LinkSpec::default;
+    let mut cells: Vec<(String, Topology)> = [4, 8, 10, 14, 20]
+        .into_iter()
+        .map(|k| (format!("fat-tree({k})"), generators::fat_tree(k, 0, spec())))
+        .collect();
+    for seed in 42..=46 {
+        for n in [100, 300, 500] {
+            let topo = generators::random_connected(n, 2 * n, spec(), seed);
+            cells.push((format!("random({n}, seed {seed})"), topo));
+        }
+    }
+    let abilene = generators::abilene(40e9);
+    cells.extend([
+        (
+            "random(2000, seed 42)".to_string(),
+            generators::random_connected(2000, 4000, spec(), 42),
+        ),
+        ("fat-tree(32)".into(), generators::fat_tree(32, 0, spec())),
+        ("fat-tree(8, 1)".into(), generators::fat_tree(8, 1, spec())),
+        (
+            "leaf-spine(4, 2, 8)".into(),
+            generators::leaf_spine(4, 2, 8, spec(), spec()),
+        ),
+        (
+            "abilene+hosts".into(),
+            generators::with_hosts(&abilene, 1, spec()),
+        ),
+        ("abilene".into(), abilene),
+    ]);
+    let mut got = String::new();
+    for (label, topo) in &cells {
+        got.push_str(&format!(
+            "{label} nodes={} links={} digest={:016x}\n",
+            topo.num_nodes(),
+            topo.num_links(),
+            topology_digest(topo)
+        ));
+    }
+    assert_eq!(got, TOPOLOGY_FINGERPRINT, "got:\n{got}");
+}
+
+/// Captured at commit fb630a7, before the builder and the generators were
+/// made linear in the links.
+const TOPOLOGY_FINGERPRINT: &str = "\
+fat-tree(4) nodes=20 links=64 digest=5c1e2e82f25dcc20\n\
+fat-tree(8) nodes=80 links=512 digest=ebefe5536977b956\n\
+fat-tree(10) nodes=125 links=1000 digest=19cee24e8a915ca7\n\
+fat-tree(14) nodes=245 links=2744 digest=2529ec4a0ba8abb2\n\
+fat-tree(20) nodes=500 links=8000 digest=dc681474ee89a8cf\n\
+random(100, seed 42) nodes=100 links=598 digest=8ec29621a9419ca1\n\
+random(300, seed 42) nodes=300 links=1798 digest=80bff0f8f81580ef\n\
+random(500, seed 42) nodes=500 links=2998 digest=f12fc3abe127b4ac\n\
+random(100, seed 43) nodes=100 links=598 digest=8d471dfa338ee134\n\
+random(300, seed 43) nodes=300 links=1798 digest=8698455a279ed33d\n\
+random(500, seed 43) nodes=500 links=2998 digest=9a9e3b9f2511f5b9\n\
+random(100, seed 44) nodes=100 links=598 digest=2ed6d1ed135e4787\n\
+random(300, seed 44) nodes=300 links=1798 digest=a24ee54a3c75862a\n\
+random(500, seed 44) nodes=500 links=2998 digest=1ba773fb53f47a26\n\
+random(100, seed 45) nodes=100 links=598 digest=ff3acd45989b258a\n\
+random(300, seed 45) nodes=300 links=1798 digest=33155920a9c27d31\n\
+random(500, seed 45) nodes=500 links=2998 digest=dc29cd7fb1776e08\n\
+random(100, seed 46) nodes=100 links=598 digest=3290c625686ea356\n\
+random(300, seed 46) nodes=300 links=1798 digest=d58e163dd2627db0\n\
+random(500, seed 46) nodes=500 links=2998 digest=cc89b7e053546118\n\
+random(2000, seed 42) nodes=2000 links=11998 digest=e8c6309e20c760da\n\
+fat-tree(32) nodes=1280 links=32768 digest=abd9bc59b0c94e5e\n\
+fat-tree(8, 1) nodes=112 links=576 digest=a251c1297c4ee689\n\
+leaf-spine(4, 2, 8) nodes=38 links=80 digest=0a6fe4f3d1a85b33\n\
+abilene+hosts nodes=22 links=50 digest=8e61cafe5c9d57ee\n\
+abilene nodes=11 links=28 digest=ba88796745f0ff5b\n\
 ";
 
 fn put(h: &mut FxHasher64, x: usize) {
