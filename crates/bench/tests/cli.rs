@@ -52,6 +52,30 @@ fn usage_errors_exit_2_with_usage() {
     }
 }
 
+/// A spec past what the emitted header can address is a usage error that
+/// names its node count, decided before anything is built (this one used
+/// to abort allocating).
+#[test]
+fn oversized_topology_spec_exits_2_naming_the_count() {
+    let out = contra(&[
+        "lint",
+        "--topology",
+        "random:99999999999",
+        "--policy",
+        "minimize(path.util)",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(
+            "topology spec \"random:99999999999\" has 99999999999 nodes, more than the 65536"
+        ),
+        "{err}"
+    );
+    assert!(err.contains("usage: contra"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn uncompilable_policy_exits_1() {
     let out = contra(&[

@@ -44,7 +44,7 @@ pub mod sweep;
 pub use fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
 pub use result::{aggregate_seeds, Band, Figures, RunResult, ScenarioInfo, SeedSummary};
 pub use scenario::{Pairs, Scenario, ScenarioError, Traffic, Workload};
-pub use spec::{parse_topology_spec, SpecError};
+pub use spec::{parse_topology_spec, SpecError, MAX_SPEC_NODES};
 pub use sweep::{run_cells, CellCoords, Jobs, SweepCell, SweepSpec};
 
 // The whole experiment vocabulary in one import.

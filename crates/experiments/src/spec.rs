@@ -10,15 +10,25 @@
 //! * `zoo:FILE` — a Topology-Zoo GraphML file.
 //!
 //! Sizes the generators would `assert!` on are rejected here, as
-//! [`SpecError::Malformed`]: a spec is outside input.
+//! [`SpecError::Malformed`]: a spec is outside input. So is a spec of
+//! more than [`MAX_SPEC_NODES`] nodes, as [`SpecError::TooLarge`]: the
+//! count is computed with checked arithmetic before anything is built.
 
 use contra_topology::{generators, zoo, Topology};
+
+/// Most nodes a spec may describe. The emitted P4 header names the
+/// destination switch in a `bit<16>` field (`dst_sw`), so a compiled
+/// program can address no more switch ids than this.
+pub const MAX_SPEC_NODES: usize = 1 << 16;
 
 /// Why a spec failed to parse.
 #[derive(Debug)]
 pub enum SpecError {
     /// Unknown family or malformed parameters.
     Malformed(String),
+    /// The spec describes more than [`MAX_SPEC_NODES`] nodes: `nodes` of
+    /// them, or `None` if the count overflows `usize`.
+    TooLarge { spec: String, nodes: Option<usize> },
     /// A `zoo:` file could not be read or parsed.
     Zoo(String),
 }
@@ -30,6 +40,17 @@ impl std::fmt::Display for SpecError {
                 f,
                 "bad topology spec {s:?} (expected fat-tree:K | leaf-spine:L,S,H | abilene | random:N | zoo:FILE)"
             ),
+            SpecError::TooLarge { spec, nodes } => {
+                write!(f, "topology spec {spec:?} has ")?;
+                match nodes {
+                    Some(n) => write!(f, "{n} nodes")?,
+                    None => write!(f, "more than {} nodes", usize::MAX)?,
+                }
+                write!(
+                    f,
+                    ", more than the {MAX_SPEC_NODES} the emitted header's bit<16> dst_sw can address"
+                )
+            }
             SpecError::Zoo(e) => write!(f, "zoo topology: {e}"),
         }
     }
@@ -41,11 +62,23 @@ impl std::error::Error for SpecError {}
 pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
     let default = generators::LinkSpec::default();
     let malformed = || SpecError::Malformed(spec.to_string());
+    let fits = |nodes: Option<usize>| match nodes {
+        Some(n) if n <= MAX_SPEC_NODES => Ok(()),
+        nodes => Err(SpecError::TooLarge {
+            spec: spec.to_string(),
+            nodes,
+        }),
+    };
     if let Some(k) = spec.strip_prefix("fat-tree:") {
         let k: usize = k.parse().map_err(|_| malformed())?;
         if k < 2 || !k.is_multiple_of(2) {
             return Err(malformed());
         }
+        fits(
+            k.checked_mul(k)
+                .and_then(|k2| k2.checked_mul(5))
+                .map(|n| n / 4),
+        )?;
         Ok(generators::fat_tree(k, 0, default))
     } else if let Some(rest) = spec.strip_prefix("leaf-spine:") {
         let parts: Vec<usize> = rest
@@ -55,6 +88,12 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
         if parts.len() != 3 || parts.contains(&0) {
             return Err(malformed());
         }
+        fits(
+            parts[0]
+                .checked_mul(parts[2])
+                .and_then(|hosts| hosts.checked_add(parts[0]))
+                .and_then(|n| n.checked_add(parts[1])),
+        )?;
         Ok(generators::leaf_spine(
             parts[0], parts[1], parts[2], default, default,
         ))
@@ -65,11 +104,15 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
         if n < 2 {
             return Err(malformed());
         }
+        fits(Some(n))?;
         Ok(generators::random_connected(n, 2 * n, default, 42))
     } else if let Some(path) = spec.strip_prefix("zoo:") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Zoo(format!("reading {path}: {e}")))?;
-        zoo::parse_graphml(&text, 10e9, 1_000_000).map_err(|e| SpecError::Zoo(e.to_string()))
+        let topo = zoo::parse_graphml(&text, 10e9, 1_000_000)
+            .map_err(|e| SpecError::Zoo(e.to_string()))?;
+        fits(Some(topo.num_nodes()))?;
+        Ok(topo)
     } else {
         Err(malformed())
     }
@@ -111,5 +154,41 @@ mod tests {
                 "{bad:?} must be rejected as malformed"
             );
         }
+    }
+
+    /// A count past the header's reach is refused before anything is
+    /// built, named in the error, and overflow is a count too large to say.
+    #[test]
+    fn specs_past_the_header_are_too_large() {
+        for (spec, count) in [
+            ("random:99999999999", Some(99_999_999_999)),
+            ("random:65537", Some(65_537)),
+            ("fat-tree:4000", Some(20_000_000)),
+            ("fat-tree:230", Some(66_125)),
+            ("fat-tree:8589934592", None),
+            ("leaf-spine:1,1,65535", Some(65_537)),
+            ("leaf-spine:4294967296,1,4294967296", None),
+        ] {
+            match parse_topology_spec(spec) {
+                Err(SpecError::TooLarge { spec: s, nodes }) => {
+                    assert_eq!((s.as_str(), nodes), (spec, count));
+                }
+                other => panic!("{spec}: {other:?}"),
+            }
+        }
+        let err = parse_topology_spec("random:99999999999").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "topology spec \"random:99999999999\" has 99999999999 nodes, more than the \
+             65536 the emitted header's bit<16> dst_sw can address"
+        );
+        let err = parse_topology_spec("fat-tree:8589934592").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("has more than {} nodes", usize::MAX)),
+            "{err}"
+        );
+        let largest = parse_topology_spec("leaf-spine:1,1,65534").unwrap();
+        assert_eq!(largest.num_nodes(), MAX_SPEC_NODES);
     }
 }

@@ -11,6 +11,7 @@
 use crate::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Link parameters shared by a generated fabric.
 #[derive(Debug, Clone, Copy)]
@@ -126,11 +127,12 @@ pub fn random_connected(n: usize, extra_edges: usize, spec: LinkSpec, seed: u64)
     let ids: Vec<NodeId> = (0..n).map(|i| tb.switch(&format!("r{i}"))).collect();
 
     // Random spanning tree: attach node i to a uniformly random predecessor.
-    let mut present: Vec<(NodeId, NodeId)> = Vec::new();
+    // `present` holds every cable placed, as its (lower, higher) end pair.
+    let mut present: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(n - 1 + extra_edges);
     for i in 1..n {
         let j = rng.gen_range(0..i);
         tb.biline(ids[i], ids[j], spec.bandwidth_bps, spec.delay_ns);
-        present.push((ids[i.min(j)], ids[i.max(j)]));
+        present.insert((ids[j], ids[i]));
     }
     // Extra random edges, skipping duplicates.
     let mut added = 0;
@@ -142,11 +144,9 @@ pub fn random_connected(n: usize, extra_edges: usize, spec: LinkSpec, seed: u64)
         if i == j {
             continue;
         }
-        let key = (ids[i.min(j)], ids[i.max(j)]);
-        if present.contains(&key) {
+        if !present.insert((ids[i.min(j)], ids[i.max(j)])) {
             continue;
         }
-        present.push(key);
         tb.biline(ids[i], ids[j], spec.bandwidth_bps, spec.delay_ns);
         added += 1;
     }

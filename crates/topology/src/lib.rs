@@ -14,12 +14,30 @@
 //! * [`paths`] — BFS/Dijkstra, ECMP next-hop sets and Yen's k-shortest
 //!   paths (used by the SPAIN baseline).
 //! * [`zoo`] — a GraphML-subset reader for Internet Topology Zoo files.
+//!
+//! # Layout and cost
+//!
+//! A [`Topology`] keeps its adjacency as one compressed sparse row: an
+//! offsets array with an entry per node, and two arrays with an entry per
+//! directed link that share it — node `n`'s row is
+//! `offsets[n]..offsets[n + 1]` in both. `out` holds the row's links in
+//! link order ([`Topology::out_links`]), `adj` the same links as
+//! `(neighbor, link)` sorted by neighbor ([`Topology::adjacency`]).
+//! [`TopologyBuilder::build`] fills both with one counting sort over the
+//! links and sorts each row once, so building costs O(nodes + links ·
+//! log degree) and allocates a fixed number of arrays, whatever the size.
+//! [`TopologyBuilder`] rejects a repeated name as the node is added, from
+//! an index of name hashes: O(1) per node, with each name stored once.
 
 pub mod generators;
 pub mod paths;
 pub mod zoo;
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Identifier of a node (switch or host) inside one [`Topology`].
@@ -73,11 +91,15 @@ pub struct Link {
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    out: Vec<Vec<LinkId>>,
-    /// Flat adjacency index: per source node, out-neighbors sorted by id
-    /// with their link. Backs [`Topology::adjacency`] iteration and the
-    /// [`Topology::link_between`] fallback on very large graphs.
-    adj: Vec<Vec<(NodeId, LinkId)>>,
+    /// Row starts of the adjacency, one per node plus the end: node `n`'s
+    /// entries in `out` and `adj` are `offsets[n]..offsets[n + 1]`.
+    offsets: Vec<u32>,
+    /// Each node's out-links in link order.
+    out: Vec<LinkId>,
+    /// Each node's out-neighbors sorted by id, with their link. Backs
+    /// [`Topology::adjacency`] iteration and the [`Topology::link_between`]
+    /// fallback on very large graphs.
+    adj: Vec<(NodeId, LinkId)>,
     /// Dense (src × dst) → link matrix (`u32::MAX` = no link), for
     /// topologies up to [`DENSE_PAIR_LIMIT`] nodes (`None` beyond).
     /// `link_between` runs on every simulated hop *and* on every probe's
@@ -167,9 +189,15 @@ impl Topology {
             .collect()
     }
 
+    /// Node `n`'s entries in `out` and `adj`.
+    fn row(&self, n: NodeId) -> Range<usize> {
+        let n = n.0 as usize;
+        self.offsets[n] as usize..self.offsets[n + 1] as usize
+    }
+
     /// Out-links of a node.
     pub fn out_links(&self, n: NodeId) -> &[LinkId] {
-        &self.out[n.0 as usize]
+        &self.out[self.row(n)]
     }
 
     /// Out-neighbors of a node, one per out-link, in link order. Nothing
@@ -178,16 +206,18 @@ impl Topology {
     /// a second), so the entries are distinct. [`Topology::adjacency`]
     /// lists the same nodes sorted by id, without allocating.
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        self.out[n.0 as usize]
+        self.neighbors_in_link_order(n).collect()
+    }
+
+    fn neighbors_in_link_order(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.out_links(n)
             .iter()
             .map(|&l| self.links[l.0 as usize].dst)
-            .collect()
     }
 
     /// Switch out-neighbors only.
     pub fn switch_neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        self.neighbors(n)
-            .into_iter()
+        self.neighbors_in_link_order(n)
             .filter(|&m| self.is_switch(m))
             .collect()
     }
@@ -206,7 +236,10 @@ impl Topology {
             let l = dense[ai * n + bi];
             return (l != u32::MAX).then_some(LinkId(l));
         }
-        let row = self.adj.get(a.0 as usize)?;
+        if a.0 as usize >= self.nodes.len() {
+            return None;
+        }
+        let row = self.adjacency(a);
         row.binary_search_by_key(&b, |&(n, _)| n)
             .ok()
             .map(|i| row[i].1)
@@ -226,7 +259,7 @@ impl Topology {
     /// Out-neighbors with their links, sorted by neighbor id
     /// (allocation-free adjacency for hot loops).
     pub fn adjacency(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adj[n.0 as usize]
+        &self.adj[self.row(n)]
     }
 
     /// Looks a node up by name.
@@ -241,19 +274,20 @@ impl Topology {
     /// is attached to anything but exactly one switch.
     pub fn host_switch(&self, h: NodeId) -> NodeId {
         assert!(!self.is_switch(h), "{h} is not a host");
-        let sw: Vec<NodeId> = self
-            .neighbors(h)
-            .into_iter()
-            .filter(|&n| self.is_switch(n))
-            .collect();
-        assert_eq!(sw.len(), 1, "host {h} must have exactly one access switch");
-        sw[0]
+        let mut sw = self
+            .adjacency(h)
+            .iter()
+            .map(|&(n, _)| n)
+            .filter(|&n| self.is_switch(n));
+        match (sw.next(), sw.next()) {
+            (Some(s), None) => s,
+            _ => panic!("host {h} must have exactly one access switch"),
+        }
     }
 
     /// Hosts attached to the given switch.
     pub fn hosts_of(&self, sw: NodeId) -> Vec<NodeId> {
-        self.neighbors(sw)
-            .into_iter()
+        self.neighbors_in_link_order(sw)
             .filter(|&n| !self.is_switch(n))
             .collect()
     }
@@ -303,7 +337,17 @@ impl Topology {
 pub struct TopologyBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
+    /// Name index without a second copy of any name: a name's hash maps
+    /// to the last node added with that hash, and `same_hash[i]` is the
+    /// node added before `i` with the same hash ([`NO_NODE`] ends the
+    /// chain). A hit is confirmed by comparing the names.
+    by_hash: HashMap<u64, u32>,
+    same_hash: Vec<u32>,
+    hasher: RandomState,
 }
+
+/// End of a [`TopologyBuilder`] name-hash chain.
+const NO_NODE: u32 = u32::MAX;
 
 impl TopologyBuilder {
     /// Adds a switch; names must be unique.
@@ -317,15 +361,24 @@ impl TopologyBuilder {
     }
 
     fn add(&mut self, name: &str, kind: NodeKind) -> NodeId {
-        assert!(
-            self.nodes.iter().all(|n| n.name != name),
-            "duplicate node name {name:?}"
-        );
+        let hash = self.hasher.hash_one(name);
+        let first = self.by_hash.get(&hash).copied().unwrap_or(NO_NODE);
+        let mut at = first;
+        while at != NO_NODE {
+            assert!(
+                self.nodes[at as usize].name != name,
+                "duplicate node name {name:?}"
+            );
+            at = self.same_hash[at as usize];
+        }
+        let id = self.nodes.len() as u32;
+        self.by_hash.insert(hash, id);
+        self.same_hash.push(first);
         self.nodes.push(Node {
             name: name.to_string(),
             kind,
         });
-        NodeId(self.nodes.len() as u32 - 1)
+        NodeId(id)
     }
 
     /// Adds one directed link. A second link between the same two nodes
@@ -347,27 +400,45 @@ impl TopologyBuilder {
         self.line(b, a, bandwidth_bps, delay_ns);
     }
 
-    /// Finalizes the topology, computing adjacency indices. Panics on a
-    /// second link from one node to another (a doubled cable): links are
-    /// looked up by their end points.
+    /// Finalizes the topology: groups the links by source with one
+    /// counting sort, then sorts each row by neighbor. Panics on a second
+    /// link from one node to another (a doubled cable): links are looked
+    /// up by their end points.
     pub fn build(self) -> Topology {
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); self.nodes.len()];
+        let n = self.nodes.len();
+        let mut offsets = vec![0u32; n + 1];
+        for l in &self.links {
+            offsets[l.src.0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut at = offsets[..n].to_vec();
+        let mut out = vec![LinkId(0); self.links.len()];
         for (i, l) in self.links.iter().enumerate() {
-            let id = LinkId(i as u32);
-            out[l.src.0 as usize].push(id);
-            let row = &mut adj[l.src.0 as usize];
-            match row.binary_search_by_key(&l.dst, |&(n, _)| n) {
-                Ok(_) => panic!(
+            let e = &mut at[l.src.0 as usize];
+            out[*e as usize] = LinkId(i as u32);
+            *e += 1;
+        }
+        let mut adj: Vec<(NodeId, LinkId)> = out
+            .iter()
+            .map(|&l| (self.links[l.0 as usize].dst, l))
+            .collect();
+        for (src, ends) in offsets.windows(2).enumerate() {
+            let row = &mut adj[ends[0] as usize..ends[1] as usize];
+            row.sort_unstable_by_key(|&(m, _)| m);
+            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                panic!(
                     "parallel links between {} and {} are not supported",
-                    l.src, l.dst
-                ),
-                Err(pos) => row.insert(pos, (l.dst, id)),
+                    NodeId(src as u32),
+                    w[0].0
+                );
             }
         }
         Topology {
             nodes: self.nodes,
             links: self.links,
+            offsets,
             out,
             adj,
             dense: OnceLock::new(),

@@ -8,7 +8,7 @@
 //! It is tolerant of unknown attributes and data keys.
 
 use crate::{Topology, TopologyBuilder};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Error produced when a GraphML document cannot be understood.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,27 +81,22 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
             return Err(ZooError(format!("duplicate node id {raw}")));
         }
     }
-    let mut seen: Vec<(String, String)> = Vec::new();
+    // Node ids and switches correspond one to one, so a cable is keyed by
+    // its switches, lower first.
+    let mut seen = HashSet::with_capacity(edges.len());
     for (s, t) in edges {
         if s == t {
             continue;
         }
-        let key = if s < t {
-            (s.clone(), t.clone())
-        } else {
-            (t.clone(), s.clone())
-        };
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
         let (a, b) = (
             *ids.get(&s)
                 .ok_or_else(|| ZooError(format!("edge references unknown node {s}")))?,
             *ids.get(&t)
                 .ok_or_else(|| ZooError(format!("edge references unknown node {t}")))?,
         );
-        tb.biline(a, b, bandwidth_bps, delay_ns);
+        if seen.insert((a.min(b), a.max(b))) {
+            tb.biline(a, b, bandwidth_bps, delay_ns);
+        }
     }
     Ok(tb.build())
 }
