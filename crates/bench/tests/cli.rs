@@ -76,6 +76,32 @@ fn oversized_topology_spec_exits_2_naming_the_count() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// A fabric whose switches would have more ports than the emitted
+/// program's `bit<9>` port field can number is a usage error decided from
+/// the spec, before the fabric is built: this one is 65,000 nodes, within
+/// the node bound, but would ask for 5 × 10⁸ cables.
+#[test]
+fn topology_spec_past_the_port_field_exits_2_naming_the_count() {
+    let out = contra(&[
+        "lint",
+        "--topology",
+        "leaf-spine:20000,25000,1",
+        "--policy",
+        "minimize(path.util)",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(
+            "topology spec \"leaf-spine:20000,25000,1\" has a switch of 25001 ports, more than \
+             the 511 the emitted program's bit<9> port_t can number"
+        ),
+        "{err}"
+    );
+    assert!(err.contains("usage: contra"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn uncompilable_policy_exits_1() {
     let out = contra(&[

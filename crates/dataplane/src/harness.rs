@@ -1,31 +1,41 @@
-//! Protocol-level test harness: runs the Contra protocol to convergence on
-//! a topology with *pinned* link metrics, without the packet-level engine.
+//! Protocol-level test harness: runs any [`SwitchLogic`] — [`ContraSwitch`]
+//! by default — to convergence on a topology with *pinned* link metrics,
+//! without the packet-level engine.
 //!
 //! This implements the §4 setting ("compilation: stable metrics"): probes
 //! propagate instantaneously and links have externally fixed utilizations.
 //! It exists so tests and benches can check the protocol's **optimality**
 //! property — after convergence every source uses the best
-//! policy-compliant path — against brute-force path enumeration, and probe
-//! complexity, without simulating traffic.
+//! policy-compliant path — against brute-force path enumeration, compare
+//! systems under the same metrics, and count probes. `traffic_path`
+//! forwards a data packet through the switches' own `on_packet`, so it
+//! pins a flowlet and touches the loop table on its way, and stops where
+//! the engine drops (no route, a down cable, TTL 0).
 
 use crate::switch::{ContraSwitch, DataplaneConfig};
-use crate::tables::FwdKey;
 use contra_core::CompiledPolicy;
-use contra_sim::{LinkState, Packet, SwitchCtx, Time, Verdict};
-use contra_topology::{NodeId, Topology};
+use contra_sim::{
+    flow_hash, FlowId, LinkState, Packet, PacketKind, SwitchCtx, SwitchLogic, Time, Verdict,
+    HDR_BYTES, INITIAL_TTL, PROBE_PERIOD,
+};
+use contra_topology::{Link, NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+/// Both end hosts of [`ProtocolHarness::traffic_path`], no node of the
+/// topology: the packet arrives from `src_host` and is delivered by a
+/// forward to `dst_host`.
+const HOST: NodeId = NodeId(u32::MAX);
+
 /// The harness: switches + pinned link state + a virtual clock that only
 /// advances between probe rounds.
-pub struct ProtocolHarness {
+pub struct ProtocolHarness<S: SwitchLogic = ContraSwitch> {
     /// The topology under test.
     pub topo: Topology,
-    /// The compiled policy.
-    pub cp: Arc<CompiledPolicy>,
-    cfg: DataplaneConfig,
     links: Vec<LinkState>,
-    switches: BTreeMap<NodeId, ContraSwitch>,
+    switches: BTreeMap<NodeId, S>,
+    /// One round: the switches' tick interval.
+    round: Time,
     now: Time,
     /// Pinned utilization per directed link (estimators decay; the pin is
     /// re-forced at every round so values hold exactly).
@@ -34,32 +44,25 @@ pub struct ProtocolHarness {
     pub probes_delivered: u64,
 }
 
-impl ProtocolHarness {
-    /// Builds the harness with every switch running the compiled program.
-    pub fn new(topo: &Topology, cp: Arc<CompiledPolicy>, cfg: DataplaneConfig) -> ProtocolHarness {
-        let links: Vec<LinkState> = topo
-            .links()
-            .iter()
-            .map(|l| {
-                LinkState::new(
-                    l.bandwidth_bps,
-                    Time(l.delay_ns),
-                    u32::MAX,
-                    Time(cfg.probe_period.0 * 2),
-                )
-            })
-            .collect();
-        let switches = topo
-            .switches()
-            .into_iter()
-            .map(|s| (s, ContraSwitch::new(cp.clone(), s, cfg.clone())))
-            .collect();
+impl<S: SwitchLogic> ProtocolHarness<S> {
+    /// Builds the harness over one program per switch. A round lasts the
+    /// switches' [`SwitchLogic::tick_interval`] ([`PROBE_PERIOD`] when none
+    /// ticks), and every switch ticks once per round.
+    pub fn from_switches(
+        topo: &Topology,
+        switches: impl IntoIterator<Item = (NodeId, S)>,
+    ) -> ProtocolHarness<S> {
+        let switches: BTreeMap<NodeId, S> = switches.into_iter().collect();
+        let round = (switches.values())
+            .find_map(|s| s.tick_interval())
+            .unwrap_or(PROBE_PERIOD);
+        let window = Time(round.0 * 2);
+        let link = |l: &Link| LinkState::new(l.bandwidth_bps, Time(l.delay_ns), u32::MAX, window);
         ProtocolHarness {
             topo: topo.clone(),
-            cp,
-            cfg,
-            links,
+            links: topo.links().iter().map(link).collect(),
             switches,
+            round,
             now: Time::ZERO,
             pinned: BTreeMap::new(),
             probes_delivered: 0,
@@ -91,7 +94,7 @@ impl ProtocolHarness {
         self.set_util(b, a, util);
     }
 
-    /// Takes the cable `a – b` down (probes stop crossing it).
+    /// Takes the cable `a – b` down (probes and traffic stop crossing it).
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) {
         for (x, y) in [(a, b), (b, a)] {
             if let Some(l) = self.topo.link_between(x, y) {
@@ -111,7 +114,7 @@ impl ProtocolHarness {
 
     /// Runs one probe round: every switch originates its probes, and all
     /// probe traffic is delivered (instantly, breadth-first) until
-    /// quiescent; then the clock advances by one probe period. Pinned
+    /// quiescent; then the clock advances by one round. Pinned
     /// utilizations are re-applied so they persist across rounds.
     pub fn run_round(&mut self) {
         // Re-force the pinned utilizations at the new timestamp (estimators
@@ -124,13 +127,11 @@ impl ProtocolHarness {
         }
 
         let mut queue: VecDeque<(NodeId, NodeId, Packet)> = VecDeque::new();
-        let order: Vec<NodeId> = self.switches.keys().copied().collect();
-        for s in &order {
-            let sw = self.switches.get_mut(s).unwrap();
-            let mut ctx = SwitchCtx::detached(*s, self.now, &self.topo, &self.links);
-            contra_sim::SwitchLogic::on_tick(sw, &mut ctx);
+        for (&s, sw) in &mut self.switches {
+            let mut ctx = SwitchCtx::detached(s, self.now, &self.topo, &self.links);
+            sw.on_tick(&mut ctx);
             for (to, pkt) in ctx.take_outputs() {
-                queue.push_back((*s, to, pkt));
+                queue.push_back((s, to, pkt));
             }
         }
         let mut guard = 0u64;
@@ -150,13 +151,13 @@ impl ProtocolHarness {
             self.probes_delivered += 1;
             let sw = self.switches.get_mut(&to).expect("probe sent to a switch");
             let mut ctx = SwitchCtx::detached(to, self.now, &self.topo, &self.links);
-            let verdict = contra_sim::SwitchLogic::on_packet(sw, &mut ctx, &mut pkt, from);
+            let verdict = sw.on_packet(&mut ctx, &mut pkt, from);
             debug_assert_eq!(verdict, Verdict::Consume, "only probes circulate here");
             for (nxt, p) in ctx.take_outputs() {
                 queue.push_back((to, nxt, p));
             }
         }
-        self.now += self.cfg.probe_period;
+        self.now += self.round;
     }
 
     /// Runs `k` rounds.
@@ -166,34 +167,49 @@ impl ProtocolHarness {
         }
     }
 
-    /// The path traffic sourced at switch `src` would take to reach
-    /// `dst`, by walking BestT/FwdT exactly as `SWIFORWARDPKT` does.
-    /// Returns `None` when the source has no usable entry.
+    /// The switches a data packet from a host at `src` to one at `dst`
+    /// crosses now, each forwarding it by its `on_packet`; `None` where the
+    /// engine drops it (no route, a down cable, TTL 0). The flow hash is
+    /// one per `(src, dst)`, as flowlet pins are keyed without `dst`.
     pub fn traffic_path(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let now = self.now;
-        let key = self.switches.get_mut(&src)?.best_key(dst, now)?;
+        let mut pkt = Packet {
+            id: 0,
+            kind: PacketKind::Data,
+            src_host: HOST,
+            dst_host: HOST,
+            dst_switch: dst,
+            flow: FlowId(0),
+            seq: 0,
+            size_bytes: HDR_BYTES,
+            sent_at: self.now,
+            tag: 0,
+            pid: 0,
+            ttl: INITIAL_TTL,
+            flow_hash: flow_hash(FlowId(src.0), u64::from(dst.0)),
+        };
         let mut path = vec![src];
-        let mut cur = src;
-        let mut tag = key.tag;
-        let pid = key.pid;
-        // Policy-compliant paths may revisit physical switches at different
-        // virtual nodes (e.g. out-and-back through a waypoint), so the walk
-        // is bounded by the product-graph size, not the switch count.
-        for _ in 0..self.cp.pg.len() + 2 {
-            let sw = self.switches.get(&cur)?;
-            let entry = sw.fwd_lookup(&FwdKey { dst, tag, pid })?.clone();
-            path.push(entry.nhop);
-            cur = entry.nhop;
-            if cur == dst {
-                return Some(path);
+        let (mut from, mut cur) = (HOST, src);
+        loop {
+            let sw = self.switches.get_mut(&cur)?;
+            let mut ctx = SwitchCtx::detached(cur, self.now, &self.topo, &self.links);
+            let Verdict::Forward(next) = sw.on_packet(&mut ctx, &mut pkt, from) else {
+                return None;
+            };
+            if next == pkt.dst_host {
+                return (cur == dst).then_some(path);
             }
-            tag = entry.ntag;
+            let l = self.topo.link_between(cur, next)?;
+            if !self.links[l.0 as usize].up || pkt.ttl == 0 {
+                return None;
+            }
+            pkt.ttl -= 1;
+            path.push(next);
+            (from, cur) = (cur, next);
         }
-        None // walked too far: a loop (tests treat this as failure)
     }
 
     /// Direct access to one switch's state (debugging, tests).
-    pub fn switch(&self, s: NodeId) -> &ContraSwitch {
+    pub fn switch(&self, s: NodeId) -> &S {
         &self.switches[&s]
     }
 
@@ -207,11 +223,26 @@ impl ProtocolHarness {
             None => 0.0,
         }
     }
+}
+
+impl ProtocolHarness {
+    /// Builds the harness with every switch running the compiled program.
+    pub fn new(topo: &Topology, cp: Arc<CompiledPolicy>, cfg: DataplaneConfig) -> ProtocolHarness {
+        let switches = (topo.switches().into_iter())
+            .map(|s| (s, ContraSwitch::new(cp.clone(), s, cfg.clone())));
+        Self::from_switches(topo, switches)
+    }
+
+    /// The compiled policy the switches run.
+    pub fn cp(&self) -> &Arc<CompiledPolicy> {
+        let any = self.switches.values().next();
+        &any.expect("a compiled policy has a switch").cp
+    }
 
     /// The rank the full policy assigns to a concrete path under the
     /// currently pinned metrics (brute-force oracle helper).
     pub fn oracle_rank(&self, path: &[NodeId]) -> contra_core::Rank {
-        self.cp.rank_of_path(path, |x, y| {
+        self.cp().rank_of_path(path, |x, y| {
             let util = self.util(x, y);
             let lat = self
                 .topo

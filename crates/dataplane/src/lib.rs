@@ -9,9 +9,11 @@
 //!   into the packet-level simulator exactly like the baselines.
 //! * [`Contra`] is the `contra_sim::RoutingSystem` that wires one switch
 //!   program onto every switch of a simulator.
-//! * [`harness::ProtocolHarness`] runs the protocol to convergence under
-//!   pinned metrics — the §4 "stable metrics" setting — for optimality and
-//!   probe-complexity tests.
+//! * [`harness::ProtocolHarness`] runs any `SwitchLogic` (Contra's by
+//!   default) under pinned metrics, the §4 "stable metrics" setting. Its
+//!   `traffic_path` forwards a data packet through the switches: it pins a
+//!   flowlet and touches the loop table on its way, and stops where the
+//!   engine drops (no route, a down cable, TTL 0).
 
 pub mod harness;
 pub mod switch;
@@ -213,7 +215,7 @@ mod tests {
             &topo,
             "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))",
         );
-        assert_eq!(h.cp.num_pids(), 2, "CA decomposes into two pids");
+        assert_eq!(h.cp().num_pids(), 2, "CA decomposes into two pids");
         // Light load: direct link busy (0.5), detour idle (0.1) → detour
         // wins on utilization despite being 3 hops.
         h.set_util_bidir(s, d, 0.5);
@@ -246,7 +248,7 @@ mod tests {
         t.biline(s, a, 10e9, 1_000);
         let topo = t.build();
         let mut h = harness_for(&topo, "minimize(if A .* then path.util else path.lat)");
-        assert_eq!(h.cp.num_pids(), 2);
+        assert_eq!(h.cp().num_pids(), 2);
         h.set_util_bidir(a, d, 0.9); // direct is congested
         h.set_util_bidir(a, c, 0.1);
         h.set_util_bidir(c, d, 0.1);

@@ -89,7 +89,7 @@ impl DataplaneConfig {
 
 /// One switch running the synthesized Contra program.
 pub struct ContraSwitch {
-    cp: Arc<CompiledPolicy>,
+    pub(crate) cp: Arc<CompiledPolicy>,
     switch: NodeId,
     /// `NEXTPGNODE`, sorted by incoming probe tag: `(incoming tag, this
     /// switch's virtual node)`.
@@ -224,7 +224,7 @@ impl ContraSwitch {
     }
 
     /// The validated BestT lookup used for host-originated packets.
-    pub fn best_key(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
+    fn best_key(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
         if let Some(k) = self.best.get(dst).copied() {
             if let Some(e) = self.fwdt.get(&k) {
                 if self.entry_valid(e, now) && !e.full.is_inf() {
@@ -244,11 +244,6 @@ impl ContraSwitch {
     /// Slots allocated to the `(flowlet, loop)` register arrays.
     pub fn register_slots(&self) -> (usize, usize) {
         (self.flowlets.slots(), self.loops.slots())
-    }
-
-    /// Raw FwdT lookup (protocol test harnesses).
-    pub fn fwd_lookup(&self, key: &FwdKey) -> Option<&FwdEntry> {
-        self.fwdt.get(key)
     }
 
     /// `PROCESSPROBE`.
@@ -375,8 +370,9 @@ impl ContraSwitch {
             ctx.note_loop_break();
         }
 
-        // Fig 7: packets fresh from a host are stamped from BestT.
-        let (tag, pid) = if !ctx.is_switch(from) {
+        // Fig 7: packets fresh from a host are stamped from BestT. Only a
+        // packet's source host injects it, so that is `fromHost`.
+        let (tag, pid) = if from == pkt.src_host {
             match self.best_key(pkt.dst_switch, now) {
                 Some(k) => (k.tag, k.pid),
                 None => return Verdict::NoRoute,

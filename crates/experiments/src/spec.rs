@@ -11,8 +11,11 @@
 //!
 //! Sizes the generators would `assert!` on are rejected here, as
 //! [`SpecError::Malformed`]: a spec is outside input. So is a spec of
-//! more than [`MAX_SPEC_NODES`] nodes, as [`SpecError::TooLarge`]: the
-//! count is computed with checked arithmetic before anything is built.
+//! more than [`MAX_SPEC_NODES`] nodes, as [`SpecError::TooLarge`], or with
+//! a switch of more than [`MAX_SPEC_PORTS`] ports, as
+//! [`SpecError::TooManyPorts`]. The generated families are counted in
+//! closed form, with checked arithmetic, before anything is built; a
+//! random or zoo graph's ports are its largest degree once built.
 
 use contra_topology::{generators, zoo, Topology};
 
@@ -20,6 +23,11 @@ use contra_topology::{generators, zoo, Topology};
 /// destination switch in a `bit<16>` field (`dst_sw`), so a compiled
 /// program can address no more switch ids than this.
 pub const MAX_SPEC_NODES: usize = 1 << 16;
+
+/// Most ports a switch of a spec may have, one per cable, hosts' included.
+/// The emitted program names a port in `port_t` = `bit<9>`, and port 0 is
+/// the CPU's.
+pub const MAX_SPEC_PORTS: usize = (1 << 9) - 1;
 
 /// Why a spec failed to parse.
 #[derive(Debug)]
@@ -29,6 +37,9 @@ pub enum SpecError {
     /// The spec describes more than [`MAX_SPEC_NODES`] nodes: `nodes` of
     /// them, or `None` if the count overflows `usize`.
     TooLarge { spec: String, nodes: Option<usize> },
+    /// A switch of the spec has `ports` ports, more than
+    /// [`MAX_SPEC_PORTS`].
+    TooManyPorts { spec: String, ports: usize },
     /// A `zoo:` file could not be read or parsed.
     Zoo(String),
 }
@@ -51,6 +62,11 @@ impl std::fmt::Display for SpecError {
                     ", more than the {MAX_SPEC_NODES} the emitted header's bit<16> dst_sw can address"
                 )
             }
+            SpecError::TooManyPorts { spec, ports } => write!(
+                f,
+                "topology spec {spec:?} has a switch of {ports} ports, more than the \
+                 {MAX_SPEC_PORTS} the emitted program's bit<9> port_t can number"
+            ),
             SpecError::Zoo(e) => write!(f, "zoo topology: {e}"),
         }
     }
@@ -79,6 +95,8 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
                 .and_then(|k2| k2.checked_mul(5))
                 .map(|n| n / 4),
         )?;
+        // Aggregation and core switches have k ports, edge switches k / 2.
+        ports_fit(spec, k)?;
         Ok(generators::fat_tree(k, 0, default))
     } else if let Some(rest) = spec.strip_prefix("leaf-spine:") {
         let parts: Vec<usize> = rest
@@ -94,6 +112,9 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
                 .and_then(|hosts| hosts.checked_add(parts[0]))
                 .and_then(|n| n.checked_add(parts[1])),
         )?;
+        // A leaf has a port per spine and per host, a spine one per leaf;
+        // each count is within the node count just bounded.
+        ports_fit(spec, (parts[1] + parts[2]).max(parts[0]))?;
         Ok(generators::leaf_spine(
             parts[0], parts[1], parts[2], default, default,
         ))
@@ -105,17 +126,33 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, SpecError> {
             return Err(malformed());
         }
         fits(Some(n))?;
-        Ok(generators::random_connected(n, 2 * n, default, 42))
+        degree_fits(spec, generators::random_connected(n, 2 * n, default, 42))
     } else if let Some(path) = spec.strip_prefix("zoo:") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Zoo(format!("reading {path}: {e}")))?;
         let topo = zoo::parse_graphml(&text, 10e9, 1_000_000)
             .map_err(|e| SpecError::Zoo(e.to_string()))?;
         fits(Some(topo.num_nodes()))?;
-        Ok(topo)
+        degree_fits(spec, topo)
     } else {
         Err(malformed())
     }
+}
+
+/// Whether a switch of `ports` ports fits [`MAX_SPEC_PORTS`].
+fn ports_fit(spec: &str, ports: usize) -> Result<(), SpecError> {
+    if ports <= MAX_SPEC_PORTS {
+        return Ok(());
+    }
+    let spec = spec.to_string();
+    Err(SpecError::TooManyPorts { spec, ports })
+}
+
+/// `topo`, if its largest switch degree fits [`MAX_SPEC_PORTS`].
+fn degree_fits(spec: &str, topo: Topology) -> Result<Topology, SpecError> {
+    let degree = |s| topo.out_links(s).len();
+    let ports = topo.switches().into_iter().map(degree).max();
+    ports_fit(spec, ports.unwrap_or(0)).map(|()| topo)
 }
 
 #[cfg(test)]
@@ -188,7 +225,44 @@ mod tests {
                 .contains(&format!("has more than {} nodes", usize::MAX)),
             "{err}"
         );
-        let largest = parse_topology_spec("leaf-spine:1,1,65534").unwrap();
+        // 256 leaves × (1 + 254 hosts) + 256 spines, every switch within
+        // its ports: leaves 510, spines 256.
+        let largest = parse_topology_spec("leaf-spine:256,256,254").unwrap();
         assert_eq!(largest.num_nodes(), MAX_SPEC_NODES);
+    }
+
+    /// A switch with more ports than `port_t` can number is refused, named
+    /// with its count: in closed form for the generated fabrics (so
+    /// `leaf-spine:20000,25000,1`'s 5 × 10⁸ cables are never built), by
+    /// degree for the graphs that must be built first.
+    #[test]
+    fn specs_past_the_port_field_are_refused() {
+        for (spec, count) in [
+            ("leaf-spine:20000,25000,1", 25_001),
+            ("leaf-spine:1,1,65534", 65_535),
+            ("leaf-spine:2,500,12", 512),
+            ("leaf-spine:512,1,1", 512),
+        ] {
+            match parse_topology_spec(spec) {
+                Err(SpecError::TooManyPorts { spec: s, ports }) => {
+                    assert_eq!((s.as_str(), ports), (spec, count));
+                }
+                other => panic!("{spec}: {other:?}"),
+            }
+        }
+        for fits in ["leaf-spine:2,500,11", "leaf-spine:511,1,1", "fat-tree:20"] {
+            assert!(parse_topology_spec(fits).is_ok(), "{fits}");
+        }
+        // Built graphs: a star of 600 switches has a hub of 599 ports.
+        let mut star = Topology::builder();
+        let hub = star.switch("hub");
+        for i in 1..600 {
+            let leaf = star.switch(&format!("n{i}"));
+            star.biline(hub, leaf, 10e9, 1_000);
+        }
+        match degree_fits("zoo:star", star.build()) {
+            Err(SpecError::TooManyPorts { ports, .. }) => assert_eq!(ports, 599),
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! * [`generators`] — leaf-spine and k-ary fat-tree data centers (the Fig 9
 //!   x-axis sizes 20…500 are fat-trees with k = 4…20), random connected
 //!   graphs, and the built-in Abilene WAN used in §6.4.
-//! * [`paths`] — BFS/Dijkstra, ECMP next-hop sets and Yen's k-shortest
-//!   paths (used by the SPAIN baseline).
+//! * [`paths`] — BFS/Dijkstra, ECMP next-hop sets, one deterministic
+//!   shortest path, and the all-simple-paths test oracle (SPAIN builds
+//!   its own path system, `SpainPaths`).
 //! * [`zoo`] — a GraphML-subset reader for Internet Topology Zoo files.
 //!
 //! # Layout and cost

@@ -1,9 +1,8 @@
 //! Path algorithms over the switch graph.
 //!
 //! These power both compilation (alphabet-wide reachability, probe-period
-//! bounds) and the baseline systems: ECMP needs the shortest-path DAG,
-//! SPAIN needs k-shortest paths with small overlap, and static
-//! shortest-path routing needs a deterministic next hop.
+//! bounds) and the baseline systems: ECMP needs the shortest-path DAG and
+//! static shortest-path routing needs a deterministic next hop.
 //!
 //! All functions treat hosts as non-transit: paths never route *through* a
 //! host, matching real networks where only switches forward.
@@ -325,92 +324,6 @@ pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<No
     Some(path)
 }
 
-/// Yen's algorithm: up to `k` loop-free shortest paths (by hop count, ties
-/// broken deterministically) from `src` to `dst`, ascending in length.
-pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Vec<NodeId>> {
-    let Some(first) = shortest_path(topo, src, dst) else {
-        return Vec::new();
-    };
-    let mut found: Vec<Vec<NodeId>> = vec![first];
-    let mut candidates: Vec<Vec<NodeId>> = Vec::new();
-
-    while found.len() < k {
-        let last = found.last().unwrap().clone();
-        for i in 0..last.len() - 1 {
-            let spur_node = last[i];
-            let root: Vec<NodeId> = last[..=i].to_vec();
-            // Forbid links used by previous paths sharing this root, and all
-            // root nodes except the spur node (loop-freedom).
-            let mut banned_links: Vec<(NodeId, NodeId)> = Vec::new();
-            for p in &found {
-                if p.len() > i && p[..=i] == root[..] {
-                    banned_links.push((p[i], p[i + 1]));
-                }
-            }
-            let banned_nodes: Vec<NodeId> = root[..i].to_vec();
-            if let Some(spur) =
-                constrained_shortest(topo, spur_node, dst, &banned_nodes, &banned_links)
-            {
-                let mut cand = root;
-                cand.extend_from_slice(&spur[1..]);
-                if !found.contains(&cand) && !candidates.contains(&cand) {
-                    candidates.push(cand);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by_key(|p| (p.len(), p.iter().map(|n| n.0).collect::<Vec<_>>()));
-        found.push(candidates.remove(0));
-    }
-    found
-}
-
-/// BFS shortest path avoiding the given nodes and directed links.
-fn constrained_shortest(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    banned_nodes: &[NodeId],
-    banned_links: &[(NodeId, NodeId)],
-) -> Option<Vec<NodeId>> {
-    if banned_nodes.contains(&src) {
-        return None;
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.num_nodes()];
-    let mut seen = vec![false; topo.num_nodes()];
-    seen[src.0 as usize] = true;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(n) = q.pop_front() {
-        if n == dst {
-            let mut path = vec![dst];
-            let mut cur = dst;
-            while let Some(p) = prev[cur.0 as usize] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        if n != src && !topo.is_switch(n) {
-            continue;
-        }
-        let mut nbrs = topo.neighbors(n);
-        nbrs.sort_unstable();
-        for m in nbrs {
-            if seen[m.0 as usize] || banned_nodes.contains(&m) || banned_links.contains(&(n, m)) {
-                continue;
-            }
-            seen[m.0 as usize] = true;
-            prev[m.0 as usize] = Some(n);
-            q.push_back(m);
-        }
-    }
-    None
-}
-
 /// Whether the switch graph is connected (ignoring hosts).
 pub fn switch_graph_connected(topo: &Topology) -> bool {
     let switches = topo.switches();
@@ -535,26 +448,6 @@ mod tests {
         let d = t.find("D").unwrap();
         let p = shortest_path(&t, a, d).unwrap();
         assert_eq!(p, vec![a, d]);
-    }
-
-    #[test]
-    fn yen_finds_distinct_loop_free_paths() {
-        let t = diamond_plus();
-        let a = t.find("A").unwrap();
-        let d = t.find("D").unwrap();
-        let ps = k_shortest_paths(&t, a, d, 3);
-        assert_eq!(ps.len(), 3);
-        // Ascending length, all simple, all distinct.
-        assert!(ps.windows(2).all(|w| w[0].len() <= w[1].len()));
-        for p in &ps {
-            let mut q = p.clone();
-            q.sort_unstable();
-            q.dedup();
-            assert_eq!(q.len(), p.len(), "path {p:?} has a repeated node");
-            assert_eq!(p[0], a);
-            assert_eq!(*p.last().unwrap(), d);
-        }
-        assert_eq!(ps[0], vec![a, d]);
     }
 
     #[test]
