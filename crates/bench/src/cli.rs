@@ -486,11 +486,13 @@ fn run_report(a: &RunResult) -> String {
         a.scenario.warmup.as_millis_f64()
     );
     // A blank line, the section title, its underline; then `name value`
-    // lines with the value right-aligned in a 12-column field.
+    // lines with the value right-aligned to end in column 34.
     let section =
         |title: &str, more: &str| format!("\n{title}{more}\n{}\n", "-".repeat(title.len()));
-    let line =
-        |name: &str, value: &dyn Display, more: &str| format!("  {name:<19} {value:>12}{more}\n");
+    let line = |name: &str, value: &dyn Display, more: &str| {
+        let width = 31usize.saturating_sub(name.len());
+        format!("  {name} {value:>width$}{more}\n")
+    };
 
     rpt += &section("figures of merit", "");
     rpt += &line("delivered packets", &figures.delivered_packets, "");
@@ -533,7 +535,7 @@ fn run_report(a: &RunResult) -> String {
     rpt += &line("sched_overflow", &stats.sched_overflow, "");
     let (flowlet, looped) = (stats.flowlet_collisions, stats.loop_collisions);
     let split = format!("  (flowlet {flowlet} + loop {looped})");
-    rpt += &line("register collisions", &(flowlet + looped), &split);
+    rpt += &line("register displacements", &(flowlet + looped), &split);
 
     rpt += &section("trace census", &format!(" ({} events)", telem.events.len()));
     for (name, n) in telem.event_counts() {

@@ -248,11 +248,14 @@ fn fig09(scale: Scale, out: &mut Out) {
 /// FCT as the flowlet table shrinks.
 ///
 /// Paper shape to reproduce: WP and CA need more state than MU (tags and
-/// pids respectively); everything stays well under ~100 kB. fig10c
-/// counts pins written over an occupied slot, and an expired pin keeps
-/// its slot until touched: the count rises as `flowlet_slots` shrinks,
-/// but this cell never holds a full window of *live* flowlets, so no
-/// live pin is displaced and fig10c-fct reads the same at every size.
+/// pids respectively); everything stays well under ~100 kB. The flowlet
+/// table is direct-mapped, one slot per hash index as the emitted program
+/// declares it, and fig10c counts live entries displaced: writes over
+/// another key's pin or loop row that had not yet expired. Two
+/// concurrently live keys on one slot displace each other on every
+/// alternation, so the count is not monotone in `flowlet_slots` — it
+/// depends on which live flowlets pair up on a slot. A displaced flowlet
+/// is routed afresh mid-burst, which fig10c-fct shows at the small sizes.
 ///
 /// Output: CSV `fig,series,size,kB` (fig10a/b),
 /// `fig,series,flowlet_slots,collisions` (fig10c) and
@@ -267,8 +270,8 @@ fn fig10(scale: Scale, out: &mut Out) {
             }
         }
     }
-    // fig10c: modeled register collisions vs flowlet-table size on the
-    // §6.3 leaf-spine under load.
+    // fig10c: live register entries displaced vs flowlet-table size on
+    // the §6.3 leaf-spine under load.
     let slot_sweep: &[usize] = scale.pick(&[16, 1024], &[16, 64, 256, 1024, 4096, 8192]);
     let scenario = Scenario::leaf_spine(4, 2, 8)
         .load(0.6)
@@ -292,22 +295,23 @@ fn fig10(scale: Scale, out: &mut Out) {
     for (slots, r) in slot_sweep.iter().zip(&results) {
         let collisions = r.figures.register_collisions;
         out.row(format_args!("fig10c,Contra,{slots},{collisions}"));
-        // The FCT side: a displaced *live* pin would re-route its flowlet
-        // mid-burst and show in the tail.
+        // The FCT side: a displaced live pin re-routes its flowlet
+        // mid-burst.
         let p50 = r.stats.fct_percentile_ms(50.0).unwrap_or(f64::NAN);
         let p99 = r.stats.fct_percentile_ms(99.0).unwrap_or(f64::NAN);
         out.row(format_args!("fig10c-fct,Contra-p50,{slots},{p50:.3}"));
         out.row(format_args!("fig10c-fct,Contra-p99,{slots},{p99:.3}"));
         out.note(format_args!(
-            "fig10c flowlet_slots={slots}: {collisions} register collisions \
+            "fig10c flowlet_slots={slots}: {collisions} live register entries displaced \
              ({} flowlet / {} loop), p50={p50:.3} ms p99={p99:.3} ms",
             r.stats.flowlet_collisions, r.stats.loop_collisions
         ));
     }
     out.note("paper: WP/CA > MU; no more than ~70-100 kB anywhere");
     out.note(
-        "§5.3: fig10c counts pins written over an occupied slot, expired occupants included; \
-         fig10c-fct moves only where a live pin is displaced, which this cell never does",
+        "§5.3: fig10c counts live entries displaced in the direct-mapped flowlet and loop \
+         tables; two live keys on one slot displace each other on every alternation, so the \
+         count is not monotone in size, and fig10c-fct moves where displaced flowlets re-route",
     );
 }
 

@@ -45,6 +45,20 @@ fn fast_figures_match_the_golden() {
     assert_eq!(notes.matches("\npaper: ").count(), 3, "{notes}");
 }
 
+/// §5.3's sizing trade-off at smoke scale: with 16 direct-mapped flowlet
+/// slots, live flowlets displace each other and re-route mid-burst, so
+/// the median FCT is above that of the 1024-slot table.
+#[test]
+fn fig10c_small_flowlet_table_costs_fct() {
+    let (rows, _) = run(&["fig10"]);
+    let p50 = |slots: &str| -> f64 {
+        let prefix = format!("fig10c-fct,Contra-p50,{slots},");
+        let row = rows.lines().find_map(|r| r.strip_prefix(&prefix));
+        row.expect("fig10c-fct has the size").parse().unwrap()
+    };
+    assert!(p50("16") > p50("1024"), "{rows}");
+}
+
 #[test]
 fn golden_covers_the_whole_table() {
     for f in &FIGURES {

@@ -53,8 +53,10 @@ pub struct DataplaneConfig {
     /// Register slots of the policy-aware flowlet table (rounded up to a
     /// power of two; [`FLOWLET_ENTRIES`], the emitted program's size,
     /// unless an experiment sweeps it). Like SRAM on the switch, the
-    /// table never grows: exceeding it makes flowlets alias (counted,
-    /// not fatal).
+    /// table never grows and each flowlet has one slot: a pin over
+    /// another flowlet's live pin displaces it (counted as a live entry
+    /// displaced, not fatal), and the displaced flowlet is routed afresh
+    /// at its next packet.
     pub flowlet_slots: usize,
 }
 
@@ -417,6 +419,7 @@ impl ContraSwitch {
                         ntag,
                         last: now,
                     },
+                    self.cfg.flowlet_timeout,
                 );
                 pkt.tag = ntag.0;
                 pkt.pid = pid;

@@ -12,13 +12,20 @@
 //! index among the policy's destinations and `tag` the switch-local tag
 //! (a Tofino register read at a computed index, and the same one indexed
 //! load in software); `BestT` is a dense array indexed by destination.
-//! The flowlet and loop tables are **fixed-size hash-indexed register
-//! arrays** with deterministic Fx hashing and a bounded probe window. As
-//! on the switch, the arrays do not grow: when a key's window holds no
-//! empty slot the oldest entry is overwritten and the event is counted —
-//! hash collisions are a modeled artifact of the design, not an error.
-//! Both arrays have the size the emitted program declares and Fig 10
-//! charges for: [`contra_core::FLOWLET_ENTRIES`] (the default of
+//! The flowlet and loop tables are **fixed-size direct-mapped register
+//! arrays** with deterministic Fx hashing: each key has exactly one slot,
+//! the top bits of its hash, as in the emitted program's
+//! `register<…>(SIZE)` declarations. As on the switch, the arrays do not
+//! grow. A slot keeps its occupant's key (Fig 10's state model charges
+//! the 4 B key hash), so another key's entry there is a miss, and a
+//! write over it replaces it. That write is counted as a displacement
+//! when the occupant was still live (a pin within the flowlet timeout, a
+//! loop row younger than its age-out); overwriting an expired occupant or
+//! a key's own row is not. Two concurrently live keys on one slot
+//! displace each other on every alternation, so the count follows how
+//! live keys pair up on slots, not the table size alone. Both arrays have
+//! the size the emitted program declares and Fig 10 charges for:
+//! [`contra_core::FLOWLET_ENTRIES`] (the default of
 //! [`crate::DataplaneConfig::flowlet_slots`]) and
 //! [`contra_core::LOOP_ENTRIES`].
 
@@ -212,106 +219,60 @@ impl BestTable {
     }
 }
 
-/// How many consecutive slots a register array probes before declaring a
-/// collision. Hardware register arrays probe exactly one slot; a short
-/// window keeps the software model allocation-free while making aliasing
-/// rare enough to stay an artifact instead of a behavior.
-const PROBE_WINDOW: usize = 8;
-
-/// Values stored in a [`RegisterArray`] expose their recency so eviction
-/// under register pressure can target the stalest entry.
-trait Stamped {
-    fn stamp(&self) -> Time;
-}
-
 /// The shared register-array machinery behind [`FlowletTable`] and
-/// [`LoopTable`]: a fixed-size power-of-two slot array, probed linearly
-/// over a bounded window from a hash-derived start. The array never
-/// grows; when a key's window holds no empty slot, the stalest entry is
-/// overwritten and the collision counted — the hardware model (one
-/// overwritable register per index) lives here, in exactly one place.
-/// Entries are removed only when touched, so an occupied slot may hold
-/// an expired pin or an aged-out row: the count is of overwrites, not of
-/// live state lost.
+/// [`LoopTable`]: a fixed-size power-of-two slot array, direct-mapped —
+/// a key's one slot is the top bits of its hash, as in the emitted
+/// program's `register<…>(SIZE)` arrays. The array never grows and keeps
+/// each occupant's key, so a foreign occupant is a miss. A write over a
+/// *live* foreign occupant displaces it and is counted; a write over an
+/// expired one (each table's own timeout decides) is not. Entries are
+/// removed only when touched, so an occupied slot may hold an expired
+/// pin or an aged-out row.
 #[derive(Debug)]
 struct RegisterArray<K, V> {
     slots: Vec<Option<(K, V)>>,
     /// `64 - log2(slots)`: hash bits are taken from the top, where the
-    /// Fx multiply concentrates entropy.
+    /// Fx multiply concentrates entropy (64 for a single slot).
     shift: u32,
     live: usize,
-    collisions: u64,
+    displaced: u64,
 }
 
-impl<K: Copy + Eq, V: Stamped> RegisterArray<K, V> {
+impl<K: Copy + Eq, V> RegisterArray<K, V> {
     fn with_slots(requested: usize) -> RegisterArray<K, V> {
-        let n = requested.next_power_of_two().max(PROBE_WINDOW * 2);
+        let n = requested.next_power_of_two();
         RegisterArray {
             slots: (0..n).map(|_| None).collect(),
             shift: 64 - n.trailing_zeros(),
             live: 0,
-            collisions: 0,
+            displaced: 0,
         }
     }
 
+    /// The one slot of `hash`.
     #[inline]
-    fn start(&self, hash: u64) -> usize {
-        (hash >> self.shift) as usize
+    fn slot(&self, hash: u64) -> usize {
+        hash.checked_shr(self.shift).unwrap_or(0) as usize
     }
 
-    #[inline]
-    fn idx(&self, start: usize, probe: usize) -> usize {
-        (start + probe) & (self.slots.len() - 1)
-    }
-
-    /// The slot index holding `key`, if present in its probe window.
-    /// Deletions leave holes (no tombstones), so the scan never
-    /// early-exits on an empty slot.
+    /// `key`'s slot, if it holds `key`.
     #[inline]
     fn find(&self, hash: u64, key: K) -> Option<usize> {
-        let start = self.start(hash);
-        (0..PROBE_WINDOW)
-            .map(|p| self.idx(start, p))
-            .find(|&i| matches!(&self.slots[i], Some((k, _)) if *k == key))
+        let i = self.slot(hash);
+        matches!(&self.slots[i], Some((k, _)) if *k == key).then_some(i)
     }
 
-    /// One pass over `key`'s window: `Ok` with the slot holding `key`, or
-    /// `Err` with the slot a write of it takes — the first empty one, else
-    /// (register pressure) the stalest occupant.
-    #[inline]
-    fn locate(&self, hash: u64, key: K) -> Result<usize, usize> {
-        let start = self.start(hash);
-        let mut empty: Option<usize> = None;
-        let mut stalest: usize = self.idx(start, 0);
-        let mut stalest_stamp = Time(u64::MAX);
-        for p in 0..PROBE_WINDOW {
-            let i = self.idx(start, p);
-            match &self.slots[i] {
-                Some((k, _)) if *k == key => return Ok(i),
-                Some((_, v)) => {
-                    if v.stamp() < stalest_stamp {
-                        stalest_stamp = v.stamp();
-                        stalest = i;
-                    }
-                }
-                None => {
-                    empty.get_or_insert(i);
-                }
-            }
+    /// Writes `key → val` into `key`'s slot. A foreign occupant for which
+    /// `live` holds is displaced and counted, exactly the overwrite a
+    /// one-slot hardware register does.
+    fn write(&mut self, hash: u64, key: K, val: V, live: impl Fn(&V) -> bool) {
+        let i = self.slot(hash);
+        match &self.slots[i] {
+            None => self.live += 1,
+            Some((k, v)) if *k != key && live(v) => self.displaced += 1,
+            Some(_) => {}
         }
-        Err(empty.unwrap_or(stalest))
-    }
-
-    /// Writes `key → val` into slot `i`, which [`RegisterArray::locate`]
-    /// chose for a miss: a vacancy goes live, an occupant is overwritten
-    /// and the collision counted — exactly the overwrite a one-slot
-    /// hardware register would do.
-    fn claim(&mut self, i: usize, key: K, val: V) {
-        if self.slots[i].replace((key, val)).is_some() {
-            self.collisions += 1;
-        } else {
-            self.live += 1;
-        }
+        self.slots[i] = Some((key, val));
     }
 
     /// Empties a slot.
@@ -371,13 +332,7 @@ pub struct FlowletEntry {
     pub last: Time,
 }
 
-impl Stamped for FlowletEntry {
-    fn stamp(&self) -> Time {
-        self.last
-    }
-}
-
-/// The flowlet table: a fixed-size open-addressed register array.
+/// The flowlet table: a fixed-size direct-mapped register array.
 #[derive(Debug)]
 pub struct FlowletTable {
     arr: RegisterArray<FlowletKey, FlowletEntry>,
@@ -385,7 +340,7 @@ pub struct FlowletTable {
 
 impl FlowletTable {
     /// A table with (at least) `slots` register slots, rounded up to a
-    /// power of two.
+    /// power of two (one slot for 0 or 1).
     pub fn with_slots(slots: usize) -> FlowletTable {
         FlowletTable {
             arr: RegisterArray::with_slots(slots),
@@ -394,8 +349,9 @@ impl FlowletTable {
 
     /// Combined lookup-and-refresh for the forwarding fast path: a live
     /// hit — present and within `timeout` of `now` — gets its `last`
-    /// stamped to `now` in place (one window scan) and returns the pinned
-    /// decision. Expired entries are removed on access.
+    /// stamped to `now` in place (one slot read) and returns the pinned
+    /// decision. An expired pin of `key` is removed on access; another
+    /// key's pin in the slot is a miss and stays.
     pub fn lookup_touch(
         &mut self,
         key: FlowletKey,
@@ -414,14 +370,14 @@ impl FlowletTable {
         None
     }
 
-    /// Pins (or refreshes) a decision. When every slot in the key's probe
-    /// window holds a foreign entry, the stalest one (oldest `last`) is
-    /// overwritten and the collision counted.
-    pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry) {
-        match self.arr.locate(key.slot_hash(), key) {
-            Ok(i) => self.arr.slots[i] = Some((key, entry)),
-            Err(i) => self.arr.claim(i, key, entry),
-        }
+    /// Pins (or refreshes) a decision in the key's slot, stamped
+    /// `entry.last`. A foreign pin there that is still live — used within
+    /// `timeout` of `entry.last` — is displaced and counted.
+    pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry, timeout: Time) {
+        let now = entry.last;
+        self.arr.write(key.slot_hash(), key, entry, |e| {
+            now.saturating_sub(e.last) <= timeout
+        });
     }
 
     /// Removes every pin of flowlet `fid` (loop breaking flushes the
@@ -435,13 +391,13 @@ impl FlowletTable {
         self.arr.flush_where(|_, e| e.nhop == nhop)
     }
 
-    /// Pins written over an occupied slot because the key's window had
-    /// no empty one (the modeled register-collision artifact). The
-    /// occupant may be past `flowlet_timeout`: an expired pin leaves its
-    /// slot only when looked up or flushed, so this is an upper bound on
-    /// the live pins displaced.
+    /// Live entries displaced: pins written over another key's pin that
+    /// was still within its timeout. Two concurrently live flowlets on
+    /// one slot displace each other on every alternation, so the count
+    /// need not fall monotonically as the table grows. Overwrites of
+    /// expired pins are not counted.
     pub fn collisions(&self) -> u64 {
-        self.arr.collisions
+        self.arr.displaced
     }
 
     /// Register slots allocated.
@@ -449,7 +405,8 @@ impl FlowletTable {
         self.arr.slots.len()
     }
 
-    /// Number of live pins.
+    /// Number of pins held (an expired pin counts until it is looked up,
+    /// flushed or overwritten).
     pub fn len(&self) -> usize {
         self.arr.live
     }
@@ -472,17 +429,11 @@ pub struct LoopRow {
 }
 
 /// The loop-detection table: `{pkt_hash*, maxttl, minttl}` as a fixed-size
-/// register array. δ = max−min grows without bound only if packets
-/// revisit this switch.
+/// direct-mapped register array. δ = max−min grows without bound only if
+/// packets revisit this switch.
 #[derive(Debug)]
 pub struct LoopTable {
     arr: RegisterArray<u64, LoopRow>,
-}
-
-impl Stamped for LoopRow {
-    fn stamp(&self) -> Time {
-        self.last
-    }
 }
 
 impl LoopRow {
@@ -498,7 +449,7 @@ impl LoopRow {
 
 impl LoopTable {
     /// A table with (at least) `slots` register slots, rounded up to a
-    /// power of two.
+    /// power of two (one slot for 0 or 1).
     pub fn with_slots(slots: usize) -> LoopTable {
         LoopTable {
             arr: RegisterArray::with_slots(slots),
@@ -506,16 +457,20 @@ impl LoopTable {
     }
 
     /// Records one observation; returns the current δ. Rows older than
-    /// `age_out` restart from scratch; a row evicted by register pressure
-    /// restarts too (a fresh hardware register reads as "no drift yet").
+    /// `age_out` restart from scratch; so does a hash whose slot holds
+    /// another hash's row (a fresh hardware register reads as "no drift
+    /// yet"), which displaces that row — counted if it is not yet aged
+    /// out.
     pub fn observe(&mut self, hash: u64, ttl: u8, now: Time, age_out: Time) -> u8 {
-        match self.arr.locate(contra_sim::fx_mix64(hash), hash) {
-            Ok(i) => self.fold(i, ttl, now, age_out),
-            Err(i) => {
-                self.arr.claim(i, hash, LoopRow::fresh(ttl, now));
-                0
-            }
+        let mixed = contra_sim::fx_mix64(hash);
+        if let Some(i) = self.arr.find(mixed, hash) {
+            return self.fold(i, ttl, now, age_out);
         }
+        let fresh = LoopRow::fresh(ttl, now);
+        self.arr.write(mixed, hash, fresh, |row| {
+            now.saturating_sub(row.last) <= age_out
+        });
+        0
     }
 
     /// Folds an observation into the live row at slot `i`; returns δ.
@@ -538,12 +493,12 @@ impl LoopTable {
         }
     }
 
-    /// Observations written over an occupied slot because the hash's
-    /// window had no empty one. The occupant may be older than
-    /// `loop_age_out`: a row that is never seen again keeps its slot, so
-    /// this is an upper bound on the tracked rows displaced.
+    /// Live entries displaced: observations written over another hash's
+    /// row that was not yet older than `age_out`. As for flowlets, two
+    /// live hashes on one slot displace each other on every alternation.
+    /// Overwrites of aged-out rows are not counted.
     pub fn collisions(&self) -> u64 {
-        self.arr.collisions
+        self.arr.displaced
     }
 
     /// Register slots allocated.
@@ -551,7 +506,8 @@ impl LoopTable {
         self.arr.slots.len()
     }
 
-    /// Number of tracked hashes.
+    /// Number of rows held (an aged-out row counts until it is reset or
+    /// overwritten).
     pub fn len(&self) -> usize {
         self.arr.live
     }
@@ -670,74 +626,158 @@ mod tests {
         assert_eq!(t.get(&key(1, 0, 0)).unwrap().version, 2);
     }
 
-    /// The two-pass write the one-pass `locate` replaced: `find`, then a
-    /// second scan of the window for the vacancy.
-    fn write_two_pass<K: Copy + Eq, V: Stamped>(
-        arr: &mut RegisterArray<K, V>,
-        hash: u64,
-        key: K,
-        val: V,
-    ) {
-        if let Some(i) = arr.find(hash, key) {
-            arr.slots[i] = Some((key, val));
-            return;
-        }
-        let start = arr.start(hash);
-        let mut empty: Option<usize> = None;
-        let mut stalest: usize = arr.idx(start, 0);
-        let mut stalest_stamp = Time(u64::MAX);
-        for p in 0..PROBE_WINDOW {
-            let i = arr.idx(start, p);
-            match &arr.slots[i] {
-                Some((_, v)) => {
-                    if v.stamp() < stalest_stamp {
-                        stalest_stamp = v.stamp();
-                        stalest = i;
-                    }
-                }
-                None => {
-                    if empty.is_none() {
-                        empty = Some(i);
-                    }
-                }
-            }
-        }
-        match empty {
-            Some(i) => {
-                arr.slots[i] = Some((key, val));
-                arr.live += 1;
-            }
-            None => {
-                arr.collisions += 1;
-                arr.slots[stalest] = Some((key, val));
-            }
+    /// A flowlet key of tag 0, pid 0.
+    fn flowlet(fid: u64) -> FlowletKey {
+        FlowletKey {
+            tag: VNodeId(0),
+            pid: 0,
+            fid,
         }
     }
 
-    /// `LoopTable::observe` over the two-pass write.
-    fn observe_two_pass(t: &mut LoopTable, hash: u64, ttl: u8, now: Time, age_out: Time) -> u8 {
-        let mixed = contra_sim::fx_mix64(hash);
-        match t.arr.find(mixed, hash) {
-            Some(i) => t.fold(i, ttl, now, age_out),
-            None => {
-                write_two_pass(&mut t.arr, mixed, hash, LoopRow::fresh(ttl, now));
-                0
-            }
+    /// A pin to `nhop` (next tag 1), last used at `last`.
+    fn pinned(nhop: u32, last: Time) -> FlowletEntry {
+        FlowletEntry {
+            nhop: NodeId(nhop),
+            ntag: VNodeId(1),
+            last,
+        }
+    }
+
+    /// A key other than `k` whose hash takes `k`'s slot in `t`.
+    fn slot_mate(t: &FlowletTable, k: FlowletKey) -> FlowletKey {
+        let slot = |k: FlowletKey| t.arr.slot(k.slot_hash());
+        (k.fid + 1..)
+            .map(flowlet)
+            .find(|&m| slot(m) == slot(k))
+            .unwrap()
+    }
+
+    /// A hash other than `h` whose row takes `h`'s slot in `t`.
+    fn loop_mate(t: &LoopTable, h: u64) -> u64 {
+        let slot = |h: u64| t.arr.slot(contra_sim::fx_mix64(h));
+        (h + 1..).find(|&m| slot(m) == slot(h)).unwrap()
+    }
+
+    #[test]
+    fn flowlet_expiry_and_flush() {
+        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
+        let (k, timeout) = (flowlet(42), Time::us(200));
+        t.pin(k, pinned(5, Time::ZERO), timeout);
+        // Live within the timeout.
+        assert_eq!(
+            t.lookup_touch(k, Time::us(100), timeout),
+            Some((NodeId(5), VNodeId(1)))
+        );
+        // Expired after it.
+        assert!(t.lookup_touch(k, Time::us(400), timeout).is_none());
+        assert_eq!(t.len(), 0, "expired entry is evicted");
+
+        // Flush by fid and by nhop.
+        t.pin(k, pinned(5, Time::ZERO), timeout);
+        assert_eq!(t.flush_fid(42), 1);
+        t.pin(k, pinned(5, Time::ZERO), timeout);
+        assert_eq!(t.flush_nhop(NodeId(5)), 1);
+        assert_eq!(t.flush_nhop(NodeId(5)), 0);
+    }
+
+    #[test]
+    fn flowlet_touch_extends_life() {
+        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
+        let (touched, idle, timeout) = (flowlet(1), flowlet(2), Time::us(200));
+        for k in [touched, idle] {
+            t.pin(k, pinned(5, Time::ZERO), timeout);
+        }
+        // The hit at 150 µs restamps the pin, so it is still live at 300 µs;
+        // the pin nobody used since time zero is not.
+        assert!(t.lookup_touch(touched, Time::us(150), timeout).is_some());
+        assert!(t.lookup_touch(touched, Time::us(300), timeout).is_some());
+        assert!(t.lookup_touch(idle, Time::us(300), timeout).is_none());
+    }
+
+    /// One register per index: a second live key on a slot displaces the
+    /// first, which then misses, and the displacement is counted once.
+    /// Re-pinning a key's own row is no displacement.
+    #[test]
+    fn live_keys_sharing_a_slot_displace_each_other() {
+        let mut t = FlowletTable::with_slots(16);
+        let timeout = Time::us(200);
+        let first = flowlet(0);
+        let second = slot_mate(&t, first);
+        t.pin(first, pinned(1, Time::ZERO), timeout);
+        t.pin(second, pinned(2, Time::us(10)), timeout);
+        assert_eq!(t.lookup_touch(first, Time::us(20), timeout), None);
+        assert_eq!(
+            t.lookup_touch(second, Time::us(20), timeout),
+            Some((NodeId(2), VNodeId(1))),
+            "a foreign key's miss leaves the occupant in place"
+        );
+        assert_eq!((t.collisions(), t.len()), (1, 1));
+        t.pin(second, pinned(3, Time::us(30)), timeout);
+        assert_eq!((t.collisions(), t.len()), (1, 1));
+    }
+
+    /// Overwriting an expired pin, or a loop row older than `age_out`,
+    /// displaces nothing live and is not counted; a live row is.
+    #[test]
+    fn expired_occupants_are_overwritten_uncounted() {
+        let mut t = FlowletTable::with_slots(16);
+        let timeout = Time::us(200);
+        let first = flowlet(0);
+        let second = slot_mate(&t, first);
+        t.pin(first, pinned(1, Time::ZERO), timeout);
+        t.pin(second, pinned(2, Time::us(300)), timeout);
+        assert_eq!((t.collisions(), t.len()), (0, 1));
+        assert!(t.lookup_touch(second, Time::us(300), timeout).is_some());
+
+        let mut l = LoopTable::with_slots(16);
+        let age = Time::ms(1);
+        let (a, b) = (7, loop_mate(&l, 7));
+        l.observe(a, 60, Time::us(1), age);
+        assert_eq!(l.observe(b, 60, Time::ms(10), age), 0);
+        assert_eq!((l.collisions(), l.len()), (0, 1));
+        // `b` is live when `a` comes back, so this one counts.
+        assert_eq!(l.observe(a, 50, Time::ms(10) + Time::us(1), age), 0);
+        assert_eq!((l.collisions(), l.len()), (1, 1));
+    }
+
+    /// A one-slot table (and a zero-slot request) is one working register.
+    #[test]
+    fn a_single_slot_holds_and_answers_one_key() {
+        for n in [0, 1] {
+            let mut t = FlowletTable::with_slots(n);
+            assert_eq!(t.slots(), 1);
+            t.pin(flowlet(9), pinned(4, Time::ZERO), Time::us(200));
+            assert_eq!(
+                t.lookup_touch(flowlet(9), Time::us(1), Time::us(200)),
+                Some((NodeId(4), VNodeId(1)))
+            );
+            let mut l = LoopTable::with_slots(n);
+            assert_eq!(l.slots(), 1);
+            assert_eq!(l.observe(9, 60, Time::us(1), Time::ms(1)), 0);
+            assert_eq!(l.observe(9, 57, Time::us(2), Time::ms(1)), 3);
+            assert_eq!((l.len(), l.collisions()), (1, 0));
         }
     }
 
     /// Random pin / lookup / flush / observe / reset streams on 16-slot
-    /// arrays, through the one-pass writes and through the two-pass
-    /// reference: after every operation the slots, the live counts, the
-    /// collision counts and every answer agree.
+    /// tables against a `HashMap` oracle of what was last pinned or seen
+    /// per key: every flowlet hit returns the key's last pin, used within
+    /// the timeout; a live key misses only when another key was pinned
+    /// over its slot since (the oracle forgets those); a loop δ never
+    /// exceeds the oracle's (a displaced row restarts later, never
+    /// earlier); `len()` is the occupied slots; and no table displaces
+    /// more than it was written.
     #[test]
-    fn register_writes_match_the_two_pass_reference() {
+    fn registers_match_a_hashmap_oracle() {
         use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
         let mut rng = rand::rngs::StdRng::seed_from_u64(26);
-        let (mut fl, mut fl_ref) = (FlowletTable::with_slots(1), FlowletTable::with_slots(1));
-        let (mut lp, mut lp_ref) = (LoopTable::with_slots(1), LoopTable::with_slots(1));
+        let (mut fl, mut lp) = (FlowletTable::with_slots(16), LoopTable::with_slots(16));
+        let mut pins: HashMap<FlowletKey, FlowletEntry> = HashMap::new();
+        let mut rows: HashMap<u64, LoopRow> = HashMap::new();
         let (timeout, age_out) = (Time(40), Time(60));
-        let mut now = Time::ZERO;
+        let (mut now, mut writes, mut observations, mut hits) = (Time::ZERO, 0, 0, 0);
         for _ in 0..20_000 {
             now += Time(rng.gen_range(0u64..4));
             let fid = rng.gen_range(0u64..48);
@@ -749,162 +789,61 @@ mod tests {
             let nhop = NodeId(rng.gen_range(0u32..4));
             match rng.gen_range(0u32..8) {
                 0..=2 => {
-                    let e = FlowletEntry {
-                        nhop,
-                        ntag: VNodeId(1),
-                        last: now,
-                    };
-                    fl.pin(key, e.clone());
-                    write_two_pass(&mut fl_ref.arr, key.slot_hash(), key, e);
+                    fl.pin(key, pinned(nhop.0, now), timeout);
+                    let slot = |k: &FlowletKey| fl.arr.slot(k.slot_hash());
+                    pins.retain(|k, _| slot(k) != slot(&key));
+                    pins.insert(key, pinned(nhop.0, now));
+                    writes += 1;
                 }
-                3 => assert_eq!(
-                    fl.lookup_touch(key, now, timeout),
-                    fl_ref.lookup_touch(key, now, timeout)
-                ),
-                4 => assert_eq!(fl.flush_fid(fid), fl_ref.flush_fid(fid)),
-                5 => assert_eq!(fl.flush_nhop(nhop), fl_ref.flush_nhop(nhop)),
+                3 => match fl.lookup_touch(key, now, timeout) {
+                    Some(hit) => {
+                        let pin = pins.get_mut(&key).expect("a hit was pinned");
+                        assert_eq!(hit, (pin.nhop, pin.ntag));
+                        assert!(now.saturating_sub(pin.last) <= timeout);
+                        pin.last = now;
+                        hits += 1;
+                    }
+                    None => assert!(pins
+                        .get(&key)
+                        .is_none_or(|p| now.saturating_sub(p.last) > timeout)),
+                },
+                4 => {
+                    fl.flush_fid(fid);
+                    pins.retain(|k, _| k.fid != fid);
+                }
+                5 => {
+                    fl.flush_nhop(nhop);
+                    pins.retain(|_, p| p.nhop != nhop);
+                }
                 6 => {
                     let ttl = rng.gen_range(50u8..64);
-                    assert_eq!(
-                        lp.observe(fid, ttl, now, age_out),
-                        observe_two_pass(&mut lp_ref, fid, ttl, now, age_out)
-                    );
+                    let delta = lp.observe(fid, ttl, now, age_out);
+                    let row = rows
+                        .entry(fid)
+                        .and_modify(|r| {
+                            if now.saturating_sub(r.last) > age_out {
+                                *r = LoopRow::fresh(ttl, now);
+                            }
+                        })
+                        .or_insert_with(|| LoopRow::fresh(ttl, now));
+                    (row.max_ttl, row.min_ttl) = (row.max_ttl.max(ttl), row.min_ttl.min(ttl));
+                    row.last = now;
+                    assert!(delta <= row.max_ttl - row.min_ttl);
+                    observations += 1;
                 }
                 _ => {
                     lp.reset(fid);
-                    lp_ref.reset(fid);
+                    rows.remove(&fid);
                 }
             }
-            assert_eq!(fl.arr.slots, fl_ref.arr.slots);
-            assert_eq!(lp.arr.slots, lp_ref.arr.slots);
-            assert_eq!(
-                (fl.len(), fl.collisions()),
-                (fl_ref.len(), fl_ref.collisions())
-            );
-            assert_eq!(
-                (lp.len(), lp.collisions()),
-                (lp_ref.len(), lp_ref.collisions())
-            );
+            assert_eq!(fl.len(), fl.arr.slots.iter().flatten().count());
+            assert_eq!(lp.len(), lp.arr.slots.iter().flatten().count());
+            assert!(fl.collisions() <= writes && lp.collisions() <= observations);
         }
         assert!(
-            fl.collisions() > 0 && lp.collisions() > 0,
-            "the stream must hit register pressure"
+            fl.collisions() > 0 && lp.collisions() > 0 && hits > 0,
+            "the stream must hit register pressure and still hit pins"
         );
-    }
-
-    #[test]
-    fn flowlet_expiry_and_flush() {
-        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
-        let k = FlowletKey {
-            tag: VNodeId(0),
-            pid: 0,
-            fid: 42,
-        };
-        t.pin(
-            k,
-            FlowletEntry {
-                nhop: NodeId(5),
-                ntag: VNodeId(1),
-                last: Time::ZERO,
-            },
-        );
-        // Live within the timeout.
-        assert_eq!(
-            t.lookup_touch(k, Time::us(100), Time::us(200)),
-            Some((NodeId(5), VNodeId(1)))
-        );
-        // Expired after it.
-        assert!(t.lookup_touch(k, Time::us(400), Time::us(200)).is_none());
-        assert_eq!(t.len(), 0, "expired entry is evicted");
-
-        // Flush by fid and by nhop.
-        t.pin(
-            k,
-            FlowletEntry {
-                nhop: NodeId(5),
-                ntag: VNodeId(1),
-                last: Time::ZERO,
-            },
-        );
-        assert_eq!(t.flush_fid(42), 1);
-        t.pin(
-            k,
-            FlowletEntry {
-                nhop: NodeId(5),
-                ntag: VNodeId(1),
-                last: Time::ZERO,
-            },
-        );
-        assert_eq!(t.flush_nhop(NodeId(5)), 1);
-        assert_eq!(t.flush_nhop(NodeId(5)), 0);
-    }
-
-    #[test]
-    fn flowlet_touch_extends_life() {
-        let mut t = FlowletTable::with_slots(FLOWLET_ENTRIES);
-        let [touched, idle] = [1, 2].map(|fid| FlowletKey {
-            tag: VNodeId(0),
-            pid: 0,
-            fid,
-        });
-        for k in [touched, idle] {
-            t.pin(
-                k,
-                FlowletEntry {
-                    nhop: NodeId(5),
-                    ntag: VNodeId(1),
-                    last: Time::ZERO,
-                },
-            );
-        }
-        // The hit at 150 µs restamps the pin, so it is still live at 300 µs;
-        // the pin nobody used since time zero is not.
-        assert!(t
-            .lookup_touch(touched, Time::us(150), Time::us(200))
-            .is_some());
-        assert!(t
-            .lookup_touch(touched, Time::us(300), Time::us(200))
-            .is_some());
-        assert!(t.lookup_touch(idle, Time::us(300), Time::us(200)).is_none());
-    }
-
-    #[test]
-    fn flowlet_register_pressure_evicts_stalest_and_counts() {
-        // A tiny array (16 slots) so 17+ distinct fids must alias.
-        let mut t = FlowletTable::with_slots(1);
-        assert_eq!(t.slots(), PROBE_WINDOW * 2);
-        for fid in 0..64u64 {
-            t.pin(
-                FlowletKey {
-                    tag: VNodeId(0),
-                    pid: 0,
-                    fid,
-                },
-                FlowletEntry {
-                    nhop: NodeId(1),
-                    ntag: VNodeId(0),
-                    last: Time(fid),
-                },
-            );
-        }
-        assert!(t.collisions() > 0, "64 pins into 16 slots must collide");
-        assert!(t.len() <= 16);
-        // The table still answers lookups for *some* recent pin.
-        let hits = (0..64u64)
-            .filter(|&fid| {
-                t.lookup_touch(
-                    FlowletKey {
-                        tag: VNodeId(0),
-                        pid: 0,
-                        fid,
-                    },
-                    Time(100),
-                    Time(10_000),
-                )
-                .is_some()
-            })
-            .count();
-        assert_eq!(hits, t.len());
     }
 
     #[test]
@@ -928,10 +867,9 @@ mod tests {
         let mut t = LoopTable::with_slots(1);
         let age = Time::ms(1);
         for h in 0..64u64 {
-            t.observe(h, 60, Time(h + 1), age);
+            assert_eq!(t.observe(h, 60 - h as u8 % 4, Time(h + 1), age), 0);
         }
-        assert!(t.collisions() > 0);
-        assert!(t.len() <= 16);
+        assert_eq!((t.collisions(), t.len()), (63, 1));
     }
 
     #[test]

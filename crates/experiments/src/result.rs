@@ -48,9 +48,10 @@ pub struct Figures {
     pub loop_breaks: u64,
     /// Payload packets delivered to their destination host.
     pub delivered_packets: u64,
-    /// Modeled register-array collisions (flowlet + loop tables summed
-    /// over all switches) — the state-vs-quality artifact of the paper's
-    /// §5.3 sizing discussion. Split counts live in
+    /// Modeled register-array collisions: live entries displaced in the
+    /// flowlet and loop tables, summed over all switches — the
+    /// state-vs-quality trade-off of the paper's §5.3 sizing discussion.
+    /// Split counts live in
     /// [`SimStats::flowlet_collisions`] / [`SimStats::loop_collisions`].
     pub register_collisions: u64,
     /// Worst observed time-to-reconvergence across the run's *failure*
@@ -197,7 +198,7 @@ pub struct SeedSummary {
     pub p99_fct_ms: Option<Band>,
     /// Completion-rate band.
     pub completion_rate: Band,
-    /// Register-collision band (flowlet + loop tables).
+    /// Band of live register entries displaced (flowlet + loop tables).
     pub register_collisions: Band,
     /// Worst time-to-reconvergence band (ms); `None` when no seed had a
     /// failure epoch.

@@ -213,9 +213,10 @@ fn random_pairs_are_deterministic() {
 }
 
 /// Register-array telemetry (§5.3 sizing): an undersized flowlet table
-/// must report the aliasing it models — nonzero collisions surfaced
-/// through `SimStats` into `Figures::register_collisions` — while the
-/// default sizing on the same scenario stays collision-free.
+/// must report the live pins it displaces — surfaced through `SimStats`
+/// into `Figures::register_collisions` — more of them than the default
+/// sizing on the same scenario, and the displaced flowlets' re-routing
+/// must show in the flow completion times.
 #[test]
 fn undersized_flowlet_table_reports_collisions() {
     use contra_dataplane::DataplaneConfig;
@@ -225,14 +226,10 @@ fn undersized_flowlet_table_reports_collisions() {
         .warmup(Time::ms(2))
         .drain(Time::ms(10));
     let starved = Contra::dc().with_config(DataplaneConfig {
-        flowlet_slots: 1, // rounds up to the 16-slot register-array floor
+        flowlet_slots: 16,
         ..DataplaneConfig::default()
     });
     let r = scenario.run(&starved);
-    assert!(
-        r.stats.flowlet_collisions > 0,
-        "thousands of flowlets through 16 slots per switch must alias"
-    );
     assert_eq!(
         r.figures.register_collisions,
         r.stats.flowlet_collisions + r.stats.loop_collisions
@@ -241,9 +238,19 @@ fn undersized_flowlet_table_reports_collisions() {
     assert!(r.stats.sched_peak_pending > 0);
 
     let roomy = scenario.run(&Contra::dc());
-    assert_eq!(
-        roomy.figures.register_collisions, 0,
-        "default sizing must not alias on this scenario"
+    assert!(
+        r.stats.flowlet_collisions > roomy.stats.flowlet_collisions,
+        "16 slots per switch must displace more live pins than the default ({} vs {})",
+        r.stats.flowlet_collisions,
+        roomy.stats.flowlet_collisions
+    );
+    let fct = |r: &contra_experiments::RunResult| -> Vec<Option<Time>> {
+        r.stats.flows.iter().map(|f| f.fct()).collect()
+    };
+    assert_ne!(
+        fct(&r),
+        fct(&roomy),
+        "displaced flowlets must re-route and move some flow's completion time"
     );
 }
 

@@ -346,8 +346,8 @@ impl Simulator {
         }
         // Consistency check and a final sample at the end-of-run
         // instant, then the engine-side totals: the event count,
-        // scheduler occupancy and the dataplane's modeled register
-        // collisions.
+        // scheduler occupancy and the dataplane's live register entries
+        // displaced.
         self.emit_checkpoint(true);
         self.emit_sample();
         let mut collisions = (0, 0);

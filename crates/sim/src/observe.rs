@@ -98,7 +98,8 @@ pub enum Obs<'a> {
     End {
         events: u64,
         sched: SchedCounters,
-        /// `(flowlet, loop)` register collisions over all switches.
+        /// `(flowlet, loop)` live register entries displaced over all
+        /// switches.
         collisions: (u64, u64),
     },
 }

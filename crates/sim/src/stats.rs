@@ -230,13 +230,14 @@ pub struct SimStats {
     /// Events that landed beyond the timing wheel's horizon in its
     /// overflow heap.
     pub sched_overflow: u64,
-    /// Flowlet-table pins written over an occupied slot — a live pin or
-    /// one already expired (modeled register pressure), summed over all
-    /// switches at the end of a run.
-    pub flowlet_collisions: u64,
-    /// Loop-table observations written over an occupied slot (a tracked
-    /// row or one already aged out), summed over all switches at the end
+    /// Live entries displaced in the flowlet tables: pins written over
+    /// another flowlet's pin that was still within the flowlet timeout
+    /// (modeled register pressure), summed over all switches at the end
     /// of a run.
+    pub flowlet_collisions: u64,
+    /// Live entries displaced in the loop tables: observations written
+    /// over another hash's row that had not yet aged out, summed over all
+    /// switches at the end of a run.
     pub loop_collisions: u64,
     /// UDP bytes delivered, bucketed by [`SimStats::udp_bucket`] for
     /// throughput-over-time plots (Fig 14). The bucket currently being

@@ -52,10 +52,9 @@ pub trait SwitchLogic {
     }
 
     /// Modeled register-array collision counts of this switch, as
-    /// `(flowlet_table, loop_table)` — entries written over an occupied
-    /// slot, whether its occupant was live or already expired, because
-    /// the hash window had no empty one (a hardware artifact the
-    /// dataplane counts, not an error). The engine sums
+    /// `(flowlet_table, loop_table)`: live entries displaced, i.e. writes
+    /// over another key's entry that had not yet expired (a hardware
+    /// artifact the dataplane counts, not an error). The engine sums
     /// these into `SimStats` at the end of a run. Logic without bounded
     /// register state reports zero.
     fn register_collisions(&self) -> (u64, u64) {
