@@ -626,8 +626,8 @@ impl Scenario {
     }
 
     /// The cables that are down when the run *ends*, for
-    /// [`InstallCtx`]'s informational `failed` list (reconverged
-    /// baselines plan around them). Replays the command list in time
+    /// [`InstallCtx`]'s informational `failed` list (no shipped system
+    /// reads it). Replays the command list in time
     /// order with the engine's semantics — a node transition moves every
     /// incident cable, later commands override earlier ones — ignoring
     /// commands past the stop instant, which the engine never processes.

@@ -31,8 +31,8 @@ fn bottleneck<S: SwitchLogic>(h: &ProtocolHarness<S>, path: &[NodeId]) -> f64 {
 /// 0.05 steps pinned on every cable, each leaf pair's Hula path and Contra
 /// path run leaf–spine–leaf with the same bottleneck utilization.
 ///
-/// Mutant: `util > e.util` for `util < e.util` in
-/// `HulaSwitch::process_probe` fails it.
+/// Kills `mutants/hula_prefers_higher_util.patch` and
+/// `mutants/contra_retention_inverted.patch`.
 #[test]
 fn hula_matches_contra_shortest_widest() {
     let mut pairs = 0;
@@ -82,8 +82,7 @@ fn hula_matches_contra_shortest_widest() {
 /// random 7-switch graphs, each pair's Contra path is as long as ECMP's,
 /// and it leaves the source by one of the ECMP next hops.
 ///
-/// Mutant: `*ours > e.retention` for `*ours < e.retention` in
-/// `ContraSwitch::process_probe` fails it.
+/// Kills `mutants/contra_retention_inverted.patch`.
 #[test]
 fn contra_shortest_path_is_an_ecmp_path() {
     let mut pairs = 0;

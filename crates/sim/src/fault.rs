@@ -342,9 +342,11 @@ mod tests {
 
     /// Three packets accepted at once — one on the wire, two on the
     /// train — then the link fails and the flushed slots are freed. The
-    /// real flush takes them off the train too; the mutant that leaves the
-    /// train's tail in place is caught at the next checkpoint.
-    fn flushed(mutant: bool) {
+    /// flush takes them off the train too; a flush that leaves the
+    /// train's tail in place (`mutants/set_down_keeps_train_tail.patch`)
+    /// is caught at the next checkpoint.
+    #[test]
+    fn a_flush_takes_the_tail_off_the_train() {
         let mut pool = PacketPool::default();
         let mut link = LinkState::new(1e9, Time::us(1), 1_000, Time::us(1));
         let mut aud = Auditor::default();
@@ -366,11 +368,7 @@ mod tests {
             aud.on(Time::ZERO, &obs);
         };
         checkpoint(&mut aud, &link, &pool);
-        let lost = if mutant {
-            link.set_down_keeping_train_tail()
-        } else {
-            link.set_down()
-        };
+        let lost = link.set_down();
         assert_eq!(lost.len(), 2);
         for entry in lost {
             pool.free(entry.slot);
@@ -384,17 +382,6 @@ mod tests {
             aud.on(Time::ZERO, &obs);
         }
         checkpoint(&mut aud, &link, &pool);
-    }
-
-    #[test]
-    fn a_flush_takes_the_tail_off_the_train() {
-        flushed(false);
-    }
-
-    #[test]
-    #[should_panic(expected = "link 0 train holds dead slot")]
-    fn a_flush_that_leaves_the_train_tail_panics() {
-        flushed(true);
     }
 
     #[test]

@@ -438,16 +438,6 @@ impl LinkState {
     pub(crate) fn audit_train(&self) -> impl ExactSizeIterator<Item = (Time, u32)> + '_ {
         self.train.iter().copied()
     }
-
-    /// The mutant the auditor's train check must kill: a failure flush
-    /// that leaves the train's tail in place.
-    #[cfg(test)]
-    pub(crate) fn set_down_keeping_train_tail(&mut self) -> VecDeque<PktRef> {
-        let train = self.train.clone();
-        let flushed = self.set_down();
-        self.train = train;
-        flushed
-    }
 }
 
 #[cfg(test)]

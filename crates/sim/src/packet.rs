@@ -128,11 +128,6 @@ impl Packet {
     pub fn is_probe(&self) -> bool {
         matches!(self.kind, PacketKind::Probe(_))
     }
-
-    /// True for data or UDP payload-carrying packets.
-    pub fn carries_payload(&self) -> bool {
-        matches!(self.kind, PacketKind::Data | PacketKind::Udp)
-    }
 }
 
 /// What measures a queued item for a link: its size on the wire. The
@@ -321,6 +316,5 @@ mod tests {
             flow_hash: 0,
         };
         assert!(p.is_probe());
-        assert!(!p.carries_payload());
     }
 }

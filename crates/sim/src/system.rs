@@ -8,8 +8,8 @@
 //! not writing a new binary.
 //!
 //! Installation happens through an [`InstallCtx`], which carries the
-//! topology, any pre-failed cables (systems that model slow control
-//! planes may deliberately ignore them), and a shared [`CompileCache`] so
+//! topology, the cables still down when the run ends (informational: no
+//! shipped system reads them), and a shared [`CompileCache`] so
 //! that matrix sweeps compile each distinct policy text exactly once
 //! instead of once per run.
 
@@ -56,9 +56,9 @@ pub trait RoutingSystem: Send + Sync {
 pub struct InstallCtx<'a> {
     /// The topology the simulator runs on.
     pub topology: &'a Topology,
-    /// Cables already failed (or scheduled to fail) in this run. Systems
-    /// with reconverging control planes may route around them; systems
-    /// modeling the paper's slow-control-plane baselines ignore them.
+    /// Cables still down when the run ends (`Scenario` replays its fault
+    /// list to fill it): a cable that fails and recovers within the run is
+    /// absent. No shipped [`RoutingSystem`] reads it.
     pub failed: &'a [(NodeId, NodeId)],
     /// Shared policy-compilation cache for the surrounding sweep.
     pub cache: &'a CompileCache,
