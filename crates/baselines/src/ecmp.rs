@@ -83,11 +83,6 @@ impl SwitchLogic for EcmpSwitch {
             .expect("k < n_live");
         Verdict::Forward(pick)
     }
-
-    // Hashes over live links only — never reads utilization.
-    fn reads_link_util(&self) -> bool {
-        false
-    }
 }
 
 /// Single static shortest path; no load awareness, no failure awareness.
@@ -127,11 +122,6 @@ impl SwitchLogic for SpSwitch {
             Some(nh) => Verdict::Forward(nh),
             None => Verdict::NoRoute,
         }
-    }
-
-    // Static paths — never reads utilization.
-    fn reads_link_util(&self) -> bool {
-        false
     }
 }
 

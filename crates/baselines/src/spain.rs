@@ -195,11 +195,6 @@ impl SwitchLogic for SpainSwitch {
             None => Verdict::NoRoute,
         }
     }
-
-    // VLAN selection is by flow hash — never reads utilization.
-    fn reads_link_util(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

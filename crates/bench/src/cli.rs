@@ -324,7 +324,9 @@ pub fn lint(args: &[String], out: &mut Out) -> Result<(), Exit> {
 ///
 /// Every system runs twice; the runs must agree byte for byte — chaos
 /// lives in the plan, never in the execution. A plan file that cannot be
-/// written is reported by path and exits 1 before anything runs.
+/// written, or a seed whose plan realizes fewer than 100 events, is
+/// reported and exits 1 before anything runs (the plan is written
+/// first either way).
 pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Exit> {
     parse_flags(args, &[], &[])?;
     let seed = seed.unwrap_or(20_260_808);
@@ -351,11 +353,13 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
             f.sync_all()
         })
         .map_err(|e| io_failed(out, "write", path, e))?;
-    assert!(
-        cmds.len() >= 100,
-        "plan must realize at least 100 events, got {}",
-        cmds.len()
-    );
+    if cmds.len() < 100 {
+        let n = cmds.len();
+        out.note(format_args!(
+            "plan must realize at least 100 events, got {n}"
+        ));
+        return Err(Exit::Failed);
+    }
     out.note(format_args!(
         "chaos_smoke: seed={seed}, {} fault events, auditor on",
         cmds.len()

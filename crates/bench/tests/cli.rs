@@ -156,6 +156,33 @@ fn unwritable_chaos_plan_exits_1_naming_it() {
     assert!(out.stdout.is_empty(), "a system ran: {err}");
 }
 
+/// A seed whose chaos plan realizes fewer than 100 events is an error
+/// the command reports, not a panic; the plan it drew is still written.
+#[test]
+fn thin_chaos_plan_exits_1_with_the_count() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos_thin");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_contra"))
+        .arg("chaos")
+        .env("CONTRA_CHAOS_SEED", "9")
+        .current_dir(&dir)
+        .output()
+        .expect("contra runs");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("plan must realize at least 100 events, got 98"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty(), "a system ran: {err}");
+    let plan = std::fs::read_to_string(dir.join("CHAOS_PLAN.txt")).unwrap();
+    assert!(
+        plan.starts_with("# chaos plan seed=9 (98 events)\n"),
+        "{plan}"
+    );
+}
+
 /// `lint --json` is one valid JSON array with a record per diagnostic, and
 /// every record carries the diagnostic's notes: C0008 its metric floor.
 #[test]

@@ -68,10 +68,6 @@ impl RoutingSystem for Contra {
         self.label.clone()
     }
 
-    fn policy_text(&self) -> Option<&str> {
-        Some(&self.policy)
-    }
-
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError> {
         let cp = ctx
             .cache

@@ -1,11 +1,13 @@
-//! Deterministic fault plans: *what breaks, when* — as a value.
+//! Deterministic fault plans: *which cables break, when* — as a value.
 //!
-//! A [`FaultPlan`] names failures and recoveries symbolically (node
-//! names, not ids) so the same plan applies to any topology that has
-//! those nodes. Chaos plans ([`FaultPlan::random`]) are **expanded
-//! before the run** into an explicit [`FaultCmd`] list: replays are
-//! byte-identical, a failing plan can be printed and replayed verbatim,
-//! and a sweep cell carries the whole plan in its scenario value.
+//! A failure is a cable whose probes go silent (§5.4). A [`FaultPlan`]
+//! names the failures and recoveries of cables symbolically (by the
+//! names of their two endpoints, not by ids) so the same plan applies to
+//! any topology that has those nodes. Chaos plans ([`FaultPlan::random`])
+//! are **expanded before the run** into an explicit [`FaultCmd`] list:
+//! replays are byte-identical, a failing plan can be printed and replayed
+//! verbatim, and a sweep cell carries the whole plan in its scenario
+//! value.
 
 use contra_sim::Time;
 use contra_topology::Topology;
@@ -13,24 +15,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// What a fault command applies to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultTarget {
-    /// The cable (both directions) between two named nodes.
-    Cable(String, String),
-    /// A named node: all incident links, atomically.
-    Node(String),
-}
-
-/// One scheduled fault transition. `up == false` is a failure,
-/// `up == true` a recovery; both are idempotent at the engine level, so
-/// overlapping chaos events compose without bookkeeping.
+/// One scheduled transition of the cable (both directions) between two
+/// named nodes. `up == false` is a failure, `up == true` a recovery;
+/// both are idempotent at the engine level, so overlapping chaos events
+/// compose without bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultCmd {
     /// When the transition fires.
     pub at: Time,
-    /// What it applies to.
-    pub target: FaultTarget,
+    /// One end of the cable.
+    pub a: String,
+    /// The other end.
+    pub b: String,
     /// Direction: `false` down, `true` up.
     pub up: bool,
 }
@@ -38,10 +34,7 @@ pub struct FaultCmd {
 impl fmt::Display for FaultCmd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dir = if self.up { "up" } else { "down" };
-        match &self.target {
-            FaultTarget::Cable(a, b) => write!(f, "{} {dir} cable {a}~{b}", self.at),
-            FaultTarget::Node(n) => write!(f, "{} {dir} node {n}", self.at),
-        }
+        write!(f, "{} {dir} cable {}~{}", self.at, self.a, self.b)
     }
 }
 
@@ -80,60 +73,24 @@ impl FaultPlan {
     }
 
     /// Fails the cable between the named nodes at `at`.
-    pub fn fail_link(mut self, a: impl Into<String>, b: impl Into<String>, at: Time) -> FaultPlan {
-        self.cmds.push(FaultCmd {
-            at,
-            target: FaultTarget::Cable(a.into(), b.into()),
-            up: false,
-        });
-        self
+    pub fn fail_link(self, a: impl Into<String>, b: impl Into<String>, at: Time) -> FaultPlan {
+        self.cable(a, b, at, false)
     }
 
     /// Recovers the cable between the named nodes at `at`.
-    pub fn recover_link(
+    pub fn recover_link(self, a: impl Into<String>, b: impl Into<String>, at: Time) -> FaultPlan {
+        self.cable(a, b, at, true)
+    }
+
+    fn cable(
         mut self,
         a: impl Into<String>,
         b: impl Into<String>,
         at: Time,
+        up: bool,
     ) -> FaultPlan {
-        self.cmds.push(FaultCmd {
-            at,
-            target: FaultTarget::Cable(a.into(), b.into()),
-            up: true,
-        });
-        self
-    }
-
-    /// A down-then-up flap of the named cable.
-    pub fn flap_link(
-        self,
-        a: impl Into<String> + Clone,
-        b: impl Into<String> + Clone,
-        down: Time,
-        up: Time,
-    ) -> FaultPlan {
-        assert!(down < up, "flap must fail before it recovers");
-        self.fail_link(a.clone(), b.clone(), down)
-            .recover_link(a, b, up)
-    }
-
-    /// Fails the named node (all incident links) at `at`.
-    pub fn fail_node(mut self, node: impl Into<String>, at: Time) -> FaultPlan {
-        self.cmds.push(FaultCmd {
-            at,
-            target: FaultTarget::Node(node.into()),
-            up: false,
-        });
-        self
-    }
-
-    /// Recovers the named node at `at`.
-    pub fn recover_node(mut self, node: impl Into<String>, at: Time) -> FaultPlan {
-        self.cmds.push(FaultCmd {
-            at,
-            target: FaultTarget::Node(node.into()),
-            up: true,
-        });
+        let (a, b) = (a.into(), b.into());
+        self.cmds.push(FaultCmd { at, a, b, up });
         self
     }
 
@@ -219,7 +176,8 @@ fn switch_cables(topo: &Topology) -> Vec<(String, String)> {
 }
 
 /// Realizes one chaos process: Poisson failure arrivals, exponential
-/// repairs, uniform cable choice — all from one seeded xorshift stream.
+/// repairs, uniform cable choice — all from one seeded `StdRng` stream
+/// (the vendored splitmix64 generator).
 fn expand_chaos(
     spec: &ChaosSpec,
     cables: &[(String, String)],
@@ -241,20 +199,14 @@ fn expand_chaos(
             break;
         }
         let (a, b) = &cables[rng.gen_range(0..cables.len())];
-        out.push(FaultCmd {
-            at,
-            target: FaultTarget::Cable(a.clone(), b.clone()),
-            up: false,
-        });
         // The repair may land past `until` (or past the run): the engine
-        // never processes events past its stop, and the final-state
-        // computation correctly sees such a cable as down at the end.
+        // never processes events past its stop, so such a cable stays
+        // down to the end.
         let repair = at + Time::secs_f64(exp(&mut rng, spec.mttr.as_secs_f64()));
-        out.push(FaultCmd {
-            at: repair,
-            target: FaultTarget::Cable(a.clone(), b.clone()),
-            up: true,
-        });
+        for (at, up) in [(at, false), (repair, true)] {
+            let (a, b) = (a.clone(), b.clone());
+            out.push(FaultCmd { at, a, b, up });
+        }
     }
 }
 
@@ -276,18 +228,21 @@ mod tests {
     #[test]
     fn explicit_commands_sort_stably() {
         let plan = FaultPlan::new()
-            .flap_link("leaf0", "spine0", Time::ms(2), Time::ms(5))
-            .fail_node("spine1", Time::ms(2));
+            .fail_link("leaf0", "spine0", Time::ms(2))
+            .recover_link("leaf0", "spine0", Time::ms(5))
+            .fail_link("leaf1", "spine1", Time::ms(2));
         let cmds = plan.expand(&fabric(), Time::ms(10));
-        assert_eq!(cmds.len(), 3);
-        // Equal instants keep insertion order: the flap's down precedes
-        // the node failure pushed later.
+        let text: Vec<String> = cmds.iter().map(|c| c.to_string()).collect();
+        // Equal instants keep insertion order: leaf0's failure precedes
+        // leaf1's, pushed later.
         assert_eq!(
-            cmds[0].target,
-            FaultTarget::Cable("leaf0".into(), "spine0".into())
+            text,
+            [
+                "2.000ms down cable leaf0~spine0",
+                "2.000ms down cable leaf1~spine1",
+                "5.000ms up cable leaf0~spine0",
+            ]
         );
-        assert_eq!(cmds[1].target, FaultTarget::Node("spine1".into()));
-        assert!(cmds[2].up);
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! Grids run in parallel through the [`sweep`] engine: a [`SweepSpec`]
 //! names the axes (systems × loads × seeds × knobs), the worker pool is
 //! one thread per core unless [`SweepSpec::jobs`] says otherwise, and
-//! results come back in exact sweep order, byte-identical to the serial
-//! path. [`Scenario::matrix`] is a thin wrapper over it.
+//! results come back in exact sweep order, byte-identical whatever the
+//! worker count. [`Scenario::matrix`] is a thin wrapper over it.
 
 pub mod fault;
 pub mod result;
@@ -41,7 +41,7 @@ pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
-pub use fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
+pub use fault::{ChaosSpec, FaultCmd, FaultPlan};
 pub use result::{aggregate_seeds, Band, Figures, RunResult, ScenarioInfo, SeedSummary};
 pub use scenario::{Pairs, Scenario, ScenarioError, Traffic, Workload};
 pub use spec::{parse_topology_spec, SpecError, MAX_SPEC_NODES, MAX_SPEC_PORTS};

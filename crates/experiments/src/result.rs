@@ -125,12 +125,6 @@ pub struct RunResult {
     /// Wall-clock seconds the event loop took (excludes compilation and
     /// installation — this is the engine's own throughput window).
     pub wall_secs: f64,
-    /// Static policy-verifier diagnostics for the system's policy, when
-    /// the system is policy-driven ([`contra_sim::RoutingSystem::
-    /// policy_text`]): compiler warnings always, plus the full black-hole
-    /// / fragility analysis when the scenario enabled
-    /// [`crate::Scenario::verify_policy`]. Empty for baselines.
-    pub diagnostics: Vec<contra_core::Diagnostic>,
 }
 
 impl RunResult {

@@ -6,7 +6,7 @@
 //! [`RoutingSystem`] is a method call; sweeping the cartesian product of
 //! systems × loads is [`Scenario::matrix`].
 
-use crate::fault::{FaultCmd, FaultPlan, FaultTarget};
+use crate::fault::{FaultCmd, FaultPlan};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use crate::sweep::SweepSpec;
 use contra_sim::{
@@ -159,7 +159,6 @@ pub struct Scenario {
     /// is filled in at run time from `duration + drain`.
     sim: SimConfig,
     extra_flows: Vec<FlowSpec>,
-    verify_policy: bool,
 }
 
 impl Scenario {
@@ -183,7 +182,6 @@ impl Scenario {
             faults: FaultPlan::new(),
             sim: SimConfig::default(),
             extra_flows: Vec::new(),
-            verify_policy: false,
         }
     }
 
@@ -324,7 +322,7 @@ impl Scenario {
     }
 
     /// Merges a whole [`FaultPlan`] into the scenario — its explicit
-    /// commands (node failures included) and its chaos processes
+    /// cable commands and its chaos processes
     /// (expanded deterministically at run time, before the simulation
     /// starts).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Scenario {
@@ -393,16 +391,6 @@ impl Scenario {
     /// [`Traffic::None`]) the generated traffic.
     pub fn flow(mut self, flow: FlowSpec) -> Scenario {
         self.extra_flows.push(flow);
-        self
-    }
-
-    /// Runs the full static policy verifier (black holes, single-failure
-    /// fragility, dead branches) on policy-driven systems and attaches
-    /// its diagnostics to [`RunResult::diagnostics`]. Off by default —
-    /// compiler warnings are surfaced regardless; this adds the
-    /// topology-wide reachability and per-cable analyses.
-    pub fn verify_policy(mut self, on: bool) -> Scenario {
-        self.verify_policy = on;
         self
     }
 
@@ -500,13 +488,11 @@ impl Scenario {
         system: &dyn RoutingSystem,
         cache: &CompileCache,
     ) -> Result<RunResult, ScenarioError> {
-        let topo = &self.topology;
         // Chaos processes expand here, before the simulator exists: the
         // run consumes only the explicit list, so a replay (same
         // scenario value) is byte-identical and a failing plan can be
         // dumped and re-run verbatim.
         let faults = self.resolved_faults();
-        let failed = self.final_down_cables(&faults)?;
 
         let cfg = SimConfig {
             stop_at: self.duration + self.drain,
@@ -516,45 +502,16 @@ impl Scenario {
         // The simulator shares the scenario's topology (`Arc`): building a
         // cell costs no node/link-table copy.
         let mut sim = Simulator::new(Arc::clone(&self.topology), cfg);
-        system.install(&mut sim, &InstallCtx::new(topo, &failed, cache))?;
-
-        // Policy-driven systems get their static diagnostics attached:
-        // the compile below is a cache hit (install just compiled it), so
-        // surfacing compiler warnings is free; the full verifier runs only
-        // when the scenario opted in.
-        let diagnostics = match system.policy_text() {
-            Some(text) => {
-                let cp = cache
-                    .get_or_compile(topo, text)
-                    .expect("policy compiled during install");
-                if self.verify_policy {
-                    contra_core::verify(&cp, topo).diagnostics
-                } else {
-                    cp.warnings
-                        .iter()
-                        .map(|w| {
-                            contra_core::Diagnostic::warning(
-                                contra_core::diag::codes::NON_ISOTONIC,
-                                w.to_string(),
-                            )
-                            .with_span(w.span())
-                        })
-                        .collect()
-                }
-            }
-            None => Vec::new(),
-        };
+        // Faults are events that fire later: at install time no cable is
+        // down.
+        system.install(&mut sim, &InstallCtx::new(&self.topology, &[], cache))?;
 
         for c in &faults {
-            let res = match (&c.target, c.up) {
-                (FaultTarget::Cable(a, b), false) => {
-                    sim.try_fail_link_at(self.find(a)?, self.find(b)?, c.at)
-                }
-                (FaultTarget::Cable(a, b), true) => {
-                    sim.try_recover_link_at(self.find(a)?, self.find(b)?, c.at)
-                }
-                (FaultTarget::Node(n), false) => sim.try_fail_node_at(self.find(n)?, c.at),
-                (FaultTarget::Node(n), true) => sim.try_recover_node_at(self.find(n)?, c.at),
+            let (a, b) = (self.find(&c.a)?, self.find(&c.b)?);
+            let res = if c.up {
+                sim.try_recover_link_at(a, b, c.at)
+            } else {
+                sim.try_fail_link_at(a, b, c.at)
             };
             res.map_err(|error| ScenarioError::Fault {
                 scenario: self.label.clone(),
@@ -596,7 +553,6 @@ impl Scenario {
             traces: out.traces,
             telemetry: out.telemetry,
             wall_secs,
-            diagnostics,
         })
     }
 
@@ -606,7 +562,7 @@ impl Scenario {
     ///
     /// A thin wrapper over the sweep engine
     /// ([`SweepSpec`]): the cells run on one worker per core, with
-    /// results byte-identical to the sequential path.
+    /// results byte-identical whatever the worker count.
     pub fn matrix(&self, systems: &[&dyn RoutingSystem], loads: &[f64]) -> Vec<RunResult> {
         self.matrix_cached(systems, loads, &CompileCache::new())
     }
@@ -623,39 +579,6 @@ impl Scenario {
             .systems(systems)
             .loads(loads)
             .run_cached(cache)
-    }
-
-    /// The cables that are down when the run *ends*, for
-    /// [`InstallCtx`]'s informational `failed` list (no shipped system
-    /// reads it). Replays the command list in time
-    /// order with the engine's semantics — a node transition moves every
-    /// incident cable, later commands override earlier ones — ignoring
-    /// commands past the stop instant, which the engine never processes.
-    fn final_down_cables(
-        &self,
-        faults: &[FaultCmd],
-    ) -> Result<Vec<(NodeId, NodeId)>, ScenarioError> {
-        let stop = self.duration + self.drain;
-        let mut state: std::collections::BTreeMap<(NodeId, NodeId), bool> =
-            std::collections::BTreeMap::new();
-        let canon = |a: NodeId, b: NodeId| if a <= b { (a, b) } else { (b, a) };
-        for c in faults.iter().filter(|c| c.at <= stop) {
-            match &c.target {
-                FaultTarget::Cable(a, b) => {
-                    state.insert(canon(self.find(a)?, self.find(b)?), !c.up);
-                }
-                FaultTarget::Node(n) => {
-                    let n = self.find(n)?;
-                    for &(nbr, _) in self.topology.adjacency(n) {
-                        state.insert(canon(n, nbr), !c.up);
-                    }
-                }
-            }
-        }
-        let down = state
-            .into_iter()
-            .filter_map(|(cable, down)| down.then_some(cable));
-        Ok(down.collect())
     }
 
     fn find(&self, name: &str) -> Result<NodeId, ScenarioError> {

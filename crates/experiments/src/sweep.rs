@@ -38,14 +38,11 @@ use std::sync::Mutex;
 /// How many workers a sweep runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Jobs {
-    /// Run cells inline on the calling thread.
-    Serial,
     /// One worker per available core
     /// (`std::thread::available_parallelism`) — what a [`SweepSpec`]
     /// uses unless told otherwise.
     Auto,
-    /// Exactly this many workers (`N(0)` and `N(1)` degenerate to the
-    /// inline [`Jobs::Serial`] path — one lane is one lane).
+    /// Exactly this many workers (`N(0)` is one).
     N(usize),
 }
 
@@ -53,7 +50,6 @@ impl Jobs {
     /// The worker count this resolves to on the current machine.
     pub fn workers(self) -> usize {
         match self {
-            Jobs::Serial => 1,
             Jobs::N(n) => n.max(1),
             Jobs::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -293,33 +289,12 @@ impl<'a> SweepSpec<'a> {
 /// Determinism: each cell is an independent simulation of a private
 /// `Simulator`; workers share only the [`CompileCache`] (internally
 /// synchronized, compile-exactly-once) and write into disjoint result
-/// slots, so the output is byte-identical to the serial path regardless
-/// of worker count or scheduling. A panicking cell is re-raised on the
-/// calling thread prefixed with its [`CellCoords`].
+/// slots, so the output is byte-identical whatever the worker count or
+/// scheduling. A panicking cell is re-raised on the calling thread
+/// prefixed with its [`CellCoords`].
 pub fn run_cells(cells: Vec<SweepCell<'_>>, jobs: Jobs, cache: &CompileCache) -> Vec<RunResult> {
     let n = cells.len();
     let workers = jobs.workers().min(n.max(1));
-    if matches!(jobs, Jobs::Serial) || workers <= 1 || n <= 1 {
-        // Inline path: same cells, same order, same panic labeling.
-        return cells
-            .iter()
-            .map(|c| match catch_unwind(AssertUnwindSafe(|| c.run(cache))) {
-                Ok(r) => r,
-                Err(payload) => {
-                    // `as_ref`, not `&payload`: coercing `&Box<dyn Any>`
-                    // would downcast the Box itself and always miss.
-                    let text = panic_text(payload.as_ref());
-                    if text.is_empty() {
-                        // Non-string payload: preserve it for downcasting
-                        // callers rather than replacing it with a label.
-                        resume_unwind(payload);
-                    }
-                    panic!("sweep {} panicked: {}", c.coords, text)
-                }
-            })
-            .collect();
-    }
-
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // First panicking cell (by discovery, not index): its coordinates and
@@ -353,8 +328,12 @@ pub fn run_cells(cells: Vec<SweepCell<'_>>, jobs: Jobs, cache: &CompileCache) ->
     });
 
     if let Some((coords, payload)) = failure.into_inner().expect("failure slot lock") {
+        // `as_ref`, not `&payload`: coercing `&Box<dyn Any>` would
+        // downcast the Box itself and always miss.
         let text = panic_text(payload.as_ref());
         if text.is_empty() {
+            // Non-string payload: preserve it for downcasting callers
+            // rather than replacing it with a label.
             resume_unwind(payload);
         }
         panic!("sweep {coords} panicked: {text}");
@@ -388,7 +367,6 @@ mod tests {
 
     #[test]
     fn jobs_workers_resolve() {
-        assert_eq!(Jobs::Serial.workers(), 1);
         assert_eq!(Jobs::N(0).workers(), 1);
         assert_eq!(Jobs::N(5).workers(), 5);
         assert!(Jobs::Auto.workers() >= 1);

@@ -3,8 +3,8 @@
 //! scenarios the old `DcExperiment`/`WanExperiment` tests covered.
 
 use contra_experiments::{
-    CompileCache, Contra, Ecmp, FaultTarget, Hula, InstallError, RoutingSystem, Scenario,
-    ScenarioError, Sp, Spain, Workload,
+    CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, ScenarioError, Sp,
+    Spain, Workload,
 };
 use contra_sim::Time;
 
@@ -102,8 +102,8 @@ fn misfit_fault_plans_are_typed_errors() {
     let ScenarioError::Fault { cmd, .. } = err else {
         panic!("expected Fault, got: {err}");
     };
-    let cable = FaultTarget::Cable("leaf0".into(), "leaf1".into());
-    assert_eq!((cmd.at, cmd.target, cmd.up), (at, cable, false));
+    let cable = (cmd.a.as_str(), cmd.b.as_str());
+    assert_eq!((cmd.at, cable, cmd.up), (at, ("leaf0", "leaf1"), false));
 }
 
 /// A leaf-spine scenario small enough for debug-build test runs.

@@ -118,7 +118,7 @@ fn hula_reconverges_on_leaf_spine_flap() {
 }
 
 /// The acceptance bar for determinism: the Abilene flap is byte-identical
-/// across plain reruns and across `Jobs::Serial` vs `Jobs::N(4)` sweeps.
+/// across plain reruns and across `Jobs::N(1)` vs `Jobs::N(4)` sweeps.
 #[test]
 fn abilene_flap_is_deterministic_and_sweepable() {
     let contra = Contra::dc();
@@ -137,10 +137,10 @@ fn abilene_flap_is_deterministic_and_sweepable() {
             .map(|r| fingerprint(&r.stats))
             .collect::<Vec<_>>()
     };
-    let serial = sweep(Jobs::Serial);
-    let parallel = sweep(Jobs::N(4));
-    assert_eq!(serial, parallel, "worker count must not leak into results");
-    assert_eq!(serial[0], fingerprint(&a.stats), "sweep cell == bare run");
+    let one = sweep(Jobs::N(1));
+    let four = sweep(Jobs::N(4));
+    assert_eq!(one, four, "worker count must not leak into results");
+    assert_eq!(one[0], fingerprint(&a.stats), "sweep cell == bare run");
 }
 
 /// A 100-event seeded chaos plan runs to completion with the invariant

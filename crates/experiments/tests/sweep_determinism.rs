@@ -1,11 +1,11 @@
 //! The sweep engine's contract: a parallel sweep is *observationally
-//! identical* to the serial one — same `RunResult` fingerprints, same
+//! identical* to a one-worker one — same `RunResult` fingerprints, same
 //! order, same number of compiler invocations — for every worker-pool
 //! setting, on a datacenter and a WAN grid.
 //!
-//! The serial reference is built through [`run_cells`] with a literal
-//! `Jobs::Serial`; the sweeps under test run at `Jobs::N(1)`, `Jobs::N(4)`
-//! (four workers whatever the machine's core count) and `Jobs::Auto`.
+//! The reference is built through [`run_cells`] with `Jobs::N(1)`; the
+//! sweeps under test run at `Jobs::N(4)` (four workers whatever the
+//! machine's core count) and `Jobs::Auto`.
 
 use contra_experiments::{
     run_cells, CompileCache, Contra, Ecmp, Hula, Jobs, RoutingSystem, RunResult, Scenario, Sp,
@@ -48,13 +48,13 @@ fn fingerprint(r: &RunResult) -> String {
     out
 }
 
-/// Runs `spec` serially and at each parallel setting; every parallel run
-/// must reproduce the serial fingerprints in order and perform the same
-/// number of policy compilations.
+/// Runs `spec` on one worker and at each parallel setting; every
+/// parallel run must reproduce the one-worker fingerprints in order and
+/// perform the same number of policy compilations.
 fn assert_parallel_matches_serial<'a>(build: impl Fn() -> SweepSpec<'a>, expect_compiles: usize) {
     let serial_cache = CompileCache::new();
-    // Literal serial execution: the true sequential path.
-    let serial: Vec<String> = run_cells(build().cells(), Jobs::Serial, &serial_cache)
+    // One worker claims the cells in sweep order.
+    let serial: Vec<String> = run_cells(build().cells(), Jobs::N(1), &serial_cache)
         .iter()
         .map(fingerprint)
         .collect();
@@ -62,10 +62,10 @@ fn assert_parallel_matches_serial<'a>(build: impl Fn() -> SweepSpec<'a>, expect_
     assert_eq!(
         serial_cache.compiles(),
         expect_compiles,
-        "serial sweep compile count"
+        "one-worker sweep compile count"
     );
 
-    for jobs in [Jobs::N(1), Jobs::N(4), Jobs::Auto] {
+    for jobs in [Jobs::N(4), Jobs::Auto] {
         let cache = CompileCache::new();
         let parallel: Vec<String> = build()
             .jobs(jobs)
@@ -75,7 +75,7 @@ fn assert_parallel_matches_serial<'a>(build: impl Fn() -> SweepSpec<'a>, expect_
             .collect();
         assert_eq!(
             parallel, serial,
-            "sweep under {jobs:?} diverged from the serial path"
+            "sweep under {jobs:?} diverged from one worker"
         );
         assert_eq!(
             cache.compiles(),
@@ -205,7 +205,7 @@ fn axis_expansion_preserves_sweep_order() {
 
 /// `Scenario::matrix` is a wrapper over the engine: on the default
 /// worker pool it still produces the loads-outermost ordering of a
-/// literal serial sweep over the same axes.
+/// one-worker sweep over the same axes.
 #[test]
 fn matrix_parallel_matches_matrix_serial() {
     let contra = Contra::mu();
@@ -218,7 +218,7 @@ fn matrix_parallel_matches_matrix_serial() {
     let spec = SweepSpec::new(scenario.clone())
         .systems(&systems)
         .loads(&[0.2, 0.5]);
-    let serial: Vec<String> = run_cells(spec.cells(), Jobs::Serial, &CompileCache::new())
+    let serial: Vec<String> = run_cells(spec.cells(), Jobs::N(1), &CompileCache::new())
         .iter()
         .map(fingerprint)
         .collect();
@@ -231,11 +231,11 @@ fn matrix_parallel_matches_matrix_serial() {
 }
 
 /// A failing cell names its sweep coordinates (system, load, seed)
-/// instead of dying as a bare worker-thread panic — on the parallel path
-/// and the serial one.
+/// instead of dying as a bare worker-thread panic — on one worker and
+/// on two.
 #[test]
 fn worker_panics_carry_cell_coordinates() {
-    for jobs in [Jobs::Serial, Jobs::N(2)] {
+    for jobs in [Jobs::N(1), Jobs::N(2)] {
         let systems: [&dyn RoutingSystem; 1] = [&Ecmp];
         // `fail_link` with an unknown node name panics inside the worker
         // when the cell starts running.

@@ -131,9 +131,19 @@ fn clean_verdict_means_no_noroute_drops_under_full_mesh_udp() {
         .traffic(Traffic::None)
         .warmup(Time::ms(2))
         .duration(Time::ms(8))
-        .drain(Time::ms(2))
-        .verify_policy(true);
-    let hosts = scenario.topology().hosts();
+        .drain(Time::ms(2));
+    let contra = Contra::dc();
+    let topo = scenario.topology();
+    let cp = Compiler::new(topo)
+        .compile_str(&contra.policy)
+        .expect("compiles");
+    let report = verify(&cp, topo);
+    assert!(
+        !report.has_errors(),
+        "verifier flagged the DC policy: {:?}",
+        report.diagnostics
+    );
+    let hosts = topo.hosts();
     for &src in &hosts {
         for &dst in &hosts {
             if src != dst {
@@ -147,12 +157,7 @@ fn clean_verdict_means_no_noroute_drops_under_full_mesh_udp() {
             }
         }
     }
-    let r = scenario.run(&Contra::dc());
-    assert!(
-        !r.diagnostics.iter().any(|d| d.severity == Severity::Error),
-        "verifier flagged the DC policy: {:?}",
-        r.diagnostics
-    );
+    let r = scenario.run(&contra);
     assert_eq!(
         r.stats
             .drops
@@ -341,43 +346,32 @@ fn fragility_verdict_reproduces_under_link_failure() {
     );
 }
 
-/// Satellite plumbing: diagnostics ride along on [`RunResult`] — compiler
-/// warnings by default, the full verifier stream under
-/// [`Scenario::verify_policy`], and nothing for policy-less baselines.
+/// The verifier re-homes the compiler's analysis warnings: the
+/// non-isotonic P3 policy surfaces `NON_ISOTONIC`. MU on a healthy
+/// leaf-spine(2,2,2) verifies error-free, with the informational verdict
+/// that util-dependent policies carry transient-loop risk.
 #[test]
-fn run_result_carries_verifier_diagnostics() {
-    let scenario = Scenario::leaf_spine(2, 2, 2)
-        .traffic(Traffic::None)
-        .duration(Time::ms(2))
-        .drain(Time::ms(1));
+fn verifier_reports_p3_non_isotonic_and_mu_clean() {
+    let scenario = Scenario::leaf_spine(2, 2, 2);
+    let topo = scenario.topology();
+    let report = |policy: &str| {
+        let cp = Compiler::new(topo).compile_str(policy).expect("compiles");
+        verify(&cp, topo).diagnostics
+    };
 
-    // Baselines have no policy text, hence no diagnostics.
-    let r = scenario.clone().run(&contra_experiments::Ecmp);
-    assert!(r.diagnostics.is_empty());
-
-    // The non-isotonic P3 policy surfaces its compiler warning even
-    // without opting into full verification.
-    let p3 = Contra::new("minimize((path.util, path.len))");
-    let r = scenario.clone().run(&p3);
+    let p3 = report("minimize((path.util, path.len))");
     assert!(
-        r.diagnostics.iter().any(|d| d.code == codes::NON_ISOTONIC),
-        "expected the non-isotonic warning, got {:?}",
-        r.diagnostics
+        p3.iter().any(|d| d.code == codes::NON_ISOTONIC),
+        "expected the non-isotonic warning, got {p3:?}"
     );
 
-    // Full verification adds the informational verdicts (util-dependent
-    // policies carry transient-loop risk).
-    let r = scenario.verify_policy(true).run(&Contra::mu());
+    let mu = report(&Contra::mu().policy);
     assert!(
-        r.diagnostics
-            .iter()
-            .any(|d| d.code == codes::TRANSIENT_LOOP_RISK),
-        "expected the transient-loop info diagnostic, got {:?}",
-        r.diagnostics
+        mu.iter().any(|d| d.code == codes::TRANSIENT_LOOP_RISK),
+        "expected the transient-loop info diagnostic, got {mu:?}"
     );
     assert!(
-        !r.diagnostics.iter().any(|d| d.severity == Severity::Error),
-        "MU on a healthy fabric must verify clean: {:?}",
-        r.diagnostics
+        !mu.iter().any(|d| d.severity == Severity::Error),
+        "MU on a healthy fabric must verify clean: {mu:?}"
     );
 }

@@ -38,7 +38,7 @@ impl Default for FuzzConfig {
     }
 }
 
-/// splitmix64 — the same mixer the vendored `StdRng` seeds with.
+/// splitmix64 — the same mixer the vendored `StdRng` steps with.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

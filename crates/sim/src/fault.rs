@@ -1,10 +1,11 @@
 //! Fault injection: typed validation errors and the runtime invariant
 //! auditor.
 //!
-//! The engine's fault API (`Simulator::{try_fail_link_at,
-//! try_recover_link_at, try_fail_node_at, try_recover_node_at}`) rejects
-//! unknown cables and nodes with a [`FaultError`] instead of the old
-//! asymmetric assert-on-fail / silently-accept-on-recover behavior.
+//! A fault is a cable whose two directions go down, or come back up
+//! (§5.4: a failure is a link whose probes go silent). The engine's
+//! fault API (`Simulator::{try_fail_link_at, try_recover_link_at}`)
+//! rejects a cable the topology does not have with a [`FaultError`],
+//! for a failure and a recovery alike.
 //!
 //! The `Auditor` turns the engine's implicit conservation laws into
 //! hard failures. It is pure observation: it never touches `SimStats`
@@ -53,18 +54,12 @@ pub enum FaultError {
         /// The other endpoint as given.
         b: NodeId,
     },
-    /// The node id is not in the topology.
-    UnknownNode {
-        /// The offending id.
-        node: NodeId,
-    },
 }
 
 impl std::fmt::Display for FaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FaultError::UnknownCable { a, b } => write!(f, "no cable {a}–{b}"),
-            FaultError::UnknownNode { node } => write!(f, "no node {node}"),
         }
     }
 }
@@ -213,8 +208,6 @@ mod tests {
             b: NodeId(9),
         };
         assert_eq!(e.to_string(), "no cable n3–n9");
-        let e = FaultError::UnknownNode { node: NodeId(42) };
-        assert_eq!(e.to_string(), "no node n42");
     }
 
     fn packet(id: u64) -> crate::packet::Packet {

@@ -168,13 +168,6 @@ pub struct LinkState<P = PktRef> {
     /// Bumped on every `set_down`, so the train-head event scheduled
     /// before a failure can be recognized as stale.
     pub epoch: u64,
-    /// Whether the utilization estimator is fed at all. The engine
-    /// clears this before a run when nothing can observe the estimate —
-    /// no installed logic reads utilization
-    /// ([`crate::switch::SwitchLogic::reads_link_util`]) and no
-    /// telemetry recorder samples links — so purely static systems
-    /// (ECMP, SP, SPAIN) skip the per-transmission decay fold.
-    pub(crate) track_util: bool,
     /// Last `(size, tx_time)` computed for this link. Capacity is fixed
     /// for a link's lifetime and traffic on one *directed* link is
     /// near-homogeneous (full segments one way, ACKs the other), so this
@@ -214,7 +207,6 @@ impl<P: WireSize> LinkState<P> {
             bytes_tx: 0,
             drops: 0,
             epoch: 0,
-            track_util: true,
             // Size 0 never occurs (every packet carries headers), so the
             // sentinel can never mask a real lookup.
             tx_memo: (0, Time::ZERO),
@@ -263,9 +255,7 @@ impl<P: WireSize> LinkState<P> {
         let pkt = self.queue.pop_front()?;
         let bytes = pkt.wire_bytes();
         self.queued_bytes -= bytes;
-        if self.track_util {
-            self.estimator.on_tx(bytes, now);
-        }
+        self.estimator.on_tx(bytes, now);
         self.bytes_tx += bytes as u64;
         let t = self.tx_of(bytes);
         self.busy_until = now + t;
@@ -320,7 +310,7 @@ impl<P: WireSize> LinkState<P> {
     /// first: hand-overs before `now` that are still owed are replayed on
     /// a copy of the estimator.
     pub fn utilization(&self, now: Time) -> f64 {
-        if self.queue.is_empty() || self.busy_until >= now || !self.track_util {
+        if self.queue.is_empty() || self.busy_until >= now {
             return self.estimator.utilization(now);
         }
         let mut estimator = self.estimator.clone();

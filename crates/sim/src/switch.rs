@@ -68,19 +68,6 @@ pub trait SwitchLogic {
     fn control_churn(&self) -> (u64, u64) {
         (0, 0)
     }
-
-    /// Whether this logic may ever call [`SwitchCtx::util_to`]. When no
-    /// installed logic does (and no telemetry recorder is sampling link
-    /// utilization), the engine skips the per-transmission utilization
-    /// estimator fold entirely — the estimator is then write-only state
-    /// nobody reads, and skipping it changes no observable output.
-    ///
-    /// Contract: return `true` (the default) unless the logic is certain
-    /// never to read utilization; a `false` here with a `util_to` call
-    /// would read a stale estimate.
-    fn reads_link_util(&self) -> bool {
-        true
-    }
 }
 
 /// The environment a switch sees while handling one event.

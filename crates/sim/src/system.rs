@@ -8,9 +8,9 @@
 //! not writing a new binary.
 //!
 //! Installation happens through an [`InstallCtx`], which carries the
-//! topology, the cables still down when the run ends (informational: no
-//! shipped system reads them), and a shared [`CompileCache`] so
-//! that matrix sweeps compile each distinct policy text exactly once
+//! topology, the cables down at install time (`Scenario` passes none:
+//! its faults are events that fire later), and a shared [`CompileCache`]
+//! so that matrix sweeps compile each distinct policy text exactly once
 //! instead of once per run.
 
 use crate::engine::Simulator;
@@ -41,24 +41,15 @@ pub trait RoutingSystem: Send + Sync {
 
     /// Installs this system's switch logic on every switch of `sim`.
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError>;
-
-    /// The Contra policy source this system routes by, if it is
-    /// policy-driven. The experiment layer uses this to run the static
-    /// policy verifier alongside a simulation and attach its diagnostics
-    /// to the run's results; baselines (ECMP, Hula, …) keep the default
-    /// `None` and are never verified.
-    fn policy_text(&self) -> Option<&str> {
-        None
-    }
 }
 
 /// Everything a [`RoutingSystem`] may consult while installing itself.
 pub struct InstallCtx<'a> {
     /// The topology the simulator runs on.
     pub topology: &'a Topology,
-    /// Cables still down when the run ends (`Scenario` replays its fault
-    /// list to fill it): a cable that fails and recovers within the run is
-    /// absent. No shipped [`RoutingSystem`] reads it.
+    /// Cables down at install time. `Scenario` passes none: its faults
+    /// are events scheduled after installation. No shipped
+    /// [`RoutingSystem`] reads it.
     pub failed: &'a [(NodeId, NodeId)],
     /// Shared policy-compilation cache for the surrounding sweep.
     pub cache: &'a CompileCache,

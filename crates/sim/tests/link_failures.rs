@@ -254,20 +254,6 @@ fn fault_scheduling_validates_symmetrically() {
     // Existing cables pass in both orientations.
     assert_eq!(sim.try_fail_link_at(s0, s1, Time::us(1)), Ok(()));
     assert_eq!(sim.try_recover_link_at(s1, s0, Time::us(2)), Ok(()));
-
-    // Node validation: any id past the node table is rejected by both
-    // directions.
-    let bogus = contra_topology::NodeId(1_000);
-    assert_eq!(
-        sim.try_fail_node_at(bogus, Time::us(1)),
-        Err(FaultError::UnknownNode { node: bogus })
-    );
-    assert_eq!(
-        sim.try_recover_node_at(bogus, Time::us(1)),
-        Err(FaultError::UnknownNode { node: bogus })
-    );
-    assert_eq!(sim.try_fail_node_at(s1, Time::us(3)), Ok(()));
-    assert_eq!(sim.try_recover_node_at(s1, Time::us(4)), Ok(()));
 }
 
 /// `LinkDown` on an already-down link and `LinkUp` on an already-up link
@@ -326,46 +312,4 @@ fn doubled_fault_events_are_noops() {
     // The two redundant events are popped and discarded — the only
     // trace they leave is the event count itself.
     assert_eq!(doubled_events, single_events + 2);
-}
-
-/// A node failure downs every incident link atomically (flushing their
-/// queues), and the recovery brings them all back. Killing s1 mid-stream
-/// severs both the s0→s1 bottleneck and the s1→h1 edge.
-#[test]
-fn node_failure_downs_all_incident_links() {
-    let topo = bottleneck();
-    let h0 = topo.find("h0").unwrap();
-    let h1 = topo.find("h1").unwrap();
-    let s1 = topo.find("s1").unwrap();
-    let mut sim = Simulator::new(
-        topo,
-        SimConfig {
-            stop_at: Time::ms(1),
-            ..SimConfig::default()
-        },
-    );
-    install_static(&mut sim);
-    sim.add_flow(FlowSpec::Udp {
-        src: h0,
-        dst: h1,
-        rate_bps: 2e9,
-        start: Time::ZERO,
-        stop: Time::us(900),
-    });
-    sim.try_fail_node_at(s1, Time::us(100)).unwrap();
-    sim.try_recover_node_at(s1, Time::us(300)).unwrap();
-    let stats = sim.run();
-    // One epoch per transition that changed anything: the node down
-    // and the node up.
-    assert_eq!(stats.fault_epochs.len(), 2, "{:#?}", stats.fault_epochs);
-    assert!(stats.fault_epochs[0].is_down);
-    assert!(stats.fault_epochs[0].label.contains("node s1"));
-    assert!(
-        *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
-        "severing s1 mid-stream must flush packets"
-    );
-    assert!(
-        stats.delivered_packets > 0,
-        "traffic must resume after the node recovers"
-    );
 }
