@@ -2,23 +2,35 @@
 //! words must agree across the Brzozowski-derivative oracle, the Thompson
 //! NFA, the subset-construction DFA and the Hopcroft-minimized DFA.
 //!
-//! The regex/word generators are shared with the fuzz harness
-//! (`contra_fuzz::strategies`) so this suite and the standing
-//! `contra_fuzz` campaign draw from one grammar.
+//! The regexes here are symbolic ([`Regex`] over the alphabet `0..4`), one
+//! layer below the policy language's path regexes that the fuzz campaign
+//! generates.
 
 use contra_automata::{Dfa, Nfa, Regex};
-use contra_fuzz::strategies::{arb_sym_regex, arb_word as arb_word_over};
+use proptest::collection;
 use proptest::prelude::*;
 
 const ALPHABET: [u32; 4] = [0, 1, 2, 3];
 
 /// Random regex over the fixed 4-symbol alphabet, depth-bounded.
 fn arb_regex() -> BoxedStrategy<Regex> {
-    arb_sym_regex(4)
+    let leaf = prop_oneof![
+        Just(Regex::Epsilon),
+        Just(Regex::Any),
+        (0u32..4).prop_map(Regex::Sym),
+    ];
+    leaf.prop_recursive(4, 48, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Regex::concat(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Regex::alt(a, b)),
+            inner.prop_map(Regex::star),
+        ]
+    })
 }
 
-fn arb_word() -> BoxedStrategy<Vec<u32>> {
-    arb_word_over(4, 8)
+/// Random word over the alphabet, shorter than 8 symbols.
+fn arb_word() -> impl Strategy<Value = Vec<u32>> {
+    collection::vec(0u32..4, 0..8)
 }
 
 proptest! {

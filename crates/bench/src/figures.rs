@@ -297,8 +297,8 @@ fn fig10(scale: Scale, out: &mut Out) {
         out.row(format_args!("fig10c,Contra,{slots},{collisions}"));
         // The FCT side: a displaced live pin re-routes its flowlet
         // mid-burst.
-        let p50 = r.stats.fct_percentile_ms(50.0).unwrap_or(f64::NAN);
-        let p99 = r.stats.fct_percentile_ms(99.0).unwrap_or(f64::NAN);
+        let p50 = r.figures.p50_fct_ms.unwrap_or(f64::NAN);
+        let p99 = r.figures.p99_fct_ms.unwrap_or(f64::NAN);
         out.row(format_args!("fig10c-fct,Contra-p50,{slots},{p50:.3}"));
         out.row(format_args!("fig10c-fct,Contra-p99,{slots},{p99:.3}"));
         out.note(format_args!(

@@ -2,16 +2,21 @@
 //! round-trips, normalization totality and evaluation consistency on random
 //! policies.
 //!
-//! The expression generator is shared with the fuzz harness
-//! (`contra_fuzz::strategies::arb_expr`) so the property suite and the
-//! standing `contra_fuzz` campaign draw from one grammar.
+//! Expressions come from the fuzz campaign's generator
+//! (`contra_fuzz::gen::gen_expr`), seeded per case, so the property suite
+//! and the standing `contra_fuzz` campaign draw from one grammar.
 
 use contra_core::{normalize, parse_policy, Expr, MetricVec, Policy};
-use contra_fuzz::strategies::{arb_expr as arb_expr_over, names};
+use contra_fuzz::gen::gen_expr;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-fn arb_expr() -> BoxedStrategy<Expr> {
-    arb_expr_over(names("N", 4))
+/// A depth-3 rank expression over switch names `N0..N3` (plus the
+/// generator's unknown name `ghost`).
+fn seeded_expr() -> impl Strategy<Value = Expr> {
+    let names: Vec<String> = (0..4).map(|i| format!("N{i}")).collect();
+    (0..u64::MAX).prop_map(move |seed| gen_expr(&mut StdRng::seed_from_u64(seed), &names, 3))
 }
 
 proptest! {
@@ -21,7 +26,7 @@ proptest! {
     /// associativity the parser fixes for `+` and concatenation — the
     /// generator builds arbitrary trees, the parser canonical ones).
     #[test]
-    fn pretty_print_parse_round_trip(expr in arb_expr()) {
+    fn pretty_print_parse_round_trip(expr in seeded_expr()) {
         let policy = Policy { expr };
         let printed = policy.to_string();
         let reparsed = parse_policy(&printed)
@@ -38,7 +43,7 @@ proptest! {
     /// combination we can throw at them.
     #[test]
     fn normalization_is_total_and_exhaustive(
-        expr in arb_expr(),
+        expr in seeded_expr(),
         util in 0u32..20,
         lat in 0u32..20,
         len in 0u32..10,
@@ -67,7 +72,7 @@ proptest! {
     /// of any subpolicy.
     #[test]
     fn retention_ranks_never_improve_under_extension(
-        expr in arb_expr(),
+        expr in seeded_expr(),
         util in 0u32..=10,
         lat in 0u32..=10,
         len in 0u32..5,

@@ -11,23 +11,50 @@
 //! over random policies × random connected topologies exercises the
 //! regex-reversal, determinization and product construction end to end.
 //!
-//! Generators and oracle live in `contra_fuzz::{strategies, oracle}` —
+//! The oracle lives in `contra_fuzz::oracle`, and the policies' regexes
+//! come from the campaign's generator (`contra_fuzz::gen::gen_regex`) —
 //! the same grammar the standing `contra_fuzz` campaign draws from.
 
 use contra_core::{
     normalize, parse_policy, verify, Attr, BoolExpr, BranchRank, CompileError, Compiler, Expr,
     Policy,
 };
+use contra_fuzz::gen::gen_regex;
 use contra_fuzz::oracle::{forward_dfas, oracle_routable};
-use contra_fuzz::strategies::{arb_routing_policy, names};
 use contra_topology::{generators, NodeId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
 
-/// Policies over node names `r0..r3` — [`generators::random_connected`]
-/// names its switches `r{i}`, so with `n ≥ 4` every name resolves.
-fn arb_policy() -> BoxedStrategy<Policy> {
-    arb_routing_policy(names("r", 4))
+/// Guard-free routing policies with one or two regex conditions — the
+/// shapes whose black-hole structure is decided purely by path-set
+/// emptiness, which is exactly what a forward path search can re-derive.
+/// The regexes name `r0..r3` — [`generators::random_connected`] names its
+/// switches `r{i}`, so with `n ≥ 4` every name resolves except the
+/// generator's `ghost`, which fails the compile.
+fn arb_policy() -> impl Strategy<Value = Policy> {
+    let names: Vec<String> = (0..4).map(|i| format!("r{i}")).collect();
+    (0..u64::MAX, 0usize..3).prop_map(move |(seed, shape)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let r1 = BoolExpr::regex(gen_regex(&mut rng, &names, 3));
+        let r2 = BoolExpr::regex(gen_regex(&mut rng, &names, 3));
+        let expr = match shape {
+            0 => Expr::if_(r1, Expr::attr(Attr::Len), Expr::inf()),
+            1 => Expr::if_(
+                r1,
+                Expr::constant(0.0),
+                Expr::if_(r2, Expr::attr(Attr::Len), Expr::inf()),
+            ),
+            // No `inf` branch at all: every pair must be routable.
+            _ => Expr::if_(
+                BoolExpr::not(r1),
+                Expr::attr(Attr::Lat),
+                Expr::attr(Attr::Len),
+            ),
+        };
+        Policy { expr }
+    })
 }
 
 proptest! {

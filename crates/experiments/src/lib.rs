@@ -9,7 +9,7 @@
 //! parameters and derived figures of merit.
 //!
 //! ```
-//! use contra_experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario, Workload};
+//! use contra_experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario, SweepSpec, Workload};
 //! use contra_sim::Time;
 //!
 //! let scenario = Scenario::leaf_spine(2, 2, 2)
@@ -19,13 +19,13 @@
 //!     .drain(Time::ms(10))
 //!     .seed(7);
 //! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula];
-//! for r in scenario.matrix(&systems, &[0.3]) {
+//! for r in SweepSpec::new(scenario).systems(&systems).loads(&[0.3]).run() {
 //!     println!("{} @ {:.0}%: {:?} ms", r.system, r.scenario.load * 100.0,
 //!              r.figures.mean_fct_ms);
 //! }
 //! ```
 //!
-//! Sweeps share a [`CompileCache`], so a matrix over
+//! A sweep shares one [`CompileCache`], so a grid over
 //! `{Contra, ECMP, Hula} × loads` compiles each distinct policy text
 //! exactly once.
 //!
@@ -33,7 +33,7 @@
 //! names the axes (systems × loads × seeds × knobs), the worker pool is
 //! one thread per core unless [`SweepSpec::jobs`] says otherwise, and
 //! results come back in exact sweep order, byte-identical whatever the
-//! worker count. [`Scenario::matrix`] is a thin wrapper over it.
+//! worker count.
 
 pub mod fault;
 pub mod result;

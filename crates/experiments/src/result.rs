@@ -34,6 +34,8 @@ pub struct ScenarioInfo {
 pub struct Figures {
     /// Mean FCT in ms over completed flows that started after warm-up.
     pub mean_fct_ms: Option<f64>,
+    /// Median FCT in ms over the same flows.
+    pub p50_fct_ms: Option<f64>,
     /// 99th-percentile FCT in ms over the same flows.
     pub p99_fct_ms: Option<f64>,
     /// Fraction of flows that completed.
@@ -80,7 +82,6 @@ impl Figures {
         } else {
             Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
         };
-        let p99_fct_ms = contra_sim::percentile(&fcts, 99.0);
         let convergence_ms = stats
             .fault_epochs
             .iter()
@@ -91,7 +92,8 @@ impl Figures {
             });
         Figures {
             mean_fct_ms,
-            p99_fct_ms,
+            p50_fct_ms: contra_sim::percentile(&fcts, 50.0),
+            p99_fct_ms: contra_sim::percentile(&fcts, 99.0),
             completion_rate: stats.completion_rate(),
             total_wire_bytes: stats.total_wire_bytes(),
             overhead_bytes: *stats.wire_bytes.get(&TrafficKind::Probe).unwrap_or(&0),
@@ -188,12 +190,8 @@ pub struct SeedSummary {
     pub seeds: Vec<u64>,
     /// Mean-FCT band (ms); `None` when no seed completed a flow.
     pub mean_fct_ms: Option<Band>,
-    /// p99-FCT band (ms); `None` when no seed completed a flow.
-    pub p99_fct_ms: Option<Band>,
     /// Completion-rate band.
     pub completion_rate: Band,
-    /// Band of live register entries displaced (flowlet + loop tables).
-    pub register_collisions: Band,
     /// Worst time-to-reconvergence band (ms); `None` when no seed had a
     /// failure epoch.
     pub convergence_ms: Option<Band>,
@@ -240,13 +238,8 @@ pub fn aggregate_seeds(results: &[RunResult]) -> Vec<SeedSummary> {
                 load: f64::from_bits(key.4),
                 seeds: rs.iter().map(|r| r.scenario.seed).collect(),
                 mean_fct_ms: band_of(&|r| r.figures.mean_fct_ms),
-                p99_fct_ms: band_of(&|r| r.figures.p99_fct_ms),
                 completion_rate: Band::over(rs.iter().map(|r| r.figures.completion_rate))
                     .expect("group is non-empty"),
-                register_collisions: Band::over(
-                    rs.iter().map(|r| r.figures.register_collisions as f64),
-                )
-                .expect("group is non-empty"),
                 convergence_ms: band_of(&|r| r.figures.convergence_ms),
                 lost_in_convergence: Band::over(
                     rs.iter().map(|r| r.figures.lost_in_convergence as f64),
@@ -255,4 +248,34 @@ pub fn aggregate_seeds(results: &[RunResult]) -> Vec<SeedSummary> {
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contra_sim::FlowRecord;
+
+    /// The FCT aggregates read completed flows that started at or after
+    /// warm-up; completion counts every finite flow.
+    #[test]
+    fn fct_figures_skip_flows_before_warmup() {
+        let mut s = SimStats::new(Time::ms(1));
+        for (id, start, finish) in [(0, 0, Some(2)), (1, 1, Some(5)), (2, 1, None)] {
+            s.flows.push(FlowRecord {
+                id: FlowId(id),
+                size_bytes: 1000,
+                start: Time::ms(start),
+                finish: finish.map(Time::ms),
+                retransmits: 0,
+                unbounded: false,
+            });
+        }
+        let all = Figures::derive(&s, Time::ZERO);
+        assert_eq!(all.mean_fct_ms, Some(3.0));
+        assert_eq!((all.p50_fct_ms, all.p99_fct_ms), (Some(2.0), Some(4.0)));
+        assert!((all.completion_rate - 2.0 / 3.0).abs() < 1e-9);
+        let late = Figures::derive(&s, Time::ms(1));
+        assert_eq!(late.mean_fct_ms, Some(4.0));
+        assert_eq!((late.p50_fct_ms, late.p99_fct_ms), (Some(4.0), Some(4.0)));
+    }
 }

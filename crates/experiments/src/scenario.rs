@@ -4,11 +4,10 @@
 //! re-plumbed by hand — workload, load, sender/receiver selection,
 //! failures, measurement switches and timing. Running one against a
 //! [`RoutingSystem`] is a method call; sweeping the cartesian product of
-//! systems × loads is [`Scenario::matrix`].
+//! systems × loads is [`SweepSpec`](crate::SweepSpec).
 
 use crate::fault::{FaultCmd, FaultPlan};
 use crate::result::{Figures, RunResult, ScenarioInfo};
-use crate::sweep::SweepSpec;
 use contra_sim::{
     CompileCache, FaultError, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig,
     Simulator, Time,
@@ -19,12 +18,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Why a scenario did not run. The two fault-plan variants name the
-/// scenario by its label and display as the panics they replace.
+/// Why a scenario did not run. Every variant but `Install` names the
+/// scenario by its label and displays as the panic it replaces.
 #[derive(Debug)]
 pub enum ScenarioError {
     /// The routing system could not be installed.
     Install(InstallError),
+    /// The scenario cannot generate its traffic (a load, a timing, a pair
+    /// selection or a topology the traffic model does not accept).
+    Traffic {
+        /// The scenario's label.
+        scenario: String,
+        /// What does not fit.
+        reason: String,
+    },
     /// The fault plan names a node the topology does not have.
     UnknownNode {
         /// The scenario's label.
@@ -48,6 +55,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::Install(e) => e.fmt(f),
+            ScenarioError::Traffic { scenario, reason } => {
+                write!(f, "scenario {scenario}: {reason}")
+            }
             ScenarioError::UnknownNode { scenario, name } => {
                 write!(f, "scenario {scenario}: no node named {name:?}")
             }
@@ -65,7 +75,7 @@ impl std::error::Error for ScenarioError {
         match self {
             ScenarioError::Install(e) => Some(e),
             ScenarioError::Fault { error, .. } => Some(error),
-            ScenarioError::UnknownNode { .. } => None,
+            ScenarioError::Traffic { .. } | ScenarioError::UnknownNode { .. } => None,
         }
     }
 }
@@ -435,16 +445,20 @@ impl Scenario {
     /// seed selects (resolves [`Pairs::Random`]; mainly for tests and
     /// custom traffic construction).
     pub fn pick_pairs(&self, count: usize) -> Vec<(NodeId, NodeId)> {
+        self.random_pairs(count)
+            .unwrap_or_else(|reason| panic!("scenario {}: {reason}", self.label))
+    }
+
+    fn random_pairs(&self, count: usize) -> Result<Vec<(NodeId, NodeId)>, String> {
         let hosts = self.topology.hosts();
-        assert!(hosts.len() >= 2, "random pairs need at least two hosts");
         // Rejection sampling below terminates only when enough distinct
         // ordered pairs exist.
-        assert!(
-            count <= hosts.len() * (hosts.len() - 1),
-            "scenario {}: {count} random pairs requested but only {} hosts",
-            self.label,
-            hosts.len()
-        );
+        if count > hosts.len() * hosts.len().saturating_sub(1) {
+            return Err(format!(
+                "{count} random pairs requested but only {} hosts",
+                hosts.len()
+            ));
+        }
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(31) + 7);
         let mut pairs = Vec::new();
         while pairs.len() < count {
@@ -454,7 +468,7 @@ impl Scenario {
                 pairs.push((s, r));
             }
         }
-        pairs
+        Ok(pairs)
     }
 
     // ---- execution ------------------------------------------------------
@@ -466,7 +480,8 @@ impl Scenario {
         self.run_cached(system, &CompileCache::new())
     }
 
-    /// Runs the scenario, surfacing installation and fault-plan errors.
+    /// Runs the scenario, surfacing traffic, installation and fault-plan
+    /// errors; it does not panic on any scenario value.
     pub fn try_run(&self, system: &dyn RoutingSystem) -> Result<RunResult, ScenarioError> {
         self.try_run_cached(system, &CompileCache::new())
     }
@@ -488,6 +503,12 @@ impl Scenario {
         system: &dyn RoutingSystem,
         cache: &CompileCache,
     ) -> Result<RunResult, ScenarioError> {
+        let flows = self
+            .generated_flows()
+            .map_err(|reason| ScenarioError::Traffic {
+                scenario: self.label.clone(),
+                reason,
+            })?;
         // Chaos processes expand here, before the simulator exists: the
         // run consumes only the explicit list, so a replay (same
         // scenario value) is byte-identical and a failing plan can be
@@ -519,7 +540,7 @@ impl Scenario {
                 error,
             })?;
         }
-        for f in self.generated_flows() {
+        for f in flows {
             sim.add_flow(f);
         }
         for f in &self.extra_flows {
@@ -556,31 +577,6 @@ impl Scenario {
         })
     }
 
-    /// Sweeps the cartesian product loads × systems (loads outermost,
-    /// matching the figures' CSV ordering), sharing one compile cache so
-    /// each distinct policy compiles exactly once.
-    ///
-    /// A thin wrapper over the sweep engine
-    /// ([`SweepSpec`]): the cells run on one worker per core, with
-    /// results byte-identical whatever the worker count.
-    pub fn matrix(&self, systems: &[&dyn RoutingSystem], loads: &[f64]) -> Vec<RunResult> {
-        self.matrix_cached(systems, loads, &CompileCache::new())
-    }
-
-    /// [`Scenario::matrix`] with a caller-visible compile cache (so tests
-    /// can assert on [`CompileCache::compiles`]).
-    pub fn matrix_cached(
-        &self,
-        systems: &[&dyn RoutingSystem],
-        loads: &[f64],
-        cache: &CompileCache,
-    ) -> Vec<RunResult> {
-        SweepSpec::new(self.clone())
-            .systems(systems)
-            .loads(loads)
-            .run_cached(cache)
-    }
-
     fn find(&self, name: &str) -> Result<NodeId, ScenarioError> {
         self.topology.find(name).ok_or_else(|| self.unknown(name))
     }
@@ -598,49 +594,78 @@ impl Scenario {
         }
     }
 
-    /// The §6.3 aggregate uplink capacity, or the explicit override.
-    fn capacity(&self) -> f64 {
-        let bps = self
+    /// The generated traffic, or why this scenario cannot generate it.
+    fn generated_flows(&self) -> Result<Vec<FlowSpec>, String> {
+        let (workload, pairs) = match &self.traffic {
+            Traffic::Poisson { workload, pairs } => (workload, pairs),
+            Traffic::ConstantUdp { total_bps } => return self.udp_flows(*total_bps),
+            Traffic::None => return Ok(Vec::new()),
+        };
+        if !(self.load > 0.0 && self.load <= 1.5) {
+            return Err(format!("load {} out of range (0, 1.5]", self.load));
+        }
+        if self.duration <= self.warmup {
+            return Err(format!(
+                "duration {} is not past warm-up {}",
+                self.duration, self.warmup
+            ));
+        }
+        // The §6.3 aggregate uplink capacity, or the explicit override.
+        let capacity_bps = self
             .capacity_bps
             .unwrap_or_else(|| contra_workloads::uplink_capacity_bps(&self.topology));
-        assert!(
-            bps > 0.0,
-            "scenario {}: load reference capacity is 0 — the topology has no \
-             leaf→spine uplinks to derive it from; set .capacity_bps(...) explicitly",
-            self.label
-        );
-        bps
-    }
-
-    fn generated_flows(&self) -> Vec<FlowSpec> {
-        match &self.traffic {
-            Traffic::Poisson { workload, pairs } => {
-                let pair_policy = match pairs {
-                    Pairs::HalfSendersHalfReceivers => PairPolicy::HalfSendersHalfReceivers,
-                    Pairs::Random(n) => PairPolicy::FixedPairs(self.pick_pairs(*n)),
-                    Pairs::Fixed(list) => PairPolicy::FixedPairs(list.clone()),
-                };
-                poisson_flows(
-                    &self.topology,
-                    &workload.cdf(),
-                    &pair_policy,
-                    &WorkloadSpec {
-                        load: self.load,
-                        capacity_bps: self.capacity(),
-                        start: self.warmup,
-                        until: self.duration,
-                        seed: self.seed,
-                    },
-                )
-            }
-            Traffic::ConstantUdp { total_bps } => self.udp_flows(*total_bps),
-            Traffic::None => Vec::new(),
+        if !(capacity_bps > 0.0 && capacity_bps.is_finite()) {
+            return Err(match self.capacity_bps {
+                Some(bps) => {
+                    format!("load reference capacity {bps} bps is not a positive finite rate")
+                }
+                None => "load reference capacity is 0 — the topology has no leaf→spine \
+                         uplinks to derive it from; set .capacity_bps(...) explicitly"
+                    .into(),
+            });
         }
+        let pair_policy = match pairs {
+            Pairs::HalfSendersHalfReceivers => {
+                // Even hosts send, odd hosts receive, and arrivals redraw
+                // until the two sit on different switches: some pair does
+                // once the hosts span two switches. (No `hosts()` vector:
+                // this runs in every cell.)
+                let topo = &self.topology;
+                let mut host_switches = (0..topo.num_nodes() as u32)
+                    .map(NodeId)
+                    .filter(|&n| !topo.is_switch(n))
+                    .map(|h| topo.host_switch(h));
+                let first = host_switches.next();
+                if !host_switches.any(|sw| Some(sw) != first) {
+                    return Err("Poisson traffic needs a sender and a receiver on \
+                                different switches"
+                        .into());
+                }
+                PairPolicy::HalfSendersHalfReceivers
+            }
+            Pairs::Random(n) => PairPolicy::FixedPairs(self.random_pairs(*n)?),
+            Pairs::Fixed(list) => PairPolicy::FixedPairs(list.clone()),
+        };
+        if matches!(&pair_policy, PairPolicy::FixedPairs(p) if p.is_empty()) {
+            return Err("Poisson traffic needs at least one sender/receiver pair".into());
+        }
+        Ok(poisson_flows(
+            &self.topology,
+            &workload.cdf(),
+            &pair_policy,
+            &WorkloadSpec {
+                load: self.load,
+                capacity_bps,
+                start: self.warmup,
+                until: self.duration,
+                seed: self.seed,
+            },
+        ))
     }
 
     /// Constant-rate UDP sources summing to `total_bps` (Fig 14): each
     /// even-indexed host sends to an odd-indexed host on another leaf.
-    fn udp_flows(&self, total_bps: f64) -> Vec<FlowSpec> {
+    fn udp_flows(&self, total_bps: f64) -> Result<Vec<FlowSpec>, String> {
         let topo = &self.topology;
         let hosts = topo.hosts();
         let senders: Vec<NodeId> = hosts.iter().copied().step_by(2).collect();
@@ -648,7 +673,7 @@ impl Scenario {
         let mut pairs = Vec::new();
         for (i, &s) in senders.iter().enumerate() {
             // Bound the rotated scan to one full lap so a topology with no
-            // cross-switch receiver panics instead of spinning forever.
+            // cross-switch receiver fails instead of spinning forever.
             let r = receivers
                 .iter()
                 .copied()
@@ -656,18 +681,16 @@ impl Scenario {
                 .skip(i + 1)
                 .take(receivers.len())
                 .find(|&r| topo.host_switch(r) != topo.host_switch(s))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "scenario {}: UDP traffic needs a receiver on another \
-                         switch than {}",
-                        self.label,
+                .ok_or_else(|| {
+                    format!(
+                        "UDP traffic needs a receiver on another switch than {}",
                         topo.node(s).name
                     )
-                });
+                })?;
             pairs.push((s, r));
         }
         let per_flow = total_bps / pairs.len() as f64;
-        pairs
+        Ok(pairs
             .into_iter()
             .map(|(src, dst)| FlowSpec::Udp {
                 src,
@@ -676,7 +699,7 @@ impl Scenario {
                 start: Time::ZERO,
                 stop: self.duration,
             })
-            .collect()
+            .collect())
     }
 }
 

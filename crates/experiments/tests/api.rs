@@ -1,10 +1,10 @@
 //! The experiment API's own contract: builder round-trips, compile-cache
-//! sharing across matrix sweeps, determinism, and the smoke-scale
+//! sharing across sweeps, determinism, and the smoke-scale
 //! scenarios the old `DcExperiment`/`WanExperiment` tests covered.
 
 use contra_experiments::{
-    CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, ScenarioError, Sp,
-    Spain, Workload,
+    CompileCache, Contra, Ecmp, Hula, InstallError, Pairs, RoutingSystem, Scenario, ScenarioError,
+    Sp, Spain, SweepSpec, Workload,
 };
 use contra_sim::Time;
 
@@ -106,6 +106,92 @@ fn misfit_fault_plans_are_typed_errors() {
     assert_eq!((cmd.at, cable, cmd.up), (at, ("leaf0", "leaf1"), false));
 }
 
+/// Runs a scenario whose traffic cannot be generated: `try_run` returns
+/// a typed error naming the scenario before anything is installed, and
+/// `run` panics with the same text. Returns the reason.
+fn traffic_error(s: Scenario) -> String {
+    let err = s.try_run(&Ecmp).unwrap_err();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.run(&Ecmp)));
+    let panic = run.expect_err("run must panic where try_run fails");
+    assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+    match err {
+        ScenarioError::Traffic { scenario, reason } => {
+            assert_eq!(scenario, s.label());
+            reason
+        }
+        other => panic!("expected Traffic, got: {other}"),
+    }
+}
+
+#[test]
+fn poisson_duration_within_warmup_is_a_typed_error() {
+    assert_eq!(
+        traffic_error(Scenario::abilene().duration(Time::ms(1))),
+        "duration 1.000ms is not past warm-up 120.000ms"
+    );
+}
+
+#[test]
+fn load_out_of_range_is_a_typed_error() {
+    for load in [0.0, -0.5, 1.6, f64::NAN] {
+        let reason = traffic_error(small_dc().load(load));
+        assert_eq!(reason, format!("load {load} out of range (0, 1.5]"));
+    }
+}
+
+#[test]
+fn zero_reference_capacity_is_a_typed_error() {
+    // No hosts, so no leaf→spine uplink to measure the load against.
+    let reason = traffic_error(Scenario::leaf_spine(2, 2, 0));
+    assert!(
+        reason.starts_with("load reference capacity is 0 — "),
+        "{reason}"
+    );
+    assert_eq!(
+        traffic_error(small_dc().capacity_bps(f64::INFINITY)),
+        "load reference capacity inf bps is not a positive finite rate"
+    );
+}
+
+#[test]
+fn more_random_pairs_than_host_pairs_is_a_typed_error() {
+    // Abilene has 11 hosts: 110 ordered pairs.
+    let s = Scenario::abilene().pairs(Pairs::Random(111));
+    assert_eq!(
+        traffic_error(s),
+        "111 random pairs requested but only 11 hosts"
+    );
+}
+
+#[test]
+fn udp_without_a_cross_switch_receiver_is_a_typed_error() {
+    let s = Scenario::leaf_spine(1, 1, 2).udp(1e9);
+    assert_eq!(
+        traffic_error(s),
+        "UDP traffic needs a receiver on another switch than h0_0"
+    );
+}
+
+#[test]
+fn poisson_without_pairs_is_a_typed_error() {
+    for pairs in [Pairs::Random(0), Pairs::Fixed(Vec::new())] {
+        assert_eq!(
+            traffic_error(Scenario::abilene().pairs(pairs)),
+            "Poisson traffic needs at least one sender/receiver pair"
+        );
+    }
+}
+
+/// Poisson arrivals redraw until sender and receiver sit on different
+/// switches, so with one hosted switch they used to spin forever.
+#[test]
+fn poisson_without_a_cross_switch_pair_is_a_typed_error() {
+    assert_eq!(
+        traffic_error(Scenario::leaf_spine(1, 1, 2)),
+        "Poisson traffic needs a sender and a receiver on different switches"
+    );
+}
+
 /// A leaf-spine scenario small enough for debug-build test runs.
 fn small_dc() -> Scenario {
     Scenario::leaf_spine(2, 2, 2)
@@ -138,11 +224,14 @@ fn scenario_round_trips_into_run_result() {
 /// The acceptance sweep: {Contra-MU, ECMP, Hula} × 3 loads compiles the
 /// policy exactly once.
 #[test]
-fn matrix_sweep_compiles_each_policy_once() {
+fn sweep_compiles_each_policy_once() {
     let cache = CompileCache::new();
     let contra = Contra::mu();
     let systems: [&dyn RoutingSystem; 3] = [&contra, &Ecmp, &Hula];
-    let results = small_dc().matrix_cached(&systems, &[0.2, 0.4, 0.6], &cache);
+    let results = SweepSpec::new(small_dc())
+        .systems(&systems)
+        .loads(&[0.2, 0.4, 0.6])
+        .run_cached(&cache);
     assert_eq!(results.len(), 9);
     assert_eq!(
         cache.compiles(),
@@ -177,7 +266,10 @@ fn distinct_policies_compile_separately_but_once() {
     let mu = Contra::mu().labeled("Contra-MU");
     let dc = Contra::dc().labeled("Contra-DC");
     let systems: [&dyn RoutingSystem; 2] = [&mu, &dc];
-    small_dc().matrix_cached(&systems, &[0.2, 0.5], &cache);
+    SweepSpec::new(small_dc())
+        .systems(&systems)
+        .loads(&[0.2, 0.5])
+        .run_cached(&cache);
     assert_eq!(cache.compiles(), 2, "two distinct policy texts");
     assert_eq!(cache.len(), 2);
 }
@@ -339,7 +431,7 @@ fn series_labels_are_stable_in_results() {
 /// and single-sample bands degenerate to the sample.
 #[test]
 fn aggregate_seeds_bands_bracket_means() {
-    use contra_experiments::{aggregate_seeds, Band, SweepSpec};
+    use contra_experiments::{aggregate_seeds, Band};
     let systems: [&dyn RoutingSystem; 2] = [&Ecmp, &Contra::dc()];
     let results = SweepSpec::new(small_dc())
         .systems(&systems)

@@ -30,22 +30,31 @@
 use contra_baselines::{Ecmp, Hula, Sp};
 use contra_dataplane::Contra;
 use contra_experiments::{RunResult, Scenario};
-use contra_sim::{RoutingSystem, Time};
+use contra_sim::{percentile, RoutingSystem, Time};
 
 /// Renders every behavioral output the issue calls out — FCT percentiles,
 /// drops by reason, wire bytes by kind — plus the loop/delivery counters,
 /// with floats as exact bit patterns so "close" never passes for "equal".
+/// The FCT fields cover every completed flow, the mean summed in flow
+/// order: raw engine output, not [`contra_experiments::Figures`].
 fn fingerprint(r: &RunResult) -> String {
     let s = &r.stats;
     let bits = |o: Option<f64>| match o {
         Some(v) => format!("{:016x}", v.to_bits()),
         None => "none".to_string(),
     };
+    let mut fcts: Vec<f64> = s
+        .flows
+        .iter()
+        .filter_map(|f| f.fct().map(|t| t.as_millis_f64()))
+        .collect();
+    let mean = (!fcts.is_empty()).then(|| fcts.iter().sum::<f64>() / fcts.len() as f64);
+    fcts.sort_by(f64::total_cmp);
     let mut out = format!(
         "mean={} p50={} p99={} done={:016x}",
-        bits(s.mean_fct_ms()),
-        bits(s.fct_percentile_ms(50.0)),
-        bits(s.fct_percentile_ms(99.0)),
+        bits(mean),
+        bits(percentile(&fcts, 50.0)),
+        bits(percentile(&fcts, 99.0)),
         s.completion_rate().to_bits(),
     );
     for (k, v) in &s.drops {

@@ -11,25 +11,34 @@ use contra_experiments::{
     run_cells, CompileCache, Contra, Ecmp, Hula, Jobs, RoutingSystem, RunResult, Scenario, Sp,
     SweepSpec, Workload,
 };
-use contra_sim::Time;
+use contra_sim::{percentile, Time};
 
 /// Bit-exact behavioral fingerprint of one cell (floats as bit patterns,
-/// every counter the stats track).
+/// every counter the stats track). The FCT fields cover every completed
+/// flow, the mean summed in flow order: raw engine output, not
+/// [`contra_experiments::Figures`].
 fn fingerprint(r: &RunResult) -> String {
     let s = &r.stats;
     let bits = |o: Option<f64>| match o {
         Some(v) => format!("{:016x}", v.to_bits()),
         None => "none".to_string(),
     };
+    let mut fcts: Vec<f64> = s
+        .flows
+        .iter()
+        .filter_map(|f| f.fct().map(|t| t.as_millis_f64()))
+        .collect();
+    let mean = (!fcts.is_empty()).then(|| fcts.iter().sum::<f64>() / fcts.len() as f64);
+    fcts.sort_by(f64::total_cmp);
     let mut out = format!(
         "sys={} scen={} load={} seed={} mean={} p50={} p99={} done={:016x} events={}",
         r.system,
         r.scenario.scenario,
         r.scenario.load,
         r.scenario.seed,
-        bits(s.mean_fct_ms()),
-        bits(s.fct_percentile_ms(50.0)),
-        bits(s.fct_percentile_ms(99.0)),
+        bits(mean),
+        bits(percentile(&fcts, 50.0)),
+        bits(percentile(&fcts, 99.0)),
         s.completion_rate().to_bits(),
         s.events_processed,
     );
@@ -203,11 +212,10 @@ fn axis_expansion_preserves_sweep_order() {
     assert_eq!(got[7], (0.4, "SP".into()));
 }
 
-/// `Scenario::matrix` is a wrapper over the engine: on the default
-/// worker pool it still produces the loads-outermost ordering of a
-/// one-worker sweep over the same axes.
+/// On the default worker pool a systems × loads sweep still produces
+/// the loads-outermost ordering of a one-worker sweep over the same axes.
 #[test]
-fn matrix_parallel_matches_matrix_serial() {
+fn default_pool_sweep_matches_one_worker() {
     let contra = Contra::mu();
     let systems: [&dyn RoutingSystem; 2] = [&contra, &Ecmp];
     let scenario = Scenario::leaf_spine(2, 2, 2)
@@ -215,15 +223,16 @@ fn matrix_parallel_matches_matrix_serial() {
         .duration(Time::ms(5))
         .warmup(Time::ms(1))
         .drain(Time::ms(8));
-    let spec = SweepSpec::new(scenario.clone())
+    let spec = SweepSpec::new(scenario)
         .systems(&systems)
         .loads(&[0.2, 0.5]);
     let serial: Vec<String> = run_cells(spec.cells(), Jobs::N(1), &CompileCache::new())
         .iter()
         .map(fingerprint)
         .collect();
-    let parallel: Vec<String> = scenario
-        .matrix(&systems, &[0.2, 0.5])
+    let parallel: Vec<String> = spec
+        .jobs(Jobs::Auto)
+        .run()
         .iter()
         .map(fingerprint)
         .collect();

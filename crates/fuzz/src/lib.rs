@@ -14,17 +14,14 @@
 //! with unstable order anywhere in the report path — `contra_fuzz --seed
 //! S --cases N` twice produces byte-identical `FUZZ_REPORT.txt`.
 //!
-//! The [`strategies`] module additionally hosts the proptest strategies
-//! shared with the property suites in `contra-core` and
-//! `contra-automata`, so the fuzzer and the property tests draw from one
-//! grammar.
+//! The property suites in `contra-core` seed [`gen`]'s policy generators
+//! per case, so the fuzzer and the property tests draw from one grammar.
 
 pub mod corpus;
 pub mod driver;
 pub mod gen;
 pub mod oracle;
 pub mod shrink;
-pub mod strategies;
 
 pub use corpus::{format_case, parse_case};
 pub use driver::{case_seed, replay_dir, run_fuzz, FuzzConfig, FuzzOutcome};

@@ -288,33 +288,6 @@ impl SimStats {
         }
     }
 
-    /// Mean FCT over completed flows, in milliseconds (`None` if no flow
-    /// completed).
-    pub fn mean_fct_ms(&self) -> Option<f64> {
-        let fcts: Vec<f64> = self
-            .flows
-            .iter()
-            .filter_map(|f| f.fct().map(|t| t.as_millis_f64()))
-            .collect();
-        if fcts.is_empty() {
-            None
-        } else {
-            Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
-        }
-    }
-
-    /// The p-th percentile FCT (0 ≤ p ≤ 100) over completed flows, ms
-    /// (ceil-based nearest rank — see [`percentile`]).
-    pub fn fct_percentile_ms(&self, p: f64) -> Option<f64> {
-        let mut fcts: Vec<f64> = self
-            .flows
-            .iter()
-            .filter_map(|f| f.fct().map(|t| t.as_millis_f64()))
-            .collect();
-        fcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        percentile(&fcts, p)
-    }
-
     /// Fraction of offered *finite* flows that completed (unbounded UDP
     /// streams are excluded).
     pub fn completion_rate(&self) -> f64 {
@@ -480,7 +453,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fct_stats() {
+    fn completion_rate_counts_finished_flows() {
         let mut s = SimStats::new(Time::ms(1));
         s.flows.push(FlowRecord {
             id: FlowId(0),
@@ -506,9 +479,7 @@ mod tests {
             retransmits: 0,
             unbounded: false,
         });
-        assert_eq!(s.mean_fct_ms(), Some(3.0));
         assert!((s.completion_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(s.fct_percentile_ms(100.0), Some(4.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   begin/end span, counter), exported as Perfetto-loadable Chrome
 //!   trace JSON or line-delimited JSON ([`TelemetryReport`]).
 //! * [`MetricsRegistry`] — counters, capped time series and log₂-bucket
-//!   histograms with stable (insertion-order) export as CSV/JSON.
+//!   histograms with stable (insertion-order) export as CSV.
 //! * [`Profiler`] / [`PipelineProfile`] — scoped wall-clock spans over a
 //!   staged pipeline (the policy compiler), with an explicit residual
 //!   `other` stage so the stages always sum to the measured total.

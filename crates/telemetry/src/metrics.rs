@@ -212,73 +212,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders everything as one JSON document.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let esc = crate::chrome::json_escape;
-        let mut out = String::from("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"metric\":\"{}\",\"key\":\"{}\",\"value\":{}}}",
-                esc(c.name),
-                esc(&c.key),
-                c.value
-            );
-        }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"metric\":\"{}\",\"key\":\"{}\",\"capped\":{},\"points\":[",
-                esc(s.name),
-                esc(&s.key),
-                s.capped
-            );
-            for (j, (ts, v)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{ts},{v:.6}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"metric\":\"{}\",\"key\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[",
-                esc(h.name),
-                esc(&h.key),
-                h.count,
-                h.sum
-            );
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Quotes a CSV field when it contains a delimiter.
@@ -293,7 +226,6 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json;
 
     #[test]
     fn series_roundtrip_and_cap() {
@@ -332,14 +264,5 @@ mod tests {
         assert!(csv.contains("hist,qdepth,a→b,3,1"));
         assert!(csv.contains("hist,qdepth,a→b,2047,1"));
         assert!(csv.contains("hist_count,qdepth,a→b,,5"));
-    }
-
-    #[test]
-    fn json_export_validates() {
-        let mut m = MetricsRegistry::new();
-        m.inc("drops", "QueueFull", 1);
-        m.push("link_util", "a→b", 1000, 0.25);
-        m.observe("queue_depth_bytes", "fabric", 7);
-        validate_json(&m.to_json()).expect("valid metrics JSON");
     }
 }

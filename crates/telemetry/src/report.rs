@@ -39,11 +39,6 @@ impl TelemetryReport {
         self.metrics.to_csv()
     }
 
-    /// The metrics as JSON.
-    pub fn metrics_json(&self) -> String {
-        self.metrics.to_json()
-    }
-
     /// Event counts grouped by name, in name order — the trace's table
     /// of contents for human-readable reports.
     pub fn event_counts(&self) -> BTreeMap<&'static str, u64> {

@@ -1,12 +1,12 @@
 //! Datacenter load balancing: the paper's §6.3 comparison — Contra
 //! (least-utilized shortest paths) vs ECMP vs Hula on a leaf-spine fabric
-//! with a production-like workload — as one matrix sweep.
+//! with a production-like workload — as one sweep.
 //!
 //! ```sh
 //! cargo run --release --example datacenter_loadbalance
 //! ```
 
-use contra::experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario};
+use contra::experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario, SweepSpec};
 use contra::sim::Time;
 
 fn main() {
@@ -19,7 +19,8 @@ fn main() {
     let systems: [&dyn RoutingSystem; 3] = [&Ecmp, &contra, &Hula];
 
     println!("load  system  fct_ms  completion   (web-search workload, 32 hosts, 4:1 oversub)");
-    for r in scenario.matrix(&systems, &[0.3, 0.6, 0.8]) {
+    let sweep = SweepSpec::new(scenario).systems(&systems);
+    for r in sweep.loads(&[0.3, 0.6, 0.8]).run() {
         println!(
             "{:>4.0}%  {:<6}  {:>6.3}  {:>10.3}",
             r.scenario.load * 100.0,

@@ -7,7 +7,7 @@
 //! ```
 
 use contra::core::{parse_policy, Compiler};
-use contra::experiments::{Contra, Ecmp, Scenario, Traffic, Workload};
+use contra::experiments::{Contra, Ecmp, RoutingSystem, Scenario, SweepSpec, Traffic, Workload};
 use contra::p4gen;
 use contra::sim::Time;
 use contra::topology::{generators, Topology};
@@ -75,12 +75,17 @@ fn main() {
         })
         // Not a leaf-spine fabric, so give the load an explicit reference
         // capacity: one 10 Gbps link's worth. (The load itself comes from
-        // the matrix sweep below.)
+        // the sweep below.)
         .capacity_bps(10e9)
         .duration(Time::ms(10))
         .warmup(Time::ms(1))
         .drain(Time::ms(15));
-    for r in scenario.matrix(&[&Contra::new(policy_src), &Ecmp], &[0.4]) {
+    let systems: [&dyn RoutingSystem; 2] = [&Contra::new(policy_src), &Ecmp];
+    for r in SweepSpec::new(scenario)
+        .systems(&systems)
+        .loads(&[0.4])
+        .run()
+    {
         println!(
             "live {}: mean FCT {:?} ms, completion {:.3}",
             r.system, r.figures.mean_fct_ms, r.figures.completion_rate

@@ -15,8 +15,8 @@
 //! * [`baselines`] — ECMP, shortest-path, Hula and SPAIN comparators, each
 //!   a `RoutingSystem` value,
 //! * [`experiments`] — the experiment API: [`experiments::Scenario`]
-//!   builders, [`experiments::RunResult`] figures of merit and matrix
-//!   sweeps with shared policy compilation,
+//!   builders, [`experiments::RunResult`] figures of merit and parallel
+//!   [`experiments::SweepSpec`] sweeps with shared policy compilation,
 //! * [`workloads`] — flow-size distributions and arrival processes,
 //! * [`p4gen`] — the P4₁₆ backend.
 //!
@@ -24,10 +24,10 @@
 //!
 //! A scenario describes the topology, workload and measurement; a
 //! [`sim::RoutingSystem`] describes who routes. Sweeping systems × loads
-//! is one call:
+//! is one [`experiments::SweepSpec`]:
 //!
 //! ```
-//! use contra::experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario, Workload};
+//! use contra::experiments::{Contra, Ecmp, Hula, RoutingSystem, Scenario, SweepSpec, Workload};
 //! use contra::sim::Time;
 //!
 //! let scenario = Scenario::leaf_spine(2, 2, 2)   // leaves, spines, hosts/leaf
@@ -36,7 +36,7 @@
 //!     .warmup(Time::ms(1))
 //!     .drain(Time::ms(10));
 //! let systems: [&dyn RoutingSystem; 3] = [&Contra::dc(), &Ecmp, &Hula];
-//! for r in scenario.matrix(&systems, &[0.3]) {
+//! for r in SweepSpec::new(scenario).systems(&systems).loads(&[0.3]).run() {
 //!     println!("{} @ {:.0}%: {:?} ms (completion {:.2})",
 //!              r.system, r.scenario.load * 100.0,
 //!              r.figures.mean_fct_ms, r.figures.completion_rate);

@@ -38,8 +38,8 @@ fn contra_beats_ecmp_on_symmetric_fabric() {
     let ecmp = scenario.run(&Ecmp);
     let contra = scenario.run(&dc_contra());
     let (fe, fc) = (
-        ecmp.stats.mean_fct_ms().unwrap(),
-        contra.stats.mean_fct_ms().unwrap(),
+        ecmp.figures.mean_fct_ms.unwrap(),
+        contra.figures.mean_fct_ms.unwrap(),
     );
     assert!(
         fc < fe,
@@ -88,8 +88,8 @@ fn contra_beats_sp_on_abilene() {
     let sp = scenario.run(&Sp);
     let contra = scenario.run(&Contra::mu());
     let (fs, fc) = (
-        sp.stats.mean_fct_ms().unwrap(),
-        contra.stats.mean_fct_ms().unwrap(),
+        sp.figures.mean_fct_ms.unwrap(),
+        contra.figures.mean_fct_ms.unwrap(),
     );
     assert!(
         fc < fs,
