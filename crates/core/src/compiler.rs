@@ -3,9 +3,12 @@
 //! Pipeline (§4): parse → normalize into guarded branches → analyze
 //! (monotonicity check, isotonic decomposition into `pid`s) → resolve
 //! switch names → reverse each regex, determinize, minimize → build the
-//! product graph → emit one [`SwitchProgram`] per switch containing the
-//! static tables the runtime protocol interprets (`NEXTPGNODE`, multicast
-//! fan-out, probe-sending state).
+//! product graph → emit one [`SwitchProgram`] per switch: its tags and
+//! probe-sending state, plus the static tables the runtime protocol
+//! interprets, which are slices of flat arrays shared by every switch —
+//! `NEXTPGNODE` ([`CompiledPolicy::next_pg_node`], the product-graph edges
+//! bucketed by receiving switch) and the multicast fan-out (the product
+//! graph's own successor rows, [`ProductGraph::succs`]).
 //!
 //! The compiler also computes the **probe period floor** (§5.2: period ≥
 //! 0.5 × max RTT) and lowers the policy's rank functions into the
@@ -105,7 +108,11 @@ pub const FLOWLET_ENTRIES: usize = 1024;
 pub const LOOP_ENTRIES: usize = 512;
 
 /// The static program for one switch: everything the runtime protocol needs
-/// besides the (runtime-populated) FwdT/BestT/flowlet tables.
+/// besides the (runtime-populated) FwdT/BestT/flowlet tables. Its two
+/// tables are slices of the compiled policy's arrays: `NEXTPGNODE` is
+/// [`CompiledPolicy::next_pg_node`], and the probe fan-out of tag `v` is
+/// [`ProductGraph::succs`]`(v)`, each neighbour's switch being its
+/// virtual node's.
 #[derive(Debug, Clone)]
 pub struct SwitchProgram {
     /// The switch this program runs on.
@@ -113,10 +120,6 @@ pub struct SwitchProgram {
     /// This switch's virtual nodes, in tag order (tag i = `tags[i]`). Their
     /// ids are consecutive: `tags[i]` is `VNodeId(tags[0].0 + i)`.
     pub tags: Vec<VNodeId>,
-    /// `NEXTPGNODE`: incoming probe tag → this switch's virtual node.
-    pub next_pg_node: BTreeMap<VNodeId, VNodeId>,
-    /// Probe fan-out: local virtual node → (neighbor switch, its vnode).
-    pub multicast: BTreeMap<VNodeId, Vec<(NodeId, VNodeId)>>,
     /// The probe-sending virtual node when this switch originates probes
     /// (it is a destination allowed by the policy).
     pub sending_vnode: Option<VNodeId>,
@@ -145,6 +148,10 @@ pub struct CompiledPolicy {
     pub destinations: Vec<NodeId>,
     /// Per-switch programs.
     pub programs: BTreeMap<NodeId, SwitchProgram>,
+    /// Every switch's `NEXTPGNODE` rows, one run per topology node:
+    /// node `s`'s are `next_pg[next_pg_first[s]..next_pg_first[s + 1]]`.
+    next_pg_first: Vec<u32>,
+    next_pg: Vec<(VNodeId, VNodeId)>,
     /// The rank functions every switch evaluates, lowered once.
     pub ranks: RankProgram,
     /// Analysis warnings (non-isotonic retention, …).
@@ -172,8 +179,7 @@ impl CompiledPolicy {
     /// vector and a metric vector. The reference semantics of
     /// [`RankProgram::full_key`].
     pub fn full_rank(&self, vnode: VNodeId, mv: &MetricVec) -> Rank {
-        let acc = &self.pg.vnode(vnode).acc;
-        self.normal.rank(acc, mv)
+        self.normal.rank(self.pg.acc(vnode), mv)
     }
 
     /// Ground-truth oracle: the rank the policy assigns to a concrete
@@ -202,6 +208,18 @@ impl CompiledPolicy {
     pub fn total_tags(&self) -> usize {
         self.pg.len()
     }
+
+    /// `NEXTPGNODE` of `switch`: `(incoming probe tag, this switch's
+    /// virtual node)` for every product-graph edge into the switch,
+    /// ascending by incoming tag (a tag has one successor per neighbour,
+    /// so none repeats). Empty for a node without a program.
+    pub fn next_pg_node(&self, switch: NodeId) -> &[(VNodeId, VNodeId)] {
+        let s = switch.0 as usize;
+        match self.next_pg_first.get(s..s + 2) {
+            Some(&[first, end]) => &self.next_pg[first as usize..end as usize],
+            _ => &[],
+        }
+    }
 }
 
 /// The switches that source and sink traffic — the probe-originating
@@ -218,39 +236,27 @@ pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
     }
 }
 
-/// One program per switch. Each table is built in one pass from a run
-/// that is already in key order: `multicast` from the switch's virtual
-/// nodes in tag order (fan-out at the probe's current switch),
-/// `next_pg_node` from the product-graph edges into the switch.
+/// One program per switch.
 fn switch_programs(topo: &Topology, pg: &ProductGraph) -> BTreeMap<NodeId, SwitchProgram> {
-    // Edges `(from, to)` bucketed by the switch of `to`. The sweep is in
-    // `from` order, so every bucket comes out sorted by its `NEXTPGNODE`
-    // key — and a key is not repeated, a probe having one successor per
-    // neighbour.
-    let edges = pg.out.iter().zip(0..).flat_map(|(succs, v)| {
-        let into = move |&w: &VNodeId| (pg.vnode(w).switch.0 as usize, (VNodeId(v), w));
-        succs.iter().map(into)
-    });
-    let no_edge = (VNodeId(0), VNodeId(0));
-    let (first, incoming) = bucketed(topo.num_nodes(), edges, no_edge);
-
-    let program = |sw: NodeId| {
-        let tags = pg.by_switch.get(&sw).cloned().unwrap_or_default();
-        let fanout = |&v: &VNodeId| {
-            let to = |&w: &VNodeId| (pg.vnode(w).switch, w);
-            (!pg.succs(v).is_empty()).then(|| (v, pg.succs(v).iter().map(to).collect()))
-        };
-        let into = first[sw.0 as usize] as usize..first[sw.0 as usize + 1] as usize;
-        SwitchProgram {
-            switch: sw,
-            next_pg_node: incoming[into].iter().copied().collect(),
-            multicast: tags.iter().filter_map(fanout).collect(),
-            tags,
-            sending_vnode: pg.sending.get(&sw).copied(),
-        }
+    let program = |sw: NodeId| SwitchProgram {
+        switch: sw,
+        tags: pg.vnodes_at(sw).collect(),
+        sending_vnode: pg.sending.get(&sw).copied(),
     };
     let switches = topo.switches().into_iter();
     switches.map(|sw| (sw, program(sw))).collect()
+}
+
+/// Every switch's `NEXTPGNODE` rows as one run, which
+/// [`CompiledPolicy::next_pg_node`] slices: the product-graph edges
+/// `(from, to)` bucketed by the switch of `to`. The sweep is in `from`
+/// order, so every bucket comes out sorted by its key.
+fn next_pg_rows(topo: &Topology, pg: &ProductGraph) -> (Vec<u32>, Vec<(VNodeId, VNodeId)>) {
+    let edges = (0..pg.len() as u32).map(VNodeId).flat_map(|v| {
+        let into = move |&w: &VNodeId| (pg.vnode(w).switch.0 as usize, (v, w));
+        pg.succs(v).iter().map(into)
+    });
+    bucketed(topo.num_nodes(), edges, (VNodeId(0), VNodeId(0)))
 }
 
 /// The Contra compiler, bound to one topology.
@@ -300,9 +306,10 @@ impl<'t> Compiler<'t> {
             return Err(CompileError::NoUsefulPaths);
         }
 
-        let (programs, ranks) = prof.span("tablegen", || {
+        let (programs, (next_pg_first, next_pg), ranks) = prof.span("tablegen", || {
             let ranks = RankProgram::lower(&normal, &analysis, &pg);
-            (switch_programs(self.topo, &pg), ranks)
+            let programs = switch_programs(self.topo, &pg);
+            (programs, next_pg_rows(self.topo, &pg), ranks)
         });
 
         let warnings = analysis.warnings.clone();
@@ -317,6 +324,8 @@ impl<'t> Compiler<'t> {
             pg,
             destinations,
             programs,
+            next_pg_first,
+            next_pg,
             ranks,
             warnings,
             min_probe_period_ns,
@@ -383,23 +392,6 @@ mod tests {
         // min probe period = half of max RTT (diamond+: max RTT = 2 hops
         // each way = 4 µs; here longest shortest path is 2 hops → 4 µs RTT).
         assert_eq!(cp.min_probe_period_ns, 2_000);
-    }
-
-    #[test]
-    fn multicast_and_next_pg_node_are_duals() {
-        let topo = fig6_topo();
-        let cp = Compiler::new(&topo)
-            .compile_str("minimize(if A B D then 0 else if B .* D then path.util else inf)")
-            .unwrap();
-        for (x, prog) in &cp.programs {
-            for (v, fanout) in &prog.multicast {
-                assert_eq!(cp.pg.vnode(*v).switch, *x);
-                for (y, w) in fanout {
-                    let target = &cp.programs[y];
-                    assert_eq!(target.next_pg_node.get(v), Some(w));
-                }
-            }
-        }
     }
 
     #[test]

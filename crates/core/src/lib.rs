@@ -13,11 +13,17 @@
 //!    (decomposes non-isotonic policies into per-`pid` subpolicies that
 //!    probes propagate separately, §3/App. A).
 //! 4. **Product graph** ([`pg`], §4.1): reversed policy automata × topology;
-//!    its virtual nodes are the `tag`s probes and packets carry.
+//!    its virtual nodes are the `tag`s probes and packets carry. It is
+//!    flat arrays: each switch's virtual nodes one run of ids, their
+//!    automaton states and acceptance bits one array each, and their
+//!    successors one compressed sparse row.
 //! 5. **Compiler** ([`compiler`], §4): emits one [`SwitchProgram`] per
-//!    switch — the static tables (`NEXTPGNODE`, probe multicast fan-out,
-//!    probe-sending states) that configure the runtime protocol implemented
-//!    in `contra-dataplane`, and that `contra-p4gen` renders as P4₁₆.
+//!    switch — its tags and probe-sending state — and the static tables
+//!    that configure the runtime protocol implemented in
+//!    `contra-dataplane`, and that `contra-p4gen` renders as P4₁₆, as
+//!    slices every reader takes: `NEXTPGNODE` of one run for all switches
+//!    ([`CompiledPolicy::next_pg_node`]) and the probe multicast fan-out
+//!    of the product graph's successor rows ([`ProductGraph::succs`]).
 //! 6. **Lowering** ([`lower`]): the policy's retention and full rank
 //!    functions as one [`RankProgram`] that evaluates metric vectors into
 //!    integer [`RankKey`]s, ordered as the reference [`Rank`]s — what the

@@ -211,17 +211,18 @@ impl RankProgram {
         // classes so far: a policy has few.
         let mut classes: Vec<(&[bool], (u32, u32))> = Vec::new();
         let mut class_branches = Vec::new();
-        let class_of = (pg.vnodes.iter())
+        let class_of = (0..pg.len() as u32)
             .map(|v| {
+                let acc = pg.acc(VNodeId(v));
                 // `iter().eq`, not `==`: with no regex every vector is an
                 // empty slice, which `==` compares by a slow `bcmp` call.
-                let known = classes.iter().find(|(acc, _)| acc.iter().eq(&v.acc));
+                let known = classes.iter().find(|(known, _)| known.iter().eq(acc));
                 known.map(|&(_, run)| run).unwrap_or_else(|| {
                     let start = class_branches.len() as u32;
-                    let applies = (normal.branches.iter()).map(|b| b.reqs_match(&v.acc));
+                    let applies = (normal.branches.iter()).map(|b| b.reqs_match(acc));
                     class_branches.extend((0..).zip(applies).filter_map(|(i, a)| a.then_some(i)));
                     let run = (start, class_branches.len() as u32);
-                    classes.push((&v.acc, run));
+                    classes.push((acc, run));
                     run
                 })
             })

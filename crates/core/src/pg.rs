@@ -15,6 +15,14 @@
 //! then removes virtual nodes that can never contribute a finite-rank path
 //! to any source (the paper's tag-minimization optimization); what survives
 //! is exactly the state the switches must track.
+//!
+//! The graph is handed on as the flat arrays it is built in, which every
+//! reader slices — the compiler's tables, the P4 emitter, the state model,
+//! the simulated switch and the verifier: a [`VNode`] holds no heap data,
+//! the states and acceptance bits of all virtual nodes are one array
+//! each, the successors are one compressed sparse row and the virtual
+//! nodes of a switch are one run of ids. Apart from the `sending` map, a
+//! graph of any size is a fixed number of allocations.
 
 use crate::normal::BranchRank;
 use crate::normal::NormalPolicy;
@@ -26,8 +34,8 @@ use std::fmt;
 /// Why a product-graph lookup failed. `find`/`step` collapse all of these
 /// into `None`; [`ProductGraph::try_find`] and [`ProductGraph::try_step`]
 /// keep them apart so callers can tell a dropped probe (the normal,
-/// by-design outcome of pruning) from a caller bug (wrong automaton count
-/// or a switch the graph never contained).
+/// by-design outcome of pruning) from a caller bug (wrong automaton count,
+/// a switch the graph never contained or a virtual node it does not have).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PgLookupError {
     /// The caller supplied a state vector whose length does not match the
@@ -42,6 +50,9 @@ pub enum PgLookupError {
     /// means the switch is unreachable by any probe; passing a host or a
     /// node from a different topology also lands here.
     UnknownSwitch(NodeId),
+    /// The virtual node a step starts from is not in the graph (its id is
+    /// at least [`ProductGraph::len`]) — a caller bug.
+    UnknownVNode(VNodeId),
     /// The switch exists in the graph but this exact state combination was
     /// pruned (or never explored): the probe can no longer lead to a
     /// finite-rank path and is dropped.
@@ -63,6 +74,9 @@ impl fmt::Display for PgLookupError {
             PgLookupError::UnknownSwitch(n) => {
                 write!(f, "switch {n} has no virtual nodes in the product graph")
             }
+            PgLookupError::UnknownVNode(v) => {
+                write!(f, "virtual node {} is not in the product graph", v.0)
+            }
             PgLookupError::Pruned { switch, states } => write!(
                 f,
                 "virtual node ({switch}, {states:?}) was pruned from the product graph"
@@ -78,17 +92,13 @@ impl std::error::Error for PgLookupError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VNodeId(pub u32);
 
-/// A virtual node: a physical switch plus one state per (reversed) policy
-/// automaton.
-#[derive(Debug, Clone)]
+/// A virtual node: a physical switch and its place among that switch's
+/// virtual nodes. Its automaton states and acceptance bits are
+/// [`ProductGraph::states`] and [`ProductGraph::acc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VNode {
     /// The physical switch.
     pub switch: NodeId,
-    /// Current state in each automaton.
-    pub states: Vec<usize>,
-    /// Acceptance of each automaton at `states` — i.e. whether the traffic
-    /// path from this switch to the probe's origin matches each regex.
-    pub acc: Vec<bool>,
     /// Dense per-switch tag index (0-based); the number of distinct tags a
     /// switch needs bounds its header bits and table sizes.
     pub tag: u16,
@@ -97,17 +107,32 @@ pub struct VNode {
     pub finite: bool,
 }
 
-/// The product graph.
+/// The product graph, in flat arrays that every reader slices.
+///
+/// Virtual nodes are numbered by switch, and within a switch in tag
+/// order, so a switch's virtual nodes are one consecutive run of ids
+/// ([`ProductGraph::vnodes_at`]). Each node's `k` automaton states and
+/// `k` acceptance bits sit in one array each, and its probe-direction
+/// successors are one row of a compressed sparse row (CSR) adjacency: an
+/// offset array plus one flat edge array.
 #[derive(Debug, Clone)]
 pub struct ProductGraph {
+    /// Number of automata, `k`: the states and acceptance bits per vnode.
+    k: usize,
     /// All virtual nodes, indexed by [`VNodeId`].
-    pub vnodes: Vec<VNode>,
-    /// Probe-direction adjacency: `out[v]` lists the virtual nodes probes
-    /// at `v` are multicast to.
-    pub out: Vec<Vec<VNodeId>>,
-    /// Virtual nodes per physical switch, in tag order; a switch's ids are
-    /// consecutive.
-    pub by_switch: BTreeMap<NodeId, Vec<VNodeId>>,
+    vnodes: Vec<VNode>,
+    /// Vnode `v`'s automaton states are `states[v * k..][..k]`, and its
+    /// acceptance bits — whether the traffic path from its switch to the
+    /// probe's origin matches each regex — `acc[v * k..][..k]`.
+    states: Vec<usize>,
+    acc: Vec<bool>,
+    /// The virtual nodes probes at `v` are multicast to, ascending:
+    /// `succs[first_succ[v]..first_succ[v + 1]]`.
+    first_succ: Vec<u32>,
+    succs: Vec<VNodeId>,
+    /// Topology node `s`'s virtual nodes are the ids
+    /// `first_at[s]..first_at[s + 1]`.
+    first_at: Vec<u32>,
     /// For each destination that can be the origin of probes, its
     /// probe-sending virtual node.
     pub sending: BTreeMap<NodeId, VNodeId>,
@@ -195,54 +220,56 @@ impl ProductGraph {
         // Compact, deterministic renumbering: kept vnodes in (switch,
         // states) order, so output is independent of exploration order.
         let mut kept: Vec<u32> = Vec::with_capacity(n);
-        let mut by_switch: Vec<(NodeId, Vec<VNodeId>)> = Vec::new();
+        let mut first_at: Vec<u32> = Vec::with_capacity(nodes + 1);
         for switch in (0..nodes as u32).map(NodeId) {
             let from = kept.len();
+            first_at.push(from as u32);
             kept.extend(raw.at(switch).filter(|&v| keep[v as usize]));
-            if kept.len() > from {
-                kept[from..].sort_unstable_by_key(|&v| raw.states_of(v));
-                let ids = (from..kept.len()).map(|new| VNodeId(new as u32));
-                by_switch.push((switch, ids.collect()));
-            }
+            kept[from..].sort_unstable_by_key(|&v| raw.states_of(v));
         }
+        first_at.push(kept.len() as u32);
         let mut renum = vec![u32::MAX; n];
         for (new, &old) in kept.iter().enumerate() {
             renum[old as usize] = new as u32;
         }
 
-        let mut vnodes = Vec::with_capacity(kept.len());
-        let mut out = Vec::with_capacity(kept.len());
-        for (switch, ids) in &by_switch {
-            for (tag, id) in ids.iter().enumerate() {
-                let old = kept[id.0 as usize];
-                vnodes.push(VNode {
-                    switch: *switch,
-                    states: raw.states_of(old).to_vec(),
-                    acc: acc(old).to_vec(),
+        let mut pg = ProductGraph {
+            k,
+            vnodes: Vec::with_capacity(kept.len()),
+            states: Vec::with_capacity(kept.len() * k),
+            acc: Vec::with_capacity(kept.len() * k),
+            first_succ: Vec::with_capacity(kept.len() + 1),
+            succs: Vec::with_capacity(edges.len()),
+            first_at,
+            sending: BTreeMap::new(),
+        };
+        for (switch, run) in (0..nodes as u32).zip(pg.first_at.windows(2)) {
+            let here = &kept[run[0] as usize..run[1] as usize];
+            for (tag, &old) in here.iter().enumerate() {
+                pg.vnodes.push(VNode {
+                    switch: NodeId(switch),
                     tag: tag as u16,
                     finite: finite_of[old as usize],
                 });
+                pg.states.extend_from_slice(raw.states_of(old));
+                pg.acc.extend_from_slice(acc(old));
+                let row = pg.succs.len();
+                pg.first_succ.push(row as u32);
                 let kept_succs = succs(old).iter().filter(|&&w| keep[w as usize]);
-                let renumbered: Vec<VNodeId> =
-                    kept_succs.map(|&w| VNodeId(renum[w as usize])).collect();
+                pg.succs
+                    .extend(kept_succs.map(|&w| VNodeId(renum[w as usize])));
                 // Found in neighbour order, and new ids ascend with the
                 // switch: already sorted.
-                debug_assert!(renumbered.windows(2).all(|w| w[0] < w[1]));
-                out.push(renumbered);
+                debug_assert!(pg.succs[row..].windows(2).all(|w| w[0] < w[1]));
             }
         }
-        let sending = sending
+        pg.first_succ.push(pg.succs.len() as u32);
+        pg.sending = sending
             .into_iter()
             .filter(|&(_, v)| keep[v as usize])
             .map(|(d, v)| (d, VNodeId(renum[v as usize])))
             .collect();
-
-        ProductGraph {
-            vnodes,
-            out,
-            by_switch: by_switch.into_iter().collect(),
-            sending,
-        }
+        pg
     }
 
     /// Number of virtual nodes.
@@ -255,57 +282,73 @@ impl ProductGraph {
         self.vnodes.is_empty()
     }
 
+    /// All virtual nodes, indexed by [`VNodeId`].
+    pub fn vnodes(&self) -> &[VNode] {
+        &self.vnodes
+    }
+
     /// The virtual node record.
     pub fn vnode(&self, v: VNodeId) -> &VNode {
         &self.vnodes[v.0 as usize]
     }
 
-    /// Probe-direction successors.
-    pub fn succs(&self, v: VNodeId) -> &[VNodeId] {
-        &self.out[v.0 as usize]
+    /// The state of `v` in each automaton.
+    pub fn states(&self, v: VNodeId) -> &[usize] {
+        &self.states[v.0 as usize * self.k..][..self.k]
     }
 
-    /// Number of automaton states each virtual node carries, or `None` for
-    /// an empty graph.
-    fn arity(&self) -> Option<usize> {
-        self.vnodes.first().map(|v| v.states.len())
+    /// Acceptance of each automaton at `v`'s states — i.e. whether the
+    /// traffic path from `v`'s switch to the probe's origin matches each
+    /// regex.
+    pub fn acc(&self, v: VNodeId) -> &[bool] {
+        &self.acc[v.0 as usize * self.k..][..self.k]
+    }
+
+    /// Probe-direction successors, ascending.
+    pub fn succs(&self, v: VNodeId) -> &[VNodeId] {
+        let v = v.0 as usize;
+        &self.succs[self.first_succ[v] as usize..self.first_succ[v + 1] as usize]
+    }
+
+    /// The virtual nodes at `switch`, in tag order: consecutive ids, none
+    /// for a node the graph does not hold.
+    pub fn vnodes_at(&self, switch: NodeId) -> impl ExactSizeIterator<Item = VNodeId> + Clone {
+        let s = switch.0 as usize;
+        let run = match self.first_at.get(s..s + 2) {
+            Some(&[first, end]) => first..end,
+            _ => 0..0,
+        };
+        run.map(VNodeId)
     }
 
     /// Looks up the virtual node at `switch` with exactly these automaton
     /// states. Collapses every failure into `None`; use
     /// [`ProductGraph::try_find`] when the reason matters.
     pub fn find(&self, switch: NodeId, states: &[usize]) -> Option<VNodeId> {
-        debug_assert!(
-            self.arity().is_none_or(|n| n == states.len()),
-            "product-graph lookup with {} automaton states, expected {:?}",
+        debug_assert_eq!(
+            self.k,
             states.len(),
-            self.arity()
+            "product-graph lookup with the wrong number of automaton states"
         );
-        self.by_switch
-            .get(&switch)?
-            .iter()
-            .copied()
-            .find(|&v| self.vnodes[v.0 as usize].states == states)
+        // Element by element: see `RawNodes::intern_tail`.
+        (self.vnodes_at(switch)).find(|&v| self.states(v).iter().eq(states))
     }
 
     /// Like [`find`](ProductGraph::find), but distinguishes *why* the
     /// lookup failed: a pruned state combination (expected, the probe is
     /// dropped) versus caller errors (wrong arity, unknown switch).
     pub fn try_find(&self, switch: NodeId, states: &[usize]) -> Result<VNodeId, PgLookupError> {
-        if let Some(expected) = self.arity() {
-            if expected != states.len() {
-                return Err(PgLookupError::WrongArity {
-                    expected,
-                    got: states.len(),
-                });
-            }
+        if self.k != states.len() {
+            return Err(PgLookupError::WrongArity {
+                expected: self.k,
+                got: states.len(),
+            });
         }
-        let Some(here) = self.by_switch.get(&switch) else {
+        let mut here = self.vnodes_at(switch);
+        if here.len() == 0 {
             return Err(PgLookupError::UnknownSwitch(switch));
-        };
-        here.iter()
-            .copied()
-            .find(|&v| self.vnodes[v.0 as usize].states == states)
+        }
+        here.find(|&v| self.states(v).iter().eq(states))
             .ok_or_else(|| PgLookupError::Pruned {
                 switch,
                 states: states.to_vec(),
@@ -315,11 +358,11 @@ impl ProductGraph {
     /// `NEXTPGNODE` (Fig 7): the virtual node a probe tagged `from` maps to
     /// when processed by switch `at`. Returns `None` when the step leaves
     /// the pruned graph (the probe is then dropped — it can no longer lead
-    /// to a finite-rank path).
+    /// to a finite-rank path) or `from` is not in the graph.
     pub fn step(&self, automata: &[Dfa], from: VNodeId, at: NodeId) -> Option<VNodeId> {
         debug_assert_eq!(
             automata.len(),
-            self.vnodes[from.0 as usize].states.len(),
+            self.k,
             "stepping the product graph with the wrong automaton set"
         );
         self.try_step(automata, from, at).ok()
@@ -332,16 +375,18 @@ impl ProductGraph {
         from: VNodeId,
         at: NodeId,
     ) -> Result<VNodeId, PgLookupError> {
-        let src = &self.vnodes[from.0 as usize];
-        if automata.len() != src.states.len() {
+        if from.0 as usize >= self.len() {
+            return Err(PgLookupError::UnknownVNode(from));
+        }
+        if automata.len() != self.k {
             return Err(PgLookupError::WrongArity {
-                expected: src.states.len(),
+                expected: self.k,
                 got: automata.len(),
             });
         }
         let states: Vec<usize> = automata
             .iter()
-            .zip(&src.states)
+            .zip(self.states(from))
             .map(|(a, &s)| a.step(s, at.0))
             .collect();
         self.try_find(at, &states)
@@ -349,7 +394,8 @@ impl ProductGraph {
 
     /// Maximum number of tags any switch needs — determines header bits.
     pub fn max_tags_per_switch(&self) -> usize {
-        self.by_switch.values().map(|v| v.len()).max().unwrap_or(0)
+        let runs = self.first_at.windows(2).map(|r| (r[1] - r[0]) as usize);
+        runs.max().unwrap_or(0)
     }
 }
 
@@ -482,10 +528,12 @@ fn reaching(marked: &[bool], first_edge: &[u32], edges: &[u32]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::{CompiledPolicy, Compiler};
     use crate::normal::normalize;
     use crate::parser::parse_policy;
+    use crate::policies::catalogue;
     use crate::resolve::resolve_regexes;
-    use contra_topology::Topology;
+    use contra_topology::{generators, Topology};
 
     /// Figure 6's running example: A–B, A–C, B–C, B–D, C–D.
     fn fig6_topo() -> Topology {
@@ -519,6 +567,11 @@ mod tests {
         (pg, automata, normal)
     }
 
+    /// Every virtual node's id.
+    fn ids(pg: &ProductGraph) -> impl Iterator<Item = VNodeId> {
+        (0..pg.len() as u32).map(VNodeId)
+    }
+
     #[test]
     fn bucketed_keeps_the_order_within_a_bucket() {
         let items = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')];
@@ -535,9 +588,7 @@ mod tests {
         assert_eq!(pg.len(), 4);
         assert_eq!(pg.max_tags_per_switch(), 1);
         assert_eq!(pg.sending.len(), 4);
-        for v in &pg.vnodes {
-            assert!(v.finite);
-        }
+        assert!(pg.vnodes().iter().all(|v| v.finite));
     }
 
     #[test]
@@ -552,11 +603,10 @@ mod tests {
             true,
         );
         let b = topo.find("B").unwrap();
-        let b_nodes = pg.by_switch.get(&b).expect("B must have virtual nodes");
+        let b_nodes = pg.vnodes_at(b).len();
         assert!(
-            b_nodes.len() >= 2,
-            "B needs ≥2 tags (got {}): one on ABD, one for B.*D",
-            b_nodes.len()
+            b_nodes >= 2,
+            "B needs ≥2 tags (got {b_nodes}): one on ABD, one for B.*D"
         );
     }
 
@@ -569,7 +619,7 @@ mod tests {
         // Pruned graph retains the D→B→A chain (plus the sending states of
         // other destinations are gone since only D-rooted paths match).
         let a = topo.find("A").unwrap();
-        assert!(pruned.by_switch.contains_key(&a));
+        assert!(pruned.vnodes_at(a).len() > 0);
     }
 
     #[test]
@@ -579,11 +629,11 @@ mod tests {
         let c = topo.find("C").unwrap();
         let v = pg.sending[&c];
         // At C's own sending vnode the path "C" already matches .*C.*.
-        assert_eq!(pg.vnode(v).acc, vec![true]);
+        assert_eq!(pg.acc(v), [true]);
         // Stepping the probe to B keeps acceptance (.*C.* stays matched).
         let b = topo.find("B").unwrap();
         let w = pg.step(&automata, v, b).unwrap();
-        assert_eq!(pg.vnode(w).acc, vec![true]);
+        assert_eq!(pg.acc(w), [true]);
         assert_eq!(pg.vnode(w).switch, b);
     }
 
@@ -591,11 +641,9 @@ mod tests {
     fn edges_follow_physical_links() {
         let topo = fig6_topo();
         let (pg, ..) = build("minimize(path.len)", &topo, true);
-        for (v, succs) in pg.out.iter().enumerate() {
-            let x = pg.vnodes[v].switch;
-            // One successor per neighbour, in id order, none repeated.
-            assert!(succs.windows(2).all(|w| w[0] < w[1]), "{succs:?}");
-            for &w in succs {
+        for v in ids(&pg) {
+            let x = pg.vnode(v).switch;
+            for &w in pg.succs(v) {
                 let y = pg.vnode(w).switch;
                 assert!(
                     topo.link_between(x, y).is_some(),
@@ -638,7 +686,7 @@ mod tests {
         );
 
         // A state combination the switch does not carry is a pruned probe.
-        let states_at_a = pg.vnode(pg.by_switch[&a][0]).states.clone();
+        let states_at_a = pg.states(pg.vnodes_at(a).next().unwrap()).to_vec();
         let bogus = vec![automata[0].num_states() + 7];
         assert!(matches!(
             pg.try_find(a, &bogus),
@@ -648,8 +696,7 @@ mod tests {
         // And the happy path agrees with `find`.
         assert_eq!(pg.try_find(a, &states_at_a).ok(), pg.find(a, &states_at_a));
         assert_eq!(
-            pg.try_find(d, &pg.vnode(pg.sending[&d]).states.clone())
-                .ok(),
+            pg.try_find(d, pg.states(pg.sending[&d])).ok(),
             Some(pg.sending[&d])
         );
     }
@@ -699,9 +746,118 @@ mod tests {
         // finite vnodes must be exactly those whose reverse path matches.
         let topo = fig6_topo();
         let (pg, _, _) = build("minimize(if .* C .* then path.util else inf)", &topo, true);
-        for v in &pg.vnodes {
-            if v.finite {
-                assert_eq!(v.acc, vec![true]);
+        for v in ids(&pg) {
+            if pg.vnode(v).finite {
+                assert_eq!(pg.acc(v), [true]);
+            }
+        }
+    }
+
+    #[test]
+    fn try_step_from_outside_the_graph_is_an_unknown_vnode() {
+        let topo = fig6_topo();
+        let (pg, automata, _) = build("minimize(if .* C .* then path.util else inf)", &topo, true);
+        let b = topo.find("B").unwrap();
+        let ghost = VNodeId(pg.len() as u32);
+        assert_eq!(
+            pg.try_step(&automata, ghost, b),
+            Err(PgLookupError::UnknownVNode(ghost))
+        );
+        assert_eq!(pg.step(&automata, ghost, b), None);
+    }
+
+    /// The catalogue P1–P9 compiled on fig6 and on fat-tree(4): policies
+    /// without a regex (`k` = 0) and with one or two.
+    fn catalogue_corpus() -> Vec<(String, Topology, CompiledPolicy)> {
+        let fat_tree = generators::fat_tree(4, 0, generators::LinkSpec::default());
+        let corpus = [
+            ("fig6", fig6_topo(), ["A", "B", "B", "D"]),
+            (
+                "fat-tree(4)",
+                fat_tree,
+                ["core0", "core1", "edge0_0", "agg0_0"],
+            ),
+        ];
+        let mut compiled = Vec::new();
+        for (topo_label, topo, [f1, f2, x, y]) in corpus {
+            for (label, policy) in catalogue(f1, f2, x, y) {
+                let cp = Compiler::new(&topo)
+                    .compile_str(&policy)
+                    .unwrap_or_else(|e| panic!("{topo_label}/{label}: {e}"));
+                compiled.push((format!("{topo_label}/{label}"), topo.clone(), cp));
+            }
+        }
+        let arities = compiled.iter().map(|(_, _, cp)| cp.automata.len());
+        assert!(arities.clone().any(|k| k == 0) && arities.clone().any(|k| k >= 1));
+        compiled
+    }
+
+    #[test]
+    fn each_switch_holds_one_consecutive_run_in_tag_order() {
+        for (label, topo, cp) in catalogue_corpus() {
+            let pg = &cp.pg;
+            let mut seen = 0;
+            for n in (0..topo.num_nodes() as u32).map(NodeId) {
+                for (tag, v) in pg.vnodes_at(n).enumerate() {
+                    assert_eq!(v, VNodeId(seen), "{label}: ids run on across switches");
+                    assert_eq!(pg.vnode(v).switch, n, "{label}");
+                    assert_eq!(pg.vnode(v).tag as usize, tag, "{label}");
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen as usize, pg.len(), "{label}: every vnode in a run");
+            let most = (0..topo.num_nodes() as u32).map(|n| pg.vnodes_at(NodeId(n)).len());
+            assert_eq!(pg.max_tags_per_switch(), most.max().unwrap(), "{label}");
+        }
+    }
+
+    #[test]
+    fn successor_rows_are_strictly_ascending() {
+        for (label, _, cp) in catalogue_corpus() {
+            for v in ids(&cp.pg) {
+                let succs = cp.pg.succs(v);
+                assert!(succs.windows(2).all(|w| w[0] < w[1]), "{label}: {succs:?}");
+            }
+        }
+    }
+
+    /// Every product-graph edge `v → w` is one `NEXTPGNODE` row `(v, w)`
+    /// at `w`'s switch, and every row is such an edge.
+    #[test]
+    fn next_pg_node_is_the_transpose_of_the_fanout() {
+        for (label, topo, cp) in catalogue_corpus() {
+            let pg = &cp.pg;
+            let mut rows = 0;
+            for &y in cp.programs.keys() {
+                let here = cp.next_pg_node(y);
+                assert!(
+                    here.windows(2).all(|r| r[0].0 < r[1].0),
+                    "{label}: {here:?}"
+                );
+                for &(v, w) in here {
+                    assert_eq!(pg.vnode(w).switch, y, "{label}");
+                    assert!(pg.succs(v).contains(&w), "{label}: row {v:?} → {w:?}");
+                }
+                rows += here.len();
+            }
+            let edges: usize = ids(pg).map(|v| pg.succs(v).len()).sum();
+            assert_eq!(rows, edges, "{label}: one row per edge");
+            assert!(cp.next_pg_node(NodeId(topo.num_nodes() as u32)).is_empty());
+        }
+    }
+
+    #[test]
+    fn find_returns_every_vnode_from_its_switch_and_states() {
+        for (label, _, cp) in catalogue_corpus() {
+            let pg = &cp.pg;
+            for v in ids(pg) {
+                assert_eq!(pg.states(v).len(), cp.automata.len(), "{label}");
+                assert_eq!(pg.acc(v).len(), cp.automata.len(), "{label}");
+                assert_eq!(
+                    pg.find(pg.vnode(v).switch, pg.states(v)),
+                    Some(v),
+                    "{label}"
+                );
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::compiler::{traffic_endpoints, CompileError, CompiledPolicy, Compiler}
 use crate::diag::{self, codes, Diagnostic};
 use crate::metric::{MetricBasis, MetricVec};
 use crate::normal::{BranchRank, Guard, MetricExpr};
-use crate::pg::{ProductGraph, VNodeId};
+use crate::pg::{ProductGraph, VNode, VNodeId};
 use contra_topology::{paths, NodeId, Topology};
 
 /// A source switch with no policy-compliant route to a destination.
@@ -214,7 +214,9 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
     // Every acceptance vector some destination-ending walk realizes. The
     // vectors are compared element-wise: with no regex each is an empty
     // slice, and `==` on two of those is a `bcmp` call.
-    let mut acc_set: Vec<&[bool]> = full.vnodes.iter().map(|v| v.acc.as_slice()).collect();
+    let mut acc_set: Vec<&[bool]> = (0..full.len() as u32)
+        .map(|v| full.acc(VNodeId(v)))
+        .collect();
     acc_set.sort_unstable_by(|a, b| a.iter().cmp(b.iter()));
     acc_set.dedup_by(|a, b| a.iter().eq(b.iter()));
 
@@ -295,7 +297,7 @@ fn branch_checks(cp: &CompiledPolicy, topo: &Topology, full: &ProductGraph, r: &
             seen[seed.0 as usize] = true;
             while let Some(v) = work.pop() {
                 let vn = full.vnode(v);
-                if b.reqs_match(&vn.acc) {
+                if b.reqs_match(full.acc(v)) {
                     let cand = if vn.switch == d {
                         (0.0, 0.0)
                     } else {
@@ -389,12 +391,12 @@ const NONE: u32 = u32::MAX;
 /// forward and reverse adjacency in which every edge carries the index of
 /// the cable it crosses. A cable is an unordered switch pair, so one cable
 /// is many edges — both directions, every tag pair.
-struct CableGraph {
+struct CableGraph<'p> {
     /// Switch-to-switch cables `(a, b)` with `a <= b`, ascending.
     cables: Vec<(NodeId, NodeId)>,
-    /// Per vnode: its switch, and whether it is finite.
-    switch: Vec<NodeId>,
-    finite: Vec<bool>,
+    /// The product graph's vnodes: each one's switch, and whether it is
+    /// finite.
+    vnodes: &'p [VNode],
     /// `out[out_off[v]..out_off[v + 1]]` holds `(w, cable)` for every
     /// probe-direction edge `v → w`.
     out_off: Vec<u32>,
@@ -404,8 +406,8 @@ struct CableGraph {
     ins: Vec<(u32, u32)>,
 }
 
-impl CableGraph {
-    fn new(pg: &ProductGraph, topo: &Topology) -> CableGraph {
+impl<'p> CableGraph<'p> {
+    fn new(pg: &'p ProductGraph, topo: &Topology) -> CableGraph<'p> {
         // The cables ascending, and the cable of every switch-to-switch link.
         let mut by_pair: Vec<((NodeId, NodeId), u32)> = topo
             .links()
@@ -425,7 +427,7 @@ impl CableGraph {
         }
 
         let n = pg.len();
-        let switch: Vec<NodeId> = pg.vnodes.iter().map(|v| v.switch).collect();
+        let vnodes = pg.vnodes();
         let mut out_off = Vec::with_capacity(n + 1);
         let mut out = Vec::new();
         let mut in_off = vec![0u32; n + 1];
@@ -433,21 +435,21 @@ impl CableGraph {
         // read (a switch's vnodes are consecutive) to it.
         let mut cable_to = vec![NONE; topo.num_nodes()];
         let mut at: Option<NodeId> = None;
-        for (v, succs) in pg.out.iter().enumerate() {
-            if at != Some(switch[v]) {
+        for (v, vn) in (0..).zip(vnodes) {
+            if at != Some(vn.switch) {
                 if let Some(prev) = at {
                     for &(y, _) in topo.adjacency(prev) {
                         cable_to[y.0 as usize] = NONE;
                     }
                 }
-                for &(y, l) in topo.adjacency(switch[v]) {
+                for &(y, l) in topo.adjacency(vn.switch) {
                     cable_to[y.0 as usize] = link_cable[l.0 as usize];
                 }
-                at = Some(switch[v]);
+                at = Some(vn.switch);
             }
             out_off.push(out.len() as u32);
-            for &w in succs {
-                let cable = cable_to[switch[w.0 as usize].0 as usize];
+            for &w in pg.succs(VNodeId(v)) {
+                let cable = cable_to[vnodes[w.0 as usize].switch.0 as usize];
                 assert_ne!(cable, NONE, "product-graph edges follow physical links");
                 out.push((w.0, cable));
                 in_off[w.0 as usize + 1] += 1;
@@ -467,8 +469,7 @@ impl CableGraph {
         }
         CableGraph {
             cables,
-            switch,
-            finite: pg.vnodes.iter().map(|v| v.finite).collect(),
+            vnodes,
             out_off,
             out,
             in_off,
@@ -503,7 +504,7 @@ impl CableGraph {
 /// alternatives, which is what the certificate of [`Reachability::analyze`]
 /// looks for.
 struct ProbeTree<'g> {
-    g: &'g CableGraph,
+    g: &'g CableGraph<'g>,
     /// The tree's vnodes in breadth-first order, the sending vnode first.
     nodes: Vec<u32>,
     /// Per vnode: its depth in the tree, [`NONE`] when it is not in it.
@@ -533,8 +534,8 @@ fn cable_bit(cable: u32) -> u64 {
 }
 
 impl<'g> ProbeTree<'g> {
-    fn new(g: &'g CableGraph, num_nodes: usize) -> ProbeTree<'g> {
-        let n = g.switch.len();
+    fn new(g: &'g CableGraph<'g>, num_nodes: usize) -> ProbeTree<'g> {
+        let n = g.vnodes.len();
         ProbeTree {
             g,
             nodes: Vec::new(),
@@ -564,7 +565,7 @@ impl<'g> ProbeTree<'g> {
             self.depth[v as usize] = NONE;
             self.children[v as usize] = 0;
             self.first_child[v as usize] = NONE;
-            self.finite_at[g.switch[v as usize].0 as usize] = 0;
+            self.finite_at[g.vnodes[v as usize].switch.0 as usize] = 0;
         }
         self.nodes.clear();
         if let Some(seed) = seed {
@@ -582,15 +583,15 @@ impl<'g> ProbeTree<'g> {
         while head < self.nodes.len() {
             let v = self.nodes[head] as usize;
             head += 1;
-            if g.finite[v] {
-                self.finite_at[g.switch[v].0 as usize] += 1;
+            if g.vnodes[v].finite {
+                self.finite_at[g.vnodes[v].switch.0 as usize] += 1;
             }
             let below = depth[v] + 1;
             let mut kids = 0;
             for &(w, cable) in g.succs(v as u32) {
                 let w = w as usize;
                 if depth[w] == NONE {
-                    if g.switch[w] == d {
+                    if g.vnodes[w].switch == d {
                         continue;
                     }
                     depth[w] = below;
@@ -690,8 +691,8 @@ impl<'g> ProbeTree<'g> {
         }
         // A switch loses its route when its last finite vnode stays cut off.
         for &v in &self.cut {
-            if detached[v as usize] && g.finite[v as usize] {
-                let s = g.switch[v as usize];
+            if detached[v as usize] && g.vnodes[v as usize].finite {
+                let s = g.vnodes[v as usize].switch;
                 self.finite_at[s.0 as usize] -= 1;
                 if self.finite_at[s.0 as usize] == 0 {
                     lost.push(s);
@@ -701,8 +702,8 @@ impl<'g> ProbeTree<'g> {
         for v in self.cut.drain(..) {
             if detached[v as usize] {
                 detached[v as usize] = false;
-                if g.finite[v as usize] {
-                    self.finite_at[g.switch[v as usize].0 as usize] += 1;
+                if g.vnodes[v as usize].finite {
+                    self.finite_at[g.vnodes[v as usize].switch.0 as usize] += 1;
                 }
             }
         }

@@ -141,16 +141,16 @@ fn check(label: &str, cp: &CompiledPolicy, draw: &mut Draw, n: usize) -> usize {
 
     // One vnode per acceptance vector, plus a few more.
     let mut vnodes: Vec<VNodeId> = Vec::new();
-    for (i, v) in cp.pg.vnodes.iter().enumerate() {
-        let fresh = !vnodes.iter().any(|w| cp.pg.vnode(*w).acc == v.acc);
+    for v in (0..cp.pg.len() as u32).map(VNodeId) {
+        let fresh = !vnodes.iter().any(|&w| cp.pg.acc(w) == cp.pg.acc(v));
         if fresh || vnodes.len() < 4 {
-            vnodes.push(VNodeId(i as u32));
+            vnodes.push(v);
         }
     }
     let mut items = Vec::new();
     let mut at = Vec::new();
     for &v in &vnodes {
-        let acc = &cp.pg.vnode(v).acc;
+        let acc = cp.pg.acc(v);
         for mv in &mvs {
             // A NaN guard (∞ · 0) holds neither way, and the reference
             // then finds no branch; the dataplane never sees one.

@@ -124,8 +124,8 @@ pub struct ContraSwitch {
 }
 
 impl ContraSwitch {
-    /// Creates the switch program for `switch`, flattening its static
-    /// tables (`NEXTPGNODE`, the fan-out) into sorted arrays.
+    /// Creates the switch program for `switch`, copying its static tables
+    /// (`NEXTPGNODE`, the fan-out) out of the compiled policy's arrays.
     pub fn new(cp: Arc<CompiledPolicy>, switch: NodeId, cfg: DataplaneConfig) -> ContraSwitch {
         let prog = cp
             .programs
@@ -139,9 +139,8 @@ impl ContraSwitch {
         let mut fan_first = Vec::with_capacity(prog.tags.len() + 1);
         let mut fanout = Vec::new();
         fan_first.push(0);
-        for v in &prog.tags {
-            let to = prog.multicast.get(v).into_iter().flatten();
-            fanout.extend(to.map(|&(nbr, _)| nbr));
+        for &v in &prog.tags {
+            fanout.extend(cp.pg.succs(v).iter().map(|&w| cp.pg.vnode(w).switch));
             fan_first.push(fanout.len() as u32);
         }
         let switches = cp
@@ -151,7 +150,7 @@ impl ContraSwitch {
             .map_or(0, |n| n.0 as usize + 1);
         ContraSwitch {
             switch,
-            next_pg: prog.next_pg_node.iter().map(|(&i, &v)| (i, v)).collect(),
+            next_pg: cp.next_pg_node(switch).to_vec(),
             tag_base,
             fan_first,
             fanout,

@@ -4,7 +4,8 @@
 //! registers/SRAM: the forwarding table `FwdT`, the best-choice table
 //! `BestT`, the policy-aware flowlet table (§5.3) and the TTL-delta loop
 //! detection table (§5.5). The static configuration (tags, `NEXTPGNODE`,
-//! multicast fan-out) lives in `contra_core::SwitchProgram`.
+//! multicast fan-out) is the compiled policy's: `ContraSwitch::new` copies
+//! a switch's slices of it into arrays of its own.
 //!
 //! Layout follows the hardware the paper targets, not convenience maps.
 //! `FwdT` is one dense array per switch at the P4 index

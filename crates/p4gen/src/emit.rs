@@ -65,15 +65,16 @@ use std::fmt::Write;
 /// Emits the P4₁₆ program for one switch.
 pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     let prog = &cp.programs[&switch];
+    let next_pg_node = cp.next_pg_node(switch);
+    let pg = &cp.pg;
     let metrics = cp.basis.attrs();
+    // The multicast groups: the tags with a probe fan-out, in tag order.
+    let groups = || prog.tags.iter().filter(|&&v| !pg.succs(v).is_empty());
 
     // Port numbering: neighbours in node-id order (see `port_of`).
-    let mut ports: Vec<NodeId> = prog
-        .multicast
-        .values()
-        .flat_map(|v| v.iter().map(|&(n, _)| n))
-        .collect();
-    ports.extend(prog.next_pg_node.keys().map(|v| cp.pg.vnode(*v).switch));
+    let fanout = prog.tags.iter().flat_map(|&v| pg.succs(v));
+    let mut ports: Vec<NodeId> = fanout.map(|&w| pg.vnode(w).switch).collect();
+    ports.extend(next_pg_node.iter().map(|&(v, _)| pg.vnode(v).switch));
     ports.sort_unstable();
     ports.dedup();
 
@@ -85,13 +86,14 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     // Sized so that none of the 1,710 programs the `policy_ladder` workload
     // emits grows its buffer: 500 bytes cover the header comments with a
     // policy of about 100 characters.
-    let members: usize = prog.multicast.values().map(Vec::len).sum();
+    let group_count = groups().count();
+    let members: usize = prog.tags.iter().map(|&v| pg.succs(v).len()).sum();
     let mut out = String::with_capacity(
         FIXED_LEN
             + 500
             + 240 * metrics.len()
-            + 46 * prog.next_pg_node.len()
-            + 80 * prog.multicast.len()
+            + 46 * next_pg_node.len()
+            + 80 * group_count
             + 40 * members
             + 14 * ports.len(),
     );
@@ -135,9 +137,9 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
         o.push_str(metric_text(m).register);
     }
     o.push_str(REGISTERS_AND_NEXTPGNODE);
-    if !prog.next_pg_node.is_empty() {
+    if !next_pg_node.is_empty() {
         o.push_str("        const entries = {\n");
-        for (from, to) in &prog.next_pg_node {
+        for (from, to) in next_pg_node {
             o.push_str("            ");
             push_num(o, from.0 as usize);
             o.push_str(": set_next_pg_node(");
@@ -147,9 +149,9 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
         o.push_str("        }\n");
     }
     o.push_str(PROBE_MULTICAST);
-    if !prog.multicast.is_empty() {
+    if group_count > 0 {
         o.push_str("        const entries = {\n");
-        for (i, v) in prog.multicast.keys().enumerate() {
+        for (i, v) in groups().enumerate() {
             o.push_str("            ");
             push_num(o, v.0 as usize);
             o.push_str(": set_probe_mcast(");
@@ -165,13 +167,14 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     o.push_str(INGRESS_REST_AND_MAIN);
 
     // ---- control-plane companion data ------------------------------------
-    for (i, (v, targets)) in prog.multicast.iter().enumerate() {
+    for (i, &v) in groups().enumerate() {
         o.push_str("// mcast-group ");
         push_num(o, i + 1);
         o.push_str(" (vnode ");
         push_num(o, v.0 as usize);
         o.push_str("): ");
-        for (j, &(n, w)) in targets.iter().enumerate() {
+        for (j, &w) in pg.succs(v).iter().enumerate() {
+            let n = pg.vnode(w).switch;
             o.push_str(if j > 0 { ", port " } else { "port " });
             push_num(o, port_of(&ports, n));
             o.push_str(" (to node ");

@@ -6,7 +6,7 @@
 //! `compile_fingerprint` pins what the compiler and the emitter hand on,
 //! `verify_fingerprint` what the static verifier reports.
 
-use contra::core::{policies, verify, CompiledPolicy, Compiler, Report};
+use contra::core::{policies, verify, CompiledPolicy, Compiler, Report, VNodeId};
 use contra::dataplane::{DataplaneConfig, ProtocolHarness};
 use contra::p4gen;
 use contra::sim::FxHasher64;
@@ -187,56 +187,63 @@ fn compile_scales_across_topology_families() {
     }
 }
 
-/// Everything the compiler hands on, field by field: the product graph
-/// (`vnodes`, `out`, `by_switch`, `sending`), every `SwitchProgram`, the
-/// destinations and the probe-period floor. Lengths are hashed with the
-/// items so that moving an item between two lists shows.
+/// Everything the compiler hands on, item by item: the product graph
+/// (every vnode with its states and acceptance bits, the successor rows,
+/// the vnodes of each switch that has some, `sending`), every
+/// `SwitchProgram` with its `NEXTPGNODE` rows and its fan-out per tag
+/// that has one, the destinations and the probe-period floor. Lengths are
+/// hashed with the items so that moving an item between two lists shows.
 fn ir_digest(cp: &CompiledPolicy) -> u64 {
     let mut h = FxHasher64::default();
     let mut put = |x: usize| h.write_u64(x as u64);
-    put(cp.pg.vnodes.len());
-    for v in &cp.pg.vnodes {
-        put(v.switch.0 as usize);
-        put(v.states.len());
-        v.states.iter().for_each(|&s| put(s));
-        put(v.acc.len());
-        v.acc.iter().for_each(|&a| put(a as usize));
-        put(v.tag as usize);
-        put(v.finite as usize);
+    let pg = &cp.pg;
+    let ids = || (0..pg.len() as u32).map(VNodeId);
+    put(pg.len());
+    for v in ids() {
+        put(pg.vnode(v).switch.0 as usize);
+        put(pg.states(v).len());
+        pg.states(v).iter().for_each(|&s| put(s));
+        put(pg.acc(v).len());
+        pg.acc(v).iter().for_each(|&a| put(a as usize));
+        put(pg.vnode(v).tag as usize);
+        put(pg.vnode(v).finite as usize);
     }
-    put(cp.pg.out.len());
-    for succs in &cp.pg.out {
-        put(succs.len());
-        succs.iter().for_each(|w| put(w.0 as usize));
+    put(pg.len());
+    for v in ids() {
+        put(pg.succs(v).len());
+        pg.succs(v).iter().for_each(|w| put(w.0 as usize));
     }
-    put(cp.pg.by_switch.len());
-    for (sw, here) in &cp.pg.by_switch {
+    // Vnodes live only at switches, and every switch has a program.
+    let occupied = || cp.programs.keys().filter(|&&sw| pg.vnodes_at(sw).len() > 0);
+    put(occupied().count());
+    for &sw in occupied() {
         put(sw.0 as usize);
-        put(here.len());
-        here.iter().for_each(|v| put(v.0 as usize));
+        put(pg.vnodes_at(sw).len());
+        pg.vnodes_at(sw).for_each(|v| put(v.0 as usize));
     }
-    put(cp.pg.sending.len());
-    for (d, v) in &cp.pg.sending {
+    put(pg.sending.len());
+    for (d, v) in &pg.sending {
         put(d.0 as usize);
         put(v.0 as usize);
     }
     put(cp.programs.len());
-    for (sw, prog) in &cp.programs {
+    for (&sw, prog) in &cp.programs {
         put(sw.0 as usize);
         put(prog.switch.0 as usize);
         put(prog.tags.len());
         prog.tags.iter().for_each(|v| put(v.0 as usize));
-        put(prog.next_pg_node.len());
-        for (from, to) in &prog.next_pg_node {
+        put(cp.next_pg_node(sw).len());
+        for (from, to) in cp.next_pg_node(sw) {
             put(from.0 as usize);
             put(to.0 as usize);
         }
-        put(prog.multicast.len());
-        for (v, fanout) in &prog.multicast {
+        let groups = || prog.tags.iter().filter(|&&v| !pg.succs(v).is_empty());
+        put(groups().count());
+        for &v in groups() {
             put(v.0 as usize);
-            put(fanout.len());
-            for (y, w) in fanout {
-                put(y.0 as usize);
+            put(pg.succs(v).len());
+            for &w in pg.succs(v) {
+                put(pg.vnode(w).switch.0 as usize);
                 put(w.0 as usize);
             }
         }
