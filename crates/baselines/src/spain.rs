@@ -14,11 +14,13 @@
 //! hops form a shortest-path tree, so forwarding inside one VLAN is
 //! consistent and loop-free — the property SPAIN gets from per-VLAN
 //! spanning subgraphs — while different VLANs spread over different links.
+//! The trees come from the topology's own search
+//! ([`paths::next_hops_toward`]) run on the VLAN's weights; each switch
+//! keeps the lowest-numbered switch among its shortest next hops.
 
 use contra_sim::{Packet, SwitchCtx, SwitchLogic, Verdict};
-use contra_topology::{NodeId, Topology};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use contra_topology::{paths, NodeId, Topology};
+use std::collections::BTreeMap;
 
 /// The precomputed SPAIN path system for a whole topology.
 #[derive(Debug, Clone)]
@@ -42,44 +44,17 @@ fn link_weight(vlan: u8, link: u32) -> u64 {
 }
 
 impl SpainPaths {
-    /// Builds `k ≥ 1` VLANs of destination-consistent routing tables.
+    /// Builds `k` VLANs (1 to 255) of destination-consistent routing
+    /// tables.
     pub fn precompute(topo: &Topology, k: usize) -> SpainPaths {
         assert!((1..=u8::MAX as usize).contains(&k));
-        // Reverse adjacency (switch-only sources), built once and shared
-        // by every per-(dst, vlan) Dijkstra: relaxing a popped node used
-        // to rescan `topo.links()` in full — O(V·E) per destination.
-        let rev = reverse_adjacency(topo);
         let mut tables = BTreeMap::new();
         for vlan in 0..k as u8 {
             for dst in topo.switches() {
-                // Dijkstra *toward* dst on the vlan's weights.
-                let dist = dijkstra_to(topo, &rev, dst, vlan);
+                let next = paths::next_hops_toward(topo, dst, |l, _| Some(link_weight(vlan, l.0)));
                 for sw in topo.switches() {
-                    if sw == dst {
-                        continue;
-                    }
-                    let Some(my) = dist[sw.0 as usize] else {
-                        continue;
-                    };
-                    // Deterministic best next hop: minimize weight + dist,
-                    // tie-break on node id.
-                    let mut best: Option<(u64, NodeId)> = None;
-                    for &lid in topo.out_links(sw) {
-                        let l = topo.link(lid);
-                        if !topo.is_switch(l.dst) {
-                            continue;
-                        }
-                        if let Some(d) = dist[l.dst.0 as usize] {
-                            let via = d + link_weight(vlan, lid.0);
-                            if via == my {
-                                match best {
-                                    Some((_, b)) if b <= l.dst => {}
-                                    _ => best = Some((via, l.dst)),
-                                }
-                            }
-                        }
-                    }
-                    if let Some((_, nh)) = best {
+                    let row = &next[sw.0 as usize];
+                    if let Some(&nh) = row.iter().find(|&&m| topo.is_switch(m)) {
                         tables.insert((sw, dst, vlan), nh);
                     }
                 }
@@ -121,49 +96,6 @@ impl SpainPaths {
     }
 }
 
-/// Per-node incoming links `(src, link index)` with switch sources, in
-/// link order — the mirror of [`Topology::adjacency`] that a
-/// toward-destination Dijkstra relaxes over.
-fn reverse_adjacency(topo: &Topology) -> Vec<Vec<(NodeId, u32)>> {
-    let mut rev: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); topo.num_nodes()];
-    for (i, l) in topo.links().iter().enumerate() {
-        if topo.is_switch(l.src) {
-            rev[l.dst.0 as usize].push((l.src, i as u32));
-        }
-    }
-    rev
-}
-
-/// Dijkstra distances from every switch **to** `dst` under the VLAN's link
-/// weights (hosts do not forward). `rev` is [`reverse_adjacency`] of the
-/// same topology: each pop relaxes exactly the popped node's incoming
-/// links, in the same link order the old full rescan visited them.
-fn dijkstra_to(
-    topo: &Topology,
-    rev: &[Vec<(NodeId, u32)>],
-    dst: NodeId,
-    vlan: u8,
-) -> Vec<Option<u64>> {
-    let mut dist: Vec<Option<u64>> = vec![None; topo.num_nodes()];
-    let mut heap = BinaryHeap::new();
-    dist[dst.0 as usize] = Some(0);
-    heap.push(Reverse((0u64, dst)));
-    while let Some(Reverse((d, n))) = heap.pop() {
-        if dist[n.0 as usize] != Some(d) {
-            continue;
-        }
-        // Relax incoming links x → n.
-        for &(src, link) in &rev[n.0 as usize] {
-            let nd = d + link_weight(vlan, link);
-            if dist[src.0 as usize].is_none_or(|old| nd < old) {
-                dist[src.0 as usize] = Some(nd);
-                heap.push(Reverse((nd, src)));
-            }
-        }
-    }
-    dist
-}
-
 /// One switch running SPAIN forwarding.
 pub struct SpainSwitch {
     paths: std::rc::Rc<SpainPaths>,
@@ -202,67 +134,6 @@ mod tests {
     use super::*;
     use contra_sim::{FlowSpec, SimConfig, Simulator, Time};
     use contra_topology::generators;
-
-    /// The replaced implementation: full `topo.links()` rescan on every
-    /// heap pop — O(V·E) per destination. Kept verbatim as the oracle.
-    fn dijkstra_to_rescan(topo: &Topology, dst: NodeId, vlan: u8) -> Vec<Option<u64>> {
-        let mut dist: Vec<Option<u64>> = vec![None; topo.num_nodes()];
-        let mut heap = BinaryHeap::new();
-        dist[dst.0 as usize] = Some(0);
-        heap.push(Reverse((0u64, dst)));
-        while let Some(Reverse((d, n))) = heap.pop() {
-            if dist[n.0 as usize] != Some(d) {
-                continue;
-            }
-            for (i, l) in topo.links().iter().enumerate() {
-                if l.dst != n || !topo.is_switch(l.src) {
-                    continue;
-                }
-                let nd = d + link_weight(vlan, i as u32);
-                if dist[l.src.0 as usize].is_none_or(|old| nd < old) {
-                    dist[l.src.0 as usize] = Some(nd);
-                    heap.push(Reverse((nd, l.src)));
-                }
-            }
-        }
-        dist
-    }
-
-    /// The adjacency-indexed Dijkstra returns bit-identical distance
-    /// vectors to the old full-rescan version, on random graphs (with
-    /// hosts attached, so non-forwarding nodes are exercised) and on the
-    /// named topologies, across several VLAN weightings.
-    #[test]
-    fn indexed_dijkstra_matches_rescan_on_random_graphs() {
-        let mut topos = vec![
-            generators::with_hosts(
-                &generators::abilene(40e9),
-                1,
-                generators::LinkSpec::default(),
-            ),
-            generators::fat_tree(4, 1, generators::LinkSpec::default()),
-        ];
-        for seed in [7, 42, 1234] {
-            let core = generators::random_connected(24, 30, generators::LinkSpec::default(), seed);
-            topos.push(generators::with_hosts(
-                &core,
-                1,
-                generators::LinkSpec::default(),
-            ));
-        }
-        for topo in &topos {
-            let rev = reverse_adjacency(topo);
-            for vlan in 0..4u8 {
-                for dst in topo.switches() {
-                    assert_eq!(
-                        dijkstra_to(topo, &rev, dst, vlan),
-                        dijkstra_to_rescan(topo, dst, vlan),
-                        "distance vectors diverged for dst {dst} vlan {vlan}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn precompute_covers_all_pairs_on_abilene() {
@@ -322,8 +193,8 @@ mod tests {
                     continue;
                 }
                 let p = paths.path(src, dst, 0).unwrap();
-                let sp = contra_topology::paths::shortest_path(&topo, src, dst).unwrap();
-                assert_eq!(p.len(), sp.len(), "{src}→{dst}: vlan0 must be shortest");
+                let sp = contra_topology::paths::shortest_path(&topo, src, dst);
+                assert_eq!(Some(p), sp, "{src}→{dst}: vlan0 must be the shortest path");
             }
         }
     }

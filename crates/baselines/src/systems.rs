@@ -114,6 +114,13 @@ impl RoutingSystem for Spain {
     }
 
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError> {
+        // The VLAN id rides in one byte of the packet tag.
+        if !(1..=u8::MAX as usize).contains(&self.vlans) {
+            return Err(InstallError::Unsupported {
+                system: self.name(),
+                reason: format!("needs 1 to 255 VLANs, got {}", self.vlans),
+            });
+        }
         let paths = Rc::new(SpainPaths::precompute(ctx.topology, self.vlans));
         for sw in ctx.topology.switches() {
             sim.install(sw, Box::new(SpainSwitch::new(paths.clone())));

@@ -403,7 +403,6 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
 ///
 /// - `TELEM_TRACE.json` — Chrome trace-event JSON; load it in
 ///   [Perfetto](https://ui.perfetto.dev) to scrub through the failure.
-/// - `TELEM_EVENTS.jsonl` — the same events, one JSON object per line.
 /// - `TELEM_METRICS.csv` — every time series / counter / histogram.
 /// - `RUN_REPORT.txt` — the human-readable digest: scenario, figures of
 ///   merit, fault epochs, drops, event census, engine counters, and the
@@ -434,8 +433,6 @@ pub fn report(args: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> 
     // Determinism gate: the artifacts below must replay byte-identically.
     let trace = telem_a.chrome_trace();
     assert_eq!(trace, telem_b.chrome_trace(), "trace must replay");
-    let jsonl = telem_a.events_jsonl();
-    assert_eq!(jsonl, telem_b.events_jsonl(), "event log must replay");
     let csv = telem_a.metrics_csv();
     assert_eq!(csv, telem_b.metrics_csv(), "metrics must replay");
     out.note("determinism: both runs produced byte-identical exports");
@@ -461,7 +458,6 @@ pub fn report(args: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> 
 
     for (path, contents) in [
         ("TELEM_TRACE.json", &trace),
-        ("TELEM_EVENTS.jsonl", &jsonl),
         ("TELEM_METRICS.csv", &csv),
         ("RUN_REPORT.txt", &rpt),
     ] {

@@ -26,7 +26,7 @@ use crate::diag::{self, codes, Diagnostic};
 use crate::metric::{MetricBasis, MetricVec};
 use crate::normal::{BranchRank, Guard, MetricExpr};
 use crate::pg::{ProductGraph, VNode, VNodeId};
-use contra_topology::{paths, NodeId, Topology};
+use contra_topology::{paths, LinkId, NodeId, Topology};
 
 /// A source switch with no policy-compliant route to a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -810,14 +810,22 @@ fn report_fragility(
         if pairs.is_empty() {
             continue;
         }
-        let comp = switch_components_without(topo, (a, b));
+        // Each lost route existed before the cut, so its ends were
+        // connected. The cut splits their component exactly when `b` is
+        // out of `a`'s reach without the cable, and then it separates the
+        // two ends exactly when one of them is on `a`'s side.
+        let cable = [topo.link_between(a, b), topo.link_between(b, a)];
+        let uncut = |l: LinkId, _| (!cable.contains(&Some(l))).then_some(1);
+        let near_a = paths::distances_from(topo, a, uncut);
+        let split = near_a[b.0 as usize].is_none();
         let new_pairs: Vec<Fragility> = pairs
             .iter()
             .map(|&(src, dst)| Fragility {
                 cable: (a, b),
                 src,
                 dst,
-                partitions: comp[src.0 as usize] != comp[dst.0 as usize],
+                partitions: split
+                    && near_a[src.0 as usize].is_some() != near_a[dst.0 as usize].is_some(),
             })
             .collect();
         let policy_only: Vec<&Fragility> = new_pairs.iter().filter(|f| !f.partitions).collect();
@@ -864,33 +872,6 @@ fn report_fragility(
         }
         r.verdicts.fragile.extend(new_pairs);
     }
-}
-
-/// Component index per node id of the switch graph (hosts ignored) once
-/// `cable` is gone: switches ascending, each claiming what it still reaches
-/// over out-links through unclaimed switches.
-fn switch_components_without(topo: &Topology, cable: (NodeId, NodeId)) -> Vec<u32> {
-    let (a, b) = cable;
-    let mut comp = vec![NONE; topo.num_nodes()];
-    let mut next = 0u32;
-    for s in topo.switches() {
-        if comp[s.0 as usize] != NONE {
-            continue;
-        }
-        comp[s.0 as usize] = next;
-        let mut work = vec![s];
-        while let Some(x) = work.pop() {
-            for &(y, _) in topo.adjacency(x) {
-                let cut = (x, y) == (a, b) || (x, y) == (b, a);
-                if !cut && topo.is_switch(y) && comp[y.0 as usize] == NONE {
-                    comp[y.0 as usize] = next;
-                    work.push(y);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
 }
 
 /// Per node id, for the nodes connected to some destination over the

@@ -10,7 +10,7 @@ use crate::fault::{FaultCmd, FaultPlan};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use contra_sim::{
     CompileCache, FaultError, FlowSpec, InstallCtx, InstallError, RoutingSystem, SimConfig,
-    Simulator, Time,
+    Simulator, Time, HDR_BYTES, MSS,
 };
 use contra_topology::{generators, NodeId, Topology};
 use contra_workloads::{cache, poisson_flows, web_search, EmpiricalCdf, PairPolicy, WorkloadSpec};
@@ -505,6 +505,13 @@ impl Scenario {
     ) -> Result<RunResult, ScenarioError> {
         let flows = self
             .generated_flows()
+            .and_then(|flows| {
+                let udp = flows.iter().chain(&self.extra_flows);
+                match udp.filter_map(udp_rate_error).next() {
+                    Some(reason) => Err(reason),
+                    None => Ok(flows),
+                }
+            })
             .map_err(|reason| ScenarioError::Traffic {
                 scenario: self.label.clone(),
                 reason,
@@ -701,6 +708,28 @@ impl Scenario {
             })
             .collect())
     }
+}
+
+/// Why `flow` cannot run, if it is a UDP sender that cannot: its rate
+/// must be positive and finite, and the gap it leaves between packets
+/// must round to at least 1 ns (at 0 ns the sender re-arms at the same
+/// instant forever) and, added to `stop`, still be a time.
+fn udp_rate_error(flow: &FlowSpec) -> Option<String> {
+    let &FlowSpec::Udp { rate_bps, stop, .. } = flow else {
+        return None;
+    };
+    // Rounded as the sender rounds it (`Time::secs_f64`).
+    let gap_ns = (f64::from(MSS + HDR_BYTES) * 8.0 / rate_bps * 1e9).round();
+    let why = if !(rate_bps > 0.0 && rate_bps.is_finite()) {
+        "is not a positive finite rate"
+    } else if gap_ns < 1.0 {
+        "leaves less than 1 ns between packets"
+    } else if gap_ns >= u64::MAX as f64 || stop.0.checked_add(gap_ns as u64).is_none() {
+        "leaves a packet gap past the end of the clock"
+    } else {
+        return None;
+    };
+    Some(format!("UDP rate {rate_bps} bps {why}"))
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 
 use contra_experiments::{
     CompileCache, Contra, Ecmp, Hula, InstallError, Pairs, RoutingSystem, Scenario, ScenarioError,
-    Sp, Spain, SweepSpec, Workload,
+    Sp, Spain, SweepSpec, Traffic, Workload,
 };
-use contra_sim::Time;
+use contra_sim::{FlowSpec, Time};
 
 /// The configuration ledger: every independently settable value of the
 /// three config structs, destructured without `..`, so a new field is a
@@ -68,6 +68,21 @@ fn hula_is_unsupported_on_wan_topologies() {
             assert!(reason.contains("leaf-spine"), "{reason}");
         }
         other => panic!("expected Unsupported, got: {other}"),
+    }
+}
+
+/// SPAIN's VLAN id is one byte: zero VLANs or more than 255 is a typed
+/// error before any switch is installed, not a panic mid-install.
+#[test]
+fn spain_vlan_count_out_of_range_is_unsupported() {
+    for vlans in [0, 256] {
+        match Scenario::abilene().try_run(&Spain::new(vlans)).unwrap_err() {
+            ScenarioError::Install(InstallError::Unsupported { system, reason }) => {
+                assert_eq!(system, "SPAIN");
+                assert_eq!(reason, format!("needs 1 to 255 VLANs, got {vlans}"));
+            }
+            other => panic!("expected Unsupported, got: {other}"),
+        }
     }
 }
 
@@ -137,6 +152,44 @@ fn load_out_of_range_is_a_typed_error() {
         let reason = traffic_error(small_dc().load(load));
         assert_eq!(reason, format!("load {load} out of range (0, 1.5]"));
     }
+}
+
+/// A UDP rate the sender cannot keep — not positive, not finite, or so
+/// high that the gap between packets rounds to 0 ns — is a typed error,
+/// for the generated senders (two here, each given half of `.udp`'s
+/// total) and for an extra flow alike.
+#[test]
+fn udp_rate_out_of_range_is_a_typed_error() {
+    let udp = |total_bps| traffic_error(Scenario::leaf_spine(2, 2, 2).udp(total_bps));
+    let not_a_rate = |per_flow| format!("UDP rate {per_flow} bps is not a positive finite rate");
+    assert_eq!(udp(0.0), not_a_rate("0"));
+    assert_eq!(udp(-1e9), not_a_rate("-500000000"));
+    assert_eq!(udp(f64::NAN), not_a_rate("NaN"));
+    assert_eq!(udp(f64::INFINITY), not_a_rate("inf"));
+    assert_eq!(
+        udp(1e15),
+        "UDP rate 500000000000000 bps leaves less than 1 ns between packets"
+    );
+
+    let s = Scenario::leaf_spine(2, 2, 2).traffic(Traffic::None);
+    let hosts = s.topology().hosts();
+    let extra = |rate_bps| {
+        traffic_error(s.clone().flow(FlowSpec::Udp {
+            src: hosts[0],
+            dst: hosts[3],
+            rate_bps,
+            start: Time::ms(1),
+            stop: Time::ms(2),
+        }))
+    };
+    assert_eq!(extra(0.0), not_a_rate("0"));
+    // A gap of u64::MAX ns: armed after the first packet, it would
+    // overflow the clock.
+    let reason = extra(1e-300);
+    assert!(
+        reason.ends_with("bps leaves a packet gap past the end of the clock"),
+        "{reason}"
+    );
 }
 
 #[test]

@@ -67,10 +67,6 @@ fn trace_export_schema_is_well_formed() {
     // The Chrome trace document parses as JSON.
     let doc = report.chrome_trace();
     validate_json(&doc).expect("chrome trace must be valid JSON");
-    // The JSONL export: every line parses on its own.
-    for line in report.events_jsonl().lines() {
-        validate_json(line).expect("jsonl line must be valid JSON");
-    }
 
     // Timestamps are monotonic (events drain from the ring in record
     // order, and the simulator clock never goes backwards).
@@ -127,7 +123,6 @@ fn same_seed_exports_are_byte_identical() {
     let a = run_report();
     let b = run_report();
     assert_eq!(a.chrome_trace(), b.chrome_trace());
-    assert_eq!(a.events_jsonl(), b.events_jsonl());
     assert_eq!(a.metrics_csv(), b.metrics_csv());
 }
 
@@ -160,19 +155,15 @@ fn export_fingerprint_is_pinned() {
     };
     let r = run_report();
     let got = format!(
-        "trace={:016x} jsonl={:016x} csv={:016x}",
+        "trace={:016x} csv={:016x}",
         fx(r.chrome_trace()),
-        fx(r.events_jsonl()),
         fx(r.metrics_csv())
     );
     if std::env::var_os("CONTRA_GOLDEN_PRINT").is_some() {
         println!("TELEMETRY FINGERPRINT:\n  \"{got}\"");
         return;
     }
-    assert_eq!(
-        got,
-        "trace=60fa4aed5ebfbede jsonl=609a3d5a9694cb75 csv=dd1857e972e7d97b"
-    );
+    assert_eq!(got, "trace=60fa4aed5ebfbede csv=dd1857e972e7d97b");
 }
 
 /// Every drop and every delivery reaches both the statistics and the

@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON and JSONL rendering.
+//! Chrome trace-event JSON rendering.
 //!
 //! The Chrome format (one `{"traceEvents": [...]}` object, timestamps
 //! in microseconds) is what Perfetto and `chrome://tracing` load
@@ -94,27 +94,6 @@ pub fn chrome_trace_json(
     out
 }
 
-/// Renders events as line-delimited JSON (one object per line, raw
-/// nanosecond timestamps) — the machine-diffable export.
-pub fn events_jsonl(events: &[TraceEvent]) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        let _ = write!(
-            out,
-            "{{\"ts_ns\":{},\"ph\":\"{}\",\"name\":\"{}\",\"cat\":\"{}\",\"track\":{},",
-            e.ts_ns,
-            e.phase.ph(),
-            json_escape(e.name),
-            json_escape(e.cat),
-            e.track,
-        );
-        push_args(&mut out, e);
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,15 +137,5 @@ mod tests {
         assert!(doc.contains("link a→b"));
         assert!(doc.contains("\"ts\":1.500"));
         assert!(doc.contains("\"s\":\"t\""));
-    }
-
-    #[test]
-    fn jsonl_lines_each_validate() {
-        let out = events_jsonl(&sample());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for line in lines {
-            validate_json(line).expect("valid JSONL line");
-        }
     }
 }

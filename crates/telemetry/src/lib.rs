@@ -12,7 +12,7 @@
 //! * [`TraceEvent`] + [`EventRing`] — a bounded, allocation-free
 //!   structured event buffer (Chrome trace-event phases: instant,
 //!   begin/end span, counter), exported as Perfetto-loadable Chrome
-//!   trace JSON or line-delimited JSON ([`TelemetryReport`]).
+//!   trace JSON ([`TelemetryReport`]).
 //! * [`MetricsRegistry`] — counters, capped time series and log₂-bucket
 //!   histograms with stable (insertion-order) export as CSV.
 //! * [`Profiler`] / [`PipelineProfile`] — scoped wall-clock spans over a
@@ -31,7 +31,7 @@ pub mod profile;
 pub mod report;
 pub mod ring;
 
-pub use chrome::{chrome_trace_json, events_jsonl, json_escape, ts_us};
+pub use chrome::{chrome_trace_json, json_escape, ts_us};
 pub use event::{ArgVal, Phase, TraceEvent, MAX_ARGS};
 pub use json::validate_json;
 pub use metrics::{MetricsRegistry, SeriesId, SERIES_POINT_CAP};

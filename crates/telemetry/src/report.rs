@@ -29,11 +29,6 @@ impl TelemetryReport {
         chrome::chrome_trace_json(&self.events, &self.track_names, &self.process_name)
     }
 
-    /// Line-delimited JSON, one event per line (raw ns timestamps).
-    pub fn events_jsonl(&self) -> String {
-        chrome::events_jsonl(&self.events)
-    }
-
     /// The metrics as CSV (see [`MetricsRegistry::to_csv`]).
     pub fn metrics_csv(&self) -> String {
         self.metrics.to_csv()

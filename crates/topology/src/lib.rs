@@ -11,9 +11,10 @@
 //! * [`generators`] — leaf-spine and k-ary fat-tree data centers (the Fig 9
 //!   x-axis sizes 20…500 are fat-trees with k = 4…20), random connected
 //!   graphs, and the built-in Abilene WAN used in §6.4.
-//! * [`paths`] — BFS/Dijkstra, ECMP next-hop sets, one deterministic
-//!   shortest path, and the all-simple-paths test oracle (SPAIN builds
-//!   its own path system, `SpainPaths`).
+//! * [`paths`] — one weighted shortest-path search behind hop counts,
+//!   delays, ECMP next-hop sets (and SPAIN's per-VLAN ones), one
+//!   deterministic shortest path and the connectivity check, plus the
+//!   all-simple-paths test oracle.
 //! * [`zoo`] — a GraphML-subset reader for Internet Topology Zoo files.
 //!
 //! # Layout and cost

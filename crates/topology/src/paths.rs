@@ -7,47 +7,59 @@
 //! All functions treat hosts as non-transit: paths never route *through* a
 //! host, matching real networks where only switches forward.
 //!
-//! Every shortest-path search runs on one kernel, `FlatGraph::settle`.
-//! The all-pairs RTT scan behind [`Topology::max_switch_rtt_ns`] asks it
-//! once per switch — O(V·E), the general path — unless every
-//! switch-to-switch link has the same delay, a property read off the
-//! links and true of every generator here. Then the largest delay is that
-//! delay times the hop diameter, and the diameter comes from
-//! breadth-first search run from 64 sources at a time, one bit per source
-//! in a word per node: V/64 sweeps of the edges instead of V. A WAN
+//! Every shortest-path search runs on one kernel, `FlatGraph::settle`,
+//! which reads each link's length off a weight function of the link and
+//! its delay (`None` keeps the search off the link): hop counts, delays,
+//! ECMP's and SPAIN's next hops ([`next_hops_toward`]), the connectivity
+//! check and the verifier's cable cuts ([`distances_from`]). The
+//! all-pairs RTT scan behind [`Topology::max_switch_rtt_ns`] asks it once
+//! per switch — O(V·E), the general path — unless every switch-to-switch
+//! link has the same delay, a property read off the links and true of
+//! every generator here. Then the largest delay is that delay times the
+//! hop diameter, and the diameter comes from a breadth-first search of
+//! its own, run from 64 sources at a time, one bit per source in a word
+//! per node: V/64 sweeps of the edges instead of V. A WAN
 //! (Abilene, a GraphML file with per-link delays) has no such shortcut
 //! and takes the per-source scan, which is also what the unit tests hold
 //! the word-parallel one against.
 
-use crate::{NodeId, Topology};
-use std::collections::VecDeque;
+use crate::{LinkId, NodeId, Topology};
 
 /// Distance of a node the search did not reach.
 const UNREACHED: u64 = u64::MAX;
 
+/// A distance of the search, `None` where it did not reach.
+fn reached(d: u64) -> Option<u64> {
+    (d != UNREACHED).then_some(d)
+}
+
+/// An edge of the flat graph: `(other end, link index, link delay)`,
+/// 16 bytes.
+type Edge = (u32, u32, u64);
+
 /// One direction of the flat graph: the edges of node `n` are
-/// `edges[offsets[n]..offsets[n + 1]]`, each `(other end, link delay)`.
+/// `edges[offsets[n]..offsets[n + 1]]`.
 #[derive(Debug, Clone)]
 struct Half {
     offsets: Vec<u32>,
-    edges: Vec<(u32, u64)>,
+    edges: Vec<Edge>,
 }
 
 impl Half {
-    /// Groups `edges` (`(from, to, delay)`) by `from`, keeping their order.
-    fn group(nodes: usize, edges: impl Iterator<Item = (u32, u32, u64)> + Clone) -> Half {
+    /// Groups `edges` (`(from, edge)`) by `from`, keeping their order.
+    fn group(nodes: usize, edges: impl Iterator<Item = (u32, Edge)> + Clone) -> Half {
         let mut offsets = vec![0u32; nodes + 1];
-        for (from, _, _) in edges.clone() {
+        for (from, _) in edges.clone() {
             offsets[from as usize + 1] += 1;
         }
         for n in 0..nodes {
             offsets[n + 1] += offsets[n];
         }
         let mut at = offsets.clone();
-        let mut grouped = vec![(0, 0); offsets[nodes] as usize];
-        for (from, to, delay) in edges {
+        let mut grouped = vec![(0, 0, 0); offsets[nodes] as usize];
+        for (from, edge) in edges {
             let e = &mut at[from as usize];
-            grouped[*e as usize] = (to, delay);
+            grouped[*e as usize] = edge;
             *e += 1;
         }
         Half {
@@ -56,7 +68,7 @@ impl Half {
         }
     }
 
-    fn edges(&self, n: usize) -> &[(u32, u64)] {
+    fn edges(&self, n: usize) -> &[Edge] {
         &self.edges[self.offsets[n] as usize..self.offsets[n + 1] as usize]
     }
 }
@@ -95,23 +107,31 @@ impl FlatGraph {
         )
     }
 
-    /// The graph of directed `links` (`(from, to, delay)`, in link order)
-    /// over `forwards.len()` nodes.
+    /// The graph of directed `links` (`(from, to, delay)`, in link order,
+    /// the `i`-th one link `i`) over `forwards.len()` nodes.
     fn new(forwards: Vec<bool>, links: impl Iterator<Item = (u32, u32, u64)> + Clone) -> FlatGraph {
         let n = forwards.len();
+        let edges = links.zip(0..).map(|((from, to, d), l)| (from, to, l, d));
         FlatGraph {
             forwards,
-            out: Half::group(n, links.clone()),
-            into: Half::group(n, links.map(|(from, to, delay)| (to, from, delay))),
+            out: Half::group(n, edges.clone().map(|(from, to, l, d)| (from, (to, l, d)))),
+            into: Half::group(n, edges.map(|(from, to, l, d)| (to, (from, l, d)))),
         }
     }
 
-    /// Shortest distances from `source` along `half` into `s.dist`, by
-    /// link delay or, with `UNIT`, by hop count. The frontier is settled a
-    /// whole distance value at a time, nearest first: that is Dijkstra's
-    /// order with one ordered insertion per distinct distance, and with
-    /// equal link costs it is breadth-first search, one bucket alive.
-    fn settle<const UNIT: bool>(&self, half: &Half, source: NodeId, s: &mut Scratch) {
+    /// Shortest distances from `source` along `half` into `s.dist`, each
+    /// link `weight(link, delay)` long, or not crossed where that is
+    /// `None`. The frontier is settled a whole distance value at a time,
+    /// nearest first: that is Dijkstra's order with one ordered insertion
+    /// per distinct distance, and with equal link lengths it is
+    /// breadth-first search, one bucket alive.
+    fn settle(
+        &self,
+        half: &Half,
+        source: NodeId,
+        weight: impl Fn(LinkId, u64) -> Option<u64>,
+        s: &mut Scratch,
+    ) {
         let Scratch {
             dist,
             pending,
@@ -129,7 +149,7 @@ impl FlatGraph {
             // With every node reached and no bucket farther out, the
             // relaxations of this level could only fail: skip them.
             let last = unreached == 0 && pending.is_empty();
-            // Zero-delay links grow the level while it is being settled.
+            // Zero-length links grow the level while it is being settled.
             let mut i = if last { level.len() } else { 0 };
             while let Some(&n) = level.get(i) {
                 i += 1;
@@ -138,8 +158,11 @@ impl FlatGraph {
                 if dist[n] != d || (n != source && !self.forwards[n]) {
                     continue;
                 }
-                for &(m, delay) in half.edges(n) {
-                    let nd = d + if UNIT { 1 } else { delay };
+                for &(m, link, delay) in half.edges(n) {
+                    let Some(w) = weight(LinkId(link), delay) else {
+                        continue;
+                    };
+                    let nd = d + w;
                     let old = dist[m as usize];
                     if nd >= old {
                         continue;
@@ -195,7 +218,7 @@ impl FlatGraph {
         let from_switches = self.switches().flat_map(|n| self.out.edges(n));
         let mut delays = from_switches
             .filter(|e| self.forwards[e.0 as usize])
-            .map(|e| e.1);
+            .map(|e| e.2);
         let first = delays.next()?;
         delays.all(|d| d == first).then_some(first)
     }
@@ -205,8 +228,8 @@ impl FlatGraph {
     fn max_switch_rtt_per_source(&self) -> u64 {
         let mut s = Scratch::default();
         let mut max = 0;
-        for src in self.switches() {
-            self.settle::<false>(&self.out, NodeId(src as u32), &mut s);
+        for src in self.switches().map(|n| NodeId(n as u32)) {
+            self.settle(&self.out, src, |_, delay| Some(delay), &mut s);
             for d in self.switches().map(|t| s.dist[t]) {
                 if d != UNREACHED {
                     max = max.max(2 * d);
@@ -240,7 +263,7 @@ impl FlatGraph {
             loop {
                 for &v in &frontier {
                     let bits = std::mem::take(&mut cur[v as usize]);
-                    for &(w, _) in self.out.edges(v as usize) {
+                    for &(w, ..) in self.out.edges(v as usize) {
                         let w = w as usize;
                         let new = bits & !seen[w];
                         if new != 0 && self.forwards[w] {
@@ -273,36 +296,59 @@ impl FlatGraph {
 pub fn hop_distances_to(topo: &Topology, dst: NodeId) -> Vec<Option<u32>> {
     let g = topo.flat();
     let mut s = Scratch::default();
-    g.settle::<true>(&g.into, dst, &mut s);
-    let reached = |&d: &u64| (d != UNREACHED).then_some(d as u32);
-    s.dist.iter().map(reached).collect()
+    g.settle(&g.into, dst, |_, _| Some(1), &mut s);
+    let hops = |d| reached(d).map(|d| d as u32);
+    s.dist.into_iter().map(hops).collect()
 }
 
 /// Dijkstra over propagation delay from `src` to every node, in ns.
 pub fn dijkstra_delay(topo: &Topology, src: NodeId) -> Vec<Option<u64>> {
+    distances_from(topo, src, |_, delay| Some(delay))
+}
+
+/// Shortest distances from `src` to every node, each link
+/// `weight(link, delay)` long and not crossed where that is `None`.
+pub fn distances_from(
+    topo: &Topology,
+    src: NodeId,
+    weight: impl Fn(LinkId, u64) -> Option<u64>,
+) -> Vec<Option<u64>> {
     let g = topo.flat();
     let mut s = Scratch::default();
-    g.settle::<false>(&g.out, src, &mut s);
-    let reached = |&d: &u64| (d != UNREACHED).then_some(d);
-    s.dist.iter().map(reached).collect()
+    g.settle(&g.out, src, weight, &mut s);
+    s.dist.into_iter().map(reached).collect()
 }
 
 /// For every node, the set of next hops lying on *some* shortest hop-count
 /// path toward `dst`. This is the classic ECMP DAG.
 pub fn ecmp_next_hops(topo: &Topology, dst: NodeId) -> Vec<Vec<NodeId>> {
-    let dist = hop_distances_to(topo, dst);
+    next_hops_toward(topo, dst, |_, _| Some(1))
+}
+
+/// Per node `n` at a positive distance to `dst` under `weight` (as in
+/// [`distances_from`]), the out-neighbours `m`, ascending, with
+/// `dist[m] + weight(n → m) == dist[n]`: its next hops on some shortest
+/// path. A multi-homed host can be one, though it forwards nothing.
+pub fn next_hops_toward(
+    topo: &Topology,
+    dst: NodeId,
+    weight: impl Fn(LinkId, u64) -> Option<u64>,
+) -> Vec<Vec<NodeId>> {
     let g = topo.flat();
+    let mut s = Scratch::default();
+    g.settle(&g.into, dst, &weight, &mut s);
+    let dist = &s.dist;
     let mut next = vec![Vec::new(); dist.len()];
     for (n, hops) in next.iter_mut().enumerate() {
-        let Some(d) = dist[n].filter(|&d| d > 0) else {
+        let d = dist[n];
+        if d == 0 || d == UNREACHED {
             continue;
+        }
+        let on_path = |&&(m, link, delay): &&Edge| {
+            let w = weight(LinkId(link), delay);
+            w.is_some_and(|w| dist[m as usize].saturating_add(w) == d)
         };
-        let neighbors = g.out.edges(n).iter().map(|&(m, _)| m);
-        hops.extend(
-            neighbors
-                .filter(|&m| dist[m as usize] == Some(d - 1))
-                .map(NodeId),
-        );
+        hops.extend(g.out.edges(n).iter().filter(on_path).map(|e| NodeId(e.0)));
         hops.sort_unstable();
     }
     next
@@ -326,25 +372,13 @@ pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<No
 
 /// Whether the switch graph is connected (ignoring hosts).
 pub fn switch_graph_connected(topo: &Topology) -> bool {
-    let switches = topo.switches();
-    let Some(&start) = switches.first() else {
+    let g = topo.flat();
+    let Some(start) = g.switches().next() else {
         return true;
     };
-    let mut seen = vec![false; topo.num_nodes()];
-    seen[start.0 as usize] = true;
-    let mut q = VecDeque::new();
-    q.push_back(start);
-    let mut count = 1;
-    while let Some(n) = q.pop_front() {
-        for m in topo.switch_neighbors(n) {
-            if !seen[m.0 as usize] {
-                seen[m.0 as usize] = true;
-                count += 1;
-                q.push_back(m);
-            }
-        }
-    }
-    count == switches.len()
+    let mut s = Scratch::default();
+    g.settle(&g.out, NodeId(start as u32), |_, _| Some(1), &mut s);
+    g.switches().all(|n| s.dist[n] != UNREACHED)
 }
 
 /// Enumerates **all** simple switch paths from `src` to `dst`, up to
