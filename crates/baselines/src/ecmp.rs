@@ -11,28 +11,56 @@
 use contra_sim::{Packet, SwitchCtx, SwitchLogic, Verdict};
 use contra_topology::{paths, NodeId, Topology};
 
+/// One switch's shortest-path next hops toward every destination, dense
+/// by node id and flat: destination `d`'s are `hops[first[d]..first[d + 1]]`
+/// (empty toward itself, hosts and switches it cannot reach).
+#[derive(Debug, PartialEq)]
+struct NextHops {
+    first: Vec<u32>,
+    hops: Vec<NodeId>,
+}
+
+impl NextHops {
+    /// The next hops toward `dst`.
+    #[inline]
+    fn to(&self, dst: NodeId) -> &[NodeId] {
+        let d = dst.0 as usize;
+        &self.hops[self.first[d] as usize..self.first[d + 1] as usize]
+    }
+}
+
 /// For each of `switches`, in order, its shortest-path next hops toward
-/// every destination switch (dense by node id; empty toward itself, hosts
-/// and switches it cannot reach). A destination's DAG
+/// every destination switch. A destination's DAG
 /// ([`paths::ecmp_next_hops`]) holds every switch's row, so it is computed
 /// once however many switches ask: a fabric of S switches costs S searches,
-/// not S².
-fn next_hop_sets(topo: &Topology, switches: &[NodeId]) -> Vec<Vec<Vec<NodeId>>> {
-    let mut tables = vec![vec![Vec::new(); topo.num_nodes()]; switches.len()];
+/// not S². Destinations come in ascending id, so each switch's table is
+/// built by appending its row of every DAG.
+fn next_hop_sets(topo: &Topology, switches: &[NodeId]) -> Vec<NextHops> {
+    let n = topo.num_nodes();
+    let mut tables: Vec<NextHops> = (switches.iter())
+        .map(|_| NextHops {
+            first: Vec::with_capacity(n + 1),
+            hops: Vec::new(),
+        })
+        .collect();
     for dst in topo.switches() {
         let dag = paths::ecmp_next_hops(topo, dst);
-        for (table, &sw) in tables.iter_mut().zip(switches) {
-            table[dst.0 as usize].clone_from(&dag[sw.0 as usize]);
+        for (t, &sw) in tables.iter_mut().zip(switches) {
+            t.first.resize(dst.0 as usize + 1, t.hops.len() as u32);
+            t.hops.extend_from_slice(&dag[sw.0 as usize]);
         }
+    }
+    for t in &mut tables {
+        t.first.resize(n + 1, t.hops.len() as u32);
     }
     tables
 }
 
 /// Load-oblivious hash-based multipath over shortest paths.
 pub struct EcmpSwitch {
-    /// Per destination switch (dense, indexed by node id): all
-    /// shortest-path next hops. Consulted once per packet per hop.
-    next_hops: Vec<Vec<NodeId>>,
+    /// All shortest-path next hops per destination switch. Consulted once
+    /// per packet per hop.
+    next_hops: NextHops,
 }
 
 impl EcmpSwitch {
@@ -67,7 +95,7 @@ impl SwitchLogic for EcmpSwitch {
         if pkt.dst_switch == ctx.switch {
             return Verdict::Forward(pkt.dst_host);
         }
-        let hops = &self.next_hops[pkt.dst_switch.0 as usize];
+        let hops = self.next_hops.to(pkt.dst_switch);
         // Idealized repair: hash over the *live* subset — selected by
         // counting, without materializing the subset.
         let n_live = hops.iter().filter(|&&h| ctx.link_up(h)).count();
@@ -103,11 +131,11 @@ impl SpSwitch {
     /// [`paths::shortest_path`] walks takes the lowest-numbered ECMP next
     /// hop at every step, so its first step is the first of the set.
     pub fn for_switches(topo: &Topology, switches: &[NodeId]) -> Vec<SpSwitch> {
+        let nodes = (0..topo.num_nodes() as u32).map(NodeId);
         let tables = next_hop_sets(topo, switches).into_iter();
-        let first = |hops: Vec<NodeId>| hops.first().copied();
         tables
-            .map(|sets| SpSwitch {
-                next_hop: sets.into_iter().map(first).collect(),
+            .map(|t| SpSwitch {
+                next_hop: nodes.clone().map(|d| t.to(d).first().copied()).collect(),
             })
             .collect()
     }
@@ -188,10 +216,7 @@ mod tests {
                     } else {
                         (Vec::new(), None)
                     };
-                    assert_eq!(
-                        ecmp[i].next_hops[dst.0 as usize], hops,
-                        "{label}: ECMP {sw}→{dst}"
-                    );
+                    assert_eq!(ecmp[i].next_hops.to(dst), hops, "{label}: ECMP {sw}→{dst}");
                     assert_eq!(
                         sp[i].next_hop[dst.0 as usize], hop,
                         "{label}: SP {sw}→{dst}"

@@ -104,6 +104,41 @@ mod tests {
         assert_eq!(h.oracle_rank(&chosen), h.oracle_best_rank(s, d, 4));
     }
 
+    /// Probes never touch the flowlet or loop registers, so rounds of
+    /// probing leave every switch without them in host memory; the first
+    /// data packet gives them to exactly the switches it crosses.
+    #[test]
+    fn registers_materialize_only_where_data_passes() {
+        let topo = diamond();
+        let (s, a, d) = (
+            topo.find("S").unwrap(),
+            topo.find("A").unwrap(),
+            topo.find("D").unwrap(),
+        );
+        let mut h = harness_for(&topo, "minimize(path.util)");
+        h.set_util_bidir(s, a, 0.1);
+        h.set_util_bidir(a, d, 0.1);
+        h.run_rounds(3);
+        let switches = topo.switches();
+        for &sw in &switches {
+            assert_eq!(
+                h.switch(sw).registers_materialized(),
+                (false, false),
+                "{sw}"
+            );
+        }
+        let path = h.traffic_path(s, d).expect("a route after three rounds");
+        for &sw in &switches {
+            // The destination switch delivers without pinning.
+            let written = path.contains(&sw) && sw != d;
+            assert_eq!(
+                h.switch(sw).registers_materialized(),
+                (written, written),
+                "{sw} on {path:?}"
+            );
+        }
+    }
+
     #[test]
     fn preference_flips_when_metrics_change() {
         let topo = diamond();

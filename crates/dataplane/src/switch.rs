@@ -56,7 +56,8 @@ pub struct DataplaneConfig {
     /// table never grows and each flowlet has one slot: a pin over
     /// another flowlet's live pin displaces it (counted as a live entry
     /// displaced, not fatal), and the displaced flowlet is routed afresh
-    /// at its next packet.
+    /// at its next packet. The modelled size is fixed at install; the
+    /// host memory behind it is allocated at the table's first write.
     pub flowlet_slots: usize,
 }
 
@@ -242,9 +243,17 @@ impl ContraSwitch {
         (self.fwdt.len(), self.best.len())
     }
 
-    /// Slots allocated to the `(flowlet, loop)` register arrays.
+    /// Slots of the `(flowlet, loop)` register arrays: the modelled
+    /// sizes, whether or not the arrays have been written yet.
     pub fn register_slots(&self) -> (usize, usize) {
         (self.flowlets.slots(), self.loops.slots())
+    }
+
+    /// Whether the `(flowlet, loop)` arrays hold their slots in host
+    /// memory, i.e. have been written.
+    #[cfg(test)]
+    pub(crate) fn registers_materialized(&self) -> (bool, bool) {
+        (self.flowlets.materialized(), self.loops.materialized())
     }
 
     /// `PROCESSPROBE`.

@@ -28,7 +28,9 @@
 //! the size the emitted program declares and Fig 10 charges for:
 //! [`contra_core::FLOWLET_ENTRIES`] (the default of
 //! [`crate::DataplaneConfig::flowlet_slots`]) and
-//! [`contra_core::LOOP_ENTRIES`].
+//! [`contra_core::LOOP_ENTRIES`]. That modelled size is fixed from
+//! install on; host memory for it appears at an array's first write, so
+//! a switch that only handles probes never holds its registers.
 
 use contra_core::{MetricVec, RankKey, VNodeId};
 use contra_sim::{FxHasher64, Time};
@@ -229,11 +231,17 @@ impl BestTable {
 /// expired one (each table's own timeout decides) is not. Entries are
 /// removed only when touched, so an occupied slot may hold an expired
 /// pin or an aged-out row.
+///
+/// The `n` slots are allocated at the first write: until then the array
+/// answers every read as `n` empty slots would, so a switch that never
+/// forwards data holds none of them in host memory.
 #[derive(Debug)]
 struct RegisterArray<K, V> {
+    /// Empty until the first write, then `n` slots.
     slots: Vec<Option<(K, V)>>,
-    /// `64 - log2(slots)`: hash bits are taken from the top, where the
-    /// Fx multiply concentrates entropy (64 for a single slot).
+    n: usize,
+    /// `64 - log2(n)`: hash bits are taken from the top, where the Fx
+    /// multiply concentrates entropy (64 for a single slot).
     shift: u32,
     live: usize,
     displaced: u64,
@@ -243,7 +251,8 @@ impl<K: Copy + Eq, V> RegisterArray<K, V> {
     fn with_slots(requested: usize) -> RegisterArray<K, V> {
         let n = requested.next_power_of_two();
         RegisterArray {
-            slots: (0..n).map(|_| None).collect(),
+            slots: Vec::new(),
+            n,
             shift: 64 - n.trailing_zeros(),
             live: 0,
             displaced: 0,
@@ -260,13 +269,16 @@ impl<K: Copy + Eq, V> RegisterArray<K, V> {
     #[inline]
     fn find(&self, hash: u64, key: K) -> Option<usize> {
         let i = self.slot(hash);
-        matches!(&self.slots[i], Some((k, _)) if *k == key).then_some(i)
+        matches!(self.slots.get(i), Some(Some((k, _))) if *k == key).then_some(i)
     }
 
     /// Writes `key → val` into `key`'s slot. A foreign occupant for which
     /// `live` holds is displaced and counted, exactly the overwrite a
     /// one-slot hardware register does.
     fn write(&mut self, hash: u64, key: K, val: V, live: impl Fn(&V) -> bool) {
+        if self.slots.is_empty() {
+            self.slots = (0..self.n).map(|_| None).collect();
+        }
         let i = self.slot(hash);
         match &self.slots[i] {
             None => self.live += 1,
@@ -278,7 +290,7 @@ impl<K: Copy + Eq, V> RegisterArray<K, V> {
 
     /// Empties a slot.
     fn clear(&mut self, i: usize) {
-        if self.slots[i].take().is_some() {
+        if self.slots.get_mut(i).and_then(Option::take).is_some() {
             self.live -= 1;
         }
     }
@@ -401,9 +413,15 @@ impl FlowletTable {
         self.arr.displaced
     }
 
-    /// Register slots allocated.
+    /// Register slots the table models (allocated at its first write).
     pub fn slots(&self) -> usize {
-        self.arr.slots.len()
+        self.arr.n
+    }
+
+    /// Whether the slots are in host memory (the table was written).
+    #[cfg(test)]
+    pub(crate) fn materialized(&self) -> bool {
+        !self.arr.slots.is_empty()
     }
 
     /// Number of pins held (an expired pin counts until it is looked up,
@@ -502,9 +520,15 @@ impl LoopTable {
         self.arr.displaced
     }
 
-    /// Register slots allocated.
+    /// Register slots the table models (allocated at its first write).
     pub fn slots(&self) -> usize {
-        self.arr.slots.len()
+        self.arr.n
+    }
+
+    /// Whether the slots are in host memory (the table was written).
+    #[cfg(test)]
+    pub(crate) fn materialized(&self) -> bool {
+        !self.arr.slots.is_empty()
     }
 
     /// Number of rows held (an aged-out row counts until it is reset or
@@ -759,6 +783,55 @@ mod tests {
             assert_eq!(l.observe(9, 57, Time::us(2), Time::ms(1)), 3);
             assert_eq!((l.len(), l.collisions()), (1, 0));
         }
+    }
+
+    /// An array nobody wrote answers every read as an all-empty one: the
+    /// same misses, flushes and resets that remove nothing, no
+    /// displacements, and its modelled size. Reads leave it unallocated;
+    /// the first write allocates all `n` slots and counts one live entry.
+    #[test]
+    fn registers_materialize_on_the_first_write() {
+        let (timeout, age) = (Time::us(200), Time::ms(1));
+        let mut lazy = FlowletTable::with_slots(FLOWLET_ENTRIES);
+        let mut full = FlowletTable::with_slots(FLOWLET_ENTRIES);
+        full.arr.slots = (0..FLOWLET_ENTRIES).map(|_| None).collect();
+        for t in [&mut lazy, &mut full] {
+            assert_eq!(t.slots(), FLOWLET_ENTRIES);
+            assert_eq!(t.lookup_touch(flowlet(3), Time::us(1), timeout), None);
+            assert_eq!((t.flush_fid(3), t.flush_nhop(NodeId(5))), (0, 0));
+            t.arr.clear(t.arr.slot(flowlet(3).slot_hash()));
+            assert_eq!((t.len(), t.is_empty(), t.collisions()), (0, true, 0));
+        }
+        assert!(!lazy.materialized());
+        lazy.pin(flowlet(3), pinned(5, Time::ZERO), timeout);
+        assert!(lazy.materialized());
+        assert_eq!(lazy.arr.slots.len(), FLOWLET_ENTRIES);
+        assert_eq!(
+            (lazy.slots(), lazy.len(), lazy.collisions()),
+            (FLOWLET_ENTRIES, 1, 0)
+        );
+        assert_eq!(
+            lazy.lookup_touch(flowlet(3), Time::us(1), timeout),
+            Some((NodeId(5), VNodeId(1)))
+        );
+
+        let mut lazy = LoopTable::with_slots(LOOP_ENTRIES);
+        let mut full = LoopTable::with_slots(LOOP_ENTRIES);
+        full.arr.slots = (0..LOOP_ENTRIES).map(|_| None).collect();
+        for t in [&mut lazy, &mut full] {
+            assert_eq!(t.slots(), LOOP_ENTRIES);
+            t.reset(7);
+            assert_eq!((t.len(), t.is_empty(), t.collisions()), (0, true, 0));
+        }
+        assert!(!lazy.materialized());
+        assert_eq!(lazy.observe(7, 60, Time::us(1), age), 0);
+        assert!(lazy.materialized());
+        assert_eq!(lazy.arr.slots.len(), LOOP_ENTRIES);
+        assert_eq!(
+            (lazy.slots(), lazy.len(), lazy.collisions()),
+            (LOOP_ENTRIES, 1, 0)
+        );
+        assert_eq!(lazy.observe(7, 57, Time::us(2), age), 3);
     }
 
     /// Random pin / lookup / flush / observe / reset streams on 16-slot
