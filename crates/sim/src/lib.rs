@@ -69,7 +69,7 @@ pub use packet::{
     FAILURE_PERIODS, FLOWLET_TIMEOUT, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 pub use recorder::{Recorder, TelemetryConfig};
-pub use sched::{HeapQueue, SchedCounters, SchedEntry, TimingWheel};
+pub use sched::{SchedCounters, SchedEntry, TimingWheel};
 pub use stats::{
     percentile, FaultEpoch, FlowRecord, GoodputDip, QueueSample, SimStats, TrafficKind, WireBytes,
     QUEUE_SAMPLE_CAP,

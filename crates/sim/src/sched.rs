@@ -27,10 +27,10 @@
 //! far-future events in coarser levels that cascade down as the clock
 //! advances, and events beyond the horizon wait in a small overflow heap.
 //!
-//! The engine runs on the wheel. [`HeapQueue`] is the reference model:
-//! nothing outside tests constructs it, and
-//! `crates/sim/tests/sched_diff.rs` drives random event streams of
-//! both classes through both and requires identical pop sequences.
+//! The engine runs on the wheel. Its reference model, a plain binary
+//! heap, lives in `crates/sim/tests/sched_diff.rs`, which drives random
+//! event streams of both classes through both and requires identical pop
+//! sequences.
 //!
 //! ## Wheel geometry
 //!
@@ -43,14 +43,25 @@
 //!   wheel as the horizon advances. With the engine filtering events past
 //!   `stop_at`, overflow is practically never touched.
 //!
-//! A bucket holds its entries unsorted; when the clock reaches a level-0
-//! bucket the entries move into a small `ready` heap that restores exact
-//! `(at, seq)` order. Sorting ~bucket-sized heaps is where the asymptotic
-//! win comes from: the heap's log(pending) becomes log(bucket occupancy).
+//! ## Storage
+//!
+//! * A level-0 bucket is a contiguous `Vec` of unsorted entries. When the
+//!   clock reaches it, it is sorted ascending once and becomes the *run*,
+//!   a `VecDeque` drained from the front; the previous run's buffer goes
+//!   back into the bucket, so neither step allocates. Sorting
+//!   ~bucket-sized runs is where the asymptotic win comes from: the heap's
+//!   log(pending) becomes log(bucket occupancy).
+//! * A push behind the drain front (a same-instant event scheduled while
+//!   its bucket drains) is inserted into the run at its rank. It is never
+//!   earlier than the last pop, so it lands inside the opened bucket.
+//! * Level-1 and level-2 buckets are only ever walked whole, by a cascade,
+//!   so each is the head of a singly linked list through one shared slab
+//!   of entries, with a free list: a coarse bucket owns no buffer of its
+//!   own, and the slab grows only to the peak coarse occupancy.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of the level-0 bucket width in nanoseconds (512 ns).
 pub const BASE_SHIFT: u32 = 9;
@@ -63,6 +74,8 @@ pub const LEVELS: usize = 3;
 
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 const WORDS: usize = SLOTS / 64;
+/// The empty list in the coarse slab.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 const fn level_shift(lvl: usize) -> u32 {
@@ -119,87 +132,38 @@ pub struct SchedCounters {
     pub overflow_pushes: u64,
 }
 
-/// The reference model: one `BinaryHeap` over all pending events.
-#[derive(Debug)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<SchedEntry<T>>>,
-    seq: u64,
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> HeapQueue<T> {
-    /// An empty queue.
-    pub fn new() -> HeapQueue<T> {
-        HeapQueue::default()
-    }
-
-    /// Schedules a timer-class event at `at` (same-instant timers drain
-    /// in push order); `at` must not precede any popped instant.
-    pub fn push(&mut self, at: Time, ev: T) {
-        self.seq += 1;
-        let key = TIMER_CLASS | self.seq;
-        self.heap.push(Reverse(SchedEntry { at, key, ev }));
-    }
-
-    /// Schedules an arrival-class event with a caller-chosen tie-break
-    /// key (`key < 2^30`): same-instant arrivals order by key, ahead of
-    /// every timer at that instant; equal keys drain in push order (the
-    /// counter in the low bits breaks the tie).
-    pub fn push_at_key(&mut self, at: Time, key: u64, ev: T) {
-        debug_assert!(key < ARRIVAL_KEY_LIMIT, "arrival key overflows its class");
-        self.seq += 1;
-        let key = (key << 32) | (self.seq & 0xFFFF_FFFF);
-        self.heap.push(Reverse(SchedEntry { at, key, ev }));
-    }
-
-    /// Pops the `(at, key)`-minimal pending event.
-    pub fn pop(&mut self) -> Option<SchedEntry<T>> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Hierarchical timing wheel preserving exact `(at, seq)` pop order.
 ///
 /// Invariants (all times in ns):
 ///
 /// * `cur` is a level-0 bucket boundary; every pending event with
-///   `at < cur` sits in `ready`, already totally ordered.
+///   `at < cur` sits in `run`, sorted ascending by `(at, key)`.
 /// * A level-`l` bucket with absolute index `s` (i.e. covering
 ///   `[s << shift_l, (s+1) << shift_l)`) is occupied only for
 ///   `s ∈ [cur >> shift_l, (cur >> shift_l) + SLOTS)`, so the ring index
 ///   `s & SLOT_MASK` is unambiguous.
 /// * Coarse buckets never contain events of the coarse bucket `cur` is in:
 ///   placement always picks the finest level that can hold the event.
+/// * Every slab slot is either on exactly one coarse bucket's list and
+///   holds an entry, or on the free list and holds `None`.
 /// * Overflow entries all lie at or beyond every wheel entry's bucket.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// `levels[l][s & SLOT_MASK]`: unsorted entries of one bucket.
-    levels: Vec<Vec<Vec<SchedEntry<T>>>>,
+    /// `near[s & SLOT_MASK]`: unsorted entries of one level-0 bucket.
+    near: Vec<Vec<SchedEntry<T>>>,
+    /// `coarse[l - 1][s & SLOT_MASK]`: the first slab slot of a level-`l`
+    /// bucket's list, or `NIL`.
+    coarse: [[u32; SLOTS]; LEVELS - 1],
+    /// The entries of every coarse bucket, linked through `next`.
+    slab: Vec<Slot<T>>,
+    /// Head of the list of free slab slots, or `NIL`.
+    free: u32,
     /// Per-level bucket-occupancy bitmaps (`SLOTS` bits each).
     occ: [[u64; WORDS]; LEVELS],
-    /// The opened level-0 bucket, sorted descending by `(at, key)` and
-    /// popped from the back — the fast path: one sort per bucket beats
-    /// two heap operations per event.
-    run: Vec<SchedEntry<T>>,
-    /// Stragglers pushed behind the drain front (same-instant pushes
-    /// during a bucket drain), in exact `(at, key)` heap order. Merged
-    /// with `run` on pop.
-    ready: BinaryHeap<Reverse<SchedEntry<T>>>,
-    /// Drain front: a level-0 boundary; everything earlier is in `run`
-    /// or `ready`.
+    /// The opened level-0 bucket plus stragglers, ascending by
+    /// `(at, key)` and popped from the front.
+    run: VecDeque<SchedEntry<T>>,
+    /// Drain front: a level-0 boundary; everything earlier is in `run`.
     cur: u64,
     /// Events beyond the level-`LEVELS-1` horizon.
     overflow: BinaryHeap<Reverse<SchedEntry<T>>>,
@@ -210,15 +174,23 @@ pub struct TimingWheel<T> {
     overflow_pushes: u64,
 }
 
+/// One coarse-slab slot: a bucket's entry and the next slot of its list
+/// (or, when free, `None` and the next free slot).
+#[derive(Debug)]
+struct Slot<T> {
+    entry: Option<SchedEntry<T>>,
+    next: u32,
+}
+
 impl<T> Default for TimingWheel<T> {
     fn default() -> Self {
         TimingWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            near: (0..SLOTS).map(|_| Vec::new()).collect(),
+            coarse: [[NIL; SLOTS]; LEVELS - 1],
+            slab: Vec::new(),
+            free: NIL,
             occ: [[0; WORDS]; LEVELS],
-            run: Vec::new(),
-            ready: BinaryHeap::new(),
+            run: VecDeque::new(),
             cur: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -246,7 +218,9 @@ impl<T> TimingWheel<T> {
     }
 
     /// Schedules an arrival-class event with a caller-chosen tie-break
-    /// key (`key < 2^30`); see [`HeapQueue::push_at_key`].
+    /// key (`key < 2^30`): same-instant arrivals order by key, ahead of
+    /// every timer at that instant; equal keys drain in push order (the
+    /// counter in the low bits breaks the tie).
     pub fn push_at_key(&mut self, at: Time, key: u64, ev: T) {
         debug_assert!(key < ARRIVAL_KEY_LIMIT, "arrival key overflows its class");
         self.seq += 1;
@@ -263,25 +237,9 @@ impl<T> TimingWheel<T> {
     /// Pops the `(at, key)`-minimal pending event.
     pub fn pop(&mut self) -> Option<SchedEntry<T>> {
         loop {
-            // Fast path: merge the sorted run with the straggler heap.
-            match (self.run.last(), self.ready.peek()) {
-                (Some(r), Some(Reverse(h))) => {
-                    self.len -= 1;
-                    return Some(if (r.at, r.key) <= (h.at, h.key) {
-                        self.run.pop().expect("just peeked")
-                    } else {
-                        self.ready.pop().expect("just peeked").0
-                    });
-                }
-                (Some(_), None) => {
-                    self.len -= 1;
-                    return Some(self.run.pop().expect("just peeked"));
-                }
-                (None, Some(_)) => {
-                    self.len -= 1;
-                    return Some(self.ready.pop().expect("just peeked").0);
-                }
-                (None, None) => {}
+            if let Some(e) = self.run.pop_front() {
+                self.len -= 1;
+                return Some(e);
             }
             if self.len == 0 {
                 return None;
@@ -322,25 +280,30 @@ impl<T> TimingWheel<T> {
             self.cur = self.cur.max(start);
             let idx = (abs & SLOT_MASK) as usize;
             self.occ[lvl][idx / 64] &= !(1u64 << (idx % 64));
-            let mut bucket = std::mem::take(&mut self.levels[lvl][idx]);
             if lvl == 0 {
-                // Reached: sort once (descending, popped from the back)
-                // and advance the drain front past this bucket. The old
-                // run allocation is recycled as the emptied bucket.
+                // Reached: sort once and advance the drain front past this
+                // bucket. The drained run's buffer becomes the emptied
+                // bucket; both conversions keep their allocation.
                 debug_assert!(self.run.is_empty());
-                bucket.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.key)));
-                std::mem::swap(&mut self.run, &mut bucket);
-                self.levels[lvl][idx] = bucket;
+                let mut bucket = std::mem::take(&mut self.near[idx]);
+                bucket.sort_unstable_by_key(|e| (e.at, e.key));
+                let drained = std::mem::replace(&mut self.run, VecDeque::from(bucket));
+                self.near[idx] = Vec::from(drained);
                 self.cur = end;
-                continue;
             } else {
-                // Cascade one coarse bucket into finer levels.
-                self.cascades += bucket.len() as u64;
-                for e in bucket.drain(..) {
-                    self.place(e);
+                // Cascade one coarse bucket into finer levels, freeing
+                // each slot before its entry is placed again.
+                let mut i = std::mem::replace(&mut self.coarse[lvl - 1][idx], NIL);
+                while i != NIL {
+                    let slot = &mut self.slab[i as usize];
+                    let entry = slot.entry.take().expect("a listed slot holds an entry");
+                    let next = std::mem::replace(&mut slot.next, self.free);
+                    self.free = i;
+                    self.cascades += 1;
+                    self.place(entry);
+                    i = next;
                 }
             }
-            self.levels[lvl][idx] = bucket; // recycle the allocation
         }
     }
 
@@ -363,21 +326,43 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Files an entry into ready / the finest fitting level / overflow.
+    /// Files an entry into the run / the finest fitting level / overflow.
     fn place(&mut self, entry: SchedEntry<T>) {
         let at = entry.at.0;
         if at < self.cur {
-            // Inside the already-drained window: joins the ready order
-            // directly (same-instant pushes during a bucket drain).
-            self.ready.push(Reverse(entry));
+            // Inside the already-drained window (a same-instant push
+            // during a bucket drain): joins the run at its rank.
+            let rank = (entry.at, entry.key);
+            let pos = self.run.partition_point(|e| (e.at, e.key) < rank);
+            self.run.insert(pos, entry);
             return;
         }
         for lvl in 0..LEVELS {
             let shift = level_shift(lvl);
             if (at >> shift) - (self.cur >> shift) < SLOTS as u64 {
                 let idx = ((at >> shift) & SLOT_MASK) as usize;
-                self.levels[lvl][idx].push(entry);
                 self.occ[lvl][idx / 64] |= 1u64 << (idx % 64);
+                if lvl == 0 {
+                    self.near[idx].push(entry);
+                } else {
+                    let head = &mut self.coarse[lvl - 1][idx];
+                    let slot = Slot {
+                        entry: Some(entry),
+                        next: *head,
+                    };
+                    *head = if self.free == NIL {
+                        let i = u32::try_from(self.slab.len())
+                            .ok()
+                            .filter(|&i| i != NIL)
+                            .expect("coarse slab indices stay below NIL");
+                        self.slab.push(slot);
+                        i
+                    } else {
+                        let i = self.free;
+                        self.free = std::mem::replace(&mut self.slab[i as usize], slot).next;
+                        i
+                    };
+                }
                 return;
             }
         }
@@ -417,6 +402,13 @@ impl<T> TimingWheel<T> {
             }
         }
         None
+    }
+
+    /// Coarse-slab slots, and how many of them hold an entry.
+    #[cfg(test)]
+    fn coarse_slab(&self) -> (usize, usize) {
+        let held = self.slab.iter().filter(|s| s.entry.is_some()).count();
+        (self.slab.len(), held)
     }
 }
 
@@ -493,93 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_pop_matches_heap() {
-        // A fixed but irregular schedule driven through both schedulers.
-        let mut wheel = TimingWheel::new();
-        let mut heap = HeapQueue::new();
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        let mut wheel_out = Vec::new();
-        let mut heap_out = Vec::new();
-        for i in 0..20_000u32 {
-            let delta = match rnd() % 10 {
-                0..=5 => rnd() % 2_000,      // sub-bucket to level 0
-                6 | 7 => rnd() % 300_000,    // level 0/1
-                8 => rnd() % 40_000_000,     // level 1/2
-                _ => rnd() % 20_000_000_000, // level 2 + overflow
-            };
-            wheel.push(Time(now + delta), i);
-            heap.push(Time(now + delta), i);
-            if rnd() % 3 == 0 {
-                let (a, b) = (wheel.pop().unwrap(), heap.pop().unwrap());
-                now = a.at.0;
-                wheel_out.push((a.at, a.key, a.ev));
-                heap_out.push((b.at, b.key, b.ev));
-            }
-        }
-        while let Some(a) = wheel.pop() {
-            wheel_out.push((a.at, a.key, a.ev));
-        }
-        while let Some(b) = heap.pop() {
-            heap_out.push((b.at, b.key, b.ev));
-        }
-        assert_eq!(wheel_out, heap_out);
-        assert_eq!(wheel.len(), 0);
-    }
-
-    /// Runs the body once against each scheduler type, bound to `$q`.
-    macro_rules! on_both {
-        ($q:ident => $body:block) => {{
-            {
-                let mut $q = TimingWheel::new();
-                $body
-            }
-            {
-                let mut $q = HeapQueue::new();
-                $body
-            }
-        }};
-    }
-
-    /// Same-instant arrivals with *equal* caller keys (one link's
-    /// pre-flap in-flight packet + a post-recovery packet) drain in push
-    /// order, identically on both schedulers — the composed key's low
-    /// bits carry the push counter, so no two entries ever compare
-    /// equal and pop order can never fall to implementation whims.
-    #[test]
-    fn equal_arrival_keys_drain_in_push_order() {
-        on_both!(q => {
-            let t = Time::us(7);
-            for i in 0..50u32 {
-                q.push_at_key(t, 3, i); // same instant, same link key
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.ev)).collect();
-            assert_eq!(order, (0..50).collect::<Vec<_>>());
-        });
-    }
-
-    /// The class order at one instant: arrivals (by key), then timers
-    /// (push order) — on both schedulers.
-    #[test]
-    fn classes_order_arrivals_then_timers() {
-        on_both!(q => {
-            let t = Time::us(3);
-            q.push(t, 10u32); // a timer pushed first...
-            q.push_at_key(t, 7, 1);
-            q.push(t, 11);
-            q.push_at_key(t, 2, 0); // ...the arrival with the smallest key last
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.ev)).collect();
-            assert_eq!(order, vec![0, 1, 10, 11]);
-        });
-    }
-
-    #[test]
     fn counters_track_peak_occupancy() {
         let mut q = TimingWheel::new();
         for i in 0..50u32 {
@@ -590,5 +495,36 @@ mod tests {
         }
         assert_eq!(q.len(), 30);
         assert_eq!(q.counters().peak_pending, 50);
+    }
+
+    /// A long stream that keeps a bounded number of events in the coarse
+    /// levels: every cascade frees its slots, so the slab never grows past
+    /// the most entries it held at once.
+    #[test]
+    fn coarse_pool_reuses_freed_slots() {
+        let mut w = TimingWheel::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut ahead = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            200_000 + state % 25_000_000 // 200 µs – 25 ms: level 1
+        };
+        for i in 0..64u32 {
+            w.push(Time(ahead()), i);
+        }
+        let mut peak_held = 0;
+        for _ in 0..20_000 {
+            let e = w.pop().expect("the stream never drains");
+            w.push(Time(e.at.0 + ahead()), e.ev);
+            let (slots, held) = w.coarse_slab();
+            peak_held = peak_held.max(held);
+            assert!(
+                slots <= peak_held,
+                "{slots} slots for at most {peak_held} entries"
+            );
+        }
+        assert!(peak_held <= 64);
+        assert!(w.counters().cascades > 10_000);
     }
 }
