@@ -109,7 +109,7 @@ pub fn compile(args: &[String], out: &mut Out) -> Result<(), Exit> {
     ));
     out.note(format_args!(
         "metric basis: {:?}; probe period floor: {} ns",
-        cp.basis.attrs(),
+        cp.basis.attrs().collect::<Vec<_>>(),
         cp.min_probe_period_ns
     ));
     let report = verify(&cp, &topo);

@@ -160,7 +160,7 @@ fn abilene_transit_denver() -> Topology {
     for sw in base.switches() {
         let name = &base.node(sw).name;
         if name != "Denver" {
-            let h = tb.host(&format!("{name}_h0"));
+            let h = tb.host(format!("{name}_h0"));
             tb.biline(map[sw.0 as usize], h, spec.bandwidth_bps, spec.delay_ns);
         }
     }

@@ -268,7 +268,7 @@ fn ladder_cells_report_equal_the_reference() {
 fn long_rings_and_lines_report_equal_the_reference() {
     for closed in [true, false] {
         let mut t = Topology::builder();
-        let s: Vec<NodeId> = (0..70).map(|i| t.switch(&format!("s{i}"))).collect();
+        let s: Vec<NodeId> = (0..70).map(|i| t.switch(format!("s{i}"))).collect();
         let cables = if closed { s.len() } else { s.len() - 1 };
         for i in 0..cables {
             t.biline(s[i], s[(i + 1) % s.len()], 10e9, 1_000);

@@ -23,7 +23,7 @@ use crate::lexer::SyntaxError;
 use crate::lower::RankProgram;
 use crate::metric::{MetricBasis, MetricVec};
 use crate::normal::{normalize, NormError, NormalPolicy};
-use crate::pg::{bucketed, ProductGraph, VNodeId};
+use crate::pg::{bucketed, ProductGraph, VNodeId, VNodeRun};
 use crate::rank::Rank;
 use crate::resolve::{resolve_regexes, ResolveError};
 use contra_automata::{Dfa, Regex};
@@ -117,9 +117,10 @@ pub const LOOP_ENTRIES: usize = 512;
 pub struct SwitchProgram {
     /// The switch this program runs on.
     pub switch: NodeId,
-    /// This switch's virtual nodes, in tag order (tag i = `tags[i]`). Their
-    /// ids are consecutive: `tags[i]` is `VNodeId(tags[0].0 + i)`.
-    pub tags: Vec<VNodeId>,
+    /// This switch's virtual nodes, in tag order: one run of consecutive
+    /// ids, tag `t` being `VNodeId(first + t)`. A copy of
+    /// [`ProductGraph::vnodes_at`], so a program owns no heap block.
+    pub tags: VNodeRun,
     /// The probe-sending virtual node when this switch originates probes
     /// (it is a destination allowed by the policy).
     pub sending_vnode: Option<VNodeId>,
@@ -240,7 +241,7 @@ pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
 fn switch_programs(topo: &Topology, pg: &ProductGraph) -> BTreeMap<NodeId, SwitchProgram> {
     let program = |sw: NodeId| SwitchProgram {
         switch: sw,
-        tags: pg.vnodes_at(sw).collect(),
+        tags: pg.vnodes_at(sw),
         sending_vnode: pg.sending.get(&sw).copied(),
     };
     let switches = topo.switches().into_iter();
@@ -383,7 +384,7 @@ mod tests {
             .unwrap();
         assert_eq!(cp.num_pids(), 1);
         assert_eq!(cp.programs.len(), 4);
-        assert_eq!(cp.basis.attrs(), vec![Attr::Util]);
+        assert_eq!(cp.basis.attrs().collect::<Vec<_>>(), [Attr::Util]);
         assert!(cp.warnings.is_empty());
         // Every switch is a destination (no hosts) and sends probes.
         for prog in cp.programs.values() {

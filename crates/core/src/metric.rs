@@ -85,12 +85,8 @@ impl MetricBasis {
     }
 
     /// The attributes in canonical order.
-    pub fn attrs(&self) -> Vec<Attr> {
-        Attr::ALL
-            .iter()
-            .copied()
-            .filter(|a| self.contains(*a))
-            .collect()
+    pub fn attrs(self) -> impl Iterator<Item = Attr> + Clone {
+        Attr::ALL.into_iter().filter(move |&a| self.contains(a))
     }
 
     /// Bytes one probe spends on metric fields: 4 bytes per carried metric
@@ -129,7 +125,7 @@ mod tests {
         b.insert(Attr::Util);
         b.insert(Attr::Len);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.attrs(), vec![Attr::Util, Attr::Len]);
+        assert_eq!(b.attrs().collect::<Vec<_>>(), [Attr::Util, Attr::Len]);
         assert_eq!(b.probe_metric_bytes(), 8);
         assert!(!b.contains(Attr::Lat));
     }

@@ -752,7 +752,7 @@ mod tests {
         let b = n.basis();
         assert!(b.contains(Attr::Util) && b.contains(Attr::Lat) && b.contains(Attr::Len));
         let n2 = norm("minimize(path.len)");
-        assert_eq!(n2.basis().attrs(), vec![Attr::Len]);
+        assert_eq!(n2.basis().attrs().collect::<Vec<_>>(), [Attr::Len]);
     }
 
     #[test]

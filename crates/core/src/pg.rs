@@ -92,6 +92,37 @@ impl std::error::Error for PgLookupError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VNodeId(pub u32);
 
+/// A run of consecutive virtual-node ids: one switch's virtual nodes, in
+/// tag order ([`ProductGraph::vnodes_at`]). Tag `t` of the run is
+/// `VNodeId(first + t)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VNodeRun {
+    start: u32,
+    end: u32,
+}
+
+impl VNodeRun {
+    /// The ids in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = VNodeId> + Clone {
+        (self.start..self.end).map(VNodeId)
+    }
+
+    /// Number of ids.
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the run holds no id.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    /// The first id (tag 0), if any.
+    pub fn first(self) -> Option<VNodeId> {
+        (!self.is_empty()).then_some(VNodeId(self.start))
+    }
+}
+
 /// A virtual node: a physical switch and its place among that switch's
 /// virtual nodes. Its automaton states and acceptance bits are
 /// [`ProductGraph::states`] and [`ProductGraph::acc`].
@@ -312,13 +343,12 @@ impl ProductGraph {
 
     /// The virtual nodes at `switch`, in tag order: consecutive ids, none
     /// for a node the graph does not hold.
-    pub fn vnodes_at(&self, switch: NodeId) -> impl ExactSizeIterator<Item = VNodeId> + Clone {
+    pub fn vnodes_at(&self, switch: NodeId) -> VNodeRun {
         let s = switch.0 as usize;
-        let run = match self.first_at.get(s..s + 2) {
-            Some(&[first, end]) => first..end,
-            _ => 0..0,
-        };
-        run.map(VNodeId)
+        match self.first_at.get(s..s + 2) {
+            Some(&[start, end]) => VNodeRun { start, end },
+            _ => VNodeRun::default(),
+        }
     }
 
     /// Looks up the virtual node at `switch` with exactly these automaton
@@ -331,7 +361,7 @@ impl ProductGraph {
             "product-graph lookup with the wrong number of automaton states"
         );
         // Element by element: see `RawNodes::intern_tail`.
-        (self.vnodes_at(switch)).find(|&v| self.states(v).iter().eq(states))
+        (self.vnodes_at(switch).iter()).find(|&v| self.states(v).iter().eq(states))
     }
 
     /// Like [`find`](ProductGraph::find), but distinguishes *why* the
@@ -344,11 +374,12 @@ impl ProductGraph {
                 got: states.len(),
             });
         }
-        let mut here = self.vnodes_at(switch);
-        if here.len() == 0 {
+        let here = self.vnodes_at(switch);
+        if here.is_empty() {
             return Err(PgLookupError::UnknownSwitch(switch));
         }
-        here.find(|&v| self.states(v).iter().eq(states))
+        (here.iter())
+            .find(|&v| self.states(v).iter().eq(states))
             .ok_or_else(|| PgLookupError::Pruned {
                 switch,
                 states: states.to_vec(),
@@ -619,7 +650,7 @@ mod tests {
         // Pruned graph retains the D→B→A chain (plus the sending states of
         // other destinations are gone since only D-rooted paths match).
         let a = topo.find("A").unwrap();
-        assert!(pruned.vnodes_at(a).len() > 0);
+        assert!(!pruned.vnodes_at(a).is_empty());
     }
 
     #[test]
@@ -686,7 +717,7 @@ mod tests {
         );
 
         // A state combination the switch does not carry is a pruned probe.
-        let states_at_a = pg.states(pg.vnodes_at(a).next().unwrap()).to_vec();
+        let states_at_a = pg.states(pg.vnodes_at(a).first().unwrap()).to_vec();
         let bogus = vec![automata[0].num_states() + 7];
         assert!(matches!(
             pg.try_find(a, &bogus),
@@ -798,7 +829,7 @@ mod tests {
             let pg = &cp.pg;
             let mut seen = 0;
             for n in (0..topo.num_nodes() as u32).map(NodeId) {
-                for (tag, v) in pg.vnodes_at(n).enumerate() {
+                for (tag, v) in pg.vnodes_at(n).iter().enumerate() {
                     assert_eq!(v, VNodeId(seen), "{label}: ids run on across switches");
                     assert_eq!(pg.vnode(v).switch, n, "{label}");
                     assert_eq!(pg.vnode(v).tag as usize, tag, "{label}");

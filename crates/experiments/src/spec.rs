@@ -257,7 +257,7 @@ mod tests {
         let mut star = Topology::builder();
         let hub = star.switch("hub");
         for i in 1..600 {
-            let leaf = star.switch(&format!("n{i}"));
+            let leaf = star.switch(format!("n{i}"));
             star.biline(hub, leaf, 10e9, 1_000);
         }
         match degree_fits("zoo:star", star.build()) {

@@ -64,16 +64,23 @@ use std::fmt::Write;
 
 /// Emits the P4₁₆ program for one switch.
 pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
+    emit_with(cp, switch, &mut Vec::new())
+}
+
+/// [`emit_switch_program`] with `ports` as scratch for the port map, so
+/// that [`emit_all`] reuses one buffer across its programs.
+fn emit_with(cp: &CompiledPolicy, switch: NodeId, ports: &mut Vec<NodeId>) -> String {
     let prog = &cp.programs[&switch];
     let next_pg_node = cp.next_pg_node(switch);
     let pg = &cp.pg;
     let metrics = cp.basis.attrs();
     // The multicast groups: the tags with a probe fan-out, in tag order.
-    let groups = || prog.tags.iter().filter(|&&v| !pg.succs(v).is_empty());
+    let groups = || prog.tags.iter().filter(|&v| !pg.succs(v).is_empty());
 
     // Port numbering: neighbours in node-id order (see `port_of`).
-    let fanout = prog.tags.iter().flat_map(|&v| pg.succs(v));
-    let mut ports: Vec<NodeId> = fanout.map(|&w| pg.vnode(w).switch).collect();
+    ports.clear();
+    let fanout = prog.tags.iter().flat_map(|v| pg.succs(v));
+    ports.extend(fanout.map(|&w| pg.vnode(w).switch));
     ports.extend(next_pg_node.iter().map(|&(v, _)| pg.vnode(v).switch));
     ports.sort_unstable();
     ports.dedup();
@@ -83,15 +90,17 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     let pids = cp.num_pids().max(1);
     let fwdt_size = dests * tags * pids;
 
-    // Sized so that none of the 1,710 programs the `policy_ladder` workload
-    // emits grows its buffer: 500 bytes cover the header comments with a
-    // policy of about 100 characters.
+    // The returned text is the one heap block a program costs (the port
+    // map's buffer is the caller's, the metric basis is walked in place),
+    // and it is sized so that none of the 1,710 programs the
+    // `policy_ladder` workload emits grows it: 500 bytes cover the header
+    // comments with a policy of about 100 characters.
     let group_count = groups().count();
-    let members: usize = prog.tags.iter().map(|&v| pg.succs(v).len()).sum();
+    let members: usize = prog.tags.iter().map(|v| pg.succs(v).len()).sum();
     let mut out = String::with_capacity(
         FIXED_LEN
             + 500
-            + 240 * metrics.len()
+            + 240 * cp.basis.len()
             + 46 * next_pg_node.len()
             + 80 * group_count
             + 40 * members
@@ -110,7 +119,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     o.push_str(", destinations: ");
     push_num(o, dests);
     o.push_str(", metric basis: [");
-    for (i, &m) in metrics.iter().enumerate() {
+    for (i, m) in metrics.clone().enumerate() {
         if i > 0 {
             o.push_str(", ");
         }
@@ -129,11 +138,11 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
     o.push_str(";\n\n");
 
     o.push_str(HEADERS);
-    for &m in &metrics {
+    for m in metrics.clone() {
         o.push_str(metric_text(m).field);
     }
     o.push_str(PARSER);
-    for &m in &metrics {
+    for m in metrics.clone() {
         o.push_str(metric_text(m).register);
     }
     o.push_str(REGISTERS_AND_NEXTPGNODE);
@@ -161,13 +170,13 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
         o.push_str("        }\n");
     }
     o.push_str(INGRESS_APPLY);
-    for &m in &metrics {
+    for m in metrics.clone() {
         o.push_str(metric_text(m).ingress);
     }
     o.push_str(INGRESS_REST_AND_MAIN);
 
     // ---- control-plane companion data ------------------------------------
-    for (i, &v) in groups().enumerate() {
+    for (i, v) in groups().enumerate() {
         o.push_str("// mcast-group ");
         push_num(o, i + 1);
         o.push_str(" (vnode ");
@@ -176,7 +185,7 @@ pub fn emit_switch_program(cp: &CompiledPolicy, switch: NodeId) -> String {
         for (j, &w) in pg.succs(v).iter().enumerate() {
             let n = pg.vnode(w).switch;
             o.push_str(if j > 0 { ", port " } else { "port " });
-            push_num(o, port_of(&ports, n));
+            push_num(o, port_of(ports, n));
             o.push_str(" (to node ");
             push_num(o, n.0 as usize);
             o.push_str(", vnode ");
@@ -217,7 +226,8 @@ fn push_num(out: &mut String, mut n: usize) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    // ASCII digits are one-byte chars: no UTF-8 check to pass.
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// The port facing neighbour `n`: `ports` lists the neighbours in port
@@ -499,8 +509,9 @@ V1Switch(ContraParser(), ContraVerifyChecksum(), ContraIngress(), ContraEgress()
 
 /// Emits programs for every switch, keyed by switch name.
 pub fn emit_all(cp: &CompiledPolicy, topo: &contra_topology::Topology) -> BTreeMap<String, String> {
+    let mut ports = Vec::new();
     cp.programs
         .keys()
-        .map(|&s| (topo.node(s).name.clone(), emit_switch_program(cp, s)))
+        .map(|&s| (topo.node(s).name.clone(), emit_with(cp, s, &mut ports)))
         .collect()
 }

@@ -103,7 +103,7 @@ mod tests {
         }
         // One multicast group per local vnode with successors.
         let groups = p4.matches("mcast-group").count();
-        let fanouts = prog.tags.iter().filter(|&&v| !cp.pg.succs(v).is_empty());
+        let fanouts = prog.tags.iter().filter(|&v| !cp.pg.succs(v).is_empty());
         assert_eq!(groups, fanouts.count());
     }
 

@@ -63,7 +63,7 @@ pub fn switch_state(cp: &CompiledPolicy, switch: NodeId) -> StateModel {
     // Static program config: NEXTPGNODE rows (in-tag 2B → local tag 2B) and
     // multicast fan-out rows (tag 2B → port 1B + next tag 2B).
     let next_rows = cp.next_pg_node(switch).len();
-    let mcast_rows: usize = prog.tags.iter().map(|&v| cp.pg.succs(v).len()).sum();
+    let mcast_rows: usize = prog.tags.iter().map(|v| cp.pg.succs(v).len()).sum();
     let static_bytes = next_rows * 4 + mcast_rows * 5;
 
     StateModel {

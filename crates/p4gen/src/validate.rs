@@ -34,7 +34,7 @@
 //! **Static blocks.** Most of an emitted program is text the emitter pushes
 //! whole, the same in every program: the seven blocks and the per-metric
 //! lines (`emit::STATIC_TEXT`). Each is scanned once, on first use, and
-//! kept as what the scan collected from it, its names in place (`Few`).
+//! kept as what the scan collected from it.
 //! At a line break outside any comment — the anchor, or the line break
 //! that ends a comment — while no `actions = {` or `const entries = {`
 //! block is open, the scan compares the bytes that follow with each static
@@ -57,12 +57,21 @@
 //! `=` and closes at the next `}` just as it did at its first letter: no
 //! `}` can fall between the two. A static block is taken only where it
 //! qualifies — it ends with a line break, and its own scan leaves no block
-//! open and keeps every name — and only at a line start outside any
-//! comment or block. So no comment or block is open at either end of it; a
-//! check that looks across either end meets a line break in the program
-//! and the end of the text in the block scanned alone, and neither
-//! completes a searched text; and the block's names and lists are added
-//! where they stand in source order.
+//! open — and only at a line start outside any comment or block. So no
+//! comment or block is open at either end of it; a check that looks across
+//! either end meets a line break in the program and the end of the text in
+//! the block scanned alone, and neither completes a searched text; and the
+//! block's names and lists are added where they stand in source order.
+//!
+//! # Memory
+//!
+//! A scan keeps each kind of name (tables, actions, applications, action
+//! lists, entry blocks) in a `Names`: up to eight in place, a `Vec`
+//! only past that. An emitted program holds at most four of a kind and no
+//! comment inside a list or block (`code_of` borrows), so validating one
+//! allocates only for its findings, and a valid one not at all. The
+//! static blocks' summaries, built once per process, hold no heap block
+//! either, so the first validation allocates what every later one does.
 
 use crate::emit::STATIC_TEXT;
 use std::borrow::Cow;
@@ -85,10 +94,10 @@ impl std::error::Error for ValidationError {}
 /// Validates one emitted program; returns every finding (empty = OK).
 ///
 /// The text is read once (`Scan::of`); what it declares is resolved
-/// against what it uses afterwards, from the few names the scan kept.
+/// against what it uses afterwards, from the names the scan kept.
 pub fn validate(src: &str) -> Vec<ValidationError> {
     let mut errors = Vec::new();
-    let scan = Scan::of(src);
+    let mut scan = Scan::of(src);
 
     for (pair, name) in scan
         .delimiters
@@ -105,11 +114,11 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
 
     // Applications reference declared tables.
     let (tables, actions, applies) = (
-        by_name(scan.tables),
-        by_name(scan.actions),
-        by_name(scan.applies),
+        scan.tables.as_set(),
+        scan.actions.as_set(),
+        scan.applies.as_set(),
     );
-    for &applied in &applies {
+    for &applied in applies {
         if tables.binary_search(&applied).is_err() {
             errors.push(ValidationError(format!(
                 "`{applied}.apply()` but table `{applied}` not declared"
@@ -119,7 +128,7 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     // Every declared table is applied somewhere. Names are identifier
     // characters only, so the text `{t}.apply()` occurs exactly when `t`
     // ends the identifier in front of some `.apply()`.
-    for &t in &tables {
+    for &t in tables {
         if !applies.iter().any(|a| a.ends_with(t)) {
             errors.push(ValidationError(format!(
                 "table `{t}` declared but never applied"
@@ -128,7 +137,7 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     }
 
     // Actions listed in `actions = { a; b; }` must be declared.
-    for list in scan.action_lists {
+    for &list in scan.action_lists.as_slice() {
         for name in code_of(list).split(';') {
             let name = name.trim();
             if !name.is_empty() && actions.binary_search(&name).is_err() {
@@ -144,7 +153,7 @@ pub fn validate(src: &str) -> Vec<ValidationError> {
     // order that names the duplicates runs only for a block that holds one,
     // or whose keys do not all pack.
     let mut sorted = [0; 64];
-    for block in scan.entry_blocks {
+    for &block in scan.entry_blocks.as_slice() {
         let code = code_of(block);
         if let Some(keys) = packed_keys(&code, &mut sorted) {
             keys.sort_unstable();
@@ -204,21 +213,20 @@ fn packed_key(key: &str) -> Option<u64> {
 
 /// What one forward pass over a program's anchors collects. Comments (`//`
 /// to the end of the line) are skipped where they stand; every `&str` is a
-/// slice of the source or of a static block. A program's names go into
-/// `Vec`s, a static block's into [`Few`].
+/// slice of the source or of a static block.
 #[derive(Default)]
-struct Scan<N> {
+struct Scan<'a> {
     /// `{ } ( ) [ ]` outside comments.
     delimiters: [usize; 6],
     /// The identifier after every `table ` / `action ` that starts a word.
-    tables: N,
-    actions: N,
+    tables: Names<'a>,
+    actions: Names<'a>,
     /// The identifier in front of every `.apply()`.
-    applies: N,
+    applies: Names<'a>,
     /// The text between each `actions = {` / `const entries = {` and the
     /// next `}`, comments included; a block with no `}` ends the search.
-    action_lists: N,
-    entry_blocks: N,
+    action_lists: Names<'a>,
+    entry_blocks: Names<'a>,
     has_start_state: bool,
     /// Occurrences of `) main;`.
     mains: usize,
@@ -227,33 +235,64 @@ struct Scan<N> {
     skipped: usize,
 }
 
-/// A static block's names, in place: the summaries are built once per
-/// process, and a heap block there would make the first validation's
-/// allocation count differ from every later one's.
+/// Names of one kind, in the order they were pushed: the first
+/// [`INLINE`] in place, all of them in a `Vec` once there are more.
 #[derive(Default)]
-struct Few<'a> {
-    names: [&'a str; FEW],
-    /// How many were pushed; more than `FEW` means some were lost.
-    pushed: usize,
+struct Names<'a> {
+    inline: [&'a str; INLINE],
+    /// How many of `inline` hold names; all of them once `spilled` is
+    /// in use.
+    len: usize,
+    /// Every name, once more than [`INLINE`] were pushed.
+    spilled: Vec<&'a str>,
 }
 
-const FEW: usize = 4;
+/// Names a [`Names`] holds without a heap block.
+const INLINE: usize = 8;
 
-impl<'a> Extend<&'a str> for Few<'a> {
-    fn extend<I: IntoIterator<Item = &'a str>>(&mut self, names: I) {
-        for name in names {
-            if let Some(slot) = self.names.get_mut(self.pushed) {
+impl<'a> Names<'a> {
+    fn push(&mut self, name: &'a str) {
+        if self.spilled.is_empty() {
+            if let Some(slot) = self.inline.get_mut(self.len) {
                 *slot = name;
+                self.len += 1;
+                return;
             }
-            self.pushed += 1;
+            self.spilled.extend_from_slice(&self.inline);
         }
+        self.spilled.push(name);
+    }
+
+    fn as_slice(&self) -> &[&'a str] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+
+    /// Sorts the names in place and returns each once, ascending.
+    fn as_set(&mut self) -> &[&'a str] {
+        let names = if self.spilled.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled[..]
+        };
+        names.sort_unstable();
+        let mut kept = 0;
+        for at in 0..names.len() {
+            if kept == 0 || names[kept - 1] != names[at] {
+                names[kept] = names[at];
+                kept += 1;
+            }
+        }
+        &names[..kept]
     }
 }
 
-impl<'a> Few<'a> {
-    /// The names, unless some were lost.
-    fn all(&self) -> Option<&[&'a str]> {
-        self.names.get(..self.pushed)
+impl<'a> Extend<&'a str> for Names<'a> {
+    fn extend<I: IntoIterator<Item = &'a str>>(&mut self, names: I) {
+        names.into_iter().for_each(|name| self.push(name));
     }
 }
 
@@ -262,27 +301,17 @@ struct Block {
     text: &'static [u8],
     /// Its first eight bytes (see [`head_at`]).
     head: u64,
-    scan: Scan<Few<'static>>,
+    scan: Scan<'static>,
 }
 
 impl Block {
     /// `text` as a block, if it qualifies: at least eight bytes, a line
-    /// break at the end, and a scan that leaves no block open and keeps
-    /// every name it finds.
+    /// break at the end, and a scan that leaves no block open.
     fn of(text: &'static str) -> Option<Block> {
-        let (scan, open) = Scan::<Few>::read(text, &[]);
-        let kept = [
-            &scan.tables,
-            &scan.actions,
-            &scan.applies,
-            &scan.action_lists,
-            &scan.entry_blocks,
-        ]
-        .iter()
-        .all(|names| names.all().is_some());
+        let (scan, open) = Scan::read(text, &[]);
         let text = text.as_bytes();
         let head = head_at(text, 0)?;
-        (text.ends_with(b"\n") && !open && kept).then_some(Block { text, head, scan })
+        (text.ends_with(b"\n") && !open).then_some(Block { text, head, scan })
     }
 }
 
@@ -292,13 +321,11 @@ fn blocks() -> &'static [Option<Block>] {
     BLOCKS.get_or_init(|| STATIC_TEXT.map(Block::of))
 }
 
-impl<'a> Scan<Vec<&'a str>> {
+impl<'a> Scan<'a> {
     fn of(src: &'a str) -> Self {
         Scan::read(src, blocks()).0
     }
-}
 
-impl<'a, N: Default + Extend<&'a str>> Scan<N> {
     /// Scans `src`, taking `blocks` where they stand at a line start; also
     /// returns whether an `actions = {` or `const entries = {` block is
     /// open at the end.
@@ -354,10 +381,10 @@ impl<'a, N: Default + Extend<&'a str>> Scan<N> {
                     b'}' => {
                         scan.delimiters[1] += 1;
                         if let Some(from) = action_list.take() {
-                            scan.action_lists.extend([&src[from..i]]);
+                            scan.action_lists.push(&src[from..i]);
                         }
                         if let Some(from) = entry_block.take() {
-                            scan.entry_blocks.extend([&src[from..i]]);
+                            scan.entry_blocks.push(&src[from..i]);
                         }
                     }
                     b'(' => scan.delimiters[2] += 1,
@@ -370,7 +397,7 @@ impl<'a, N: Default + Extend<&'a str>> Scan<N> {
                     b'.' if rest.starts_with(b".apply()") => {
                         let len = b[..i].iter().rev().take_while(|&&c| is_ident(c)).count();
                         if len > 0 {
-                            scan.applies.extend([&src[i - len..i]]);
+                            scan.applies.push(&src[i - len..i]);
                         }
                     }
                     b'=' if rest.starts_with(b"= {") => {
@@ -407,7 +434,7 @@ impl<'a, N: Default + Extend<&'a str>> Scan<N> {
     }
 
     /// Adds what a static block holds, as if the scan had read it here.
-    fn add(&mut self, block: &Scan<Few<'a>>) {
+    fn add(&mut self, block: &Scan<'a>) {
         for (d, n) in self.delimiters.iter_mut().zip(block.delimiters) {
             *d += n;
         }
@@ -418,7 +445,7 @@ impl<'a, N: Default + Extend<&'a str>> Scan<N> {
             (&mut self.action_lists, &block.action_lists),
             (&mut self.entry_blocks, &block.entry_blocks),
         ] {
-            names.extend(kept.all().expect("a block keeps its names").iter().copied());
+            names.extend(kept.as_slice().iter().copied());
         }
         self.has_start_state |= block.has_start_state;
         self.mains += block.mains;
@@ -508,13 +535,6 @@ fn anchor_mask(w: &[u8; CHUNK + 1]) -> u32 {
         mask |= ((word.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32) << (8 * g);
     }
     mask
-}
-
-/// The set of `names`, ascending.
-fn by_name(mut names: Vec<&str>) -> Vec<&str> {
-    names.sort_unstable();
-    names.dedup();
-    names
 }
 
 fn is_ident(b: u8) -> bool {
@@ -622,6 +642,35 @@ V1Switch(P(), C()) main;
         assert!(validate(&bad).iter().any(|e| e.0.contains("duplicate")));
     }
 
+    /// Past the inline capacity the names spill to the heap, none lost: of
+    /// ten tables and ten declared actions, exactly the unapplied table
+    /// and the undeclared action are reported.
+    #[test]
+    fn names_past_the_inline_capacity_are_kept() {
+        let n = INLINE + 2;
+        let mut src =
+            String::from("parser P() { state start { transition accept; } }\ncontrol C() {\n");
+        for i in 0..n {
+            src += &format!("    action a{i}() {{ }}\n");
+        }
+        for i in 0..n {
+            let ghost = if i == n - 1 { " ghost;" } else { "" };
+            src += &format!("    table t{i} {{ actions = {{ a{i};{ghost} }} }}\n");
+        }
+        src += "    apply {";
+        for i in 0..n - 1 {
+            src += &format!(" t{i}.apply();");
+        }
+        src += " }\n}\nV1Switch(P(), C()) main;\n";
+        assert_eq!(
+            validate(&src),
+            vec![
+                ValidationError(format!("table `t{}` declared but never applied", n - 1)),
+                ValidationError("action `ghost` listed but not declared".into()),
+            ]
+        );
+    }
+
     #[test]
     fn detects_missing_main() {
         let bad = MINIMAL.replace(") main;", ");");
@@ -635,19 +684,15 @@ V1Switch(P(), C()) main;
     }
 
     /// Every entry of the emitter's list is a block the scan may take: at
-    /// least eight bytes, a line break at its end, no block left open, no
-    /// name lost.
+    /// least eight bytes, a line break at its end, no block left open.
     #[test]
     fn every_static_text_qualifies() {
         for (text, block) in STATIC_TEXT.iter().zip(blocks()) {
-            let (_, open) = Scan::<Few>::read(text, &[]);
+            let (_, open) = Scan::read(text, &[]);
             assert!(text.len() >= 8, "{text:?}");
             assert!(text.ends_with('\n'), "{text:?}");
             assert!(!open, "{text:?} leaves a block open");
-            assert!(
-                block.is_some(),
-                "{text:?} keeps more than {FEW} names of a kind"
-            );
+            assert!(block.is_some(), "{text:?}");
         }
     }
 

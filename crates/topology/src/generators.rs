@@ -46,11 +46,9 @@ pub fn leaf_spine(
     edge: LinkSpec,
 ) -> Topology {
     let mut tb = Topology::builder();
-    let leaf_ids: Vec<NodeId> = (0..leaves)
-        .map(|i| tb.switch(&format!("leaf{i}")))
-        .collect();
+    let leaf_ids: Vec<NodeId> = (0..leaves).map(|i| tb.switch(format!("leaf{i}"))).collect();
     let spine_ids: Vec<NodeId> = (0..spines)
-        .map(|i| tb.switch(&format!("spine{i}")))
+        .map(|i| tb.switch(format!("spine{i}")))
         .collect();
     for &l in &leaf_ids {
         for &s in &spine_ids {
@@ -59,7 +57,7 @@ pub fn leaf_spine(
     }
     for (i, &l) in leaf_ids.iter().enumerate() {
         for h in 0..hosts_per_leaf {
-            let host = tb.host(&format!("h{}_{}", i, h));
+            let host = tb.host(format!("h{}_{}", i, h));
             tb.biline(l, host, edge.bandwidth_bps, edge.delay_ns);
         }
     }
@@ -79,15 +77,15 @@ pub fn fat_tree(k: usize, hosts_per_edge: usize, spec: LinkSpec) -> Topology {
     let mut tb = Topology::builder();
 
     let cores: Vec<NodeId> = (0..half * half)
-        .map(|i| tb.switch(&format!("core{i}")))
+        .map(|i| tb.switch(format!("core{i}")))
         .collect();
     let mut edges: Vec<NodeId> = Vec::with_capacity(k * half);
     for p in 0..k {
         let aggs: Vec<NodeId> = (0..half)
-            .map(|a| tb.switch(&format!("agg{p}_{a}")))
+            .map(|a| tb.switch(format!("agg{p}_{a}")))
             .collect();
         let pod_edges: Vec<NodeId> = (0..half)
-            .map(|e| tb.switch(&format!("edge{p}_{e}")))
+            .map(|e| tb.switch(format!("edge{p}_{e}")))
             .collect();
         // Edge ↔ agg full mesh inside the pod.
         for &e in &pod_edges {
@@ -105,7 +103,7 @@ pub fn fat_tree(k: usize, hosts_per_edge: usize, spec: LinkSpec) -> Topology {
     }
     for (i, &e) in edges.iter().enumerate() {
         for h in 0..hosts_per_edge {
-            let host = tb.host(&format!("h{}_{}", i, h));
+            let host = tb.host(format!("h{}_{}", i, h));
             tb.biline(e, host, spec.bandwidth_bps, spec.delay_ns);
         }
     }
@@ -119,7 +117,7 @@ pub fn random_connected(n: usize, extra_edges: usize, spec: LinkSpec, seed: u64)
     assert!(n >= 2, "need at least two switches");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tb = Topology::builder();
-    let ids: Vec<NodeId> = (0..n).map(|i| tb.switch(&format!("r{i}"))).collect();
+    let ids: Vec<NodeId> = (0..n).map(|i| tb.switch(format!("r{i}"))).collect();
 
     // Random spanning tree: attach node i to a uniformly random predecessor.
     // `present` holds every cable placed, as its (lower, higher) end pair.
@@ -166,7 +164,7 @@ pub fn abilene(bandwidth_bps: f64) -> Topology {
         "Washington",
         "NewYork",
     ];
-    let ids: Vec<NodeId> = names.iter().map(|n| tb.switch(n)).collect();
+    let ids: Vec<NodeId> = names.iter().map(|&n| tb.switch(n)).collect();
     let idx = |name: &str| ids[names.iter().position(|&n| n == name).unwrap()];
     // (a, b, one-way delay in microseconds).
     let links = [
@@ -212,7 +210,7 @@ pub fn with_hosts(topo: &Topology, per_switch: usize, edge: LinkSpec) -> Topolog
     }
     for sw in topo.switches() {
         for h in 0..per_switch {
-            let host = tb.host(&format!("{}_h{}", topo.node(sw).name, h));
+            let host = tb.host(format!("{}_h{}", topo.node(sw).name, h));
             tb.biline(map[sw.0 as usize], host, edge.bandwidth_bps, edge.delay_ns);
         }
     }

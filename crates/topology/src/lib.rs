@@ -352,18 +352,20 @@ pub struct TopologyBuilder {
 const NO_NODE: u32 = u32::MAX;
 
 impl TopologyBuilder {
-    /// Adds a switch; names must be unique.
-    pub fn switch(&mut self, name: &str) -> NodeId {
-        self.add(name, NodeKind::Switch)
+    /// Adds a switch; names must be unique. A `String` passed by value
+    /// becomes the node's name without a copy.
+    pub fn switch(&mut self, name: impl Into<String>) -> NodeId {
+        self.add(name.into(), NodeKind::Switch)
     }
 
-    /// Adds a host; names must be unique.
-    pub fn host(&mut self, name: &str) -> NodeId {
-        self.add(name, NodeKind::Host)
+    /// Adds a host; names must be unique. A `String` passed by value
+    /// becomes the node's name without a copy.
+    pub fn host(&mut self, name: impl Into<String>) -> NodeId {
+        self.add(name.into(), NodeKind::Host)
     }
 
-    fn add(&mut self, name: &str, kind: NodeKind) -> NodeId {
-        let hash = self.hasher.hash_one(name);
+    fn add(&mut self, name: String, kind: NodeKind) -> NodeId {
+        let hash = self.hasher.hash_one(&name);
         let first = self.by_hash.get(&hash).copied().unwrap_or(NO_NODE);
         let mut at = first;
         while at != NO_NODE {
@@ -376,10 +378,7 @@ impl TopologyBuilder {
         let id = self.nodes.len() as u32;
         self.by_hash.insert(hash, id);
         self.same_hash.push(first);
-        self.nodes.push(Node {
-            name: name.to_string(),
-            kind,
-        });
+        self.nodes.push(Node { name, kind });
         NodeId(id)
     }
 

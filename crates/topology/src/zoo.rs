@@ -77,7 +77,7 @@ pub fn parse_graphml(text: &str, bandwidth_bps: f64, delay_ns: u64) -> Result<To
             *n += 1;
             name = format!("{label}#{n}");
         }
-        if ids.insert(raw.clone(), tb.switch(&name)).is_some() {
+        if ids.insert(raw.clone(), tb.switch(name)).is_some() {
             return Err(ZooError(format!("duplicate node id {raw}")));
         }
     }

@@ -91,9 +91,9 @@ fn random_builder(switches: usize, hosts: usize, cables: usize, seed: u64) -> To
     let (mut sw, mut hs) = (Vec::new(), Vec::new());
     while sw.len() < switches || hs.len() < hosts {
         if hs.len() == hosts || (sw.len() < switches && rng.below(2) == 0) {
-            sw.push(tb.switch(&format!("s{}", sw.len())));
+            sw.push(tb.switch(format!("s{}", sw.len())));
         } else {
-            hs.push(tb.host(&format!("h{}", hs.len())));
+            hs.push(tb.host(format!("h{}", hs.len())));
         }
     }
     let mut lines = BTreeMap::new();
@@ -180,7 +180,7 @@ fn accessors_agree_beyond_the_dense_pair_limit() {
 fn doubled_cable_at_a_high_degree_node_is_rejected() {
     let mut tb = Topology::builder();
     let hub = tb.switch("hub");
-    let leaves: Vec<NodeId> = (0..24).map(|i| tb.switch(&format!("leaf{i}"))).collect();
+    let leaves: Vec<NodeId> = (0..24).map(|i| tb.switch(format!("leaf{i}"))).collect();
     for (i, &leaf) in leaves.iter().enumerate() {
         tb.biline(hub, leaf, 10e9, 1_000);
         if i == 15 {

@@ -214,12 +214,16 @@ fn ir_digest(cp: &CompiledPolicy) -> u64 {
         pg.succs(v).iter().for_each(|w| put(w.0 as usize));
     }
     // Vnodes live only at switches, and every switch has a program.
-    let occupied = || cp.programs.keys().filter(|&&sw| pg.vnodes_at(sw).len() > 0);
+    let occupied = || {
+        cp.programs
+            .keys()
+            .filter(|&&sw| !pg.vnodes_at(sw).is_empty())
+    };
     put(occupied().count());
     for &sw in occupied() {
         put(sw.0 as usize);
         put(pg.vnodes_at(sw).len());
-        pg.vnodes_at(sw).for_each(|v| put(v.0 as usize));
+        pg.vnodes_at(sw).iter().for_each(|v| put(v.0 as usize));
     }
     put(pg.sending.len());
     for (d, v) in &pg.sending {
@@ -237,9 +241,9 @@ fn ir_digest(cp: &CompiledPolicy) -> u64 {
             put(from.0 as usize);
             put(to.0 as usize);
         }
-        let groups = || prog.tags.iter().filter(|&&v| !pg.succs(v).is_empty());
+        let groups = || prog.tags.iter().filter(|&v| !pg.succs(v).is_empty());
         put(groups().count());
-        for &v in groups() {
+        for v in groups() {
             put(v.0 as usize);
             put(pg.succs(v).len());
             for &w in pg.succs(v) {
