@@ -1,9 +1,12 @@
 //! The figure table: §6 of the paper is one experiment shape — a
 //! (system × load × seed × fault-set) grid on a named topology —
 //! rendered nine ways. Each entry of [`FIGURES`] is a function of
-//! `(Scale, &mut Out)` and nothing else; the axes they share (seed band,
-//! load sweep, size ladders, the FCT-vs-load emitter, the band
-//! formatter) are defined once, below the table.
+//! `(Scale, &mut Out)` and nothing else, and carries the paper's claims
+//! about its rows: [`run`] prints each as a `paper:` note and judges the
+//! checked ones on the rows the figure emitted. The axes the figures
+//! share (seed band, load sweep, size ladders, the FCT-vs-load emitter,
+//! the band formatter, the row lookups the checks use) are defined once,
+//! below the table.
 
 use crate::{compiler_policy_suite, Exit, Out, Scale};
 use contra_core::{verify, Compiler};
@@ -25,7 +28,23 @@ pub struct Figure {
     pub about: &'static str,
     /// Runs it: CSV rows and summaries into `out`.
     pub run: fn(Scale, &mut Out),
+    /// What the paper claims about it.
+    pub claims: &'static [Claim],
 }
+
+/// One claim of the paper about a figure, stated once: [`run`] prints it
+/// as a `paper:` note, with a verdict when it is checked.
+pub struct Claim {
+    /// The claim, as the note prints it.
+    pub paper: &'static str,
+    /// `None` keeps the claim as text: a wall-clock claim, or one this
+    /// reproduction misses.
+    pub check: Option<Check>,
+}
+
+/// Judges a claim on the CSV rows its figure emitted; `Err` says what was
+/// measured against what was claimed.
+pub type Check = fn(&str) -> Result<(), String>;
 
 /// Every figure, in the order `contra fig all` runs them.
 pub const FIGURES: [Figure; 9] = [
@@ -33,50 +52,113 @@ pub const FIGURES: [Figure; 9] = [
         name: "fig09",
         about: "compile time vs topology size, per pipeline stage (MU/WP/CA)",
         run: fig09,
+        claims: &[Claim {
+            paper: "compiles in seconds up to 500 nodes, ~linear in size; WP ≥ CA ≥ MU",
+            check: None,
+        }],
     },
     Figure {
         name: "fig10",
         about: "switch state vs topology size; collisions and FCT vs flowlet-table size",
         run: fig10,
+        claims: &[
+            Claim {
+                paper: "WP and CA need more state than MU (tags and pids respectively)",
+                check: Some(fig10_tags_cost_state),
+            },
+            Claim {
+                paper: "no switch needs more than ~70-100 kB of state",
+                check: Some(fig10_state_bounded),
+            },
+            Claim {
+                paper: "§5.3: too small a flowlet table costs FCT: p50 at 16 slots above 1024",
+                check: Some(fig10c_small_table_costs_fct),
+            },
+        ],
     },
     Figure {
         name: "fig11",
         about: "FCT vs load, symmetric leaf-spine (ECMP, Contra, Hula)",
         run: fig11,
+        claims: &[
+            Claim {
+                paper: "Contra's FCT is below ECMP's at high load",
+                check: Some(fig11_contra_below_ecmp),
+            },
+            Claim {
+                paper: "Contra ≈ Hula, ~30% / ~47% lower FCT than ECMP at 90% load",
+                check: None,
+            },
+        ],
     },
     Figure {
         name: "fig12",
         about: "FCT vs load, leaf-spine with failed uplinks (ECMP, Contra, Hula)",
         run: fig12,
+        claims: &[Claim {
+            paper: "ECMP inflates 3.2-8.7x beyond 50% load; Contra and Hula only ~1.7-1.8x",
+            check: None,
+        }],
     },
     Figure {
         name: "fig13",
         about: "CDF of fabric queue lengths at 60% load (Contra, ECMP)",
         run: fig13,
+        claims: &[Claim {
+            paper: "Contra's queues never exceed 1000 MSS; ECMP's exceed it >97% of the time",
+            check: None,
+        }],
     },
     Figure {
         name: "fig14",
         about: "UDP goodput across a link failure (Contra, Hula, SP)",
         run: fig14,
+        claims: &[
+            Claim {
+                paper: "the failure is detected ~0.8 ms after the cut: Contra's and Hula's loss \
+                        ends within 2 ms of it",
+                check: Some(fig14_loss_ends),
+            },
+            Claim {
+                paper: "throughput recovers within 1 ms: Contra's and Hula's mean goodput over \
+                        53-54 ms is above 95% of their mean before the 50 ms cut",
+                check: Some(fig14_goodput_recovers),
+            },
+        ],
     },
     Figure {
         name: "fig15",
         about: "FCT vs load on Abilene, intact and cut (SP, SPAIN, Contra)",
         run: fig15,
+        claims: &[Claim {
+            paper: "Contra < SPAIN < SP (Contra ~31% / ~14% below SPAIN)",
+            check: None,
+        }],
     },
     Figure {
         name: "fig16",
         about: "total wire traffic normalized to ECMP (probe and tag overhead)",
         run: fig16,
+        claims: &[Claim {
+            paper: "Contra carries ≈ 1.008x ECMP's traffic, ~0.4% above Hula",
+            check: None,
+        }],
     },
     Figure {
         name: "loops",
         about: "share of traffic that crossed a transient loop, beside the static verdict",
         run: loops,
+        claims: &[Claim {
+            paper: "0.026% (fat-tree) and 0.007% (Abilene) of traffic loops; §5.5 breaks them",
+            check: None,
+        }],
     },
 ];
 
-/// `contra fig <name>… | all | list`.
+/// `contra fig <name>… | all | list`. Each selected figure's rows reach
+/// `out.rows` byte for byte, then one `paper:` note per claim, a checked
+/// one with its verdict. `Err(Exit::Failed)` once every figure has run if
+/// a checked claim missed.
 pub fn run(names: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> {
     let mut selected = Vec::new();
     for name in names {
@@ -97,10 +179,31 @@ pub fn run(names: &[String], scale: Scale, out: &mut Out) -> Result<(), Exit> {
     if selected.is_empty() {
         return Err(Exit::Usage("fig: which figure?".to_string()));
     }
+    let mut missed = false;
     for f in selected {
-        (f.run)(scale, out);
+        let mut rows = Vec::new();
+        let mut buffered = Out {
+            rows: &mut rows,
+            notes: out.notes,
+        };
+        (f.run)(scale, &mut buffered);
+        out.rows.write_all(&rows).expect("emit rows");
+        let rows = String::from_utf8(rows).expect("figures emit UTF-8");
+        for claim in f.claims {
+            let verdict = claim.check.map(|check| check(&rows));
+            missed |= matches!(verdict, Some(Err(_)));
+            let verdict = match verdict {
+                None => String::new(),
+                Some(Ok(())) => " — holds".to_string(),
+                Some(Err(why)) => format!(" — MISSES: {why}"),
+            };
+            out.note(format_args!("paper: {}{verdict}", claim.paper));
+        }
     }
-    Ok(())
+    match missed {
+        false => Ok(()),
+        true => Err(Exit::Failed),
+    }
 }
 
 // ---- the shared axes -----------------------------------------------------
@@ -142,6 +245,29 @@ fn band_cols(band: &Option<Band>) -> [String; 3] {
     }
 }
 
+/// The rows whose leading columns are `key`, split into columns.
+fn rows_of<'r>(rows: &'r str, key: &[&str]) -> Vec<Vec<&'r str>> {
+    let split = rows.lines().map(|row| row.split(',').collect::<Vec<_>>());
+    split.filter(|cols| cols.starts_with(key)).collect()
+}
+
+/// Column `col` of the first row whose leading columns are `key`.
+fn value(rows: &str, key: &[&str], col: usize) -> Option<f64> {
+    rows_of(rows, key).first()?.get(col)?.parse().ok()
+}
+
+/// Checks `low < high`; a miss says `what` and both sides, "no row" for
+/// one the figure did not emit.
+fn below(what: &str, low: Option<f64>, high: Option<f64>) -> Result<(), String> {
+    match (low, high) {
+        (Some(low), Some(high)) if low < high => Ok(()),
+        (low, high) => {
+            let show = |v: Option<f64>| v.map_or("no row".to_string(), |v| format!("{v:.3}"));
+            Err(format!("{what}: {} not below {}", show(low), show(high)))
+        }
+    }
+}
+
 /// Figs 11, 12 and 15 are one experiment — mean FCT vs offered load per
 /// system, web-search (`<fig>a`) and cache (`<fig>b`) workloads, each
 /// point a seed band — on different fabrics, system lists and failure
@@ -155,7 +281,6 @@ fn fct_vs_load(
     base: Scenario,
     systems: &[&dyn RoutingSystem],
     fault_sets: &[(&str, FaultPlan)],
-    paper: &str,
     scale: Scale,
     out: &mut Out,
 ) {
@@ -187,7 +312,6 @@ fn fct_vs_load(
             ));
         }
     }
-    out.note(format_args!("paper: {paper}"));
 }
 
 /// The Fig 14 cell, which `contra report` also runs: constant 4.25 Gbps
@@ -208,9 +332,6 @@ pub fn failure_cell(duration: Time, cut: Time, seed: u64) -> Scenario {
 
 /// Figure 9: compiler scalability — compilation time vs topology size for
 /// the MU, WP and CA policies on (a) fat-trees and (b) random networks.
-///
-/// Paper shape to reproduce: roughly linear growth, seconds at 500
-/// switches, WP ≥ CA ≥ MU.
 ///
 /// Output: CSV `fig,series,size,seconds` — one row per (policy, size)
 /// total, plus one `fig09a-stages`/`fig09b-stages` row per pipeline stage
@@ -239,7 +360,6 @@ fn fig09(scale: Scale, out: &mut Out) {
             }
         }
     }
-    out.note("paper: compilation completes in seconds up to 500 nodes, ~linear in size");
 }
 
 /// Figure 10: switch state (kB) of the generated programs vs topology
@@ -247,15 +367,13 @@ fn fig09(scale: Scale, out: &mut Out) {
 /// sides of the §5.3 sizing discussion: register-array collisions and
 /// FCT as the flowlet table shrinks.
 ///
-/// Paper shape to reproduce: WP and CA need more state than MU (tags and
-/// pids respectively); everything stays well under ~100 kB. The flowlet
-/// table is direct-mapped, one slot per hash index as the emitted program
-/// declares it, and fig10c counts live entries displaced: writes over
-/// another key's pin or loop row that had not yet expired. Two
-/// concurrently live keys on one slot displace each other on every
+/// The flowlet table is direct-mapped, one slot per hash index as the
+/// emitted program declares it, and fig10c counts live entries displaced:
+/// writes over another key's pin or loop row that had not yet expired.
+/// Two concurrently live keys on one slot displace each other on every
 /// alternation, so the count is not monotone in `flowlet_slots` — it
 /// depends on which live flowlets pair up on a slot. A displaced flowlet
-/// is routed afresh mid-burst, which fig10c-fct shows at the small sizes.
+/// is routed afresh mid-burst.
 ///
 /// Output: CSV `fig,series,size,kB` (fig10a/b),
 /// `fig,series,flowlet_slots,collisions` (fig10c) and
@@ -295,8 +413,6 @@ fn fig10(scale: Scale, out: &mut Out) {
     for (slots, r) in slot_sweep.iter().zip(&results) {
         let collisions = r.figures.register_collisions;
         out.row(format_args!("fig10c,Contra,{slots},{collisions}"));
-        // The FCT side: a displaced live pin re-routes its flowlet
-        // mid-burst.
         let p50 = r.figures.p50_fct_ms.unwrap_or(f64::NAN);
         let p99 = r.figures.p99_fct_ms.unwrap_or(f64::NAN);
         out.row(format_args!("fig10c-fct,Contra-p50,{slots},{p50:.3}"));
@@ -307,19 +423,39 @@ fn fig10(scale: Scale, out: &mut Out) {
             r.stats.flowlet_collisions, r.stats.loop_collisions
         ));
     }
-    out.note("paper: WP/CA > MU; no more than ~70-100 kB anywhere");
-    out.note(
-        "§5.3: fig10c counts live entries displaced in the direct-mapped flowlet and loop \
-         tables; two live keys on one slot displace each other on every alternation, so the \
-         count is not monotone in size, and fig10c-fct moves where displaced flowlets re-route",
-    );
+}
+
+/// fig10a/b's rows: `fig,series,size,kB`.
+fn fig10_ladder(rows: &str) -> Vec<Vec<&str>> {
+    [rows_of(rows, &["fig10a"]), rows_of(rows, &["fig10b"])].concat()
+}
+
+fn fig10_tags_cost_state(rows: &str) -> Result<(), String> {
+    let ladder = fig10_ladder(rows);
+    ladder.first().ok_or("no fig10a/b rows")?;
+    for mu in ladder.iter().filter(|cols| cols[1] == "MU") {
+        for series in ["WP", "CA"] {
+            let what = format!("{} at {} switches, MU's kB vs {series}'s", mu[0], mu[2]);
+            let kb = value(rows, &[mu[0], series, mu[2]], 3);
+            below(&what, mu[3].parse().ok(), kb)?;
+        }
+    }
+    Ok(())
+}
+
+fn fig10_state_bounded(rows: &str) -> Result<(), String> {
+    let kb = fig10_ladder(rows).into_iter();
+    let kb = kb.filter_map(|cols| cols[3].parse().ok());
+    below("largest kB", Band::over(kb).map(|kb| kb.max), Some(100.0))
+}
+
+fn fig10c_small_table_costs_fct(rows: &str) -> Result<(), String> {
+    let p50 = |slots| value(rows, &["fig10c-fct", "Contra-p50", slots], 3);
+    below("p50 ms, 1024 slots vs 16", p50("1024"), p50("16"))
 }
 
 /// Figure 11: average FCT vs load on the symmetric leaf-spine fabric —
 /// ECMP vs Contra (MU) vs Hula, web-search and cache workloads.
-///
-/// Paper shape to reproduce: Contra ≈ Hula, both clearly better than ECMP
-/// at high load (paper: ~30% / ~47% lower FCT at 90%).
 fn fig11(scale: Scale, out: &mut Out) {
     let contra = Contra::dc();
     fct_vs_load(
@@ -327,19 +463,26 @@ fn fig11(scale: Scale, out: &mut Out) {
         Scenario::leaf_spine(4, 2, 8),
         &[&Ecmp, &contra, &Hula],
         &[],
-        "Contra ~ Hula << ECMP at high load (30-47% FCT reduction at 90%)",
         scale,
         out,
     );
 }
 
+fn fig11_contra_below_ecmp(rows: &str) -> Result<(), String> {
+    for fig in ["fig11a", "fig11b"] {
+        let loads = rows_of(rows, &[fig]).into_iter().map(|cols| cols[2]);
+        let top = loads.max_by_key(|load| load.parse::<u32>().ok());
+        let top = top.unwrap_or("?");
+        let fct = |system| value(rows, &[fig, system, top], 3);
+        let what = format!("{fig} at {top}% load, Contra's mean FCT (ms) vs ECMP's");
+        below(&what, fct("Contra"), fct("ECMP"))?;
+    }
+    Ok(())
+}
+
 /// Figure 12: average FCT vs load on the *asymmetric* fabric (leaf-spine
 /// uplinks failed) — ECMP vs Contra vs Hula, under the paper's single
 /// dead uplink plus a harsher two-uplink variant.
-///
-/// Paper shape to reproduce: ECMP collapses beyond ~50% load (it keeps
-/// hashing half of leaf0's traffic onto the halved uplink capacity);
-/// Contra and Hula degrade gracefully (~1.7-1.8× their symmetric FCT).
 fn fig12(scale: Scale, out: &mut Out) {
     let contra = Contra::dc();
     // Uplinks die before traffic starts; adaptive systems detect them
@@ -352,7 +495,6 @@ fn fig12(scale: Scale, out: &mut Out) {
         Scenario::leaf_spine(4, 2, 8),
         &[&Ecmp, &contra, &Hula],
         &[("1-uplink", one), ("2-uplink", two)],
-        "ECMP inflates 3.2-8.7x beyond 50% load; Contra/Hula only ~1.7-1.8x",
         scale,
         out,
     );
@@ -360,9 +502,6 @@ fn fig12(scale: Scale, out: &mut Out) {
 
 /// Figure 13: CDF of fabric queue lengths under Contra vs ECMP at 60%
 /// load (web search, asymmetric fabric).
-///
-/// Paper shape to reproduce: Contra's queues stay short (never above 1000
-/// MSS); ECMP's grow long on the congested uplink.
 ///
 /// Output: CSV `fig,system,queue_mss,cum_frac`.
 fn fig13(_: Scale, out: &mut Out) {
@@ -391,20 +530,14 @@ fn fig13(_: Scale, out: &mut Out) {
             r.stats.queue_samples.len()
         ));
     }
-    out.note(
-        "paper: Contra never exceeded 1000 MSS; ECMP beyond it >97% of the time on the hot link",
-    );
 }
 
 /// Figure 14: aggregate UDP throughput across a link failure — Contra vs
-/// Hula vs static shortest paths, constant 4.25 Gbps offered.
-///
-/// Paper shape to reproduce: throughput dips when the uplink dies at
-/// t = 50 ms, the failure is detected after ≈ 3 probe periods (the paper's
-/// 3×RTT ≈ 768 µs threshold equals our 3 × 256 µs), and goodput recovers
-/// within ~1 ms — for Contra and for Hula, whose switches read the same
-/// `FAILURE_PERIODS × PROBE_PERIOD` window. SP is the degenerate baseline:
-/// it never reroutes, so its "convergence" spans to the end of the stream.
+/// Hula vs static shortest paths, constant 4.25 Gbps offered. The uplink
+/// dies at t = 50 ms; Contra and Hula read the same `FAILURE_PERIODS ×
+/// PROBE_PERIOD` detection window (the paper's 3×RTT ≈ 768 µs is 3 ×
+/// 256 µs). SP never reroutes, so its "convergence" spans to the end of
+/// the stream.
 ///
 /// Each system runs over a seed band à la Fig 11. Constant-rate UDP is
 /// seed-invariant, so the band jitters the *failure instant* per seed
@@ -470,17 +603,33 @@ fn fig14(scale: Scale, out: &mut Out) {
             p.seeds.len(),
         ));
     }
-    out.note("paper: detection ~0.8 ms after failure, throughput recovers within 1 ms");
+}
+
+fn fig14_loss_ends(rows: &str) -> Result<(), String> {
+    for system in ["Contra", "Hula"] {
+        let conv_max = value(rows, &["fig14conv", system], 4);
+        below(&format!("{system}'s conv_ms_max"), conv_max, Some(2.0))?;
+    }
+    Ok(())
+}
+
+fn fig14_goodput_recovers(rows: &str) -> Result<(), String> {
+    for system in ["Contra", "Hula"] {
+        let timeline = rows_of(rows, &["fig14", system]);
+        let mean = |window: fn(f64) -> bool| {
+            let at = timeline.iter().filter(|c| c[2].parse().is_ok_and(window));
+            Band::over(at.filter_map(|c| c[3].parse().ok())).map(|gbps| gbps.mean)
+        };
+        let floor = mean(|ms| ms < 50.0).map(|before| 0.95 * before);
+        let what = format!("{system}, 95% of Gbps before the cut vs 53-54 ms");
+        below(&what, floor, mean(|ms| (53.0..=54.0).contains(&ms)))?;
+    }
+    Ok(())
 }
 
 /// Figure 15: average FCT vs load on Abilene — static shortest paths (SP)
 /// vs SPAIN vs Contra (MU) — on the intact backbone and on the same WAN
-/// with the Denver–KansasCity trunk cut during warm-up (adaptive
-/// spreading should absorb the cut; the static baselines pay for it).
-///
-/// Paper shape to reproduce: SP worst (single path saturates), SPAIN in
-/// between (static multipath), Contra best (utilization-aware spreading;
-/// paper: ~31% / ~14% lower FCT than SPAIN).
+/// with the Denver–KansasCity trunk cut during warm-up.
 fn fig15(scale: Scale, out: &mut Out) {
     let (contra, spain) = (Contra::dc(), Spain::new(4));
     let cut = FaultPlan::new().fail_link("Denver", "KansasCity", Time::us(100));
@@ -489,7 +638,6 @@ fn fig15(scale: Scale, out: &mut Out) {
         Scenario::abilene(),
         &[&Sp, &spain, &contra],
         &[("intact", FaultPlan::new()), ("DenverKC-cut", cut)],
-        "Contra < SPAIN < SP (Contra ~31%/~14% below SPAIN)",
         scale,
         out,
     );
@@ -497,9 +645,6 @@ fn fig15(scale: Scale, out: &mut Out) {
 
 /// Figure 16: total traffic (probes + tags included) normalized to ECMP,
 /// at 10% and 60% load on the symmetric fabric.
-///
-/// Paper shape to reproduce: Contra carries ≈ +0.8% over ECMP (probes and
-/// packet tags), Hula slightly less — both negligible.
 ///
 /// Output: CSV `fig,system,workload_load,ratio`.
 fn fig16(_: Scale, out: &mut Out) {
@@ -524,7 +669,6 @@ fn fig16(_: Scale, out: &mut Out) {
             }
         }
     }
-    out.note("paper: Contra ≈ 1.008x ECMP, ~0.4% above Hula");
 }
 
 /// §6.5 loop measurement: the share of traffic that ever traversed a
@@ -532,22 +676,14 @@ fn fig16(_: Scale, out: &mut Out) {
 /// fabric and on Abilene — alongside the *static* verifier's verdict for
 /// the same policy, so the table shows prediction next to measurement.
 ///
-/// Paper numbers to compare against: 0.026% (fat-tree) and 0.007%
-/// (Abilene); all such loops were broken by the §5.5 detector.
-///
 /// Output: CSV `loops,topology,looped_pct,loop_breaks` plus
 /// `loops_static,topology,loop_risk,fragile_routes`.
 fn loops(_: Scale, out: &mut Out) {
     let cells = [
-        (
-            "leaf-spine",
-            "0.026%",
-            Scenario::leaf_spine(4, 2, 8),
-            Contra::dc(),
-        ),
-        ("abilene", "0.007%", Scenario::abilene(), Contra::mu()),
+        ("leaf-spine", Scenario::leaf_spine(4, 2, 8), Contra::dc()),
+        ("abilene", Scenario::abilene(), Contra::mu()),
     ];
-    for (label, paper_pct, scenario, system) in cells {
+    for (label, scenario, system) in cells {
         let scenario = scenario
             .load(0.6)
             .workload(Workload::WebSearch)
@@ -572,8 +708,7 @@ fn loops(_: Scale, out: &mut Out) {
         };
         out.row(format_args!("loops_static,{label},{verdict},{fragile}"));
         out.note(format_args!(
-            "loops {label}: {pct:.4}% of {} delivered packets; {breaks} flowlet flushes \
-             (paper: {paper_pct})",
+            "loops {label}: {pct:.4}% of {} delivered packets; {breaks} flowlet flushes",
             r.figures.delivered_packets,
         ));
         out.note(format_args!(

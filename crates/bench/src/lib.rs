@@ -51,7 +51,8 @@ impl Scale {
 pub struct Out<'a> {
     /// Machine-readable output: the figures' CSV rows, `lint --json`.
     pub rows: &'a mut dyn Write,
-    /// Human-readable output: summaries, `paper:` lines, reports.
+    /// Human-readable output: summaries, each figure's claims with their
+    /// verdicts, reports.
     pub notes: &'a mut dyn Write,
 }
 
@@ -74,7 +75,9 @@ impl Out<'_> {
 #[derive(Debug)]
 pub enum Exit {
     /// Exit 1. What failed (ERROR diagnostics, a compile error, an
-    /// invalid program, an unwritable file) is already on [`Out::notes`].
+    /// invalid program, an unwritable file, a checked claim of a figure
+    /// that missed — after every row was written) is already on
+    /// [`Out::notes`].
     Failed,
     /// Exit 2: unknown command, figure or flag, a flag without its
     /// value or its partner, an unparsable topology spec. `main` prints
@@ -96,7 +99,8 @@ pub fn usage() -> String {
          \x20 report                       the Fig 14 cell with telemetry on: TELEM_*, RUN_REPORT.txt\n\
          \x20 chaos                        a seeded random fault plan, audited: CHAOS_PLAN.txt\n\
          <spec>: fat-tree:K | leaf-spine:L,S,H | abilene | random:N | zoo:FILE\n\
-         exit codes: 0 = ok (lint: clean or warnings only), 1 = errors found, 2 = usage error\n\
+         exit codes: 0 = ok (lint: clean or warnings only), 1 = errors found (fig: a checked\n\
+         \x20           claim missed, after every row), 2 = usage error\n\
          environment: CONTRA_BENCH_FAST=1 (smoke scale), CONTRA_CHAOS_SEED=<u64>",
         names.join(" ")
     )
