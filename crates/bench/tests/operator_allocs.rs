@@ -1,6 +1,9 @@
-//! Heap allocations of the operator path, counted: what a compile, an
-//! `emit_all` and a `validate` allocate is what they return, not scratch
-//! per switch or per program.
+//! Heap allocations of the operator path and of Contra's install,
+//! counted: what a compile, an `emit_all` and a `validate` allocate is
+//! what they return, not scratch per switch or per program; a switch's
+//! install allocates its failure-detection array and reads the rest of
+//! its program from the compiled policy, and its tables appear at their
+//! first write.
 //!
 //! A counting global allocator wraps `System`; its counters are per
 //! thread, so the tests of this file, each on a thread of its own, do not
@@ -8,8 +11,13 @@
 
 use contra_bench::compiler_policy_suite;
 use contra_core::{CompiledPolicy, Compiler};
+use contra_dataplane::{Contra, DataplaneConfig, ProtocolHarness};
+use contra_sim::{
+    CompileCache, InstallCtx, Packet, RoutingSystem, SimConfig, Simulator, SwitchCtx, SwitchLogic,
+    Time, Verdict,
+};
 use contra_topology::generators::{self, LinkSpec};
-use contra_topology::Topology;
+use contra_topology::{NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -128,4 +136,73 @@ fn compile_allocations_do_not_grow_with_switches() {
              one per two switches or more"
         );
     }
+}
+
+/// A switch that only ticks, every `0`: what the simulator's `install`
+/// allocates for any switch (its box, its first tick's filing).
+struct Idle(Time);
+
+impl SwitchLogic for Idle {
+    fn on_packet(&mut self, _: &mut SwitchCtx<'_>, _: &mut Packet, _: NodeId) -> Verdict {
+        Verdict::Consume
+    }
+
+    fn tick_interval(&self) -> Option<Time> {
+        Some(self.0)
+    }
+}
+
+/// Contra's install on fat-tree(8) with hosts, the compile cache warm:
+/// beyond what the simulator allocates for an idle switch ticking as
+/// often, one block per switch (its failure-detection array) and two in
+/// all (the cache lookup's key, the policy's shared destination index).
+/// A switch copies no table of its program, and FwdT, BestT and the
+/// flowlet and loop registers appear at their first write: the first
+/// probe round allocates FwdT and BestT once per switch, later rounds
+/// allocate what the first did without them, and the first packet on a
+/// path allocates the flowlet and loop registers of each switch it is
+/// forwarded by, the second nothing of them.
+#[test]
+fn install_allocates_no_copy_of_the_program() {
+    let topo = generators::fat_tree(8, 1, LinkSpec::default());
+    let switches = topo.num_switches() as u64;
+    let contra = Contra::dc();
+    let cache = CompileCache::new();
+    let cp = cache
+        .get_or_compile(&topo, &contra.policy)
+        .expect("compiles");
+    let cfg = DataplaneConfig::for_policy(&cp);
+
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default());
+    let ctx = InstallCtx::new(&topo, &[], &cache);
+    let (installed, n) = allocs(|| contra.install(&mut sim, &ctx));
+    installed.expect("installs");
+    let mut idle = Simulator::new(topo.clone(), SimConfig::default());
+    let (_, floor) = allocs(|| {
+        for sw in topo.switches() {
+            idle.install(sw, Box::new(Idle(cfg.probe_period)));
+        }
+    });
+    assert!(
+        n <= floor + switches + 2,
+        "install allocated {n} times for {switches} switches, {floor} of them idle ones'"
+    );
+
+    let mut h = ProtocolHarness::new(&topo, cp.clone(), cfg);
+    let rounds: Vec<u64> = (0..3).map(|_| allocs(|| h.run_round()).1).collect();
+    assert_eq!(rounds[1], rounds[2], "a table grew after its first write");
+    let first = rounds[0] - rounds[1];
+    // FwdT and BestT at every switch, and one more doubling of the
+    // harness's probe queue, which holds more in the first round.
+    assert!(
+        (2 * switches..=2 * switches + 1).contains(&first),
+        "the first round allocated {first} more times than the next"
+    );
+
+    let (src, dst) = (topo.find("edge0_0").unwrap(), topo.find("edge7_3").unwrap());
+    let path = |h: &mut ProtocolHarness| allocs(|| h.traffic_path(src, dst).expect("a route"));
+    let ((hops, first), (_, second)) = (path(&mut h), path(&mut h));
+    // Every switch but the destination forwards, and writes both arrays.
+    let forwarders = hops.len() as u64 - 1;
+    assert_eq!(first - second, 2 * forwarders, "{hops:?}");
 }

@@ -8,7 +8,9 @@
 //! interprets, which are slices of flat arrays shared by every switch —
 //! `NEXTPGNODE` ([`CompiledPolicy::next_pg_node`], the product-graph edges
 //! bucketed by receiving switch) and the multicast fan-out (the product
-//! graph's own successor rows, [`ProductGraph::succs`]).
+//! graph's own successor rows, [`ProductGraph::succs`]), plus the
+//! destination index that numbers every switch's FwdT rows
+//! ([`CompiledPolicy::destination_index`], built at its first use).
 //!
 //! The compiler also computes the **probe period floor** (§5.2: period ≥
 //! 0.5 × max RTT) and lowers the policy's rank functions into the
@@ -31,6 +33,7 @@ use contra_telemetry::{PipelineProfile, Profiler};
 use contra_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Anything that can go wrong between policy text and switch programs.
 #[derive(Debug)]
@@ -147,6 +150,8 @@ pub struct CompiledPolicy {
     pub pg: ProductGraph,
     /// Probe-originating destinations.
     pub destinations: Vec<NodeId>,
+    /// [`CompiledPolicy::destination_index`], built at its first call.
+    dest_index: OnceLock<Arc<[u32]>>,
     /// Per-switch programs.
     pub programs: BTreeMap<NodeId, SwitchProgram>,
     /// Every switch's `NEXTPGNODE` rows, one run per topology node:
@@ -208,6 +213,25 @@ impl CompiledPolicy {
     /// Total number of virtual nodes (= tags across all switches).
     pub fn total_tags(&self) -> usize {
         self.pg.len()
+    }
+
+    /// Each destination's position in [`CompiledPolicy::destinations`],
+    /// indexed by node id up to the highest destination; `u32::MAX` for
+    /// every other node. The row index of every switch's FwdT: built at
+    /// the first call, so a compile does not pay for it, and shared by
+    /// every switch of the policy.
+    pub fn destination_index(&self) -> &Arc<[u32]> {
+        self.dest_index.get_or_init(|| {
+            let last = self.destinations.iter().map(|d| d.0 as usize + 1).max();
+            // Collected from a sized iterator, straight into the `Arc`'s
+            // one block.
+            let mut index: Arc<[u32]> = (0..last.unwrap_or(0)).map(|_| u32::MAX).collect();
+            let slots = Arc::get_mut(&mut index).expect("a new Arc is unshared");
+            for (i, d) in (0..).zip(&self.destinations) {
+                slots[d.0 as usize] = i;
+            }
+            index
+        })
     }
 
     /// `NEXTPGNODE` of `switch`: `(incoming probe tag, this switch's
@@ -324,6 +348,7 @@ impl<'t> Compiler<'t> {
             automata,
             pg,
             destinations,
+            dest_index: OnceLock::new(),
             programs,
             next_pg_first,
             next_pg,

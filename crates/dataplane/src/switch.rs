@@ -17,7 +17,10 @@
 //!   [`RankKey`] ordered as the policy's rank, and a row stores its
 //!   retention key and its full-policy key from the moment it is written,
 //!   so a rejected probe costs one key and a BestT rescan costs none.
-//!   `NEXTPGNODE` and the fan-out are sorted arrays built at install.
+//!   `NEXTPGNODE` and the fan-out are read from the compiled policy where
+//!   they lie ([`CompiledPolicy::next_pg_node`] and the product graph's
+//!   successor rows): a switch holds no copy of its program, and its
+//!   FwdT shares the policy's destination index.
 //! * `SWIFORWARDPKT` — stamp host-originated packets from `BestT`, then
 //!   forward by `(dst, tag, pid)` through the policy-aware flowlet table
 //!   (§5.3), expiring pins through silent (failed) next hops (§5.4) and
@@ -26,7 +29,9 @@
 use crate::tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
 };
-use contra_core::{CompiledPolicy, MetricVec, RankKey, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES};
+use contra_core::{
+    CompiledPolicy, MetricVec, ProductGraph, RankKey, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES,
+};
 use contra_sim::{
     Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
     FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
@@ -90,18 +95,16 @@ impl DataplaneConfig {
     }
 }
 
+/// The neighbours probes at virtual node `v` go to: the switches of `v`'s
+/// product-graph successors.
+fn fanout_of(pg: &ProductGraph, v: VNodeId) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
+    pg.succs(v).iter().map(|&w| pg.vnode(w).switch)
+}
+
 /// One switch running the synthesized Contra program.
 pub struct ContraSwitch {
     pub(crate) cp: Arc<CompiledPolicy>,
     switch: NodeId,
-    /// `NEXTPGNODE`, sorted by incoming probe tag: `(incoming tag, this
-    /// switch's virtual node)`.
-    next_pg: Vec<(VNodeId, VNodeId)>,
-    /// The switch's first virtual node: tag `t` is `VNodeId(tag_base + t)`.
-    tag_base: u32,
-    /// Probe fan-out of tag `t`: `fanout[fan_first[t]..fan_first[t + 1]]`.
-    fan_first: Vec<u32>,
-    fanout: Vec<NodeId>,
     sending_vnode: Option<VNodeId>,
     /// Wire size of every probe of the policy.
     probe_size: u32,
@@ -125,21 +128,18 @@ pub struct ContraSwitch {
 }
 
 impl ContraSwitch {
-    /// Creates the switch program for `switch`, copying its static tables
-    /// (`NEXTPGNODE`, the fan-out) out of the compiled policy's arrays.
+    /// Creates the switch program for `switch`. Its static tables
+    /// (`NEXTPGNODE`, the fan-out, the destination index) stay in the
+    /// compiled policy and are read there; install allocates the
+    /// failure-detection array, and the FwdT, BestT, flowlet and loop
+    /// storage appears at each table's first write.
     pub fn new(cp: Arc<CompiledPolicy>, switch: NodeId, cfg: DataplaneConfig) -> ContraSwitch {
         let prog = cp
             .programs
             .get(&switch)
             .unwrap_or_else(|| panic!("no compiled program for {switch}"));
         let tag_base = prog.tags.first().map_or(0, |v| v.0);
-        let mut fan_first = Vec::with_capacity(prog.tags.len() + 1);
-        let mut fanout = Vec::new();
-        fan_first.push(0);
-        for v in prog.tags.iter() {
-            fanout.extend(cp.pg.succs(v).iter().map(|&w| cp.pg.vnode(w).switch));
-            fan_first.push(fanout.len() as u32);
-        }
+        let dst_index = cp.destination_index();
         let switches = cp
             .programs
             .keys()
@@ -147,19 +147,16 @@ impl ContraSwitch {
             .map_or(0, |n| n.0 as usize + 1);
         ContraSwitch {
             switch,
-            next_pg: cp.next_pg_node(switch).to_vec(),
-            tag_base,
-            fan_first,
-            fanout,
             sending_vnode: prog.sending_vnode,
             probe_size: PROBE_BASE_BYTES + cp.basis.probe_metric_bytes() as u32,
             fwdt: FwdTable::new(
-                &cp.destinations,
+                dst_index.clone(),
+                cp.destinations.len(),
                 VNodeId(tag_base),
                 prog.tags.len(),
                 cp.num_pids(),
             ),
-            best: BestTable::default(),
+            best: BestTable::with_rows(dst_index.len()),
             flowlets: FlowletTable::with_slots(cfg.flowlet_slots),
             loops: LoopTable::with_slots(LOOP_ENTRIES),
             last_probe_from: vec![Time::ZERO; switches],
@@ -169,12 +166,6 @@ impl ContraSwitch {
             cfg,
             cp,
         }
-    }
-
-    /// The neighbours probes at this switch's virtual node `v` go to.
-    fn fanout_of(&self, v: VNodeId) -> &[NodeId] {
-        let t = (v.0 - self.tag_base) as usize;
-        &self.fanout[self.fan_first[t] as usize..self.fan_first[t + 1] as usize]
     }
 
     fn expiry(&self) -> Time {
@@ -272,10 +263,11 @@ impl ContraSwitch {
         // NEXTPGNODE: probes whose tag cannot step into this switch's
         // pruned product graph die here — they cannot lead to any
         // finite-rank path.
-        let Ok(at) = (self.next_pg).binary_search_by_key(&VNodeId(p.tag), |&(i, _)| i) else {
+        let next_pg = self.cp.next_pg_node(self.switch);
+        let Ok(at) = next_pg.binary_search_by_key(&VNodeId(p.tag), |&(i, _)| i) else {
             return;
         };
-        let n = self.next_pg[at].1;
+        let n = next_pg[at].1;
         // UPDATEMVEC: fold in this switch's egress toward the neighbor the
         // probe arrived from — the first link of the traffic path.
         let (util, lat) = ctx.util_lat_to(from);
@@ -347,14 +339,15 @@ impl ContraSwitch {
             mv: mv.raw(),
             ..*p
         };
-        let fanout = self.fanout_of(n);
-        for &nbr in fanout {
+        let fanout = fanout_of(&self.cp.pg, n);
+        let sent = fanout.len() as u64;
+        for nbr in fanout {
             ctx.send(
                 nbr,
                 Packet::probe(self.switch, nbr, probe, self.probe_size, now),
             );
         }
-        self.probes_sent += fanout.len() as u64;
+        self.probes_sent += sent;
     }
 
     /// `SWIFORWARDPKT` with policy-aware flowlets, failure expiry and loop
@@ -452,7 +445,8 @@ impl SwitchLogic for ContraSwitch {
         self.version += 1;
         let now = ctx.now;
         let pids = self.cp.num_pids();
-        let fanout = self.fanout_of(v0);
+        let fanout = fanout_of(&self.cp.pg, v0);
+        let sent = (pids * fanout.len()) as u64;
         for pid in 0..pids as u8 {
             let probe = Probe {
                 origin: self.switch,
@@ -461,14 +455,14 @@ impl SwitchLogic for ContraSwitch {
                 tag: v0.0,
                 mv: MetricVec::zero().raw(),
             };
-            for &nbr in fanout {
+            for nbr in fanout.clone() {
                 ctx.send(
                     nbr,
                     Packet::probe(self.switch, nbr, probe, self.probe_size, now),
                 );
             }
         }
-        self.probes_sent += (pids * fanout.len()) as u64;
+        self.probes_sent += sent;
     }
 
     fn tick_interval(&self) -> Option<Time> {

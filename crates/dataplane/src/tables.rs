@@ -4,8 +4,9 @@
 //! registers/SRAM: the forwarding table `FwdT`, the best-choice table
 //! `BestT`, the policy-aware flowlet table (§5.3) and the TTL-delta loop
 //! detection table (§5.5). The static configuration (tags, `NEXTPGNODE`,
-//! multicast fan-out) is the compiled policy's: `ContraSwitch::new` copies
-//! a switch's slices of it into arrays of its own.
+//! multicast fan-out, the destination index) is the compiled policy's:
+//! `ContraSwitch` reads a switch's slices of it where they lie, and every
+//! switch's FwdT shares one destination index.
 //!
 //! Layout follows the hardware the paper targets, not convenience maps.
 //! `FwdT` is one dense array per switch at the P4 index
@@ -13,6 +14,7 @@
 //! index among the policy's destinations and `tag` the switch-local tag
 //! (a Tofino register read at a computed index, and the same one indexed
 //! load in software); `BestT` is a dense array indexed by destination.
+//! Both allocate their full rows at their first write, once.
 //! The flowlet and loop tables are **fixed-size direct-mapped register
 //! arrays** with deterministic Fx hashing: each key has exactly one slot,
 //! the top bits of its hash, as in the emitted program's
@@ -36,6 +38,7 @@ use contra_core::{MetricVec, RankKey, VNodeId};
 use contra_sim::{FxHasher64, Time};
 use contra_topology::NodeId;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Key of a forwarding-table row: `[dst*, tag*, pid*]` in Fig 6(e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,13 +77,17 @@ pub struct FwdEntry {
 /// The forwarding table of one switch: one dense array at the P4 index
 /// `dst × tags × pids + tag × pids + pid`, where `dst` numbers the
 /// policy's destinations and `tag` the switch's virtual nodes from its
-/// first, grown to the highest destination written. A destination's rows
-/// are contiguous and in ascending `(tag, pid)`.
+/// first, allocated whole at the first write. A destination's rows are
+/// contiguous and in ascending `(tag, pid)`.
 #[derive(Debug)]
 pub struct FwdTable {
+    /// Empty until the first write, then every destination's rows.
     rows: Vec<Option<FwdEntry>>,
-    /// Each destination's index by node id; `u32::MAX` for the others.
-    dst_index: Vec<u32>,
+    /// Each destination's index by node id; `u32::MAX` for the others
+    /// (the compiled policy's `destination_index`, shared).
+    dst_index: Arc<[u32]>,
+    /// Destinations: the indices `dst_index` holds are below it.
+    dests: usize,
     /// The switch's first virtual node; its tags are `base..base + tags`.
     base: u32,
     tags: usize,
@@ -89,18 +96,21 @@ pub struct FwdTable {
 }
 
 impl FwdTable {
-    /// An empty table for traffic to `dests`, at a switch whose virtual
-    /// nodes are the `tags` consecutive ids from `base`, under `pids`
-    /// subpolicies.
-    pub fn new(dests: &[NodeId], base: VNodeId, tags: usize, pids: usize) -> FwdTable {
-        let last = dests.iter().map(|d| d.0 as usize + 1).max().unwrap_or(0);
-        let mut dst_index = vec![u32::MAX; last];
-        for (i, d) in (0..).zip(dests) {
-            dst_index[d.0 as usize] = i;
-        }
+    /// An empty table for traffic to `dests` destinations, numbered by
+    /// node id in `dst_index` (`u32::MAX` for the other nodes), at a
+    /// switch whose virtual nodes are the `tags` consecutive ids from
+    /// `base`, under `pids` subpolicies.
+    pub fn new(
+        dst_index: Arc<[u32]>,
+        dests: usize,
+        base: VNodeId,
+        tags: usize,
+        pids: usize,
+    ) -> FwdTable {
         FwdTable {
             rows: Vec::new(),
             dst_index,
+            dests,
             base: base.0,
             tags,
             pids,
@@ -139,10 +149,10 @@ impl FwdTable {
         let Some(i) = self.index(&key) else {
             return;
         };
-        let stride = self.tags * self.pids;
-        let end = (i / stride + 1) * stride;
-        if self.rows.len() < end {
-            self.rows.resize_with(end, || None);
+        if self.rows.is_empty() {
+            self.rows = (0..self.dests * self.tags * self.pids)
+                .map(|_| None)
+                .collect();
         }
         if self.rows[i].replace(entry).is_none() {
             self.len += 1;
@@ -178,14 +188,26 @@ impl FwdTable {
 }
 
 /// `BestT`: per destination, the key of the currently best FwdT row —
-/// a dense array indexed by destination.
-#[derive(Debug, Default)]
+/// a dense array indexed by destination node id, allocated whole at the
+/// first write.
+#[derive(Debug)]
 pub struct BestTable {
+    /// Empty until the first write, then `rows` (or more) entries.
     best: Vec<Option<FwdKey>>,
+    rows: usize,
     len: usize,
 }
 
 impl BestTable {
+    /// An empty table for destinations below node id `rows`.
+    pub fn with_rows(rows: usize) -> BestTable {
+        BestTable {
+            best: Vec::new(),
+            rows,
+            len: 0,
+        }
+    }
+
     /// Current best key for a destination.
     pub fn get(&self, dst: NodeId) -> Option<&FwdKey> {
         self.best.get(dst.0 as usize)?.as_ref()
@@ -195,7 +217,7 @@ impl BestTable {
     pub fn set(&mut self, dst: NodeId, key: FwdKey) {
         let i = dst.0 as usize;
         if i >= self.best.len() {
-            self.best.resize(i + 1, None);
+            self.best.resize(self.rows.max(i + 1), None);
         }
         if self.best[i].replace(key).is_none() {
             self.len += 1;
@@ -556,9 +578,10 @@ mod tests {
         }
     }
 
-    /// Destinations 1, 2 and 4 of a six-node topology.
-    fn dests() -> Vec<NodeId> {
-        [1, 2, 4].map(NodeId).to_vec()
+    /// A table for destinations 1, 2 and 4 of a six-node topology.
+    fn fwd_table(base: u32, tags: usize, pids: usize) -> FwdTable {
+        let index = [u32::MAX, 0, 1, u32::MAX, 2];
+        FwdTable::new(Arc::from(index), 3, VNodeId(base), tags, pids)
     }
 
     /// A row carrying the keys a one-pid policy gives the zero vector.
@@ -584,7 +607,7 @@ mod tests {
     /// A destination's rows are one contiguous run of the array.
     #[test]
     fn fwd_rows_for_scans_one_destination() {
-        let mut t = FwdTable::new(&dests(), VNodeId(10), 3, 2);
+        let mut t = fwd_table(10, 3, 2);
         let e = entry(1);
         t.insert(key(1, 10, 0), e.clone());
         t.insert(key(1, 12, 1), e.clone());
@@ -614,7 +637,7 @@ mod tests {
         expected.sort();
         let e = entry(1);
         let check = |order: &[(u32, u8)]| {
-            let mut t = FwdTable::new(&dests(), VNodeId(5), 3, 2);
+            let mut t = fwd_table(5, 3, 2);
             for &(tag, pid) in order {
                 t.insert(key(4, tag, pid), e.clone());
             }
@@ -642,9 +665,31 @@ mod tests {
         }
     }
 
+    /// FwdT and BestT hold no rows until their first write, which
+    /// allocates all of them; later writes do not grow them.
+    #[test]
+    fn fwd_and_best_rows_appear_whole_at_the_first_write() {
+        let mut t = fwd_table(10, 3, 2);
+        assert_eq!((t.rows.capacity(), t.rows_for(NodeId(4)).count()), (0, 0));
+        t.insert(key(1, 11, 1), entry(1));
+        assert_eq!(t.rows.len(), 3 * 3 * 2);
+        let rows = (t.rows.as_ptr(), t.rows.capacity());
+        t.insert(key(4, 12, 1), entry(1));
+        assert_eq!((t.rows.as_ptr(), t.rows.capacity()), rows);
+        assert_eq!(t.len(), 2);
+
+        let mut b = BestTable::with_rows(5);
+        assert_eq!(b.best.capacity(), 0);
+        b.set(NodeId(1), key(1, 11, 1));
+        assert_eq!(b.best.len(), 5);
+        let best = (b.best.as_ptr(), b.best.capacity());
+        b.set(NodeId(4), key(4, 12, 1));
+        assert_eq!((b.best.as_ptr(), b.best.capacity()), best);
+    }
+
     #[test]
     fn fwd_insert_overwrites_in_place() {
-        let mut t = FwdTable::new(&dests(), VNodeId(0), 1, 1);
+        let mut t = fwd_table(0, 1, 1);
         t.insert(key(1, 0, 0), entry(1));
         t.insert(key(1, 0, 0), entry(2));
         assert_eq!(t.len(), 1);
@@ -948,7 +993,7 @@ mod tests {
 
     #[test]
     fn best_table_roundtrip() {
-        let mut b = BestTable::default();
+        let mut b = BestTable::with_rows(5);
         assert!(b.get(NodeId(1)).is_none());
         b.set(NodeId(1), key(1, 0, 0));
         assert_eq!(b.get(NodeId(1)), Some(&key(1, 0, 0)));
