@@ -16,42 +16,34 @@
 //! the destination all follow the Hula paper; the probe period, flowlet
 //! timeout, failure window and entry expiry are the constants Contra's
 //! dataplane reads ([`PROBE_PERIOD`], [`FLOWLET_TIMEOUT`],
-//! [`FAILURE_PERIODS`], [`EXPIRY_PERIODS`]), for an apples-to-apples
-//! comparison.
+//! [`contra_sim::FAILURE_PERIODS`], [`EXPIRY_PERIODS`]), and failures are
+//! detected by the same §5.4 clock ([`ProbeClock`]), for an
+//! apples-to-apples comparison.
 
 use contra_sim::{
-    FxHashMap, Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
-    FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
+    silent, FxHashMap, Packet, PacketKind, Probe, ProbeClock, SwitchCtx, SwitchLogic, Time,
+    Verdict, EXPIRY_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::{NodeId, Topology};
-use std::collections::BTreeMap;
 
 /// Position of a switch in the two-tier fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HulaRole {
+pub(crate) enum HulaRole {
     /// Top-of-rack switch (has hosts; originates probes).
     Leaf,
     /// Spine switch (replicates probes downward).
     Spine,
 }
 
-/// Infers leaf/spine roles: switches with attached hosts are leaves.
-pub fn infer_roles(topo: &Topology) -> BTreeMap<NodeId, HulaRole> {
-    topo.switches()
-        .into_iter()
-        .map(|s| {
-            let role = if topo.hosts_of(s).is_empty() {
-                HulaRole::Spine
-            } else {
-                HulaRole::Leaf
-            };
-            (s, role)
-        })
-        .collect()
+/// The role of switch `s`, decided from its own links: a switch with an
+/// attached host is a leaf.
+pub(crate) fn role_of(topo: &Topology, s: NodeId) -> HulaRole {
+    if topo.adjacency(s).iter().any(|&(n, _)| !topo.is_switch(n)) {
+        HulaRole::Leaf
+    } else {
+        HulaRole::Spine
+    }
 }
-
-/// §5.4: a next hop silent for longer than this has failed.
-const FAILURE_WINDOW: Time = Time(PROBE_PERIOD.0 * FAILURE_PERIODS);
 
 #[derive(Debug, Clone)]
 struct BestEntry {
@@ -76,8 +68,8 @@ pub struct HulaSwitch {
     /// Flowlet pins keyed by fid (Hula keys on fid only). Deterministic
     /// Fx hashing — SipHash is both slower and per-process seeded.
     flowlets: FxHashMap<u64, FlowletEntry>,
-    /// Last probe heard per neighbor id (`Time::ZERO` = never).
-    last_probe_from: Vec<Time>,
+    /// When each neighbour was last heard (§5.4).
+    heard: ProbeClock,
     /// Last probe of each origin ToR heard from each neighbor, keyed
     /// `(origin, from)`: while fresh, `from` still advertises a path to
     /// `origin`.
@@ -92,12 +84,11 @@ impl HulaSwitch {
     /// two-tier (a leaf adjacent to a leaf, say) — Hula simply does not
     /// support such networks, which is the paper's point.
     pub fn new(topo: &Topology, switch: NodeId) -> HulaSwitch {
-        let roles = infer_roles(topo);
-        let role = roles[&switch];
+        let role = role_of(topo, switch);
         let mut up = Vec::new();
         let mut down = Vec::new();
         for n in topo.switch_neighbors(switch) {
-            match (role, roles[&n]) {
+            match (role, role_of(topo, n)) {
                 (HulaRole::Leaf, HulaRole::Spine) => up.push(n),
                 (HulaRole::Spine, HulaRole::Leaf) => down.push(n),
                 (a, b) => panic!(
@@ -110,31 +101,26 @@ impl HulaSwitch {
             role,
             best: vec![None; topo.num_nodes()],
             flowlets: FxHashMap::default(),
-            last_probe_from: vec![Time::ZERO; topo.num_nodes()],
+            heard: ProbeClock::new(topo, switch),
             advertised: FxHashMap::default(),
             up_neighbors: up,
             down_neighbors: down,
         }
     }
 
-    fn nhop_failed(&self, nhop: NodeId, now: Time) -> bool {
-        let last = self.last_probe_from[nhop.0 as usize];
-        now.saturating_sub(last) > FAILURE_WINDOW
-    }
-
     /// Whether `nhop` still advertises `dst`: a probe that `dst` originated
     /// arrived from it within the failure window. A live next hop that lost
     /// its own path to `dst` falls silent for that destination only, which
-    /// [`HulaSwitch::nhop_failed`] cannot see.
+    /// the per-neighbour clock cannot see.
     fn advertises(&self, nhop: NodeId, dst: NodeId, now: Time) -> bool {
         self.advertised
             .get(&(dst, nhop))
-            .is_some_and(|&last| now.saturating_sub(last) <= FAILURE_WINDOW)
+            .is_some_and(|&last| !silent(last, now, PROBE_PERIOD))
     }
 
     fn entry_valid(&self, e: &BestEntry, now: Time) -> bool {
         now.saturating_sub(e.updated) <= Time(PROBE_PERIOD.0 * EXPIRY_PERIODS)
-            && !self.nhop_failed(e.nhop, now)
+            && !self.heard.failed(e.nhop, now, PROBE_PERIOD)
     }
 
     fn mk_probe(&self, origin: NodeId, util: f64, to: NodeId, now: Time) -> Packet {
@@ -150,7 +136,7 @@ impl HulaSwitch {
 
     fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
-        self.last_probe_from[from.0 as usize] = now;
+        self.heard.heard(from, now);
         if p.origin == self.switch {
             return;
         }
@@ -268,9 +254,9 @@ mod tests {
     #[test]
     fn roles_inferred_from_hosts() {
         let topo = leaf_spine();
-        let roles = infer_roles(&topo);
-        assert_eq!(roles[&topo.find("leaf0").unwrap()], HulaRole::Leaf);
-        assert_eq!(roles[&topo.find("spine1").unwrap()], HulaRole::Spine);
+        let role = |name| role_of(&topo, topo.find(name).unwrap());
+        assert_eq!(role("leaf0"), HulaRole::Leaf);
+        assert_eq!(role("spine1"), HulaRole::Spine);
     }
 
     #[test]

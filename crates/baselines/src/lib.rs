@@ -23,6 +23,6 @@ pub mod spain;
 pub mod systems;
 
 pub use ecmp::{EcmpSwitch, SpSwitch};
-pub use hula::{infer_roles, HulaRole, HulaSwitch};
+pub use hula::HulaSwitch;
 pub use spain::{SpainPaths, SpainSwitch};
 pub use systems::{Ecmp, Hula, Sp, Spain};

@@ -70,10 +70,11 @@ impl RoutingSystem for Hula {
         // Hula only speaks two-tier leaf-spine: every switch adjacency
         // must pair a leaf with a spine. Reject anything else up front
         // instead of letting HulaSwitch::new panic mid-install.
-        let roles = crate::hula::infer_roles(ctx.topology);
+        let role = |s| crate::hula::role_of(ctx.topology, s);
         for sw in ctx.topology.switches() {
+            let own = role(sw);
             for n in ctx.topology.switch_neighbors(sw) {
-                if roles[&sw] == roles[&n] {
+                if own == role(n) {
                     return Err(InstallError::Unsupported {
                         system: self.name(),
                         reason: format!(

@@ -75,7 +75,7 @@ fn encode(x: f64) -> u64 {
 /// word — ordered as the [`Rank`] it encodes (see the module docs). Keys
 /// are only compared with keys of the same function: full-policy keys of
 /// one program, or retention keys of one `pid`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RankKey {
     /// The first [`WIDTH`] + 1 words.
     head: [u64; WIDTH + 1],

@@ -11,6 +11,12 @@
 //! forwards a data packet through the switches' own `on_packet`, so it
 //! pins a flowlet and touches the loop table on its way, and stops where
 //! the engine drops (no route, a down cable, TTL 0).
+//!
+//! A harness is a plain value: `Clone` is its snapshot, and a clone runs
+//! on exactly as the original would (every switch's
+//! [`crate::SwitchState`] stays equal). Probes are delivered in one
+//! order, first in first out; a `Schedule` that makes the order a value
+//! comes with the explorer that needs a second one (ROADMAP item 9).
 
 use crate::switch::{ContraSwitch, DataplaneConfig};
 use contra_core::CompiledPolicy;
@@ -29,6 +35,7 @@ const HOST: NodeId = NodeId(u32::MAX);
 
 /// The harness: switches + pinned link state + a virtual clock that only
 /// advances between probe rounds.
+#[derive(Clone)]
 pub struct ProtocolHarness<S: SwitchLogic = ContraSwitch> {
     /// The topology under test.
     pub topo: Topology,
@@ -42,6 +49,11 @@ pub struct ProtocolHarness<S: SwitchLogic = ContraSwitch> {
     pinned: BTreeMap<u32, f64>,
     /// Total probe messages delivered (probe-complexity assertions).
     pub probes_delivered: u64,
+    /// Probes in flight as `(from, to, probe)`, kept across rounds (empty
+    /// between them) so a round reuses its storage.
+    queue: VecDeque<(NodeId, NodeId, Packet)>,
+    /// The output buffer every delivery lends its switch.
+    out: Vec<(NodeId, Packet)>,
 }
 
 impl<S: SwitchLogic> ProtocolHarness<S> {
@@ -66,6 +78,8 @@ impl<S: SwitchLogic> ProtocolHarness<S> {
             now: Time::ZERO,
             pinned: BTreeMap::new(),
             probes_delivered: 0,
+            queue: VecDeque::new(),
+            out: Vec::new(),
         }
     }
 
@@ -126,13 +140,13 @@ impl<S: SwitchLogic> ProtocolHarness<S> {
                 .force_utilization(bw, u, self.now);
         }
 
-        let mut queue: VecDeque<(NodeId, NodeId, Packet)> = VecDeque::new();
+        let (now, topo, links) = (self.now, &self.topo, &self.links[..]);
+        let (queue, out) = (&mut self.queue, &mut self.out);
         for (&s, sw) in &mut self.switches {
-            let mut ctx = SwitchCtx::detached(s, self.now, &self.topo, &self.links);
+            let mut ctx = SwitchCtx::new(s, now, topo, links, std::mem::take(out));
             sw.on_tick(&mut ctx);
-            for (to, pkt) in ctx.take_outputs() {
-                queue.push_back((s, to, pkt));
-            }
+            *out = ctx.take_outputs();
+            queue.extend(out.drain(..).map(|(to, pkt)| (s, to, pkt)));
         }
         let mut guard = 0u64;
         while let Some((from, to, mut pkt)) = queue.pop_front() {
@@ -142,20 +156,19 @@ impl<S: SwitchLogic> ProtocolHarness<S> {
                 "probe propagation did not quiesce — monotonicity violated?"
             );
             // Down links swallow probes.
-            let Some(l) = self.topo.link_between(from, to) else {
+            let Some(l) = topo.link_between(from, to) else {
                 continue;
             };
-            if !self.links[l.0 as usize].up {
+            if !links[l.0 as usize].up {
                 continue;
             }
             self.probes_delivered += 1;
             let sw = self.switches.get_mut(&to).expect("probe sent to a switch");
-            let mut ctx = SwitchCtx::detached(to, self.now, &self.topo, &self.links);
+            let mut ctx = SwitchCtx::new(to, now, topo, links, std::mem::take(out));
             let verdict = sw.on_packet(&mut ctx, &mut pkt, from);
             debug_assert_eq!(verdict, Verdict::Consume, "only probes circulate here");
-            for (nxt, p) in ctx.take_outputs() {
-                queue.push_back((to, nxt, p));
-            }
+            *out = ctx.take_outputs();
+            queue.extend(out.drain(..).map(|(nxt, p)| (to, nxt, p)));
         }
         self.now += self.round;
     }
@@ -191,8 +204,12 @@ impl<S: SwitchLogic> ProtocolHarness<S> {
         let (mut from, mut cur) = (HOST, src);
         loop {
             let sw = self.switches.get_mut(&cur)?;
-            let mut ctx = SwitchCtx::detached(cur, self.now, &self.topo, &self.links);
-            let Verdict::Forward(next) = sw.on_packet(&mut ctx, &mut pkt, from) else {
+            let out = std::mem::take(&mut self.out);
+            let mut ctx = SwitchCtx::new(cur, self.now, &self.topo, &self.links, out);
+            let verdict = sw.on_packet(&mut ctx, &mut pkt, from);
+            self.out = ctx.take_outputs();
+            self.out.clear();
+            let Verdict::Forward(next) = verdict else {
                 return None;
             };
             if next == pkt.dst_host {
@@ -229,7 +246,7 @@ impl ProtocolHarness {
     /// Builds the harness with every switch running the compiled program.
     pub fn new(topo: &Topology, cp: Arc<CompiledPolicy>, cfg: DataplaneConfig) -> ProtocolHarness {
         let switches = (topo.switches().into_iter())
-            .map(|s| (s, ContraSwitch::new(cp.clone(), s, cfg.clone())));
+            .map(|s| (s, ContraSwitch::new(cp.clone(), topo, s, cfg.clone())));
         Self::from_switches(topo, switches)
     }
 

@@ -21,7 +21,7 @@ pub mod system;
 pub mod tables;
 
 pub use harness::ProtocolHarness;
-pub use switch::{ContraSwitch, DataplaneConfig};
+pub use switch::{ContraSwitch, DataplaneConfig, SwitchState};
 pub use system::Contra;
 pub use tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
@@ -32,7 +32,7 @@ mod tests {
     use super::*;
     use contra_core::Compiler;
     use contra_sim::{FlowSpec, SimConfig, Simulator, Time};
-    use contra_topology::{generators, Topology};
+    use contra_topology::{generators, NodeId, Topology};
     use std::sync::Arc;
 
     /// S, A, B, D with S–A, S–B, A–B, A–D (B reaches D only via A).
@@ -79,7 +79,7 @@ mod tests {
                 .compile_str("minimize(path.util)")
                 .unwrap(),
         );
-        ContraSwitch::new(cp, contra_topology::NodeId(99), DataplaneConfig::default());
+        ContraSwitch::new(cp, &topo, NodeId(99), DataplaneConfig::default());
     }
 
     #[test]
@@ -120,22 +120,18 @@ mod tests {
         h.set_util_bidir(a, d, 0.1);
         h.run_rounds(3);
         let switches = topo.switches();
+        let materialized = |h: &ProtocolHarness, sw| {
+            let state = h.switch(sw).state();
+            (state.flowlets.materialized(), state.loops.materialized())
+        };
         for &sw in &switches {
-            assert_eq!(
-                h.switch(sw).registers_materialized(),
-                (false, false),
-                "{sw}"
-            );
+            assert_eq!(materialized(&h, sw), (false, false), "{sw}");
         }
         let path = h.traffic_path(s, d).expect("a route after three rounds");
         for &sw in &switches {
             // The destination switch delivers without pinning.
             let written = path.contains(&sw) && sw != d;
-            assert_eq!(
-                h.switch(sw).registers_materialized(),
-                (written, written),
-                "{sw} on {path:?}"
-            );
+            assert_eq!(materialized(&h, sw), (written, written), "{sw} on {path:?}");
         }
     }
 
@@ -422,8 +418,8 @@ mod tests {
             h.run_rounds(20);
             let (mut fwdt, mut best) = (0, 0);
             for &sw in cp.programs.keys() {
-                let (f, b) = h.switch(sw).table_rows();
-                (fwdt, best) = (fwdt + f, best + b);
+                let state = h.switch(sw).state();
+                (fwdt, best) = (fwdt + state.fwdt.len(), best + state.best.len());
             }
             assert_eq!((fwdt, best, h.probes_delivered), pinned, "{name}");
         }

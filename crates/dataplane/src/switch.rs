@@ -25,6 +25,16 @@
 //!   forward by `(dst, tag, pid)` through the policy-aware flowlet table
 //!   (§5.3), expiring pins through silent (failed) next hops (§5.4) and
 //!   breaking loops detected by TTL drift (§5.5).
+//!
+//! A [`ContraSwitch`] is three parts: a *program view* fixed at install
+//! (the compiled policy, the switch, its probe-sending virtual node, the
+//! probe size, the configuration); its *state*, one plain value
+//! ([`SwitchState`]: the four tables, the §5.4 clock, the §5.1 version)
+//! that is `Clone`, `Eq` and `Hash`; and its *counters*, which telemetry
+//! samples and no state comparison reads. The state holds no `f64`: a row
+//! keeps its metric vector only as the integer rank keys every reader
+//! compares, so equal states route alike and −0.0 and +0.0 cannot split
+//! them.
 
 use crate::tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
@@ -33,10 +43,10 @@ use contra_core::{
     CompiledPolicy, MetricVec, ProductGraph, RankKey, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES,
 };
 use contra_sim::{
-    Packet, PacketKind, Probe, SwitchCtx, SwitchLogic, Time, Verdict, EXPIRY_PERIODS,
-    FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
+    silent, Packet, PacketKind, Probe, ProbeClock, SwitchCtx, SwitchLogic, Time, Verdict,
+    EXPIRY_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
-use contra_topology::NodeId;
+use contra_topology::{NodeId, Topology};
 use std::sync::Arc;
 
 /// TTL drift (δ = maxttl − minttl) that triggers a flowlet flush (§5.5).
@@ -101,7 +111,28 @@ fn fanout_of(pg: &ProductGraph, v: VNodeId) -> impl ExactSizeIterator<Item = Nod
     pg.succs(v).iter().map(|&w| pg.vnode(w).switch)
 }
 
-/// One switch running the synthesized Contra program.
+/// The protocol state of one Contra switch (Fig 7, §5): what its program
+/// reads and writes, as one plain value. Two switches whose states are
+/// equal forward alike from here on.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SwitchState {
+    /// `FwdT`.
+    pub fwdt: FwdTable,
+    /// `BestT`.
+    pub best: BestTable,
+    /// The policy-aware flowlet registers (§5.3).
+    pub flowlets: FlowletTable,
+    /// The TTL-drift loop registers (§5.5).
+    pub loops: LoopTable,
+    /// When each neighbour was last heard (§5.4).
+    pub heard: ProbeClock,
+    /// Own origin version counter (§5.1).
+    pub version: u32,
+}
+
+/// One switch running the synthesized Contra program: its program view,
+/// its [`SwitchState`] and its counters.
+#[derive(Clone)]
 pub struct ContraSwitch {
     pub(crate) cp: Arc<CompiledPolicy>,
     switch: NodeId,
@@ -109,46 +140,35 @@ pub struct ContraSwitch {
     /// Wire size of every probe of the policy.
     probe_size: u32,
     cfg: DataplaneConfig,
-    fwdt: FwdTable,
-    best: BestTable,
-    flowlets: FlowletTable,
-    loops: LoopTable,
-    /// Last probe heard from each neighbor, indexed by node id (failure
-    /// detection, §5.4; `Time::ZERO` = never heard), sized at install to
-    /// the highest switch id. Consulted per packet, so it is a flat
-    /// array, not a map.
-    last_probe_from: Vec<Time>,
-    /// Own origin version counter (§5.1).
-    version: u32,
+    state: SwitchState,
     /// Probes originated + forwarded (overhead accounting in tests).
     pub probes_sent: u64,
     /// Forwarding-table writes (accepted probe updates) — control-plane
     /// churn, sampled by the telemetry recorder.
     pub table_updates: u64,
+    /// Register writes that displaced a live entry, as `(flowlet, loop)`.
+    displaced: (u64, u64),
 }
 
 impl ContraSwitch {
-    /// Creates the switch program for `switch`. Its static tables
-    /// (`NEXTPGNODE`, the fan-out, the destination index) stay in the
-    /// compiled policy and are read there; install allocates the
-    /// failure-detection array, and the FwdT, BestT, flowlet and loop
-    /// storage appears at each table's first write.
-    pub fn new(cp: Arc<CompiledPolicy>, switch: NodeId, cfg: DataplaneConfig) -> ContraSwitch {
+    /// Creates the switch program for `switch` of `topo`. Its static
+    /// tables (`NEXTPGNODE`, the fan-out, the destination index) stay in
+    /// the compiled policy and are read there; install allocates the
+    /// §5.4 clock, one entry per neighbouring switch, and the FwdT, BestT,
+    /// flowlet and loop storage appears at each table's first write.
+    pub fn new(
+        cp: Arc<CompiledPolicy>,
+        topo: &Topology,
+        switch: NodeId,
+        cfg: DataplaneConfig,
+    ) -> ContraSwitch {
         let prog = cp
             .programs
             .get(&switch)
             .unwrap_or_else(|| panic!("no compiled program for {switch}"));
         let tag_base = prog.tags.first().map_or(0, |v| v.0);
         let dst_index = cp.destination_index();
-        let switches = cp
-            .programs
-            .keys()
-            .next_back()
-            .map_or(0, |n| n.0 as usize + 1);
-        ContraSwitch {
-            switch,
-            sending_vnode: prog.sending_vnode,
-            probe_size: PROBE_BASE_BYTES + cp.basis.probe_metric_bytes() as u32,
+        let state = SwitchState {
             fwdt: FwdTable::new(
                 dst_index.clone(),
                 cp.destinations.len(),
@@ -159,39 +179,47 @@ impl ContraSwitch {
             best: BestTable::with_rows(dst_index.len()),
             flowlets: FlowletTable::with_slots(cfg.flowlet_slots),
             loops: LoopTable::with_slots(LOOP_ENTRIES),
-            last_probe_from: vec![Time::ZERO; switches],
+            heard: ProbeClock::new(topo, switch),
             version: 0,
+        };
+        ContraSwitch {
+            switch,
+            sending_vnode: prog.sending_vnode,
+            probe_size: PROBE_BASE_BYTES + cp.basis.probe_metric_bytes() as u32,
+            state,
             probes_sent: 0,
             table_updates: 0,
+            displaced: (0, 0),
             cfg,
             cp,
         }
+    }
+
+    /// The protocol state: the tables the Fig 10 state model charges
+    /// for (`dests × tags × pids` FwdT rows, `dests` BestT rows, the
+    /// modelled register slots), the §5.4 clock and the version.
+    pub fn state(&self) -> &SwitchState {
+        &self.state
     }
 
     fn expiry(&self) -> Time {
         Time(self.cfg.probe_period.0 * EXPIRY_PERIODS)
     }
 
-    /// §5.4: a next hop is considered failed when no probe has arrived
-    /// from it for [`FAILURE_PERIODS`] probe periods.
-    fn nhop_failed(&self, nhop: NodeId, now: Time) -> bool {
-        let last = self
-            .last_probe_from
-            .get(nhop.0 as usize)
-            .copied()
-            .unwrap_or(Time::ZERO);
-        now.saturating_sub(last) > Time(self.cfg.probe_period.0 * FAILURE_PERIODS)
-    }
-
+    /// A row is valid until it expires or its next hop falls silent
+    /// (§5.4). It was written when that hop was last heard, so the clock
+    /// is read only once the row is older than the failure window.
     fn entry_valid(&self, e: &FwdEntry, now: Time) -> bool {
-        now.saturating_sub(e.updated) <= self.expiry() && !self.nhop_failed(e.nhop, now)
+        let period = self.cfg.probe_period;
+        now.saturating_sub(e.updated) <= self.expiry()
+            && !(silent(e.updated, now, period) && self.state.heard.failed(e.nhop, now, period))
     }
 
     /// Recomputes the best row for `dst` over all valid FwdT rows: the
     /// first minimum of the stored full keys, in `(tag, pid)` order.
     fn rescan_best(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
         let mut best: Option<(&RankKey, FwdKey)> = None;
-        for (k, e) in self.fwdt.rows_for(dst) {
+        for (k, e) in self.state.fwdt.rows_for(dst) {
             if !self.entry_valid(e, now) || e.full.is_inf() {
                 continue;
             }
@@ -202,11 +230,11 @@ impl ContraSwitch {
         }
         match best.map(|(_, k)| k) {
             Some(k) => {
-                self.best.set(dst, k);
+                self.state.best.set(dst, k);
                 Some(k)
             }
             None => {
-                self.best.clear(dst);
+                self.state.best.clear(dst);
                 None
             }
         }
@@ -214,8 +242,8 @@ impl ContraSwitch {
 
     /// The validated BestT lookup used for host-originated packets.
     fn best_key(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
-        if let Some(k) = self.best.get(dst).copied() {
-            if let Some(e) = self.fwdt.get(&k) {
+        if let Some(k) = self.state.best.get(dst).copied() {
+            if let Some(e) = self.state.fwdt.get(&k) {
                 if self.entry_valid(e, now) && !e.full.is_inf() {
                     return Some(k);
                 }
@@ -224,32 +252,10 @@ impl ContraSwitch {
         self.rescan_best(dst, now)
     }
 
-    /// Rows held in `(FwdT, BestT)` — what the Fig 10 state model charges
-    /// `dests × tags × pids` and `dests` rows for.
-    pub fn table_rows(&self) -> (usize, usize) {
-        (self.fwdt.len(), self.best.len())
-    }
-
-    /// Slots of the `(flowlet, loop)` register arrays: the modelled
-    /// sizes, whether or not the arrays have been written yet.
-    pub fn register_slots(&self) -> (usize, usize) {
-        (self.flowlets.slots(), self.loops.slots())
-    }
-
-    /// Whether the `(flowlet, loop)` arrays hold their slots in host
-    /// memory, i.e. have been written.
-    #[cfg(test)]
-    pub(crate) fn registers_materialized(&self) -> (bool, bool) {
-        (self.flowlets.materialized(), self.loops.materialized())
-    }
-
     /// `PROCESSPROBE`.
     fn process_probe(&mut self, ctx: &mut SwitchCtx<'_>, p: &Probe, from: NodeId) {
         let now = ctx.now;
-        // Any probe from `from` proves the cable is alive.
-        if let Some(last) = self.last_probe_from.get_mut(from.0 as usize) {
-            *last = now;
-        }
+        self.state.heard.heard(from, now);
 
         // A probe that has looped back to its own origin describes a path
         // *through* the destination — but traffic is delivered on first
@@ -281,7 +287,7 @@ impl ContraSwitch {
         // Keyed at most once: against the incumbent's stored key when it
         // comes to that, else when the row is written.
         let mut retention = None;
-        let accept = match self.fwdt.get(&key) {
+        let accept = match self.state.fwdt.get(&key) {
             None => true,
             Some(e) => {
                 if p.version < e.version {
@@ -305,9 +311,7 @@ impl ContraSwitch {
                     // outlived the metric-expiration window — accept
                     // whatever is fresh (§5.4).
                     let ours = retention.insert(self.cp.ranks.retention_key(p.pid as usize, &mv));
-                    *ours < e.retention
-                        || self.nhop_failed(e.nhop, now)
-                        || now.saturating_sub(e.updated) > self.expiry()
+                    *ours < e.retention || !self.entry_valid(e, now)
                 }
             }
         };
@@ -317,10 +321,9 @@ impl ContraSwitch {
         self.table_updates += 1;
         let retention =
             retention.unwrap_or_else(|| self.cp.ranks.retention_key(p.pid as usize, &mv));
-        self.fwdt.insert(
+        self.state.fwdt.insert(
             key,
             FwdEntry {
-                mv,
                 retention,
                 full: self.cp.ranks.full_key(n, &mv),
                 ntag: VNodeId(p.tag),
@@ -360,12 +363,12 @@ impl ContraSwitch {
 
         // §5.5: TTL-drift loop detection. δ grows without bound only when
         // packets of this flow(let) revisit this switch.
-        let delta = self
-            .loops
-            .observe(pkt.flow_hash, pkt.ttl, now, self.cfg.loop_age_out);
+        let (delta, displaced) =
+            (self.state.loops).observe(pkt.flow_hash, pkt.ttl, now, self.cfg.loop_age_out);
+        self.displaced.1 += u64::from(displaced);
         if delta >= LOOP_DELTA_THRESHOLD {
-            self.flowlets.flush_fid(pkt.flow_hash);
-            self.loops.reset(pkt.flow_hash);
+            self.state.flowlets.flush_fid(pkt.flow_hash);
+            self.state.loops.reset(pkt.flow_hash);
             ctx.note_loop_break();
         }
 
@@ -386,11 +389,10 @@ impl ContraSwitch {
             pid,
             fid: pkt.flow_hash,
         };
-        if let Some((nhop, ntag)) = self
-            .flowlets
-            .lookup_touch(flkey, now, self.cfg.flowlet_timeout)
+        if let Some((nhop, ntag)) =
+            (self.state.flowlets).lookup_touch(flkey, now, self.cfg.flowlet_timeout)
         {
-            if !self.nhop_failed(nhop, now) {
+            if !self.state.heard.failed(nhop, now, self.cfg.probe_period) {
                 pkt.tag = ntag.0;
                 pkt.pid = pid;
                 return Verdict::Forward(nhop);
@@ -398,7 +400,7 @@ impl ContraSwitch {
             // §5.4: next hop silent — expire every pin through it so
             // traffic reroutes now rather than at flowlet timeout (the
             // flush also undoes the speculative `last` refresh).
-            self.flowlets.flush_nhop(nhop);
+            self.state.flowlets.flush_nhop(nhop);
         }
 
         let key = FwdKey {
@@ -406,18 +408,16 @@ impl ContraSwitch {
             tag,
             pid,
         };
-        match self.fwdt.get(&key) {
+        match self.state.fwdt.get(&key) {
             Some(e) if self.entry_valid(e, now) => {
                 let (nhop, ntag) = (e.nhop, e.ntag);
-                self.flowlets.pin(
-                    flkey,
-                    FlowletEntry {
-                        nhop,
-                        ntag,
-                        last: now,
-                    },
-                    self.cfg.flowlet_timeout,
-                );
+                let pin = FlowletEntry {
+                    nhop,
+                    ntag,
+                    last: now,
+                };
+                let displaced = (self.state.flowlets).pin(flkey, pin, self.cfg.flowlet_timeout);
+                self.displaced.0 += u64::from(displaced);
                 pkt.tag = ntag.0;
                 pkt.pid = pid;
                 Verdict::Forward(nhop)
@@ -442,7 +442,7 @@ impl SwitchLogic for ContraSwitch {
         let Some(v0) = self.sending_vnode else {
             return;
         };
-        self.version += 1;
+        self.state.version += 1;
         let now = ctx.now;
         let pids = self.cp.num_pids();
         let fanout = fanout_of(&self.cp.pg, v0);
@@ -451,7 +451,7 @@ impl SwitchLogic for ContraSwitch {
             let probe = Probe {
                 origin: self.switch,
                 pid,
-                version: self.version,
+                version: self.state.version,
                 tag: v0.0,
                 mv: MetricVec::zero().raw(),
             };
@@ -470,7 +470,7 @@ impl SwitchLogic for ContraSwitch {
     }
 
     fn register_collisions(&self) -> (u64, u64) {
-        (self.flowlets.collisions(), self.loops.collisions())
+        self.displaced
     }
 
     fn control_churn(&self) -> (u64, u64) {

@@ -81,7 +81,8 @@ impl RoutingSystem for Contra {
             .clone()
             .unwrap_or_else(|| DataplaneConfig::for_policy(&cp));
         for sw in ctx.topology.switches() {
-            sim.install(sw, Box::new(ContraSwitch::new(cp.clone(), sw, cfg.clone())));
+            let program = ContraSwitch::new(cp.clone(), ctx.topology, sw, cfg.clone());
+            sim.install(sw, Box::new(program));
         }
         Ok(())
     }

@@ -8,37 +8,127 @@
 //! `ContraSwitch` reads a switch's slices of it where they lie, and every
 //! switch's FwdT shares one destination index.
 //!
+//! All four tables sit on one row store: a fixed number of rows, each
+//! empty or written, allocated whole at the store's first write. Its
+//! length, equality and hash read only the written rows, so a store
+//! nobody wrote equals and hashes like an allocated all-empty one, and
+//! every table is a plain value ([`crate::SwitchState`] derives `Eq` and
+//! `Hash` from them). The tables hold state only: a write that displaces
+//! a live register entry says so, and the switch keeps the counts beside
+//! its other counters.
+//!
 //! Layout follows the hardware the paper targets, not convenience maps.
 //! `FwdT` is one dense array per switch at the P4 index
 //! `dst × tags × pids + tag × pids + pid`, with `dst` the destination's
 //! index among the policy's destinations and `tag` the switch-local tag
 //! (a Tofino register read at a computed index, and the same one indexed
 //! load in software); `BestT` is a dense array indexed by destination.
-//! Both allocate their full rows at their first write, once.
 //! The flowlet and loop tables are **fixed-size direct-mapped register
 //! arrays** with deterministic Fx hashing: each key has exactly one slot,
 //! the top bits of its hash, as in the emitted program's
 //! `register<…>(SIZE)` declarations. As on the switch, the arrays do not
 //! grow. A slot keeps its occupant's key (Fig 10's state model charges
 //! the 4 B key hash), so another key's entry there is a miss, and a
-//! write over it replaces it. That write is counted as a displacement
-//! when the occupant was still live (a pin within the flowlet timeout, a
-//! loop row younger than its age-out); overwriting an expired occupant or
-//! a key's own row is not. Two concurrently live keys on one slot
-//! displace each other on every alternation, so the count follows how
-//! live keys pair up on slots, not the table size alone. Both arrays have
-//! the size the emitted program declares and Fig 10 charges for:
+//! write over it replaces it. That write displaces the occupant when it
+//! was still live (a pin within the flowlet timeout, a loop row younger
+//! than its age-out); overwriting an expired occupant or a key's own row
+//! does not. Two concurrently live keys on one slot displace each other
+//! on every alternation, so the displacements follow how live keys pair
+//! up on slots, not the table size alone. Both arrays have the size the
+//! emitted program declares and Fig 10 charges for:
 //! [`contra_core::FLOWLET_ENTRIES`] (the default of
 //! [`crate::DataplaneConfig::flowlet_slots`]) and
 //! [`contra_core::LOOP_ENTRIES`]. That modelled size is fixed from
 //! install on; host memory for it appears at an array's first write, so
 //! a switch that only handles probes never holds its registers.
 
-use contra_core::{MetricVec, RankKey, VNodeId};
+use contra_core::{RankKey, VNodeId};
 use contra_sim::{FxHasher64, Time};
 use contra_topology::NodeId;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// The one row store under every table: `n` rows, each empty or written,
+/// allocated whole at the first write. Its length, equality and hash read
+/// only the written rows, so an unwritten store equals and hashes like an
+/// all-empty one of the same size.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    /// Empty until the first write, then `n` rows.
+    rows: Vec<Option<T>>,
+    n: usize,
+    /// Written rows.
+    len: usize,
+}
+
+impl<T> Rows<T> {
+    fn new(n: usize) -> Rows<T> {
+        Rows {
+            rows: Vec::new(),
+            n,
+            len: 0,
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<&T> {
+        self.rows.get(i)?.as_ref()
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.rows.get_mut(i)?.as_mut()
+    }
+
+    /// Writes row `i`, which must be below `n`.
+    fn set(&mut self, i: usize, row: T) {
+        if self.rows.is_empty() {
+            self.rows = (0..self.n).map(|_| None).collect();
+        }
+        if self.rows[i].replace(row).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// Empties row `i`.
+    fn clear(&mut self, i: usize) {
+        if self.rows.get_mut(i).and_then(Option::take).is_some() {
+            self.len -= 1;
+        }
+    }
+
+    /// Empties every row `pred` holds for; returns how many.
+    fn clear_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        let mut removed = 0;
+        for row in &mut self.rows {
+            if row.as_ref().is_some_and(&pred) {
+                *row = None;
+                removed += 1;
+            }
+        }
+        self.len -= removed;
+        removed
+    }
+
+    /// The written rows with their indices.
+    fn written(&self) -> impl Iterator<Item = (usize, &T)> {
+        let rows = self.rows.iter().enumerate();
+        rows.filter_map(|(i, row)| Some((i, row.as_ref()?)))
+    }
+}
+
+impl<T: PartialEq> PartialEq for Rows<T> {
+    fn eq(&self, other: &Rows<T>) -> bool {
+        self.n == other.n && self.len == other.len && self.written().eq(other.written())
+    }
+}
+
+impl<T: Eq> Eq for Rows<T> {}
+
+impl<T: Hash> Hash for Rows<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.n, self.len).hash(state);
+        self.written().for_each(|row| row.hash(state));
+    }
+}
 
 /// Key of a forwarding-table row: `[dst*, tag*, pid*]` in Fig 6(e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,18 +141,19 @@ pub struct FwdKey {
     pub pid: u8,
 }
 
-/// Value of a forwarding-table row: `[mv, ntag, nhop]` plus the §5.1
-/// version number and the update timestamp for metric expiration (§5.4).
-#[derive(Debug, Clone)]
+/// Value of a forwarding-table row: Fig 6(e)'s `[mv, ntag, nhop]`, with
+/// the metric vector kept as the two keys every reader compares, plus the
+/// §5.1 version number and the update timestamp for metric expiration
+/// (§5.4).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FwdEntry {
-    /// Metric vector of the best known path through `nhop`.
-    pub mv: MetricVec,
-    /// The row's retention key — the subpolicy's rank of `mv`, then its
-    /// hop count — kept beside it because every same-version probe is
-    /// compared against the incumbent's, and most lose.
+    /// The row's retention key — the subpolicy's rank of its metric
+    /// vector, then its hop count — which every same-version probe is
+    /// compared against, and most lose to.
     pub retention: RankKey,
-    /// The full-policy key of `mv` at this row's tag: BestT's order,
-    /// computed once at write (it depends on the tag and `mv` alone).
+    /// The full-policy key of the metric vector at this row's tag:
+    /// BestT's order, computed once at write (it depends on the tag and
+    /// the vector alone).
     pub full: RankKey,
     /// Tag to write into packets before sending (the next switch's vnode).
     pub ntag: VNodeId,
@@ -77,22 +168,18 @@ pub struct FwdEntry {
 /// The forwarding table of one switch: one dense array at the P4 index
 /// `dst × tags × pids + tag × pids + pid`, where `dst` numbers the
 /// policy's destinations and `tag` the switch's virtual nodes from its
-/// first, allocated whole at the first write. A destination's rows are
-/// contiguous and in ascending `(tag, pid)`.
-#[derive(Debug)]
+/// first. A destination's rows are contiguous and in ascending
+/// `(tag, pid)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FwdTable {
-    /// Empty until the first write, then every destination's rows.
-    rows: Vec<Option<FwdEntry>>,
+    rows: Rows<FwdEntry>,
     /// Each destination's index by node id; `u32::MAX` for the others
     /// (the compiled policy's `destination_index`, shared).
     dst_index: Arc<[u32]>,
-    /// Destinations: the indices `dst_index` holds are below it.
-    dests: usize,
     /// The switch's first virtual node; its tags are `base..base + tags`.
     base: u32,
     tags: usize,
     pids: usize,
-    len: usize,
 }
 
 impl FwdTable {
@@ -108,13 +195,11 @@ impl FwdTable {
         pids: usize,
     ) -> FwdTable {
         FwdTable {
-            rows: Vec::new(),
+            rows: Rows::new(dests * tags * pids),
             dst_index,
-            dests,
             base: base.0,
             tags,
             pids,
-            len: 0,
         }
     }
 
@@ -140,22 +225,14 @@ impl FwdTable {
 
     /// Row lookup.
     pub fn get(&self, key: &FwdKey) -> Option<&FwdEntry> {
-        self.rows.get(self.index(key)?)?.as_ref()
+        self.rows.get(self.index(key)?)
     }
 
     /// Inserts/overwrites a row. A key [`FwdTable::get`] cannot find is
     /// not stored.
     pub fn insert(&mut self, key: FwdKey, entry: FwdEntry) {
-        let Some(i) = self.index(&key) else {
-            return;
-        };
-        if self.rows.is_empty() {
-            self.rows = (0..self.dests * self.tags * self.pids)
-                .map(|_| None)
-                .collect();
-        }
-        if self.rows[i].replace(entry).is_none() {
-            self.len += 1;
+        if let Some(i) = self.index(&key) {
+            self.rows.set(i, entry);
         }
     }
 
@@ -163,7 +240,8 @@ impl FwdTable {
     /// order BestT's first-minimum tie-break depends on.
     pub fn rows_for(&self, dst: NodeId) -> impl Iterator<Item = (FwdKey, &FwdEntry)> {
         let (base, pids, stride) = (self.base, self.pids, self.tags * self.pids);
-        let rows = (self.first_row(dst)).and_then(|start| self.rows.get(start..start + stride));
+        let rows =
+            (self.first_row(dst)).and_then(|start| self.rows.rows.get(start..start + stride));
         let rows = rows.unwrap_or_default();
         rows.iter().enumerate().filter_map(move |(i, row)| {
             let entry = row.as_ref()?;
@@ -178,106 +256,81 @@ impl FwdTable {
 
     /// Number of rows (state accounting).
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.len == 0
     }
 }
 
 /// `BestT`: per destination, the key of the currently best FwdT row —
-/// a dense array indexed by destination node id, allocated whole at the
-/// first write.
-#[derive(Debug)]
+/// a dense array indexed by destination node id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BestTable {
-    /// Empty until the first write, then `rows` (or more) entries.
-    best: Vec<Option<FwdKey>>,
-    rows: usize,
-    len: usize,
+    best: Rows<FwdKey>,
 }
 
 impl BestTable {
     /// An empty table for destinations below node id `rows`.
     pub fn with_rows(rows: usize) -> BestTable {
         BestTable {
-            best: Vec::new(),
-            rows,
-            len: 0,
+            best: Rows::new(rows),
         }
     }
 
     /// Current best key for a destination.
     pub fn get(&self, dst: NodeId) -> Option<&FwdKey> {
-        self.best.get(dst.0 as usize)?.as_ref()
+        self.best.get(dst.0 as usize)
     }
 
     /// Records the best key.
     pub fn set(&mut self, dst: NodeId, key: FwdKey) {
-        let i = dst.0 as usize;
-        if i >= self.best.len() {
-            self.best.resize(self.rows.max(i + 1), None);
-        }
-        if self.best[i].replace(key).is_none() {
-            self.len += 1;
-        }
+        self.best.set(dst.0 as usize, key);
     }
 
     /// Drops the record (e.g. the entry went stale).
     pub fn clear(&mut self, dst: NodeId) {
-        if let Some(slot) = self.best.get_mut(dst.0 as usize) {
-            if slot.take().is_some() {
-                self.len -= 1;
-            }
-        }
+        self.best.clear(dst.0 as usize);
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.best.len
     }
 
     /// Whether the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.best.len == 0
     }
 }
 
-/// The shared register-array machinery behind [`FlowletTable`] and
-/// [`LoopTable`]: a fixed-size power-of-two slot array, direct-mapped —
+/// A fixed-size register array, direct-mapped: [`FlowletTable`] and
+/// [`LoopTable`]. A power-of-two row store of `(key, value)` slots, where
 /// a key's one slot is the top bits of its hash, as in the emitted
 /// program's `register<…>(SIZE)` arrays. The array never grows and keeps
 /// each occupant's key, so a foreign occupant is a miss. A write over a
-/// *live* foreign occupant displaces it and is counted; a write over an
-/// expired one (each table's own timeout decides) is not. Entries are
+/// *live* foreign occupant displaces it and says so; a write over an
+/// expired one (each table's own timeout decides) does not. Entries are
 /// removed only when touched, so an occupied slot may hold an expired
 /// pin or an aged-out row.
-///
-/// The `n` slots are allocated at the first write: until then the array
-/// answers every read as `n` empty slots would, so a switch that never
-/// forwards data holds none of them in host memory.
-#[derive(Debug)]
-struct RegisterArray<K, V> {
-    /// Empty until the first write, then `n` slots.
-    slots: Vec<Option<(K, V)>>,
-    n: usize,
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Registers<K, V> {
+    slots: Rows<(K, V)>,
     /// `64 - log2(n)`: hash bits are taken from the top, where the Fx
     /// multiply concentrates entropy (64 for a single slot).
     shift: u32,
-    live: usize,
-    displaced: u64,
 }
 
-impl<K: Copy + Eq, V> RegisterArray<K, V> {
-    fn with_slots(requested: usize) -> RegisterArray<K, V> {
+impl<K: Copy + Eq, V> Registers<K, V> {
+    /// An array of (at least) `requested` slots, rounded up to a power
+    /// of two (one slot for 0 or 1).
+    pub fn with_slots(requested: usize) -> Registers<K, V> {
         let n = requested.next_power_of_two();
-        RegisterArray {
-            slots: Vec::new(),
-            n,
+        Registers {
+            slots: Rows::new(n),
             shift: 64 - n.trailing_zeros(),
-            live: 0,
-            displaced: 0,
         }
     }
 
@@ -291,42 +344,41 @@ impl<K: Copy + Eq, V> RegisterArray<K, V> {
     #[inline]
     fn find(&self, hash: u64, key: K) -> Option<usize> {
         let i = self.slot(hash);
-        matches!(self.slots.get(i), Some(Some((k, _))) if *k == key).then_some(i)
+        matches!(self.slots.get(i), Some((k, _)) if *k == key).then_some(i)
     }
 
-    /// Writes `key → val` into `key`'s slot. A foreign occupant for which
-    /// `live` holds is displaced and counted, exactly the overwrite a
-    /// one-slot hardware register does.
-    fn write(&mut self, hash: u64, key: K, val: V, live: impl Fn(&V) -> bool) {
-        if self.slots.is_empty() {
-            self.slots = (0..self.n).map(|_| None).collect();
-        }
+    /// Writes `key → val` into `key`'s slot; returns whether it displaced
+    /// a foreign occupant for which `live` holds — exactly the overwrite
+    /// a one-slot hardware register does. Two concurrently live keys on
+    /// one slot displace each other on every alternation, so
+    /// displacements need not fall monotonically as the array grows.
+    fn write(&mut self, hash: u64, key: K, val: V, live: impl Fn(&V) -> bool) -> bool {
         let i = self.slot(hash);
-        match &self.slots[i] {
-            None => self.live += 1,
-            Some((k, v)) if *k != key && live(v) => self.displaced += 1,
-            Some(_) => {}
-        }
-        self.slots[i] = Some((key, val));
+        let displaced = matches!(self.slots.get(i), Some((k, v)) if *k != key && live(v));
+        self.slots.set(i, (key, val));
+        displaced
     }
 
-    /// Empties a slot.
-    fn clear(&mut self, i: usize) {
-        if self.slots.get_mut(i).and_then(Option::take).is_some() {
-            self.live -= 1;
-        }
+    /// Register slots the array models (allocated at its first write).
+    pub fn slots(&self) -> usize {
+        self.slots.n
     }
 
-    fn flush_where(&mut self, pred: impl Fn(&K, &V) -> bool) -> usize {
-        let mut removed = 0;
-        for slot in &mut self.slots {
-            if matches!(slot, Some((k, v)) if pred(k, v)) {
-                *slot = None;
-                removed += 1;
-            }
-        }
-        self.live -= removed;
-        removed
+    /// Whether the slots are in host memory (the array was written).
+    #[cfg(test)]
+    pub(crate) fn materialized(&self) -> bool {
+        !self.slots.rows.is_empty()
+    }
+
+    /// Number of entries held (an expired pin or an aged-out row counts
+    /// until it is touched, flushed or overwritten).
+    pub fn len(&self) -> usize {
+        self.slots.len
+    }
+
+    /// Whether no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.len == 0
     }
 }
 
@@ -357,7 +409,7 @@ impl FlowletKey {
 }
 
 /// A pinned flowlet decision.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlowletEntry {
     /// Pinned next hop.
     pub nhop: NodeId,
@@ -367,21 +419,10 @@ pub struct FlowletEntry {
     pub last: Time,
 }
 
-/// The flowlet table: a fixed-size direct-mapped register array.
-#[derive(Debug)]
-pub struct FlowletTable {
-    arr: RegisterArray<FlowletKey, FlowletEntry>,
-}
+/// The flowlet table: pins keyed `[tag*, pid*, fid*]`.
+pub type FlowletTable = Registers<FlowletKey, FlowletEntry>;
 
 impl FlowletTable {
-    /// A table with (at least) `slots` register slots, rounded up to a
-    /// power of two (one slot for 0 or 1).
-    pub fn with_slots(slots: usize) -> FlowletTable {
-        FlowletTable {
-            arr: RegisterArray::with_slots(slots),
-        }
-    }
-
     /// Combined lookup-and-refresh for the forwarding fast path: a live
     /// hit — present and within `timeout` of `now` — gets its `last`
     /// stamped to `now` in place (one slot read) and returns the pinned
@@ -393,73 +434,40 @@ impl FlowletTable {
         now: Time,
         timeout: Time,
     ) -> Option<(NodeId, VNodeId)> {
-        let i = self.arr.find(key.slot_hash(), key)?;
-        let (_, e) = self.arr.slots[i]
-            .as_mut()
-            .expect("find returned a live slot");
+        let i = self.find(key.slot_hash(), key)?;
+        let (_, e) = self.slots.get_mut(i).expect("find returned a live slot");
         if now.saturating_sub(e.last) <= timeout {
             e.last = now;
             return Some((e.nhop, e.ntag));
         }
-        self.arr.clear(i);
+        self.slots.clear(i);
         None
     }
 
     /// Pins (or refreshes) a decision in the key's slot, stamped
-    /// `entry.last`. A foreign pin there that is still live — used within
-    /// `timeout` of `entry.last` — is displaced and counted.
-    pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry, timeout: Time) {
+    /// `entry.last`. Returns whether it displaced a foreign pin there
+    /// that was still live — used within `timeout` of `entry.last`.
+    pub fn pin(&mut self, key: FlowletKey, entry: FlowletEntry, timeout: Time) -> bool {
         let now = entry.last;
-        self.arr.write(key.slot_hash(), key, entry, |e| {
+        self.write(key.slot_hash(), key, entry, |e| {
             now.saturating_sub(e.last) <= timeout
-        });
+        })
     }
 
     /// Removes every pin of flowlet `fid` (loop breaking flushes the
     /// offending flowlet across all policy constraints, §5.5).
     pub fn flush_fid(&mut self, fid: u64) -> usize {
-        self.arr.flush_where(|k, _| k.fid == fid)
+        self.slots.clear_where(|(k, _)| k.fid == fid)
     }
 
     /// Removes every pin through a next hop (failure handling, §5.4).
     pub fn flush_nhop(&mut self, nhop: NodeId) -> usize {
-        self.arr.flush_where(|_, e| e.nhop == nhop)
-    }
-
-    /// Live entries displaced: pins written over another key's pin that
-    /// was still within its timeout. Two concurrently live flowlets on
-    /// one slot displace each other on every alternation, so the count
-    /// need not fall monotonically as the table grows. Overwrites of
-    /// expired pins are not counted.
-    pub fn collisions(&self) -> u64 {
-        self.arr.displaced
-    }
-
-    /// Register slots the table models (allocated at its first write).
-    pub fn slots(&self) -> usize {
-        self.arr.n
-    }
-
-    /// Whether the slots are in host memory (the table was written).
-    #[cfg(test)]
-    pub(crate) fn materialized(&self) -> bool {
-        !self.arr.slots.is_empty()
-    }
-
-    /// Number of pins held (an expired pin counts until it is looked up,
-    /// flushed or overwritten).
-    pub fn len(&self) -> usize {
-        self.arr.live
-    }
-
-    /// Whether no flowlet is currently pinned.
-    pub fn is_empty(&self) -> bool {
-        self.arr.live == 0
+        self.slots.clear_where(|(_, e)| e.nhop == nhop)
     }
 }
 
 /// Loop-detection row: min/max TTL observed for one packet hash (§5.5).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopRow {
     /// Largest TTL seen.
     pub max_ttl: u8,
@@ -467,14 +475,6 @@ pub struct LoopRow {
     pub min_ttl: u8,
     /// Last update (for aging).
     pub last: Time,
-}
-
-/// The loop-detection table: `{pkt_hash*, maxttl, minttl}` as a fixed-size
-/// direct-mapped register array. δ = max−min grows without bound only if
-/// packets revisit this switch.
-#[derive(Debug)]
-pub struct LoopTable {
-    arr: RegisterArray<u64, LoopRow>,
 }
 
 impl LoopRow {
@@ -488,35 +488,31 @@ impl LoopRow {
     }
 }
 
-impl LoopTable {
-    /// A table with (at least) `slots` register slots, rounded up to a
-    /// power of two (one slot for 0 or 1).
-    pub fn with_slots(slots: usize) -> LoopTable {
-        LoopTable {
-            arr: RegisterArray::with_slots(slots),
-        }
-    }
+/// The loop-detection table: `{pkt_hash*, maxttl, minttl}`. δ = max−min
+/// grows without bound only if packets revisit this switch.
+pub type LoopTable = Registers<u64, LoopRow>;
 
-    /// Records one observation; returns the current δ. Rows older than
-    /// `age_out` restart from scratch; so does a hash whose slot holds
-    /// another hash's row (a fresh hardware register reads as "no drift
-    /// yet"), which displaces that row — counted if it is not yet aged
-    /// out.
-    pub fn observe(&mut self, hash: u64, ttl: u8, now: Time, age_out: Time) -> u8 {
+impl LoopTable {
+    /// Records one observation; returns the current δ and whether the
+    /// observation displaced a live row. Rows older than `age_out`
+    /// restart from scratch; so does a hash whose slot holds another
+    /// hash's row (a fresh hardware register reads as "no drift yet"),
+    /// which displaces that row if it is not yet aged out.
+    pub fn observe(&mut self, hash: u64, ttl: u8, now: Time, age_out: Time) -> (u8, bool) {
         let mixed = contra_sim::fx_mix64(hash);
-        if let Some(i) = self.arr.find(mixed, hash) {
-            return self.fold(i, ttl, now, age_out);
+        if let Some(i) = self.find(mixed, hash) {
+            return (self.fold(i, ttl, now, age_out), false);
         }
         let fresh = LoopRow::fresh(ttl, now);
-        self.arr.write(mixed, hash, fresh, |row| {
+        let displaced = self.write(mixed, hash, fresh, |row| {
             now.saturating_sub(row.last) <= age_out
         });
-        0
+        (0, displaced)
     }
 
     /// Folds an observation into the live row at slot `i`; returns δ.
     fn fold(&mut self, i: usize, ttl: u8, now: Time, age_out: Time) -> u8 {
-        let (_, row) = self.arr.slots[i].as_mut().expect("a live slot");
+        let (_, row) = self.slots.get_mut(i).expect("a live slot");
         if now.saturating_sub(row.last) > age_out {
             *row = LoopRow::fresh(ttl, now);
         } else {
@@ -529,39 +525,9 @@ impl LoopTable {
 
     /// Clears one row after a loop break so detection restarts fresh.
     pub fn reset(&mut self, hash: u64) {
-        if let Some(i) = self.arr.find(contra_sim::fx_mix64(hash), hash) {
-            self.arr.clear(i);
+        if let Some(i) = self.find(contra_sim::fx_mix64(hash), hash) {
+            self.slots.clear(i);
         }
-    }
-
-    /// Live entries displaced: observations written over another hash's
-    /// row that was not yet older than `age_out`. As for flowlets, two
-    /// live hashes on one slot displace each other on every alternation.
-    /// Overwrites of aged-out rows are not counted.
-    pub fn collisions(&self) -> u64 {
-        self.arr.displaced
-    }
-
-    /// Register slots the table models (allocated at its first write).
-    pub fn slots(&self) -> usize {
-        self.arr.n
-    }
-
-    /// Whether the slots are in host memory (the table was written).
-    #[cfg(test)]
-    pub(crate) fn materialized(&self) -> bool {
-        !self.arr.slots.is_empty()
-    }
-
-    /// Number of rows held (an aged-out row counts until it is reset or
-    /// overwritten).
-    pub fn len(&self) -> usize {
-        self.arr.live
-    }
-
-    /// Whether no hash is currently tracked.
-    pub fn is_empty(&self) -> bool {
-        self.arr.live == 0
     }
 }
 
@@ -592,9 +558,8 @@ mod tests {
         let cp = contra_core::Compiler::new(&t.build())
             .compile_str("minimize(path.util)")
             .unwrap();
-        let mv = MetricVec::zero();
+        let mv = contra_core::MetricVec::zero();
         FwdEntry {
-            mv,
             retention: cp.ranks.retention_key(0, &mv),
             full: cp.ranks.full_key(VNodeId(0), &mv),
             ntag: VNodeId(0),
@@ -670,21 +635,24 @@ mod tests {
     #[test]
     fn fwd_and_best_rows_appear_whole_at_the_first_write() {
         let mut t = fwd_table(10, 3, 2);
-        assert_eq!((t.rows.capacity(), t.rows_for(NodeId(4)).count()), (0, 0));
+        assert_eq!(
+            (t.rows.rows.capacity(), t.rows_for(NodeId(4)).count()),
+            (0, 0)
+        );
         t.insert(key(1, 11, 1), entry(1));
-        assert_eq!(t.rows.len(), 3 * 3 * 2);
-        let rows = (t.rows.as_ptr(), t.rows.capacity());
+        assert_eq!(t.rows.rows.len(), 3 * 3 * 2);
+        let rows = (t.rows.rows.as_ptr(), t.rows.rows.capacity());
         t.insert(key(4, 12, 1), entry(1));
-        assert_eq!((t.rows.as_ptr(), t.rows.capacity()), rows);
+        assert_eq!((t.rows.rows.as_ptr(), t.rows.rows.capacity()), rows);
         assert_eq!(t.len(), 2);
 
         let mut b = BestTable::with_rows(5);
-        assert_eq!(b.best.capacity(), 0);
+        assert_eq!(b.best.rows.capacity(), 0);
         b.set(NodeId(1), key(1, 11, 1));
-        assert_eq!(b.best.len(), 5);
-        let best = (b.best.as_ptr(), b.best.capacity());
+        assert_eq!(b.best.rows.len(), 5);
+        let best = (b.best.rows.as_ptr(), b.best.rows.capacity());
         b.set(NodeId(4), key(4, 12, 1));
-        assert_eq!((b.best.as_ptr(), b.best.capacity()), best);
+        assert_eq!((b.best.rows.as_ptr(), b.best.rows.capacity()), best);
     }
 
     #[test]
@@ -716,7 +684,7 @@ mod tests {
 
     /// A key other than `k` whose hash takes `k`'s slot in `t`.
     fn slot_mate(t: &FlowletTable, k: FlowletKey) -> FlowletKey {
-        let slot = |k: FlowletKey| t.arr.slot(k.slot_hash());
+        let slot = |k: FlowletKey| t.slot(k.slot_hash());
         (k.fid + 1..)
             .map(flowlet)
             .find(|&m| slot(m) == slot(k))
@@ -725,7 +693,7 @@ mod tests {
 
     /// A hash other than `h` whose row takes `h`'s slot in `t`.
     fn loop_mate(t: &LoopTable, h: u64) -> u64 {
-        let slot = |h: u64| t.arr.slot(contra_sim::fx_mix64(h));
+        let slot = |h: u64| t.slot(contra_sim::fx_mix64(h));
         (h + 1..).find(|&m| slot(m) == slot(h)).unwrap()
     }
 
@@ -766,29 +734,29 @@ mod tests {
     }
 
     /// One register per index: a second live key on a slot displaces the
-    /// first, which then misses, and the displacement is counted once.
-    /// Re-pinning a key's own row is no displacement.
+    /// first, which then misses, and the write says so. Re-pinning a
+    /// key's own row is no displacement.
     #[test]
     fn live_keys_sharing_a_slot_displace_each_other() {
         let mut t = FlowletTable::with_slots(16);
         let timeout = Time::us(200);
         let first = flowlet(0);
         let second = slot_mate(&t, first);
-        t.pin(first, pinned(1, Time::ZERO), timeout);
-        t.pin(second, pinned(2, Time::us(10)), timeout);
+        assert!(!t.pin(first, pinned(1, Time::ZERO), timeout));
+        assert!(t.pin(second, pinned(2, Time::us(10)), timeout));
         assert_eq!(t.lookup_touch(first, Time::us(20), timeout), None);
         assert_eq!(
             t.lookup_touch(second, Time::us(20), timeout),
             Some((NodeId(2), VNodeId(1))),
             "a foreign key's miss leaves the occupant in place"
         );
-        assert_eq!((t.collisions(), t.len()), (1, 1));
-        t.pin(second, pinned(3, Time::us(30)), timeout);
-        assert_eq!((t.collisions(), t.len()), (1, 1));
+        assert_eq!(t.len(), 1);
+        assert!(!t.pin(second, pinned(3, Time::us(30)), timeout));
+        assert_eq!(t.len(), 1);
     }
 
     /// Overwriting an expired pin, or a loop row older than `age_out`,
-    /// displaces nothing live and is not counted; a live row is.
+    /// displaces nothing live; overwriting a live row does.
     #[test]
     fn expired_occupants_are_overwritten_uncounted() {
         let mut t = FlowletTable::with_slots(16);
@@ -796,19 +764,19 @@ mod tests {
         let first = flowlet(0);
         let second = slot_mate(&t, first);
         t.pin(first, pinned(1, Time::ZERO), timeout);
-        t.pin(second, pinned(2, Time::us(300)), timeout);
-        assert_eq!((t.collisions(), t.len()), (0, 1));
+        assert!(!t.pin(second, pinned(2, Time::us(300)), timeout));
+        assert_eq!(t.len(), 1);
         assert!(t.lookup_touch(second, Time::us(300), timeout).is_some());
 
         let mut l = LoopTable::with_slots(16);
         let age = Time::ms(1);
         let (a, b) = (7, loop_mate(&l, 7));
         l.observe(a, 60, Time::us(1), age);
-        assert_eq!(l.observe(b, 60, Time::ms(10), age), 0);
-        assert_eq!((l.collisions(), l.len()), (0, 1));
-        // `b` is live when `a` comes back, so this one counts.
-        assert_eq!(l.observe(a, 50, Time::ms(10) + Time::us(1), age), 0);
-        assert_eq!((l.collisions(), l.len()), (1, 1));
+        assert_eq!(l.observe(b, 60, Time::ms(10), age), (0, false));
+        assert_eq!(l.len(), 1);
+        // `b` is live when `a` comes back, so this one displaces it.
+        assert_eq!(l.observe(a, 50, Time::ms(10) + Time::us(1), age), (0, true));
+        assert_eq!(l.len(), 1);
     }
 
     /// A one-slot table (and a zero-slot request) is one working register.
@@ -824,59 +792,46 @@ mod tests {
             );
             let mut l = LoopTable::with_slots(n);
             assert_eq!(l.slots(), 1);
-            assert_eq!(l.observe(9, 60, Time::us(1), Time::ms(1)), 0);
-            assert_eq!(l.observe(9, 57, Time::us(2), Time::ms(1)), 3);
-            assert_eq!((l.len(), l.collisions()), (1, 0));
+            assert_eq!(l.observe(9, 60, Time::us(1), Time::ms(1)), (0, false));
+            assert_eq!(l.observe(9, 57, Time::us(2), Time::ms(1)), (3, false));
+            assert_eq!(l.len(), 1);
         }
     }
 
     /// An array nobody wrote answers every read as an all-empty one: the
-    /// same misses, flushes and resets that remove nothing, no
-    /// displacements, and its modelled size. Reads leave it unallocated;
-    /// the first write allocates all `n` slots and counts one live entry.
+    /// same misses, and flushes and resets that remove nothing; it equals
+    /// one and stays unallocated. The first write allocates all `n`
+    /// slots, displaces nothing and counts one live entry.
     #[test]
     fn registers_materialize_on_the_first_write() {
         let (timeout, age) = (Time::us(200), Time::ms(1));
         let mut lazy = FlowletTable::with_slots(FLOWLET_ENTRIES);
-        let mut full = FlowletTable::with_slots(FLOWLET_ENTRIES);
-        full.arr.slots = (0..FLOWLET_ENTRIES).map(|_| None).collect();
+        let mut full = lazy.clone();
+        full.slots.rows = (0..FLOWLET_ENTRIES).map(|_| None).collect();
         for t in [&mut lazy, &mut full] {
-            assert_eq!(t.slots(), FLOWLET_ENTRIES);
             assert_eq!(t.lookup_touch(flowlet(3), Time::us(1), timeout), None);
             assert_eq!((t.flush_fid(3), t.flush_nhop(NodeId(5))), (0, 0));
-            t.arr.clear(t.arr.slot(flowlet(3).slot_hash()));
-            assert_eq!((t.len(), t.is_empty(), t.collisions()), (0, true, 0));
         }
-        assert!(!lazy.materialized());
-        lazy.pin(flowlet(3), pinned(5, Time::ZERO), timeout);
-        assert!(lazy.materialized());
-        assert_eq!(lazy.arr.slots.len(), FLOWLET_ENTRIES);
-        assert_eq!(
-            (lazy.slots(), lazy.len(), lazy.collisions()),
-            (FLOWLET_ENTRIES, 1, 0)
-        );
+        assert_eq!((lazy.materialized(), &lazy), (false, &full));
+        assert!(!lazy.pin(flowlet(3), pinned(5, Time::ZERO), timeout));
+        assert_eq!(lazy.slots.rows.len(), FLOWLET_ENTRIES);
+        assert_eq!((lazy.slots(), lazy.len()), (FLOWLET_ENTRIES, 1));
         assert_eq!(
             lazy.lookup_touch(flowlet(3), Time::us(1), timeout),
             Some((NodeId(5), VNodeId(1)))
         );
 
         let mut lazy = LoopTable::with_slots(LOOP_ENTRIES);
-        let mut full = LoopTable::with_slots(LOOP_ENTRIES);
-        full.arr.slots = (0..LOOP_ENTRIES).map(|_| None).collect();
+        let mut full = lazy.clone();
+        full.slots.rows = (0..LOOP_ENTRIES).map(|_| None).collect();
         for t in [&mut lazy, &mut full] {
-            assert_eq!(t.slots(), LOOP_ENTRIES);
             t.reset(7);
-            assert_eq!((t.len(), t.is_empty(), t.collisions()), (0, true, 0));
         }
-        assert!(!lazy.materialized());
-        assert_eq!(lazy.observe(7, 60, Time::us(1), age), 0);
-        assert!(lazy.materialized());
-        assert_eq!(lazy.arr.slots.len(), LOOP_ENTRIES);
-        assert_eq!(
-            (lazy.slots(), lazy.len(), lazy.collisions()),
-            (LOOP_ENTRIES, 1, 0)
-        );
-        assert_eq!(lazy.observe(7, 57, Time::us(2), age), 3);
+        assert_eq!((lazy.materialized(), &lazy), (false, &full));
+        assert_eq!(lazy.observe(7, 60, Time::us(1), age), (0, false));
+        assert_eq!(lazy.slots.rows.len(), LOOP_ENTRIES);
+        assert_eq!((lazy.slots(), lazy.len()), (LOOP_ENTRIES, 1));
+        assert_eq!(lazy.observe(7, 57, Time::us(2), age), (3, false));
     }
 
     /// Random pin / lookup / flush / observe / reset streams on 16-slot
@@ -897,6 +852,7 @@ mod tests {
         let mut rows: HashMap<u64, LoopRow> = HashMap::new();
         let (timeout, age_out) = (Time(40), Time(60));
         let (mut now, mut writes, mut observations, mut hits) = (Time::ZERO, 0, 0, 0);
+        let (mut fl_displaced, mut lp_displaced) = (0, 0);
         for _ in 0..20_000 {
             now += Time(rng.gen_range(0u64..4));
             let fid = rng.gen_range(0u64..48);
@@ -908,8 +864,8 @@ mod tests {
             let nhop = NodeId(rng.gen_range(0u32..4));
             match rng.gen_range(0u32..8) {
                 0..=2 => {
-                    fl.pin(key, pinned(nhop.0, now), timeout);
-                    let slot = |k: &FlowletKey| fl.arr.slot(k.slot_hash());
+                    fl_displaced += u64::from(fl.pin(key, pinned(nhop.0, now), timeout));
+                    let slot = |k: &FlowletKey| fl.slot(k.slot_hash());
                     pins.retain(|k, _| slot(k) != slot(&key));
                     pins.insert(key, pinned(nhop.0, now));
                     writes += 1;
@@ -936,7 +892,8 @@ mod tests {
                 }
                 6 => {
                     let ttl = rng.gen_range(50u8..64);
-                    let delta = lp.observe(fid, ttl, now, age_out);
+                    let (delta, displaced) = lp.observe(fid, ttl, now, age_out);
+                    lp_displaced += u64::from(displaced);
                     let row = rows
                         .entry(fid)
                         .and_modify(|r| {
@@ -955,12 +912,12 @@ mod tests {
                     rows.remove(&fid);
                 }
             }
-            assert_eq!(fl.len(), fl.arr.slots.iter().flatten().count());
-            assert_eq!(lp.len(), lp.arr.slots.iter().flatten().count());
-            assert!(fl.collisions() <= writes && lp.collisions() <= observations);
+            assert_eq!(fl.len(), fl.slots.written().count());
+            assert_eq!(lp.len(), lp.slots.written().count());
+            assert!(fl_displaced <= writes && lp_displaced <= observations);
         }
         assert!(
-            fl.collisions() > 0 && lp.collisions() > 0 && hits > 0,
+            fl_displaced > 0 && lp_displaced > 0 && hits > 0,
             "the stream must hit register pressure and still hit pins"
         );
     }
@@ -969,14 +926,15 @@ mod tests {
     fn loop_table_delta_grows_on_revisits() {
         let mut t = LoopTable::with_slots(LOOP_ENTRIES);
         let age = Time::ms(1);
+        let mut delta = |ttl, now| t.observe(7, ttl, now, age).0;
         // Stable path: same TTL every time → δ = 0.
-        assert_eq!(t.observe(7, 60, Time::us(1), age), 0);
-        assert_eq!(t.observe(7, 60, Time::us(2), age), 0);
+        assert_eq!(delta(60, Time::us(1)), 0);
+        assert_eq!(delta(60, Time::us(2)), 0);
         // Packets revisiting after a loop have lower TTLs → δ grows.
-        assert_eq!(t.observe(7, 57, Time::us(3), age), 3);
-        assert_eq!(t.observe(7, 54, Time::us(4), age), 6);
+        assert_eq!(delta(57, Time::us(3)), 3);
+        assert_eq!(delta(54, Time::us(4)), 6);
         // Aging resets the window.
-        assert_eq!(t.observe(7, 40, Time::ms(10), age), 0);
+        assert_eq!(delta(40, Time::ms(10)), 0);
         t.reset(7);
         assert_eq!(t.len(), 0);
     }
@@ -985,10 +943,13 @@ mod tests {
     fn loop_table_pressure_restarts_rows() {
         let mut t = LoopTable::with_slots(1);
         let age = Time::ms(1);
+        let mut displaced = 0;
         for h in 0..64u64 {
-            assert_eq!(t.observe(h, 60 - h as u8 % 4, Time(h + 1), age), 0);
+            let (delta, d) = t.observe(h, 60 - h as u8 % 4, Time(h + 1), age);
+            assert_eq!(delta, 0);
+            displaced += u32::from(d);
         }
-        assert_eq!((t.collisions(), t.len()), (63, 1));
+        assert_eq!((displaced, t.len()), (63, 1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Contra runs the flap on Abilene (the §6.4 WAN). Hula's installer
 //! statically rejects anything that is not a two-tier leaf-spine fabric
-//! (`infer_roles` refuses same-tier adjacency, and Abilene is a WAN
+//! (it refuses same-tier adjacency, and Abilene is a WAN
 //! mesh), so Hula gets the *same flap shape* on the §6.3 fabric instead
 //! — the point is the telemetry contract, not the topology.
 

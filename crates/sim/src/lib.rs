@@ -65,8 +65,9 @@ pub use fault::FaultError;
 pub use fx::{fx_mix64, FxBuildHasher, FxHashMap, FxHasher64};
 pub use link::{DropReason, LinkState, UtilEstimator};
 pub use packet::{
-    flow_hash, FlowId, Packet, PacketKind, PktRef, Probe, WireSize, EXPIRY_PERIODS,
-    FAILURE_PERIODS, FLOWLET_TIMEOUT, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES, PROBE_PERIOD,
+    flow_hash, silent, FlowId, Packet, PacketKind, PktRef, Probe, ProbeClock, WireSize,
+    EXPIRY_PERIODS, FAILURE_PERIODS, FLOWLET_TIMEOUT, HDR_BYTES, INITIAL_TTL, MSS,
+    PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 pub use recorder::{Recorder, TelemetryConfig};
 pub use sched::{SchedCounters, SchedEntry, TimingWheel};

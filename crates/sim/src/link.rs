@@ -126,7 +126,7 @@ pub enum DropReason {
 /// Runtime state of one directed link. Generic over what it queues,
 /// of which it reads only the wire size ([`WireSize`]): the engine's
 /// links queue [`PktRef`] pool slots, the default.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LinkState<P = PktRef> {
     /// Capacity (bits/second), copied from the topology.
     pub bandwidth_bps: f64,

@@ -6,7 +6,7 @@
 //! accounting (Fig 16, traffic overhead) is exact.
 
 use crate::time::Time;
-use contra_topology::NodeId;
+use contra_topology::{NodeId, Topology};
 
 /// Flow identifier (index into the simulator's flow table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,6 +28,48 @@ pub const FLOWLET_TIMEOUT: Time = Time::us(200);
 /// A next hop is considered failed after this many probe periods of
 /// silence (§5.4; the failure experiment uses 3).
 pub const FAILURE_PERIODS: u64 = 3;
+
+/// §5.4's failure test, the one Contra and Hula both apply: a neighbour
+/// last heard from at `last` is silent at `now` once more than
+/// [`FAILURE_PERIODS`] probe periods have passed.
+pub fn silent(last: Time, now: Time, probe_period: Time) -> bool {
+    now.saturating_sub(last) > Time(probe_period.0 * FAILURE_PERIODS)
+}
+
+/// One switch's §5.4 clock: when a probe last arrived from each
+/// neighbouring switch, as `(neighbour, last heard)` pairs in neighbour id
+/// order (`Time::ZERO` = never); hosts send no probes. One allocation of
+/// the switch's degree, built at install and searched by neighbour id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ProbeClock {
+    heard: Vec<(NodeId, Time)>,
+}
+
+impl ProbeClock {
+    /// A clock that has heard none of `switch`'s neighbours.
+    pub fn new(topo: &Topology, switch: NodeId) -> ProbeClock {
+        let row = topo.adjacency(switch);
+        let switches = || row.iter().filter(|l| topo.is_switch(l.0));
+        let mut heard = Vec::with_capacity(switches().count());
+        heard.extend(switches().map(|&(n, _)| (n, Time::ZERO)));
+        ProbeClock { heard }
+    }
+
+    /// Records a probe from `from` at `now`: any probe proves the cable
+    /// alive. A node that is no neighbouring switch is ignored.
+    pub fn heard(&mut self, from: NodeId, now: Time) {
+        if let Ok(i) = self.heard.binary_search_by_key(&from, |&(n, _)| n) {
+            self.heard[i].1 = now;
+        }
+    }
+
+    /// Whether `nhop` is [`silent`] at `now` under `probe_period`; a node
+    /// never heard, or no neighbouring switch, was last heard at time zero.
+    pub fn failed(&self, nhop: NodeId, now: Time, probe_period: Time) -> bool {
+        let i = self.heard.binary_search_by_key(&nhop, |&(n, _)| n);
+        silent(i.map_or(Time::ZERO, |i| self.heard[i].1), now, probe_period)
+    }
+}
 /// Forwarding entries not refreshed for this many probe periods are
 /// ignored (metric expiration).
 pub const EXPIRY_PERIODS: u64 = 8;

@@ -86,10 +86,12 @@ pub struct SwitchCtx<'a> {
 }
 
 impl<'a> SwitchCtx<'a> {
-    /// Builds a context around a (possibly recycled) output buffer — the
-    /// engine lends its scratch buffer so per-event dispatch does not
-    /// allocate.
-    pub(crate) fn new(
+    /// Builds a context around the empty output buffer `out`, which
+    /// [`SwitchCtx::take_outputs`] hands back: the engine lends its scratch
+    /// buffer so per-event dispatch does not allocate, and a protocol-level
+    /// harness that steps switch logic by hand, against explicit link
+    /// state, lends its own. `links` must be indexed like `topo.links()`.
+    pub fn new(
         switch: NodeId,
         now: Time,
         topo: &'a Topology,
@@ -107,21 +109,9 @@ impl<'a> SwitchCtx<'a> {
         }
     }
 
-    /// Builds a context outside the engine, against explicit link state —
-    /// for protocol-level test harnesses that step switch logic by hand
-    /// (e.g. the convergence/optimality property tests). `links` must be
-    /// indexed like `topo.links()`.
-    pub fn detached(
-        switch: NodeId,
-        now: Time,
-        topo: &'a Topology,
-        links: &'a [LinkState],
-    ) -> SwitchCtx<'a> {
-        Self::new(switch, now, topo, links, Vec::new())
-    }
-
-    /// Drains the packets emitted so far as `(next_hop, packet)` pairs.
-    /// Used by detached harnesses; the engine reads the field directly.
+    /// Hands back the output buffer, holding the packets emitted so far
+    /// as `(next_hop, packet)` pairs. Used by harnesses; the engine reads
+    /// the field directly.
     pub fn take_outputs(&mut self) -> Vec<(NodeId, Packet)> {
         std::mem::take(&mut self.out)
     }

@@ -94,9 +94,10 @@ fn simulated_register_arrays_have_the_emitted_sizes() {
         let h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::default());
         for &sw in cp.programs.keys() {
             let p4 = p4gen::emit_switch_program(&cp, sw);
+            let state = h.switch(sw).state();
             assert_eq!(
                 (p4_const(&p4, "FLOWLET_SIZE"), p4_const(&p4, "LOOP_SIZE")),
-                h.switch(sw).register_slots(),
+                (state.flowlets.slots(), state.loops.slots()),
                 "{name} @ {sw}: emitted (flowlet, loop) sizes vs simulated slots"
             );
         }
@@ -114,7 +115,8 @@ fn converged_tables_fit_the_fig10_state_model() {
         let dests = cp.destinations.len();
         let pids = cp.num_pids().max(1);
         for (&sw, prog) in &cp.programs {
-            let (fwdt, best) = h.switch(sw).table_rows();
+            let state = h.switch(sw).state();
+            let (fwdt, best) = (state.fwdt.len(), state.best.len());
             let fwdt_cap = dests * prog.tags.len().max(1) * pids;
             assert!(fwdt > 0, "{name} @ {sw}: nothing converged");
             assert!(
