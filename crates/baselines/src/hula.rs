@@ -62,9 +62,10 @@ struct FlowletEntry {
 pub struct HulaSwitch {
     switch: NodeId,
     role: HulaRole,
-    /// Best known path per destination ToR, indexed by node id (dense:
-    /// consulted per packet).
-    best: Vec<Option<BestEntry>>,
+    /// Best known path per destination ToR, for the ToRs whose probes
+    /// reached this switch: sorted by origin and searched per packet, as
+    /// the §5.4 clock is, so its size is the fabric's leaves at most.
+    best: Vec<(NodeId, BestEntry)>,
     /// Flowlet pins keyed by fid (Hula keys on fid only). Deterministic
     /// Fx hashing — SipHash is both slower and per-process seeded.
     flowlets: FxHashMap<u64, FlowletEntry>,
@@ -99,7 +100,7 @@ impl HulaSwitch {
         HulaSwitch {
             switch,
             role,
-            best: vec![None; topo.num_nodes()],
+            best: Vec::new(),
             flowlets: FxHashMap::default(),
             heard: ProbeClock::new(topo, switch),
             advertised: FxHashMap::default(),
@@ -116,6 +117,11 @@ impl HulaSwitch {
         self.advertised
             .get(&(dst, nhop))
             .is_some_and(|&last| !silent(last, now, PROBE_PERIOD))
+    }
+
+    /// Where `origin`'s best entry is, or would be inserted.
+    fn best_slot(&self, origin: NodeId) -> Result<usize, usize> {
+        self.best.binary_search_by_key(&origin, |&(o, _)| o)
     }
 
     fn entry_valid(&self, e: &BestEntry, now: Time) -> bool {
@@ -142,9 +148,11 @@ impl HulaSwitch {
         }
         self.advertised.insert((p.origin, from), now);
         let util = p.mv[0].max(ctx.util_to(from));
-        let accept = match &self.best[p.origin.0 as usize] {
-            None => true,
-            Some(e) => {
+        let slot = self.best_slot(p.origin);
+        let accept = match slot {
+            Err(_) => true,
+            Ok(i) => {
+                let e = &self.best[i].1;
                 // Better path, refresh from the incumbent next hop, or
                 // stale incumbent.
                 util < e.util || e.nhop == from || !self.entry_valid(e, now)
@@ -153,11 +161,15 @@ impl HulaSwitch {
         if !accept {
             return;
         }
-        self.best[p.origin.0 as usize] = Some(BestEntry {
+        let entry = BestEntry {
             util,
             nhop: from,
             updated: now,
-        });
+        };
+        match slot {
+            Ok(i) => self.best[i].1 = entry,
+            Err(i) => self.best.insert(i, (p.origin, entry)),
+        }
         // Replication discipline: spines received from a leaf replicate to
         // every *other* leaf; leaves do not propagate further (two tiers).
         if self.role == HulaRole::Spine {
@@ -191,8 +203,8 @@ impl HulaSwitch {
             }
             self.flowlets.remove(&pkt.flow_hash);
         }
-        match &self.best[pkt.dst_switch.0 as usize] {
-            Some(e) if self.entry_valid(e, now) => {
+        match self.best_slot(pkt.dst_switch).map(|i| &self.best[i].1) {
+            Ok(e) if self.entry_valid(e, now) => {
                 let nhop = e.nhop;
                 self.flowlets
                     .insert(pkt.flow_hash, FlowletEntry { nhop, last: now });
@@ -271,6 +283,39 @@ mod tests {
         );
         let any = topo.find("Denver").unwrap();
         let _ = HulaSwitch::new(&topo, any);
+    }
+
+    /// A switch's best-path table holds the leaves whose probes reached
+    /// it, in origin order, and nothing for the rest of the network.
+    #[test]
+    fn best_paths_hold_only_origins_that_probed() {
+        let topo = generators::leaf_spine(
+            4,
+            2,
+            16,
+            generators::LinkSpec::default(),
+            generators::LinkSpec::default(),
+        );
+        let node = |name| topo.find(name).unwrap();
+        let links: Vec<contra_sim::LinkState> = topo
+            .links()
+            .iter()
+            .map(|l| {
+                contra_sim::LinkState::new(l.bandwidth_bps, Time(l.delay_ns), 0, Time::us(100))
+            })
+            .collect();
+        let spine = node("spine0");
+        let mut hula = HulaSwitch::new(&topo, spine);
+        assert_eq!(hula.best.capacity(), 0);
+        for (leaf, at) in [("leaf2", 10), ("leaf0", 20), ("leaf2", 30)] {
+            let mut ctx = SwitchCtx::new(spine, Time::us(at), &topo, &links, Vec::new());
+            let mut probe = hula.mk_probe(node(leaf), 0.0, spine, Time::us(at));
+            let verdict = hula.on_packet(&mut ctx, &mut probe, node(leaf));
+            assert_eq!(verdict, Verdict::Consume);
+        }
+        let origins: Vec<NodeId> = hula.best.iter().map(|&(o, _)| o).collect();
+        assert_eq!(origins, [node("leaf0"), node("leaf2")]);
+        assert_eq!(hula.best[1].1.updated, Time::us(30));
     }
 
     #[test]

@@ -169,8 +169,9 @@ pub struct FwdEntry {
 /// `dst × tags × pids + tag × pids + pid`, where `dst` numbers the
 /// policy's destinations and `tag` the switch's virtual nodes from its
 /// first. A destination's rows are contiguous and in ascending
-/// `(tag, pid)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// `(tag, pid)`. Equality and hash read the shared destination index as
+/// cheaply as its sharing allows: by pointer first, and by length only.
+#[derive(Debug, Clone)]
 pub struct FwdTable {
     rows: Rows<FwdEntry>,
     /// Each destination's index by node id; `u32::MAX` for the others
@@ -180,6 +181,27 @@ pub struct FwdTable {
     base: u32,
     tags: usize,
     pids: usize,
+}
+
+impl PartialEq for FwdTable {
+    /// Compares the destination index by content only when the two
+    /// tables do not share it.
+    fn eq(&self, other: &FwdTable) -> bool {
+        self.rows == other.rows
+            && (self.base, self.tags, self.pids) == (other.base, other.tags, other.pids)
+            && (Arc::ptr_eq(&self.dst_index, &other.dst_index) || self.dst_index == other.dst_index)
+    }
+}
+
+impl Eq for FwdTable {}
+
+impl Hash for FwdTable {
+    /// Hashes the destination index by its length, which equal tables
+    /// share: a switch's digest does not read a node-sized array.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.rows.hash(state);
+        (self.dst_index.len(), self.base, self.tags, self.pids).hash(state);
+    }
 }
 
 impl FwdTable {
@@ -567,6 +589,44 @@ mod tests {
             version,
             updated: Time::ZERO,
         }
+    }
+
+    /// The shared destination index is hashed by its length and compared
+    /// by pointer first: a table's digest writes as many bytes over a
+    /// 10-entry index as over a 10,000-entry one, and a copy of the index
+    /// still compares by content.
+    #[test]
+    fn fwd_digest_does_not_read_the_destination_index() {
+        #[derive(Default)]
+        struct Bytes(usize);
+        impl Hasher for Bytes {
+            fn finish(&self) -> u64 {
+                self.0 as u64
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0 += bytes.len();
+            }
+        }
+        let table = |nodes: usize| {
+            let index: Arc<[u32]> = (0..nodes as u32).collect();
+            let mut t = FwdTable::new(index, nodes, VNodeId(0), 1, 1);
+            t.insert(key(3, 0, 0), entry(1));
+            t
+        };
+        let written = |t: &FwdTable| {
+            let mut h = Bytes::default();
+            t.hash(&mut h);
+            h.0
+        };
+        let (small, large) = (table(10), table(10_000));
+        assert_ne!(written(&small), 0);
+        assert_eq!(written(&small), written(&large));
+        let copy = table(10_000);
+        assert!(!Arc::ptr_eq(&copy.dst_index, &large.dst_index));
+        assert_eq!(copy, large);
+        let mut other = large.clone();
+        other.insert(key(3, 0, 0), entry(2));
+        assert_ne!(other, large);
     }
 
     /// A destination's rows are one contiguous run of the array.

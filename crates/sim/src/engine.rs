@@ -684,22 +684,10 @@ mod tests {
                 tag: 0,
                 mv: [0.0; 3],
             };
-            let pkt = Packet {
-                id: 0,
-                kind: PacketKind::Probe(probe),
-                src_host: ctx.switch,
-                dst_host: to,
-                dst_switch: to,
-                flow: FlowId(u32::MAX),
-                seq: 0,
-                size_bytes: PROBE_BASE_BYTES,
-                sent_at: ctx.now,
-                tag: 0,
-                pid: 0,
-                ttl: INITIAL_TTL,
-                flow_hash: 0,
-            };
-            ctx.send(to, pkt);
+            ctx.send(
+                to,
+                Packet::probe(ctx.switch, to, probe, PROBE_BASE_BYTES, ctx.now),
+            );
         }
 
         fn tick_interval(&self) -> Option<Time> {

@@ -83,26 +83,29 @@ impl Simulator {
 
     /// A cable direction fails. Packets whose serialization had not
     /// started — a hand-over at this very instant included — are lost and
-    /// counted ([`DropReason::LinkDown`]). What the train still holds is
-    /// on the wire and becomes ordinary arrivals, pushed now and in
-    /// serialization order: after the flap a later, shorter packet may
-    /// arrive before one of these, or with it, so they can no longer wait
-    /// on a train whose arrivals must increase, and a tie must find them
-    /// pushed first. The epoch advances, so the head scheduled before the
-    /// failure is recognized as stale.
+    /// counted ([`DropReason::LinkDown`]). What is on the wire becomes
+    /// ordinary arrivals, pushed now and in serialization order: after
+    /// the flap a later, shorter packet may arrive before one of these,
+    /// or with it, so they can no longer wait on a train whose arrivals
+    /// must increase, and a tie must find them pushed first. The flushed
+    /// follow, in queue order. The train is read where it lies and then
+    /// emptied in place, keeping its storage. The epoch advances, so the
+    /// head scheduled before the failure is recognized as stale.
     pub(super) fn take_link_down(&mut self, lid: LinkId) {
         let l = self.topo.link(lid);
         let (from, to) = (l.src, l.dst);
         let link = &mut self.links[lid.0 as usize];
         link.settle(self.now);
-        let flushed = link.set_down();
-        let on_wire: Vec<(Time, u32)> = link.detach_train().collect();
-        for (at, slot) in on_wire {
-            self.push_wire_arrival(at, lid, to, from, slot);
+        let (on_wire, len) = (link.train_on_wire(), link.audit_train().len());
+        for k in 0..len {
+            let (at, slot) = self.links[lid.0 as usize].train_entry(k);
+            if k < on_wire {
+                self.push_wire_arrival(at, lid, to, from, slot);
+            } else {
+                self.drop_slot(slot, DropReason::LinkDown, Some(lid), true);
+            }
         }
-        for pkt in flushed {
-            self.drop_slot(pkt.slot, DropReason::LinkDown, Some(lid), true);
-        }
+        self.links[lid.0 as usize].set_down();
         self.obs.emit(self.now, Obs::LinkDown { link: lid.0 });
     }
 }

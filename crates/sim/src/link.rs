@@ -12,19 +12,23 @@
 //! accepted before it. The engine therefore schedules no completion
 //! event. `LinkState::accept` settles the link and computes the packet's
 //! arrival from that arithmetic. A packet that finds nothing of the
-//! link's outstanding — serializer idle, nothing in flight that queued —
-//! is an ordinary arrival event; any other is appended to the link's
-//! *train*, the FIFO of `(arrival, slot)` in serialization order, of
-//! which the engine keeps only the head scheduled. Arrivals on a train
-//! strictly increase, so feeding them to the scheduler one at a time
-//! changes no pop order; a WAN link's thousands of in-flight packets wait
-//! there, not in the scheduler.
+//! link's outstanding — serializer idle, train empty — is an ordinary
+//! arrival event and touches no deque; any other joins the link's
+//! *train*, its one deque of `(arrival, packet)` in serialization order:
+//! the first `on_wire` are on the wire, the rest are the queue. The engine
+//! keeps only the head scheduled. Arrivals on a train strictly increase,
+//! so feeding them to the scheduler one at a time changes no pop order; a
+//! WAN link's thousands of in-flight packets wait there, not in the
+//! scheduler.
 //!
-//! **Settling.** What a completion event used to change — the queue and
+//! **Settling.** What a completion event used to change — `on_wire` and
 //! `queued_bytes`, the estimator feed, the busy flag — is brought up to
-//! date by `LinkState::settle` at the next touch of the link: it runs
-//! [`LinkState::start_tx`] at every hand-over instant that has passed, in
-//! order, from the same integer nanoseconds the completions fired at.
+//! date by `LinkState::settle` at the next touch of the link: it hands
+//! over every waiting packet whose turn has passed, in order, at the same
+//! integer nanoseconds the completions fired at; a hand-over moves no
+//! packet. `pop_train` settles first if nothing is on the wire by the
+//! link's count, since the head it takes left the queue before it
+//! arrived, though nothing may have touched the link since.
 //!
 //! **Strictness.** A hand-over at instant S is visible to events *after*
 //! S only: `settle(now)` performs those with `S < now`. This is where the
@@ -42,11 +46,12 @@
 //! Driven by hand ([`LinkState::enqueue`], [`LinkState::start_tx`],
 //! [`LinkState::tx_done`] — micro-benchmarks, and the test-only reference
 //! model that *does* schedule completions), a link is the plain state
-//! machine it always was; the train stays empty.
+//! machine it always was: `start_tx` takes its packet off the train, which
+//! holds the queue alone.
 
 use crate::packet::{PktRef, WireSize};
 use crate::time::{tx_time, Time};
-use std::collections::VecDeque;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 /// Decaying byte counter: `u ← u·(1 − Δt/τ) + size`, reset after a full
 /// idle window. Normalized against `bandwidth · τ` this estimates link
@@ -134,8 +139,6 @@ pub struct LinkState<P = PktRef> {
     pub delay: Time,
     /// Queue capacity in bytes.
     pub qcap_bytes: u32,
-    /// Queued packets (head is next to transmit).
-    queue: VecDeque<P>,
     /// Bytes of packets whose serialization has not started (drop-tail
     /// capacity and queue-occupancy sampling both measure this).
     queued_bytes: u32,
@@ -150,13 +153,13 @@ pub struct LinkState<P = PktRef> {
     /// `busy_until` plus the serialization of the whole queue. Kept by
     /// `accept`; meaningless on a link driven by hand.
     tail_free: Time,
-    /// Accepted packets that have not arrived yet — all but those that
-    /// found nothing outstanding — as `(arrival, slot)` in serialization
-    /// order: arrivals strictly increase, and the not-started suffix is
-    /// `queue`. The engine keeps exactly the head scheduled. Lives here,
-    /// not beside the engine's links, so the transmit path tests its
-    /// emptiness on a cache line it already holds.
-    train: VecDeque<(Time, u32)>,
+    /// The packets on the wire, then the queue, as `(arrival, packet)` in
+    /// serialization order; `Time::ZERO` when queued by hand. Here, not
+    /// beside the engine's links, so the transmit path tests its emptiness
+    /// on a cache line it already holds.
+    train: VecDeque<(Time, P)>,
+    /// How many of the train's first entries are on the wire.
+    on_wire: usize,
     /// Link up/down.
     pub up: bool,
     /// Utilization estimator fed by transmissions on this link.
@@ -196,12 +199,12 @@ impl<P: WireSize> LinkState<P> {
             bandwidth_bps,
             delay,
             qcap_bytes,
-            queue: VecDeque::new(),
             queued_bytes: 0,
             busy: false,
             busy_until: Time::ZERO,
             tail_free: Time::ZERO,
             train: VecDeque::new(),
+            on_wire: 0,
             up: true,
             estimator: UtilEstimator::new(bandwidth_bps, tau),
             bytes_tx: 0,
@@ -213,53 +216,73 @@ impl<P: WireSize> LinkState<P> {
         }
     }
 
-    /// Serialization time of `bytes` on this link, through the one-entry
-    /// memo.
+    /// Admission of `bytes` at `now`: the link must be up and the queue
+    /// have room. An admitted packet reports whether it takes the
+    /// serializer from idle.
     #[inline]
-    fn tx_of(&mut self, bytes: u32) -> Time {
-        memo_tx(&mut self.tx_memo, bytes, self.bandwidth_bps)
-    }
-
-    /// Offers a packet to the queue at `now`.
-    pub fn enqueue(&mut self, pkt: P, now: Time) -> EnqueueOutcome {
+    fn admit(&mut self, bytes: u32, now: Time) -> Result<bool, DropReason> {
         if !self.up {
             self.drops += 1;
-            return EnqueueOutcome::Dropped(DropReason::LinkDown);
+            return Err(DropReason::LinkDown);
         }
         // A busy period nothing queues behind ends by the clock. At
         // `busy_until` itself it has not ended: a hand-over is visible
         // after its instant only, so this packet still finds the
         // serializer taken.
-        if self.busy && self.queue.is_empty() && now > self.busy_until {
+        if self.busy && self.on_wire == self.train.len() && now > self.busy_until {
             self.busy = false;
         }
-        let bytes = pkt.wire_bytes();
         if self.queued_bytes + bytes > self.qcap_bytes {
             self.drops += 1;
-            return EnqueueOutcome::Dropped(DropReason::QueueFull);
+            return Err(DropReason::QueueFull);
         }
-        self.queued_bytes += bytes;
-        self.queue.push_back(pkt);
-        if self.busy {
-            EnqueueOutcome::Queued
-        } else {
-            self.busy = true;
-            EnqueueOutcome::StartTx
+        Ok(!std::mem::replace(&mut self.busy, true))
+    }
+
+    /// Puts `bytes` on the serializer at `now`; returns their
+    /// transmission time, through the one-entry memo.
+    #[inline]
+    fn serialize(&mut self, bytes: u32, now: Time) -> Time {
+        self.estimator.on_tx(bytes, now);
+        self.bytes_tx += bytes as u64;
+        let t = memo_tx(&mut self.tx_memo, bytes, self.bandwidth_bps);
+        self.busy_until = now + t;
+        t
+    }
+
+    /// Hands the queue's head to the serializer at `now`: it stays on
+    /// the train, now on the wire.
+    #[inline]
+    fn hand_over(&mut self, now: Time) -> Time {
+        let bytes = self.train[self.on_wire].1.wire_bytes();
+        self.on_wire += 1;
+        self.queued_bytes -= bytes;
+        self.serialize(bytes, now)
+    }
+
+    /// Offers a packet to the queue at `now`.
+    pub fn enqueue(&mut self, pkt: P, now: Time) -> EnqueueOutcome {
+        match self.admit(pkt.wire_bytes(), now) {
+            Err(reason) => EnqueueOutcome::Dropped(reason),
+            Ok(starts) => {
+                self.queued_bytes += pkt.wire_bytes();
+                self.train.push_back((Time::ZERO, pkt));
+                if starts {
+                    EnqueueOutcome::StartTx
+                } else {
+                    EnqueueOutcome::Queued
+                }
+            }
         }
     }
 
     /// Begins serializing the head packet at `now`. Returns the packet and
     /// its transmission time; it arrives `delay` after that.
     pub fn start_tx(&mut self, now: Time) -> Option<(P, Time)> {
-        debug_assert!(self.busy);
-        let pkt = self.queue.pop_front()?;
-        let bytes = pkt.wire_bytes();
-        self.queued_bytes -= bytes;
-        self.estimator.on_tx(bytes, now);
-        self.bytes_tx += bytes as u64;
-        let t = self.tx_of(bytes);
-        self.busy_until = now + t;
-        Some((pkt, t))
+        debug_assert!(self.busy && self.on_wire == 0, "driven by hand");
+        let t = (self.on_wire < self.train.len()).then(|| self.hand_over(now))?;
+        self.on_wire -= 1;
+        self.train.pop_front().map(|(_, pkt)| (pkt, t))
     }
 
     /// Performs every hand-over strictly before `now`: each queued packet
@@ -268,8 +291,8 @@ impl<P: WireSize> LinkState<P> {
     /// time, have nothing waiting.
     #[inline]
     pub(crate) fn settle(&mut self, now: Time) {
-        while !self.queue.is_empty() && self.busy_until < now {
-            self.start_tx(self.busy_until);
+        while self.on_wire < self.train.len() && self.busy_until < now {
+            self.hand_over(self.busy_until);
         }
     }
 
@@ -277,28 +300,22 @@ impl<P: WireSize> LinkState<P> {
     /// finished a packet. Returns `true` if another packet is waiting
     /// (caller should `start_tx` again).
     pub fn tx_done(&mut self) -> bool {
-        if self.queue.is_empty() {
-            self.busy = false;
-            false
-        } else {
-            true
-        }
+        self.busy = self.on_wire < self.train.len();
+        self.busy
     }
 
     /// Takes the link down, discarding every packet whose serialization
-    /// had not started — off the queue and off the train's tail. Returns
-    /// the flushed packets so the caller can account the drops; what is
-    /// left of the train is on the wire.
-    pub fn set_down(&mut self) -> VecDeque<P> {
+    /// had not started (counted in `drops`), and empties the train in
+    /// place: returns its entries in serialization order, those on the
+    /// wire first, then the flushed ones.
+    pub fn set_down(&mut self) -> Drain<'_, (Time, P)> {
         self.up = false;
         self.busy = false;
         self.epoch += 1;
-        self.drops += self.queue.len() as u64;
+        self.drops += (self.train.len() - self.on_wire) as u64;
         self.queued_bytes = 0;
-        // (A queue filled by hand has no train behind it.)
-        let on_wire = self.train.len().saturating_sub(self.queue.len());
-        self.train.truncate(on_wire);
-        std::mem::take(&mut self.queue)
+        self.on_wire = 0;
+        self.train.drain(..)
     }
 
     /// Brings the link back up.
@@ -310,12 +327,12 @@ impl<P: WireSize> LinkState<P> {
     /// first: hand-overs before `now` that are still owed are replayed on
     /// a copy of the estimator.
     pub fn utilization(&self, now: Time) -> f64 {
-        if self.queue.is_empty() || self.busy_until >= now {
+        if self.on_wire == self.train.len() || self.busy_until >= now {
             return self.estimator.utilization(now);
         }
         let mut estimator = self.estimator.clone();
         let (mut at, mut memo) = (self.busy_until, self.tx_memo);
-        for pkt in &self.queue {
+        for pkt in self.audit_queue() {
             if at >= now {
                 break;
             }
@@ -333,12 +350,20 @@ impl<P: WireSize> LinkState<P> {
 
     /// Packets awaiting serialization, as of the last settle.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.train.len() - self.on_wire
     }
 
-    /// Queued packets (auditor view).
+    /// How many train entries are on the wire: handed over, as of the
+    /// last settle, and not arrived.
+    pub(crate) fn train_on_wire(&self) -> usize {
+        self.on_wire
+    }
+
+    /// Queued packets, head first: the train's entries that have not
+    /// started (auditor view).
     pub(crate) fn audit_queue(&self) -> impl ExactSizeIterator<Item = &P> {
-        self.queue.iter()
+        let queue = self.on_wire..;
+        self.train.range(queue).map(|(_, pkt)| pkt)
     }
 }
 
@@ -374,84 +399,58 @@ impl LinkState {
     #[inline]
     pub(crate) fn accept(&mut self, pkt: PktRef, now: Time) -> Result<(bool, Arrival), DropReason> {
         self.settle(now);
-        let busy_start = match self.enqueue(pkt, now) {
-            EnqueueOutcome::Dropped(reason) => return Err(reason),
-            EnqueueOutcome::StartTx => {
-                self.start_tx(now);
-                self.tail_free = self.busy_until;
-                true
-            }
-            EnqueueOutcome::Queued => {
-                let tx = self.tx_of(pkt.size_bytes);
-                self.tail_free += tx;
-                false
-            }
+        let (bytes, first) = (pkt.size_bytes, self.train.is_empty());
+        let busy_start = self.admit(bytes, now)?;
+        self.tail_free = match busy_start {
+            true => now + self.serialize(bytes, now),
+            false => self.tail_free + memo_tx(&mut self.tx_memo, bytes, self.bandwidth_bps),
         };
         let arrival = self.tail_free + self.delay;
-        let first = self.train.is_empty();
-        if first && busy_start {
-            return Ok((true, Arrival::Alone(arrival)));
+        match (busy_start, first) {
+            (true, true) => return Ok((true, Arrival::Alone(arrival))),
+            // Idle, with packets still in flight: on the wire, behind them.
+            (true, false) => self.on_wire += 1,
+            (false, _) => self.queued_bytes += bytes,
         }
-        self.train.push_back((arrival, pkt.slot));
-        let scheduled = if first {
-            Arrival::Head(arrival)
-        } else {
-            Arrival::Behind
-        };
+        self.train.push_back((arrival, pkt));
+        let scheduled = [Arrival::Behind, Arrival::Head(arrival)][first as usize];
         Ok((busy_start, scheduled))
     }
 
     /// Takes the head off the train — its arrival event fired at `now` —
     /// and returns its slot with the arrival of the new head, the next
-    /// entry to schedule.
+    /// entry to schedule. The head was handed over before `now`; if
+    /// nothing has settled that hand-over yet — nothing is on the wire by
+    /// the link's count — settling comes first.
     #[inline]
     pub(crate) fn pop_train(&mut self, now: Time) -> (u32, Option<Time>) {
-        let (arrival, slot) = self.train.pop_front().expect("a scheduled head");
+        if self.on_wire == 0 {
+            self.settle(now);
+        }
+        debug_assert!(self.train_on_wire() > 0, "the head was handed over");
+        let (arrival, pkt) = self.train.pop_front().expect("a scheduled head");
+        self.on_wire -= 1;
         debug_assert_eq!(arrival, now);
-        (slot, self.train.front().map(|&(next, _)| next))
+        (pkt.slot, self.train.front().map(|&(next, _)| next))
     }
 
-    /// How many train entries are on the wire: handed over, as of the
-    /// last settle, and not arrived.
-    pub(crate) fn train_on_wire(&self) -> usize {
-        self.train.len() - self.queue.len()
-    }
-
-    /// Empties the train of a link that has just gone down: everything
-    /// left on it is on the wire.
-    pub(crate) fn detach_train(&mut self) -> impl Iterator<Item = (Time, u32)> + '_ {
-        debug_assert!(!self.up && self.queue.is_empty());
-        self.train.drain(..)
+    /// The `k`-th train entry, head first, as `(arrival, slot)`.
+    pub(crate) fn train_entry(&self, k: usize) -> (Time, u32) {
+        (self.train[k].0, self.train[k].1.slot)
     }
 
     /// The train, head first (auditor view).
     pub(crate) fn audit_train(&self) -> impl ExactSizeIterator<Item = (Time, u32)> + '_ {
-        self.train.iter().copied()
+        self.train.iter().map(|&(arrival, pkt)| (arrival, pkt.slot))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, Packet, PacketKind, INITIAL_TTL};
-    use contra_topology::NodeId;
 
-    fn pkt(size: u32) -> Packet {
-        Packet {
-            id: 0,
-            kind: PacketKind::Udp,
-            src_host: NodeId(0),
-            dst_host: NodeId(1),
-            dst_switch: NodeId(1),
-            flow: FlowId(0),
-            seq: 0,
-            size_bytes: size,
-            sent_at: Time::ZERO,
-            tag: 0,
-            pid: 0,
-            ttl: INITIAL_TTL,
-            flow_hash: 0,
-        }
+    fn slot(slot: u32, size_bytes: u32) -> PktRef {
+        PktRef { slot, size_bytes }
     }
 
     #[test]
@@ -479,10 +478,16 @@ mod tests {
     #[test]
     fn queue_tail_drop() {
         let mut l = LinkState::new(10e9, Time::us(1), 3_000, Time::us(100));
-        assert_eq!(l.enqueue(pkt(1_500), Time::ZERO), EnqueueOutcome::StartTx);
-        assert_eq!(l.enqueue(pkt(1_500), Time::ZERO), EnqueueOutcome::Queued);
         assert_eq!(
-            l.enqueue(pkt(1_500), Time::ZERO),
+            l.enqueue(slot(0, 1_500), Time::ZERO),
+            EnqueueOutcome::StartTx
+        );
+        assert_eq!(
+            l.enqueue(slot(0, 1_500), Time::ZERO),
+            EnqueueOutcome::Queued
+        );
+        assert_eq!(
+            l.enqueue(slot(0, 1_500), Time::ZERO),
             EnqueueOutcome::Dropped(DropReason::QueueFull)
         );
         assert_eq!(l.drops, 1);
@@ -492,8 +497,8 @@ mod tests {
     #[test]
     fn serialization_cycle() {
         let mut l = LinkState::new(10e9, Time::us(1), 10_000, Time::us(100));
-        l.enqueue(pkt(1_500), Time::ZERO);
-        l.enqueue(pkt(1_500), Time::ZERO);
+        l.enqueue(slot(0, 1_500), Time::ZERO);
+        l.enqueue(slot(0, 1_500), Time::ZERO);
         let (p1, t1) = l.start_tx(Time::ZERO).unwrap();
         assert_eq!(p1.size_bytes, 1_500);
         assert_eq!(t1, Time::ns(1_200));
@@ -501,10 +506,6 @@ mod tests {
         let (_p2, _) = l.start_tx(t1).unwrap();
         assert!(!l.tx_done(), "queue drained");
         assert_eq!(l.bytes_tx, 3_000);
-    }
-
-    fn slot(slot: u32, size_bytes: u32) -> PktRef {
-        PktRef { slot, size_bytes }
     }
 
     /// The instant the one packet of [`serving_one`] leaves the serializer.
@@ -549,6 +550,7 @@ mod tests {
         let after = S + Time::ns(1);
         let alone = Arrival::Alone(after + Time::ns(1_080));
         assert_eq!(l.accept(slot(1, 100), after), Ok((true, alone)));
+        assert_eq!(l.train.capacity(), 0, "a packet alone is stored nowhere");
         // Anything queued keeps the busy period going, whatever the clock.
         let head = Arrival::Head(Time::ns(1_281 + 1_080));
         assert_eq!(l.accept(slot(2, 100), Time::ns(1_250)), Ok((false, head)));
@@ -557,6 +559,20 @@ mod tests {
         let behind = Ok((true, Arrival::Behind));
         assert_eq!(l.accept(slot(3, 100), Time::us(9)), behind);
         assert_eq!((l.queued_bytes(), l.train_on_wire()), (0, 2));
+    }
+
+    /// The head a train-head event takes was handed over before its
+    /// arrival, though nothing touched the link in between: `pop_train`
+    /// settles, so the entry leaves from the wire and the queue empties.
+    #[test]
+    fn pop_train_takes_an_entry_on_the_wire() {
+        let mut l = serving_one();
+        l.accept(slot(1, 100), Time::ns(10)).unwrap();
+        assert_eq!(l.pop_train(Time::ns(2_280)), (1, None));
+        assert_eq!(
+            (l.queue_len(), l.train_on_wire(), l.bytes_tx),
+            (0, 0, 1_600)
+        );
     }
 
     /// One hand-over, at S, of a 100 B packet: invisible to an enqueue, a
@@ -601,7 +617,8 @@ mod tests {
 
     /// Going down ends the busy period, whether or not anything waited
     /// for its end: after recovery the first packet starts at once, and
-    /// the first to queue behind it heads a fresh train.
+    /// the first to queue behind it heads a fresh train, in the storage
+    /// the flap emptied in place.
     #[test]
     fn set_down_forgets_the_busy_period() {
         for waiting in [false, true] {
@@ -609,9 +626,11 @@ mod tests {
             if waiting {
                 l.accept(slot(1, 100), Time::ns(10)).unwrap();
             }
+            let capacity = l.train.capacity();
             assert_eq!(l.set_down().len(), waiting as usize);
             assert_eq!(l.audit_train().len(), 0, "the flush covers the train");
             l.set_up();
+            assert_eq!(l.train.capacity(), capacity);
             let alone = Arrival::Alone(Time::ns(1_580));
             assert_eq!(l.accept(slot(2, 100), Time::ns(500)), Ok((true, alone)));
             let head = Arrival::Head(Time::ns(1_660));
@@ -622,15 +641,14 @@ mod tests {
     #[test]
     fn down_link_drops_everything() {
         let mut l = LinkState::new(10e9, Time::us(1), 10_000, Time::us(100));
-        l.enqueue(pkt(1_500), Time::ZERO);
-        l.enqueue(pkt(1_500), Time::ZERO);
-        let lost = l.set_down();
-        assert_eq!(lost.len(), 2);
+        l.enqueue(slot(0, 1_500), Time::ZERO);
+        l.enqueue(slot(0, 1_500), Time::ZERO);
+        assert_eq!(l.set_down().len(), 2);
         assert_eq!(
-            l.enqueue(pkt(100), Time::ZERO),
+            l.enqueue(slot(0, 100), Time::ZERO),
             EnqueueOutcome::Dropped(DropReason::LinkDown)
         );
         l.set_up();
-        assert_eq!(l.enqueue(pkt(100), Time::ZERO), EnqueueOutcome::StartTx);
+        assert_eq!(l.enqueue(slot(0, 100), Time::ZERO), EnqueueOutcome::StartTx);
     }
 }

@@ -1,31 +1,39 @@
 #!/usr/bin/env bash
-# The scheduler replay: judges a change to crates/sim/src/sched.rs inside
-# one process, where the host's drift between processes cancels.
+# The layer replays: judge a change to one layer of the simulator —
+# crates/sim/src/sched.rs (the default) or crates/sim/src/link.rs —
+# inside one process, where the host's drift between processes cancels.
 #
-#   scripts/replay.sh PARENT_REV [--reps N] [--workload W]... [--quick]
+#   scripts/replay.sh PARENT_REV [--layer sched|link] [--reps N] [--workload W]... [--quick]
 #
 # 1. Records. The working tree's files are copied into a temporary
-#    directory, scripts/replay/record.patch is applied there (the checkout
+#    directory, the layer's recorder patch is applied there (the checkout
 #    is never written), and that copy's contra_benchmark runs one rep of
 #    each workload (`--rounds 1 --trace 0`, seed 1, `--quick` with
-#    --quick), writing every push and pop of its first wheel.
-# 2. Replays. scripts/replay/main.rs is compiled with PARENT_REV's
-#    sched.rs (`git show`) and the working tree's as two modules, and
-#    replays each trace N times through both plus the parent once more
-#    (the A/A floor), in rotating order. It prints each side's median
-#    time and allocations per replay, the median paired ratio change /
-#    parent [IQR] and the A/A ratio, and fails if a pop ever differs from
-#    the recording.
+#    --quick). scripts/replay/record.patch writes every push and pop of
+#    the first wheel a process builds; scripts/replay/record_link.patch
+#    every operation the first simulator makes on a link (accept,
+#    pop_train, settle, utilization read, down, up).
+# 2. Replays. The layer's replay (scripts/replay/main.rs or link.rs,
+#    with bench.rs) is compiled with PARENT_REV's file (`git show`) and
+#    the working tree's as two modules, over the working tree's time.rs
+#    (and, for links, the shim scripts/replay/packet.rs), and replays
+#    each trace N times through both plus the parent once more (the A/A
+#    floor), in rotating order. It prints each side's median time and
+#    allocations per replay, the median paired ratio change / parent
+#    [IQR] and the A/A ratio, and fails if a result ever differs from the
+#    recording. The same replay then runs once more pinned to CPU 1
+#    (`taskset -c 1`, the replay process only), where taskset can pin.
 #
-# Defaults: 41 reps; fabric_probe, dc_tcp and wan_tcp. Full traces hold
-# 2-5 M operations (16 bytes each); on 2 vCPUs one rep of all three
-# traces takes under a second, the recorder's release build ~35 s.
-# Exit 1 if a step fails or a pop differs, 2 on a usage error.
+# Defaults: 41 reps; fabric_probe, dc_tcp and wan_tcp. Full scheduler
+# traces hold 2-5 M operations (16 bytes each), link traces 1-3 M (32
+# bytes each); on 2 vCPUs one rep of all three traces takes under a
+# second, the recorder's release build ~35 s.
+# Exit 1 if a step fails or a result differs, 2 on a usage error.
 set -euo pipefail
 export LC_ALL=C
 
 usage() {
-    sed -n '5p' "$0" | sed 's/^#   /usage: /' >&2
+    sed -n '6p' "$0" | sed 's/^#   /usage: /' >&2
     exit 2
 }
 
@@ -34,10 +42,16 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 rev=$1
 shift
 reps=41
+layer=sched
 quick=()
 workloads=()
 while [ $# -gt 0 ]; do
     case $1 in
+    --layer)
+        [ $# -ge 2 ] && [[ $2 =~ ^(sched|link)$ ]] || usage
+        layer=$2
+        shift 2
+        ;;
     --reps)
         [ $# -ge 2 ] && [[ $2 =~ ^[1-9][0-9]*$ ]] || usage
         reps=$2
@@ -48,7 +62,7 @@ while [ $# -gt 0 ]; do
         case $2 in
         fabric_probe | dc_tcp | wan_tcp) workloads+=("$2") ;;
         *)
-            echo "replay.sh: no scheduler trace for workload '$2'" >&2
+            echo "replay.sh: no trace for workload '$2'" >&2
             exit 2
             ;;
         esac
@@ -63,12 +77,17 @@ while [ $# -gt 0 ]; do
 done
 [ ${#workloads[@]} -gt 0 ] || workloads=(fabric_probe dc_tcp wan_tcp)
 
+case $layer in
+sched) file=sched.rs patch=record.patch out=SCHED_TRACE_OUT main=main.rs ;;
+link) file=link.rs patch=record_link.patch out=LINK_TRACE_OUT main=link.rs ;;
+esac
+
 cd "$root"
 work=$(mktemp -d "${TMPDIR:-/tmp}/contra-replay.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/src"
-if ! git show "$rev:crates/sim/src/sched.rs" >"$work/src/parent.rs"; then
-    echo "replay.sh: no crates/sim/src/sched.rs at '$rev'" >&2
+if ! git show "$rev:crates/sim/src/$file" >"$work/src/parent.rs"; then
+    echo "replay.sh: no crates/sim/src/$file at '$rev'" >&2
     exit 2
 fi
 
@@ -80,8 +99,8 @@ git ls-files -z --cached --others --exclude-standard |
         if [ -e "$file" ]; then printf '%s\0' "$file"; fi
     done |
     tar --null -T - -cf - | tar -C "$tree" -xf -
-if ! git -C "$tree" apply scripts/replay/record.patch 2>"$work/apply.log"; then
-    echo "replay.sh: scripts/replay/record.patch no longer applies to crates/sim/src/sched.rs" >&2
+if ! git -C "$tree" apply "scripts/replay/$patch" 2>"$work/apply.log"; then
+    echo "replay.sh: scripts/replay/$patch no longer applies to the working tree" >&2
     sed 's/^/    /' "$work/apply.log" >&2
     exit 1
 fi
@@ -94,7 +113,7 @@ while IFS= read -r var; do unset_contra+=(-u "$var"); done < <(env | sed -n 's/^
 traces=()
 for w in "${workloads[@]}"; do
     echo "recording $w..." >&2
-    env "${unset_contra[@]}" SCHED_TRACE_OUT="$work/$w.trace" \
+    env "${unset_contra[@]}" "$out=$work/$w.trace" \
         "$work/target/release/contra_benchmark" --workload "$w" --rounds 1 --trace 0 \
         "${quick[@]}" --out "$work/bench" >"$work/bench.log"
     if [ ! -s "$work/$w.trace" ]; then
@@ -105,11 +124,20 @@ for w in "${workloads[@]}"; do
 done
 
 # Step 2: the replay binary, built with the workspace's release settings.
-cp scripts/replay/main.rs "$work/src/main.rs"
+cp "scripts/replay/$main" "$work/src/main.rs"
+cp scripts/replay/bench.rs scripts/replay/packet.rs "$work/src/"
 cp crates/sim/src/time.rs "$work/src/time.rs"
-cp crates/sim/src/sched.rs "$work/src/change.rs"
+cp "crates/sim/src/$file" "$work/src/change.rs"
+# A link.rs from before set_down drained the train fails through the
+# adapter for its API.
+cfg=()
+if grep -q 'fn detach_train' "$work/src/parent.rs"; then cfg=(--cfg parent_detach_train); fi
 echo "building the replay ($rev against the working tree)..." >&2
 rustc --edition 2021 -C opt-level=3 -C codegen-units=1 -C debug-assertions=off \
-    --cap-lints allow -o "$work/replay" "$work/src/main.rs"
+    --cap-lints allow "${cfg[@]}" -o "$work/replay" "$work/src/main.rs"
 echo "replaying, $reps reps" >&2
 "$work/replay" "$reps" "${traces[@]}"
+if taskset -c 1 true 2>/dev/null; then
+    echo "pinned to CPU 1 (taskset -c 1):"
+    taskset -c 1 "$work/replay" "$reps" "${traces[@]}" | sed 's/^/  /'
+fi
