@@ -107,11 +107,6 @@ impl Nfa {
         }
     }
 
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.trans.len()
-    }
-
     /// Every symbol some edge names (sorted, deduplicated). Any other
     /// symbol is consumed by the `.` edges alone, so all of them step a
     /// state set to the same successor.

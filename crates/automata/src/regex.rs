@@ -19,7 +19,6 @@
 //!   semantic oracle for the NFA/DFA pipeline in tests.
 
 use crate::Sym;
-use std::fmt;
 
 /// A regular expression over path symbols (switch IDs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -173,81 +172,6 @@ impl Regex {
         }
         r.nullable()
     }
-
-    /// Collects every concrete symbol mentioned by the expression.
-    pub fn symbols(&self) -> Vec<Sym> {
-        let mut out = Vec::new();
-        self.collect_symbols(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn collect_symbols(&self, out: &mut Vec<Sym>) {
-        match self {
-            Regex::Empty | Regex::Epsilon | Regex::Any => {}
-            Regex::Sym(s) => out.push(*s),
-            Regex::Concat(a, b) | Regex::Alt(a, b) => {
-                a.collect_symbols(out);
-                b.collect_symbols(out);
-            }
-            Regex::Star(r) => r.collect_symbols(out),
-        }
-    }
-
-    /// Size of the AST in nodes; used by compile-time complexity tests.
-    pub fn size(&self) -> usize {
-        match self {
-            Regex::Empty | Regex::Epsilon | Regex::Sym(_) | Regex::Any => 1,
-            Regex::Concat(a, b) | Regex::Alt(a, b) => 1 + a.size() + b.size(),
-            Regex::Star(r) => 1 + r.size(),
-        }
-    }
-}
-
-impl fmt::Display for Regex {
-    /// Prints in the concrete syntax of the policy language; symbols appear
-    /// as `#n` since the raw AST has no name table.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn prec(r: &Regex) -> u8 {
-            match r {
-                Regex::Alt(..) => 0,
-                Regex::Concat(..) => 1,
-                _ => 2,
-            }
-        }
-        fn go(r: &Regex, f: &mut fmt::Formatter<'_>, min: u8) -> fmt::Result {
-            let p = prec(r);
-            if p < min {
-                write!(f, "(")?;
-            }
-            match r {
-                Regex::Empty => write!(f, "∅")?,
-                Regex::Epsilon => write!(f, "ε")?,
-                Regex::Sym(s) => write!(f, "#{s}")?,
-                Regex::Any => write!(f, ".")?,
-                Regex::Concat(a, b) => {
-                    go(a, f, 1)?;
-                    write!(f, " ")?;
-                    go(b, f, 2)?;
-                }
-                Regex::Alt(a, b) => {
-                    go(a, f, 0)?;
-                    write!(f, " + ")?;
-                    go(b, f, 1)?;
-                }
-                Regex::Star(r) => {
-                    go(r, f, 2)?;
-                    write!(f, "*")?;
-                }
-            }
-            if p < min {
-                write!(f, ")")?;
-            }
-            Ok(())
-        }
-        go(self, f, 0)
-    }
 }
 
 #[cfg(test)]
@@ -336,23 +260,5 @@ mod tests {
         assert!(!Regex::sym(1).nullable());
         assert!(Regex::alt(Regex::Epsilon, Regex::sym(1)).nullable());
         assert!(!Regex::concat(Regex::any_star(), Regex::sym(1)).nullable());
-    }
-
-    #[test]
-    fn symbols_collects_sorted_unique() {
-        let r = Regex::cat_all([Regex::sym(5), Regex::alt(Regex::sym(2), Regex::sym(5))]);
-        assert_eq!(r.symbols(), vec![2, 5]);
-    }
-
-    #[test]
-    fn display_round_trips_visually() {
-        let r = Regex::cat_all([
-            Regex::any_star(),
-            Regex::alt(Regex::sym(1), Regex::sym(2)),
-            Regex::any_star(),
-        ]);
-        let s = format!("{r}");
-        assert!(s.contains("#1"), "{s}");
-        assert!(s.contains('+'), "{s}");
     }
 }

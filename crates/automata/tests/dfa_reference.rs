@@ -266,16 +266,16 @@ fn assert_same(label: &str, r: &Regex, alphabet: &[Sym]) {
     let want = reference_from_nfa(&nfa, alphabet);
     let got = Table::of(&dfa);
     if let Some(diff) = first_difference(&got, &want) {
-        panic!("{label}: from_nfa of {r} over {alphabet:?}: {diff}");
+        panic!("{label}: from_nfa of {r:?} over {alphabet:?}: {diff}");
     }
     let (min, mapping) = dfa.minimize();
     let (want_min, want_mapping) = reference_minimize(&want);
     if let Some(diff) = first_difference(&Table::of(&min), &want_min) {
-        panic!("{label}: minimize of {r} over {alphabet:?}: {diff}");
+        panic!("{label}: minimize of {r:?} over {alphabet:?}: {diff}");
     }
     assert_eq!(
         mapping, want_mapping,
-        "{label}: minimize mapping of {r} over {alphabet:?}"
+        "{label}: minimize mapping of {r:?} over {alphabet:?}"
     );
 }
 

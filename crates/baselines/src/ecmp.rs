@@ -64,12 +64,6 @@ pub struct EcmpSwitch {
 }
 
 impl EcmpSwitch {
-    /// Precomputes shortest-path next-hop sets for `switch`.
-    pub fn new(topo: &Topology, switch: NodeId) -> EcmpSwitch {
-        let mut one = Self::for_switches(topo, &[switch]);
-        one.pop().expect("one switch asked, one table built")
-    }
-
     /// The logic of each of `switches`, in order — what installing ECMP on
     /// a whole fabric asks for.
     pub fn for_switches(topo: &Topology, switches: &[NodeId]) -> Vec<EcmpSwitch> {
@@ -86,7 +80,8 @@ impl EcmpSwitch {
         switch: NodeId,
         failed: &[(NodeId, NodeId)],
     ) -> EcmpSwitch {
-        Self::new(&topo.without_cables(failed), switch)
+        let mut one = Self::for_switches(&topo.without_cables(failed), &[switch]);
+        one.pop().expect("one switch asked, one table built")
     }
 }
 
@@ -120,14 +115,8 @@ pub struct SpSwitch {
 }
 
 impl SpSwitch {
-    /// Precomputes the deterministic shortest-path next hop per
-    /// destination.
-    pub fn new(topo: &Topology, switch: NodeId) -> SpSwitch {
-        let mut one = Self::for_switches(topo, &[switch]);
-        one.pop().expect("one switch asked, one table built")
-    }
-
-    /// The logic of each of `switches`, in order. The path
+    /// The logic of each of `switches`, in order: the deterministic
+    /// shortest-path next hop per destination. The path
     /// [`paths::shortest_path`] walks takes the lowest-numbered ECMP next
     /// hop at every step, so its first step is the first of the set.
     pub fn for_switches(topo: &Topology, switches: &[NodeId]) -> Vec<SpSwitch> {
@@ -170,11 +159,10 @@ mod tests {
     }
 
     /// A whole fabric's tables, built from one DAG per destination, are
-    /// the tables the single-switch constructors build and the tables the
-    /// constructors built before they shared a routine: a row of the DAG
-    /// per (switch, destination), the second node of `shortest_path`.
+    /// the tables a search per switch gives: a row of the DAG per
+    /// (switch, destination), the second node of `shortest_path`.
     #[test]
-    fn fabric_tables_equal_the_per_switch_constructors() {
+    fn fabric_tables_equal_the_per_switch_searches() {
         let spec = generators::LinkSpec::default();
         let mut barbell = contra_topology::Topology::builder();
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| barbell.switch(n));
@@ -196,16 +184,6 @@ mod tests {
             let sp = SpSwitch::for_switches(&topo, &switches);
             assert_eq!((ecmp.len(), sp.len()), (switches.len(), switches.len()));
             for (i, &sw) in switches.iter().enumerate() {
-                assert_eq!(
-                    ecmp[i].next_hops,
-                    EcmpSwitch::new(&topo, sw).next_hops,
-                    "{label}: ECMP at {sw}"
-                );
-                assert_eq!(
-                    sp[i].next_hop,
-                    SpSwitch::new(&topo, sw).next_hop,
-                    "{label}: SP at {sw}"
-                );
                 for dst in (0..topo.num_nodes() as u32).map(NodeId) {
                     let routed = topo.is_switch(dst) && dst != sw;
                     let (hops, hop) = if routed {
@@ -237,8 +215,12 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        for sw in topo.switches() {
-            sim.install(sw, Box::new(EcmpSwitch::new(&topo, sw)));
+        let switches = topo.switches();
+        for (sw, ecmp) in switches
+            .iter()
+            .zip(EcmpSwitch::for_switches(&topo, &switches))
+        {
+            sim.install(*sw, Box::new(ecmp));
         }
         let hosts = topo.hosts();
         for i in 0..16 {
@@ -309,8 +291,12 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        for sw in topo.switches() {
-            sim.install(sw, Box::new(SpSwitch::new(&topo, sw)));
+        let switches = topo.switches();
+        for (sw, sp) in switches
+            .iter()
+            .zip(SpSwitch::for_switches(&topo, &switches))
+        {
+            sim.install(*sw, Box::new(sp));
         }
         let hosts = topo.hosts();
         for i in 0..8 {

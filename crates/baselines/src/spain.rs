@@ -80,20 +80,6 @@ impl SpainPaths {
     pub fn table_rows(&self) -> usize {
         self.tables.len()
     }
-
-    /// The full VLAN path from `src` to `dst` (for tests).
-    pub fn path(&self, src: NodeId, dst: NodeId, vlan: u8) -> Option<Vec<NodeId>> {
-        let mut path = vec![src];
-        let mut cur = src;
-        for _ in 0..self.tables.len() + 2 {
-            if cur == dst {
-                return Some(path);
-            }
-            cur = self.next_hop(cur, dst, vlan)?;
-            path.push(cur);
-        }
-        None
-    }
 }
 
 /// One switch running SPAIN forwarding.
@@ -134,6 +120,22 @@ mod tests {
     use super::*;
     use contra_sim::{FlowSpec, SimConfig, Simulator, Time};
     use contra_topology::generators;
+
+    impl SpainPaths {
+        /// The full VLAN path from `src` to `dst`.
+        fn path(&self, src: NodeId, dst: NodeId, vlan: u8) -> Option<Vec<NodeId>> {
+            let mut path = vec![src];
+            let mut cur = src;
+            for _ in 0..self.tables.len() + 2 {
+                if cur == dst {
+                    return Some(path);
+                }
+                cur = self.next_hop(cur, dst, vlan)?;
+                path.push(cur);
+            }
+            None
+        }
+    }
 
     #[test]
     fn precompute_covers_all_pairs_on_abilene() {

@@ -325,7 +325,9 @@ fn cut_topologies_report_equal_the_reference() {
         }
         let first = &topo.node(topo.switches()[0]).name;
         let cp = Compiler::new(topo)
-            .compile_str(&policies::waypoint_one(first))
+            .compile_str(&format!(
+                "minimize(if .* {first} .* then path.util else inf)"
+            ))
             .unwrap();
         for fr in verify(&cp, topo).verdicts.fragile {
             partitions[fr.partitions as usize] += 1;

@@ -344,26 +344,6 @@ impl PathRegex {
     pub fn star(r: PathRegex) -> PathRegex {
         PathRegex::synthetic(PathRegexKind::Star(Box::new(r)))
     }
-
-    /// All switch names mentioned, sorted and deduplicated.
-    pub fn names(&self) -> Vec<&str> {
-        fn go<'a>(r: &'a PathRegex, out: &mut Vec<&'a str>) {
-            match &r.kind {
-                PathRegexKind::Node(n) => out.push(n),
-                PathRegexKind::Any => {}
-                PathRegexKind::Concat(a, b) | PathRegexKind::Alt(a, b) => {
-                    go(a, out);
-                    go(b, out);
-                }
-                PathRegexKind::Star(r) => go(r, out),
-            }
-        }
-        let mut out = Vec::new();
-        go(self, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 impl fmt::Display for PathRegex {
@@ -519,12 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn regex_names() {
+    fn regex_prints_in_policy_syntax() {
         let r = PathRegex::alt(
             PathRegex::node("B"),
             PathRegex::concat(PathRegex::node("A"), PathRegex::node("B")),
         );
-        assert_eq!(r.names(), vec!["A", "B"]);
+        assert_eq!(r.to_string(), "B + A B");
     }
 
     #[test]

@@ -63,22 +63,6 @@ impl Span {
     }
 }
 
-impl Default for Span {
-    fn default() -> Self {
-        Span::DUMMY
-    }
-}
-
-impl fmt::Display for Span {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_dummy() {
-            write!(f, "<builtin>")
-        } else {
-            write!(f, "{}..{}", self.start, self.end)
-        }
-    }
-}
-
 /// How seriously a diagnostic should be taken.
 ///
 /// * `Error` — the policy is broken (won't compile, or provably drops
@@ -310,7 +294,6 @@ mod tests {
         assert_eq!(a.to(b), Span::new(2, 9));
         assert_eq!(a.to(Span::DUMMY), a);
         assert_eq!(Span::DUMMY.to(b), b);
-        assert!(Span::default().is_dummy());
         assert_eq!(Span::point(3), Span::new(3, 3));
     }
 

@@ -19,13 +19,6 @@ pub struct Token {
     pub span: Span,
 }
 
-impl Token {
-    /// Byte offset where the token starts.
-    pub fn at(&self) -> usize {
-        self.span.start
-    }
-}
-
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tok {
@@ -419,7 +412,6 @@ mod tests {
     fn spans_recorded() {
         let toks = lex("  minimize(x)").unwrap();
         assert_eq!(toks[0].span, Span::new(2, 10));
-        assert_eq!(toks[0].at(), 2);
         // Eof sits at the end of the input.
         assert_eq!(toks.last().unwrap().span, Span::point(13));
     }

@@ -76,6 +76,6 @@ pub use lower::{RankKey, RankProgram};
 pub use metric::{MetricBasis, MetricVec};
 pub use normal::{normalize, Branch, BranchRank, Guard, MetricExpr, NormalPolicy};
 pub use parser::parse_policy;
-pub use pg::{PgLookupError, ProductGraph, VNode, VNodeId, VNodeRun};
+pub use pg::{ProductGraph, VNode, VNodeId, VNodeRun};
 pub use rank::Rank;
 pub use verify::{verify, verify_source, BlackHole, Fragility, Report};

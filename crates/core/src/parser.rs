@@ -416,7 +416,7 @@ mod tests {
         let BoolExprKind::Regex(r) = cond.kind else {
             panic!("expected regex cond")
         };
-        assert_eq!(r.names(), vec!["F1", "F2"]);
+        assert_eq!(r.to_string(), ".* (F1 + F2) .*");
     }
 
     #[test]

@@ -29,63 +29,6 @@ use crate::normal::NormalPolicy;
 use contra_automata::Dfa;
 use contra_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Why a product-graph lookup failed. `find`/`step` collapse all of these
-/// into `None`; [`ProductGraph::try_find`] and [`ProductGraph::try_step`]
-/// keep them apart so callers can tell a dropped probe (the normal,
-/// by-design outcome of pruning) from a caller bug (wrong automaton count,
-/// a switch the graph never contained or a virtual node it does not have).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PgLookupError {
-    /// The caller supplied a state vector whose length does not match the
-    /// number of policy automata — always a caller bug.
-    WrongArity {
-        /// Number of automata the graph was built with.
-        expected: usize,
-        /// Number of states the caller passed.
-        got: usize,
-    },
-    /// The switch has no virtual nodes at all. For an unpruned graph this
-    /// means the switch is unreachable by any probe; passing a host or a
-    /// node from a different topology also lands here.
-    UnknownSwitch(NodeId),
-    /// The virtual node a step starts from is not in the graph (its id is
-    /// at least [`ProductGraph::len`]) — a caller bug.
-    UnknownVNode(VNodeId),
-    /// The switch exists in the graph but this exact state combination was
-    /// pruned (or never explored): the probe can no longer lead to a
-    /// finite-rank path and is dropped.
-    Pruned {
-        /// The switch at which the lookup happened.
-        switch: NodeId,
-        /// The automaton states that had no virtual node.
-        states: Vec<usize>,
-    },
-}
-
-impl fmt::Display for PgLookupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PgLookupError::WrongArity { expected, got } => write!(
-                f,
-                "product-graph lookup with {got} automaton states, expected {expected}"
-            ),
-            PgLookupError::UnknownSwitch(n) => {
-                write!(f, "switch {n} has no virtual nodes in the product graph")
-            }
-            PgLookupError::UnknownVNode(v) => {
-                write!(f, "virtual node {} is not in the product graph", v.0)
-            }
-            PgLookupError::Pruned { switch, states } => write!(
-                f,
-                "virtual node ({switch}, {states:?}) was pruned from the product graph"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PgLookupError {}
 
 /// Identifier of a virtual node in the product graph. Probes and packets
 /// carry these as their `tag` field.
@@ -189,7 +132,7 @@ impl ProductGraph {
             .collect();
         let step = |i: usize, state: usize, y: NodeId| match cols[i * nodes + y.0 as usize] {
             Some(column) => automata[i].step_at(state, column),
-            // Outside the alphabet: the dead state, or `step`'s panic.
+            // Outside the alphabet: the dead state, or `Dfa::step`'s panic.
             None => automata[i].step(state, y.0),
         };
 
@@ -351,78 +294,6 @@ impl ProductGraph {
         }
     }
 
-    /// Looks up the virtual node at `switch` with exactly these automaton
-    /// states. Collapses every failure into `None`; use
-    /// [`ProductGraph::try_find`] when the reason matters.
-    pub fn find(&self, switch: NodeId, states: &[usize]) -> Option<VNodeId> {
-        debug_assert_eq!(
-            self.k,
-            states.len(),
-            "product-graph lookup with the wrong number of automaton states"
-        );
-        // Element by element: see `RawNodes::intern_tail`.
-        (self.vnodes_at(switch).iter()).find(|&v| self.states(v).iter().eq(states))
-    }
-
-    /// Like [`find`](ProductGraph::find), but distinguishes *why* the
-    /// lookup failed: a pruned state combination (expected, the probe is
-    /// dropped) versus caller errors (wrong arity, unknown switch).
-    pub fn try_find(&self, switch: NodeId, states: &[usize]) -> Result<VNodeId, PgLookupError> {
-        if self.k != states.len() {
-            return Err(PgLookupError::WrongArity {
-                expected: self.k,
-                got: states.len(),
-            });
-        }
-        let here = self.vnodes_at(switch);
-        if here.is_empty() {
-            return Err(PgLookupError::UnknownSwitch(switch));
-        }
-        (here.iter())
-            .find(|&v| self.states(v).iter().eq(states))
-            .ok_or_else(|| PgLookupError::Pruned {
-                switch,
-                states: states.to_vec(),
-            })
-    }
-
-    /// `NEXTPGNODE` (Fig 7): the virtual node a probe tagged `from` maps to
-    /// when processed by switch `at`. Returns `None` when the step leaves
-    /// the pruned graph (the probe is then dropped — it can no longer lead
-    /// to a finite-rank path) or `from` is not in the graph.
-    pub fn step(&self, automata: &[Dfa], from: VNodeId, at: NodeId) -> Option<VNodeId> {
-        debug_assert_eq!(
-            automata.len(),
-            self.k,
-            "stepping the product graph with the wrong automaton set"
-        );
-        self.try_step(automata, from, at).ok()
-    }
-
-    /// Like [`step`](ProductGraph::step), but reports why the step failed.
-    pub fn try_step(
-        &self,
-        automata: &[Dfa],
-        from: VNodeId,
-        at: NodeId,
-    ) -> Result<VNodeId, PgLookupError> {
-        if from.0 as usize >= self.len() {
-            return Err(PgLookupError::UnknownVNode(from));
-        }
-        if automata.len() != self.k {
-            return Err(PgLookupError::WrongArity {
-                expected: self.k,
-                got: automata.len(),
-            });
-        }
-        let states: Vec<usize> = automata
-            .iter()
-            .zip(self.states(from))
-            .map(|(a, &s)| a.step(s, at.0))
-            .collect();
-        self.try_find(at, &states)
-    }
-
     /// Maximum number of tags any switch needs — determines header bits.
     pub fn max_tags_per_switch(&self) -> usize {
         let runs = self.first_at.windows(2).map(|r| (r[1] - r[0]) as usize);
@@ -581,7 +452,7 @@ mod tests {
         t.build()
     }
 
-    fn build(src: &str, topo: &Topology, prune: bool) -> (ProductGraph, Vec<Dfa>, NormalPolicy) {
+    fn build(src: &str, topo: &Topology, prune: bool) -> ProductGraph {
         let pol = parse_policy(src).unwrap();
         let normal = normalize(&pol).unwrap();
         let automata = resolve_regexes(&normal.regexes, topo)
@@ -593,9 +464,7 @@ mod tests {
                 d
             })
             .collect::<Vec<_>>();
-        let dests = topo.switches();
-        let pg = ProductGraph::build(topo, &automata, &normal, &dests, prune);
-        (pg, automata, normal)
+        ProductGraph::build(topo, &automata, &normal, &topo.switches(), prune)
     }
 
     /// Every virtual node's id.
@@ -614,7 +483,7 @@ mod tests {
     #[test]
     fn min_util_pg_is_topology_sized() {
         let topo = fig6_topo();
-        let (pg, ..) = build("minimize(path.util)", &topo, true);
+        let pg = build("minimize(path.util)", &topo, true);
         // No regexes → one vnode per switch.
         assert_eq!(pg.len(), 4);
         assert_eq!(pg.max_tags_per_switch(), 1);
@@ -628,7 +497,7 @@ mod tests {
         // (destination D). B appears in two roles: on the ABD path and as a
         // source of B.*D — two virtual nodes for B.
         let topo = fig6_topo();
-        let (pg, ..) = build(
+        let pg = build(
             "minimize(if A B D then 0 else if B .* D then path.util else inf)",
             &topo,
             true,
@@ -644,8 +513,8 @@ mod tests {
     #[test]
     fn pruning_removes_dead_vnodes() {
         let topo = fig6_topo();
-        let (pruned, ..) = build("minimize(if A B D then 0 else inf)", &topo, true);
-        let (full, ..) = build("minimize(if A B D then 0 else inf)", &topo, false);
+        let pruned = build("minimize(if A B D then 0 else inf)", &topo, true);
+        let full = build("minimize(if A B D then 0 else inf)", &topo, false);
         assert!(pruned.len() < full.len());
         // Pruned graph retains the D→B→A chain (plus the sending states of
         // other destinations are gone since only D-rooted paths match).
@@ -656,22 +525,24 @@ mod tests {
     #[test]
     fn sending_states_have_consumed_origin() {
         let topo = fig6_topo();
-        let (pg, automata, _) = build("minimize(if .* C .* then path.util else inf)", &topo, true);
+        let pg = build("minimize(if .* C .* then path.util else inf)", &topo, true);
         let c = topo.find("C").unwrap();
         let v = pg.sending[&c];
         // At C's own sending vnode the path "C" already matches .*C.*.
         assert_eq!(pg.acc(v), [true]);
-        // Stepping the probe to B keeps acceptance (.*C.* stays matched).
+        // The probe's successor at B keeps acceptance (.*C.* stays matched).
         let b = topo.find("B").unwrap();
-        let w = pg.step(&automata, v, b).unwrap();
-        assert_eq!(pg.acc(w), [true]);
-        assert_eq!(pg.vnode(w).switch, b);
+        let at_b: Vec<_> = (pg.succs(v).iter())
+            .filter(|&&w| pg.vnode(w).switch == b)
+            .collect();
+        assert_eq!(at_b.len(), 1, "{at_b:?}");
+        assert_eq!(pg.acc(*at_b[0]), [true]);
     }
 
     #[test]
     fn edges_follow_physical_links() {
         let topo = fig6_topo();
-        let (pg, ..) = build("minimize(path.len)", &topo, true);
+        let pg = build("minimize(path.len)", &topo, true);
         for v in ids(&pg) {
             let x = pg.vnode(v).switch;
             for &w in pg.succs(v) {
@@ -687,88 +558,9 @@ mod tests {
     #[test]
     fn forbidden_everything_gives_empty_pg() {
         let topo = fig6_topo();
-        let (pg, ..) = build("minimize(inf)", &topo, true);
+        let pg = build("minimize(inf)", &topo, true);
         assert!(pg.is_empty());
         assert!(pg.sending.is_empty());
-    }
-
-    #[test]
-    fn try_find_distinguishes_failure_modes() {
-        let topo = fig6_topo();
-        let (pg, automata, _) = build("minimize(if A B D then 0 else inf)", &topo, true);
-        let a = topo.find("A").unwrap();
-        let d = topo.find("D").unwrap();
-
-        // Wrong arity is a caller bug, reported before anything else.
-        assert_eq!(
-            pg.try_find(a, &[0, 0]),
-            Err(PgLookupError::WrongArity {
-                expected: 1,
-                got: 2
-            })
-        );
-
-        // A node outside the graph (pruning removed every C vnode that is
-        // not on the surviving D→B→A chain, or the node never existed).
-        let ghost = NodeId(999);
-        assert_eq!(
-            pg.try_find(ghost, &[0]),
-            Err(PgLookupError::UnknownSwitch(ghost))
-        );
-
-        // A state combination the switch does not carry is a pruned probe.
-        let states_at_a = pg.states(pg.vnodes_at(a).first().unwrap()).to_vec();
-        let bogus = vec![automata[0].num_states() + 7];
-        assert!(matches!(
-            pg.try_find(a, &bogus),
-            Err(PgLookupError::Pruned { switch, .. }) if switch == a
-        ));
-
-        // And the happy path agrees with `find`.
-        assert_eq!(pg.try_find(a, &states_at_a).ok(), pg.find(a, &states_at_a));
-        assert_eq!(
-            pg.try_find(d, pg.states(pg.sending[&d])).ok(),
-            Some(pg.sending[&d])
-        );
-    }
-
-    #[test]
-    fn try_step_reports_pruned_probe_drops() {
-        // With an exact-path policy A B D for destination D, the pruned
-        // graph keeps only the D→B→A chain. `try_step` names where and why
-        // a probe dies, where `step` only says `None`.
-        let topo = fig6_topo();
-        let (pg, automata, _) = build("minimize(if A B D then 0 else inf)", &topo, true);
-        let b = topo.find("B").unwrap();
-        let c = topo.find("C").unwrap();
-        let d = topo.find("D").unwrap();
-        let v = pg.sending[&d];
-
-        // Every C vnode was pruned, so a probe stepping into C finds the
-        // switch itself absent from the graph.
-        assert_eq!(pg.step(&automata, v, c), None);
-        assert_eq!(
-            pg.try_step(&automata, v, c),
-            Err(PgLookupError::UnknownSwitch(c))
-        );
-
-        // B still exists, but bouncing a probe B→D→B lands on a state
-        // combination B does not carry: reported as a pruned vnode.
-        let at_b = pg.try_step(&automata, v, b).unwrap();
-        let back_at_d = pg.try_step(&automata, at_b, d);
-        assert!(matches!(
-            back_at_d,
-            Err(PgLookupError::UnknownSwitch(_) | PgLookupError::Pruned { .. })
-        ));
-        let a = topo.find("A").unwrap();
-        let at_a = pg.try_step(&automata, at_b, a).unwrap();
-        assert!(matches!(
-            pg.try_step(&automata, at_a, b),
-            Err(PgLookupError::Pruned { switch, .. }) if switch == b
-        ));
-
-        // The surviving direction agrees with `step`.
-        assert_eq!(pg.try_step(&automata, v, b).ok(), pg.step(&automata, v, b));
     }
 
     #[test]
@@ -776,25 +568,12 @@ mod tests {
         // All D-destined probe paths in the PG correspond to traffic paths;
         // finite vnodes must be exactly those whose reverse path matches.
         let topo = fig6_topo();
-        let (pg, _, _) = build("minimize(if .* C .* then path.util else inf)", &topo, true);
+        let pg = build("minimize(if .* C .* then path.util else inf)", &topo, true);
         for v in ids(&pg) {
             if pg.vnode(v).finite {
                 assert_eq!(pg.acc(v), [true]);
             }
         }
-    }
-
-    #[test]
-    fn try_step_from_outside_the_graph_is_an_unknown_vnode() {
-        let topo = fig6_topo();
-        let (pg, automata, _) = build("minimize(if .* C .* then path.util else inf)", &topo, true);
-        let b = topo.find("B").unwrap();
-        let ghost = VNodeId(pg.len() as u32);
-        assert_eq!(
-            pg.try_step(&automata, ghost, b),
-            Err(PgLookupError::UnknownVNode(ghost))
-        );
-        assert_eq!(pg.step(&automata, ghost, b), None);
     }
 
     /// The catalogue P1–P9 compiled on fig6 and on fat-tree(4): policies
@@ -877,17 +656,38 @@ mod tests {
         }
     }
 
+    /// Every edge `v → w` is the probe stepping each automaton on `w`'s
+    /// switch, and a switch's virtual nodes have distinct state vectors:
+    /// `NEXTPGNODE` names the one vnode a probe's states lead to.
     #[test]
-    fn find_returns_every_vnode_from_its_switch_and_states() {
-        for (label, _, cp) in catalogue_corpus() {
+    fn edges_step_every_automaton_and_state_vectors_are_distinct() {
+        for (label, topo, cp) in catalogue_corpus() {
             let pg = &cp.pg;
             for v in ids(pg) {
                 assert_eq!(pg.states(v).len(), cp.automata.len(), "{label}");
                 assert_eq!(pg.acc(v).len(), cp.automata.len(), "{label}");
+                for &w in pg.succs(v) {
+                    let y = pg.vnode(w).switch;
+                    for (i, a) in cp.automata.iter().enumerate() {
+                        let stepped = a.step(pg.states(v)[i], y.0);
+                        assert_eq!(
+                            pg.states(w)[i],
+                            stepped,
+                            "{label}: {v:?} → {w:?}, automaton {i}"
+                        );
+                    }
+                }
+            }
+            for n in (0..topo.num_nodes() as u32).map(NodeId) {
+                let mut states: Vec<&[usize]> =
+                    pg.vnodes_at(n).iter().map(|v| pg.states(v)).collect();
+                let held = states.len();
+                states.sort_unstable();
+                states.dedup();
                 assert_eq!(
-                    pg.find(pg.vnode(v).switch, pg.states(v)),
-                    Some(v),
-                    "{label}"
+                    states.len(),
+                    held,
+                    "{label}: two vnodes of {n} share a state vector"
                 );
             }
         }

@@ -31,11 +31,6 @@ pub fn waypoint(f1: &str, f2: &str) -> String {
     format!("minimize(if .*({f1}+{f2}).* then path.util else inf)")
 }
 
-/// Single-waypoint variant (`.* W .*`), as in the FatTire comparison in §2.
-pub fn waypoint_one(w: &str) -> String {
-    format!("minimize(if .* {w} .* then path.util else inf)")
-}
-
 /// P6 — link preference: only paths crossing link X–Y are allowed.
 pub fn link_preference(x: &str, y: &str) -> String {
     format!("minimize(if .*{x} {y}.* then path.util else inf)")

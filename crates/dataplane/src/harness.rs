@@ -269,14 +269,4 @@ impl ProtocolHarness {
             (util, lat)
         })
     }
-
-    /// Brute force: the minimum rank over all simple paths from `src` to
-    /// `dst` (up to `max_hops`).
-    pub fn oracle_best_rank(&self, src: NodeId, dst: NodeId, max_hops: usize) -> contra_core::Rank {
-        contra_topology::paths::all_simple_paths(&self.topo, src, dst, max_hops)
-            .into_iter()
-            .map(|p| self.oracle_rank(&p))
-            .min()
-            .unwrap_or(contra_core::Rank::Inf)
-    }
 }

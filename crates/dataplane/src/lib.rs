@@ -99,9 +99,6 @@ mod tests {
         h.run_rounds(3);
         // S-B-D bottleneck 0.3 < S-A-D bottleneck 0.4.
         assert_eq!(h.traffic_path(s, d), Some(vec![s, b, d]));
-        // And the protocol's choice matches the brute-force optimum.
-        let chosen = h.traffic_path(s, d).unwrap();
-        assert_eq!(h.oracle_rank(&chosen), h.oracle_best_rank(s, d, 4));
     }
 
     /// Probes never touch the flowlet or loop registers, so rounds of

@@ -10,7 +10,7 @@
 
 use contra_core::{Compiler, Rank};
 use contra_dataplane::{DataplaneConfig, ProtocolHarness};
-use contra_topology::{generators, Topology};
+use contra_topology::{generators, NodeId, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +39,69 @@ fn harness(topo: &Topology, policy: &str) -> ProtocolHarness {
     ProtocolHarness::new(topo, cp, DataplaneConfig::default())
 }
 
+/// Enumerates **all** simple switch paths from `src` to `dst`, up to
+/// `max_hops` hops. Exponential: the ground truth for the optimality
+/// property.
+fn all_simple_paths(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    max_hops: usize,
+) -> Vec<Vec<NodeId>> {
+    let mut out = Vec::new();
+    let mut stack = vec![src];
+    let mut on_path = vec![false; topo.num_nodes()];
+    on_path[src.0 as usize] = true;
+    fn rec(
+        topo: &Topology,
+        dst: NodeId,
+        max_hops: usize,
+        stack: &mut Vec<NodeId>,
+        on_path: &mut Vec<bool>,
+        out: &mut Vec<Vec<NodeId>>,
+    ) {
+        let cur = *stack.last().unwrap();
+        if cur == dst {
+            out.push(stack.clone());
+            return;
+        }
+        if stack.len() > max_hops {
+            return;
+        }
+        let mut nbrs = topo.switch_neighbors(cur);
+        nbrs.sort_unstable();
+        nbrs.dedup();
+        for m in nbrs {
+            if on_path[m.0 as usize] {
+                continue;
+            }
+            on_path[m.0 as usize] = true;
+            stack.push(m);
+            rec(topo, dst, max_hops, stack, on_path, out);
+            stack.pop();
+            on_path[m.0 as usize] = false;
+        }
+    }
+    rec(topo, dst, max_hops, &mut stack, &mut on_path, &mut out);
+    out
+}
+
+/// Brute force: the minimum rank over all simple paths from `src` to
+/// `dst` (up to `max_hops`).
+fn oracle_best_rank(
+    h: &ProtocolHarness,
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    max_hops: usize,
+) -> Rank {
+    all_simple_paths(topo, src, dst, max_hops)
+        .into_iter()
+        .map(|p| h.oracle_rank(&p))
+        .min()
+        .unwrap_or(Rank::Inf)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -56,7 +119,7 @@ proptest! {
         for src in topo.switches() {
             for dst in topo.switches() {
                 if src == dst { continue; }
-                let best = h.oracle_best_rank(src, dst, n + 1);
+                let best = oracle_best_rank(&h, &topo, src, dst, n + 1);
                 let path = h.traffic_path(src, dst);
                 prop_assert!(path.is_some(), "{src}→{dst}: no route on a connected graph");
                 let got = h.oracle_rank(path.as_ref().unwrap());
@@ -84,7 +147,7 @@ proptest! {
         for src in topo.switches() {
             for dst in topo.switches() {
                 if src == dst { continue; }
-                let best = h.oracle_best_rank(src, dst, n + 1);
+                let best = oracle_best_rank(&h, &topo, src, dst, n + 1);
                 let path = h.traffic_path(src, dst).expect("connected");
                 prop_assert_eq!(h.oracle_rank(&path), best);
             }
@@ -110,7 +173,7 @@ proptest! {
         for src in topo.switches() {
             for dst in topo.switches() {
                 if src == dst { continue; }
-                let best = h.oracle_best_rank(src, dst, n + 1);
+                let best = oracle_best_rank(&h, &topo, src, dst, n + 1);
                 let path = h.traffic_path(src, dst).expect("connected");
                 prop_assert_eq!(h.oracle_rank(&path), best);
             }
@@ -144,13 +207,13 @@ proptest! {
                     prop_assert!(!r.is_inf(), "{src}→{dst} non-compliant path {path:?}");
                     prop_assert!(path.contains(&wp));
                     // …and be no worse than the best simple compliant path.
-                    let best = h.oracle_best_rank(src, dst, n + 1);
+                    let best = oracle_best_rank(&h, &topo, src, dst, n + 1);
                     prop_assert!(r <= best, "{src}→{dst}: {r} worse than {best}");
                 } else {
                     // No route ⇒ no *simple* compliant path may exist
                     // either (the converse can fail: PG paths may revisit
                     // switches, which the walker rejects).
-                    let best = h.oracle_best_rank(src, dst, n + 1);
+                    let best = oracle_best_rank(&h, &topo, src, dst, n + 1);
                     if !best.is_inf() {
                         // Accept only when the best simple path requires a
                         // revisit pattern the flowlet walker cannot follow;
@@ -230,7 +293,41 @@ fn oracle_rank_matches_manual_computation() {
     let mut h = harness(&topo, "minimize(path.util)");
     h.set_util(a, b, 0.25);
     assert_eq!(h.oracle_rank(&[a, b]), Rank::scalar(0.25));
-    assert_eq!(h.oracle_best_rank(a, b, 3), Rank::scalar(0.25));
+    assert_eq!(oracle_best_rank(&h, &topo, a, b, 3), Rank::scalar(0.25));
     // The reverse direction was never utilized.
-    assert_eq!(h.oracle_best_rank(b, a, 3), Rank::scalar(0.0));
+    assert_eq!(oracle_best_rank(&h, &topo, b, a, 3), Rank::scalar(0.0));
+}
+
+/// On the harness's diamond (S-A-D and S-B-D) the protocol's choice is
+/// the brute-force optimum.
+#[test]
+fn diamond_choice_is_the_brute_force_optimum() {
+    let mut t = Topology::builder();
+    let [s, a, b, d] = ["S", "A", "B", "D"].map(|name| t.switch(name));
+    for (x, y) in [(s, a), (s, b), (a, d), (b, d)] {
+        t.biline(x, y, 10e9, 1_000);
+    }
+    let topo = t.build();
+    let mut h = harness(&topo, "minimize(path.util)");
+    for (x, y, u) in [(s, a, 0.4), (a, d, 0.1), (s, b, 0.1), (b, d, 0.3)] {
+        h.set_util_bidir(x, y, u);
+    }
+    h.run_rounds(3);
+    let chosen = h.traffic_path(s, d).unwrap();
+    assert_eq!(h.oracle_rank(&chosen), oracle_best_rank(&h, &topo, s, d, 4));
+}
+
+/// The enumerator finds every simple path and no more: on the diamond
+/// A-B-D, A-C-D plus the direct A-D link, exactly A-D, A-B-D and A-C-D.
+#[test]
+fn all_simple_paths_finds_exactly_the_simple_paths() {
+    let mut t = Topology::builder();
+    let [a, b, c, d] = ["A", "B", "C", "D"].map(|name| t.switch(name));
+    for (x, y) in [(a, b), (a, c), (b, d), (c, d), (a, d)] {
+        t.biline(x, y, 10e9, 1_000);
+    }
+    let topo = t.build();
+    let mut paths = all_simple_paths(&topo, a, d, 8);
+    paths.sort();
+    assert_eq!(paths, vec![vec![a, b, d], vec![a, c, d], vec![a, d]]);
 }

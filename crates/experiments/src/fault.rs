@@ -132,11 +132,6 @@ impl FaultPlan {
         self.chaos.extend(other.chaos);
     }
 
-    /// Whether the plan schedules nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.cmds.is_empty() && self.chaos.is_empty()
-    }
-
     /// Expands the plan against a topology into one explicit, sorted
     /// command list: the plan's own commands plus every chaos process
     /// realized (failures drawn over the switch–switch cables of

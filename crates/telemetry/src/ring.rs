@@ -41,16 +41,6 @@ impl EventRing {
         }
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// How many events were overwritten after the ring filled.
     pub fn evicted(&self) -> u64 {
         self.evicted

@@ -371,7 +371,8 @@ pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<No
 }
 
 /// Whether the switch graph is connected (ignoring hosts).
-pub fn switch_graph_connected(topo: &Topology) -> bool {
+#[cfg(test)]
+pub(crate) fn switch_graph_connected(topo: &Topology) -> bool {
     let g = topo.flat();
     let Some(start) = g.switches().next() else {
         return true;
@@ -379,53 +380,6 @@ pub fn switch_graph_connected(topo: &Topology) -> bool {
     let mut s = Scratch::default();
     g.settle(&g.out, NodeId(start as u32), |_, _| Some(1), &mut s);
     g.switches().all(|n| s.dist[n] != UNREACHED)
-}
-
-/// Enumerates **all** simple switch paths from `src` to `dst`, up to
-/// `max_hops` hops. Exponential — exists purely as a ground-truth oracle for
-/// tests of the product graph and the protocol's optimality property.
-pub fn all_simple_paths(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    max_hops: usize,
-) -> Vec<Vec<NodeId>> {
-    let mut out = Vec::new();
-    let mut stack = vec![src];
-    let mut on_path = vec![false; topo.num_nodes()];
-    on_path[src.0 as usize] = true;
-    fn rec(
-        topo: &Topology,
-        dst: NodeId,
-        max_hops: usize,
-        stack: &mut Vec<NodeId>,
-        on_path: &mut Vec<bool>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        let cur = *stack.last().unwrap();
-        if cur == dst {
-            out.push(stack.clone());
-            return;
-        }
-        if stack.len() > max_hops {
-            return;
-        }
-        let mut nbrs = topo.switch_neighbors(cur);
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        for m in nbrs {
-            if on_path[m.0 as usize] {
-                continue;
-            }
-            on_path[m.0 as usize] = true;
-            stack.push(m);
-            rec(topo, dst, max_hops, stack, on_path, out);
-            stack.pop();
-            on_path[m.0 as usize] = false;
-        }
-    }
-    rec(topo, dst, max_hops, &mut stack, &mut on_path, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -497,16 +451,6 @@ mod tests {
         let dist = hop_distances_to(&t, b);
         assert_eq!(dist[a.0 as usize], None);
         assert!(shortest_path(&t, a, b).is_none());
-    }
-
-    #[test]
-    fn all_simple_paths_oracle() {
-        let t = diamond_plus();
-        let a = t.find("A").unwrap();
-        let d = t.find("D").unwrap();
-        let ps = all_simple_paths(&t, a, d, 8);
-        // A-D, A-B-D, A-C-D, A-B-D? no loops: exactly A-D, ABD, ACD.
-        assert_eq!(ps.len(), 3);
     }
 
     #[test]
