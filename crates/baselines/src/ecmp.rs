@@ -231,7 +231,8 @@ mod tests {
                 start: Time::us(10 * i as u64),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
         // With 16 flows both spines must be exercised.
         let spines_used: std::collections::BTreeSet<NodeId> =
@@ -273,7 +274,8 @@ mod tests {
                 start: Time::us(100 + 10 * i),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
         for (_, t) in &traces {
             assert_eq!(t[1], spine1, "all traffic must avoid the dead spine: {t:?}");
@@ -307,7 +309,8 @@ mod tests {
                 start: Time::us(10 * i as u64),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
         let spines_used: std::collections::BTreeSet<NodeId> =
             traces.iter().map(|(_, t)| t[1]).collect();

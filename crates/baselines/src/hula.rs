@@ -339,9 +339,10 @@ mod tests {
                 start: Time::us(600 + 30 * i as u64),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
-        assert!(stats.wire_bytes[&contra_sim::TrafficKind::Probe] > 0);
+        assert!(stats.wire_bytes.get(contra_sim::TrafficKind::Probe) > 0);
         for (_, t) in &traces {
             assert_eq!(t.len(), 3, "leaf-spine-leaf only: {t:?}");
         }
@@ -379,7 +380,8 @@ mod tests {
                 start: Time::ms(5) + Time::us(200 * i),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert!(stats.completion_rate() > 0.99);
         // The elephant grabs one spine; count how much of the mice traffic
         // shares it. With utilization-aware routing the mice should
@@ -428,7 +430,8 @@ mod tests {
                 start: Time::ms(4) + Time::us(300 * i),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
         for (_, t) in &traces {
             assert_eq!(t[1], spine1, "traffic must avoid the dead uplink: {t:?}");

@@ -248,7 +248,8 @@ mod tests {
                 start: Time::us(100 * i),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0);
         // At least two distinct paths must be exercised across the flows.
         let unique: std::collections::BTreeSet<&Vec<NodeId>> =

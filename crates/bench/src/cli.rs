@@ -370,7 +370,7 @@ pub fn chaos(args: &[String], seed: Option<u64>, out: &mut Out) -> Result<(), Ex
             "delivered={} drops={:?} wire={} events={} epochs={}",
             s.delivered_packets,
             s.drops,
-            s.wire_bytes.values().sum::<u64>(),
+            s.total_wire_bytes(),
             s.events_processed,
             s.fault_epochs.len(),
         )

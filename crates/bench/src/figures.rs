@@ -10,7 +10,6 @@
 
 use crate::{compiler_policy_suite, Exit, Out, Scale};
 use contra_core::{verify, Compiler};
-use contra_dataplane::DataplaneConfig;
 use contra_experiments::{
     aggregate_seeds, run_cells, Band, CompileCache, Contra, Ecmp, FaultPlan, Hula, Jobs,
     RoutingSystem, Scenario, Sp, Spain, SweepCell, SweepSpec, Workload,
@@ -397,17 +396,12 @@ fn fig10(scale: Scale, out: &mut Out) {
         .duration(Time::ms(8))
         .warmup(Time::ms(2))
         .drain(Time::ms(10));
-    // One system per table size (the knob lives in the dataplane config,
-    // not the scenario); all cells share one policy compile and run
-    // concurrently through the sweep engine.
+    // One system per table size (the knob is the dataplane's
+    // `flowlet_slots`, not the scenario's); all cells share one policy
+    // compile and run concurrently through the sweep engine.
     let sized: Vec<Contra> = slot_sweep
         .iter()
-        .map(|&slots| {
-            Contra::dc().with_config(DataplaneConfig {
-                flowlet_slots: slots,
-                ..DataplaneConfig::default()
-            })
-        })
+        .map(|&slots| Contra::dc().with_flowlet_slots(slots))
         .collect();
     let systems: Vec<&dyn RoutingSystem> = sized.iter().map(|c| c as &dyn RoutingSystem).collect();
     let results = SweepSpec::new(scenario).systems(&systems).run();

@@ -14,10 +14,9 @@
 use contra_bench::{compiler_policy_suite, lint_corpus};
 use contra_core::diag::codes;
 use contra_core::{
-    policies, verify, BlackHole, CompiledPolicy, Compiler, Diagnostic, Fragility, ProductGraph,
-    Report,
+    policies, traffic_endpoints, verify, BlackHole, CompiledPolicy, Compiler, Diagnostic,
+    Fragility, ProductGraph, Report,
 };
-use contra_fuzz::oracle::traffic_sources;
 use contra_fuzz::{case_seed, gen_case};
 use contra_topology::{generators, NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -92,7 +91,7 @@ fn reference_fragility(
     topo: &Topology,
     base: &[BlackHole],
 ) -> (Vec<Fragility>, Vec<Diagnostic>) {
-    let sources = traffic_sources(topo);
+    let sources = traffic_endpoints(topo);
     let base: BTreeSet<BlackHole> = base.iter().copied().collect();
     let mut cables: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
     for l in topo.links() {
@@ -172,7 +171,7 @@ fn reference_fragility(
 /// ones and close the report.
 fn reference_report(cp: &CompiledPolicy, topo: &Topology, fast: &Report) -> Report {
     let mut expected = fast.clone();
-    expected.verdicts.black_holes = black_holes(&cp.pg, &cp.destinations, &traffic_sources(topo));
+    expected.verdicts.black_holes = black_holes(&cp.pg, &cp.destinations, &traffic_endpoints(topo));
     let (fragile, diagnostics) = reference_fragility(cp, topo, &expected.verdicts.black_holes);
     expected.verdicts.fragile = fragile;
     expected

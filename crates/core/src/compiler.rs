@@ -9,8 +9,8 @@
 //! `NEXTPGNODE` ([`CompiledPolicy::next_pg_node`], the product-graph edges
 //! bucketed by receiving switch) and the multicast fan-out (the product
 //! graph's own successor rows, [`ProductGraph::succs`]), plus the
-//! destination index that numbers every switch's FwdT rows
-//! ([`CompiledPolicy::destination_index`], built at its first use).
+//! destination numbering every switch's FwdT and BestT rows are indexed
+//! by ([`CompiledPolicy::destination_index`], built at its first use).
 //!
 //! The compiler also computes the **probe period floor** (§5.2: period ≥
 //! 0.5 × max RTT) and lowers the policy's rank functions into the
@@ -33,7 +33,7 @@ use contra_telemetry::{PipelineProfile, Profiler};
 use contra_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Anything that can go wrong between policy text and switch programs.
 #[derive(Debug)]
@@ -151,7 +151,7 @@ pub struct CompiledPolicy {
     /// Probe-originating destinations.
     pub destinations: Vec<NodeId>,
     /// [`CompiledPolicy::destination_index`], built at its first call.
-    dest_index: OnceLock<Arc<[u32]>>,
+    dest_index: OnceLock<Box<[u32]>>,
     /// Per-switch programs.
     pub programs: BTreeMap<NodeId, SwitchProgram>,
     /// Every switch's `NEXTPGNODE` rows, one run per topology node:
@@ -217,18 +217,15 @@ impl CompiledPolicy {
 
     /// Each destination's position in [`CompiledPolicy::destinations`],
     /// indexed by node id up to the highest destination; `u32::MAX` for
-    /// every other node. The row index of every switch's FwdT: built at
-    /// the first call, so a compile does not pay for it, and shared by
-    /// every switch of the policy.
-    pub fn destination_index(&self) -> &Arc<[u32]> {
+    /// every other node. The row number of every switch's FwdT and BestT:
+    /// built at the first call, so a compile does not pay for it, and
+    /// read by every switch of the policy.
+    pub fn destination_index(&self) -> &[u32] {
         self.dest_index.get_or_init(|| {
             let last = self.destinations.iter().map(|d| d.0 as usize + 1).max();
-            // Collected from a sized iterator, straight into the `Arc`'s
-            // one block.
-            let mut index: Arc<[u32]> = (0..last.unwrap_or(0)).map(|_| u32::MAX).collect();
-            let slots = Arc::get_mut(&mut index).expect("a new Arc is unshared");
+            let mut index = vec![u32::MAX; last.unwrap_or(0)].into_boxed_slice();
             for (i, d) in (0..).zip(&self.destinations) {
-                slots[d.0 as usize] = i;
+                index[d.0 as usize] = i;
             }
             index
         })
@@ -251,7 +248,7 @@ impl CompiledPolicy {
 /// destinations the compiler picks and the sources the verifier checks:
 /// every switch with attached hosts, or every switch when the topology
 /// has no hosts (the scalability sweeps use host-less graphs).
-pub(crate) fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
+pub fn traffic_endpoints(topo: &Topology) -> Vec<NodeId> {
     let hosted = |&s: &NodeId| topo.adjacency(s).iter().any(|&(m, _)| !topo.is_switch(m));
     let with_hosts: Vec<NodeId> = topo.switches().into_iter().filter(hosted).collect();
     if with_hosts.is_empty() {

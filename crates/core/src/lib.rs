@@ -68,7 +68,8 @@ pub use ast::{
     Attr, BinOp, BoolExpr, BoolExprKind, CmpOp, Expr, ExprKind, PathRegex, PathRegexKind, Policy,
 };
 pub use compiler::{
-    CompileError, CompiledPolicy, Compiler, SwitchProgram, FLOWLET_ENTRIES, LOOP_ENTRIES,
+    traffic_endpoints, CompileError, CompiledPolicy, Compiler, SwitchProgram, FLOWLET_ENTRIES,
+    LOOP_ENTRIES,
 };
 pub use contra_telemetry::{PipelineProfile, Profiler};
 pub use diag::{Diagnostic, Severity, Span};

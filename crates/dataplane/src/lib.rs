@@ -64,7 +64,8 @@ mod tests {
 
     fn harness_for(topo: &Topology, policy: &str) -> ProtocolHarness {
         let cp = Arc::new(Compiler::new(topo).compile_str(policy).unwrap());
-        ProtocolHarness::new(topo, cp, DataplaneConfig::default())
+        let cfg = DataplaneConfig::for_policy(&cp);
+        ProtocolHarness::new(topo, cp, cfg)
     }
 
     /// The compiler writes a program for every switch of its topology; a
@@ -79,7 +80,8 @@ mod tests {
                 .compile_str("minimize(path.util)")
                 .unwrap(),
         );
-        ContraSwitch::new(cp, &topo, NodeId(99), DataplaneConfig::default());
+        let cfg = DataplaneConfig::for_policy(&cp);
+        ContraSwitch::new(cp, &topo, NodeId(99), cfg);
     }
 
     #[test]
@@ -308,7 +310,7 @@ mod tests {
         );
         let cache = contra_sim::CompileCache::new();
         contra_sim::RoutingSystem::install(
-            &Contra::mu().with_config(DataplaneConfig::default()),
+            &Contra::mu(),
             &mut sim,
             &contra_sim::InstallCtx::new(&topo, &[], &cache),
         )
@@ -323,9 +325,10 @@ mod tests {
                 start: Time::us(600 + 40 * i as u64),
             });
         }
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.completion_rate(), 1.0, "flows must finish");
-        assert!(stats.wire_bytes[&contra_sim::TrafficKind::Probe] > 0);
+        assert!(stats.wire_bytes.get(contra_sim::TrafficKind::Probe) > 0);
         // Transient loops are permitted (§5: "a packet may experience a
         // transient yet policy-compliant loop") but must be rare and
         // non-persistent: the vast majority of packets take the direct
@@ -422,17 +425,47 @@ mod tests {
         }
     }
 
+    /// The dataplane's half of the configuration ledger
+    /// (`configuration_ledger` in `crates/experiments/tests/api.rs`):
+    /// every field, destructured without `..`, so a new one is a compile
+    /// error here. `flowlet_slots` is the one an experiment sets
+    /// (`Contra::with_flowlet_slots`); on 1 µs links the floor is below
+    /// `PROBE_PERIOD` and the timings are the paper's.
+    #[test]
+    fn configuration_ledger() {
+        use contra_core::FLOWLET_ENTRIES;
+        use contra_sim::{FLOWLET_TIMEOUT, PROBE_PERIOD};
+        let spec = generators::LinkSpec::default();
+        let topo = generators::leaf_spine(4, 2, 8, spec, spec);
+        let cp = Compiler::new(&topo)
+            .compile_str("minimize(path.util)")
+            .unwrap();
+        let DataplaneConfig {
+            probe_period,
+            flowlet_timeout,
+            loop_age_out,
+            flowlet_slots,
+        } = DataplaneConfig::for_policy(&cp);
+        assert_eq!(
+            (probe_period, flowlet_timeout, loop_age_out, flowlet_slots),
+            (PROBE_PERIOD, FLOWLET_TIMEOUT, Time::ms(1), FLOWLET_ENTRIES)
+        );
+    }
+
+    /// Above `PROBE_PERIOD` the probe period is the §5.2 floor, and the
+    /// flowlet timeout and loop age-out scale with it.
     #[test]
     fn wan_config_respects_probe_period_floor() {
         let topo = generators::abilene(40e9);
         let cp = Compiler::new(&topo)
             .compile_str("minimize(path.util)")
             .unwrap();
+        let floor = Time(cp.min_probe_period_ns);
+        assert!(floor > Time::us(256), "Abilene RTTs are ms-scale");
         let cfg = DataplaneConfig::for_policy(&cp);
-        assert!(cfg.probe_period.0 >= cp.min_probe_period_ns);
-        assert!(
-            cfg.probe_period > Time::us(256),
-            "Abilene RTTs are ms-scale"
+        assert_eq!(
+            (cfg.probe_period, cfg.flowlet_timeout, cfg.loop_age_out),
+            (floor, Time(floor.0 * 4 / 5), Time(floor.0 * 4))
         );
     }
 }

@@ -19,22 +19,24 @@
 //!   so a rejected probe costs one key and a BestT rescan costs none.
 //!   `NEXTPGNODE` and the fan-out are read from the compiled policy where
 //!   they lie ([`CompiledPolicy::next_pg_node`] and the product graph's
-//!   successor rows): a switch holds no copy of its program, and its
-//!   FwdT shares the policy's destination index.
+//!   successor rows), and so is the destination numbering FwdT and BestT
+//!   are indexed by ([`CompiledPolicy::destination_index`], read once per
+//!   probe or packet): a switch holds no copy of its program.
 //! * `SWIFORWARDPKT` — stamp host-originated packets from `BestT`, then
 //!   forward by `(dst, tag, pid)` through the policy-aware flowlet table
 //!   (§5.3), expiring pins through silent (failed) next hops (§5.4) and
 //!   breaking loops detected by TTL drift (§5.5).
 //!
-//! A [`ContraSwitch`] is three parts: a *program view* fixed at install
-//! (the compiled policy, the switch, its probe-sending virtual node, the
-//! probe size, the configuration); its *state*, one plain value
-//! ([`SwitchState`]: the four tables, the §5.4 clock, the §5.1 version)
-//! that is `Clone`, `Eq` and `Hash`; and its *counters*, which telemetry
-//! samples and no state comparison reads. The state holds no `f64`: a row
-//! keeps its metric vector only as the integer rank keys every reader
-//! compares, so equal states route alike and −0.0 and +0.0 cannot split
-//! them.
+//! A [`ContraSwitch`] is three parts. Its *program view* is everything
+//! fixed at install: the compiled policy (tags, `NEXTPGNODE`, fan-out,
+//! destination numbering, rank functions), the switch, its probe-sending
+//! virtual node, the probe size and the [`DataplaneConfig`]. Its *state*
+//! is one plain value, [`SwitchState`]: the four tables, the §5.4 clock
+//! and the §5.1 version, `Clone`, `Eq` and `Hash`, and nothing else. Its
+//! *counters* are what telemetry samples and no state comparison reads.
+//! The state holds no `f64` and no shared pointer: a row keeps its metric
+//! vector only as the integer rank keys every reader compares, so equal
+//! states route alike and −0.0 and +0.0 cannot split them.
 
 use crate::tables::{
     BestTable, FlowletEntry, FlowletKey, FlowletTable, FwdEntry, FwdKey, FwdTable, LoopTable,
@@ -53,18 +55,26 @@ use std::sync::Arc;
 /// Must exceed the legitimate path-length spread.
 const LOOP_DELTA_THRESHOLD: u8 = 6;
 
-/// Tunables of the runtime protocol: the timings
-/// [`DataplaneConfig::for_policy`] derives from the compiled policy, and
-/// the one table size an experiment sweeps. Paper values as defaults.
+/// The runtime protocol's configuration, set by nothing outside this
+/// crate: the timings [`DataplaneConfig::for_policy`] derives from the
+/// compiled policy and the one table size an experiment sweeps
+/// ([`crate::Contra::with_flowlet_slots`]).
+///
+/// ```compile_fail,E0616
+/// # fn f(cp: &contra_core::CompiledPolicy) {
+/// let mut cfg = contra_dataplane::DataplaneConfig::for_policy(cp);
+/// cfg.probe_period = contra_sim::Time::ZERO; // below the §5.2 floor
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct DataplaneConfig {
-    /// Probe generation period ([`PROBE_PERIOD`]; must respect the §5.2
-    /// floor of 0.5 × max RTT — see [`DataplaneConfig::for_policy`]).
-    pub probe_period: Time,
-    /// Flowlet idle timeout ([`FLOWLET_TIMEOUT`]).
-    pub flowlet_timeout: Time,
+    /// Probe generation period: [`PROBE_PERIOD`], or the §5.2 floor of
+    /// 0.5 × max RTT where that is longer.
+    pub(crate) probe_period: Time,
+    /// Flowlet idle timeout ([`FLOWLET_TIMEOUT`], scaled with the period).
+    pub(crate) flowlet_timeout: Time,
     /// Aging window for loop-detection rows.
-    pub loop_age_out: Time,
+    pub(crate) loop_age_out: Time,
     /// Register slots of the policy-aware flowlet table (rounded up to a
     /// power of two; [`FLOWLET_ENTRIES`], the emitted program's size,
     /// unless an experiment sweeps it). Like SRAM on the switch, the
@@ -73,35 +83,35 @@ pub struct DataplaneConfig {
     /// displaced, not fatal), and the displaced flowlet is routed afresh
     /// at its next packet. The modelled size is fixed at install; the
     /// host memory behind it is allocated at the table's first write.
-    pub flowlet_slots: usize,
-}
-
-impl Default for DataplaneConfig {
-    fn default() -> Self {
-        DataplaneConfig {
-            probe_period: PROBE_PERIOD,
-            flowlet_timeout: FLOWLET_TIMEOUT,
-            loop_age_out: Time::ms(1),
-            flowlet_slots: FLOWLET_ENTRIES,
-        }
-    }
+    pub(crate) flowlet_slots: usize,
 }
 
 impl DataplaneConfig {
-    /// Defaults with the probe period raised to the compiled policy's §5.2
-    /// floor (0.5 × max switch RTT) when the topology demands it — WANs
-    /// like Abilene need periods in milliseconds, not microseconds.
+    /// The paper's timings, with the probe period raised to the compiled
+    /// policy's §5.2 floor (0.5 × max switch RTT) when the topology
+    /// demands it — WANs like Abilene need periods in milliseconds, not
+    /// microseconds — and [`FLOWLET_ENTRIES`] flowlet slots.
     pub fn for_policy(cp: &CompiledPolicy) -> DataplaneConfig {
-        let mut cfg = DataplaneConfig::default();
         let floor = Time(cp.min_probe_period_ns);
-        if cfg.probe_period < floor {
-            cfg.probe_period = floor;
+        let (probe_period, flowlet_timeout, loop_age_out) = if floor <= PROBE_PERIOD {
+            (PROBE_PERIOD, FLOWLET_TIMEOUT, Time::ms(1))
+        } else {
             // Scale the flowlet timeout with the probe period so WAN pins
             // outlive a probing round, as in the datacenter configuration.
-            cfg.flowlet_timeout = Time(floor.0.saturating_mul(4) / 5);
-            cfg.loop_age_out = Time(floor.0.saturating_mul(4));
+            let scaled = |num: u64, den: u64| Time(floor.0.saturating_mul(num) / den);
+            (floor, scaled(4, 5), scaled(4, 1))
+        };
+        DataplaneConfig {
+            probe_period,
+            flowlet_timeout,
+            loop_age_out,
+            flowlet_slots: FLOWLET_ENTRIES,
         }
-        cfg
+    }
+
+    /// The probe period every switch ticks at.
+    pub fn probe_period(&self) -> Time {
+        self.probe_period
     }
 }
 
@@ -112,8 +122,9 @@ fn fanout_of(pg: &ProductGraph, v: VNodeId) -> impl ExactSizeIterator<Item = Nod
 }
 
 /// The protocol state of one Contra switch (Fig 7, §5): what its program
-/// reads and writes, as one plain value. Two switches whose states are
-/// equal forward alike from here on.
+/// reads and writes, as one plain value, and nothing its compiled program
+/// fixes. Two switches of one program whose states are equal forward
+/// alike from here on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SwitchState {
     /// `FwdT`.
@@ -152,8 +163,8 @@ pub struct ContraSwitch {
 
 impl ContraSwitch {
     /// Creates the switch program for `switch` of `topo`. Its static
-    /// tables (`NEXTPGNODE`, the fan-out, the destination index) stay in
-    /// the compiled policy and are read there; install allocates the
+    /// tables (`NEXTPGNODE`, the fan-out, the destination numbering) stay
+    /// in the compiled policy and are read there; install allocates the
     /// §5.4 clock, one entry per neighbouring switch, and the FwdT, BestT,
     /// flowlet and loop storage appears at each table's first write.
     pub fn new(
@@ -167,16 +178,10 @@ impl ContraSwitch {
             .get(&switch)
             .unwrap_or_else(|| panic!("no compiled program for {switch}"));
         let tag_base = prog.tags.first().map_or(0, |v| v.0);
-        let dst_index = cp.destination_index();
+        let dests = cp.destinations.len();
         let state = SwitchState {
-            fwdt: FwdTable::new(
-                dst_index.clone(),
-                cp.destinations.len(),
-                VNodeId(tag_base),
-                prog.tags.len(),
-                cp.num_pids(),
-            ),
-            best: BestTable::with_rows(dst_index.len()),
+            fwdt: FwdTable::new(dests, VNodeId(tag_base), prog.tags.len(), cp.num_pids()),
+            best: BestTable::with_rows(dests),
             flowlets: FlowletTable::with_slots(cfg.flowlet_slots),
             loops: LoopTable::with_slots(LOOP_ENTRIES),
             heard: ProbeClock::new(topo, switch),
@@ -202,6 +207,14 @@ impl ContraSwitch {
         &self.state
     }
 
+    /// `dst`'s number among the policy's destinations: its FwdT and BestT
+    /// row. `None` for a node that is no destination.
+    #[inline]
+    fn dest(&self, dst: NodeId) -> Option<u32> {
+        let d = *self.cp.destination_index().get(dst.0 as usize)?;
+        (d != u32::MAX).then_some(d)
+    }
+
     fn expiry(&self) -> Time {
         Time(self.cfg.probe_period.0 * EXPIRY_PERIODS)
     }
@@ -215,9 +228,10 @@ impl ContraSwitch {
             && !(silent(e.updated, now, period) && self.state.heard.failed(e.nhop, now, period))
     }
 
-    /// Recomputes the best row for `dst` over all valid FwdT rows: the
-    /// first minimum of the stored full keys, in `(tag, pid)` order.
-    fn rescan_best(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
+    /// Recomputes the best row for destination number `dst` over all
+    /// valid FwdT rows: the first minimum of the stored full keys, in
+    /// `(tag, pid)` order.
+    fn rescan_best(&mut self, dst: u32, now: Time) -> Option<FwdKey> {
         let mut best: Option<(&RankKey, FwdKey)> = None;
         for (k, e) in self.state.fwdt.rows_for(dst) {
             if !self.entry_valid(e, now) || e.full.is_inf() {
@@ -241,7 +255,7 @@ impl ContraSwitch {
     }
 
     /// The validated BestT lookup used for host-originated packets.
-    fn best_key(&mut self, dst: NodeId, now: Time) -> Option<FwdKey> {
+    fn best_key(&mut self, dst: u32, now: Time) -> Option<FwdKey> {
         if let Some(k) = self.state.best.get(dst).copied() {
             if let Some(e) = self.state.fwdt.get(&k) {
                 if self.entry_valid(e, now) && !e.full.is_inf() {
@@ -274,13 +288,17 @@ impl ContraSwitch {
             return;
         };
         let n = next_pg[at].1;
+        // Every probe origin is a destination: only destinations send.
+        let Some(dst) = self.dest(p.origin) else {
+            return;
+        };
         // UPDATEMVEC: fold in this switch's egress toward the neighbor the
         // probe arrived from — the first link of the traffic path.
         let (util, lat) = ctx.util_lat_to(from);
         let mv = MetricVec::new(p.mv[0], p.mv[1], p.mv[2]).extend(util, lat);
 
         let key = FwdKey {
-            dst: p.origin,
+            dst,
             tag: n,
             pid: p.pid,
         };
@@ -332,7 +350,7 @@ impl ContraSwitch {
                 updated: now,
             },
         );
-        self.rescan_best(p.origin, now);
+        self.rescan_best(dst, now);
 
         // Re-multicast along product-graph edges with the updated vector
         // and our own tag, carrying the origin's version through (no
@@ -374,13 +392,14 @@ impl ContraSwitch {
 
         // Fig 7: packets fresh from a host are stamped from BestT. Only a
         // packet's source host injects it, so that is `fromHost`.
-        let (tag, pid) = if from == pkt.src_host {
-            match self.best_key(pkt.dst_switch, now) {
-                Some(k) => (k.tag, k.pid),
+        let (dst, tag, pid) = if from == pkt.src_host {
+            let dst = self.dest(pkt.dst_switch);
+            match dst.and_then(|d| self.best_key(d, now)) {
+                Some(k) => (Some(k.dst), k.tag, k.pid),
                 None => return Verdict::NoRoute,
             }
         } else {
-            (VNodeId(pkt.tag), pkt.pid)
+            (None, VNodeId(pkt.tag), pkt.pid)
         };
 
         // §5.3: policy-aware flowlet pinning, keyed (tag, pid, fid).
@@ -403,12 +422,12 @@ impl ContraSwitch {
             self.state.flowlets.flush_nhop(nhop);
         }
 
-        let key = FwdKey {
-            dst: pkt.dst_switch,
-            tag,
-            pid,
+        // A transit packet needs its destination's number only when no
+        // pin holds.
+        let Some(dst) = dst.or_else(|| self.dest(pkt.dst_switch)) else {
+            return Verdict::NoRoute;
         };
-        match self.state.fwdt.get(&key) {
+        match self.state.fwdt.get(&FwdKey { dst, tag, pid }) {
             Some(e) if self.entry_valid(e, now) => {
                 let (nhop, ntag) = (e.nhop, e.ntag);
                 let pin = FlowletEntry {

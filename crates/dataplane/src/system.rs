@@ -2,6 +2,7 @@
 //! explicit display label, installable on any simulator.
 
 use crate::switch::{ContraSwitch, DataplaneConfig};
+use contra_core::FLOWLET_ENTRIES;
 use contra_sim::{InstallCtx, InstallError, RoutingSystem, Simulator};
 
 /// The synthesized Contra dataplane, parameterized by a policy.
@@ -16,7 +17,8 @@ pub struct Contra {
     /// [`contra_sim::CompileCache`].
     pub policy: String,
     label: String,
-    config: Option<DataplaneConfig>,
+    /// The flowlet table size of every switch.
+    flowlet_slots: usize,
 }
 
 impl Contra {
@@ -28,7 +30,7 @@ impl Contra {
         Contra {
             policy: policy.into(),
             label: "Contra".to_string(),
-            config: None,
+            flowlet_slots: FLOWLET_ENTRIES,
         }
     }
 
@@ -55,10 +57,10 @@ impl Contra {
         self
     }
 
-    /// Pins an explicit dataplane configuration instead of deriving one
-    /// from the compiled policy via [`DataplaneConfig::for_policy`].
-    pub fn with_config(mut self, config: DataplaneConfig) -> Contra {
-        self.config = Some(config);
+    /// Sizes every switch's flowlet table (Fig 10c sweeps it); the rest of
+    /// the configuration is [`DataplaneConfig::for_policy`]'s.
+    pub fn with_flowlet_slots(mut self, slots: usize) -> Contra {
+        self.flowlet_slots = slots;
         self
     }
 }
@@ -76,10 +78,10 @@ impl RoutingSystem for Contra {
                 policy: self.policy.clone(),
                 error,
             })?;
-        let cfg = self
-            .config
-            .clone()
-            .unwrap_or_else(|| DataplaneConfig::for_policy(&cp));
+        let cfg = DataplaneConfig {
+            flowlet_slots: self.flowlet_slots,
+            ..DataplaneConfig::for_policy(&cp)
+        };
         for sw in ctx.topology.switches() {
             let program = ContraSwitch::new(cp.clone(), ctx.topology, sw, cfg.clone());
             sim.install(sw, Box::new(program));

@@ -1,28 +1,29 @@
-//! Runtime tables of the synthesized switch programs.
+//! Runtime tables of the synthesized switch programs: the protocol state.
 //!
 //! These are the mutable structures the paper's P4 programs keep in
 //! registers/SRAM: the forwarding table `FwdT`, the best-choice table
 //! `BestT`, the policy-aware flowlet table (§5.3) and the TTL-delta loop
-//! detection table (§5.5). The static configuration (tags, `NEXTPGNODE`,
-//! multicast fan-out, the destination index) is the compiled policy's:
-//! `ContraSwitch` reads a switch's slices of it where they lie, and every
-//! switch's FwdT shares one destination index.
+//! detection table (§5.5). What the compiler fixes (tags, `NEXTPGNODE`,
+//! the multicast fan-out, the destination numbering) is no table's: it
+//! is the compiled policy's, and `ContraSwitch` reads it there. A
+//! destination reaches FwdT and BestT as its number, its position in the
+//! policy's destinations, which the switch looks up once per probe or
+//! packet.
 //!
 //! All four tables sit on one row store: a fixed number of rows, each
 //! empty or written, allocated whole at the store's first write. Its
 //! length, equality and hash read only the written rows, so a store
 //! nobody wrote equals and hashes like an allocated all-empty one, and
-//! every table is a plain value ([`crate::SwitchState`] derives `Eq` and
-//! `Hash` from them). The tables hold state only: a write that displaces
-//! a live register entry says so, and the switch keeps the counts beside
-//! its other counters.
+//! every table is a plain value that derives `Eq` and `Hash`. The tables
+//! hold state only: a write that displaces a live register entry says
+//! so, and the switch keeps the counts beside its other counters.
 //!
 //! Layout follows the hardware the paper targets, not convenience maps.
 //! `FwdT` is one dense array per switch at the P4 index
 //! `dst × tags × pids + tag × pids + pid`, with `dst` the destination's
-//! index among the policy's destinations and `tag` the switch-local tag
-//! (a Tofino register read at a computed index, and the same one indexed
-//! load in software); `BestT` is a dense array indexed by destination.
+//! number and `tag` the switch-local tag (a Tofino register read at a
+//! computed index, and the same one indexed load in software); `BestT`
+//! is a dense array with one row per destination.
 //! The flowlet and loop tables are **fixed-size direct-mapped register
 //! arrays** with deterministic Fx hashing: each key has exactly one slot,
 //! the top bits of its hash, as in the emitted program's
@@ -36,8 +37,8 @@
 //! on every alternation, so the displacements follow how live keys pair
 //! up on slots, not the table size alone. Both arrays have the size the
 //! emitted program declares and Fig 10 charges for:
-//! [`contra_core::FLOWLET_ENTRIES`] (the default of
-//! [`crate::DataplaneConfig::flowlet_slots`]) and
+//! [`contra_core::FLOWLET_ENTRIES`] (what
+//! [`crate::DataplaneConfig::for_policy`] sets `flowlet_slots` to) and
 //! [`contra_core::LOOP_ENTRIES`]. That modelled size is fixed from
 //! install on; host memory for it appears at an array's first write, so
 //! a switch that only handles probes never holds its registers.
@@ -46,7 +47,6 @@ use contra_core::{RankKey, VNodeId};
 use contra_sim::{FxHasher64, Time};
 use contra_topology::NodeId;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// The one row store under every table: `n` rows, each empty or written,
 /// allocated whole at the first write. Its length, equality and hash read
@@ -133,8 +133,9 @@ impl<T: Hash> Hash for Rows<T> {
 /// Key of a forwarding-table row: `[dst*, tag*, pid*]` in Fig 6(e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FwdKey {
-    /// Traffic destination (a switch).
-    pub dst: NodeId,
+    /// The traffic destination's number: its position in the compiled
+    /// policy's `destinations`.
+    pub dst: u32,
     /// Product-graph virtual node of *this* switch.
     pub tag: VNodeId,
     /// Probe subpolicy id.
@@ -166,75 +167,35 @@ pub struct FwdEntry {
 }
 
 /// The forwarding table of one switch: one dense array at the P4 index
-/// `dst × tags × pids + tag × pids + pid`, where `dst` numbers the
-/// policy's destinations and `tag` the switch's virtual nodes from its
-/// first. A destination's rows are contiguous and in ascending
-/// `(tag, pid)`. Equality and hash read the shared destination index as
-/// cheaply as its sharing allows: by pointer first, and by length only.
-#[derive(Debug, Clone)]
+/// `dst × tags × pids + tag × pids + pid`, where `dst` is the
+/// destination's number and `tag` numbers the switch's virtual nodes
+/// from its first. A destination's rows are contiguous and in ascending
+/// `(tag, pid)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FwdTable {
     rows: Rows<FwdEntry>,
-    /// Each destination's index by node id; `u32::MAX` for the others
-    /// (the compiled policy's `destination_index`, shared).
-    dst_index: Arc<[u32]>,
     /// The switch's first virtual node; its tags are `base..base + tags`.
     base: u32,
     tags: usize,
     pids: usize,
 }
 
-impl PartialEq for FwdTable {
-    /// Compares the destination index by content only when the two
-    /// tables do not share it.
-    fn eq(&self, other: &FwdTable) -> bool {
-        self.rows == other.rows
-            && (self.base, self.tags, self.pids) == (other.base, other.tags, other.pids)
-            && (Arc::ptr_eq(&self.dst_index, &other.dst_index) || self.dst_index == other.dst_index)
-    }
-}
-
-impl Eq for FwdTable {}
-
-impl Hash for FwdTable {
-    /// Hashes the destination index by its length, which equal tables
-    /// share: a switch's digest does not read a node-sized array.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.rows.hash(state);
-        (self.dst_index.len(), self.base, self.tags, self.pids).hash(state);
-    }
-}
-
 impl FwdTable {
-    /// An empty table for traffic to `dests` destinations, numbered by
-    /// node id in `dst_index` (`u32::MAX` for the other nodes), at a
-    /// switch whose virtual nodes are the `tags` consecutive ids from
-    /// `base`, under `pids` subpolicies.
-    pub fn new(
-        dst_index: Arc<[u32]>,
-        dests: usize,
-        base: VNodeId,
-        tags: usize,
-        pids: usize,
-    ) -> FwdTable {
+    /// An empty table for traffic to `dests` destinations at a switch
+    /// whose virtual nodes are the `tags` consecutive ids from `base`,
+    /// under `pids` subpolicies.
+    pub fn new(dests: usize, base: VNodeId, tags: usize, pids: usize) -> FwdTable {
         FwdTable {
             rows: Rows::new(dests * tags * pids),
-            dst_index,
             base: base.0,
             tags,
             pids,
         }
     }
 
-    /// The first row of `dst`, if it is a destination.
-    #[inline]
-    fn first_row(&self, dst: NodeId) -> Option<usize> {
-        let d = *self.dst_index.get(dst.0 as usize)?;
-        (d != u32::MAX).then(|| d as usize * self.tags * self.pids)
-    }
-
-    /// The P4 index of `key`; `None` for a node that is no destination, a
-    /// tag of another switch or a `pid` the policy does not have, which
-    /// have no row.
+    /// The P4 index of `key`; `None` for a tag of another switch, a `pid`
+    /// the policy does not have or a destination number out of range,
+    /// which have no row.
     #[inline]
     fn index(&self, key: &FwdKey) -> Option<usize> {
         let tag = key.tag.0.wrapping_sub(self.base) as usize;
@@ -242,7 +203,8 @@ impl FwdTable {
         if tag >= self.tags || pid >= self.pids {
             return None;
         }
-        Some(self.first_row(key.dst)? + tag * self.pids + pid)
+        let i = key.dst as usize * self.tags * self.pids + tag * self.pids + pid;
+        (i < self.rows.n).then_some(i)
     }
 
     /// Row lookup.
@@ -258,13 +220,12 @@ impl FwdTable {
         }
     }
 
-    /// All rows for one destination, in ascending `(tag, pid)` — the
-    /// order BestT's first-minimum tie-break depends on.
-    pub fn rows_for(&self, dst: NodeId) -> impl Iterator<Item = (FwdKey, &FwdEntry)> {
+    /// All rows for destination number `dst`, in ascending `(tag, pid)` —
+    /// the order BestT's first-minimum tie-break depends on.
+    pub fn rows_for(&self, dst: u32) -> impl Iterator<Item = (FwdKey, &FwdEntry)> {
         let (base, pids, stride) = (self.base, self.pids, self.tags * self.pids);
-        let rows =
-            (self.first_row(dst)).and_then(|start| self.rows.rows.get(start..start + stride));
-        let rows = rows.unwrap_or_default();
+        let start = dst as usize * stride;
+        let rows = (self.rows.rows.get(start..start + stride)).unwrap_or_default();
         rows.iter().enumerate().filter_map(move |(i, row)| {
             let entry = row.as_ref()?;
             let key = FwdKey {
@@ -288,33 +249,33 @@ impl FwdTable {
 }
 
 /// `BestT`: per destination, the key of the currently best FwdT row —
-/// a dense array indexed by destination node id.
+/// a dense array indexed by destination number.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BestTable {
     best: Rows<FwdKey>,
 }
 
 impl BestTable {
-    /// An empty table for destinations below node id `rows`.
-    pub fn with_rows(rows: usize) -> BestTable {
+    /// An empty table for `dests` destinations.
+    pub fn with_rows(dests: usize) -> BestTable {
         BestTable {
-            best: Rows::new(rows),
+            best: Rows::new(dests),
         }
     }
 
-    /// Current best key for a destination.
-    pub fn get(&self, dst: NodeId) -> Option<&FwdKey> {
-        self.best.get(dst.0 as usize)
+    /// Current best key for destination number `dst`.
+    pub fn get(&self, dst: u32) -> Option<&FwdKey> {
+        self.best.get(dst as usize)
     }
 
-    /// Records the best key.
-    pub fn set(&mut self, dst: NodeId, key: FwdKey) {
-        self.best.set(dst.0 as usize, key);
+    /// Records the best key for destination number `dst`.
+    pub fn set(&mut self, dst: u32, key: FwdKey) {
+        self.best.set(dst as usize, key);
     }
 
     /// Drops the record (e.g. the entry went stale).
-    pub fn clear(&mut self, dst: NodeId) {
-        self.best.clear(dst.0 as usize);
+    pub fn clear(&mut self, dst: u32) {
+        self.best.clear(dst as usize);
     }
 
     /// Number of entries.
@@ -560,16 +521,15 @@ mod tests {
 
     fn key(dst: u32, tag: u32, pid: u8) -> FwdKey {
         FwdKey {
-            dst: NodeId(dst),
+            dst,
             tag: VNodeId(tag),
             pid,
         }
     }
 
-    /// A table for destinations 1, 2 and 4 of a six-node topology.
+    /// A table for three destinations.
     fn fwd_table(base: u32, tags: usize, pids: usize) -> FwdTable {
-        let index = [u32::MAX, 0, 1, u32::MAX, 2];
-        FwdTable::new(Arc::from(index), 3, VNodeId(base), tags, pids)
+        FwdTable::new(3, VNodeId(base), tags, pids)
     }
 
     /// A row carrying the keys a one-pid policy gives the zero vector.
@@ -591,66 +551,28 @@ mod tests {
         }
     }
 
-    /// The shared destination index is hashed by its length and compared
-    /// by pointer first: a table's digest writes as many bytes over a
-    /// 10-entry index as over a 10,000-entry one, and a copy of the index
-    /// still compares by content.
-    #[test]
-    fn fwd_digest_does_not_read_the_destination_index() {
-        #[derive(Default)]
-        struct Bytes(usize);
-        impl Hasher for Bytes {
-            fn finish(&self) -> u64 {
-                self.0 as u64
-            }
-            fn write(&mut self, bytes: &[u8]) {
-                self.0 += bytes.len();
-            }
-        }
-        let table = |nodes: usize| {
-            let index: Arc<[u32]> = (0..nodes as u32).collect();
-            let mut t = FwdTable::new(index, nodes, VNodeId(0), 1, 1);
-            t.insert(key(3, 0, 0), entry(1));
-            t
-        };
-        let written = |t: &FwdTable| {
-            let mut h = Bytes::default();
-            t.hash(&mut h);
-            h.0
-        };
-        let (small, large) = (table(10), table(10_000));
-        assert_ne!(written(&small), 0);
-        assert_eq!(written(&small), written(&large));
-        let copy = table(10_000);
-        assert!(!Arc::ptr_eq(&copy.dst_index, &large.dst_index));
-        assert_eq!(copy, large);
-        let mut other = large.clone();
-        other.insert(key(3, 0, 0), entry(2));
-        assert_ne!(other, large);
-    }
-
     /// A destination's rows are one contiguous run of the array.
     #[test]
     fn fwd_rows_for_scans_one_destination() {
         let mut t = fwd_table(10, 3, 2);
         let e = entry(1);
-        t.insert(key(1, 10, 0), e.clone());
-        t.insert(key(1, 12, 1), e.clone());
-        t.insert(key(2, 10, 0), e);
-        assert_eq!(t.rows_for(NodeId(1)).count(), 2);
-        assert_eq!(t.rows_for(NodeId(2)).count(), 1);
-        // Not a destination, or one past the highest written.
-        for dst in [0, 3, 4, 9] {
-            assert_eq!(t.rows_for(NodeId(dst)).count(), 0);
+        t.insert(key(0, 10, 0), e.clone());
+        t.insert(key(0, 12, 1), e.clone());
+        t.insert(key(1, 10, 0), e);
+        assert_eq!(t.rows_for(0).count(), 2);
+        assert_eq!(t.rows_for(1).count(), 1);
+        // Unwritten, or past the last destination.
+        for dst in [2, 3, 9] {
+            assert_eq!(t.rows_for(dst).count(), 0);
         }
         assert_eq!(t.len(), 3);
-        // A node that is no destination, another switch's tag and a pid
-        // the policy lacks have no row.
-        for k in [key(3, 10, 0), key(1, 13, 0), key(1, 9, 0), key(1, 10, 2)] {
+        // A number past the last destination, another switch's tag and a
+        // pid the policy lacks have no row.
+        for k in [key(3, 10, 0), key(0, 13, 0), key(0, 9, 0), key(0, 10, 2)] {
             t.insert(k, entry(1));
         }
         assert_eq!(t.len(), 3);
-        assert!(t.get(&key(1, 13, 0)).is_none() && t.get(&key(1, 9, 0)).is_none());
+        assert!(t.get(&key(0, 13, 0)).is_none() && t.get(&key(3, 10, 0)).is_none());
     }
 
     /// Rows come out in ascending `(tag, pid)` whatever order they were
@@ -664,14 +586,11 @@ mod tests {
         let check = |order: &[(u32, u8)]| {
             let mut t = fwd_table(5, 3, 2);
             for &(tag, pid) in order {
-                t.insert(key(4, tag, pid), e.clone());
+                t.insert(key(2, tag, pid), e.clone());
             }
-            let got: Vec<(u32, u8)> = t
-                .rows_for(NodeId(4))
-                .map(|(k, _)| (k.tag.0, k.pid))
-                .collect();
+            let got: Vec<(u32, u8)> = t.rows_for(2).map(|(k, _)| (k.tag.0, k.pid)).collect();
             assert_eq!(got, expected, "written in order {order:?}");
-            assert!(t.rows_for(NodeId(4)).all(|(k, _)| t.get(&k).is_some()));
+            assert!(t.rows_for(2).all(|(k, _)| t.get(&k).is_some()));
         };
         let n = cells.len();
         let mut c = vec![0; n];
@@ -695,24 +614,42 @@ mod tests {
     #[test]
     fn fwd_and_best_rows_appear_whole_at_the_first_write() {
         let mut t = fwd_table(10, 3, 2);
-        assert_eq!(
-            (t.rows.rows.capacity(), t.rows_for(NodeId(4)).count()),
-            (0, 0)
-        );
+        assert_eq!((t.rows.rows.capacity(), t.rows_for(2).count()), (0, 0));
         t.insert(key(1, 11, 1), entry(1));
         assert_eq!(t.rows.rows.len(), 3 * 3 * 2);
         let rows = (t.rows.rows.as_ptr(), t.rows.rows.capacity());
-        t.insert(key(4, 12, 1), entry(1));
+        t.insert(key(2, 12, 1), entry(1));
         assert_eq!((t.rows.rows.as_ptr(), t.rows.rows.capacity()), rows);
         assert_eq!(t.len(), 2);
 
         let mut b = BestTable::with_rows(5);
         assert_eq!(b.best.rows.capacity(), 0);
-        b.set(NodeId(1), key(1, 11, 1));
+        b.set(1, key(1, 11, 1));
         assert_eq!(b.best.rows.len(), 5);
         let best = (b.best.rows.as_ptr(), b.best.rows.capacity());
-        b.set(NodeId(4), key(4, 12, 1));
+        b.set(4, key(4, 12, 1));
         assert_eq!((b.best.rows.as_ptr(), b.best.rows.capacity()), best);
+    }
+
+    /// A written BestT holds one row per destination of the policy, not
+    /// one per node id up to the highest destination: on fat-tree(4) with
+    /// a host per edge switch the eight destinations are edge switches
+    /// whose ids run past 8.
+    #[test]
+    fn best_rows_are_one_per_destination() {
+        use contra_topology::generators;
+        let topo = generators::fat_tree(4, 1, generators::LinkSpec::default());
+        let compiler = contra_core::Compiler::new(&topo);
+        let cp = std::sync::Arc::new(compiler.compile_str("minimize(path.util)").unwrap());
+        let cfg = crate::DataplaneConfig::for_policy(&cp);
+        let mut h = crate::ProtocolHarness::new(&topo, cp.clone(), cfg);
+        h.run_rounds(3);
+        assert_eq!(cp.destinations.len(), 8);
+        for sw in topo.switches() {
+            let best = &h.switch(sw).state().best;
+            assert!(!best.is_empty(), "{sw}");
+            assert_eq!(best.best.rows.len(), cp.destinations.len(), "{sw}");
+        }
     }
 
     #[test]
@@ -1015,11 +952,11 @@ mod tests {
     #[test]
     fn best_table_roundtrip() {
         let mut b = BestTable::with_rows(5);
-        assert!(b.get(NodeId(1)).is_none());
-        b.set(NodeId(1), key(1, 0, 0));
-        assert_eq!(b.get(NodeId(1)), Some(&key(1, 0, 0)));
-        b.clear(NodeId(1));
-        assert!(b.get(NodeId(1)).is_none());
+        assert!(b.get(1).is_none());
+        b.set(1, key(1, 0, 0));
+        assert_eq!(b.get(1), Some(&key(1, 0, 0)));
+        b.clear(1);
+        assert!(b.get(1).is_none());
         assert!(b.is_empty());
     }
 }

@@ -36,7 +36,8 @@ fn pin_random_utils(h: &mut ProtocolHarness, topo: &Topology, seed: u64) {
 
 fn harness(topo: &Topology, policy: &str) -> ProtocolHarness {
     let cp = Arc::new(Compiler::new(topo).compile_str(policy).unwrap());
-    ProtocolHarness::new(topo, cp, DataplaneConfig::default())
+    let cfg = DataplaneConfig::for_policy(&cp);
+    ProtocolHarness::new(topo, cp, cfg)
 }
 
 /// Enumerates **all** simple switch paths from `src` to `dst`, up to

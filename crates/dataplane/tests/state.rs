@@ -153,7 +153,7 @@ fn emptied_tables_equal_fresh_ones() {
 
     let fresh = BestTable::with_rows(8);
     let mut b = fresh.clone();
-    let dst = NodeId(6);
+    let dst = 6;
     let row = FwdKey {
         dst,
         tag: VNodeId(3),

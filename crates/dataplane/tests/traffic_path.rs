@@ -17,7 +17,8 @@ fn traffic_path_never_crosses_a_down_cable() {
     let cp = Compiler::new(&topo)
         .compile_str("minimize(path.util)")
         .unwrap();
-    let mut h = ProtocolHarness::new(&topo, Arc::new(cp), DataplaneConfig::default());
+    let cfg = DataplaneConfig::for_policy(&cp);
+    let mut h = ProtocolHarness::new(&topo, Arc::new(cp), cfg);
     h.run_rounds(3);
     h.fail_link(r1, r0);
     assert_eq!(h.traffic_path(r0, r1), None);

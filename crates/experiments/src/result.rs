@@ -96,7 +96,7 @@ impl Figures {
             p99_fct_ms: contra_sim::percentile(&fcts, 99.0),
             completion_rate: stats.completion_rate(),
             total_wire_bytes: stats.total_wire_bytes(),
-            overhead_bytes: *stats.wire_bytes.get(&TrafficKind::Probe).unwrap_or(&0),
+            overhead_bytes: stats.wire_bytes.get(TrafficKind::Probe),
             looped_packets: stats.looped_packets,
             loop_breaks: stats.loop_breaks,
             delivered_packets: stats.delivered_packets,

@@ -570,7 +570,7 @@ impl Scenario {
             knob: None,
         };
         let started = std::time::Instant::now();
-        let out = sim.run_full();
+        let out = sim.run();
         let wall_secs = started.elapsed().as_secs_f64();
         let figures = Figures::derive(&out.stats, self.warmup);
         Ok(RunResult {

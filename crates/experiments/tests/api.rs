@@ -9,13 +9,14 @@ use contra_experiments::{
 use contra_sim::{FlowSpec, Time};
 
 /// The configuration ledger: every independently settable value of the
-/// three config structs, destructured without `..`, so a new field is a
-/// compile error here. A field is justified by a non-test caller that
-/// needs a second value (README, *Configuration*, names each one); with one
-/// value in use it is a constant, like the §6.3 timings below.
+/// config structs, destructured without `..`, so a new field is a
+/// compile error. `DataplaneConfig`'s fields are private to its crate,
+/// so its half is `configuration_ledger` in `crates/dataplane/src/lib.rs`.
+/// A field is justified by a non-test caller that needs a second value
+/// (README, *Configuration*, names each one); with one value in use it
+/// is a constant, like the §6.3 timings below.
 #[test]
 fn configuration_ledger() {
-    use contra_dataplane::DataplaneConfig;
     use contra_sim::{
         SimConfig, TelemetryConfig, EXPIRY_PERIODS, FAILURE_PERIODS, FLOWLET_TIMEOUT, PROBE_PERIOD,
     };
@@ -24,17 +25,6 @@ fn configuration_ledger() {
     assert_eq!(PROBE_PERIOD, Time::us(256));
     assert_eq!(FLOWLET_TIMEOUT, Time::us(200));
     assert_eq!((FAILURE_PERIODS, EXPIRY_PERIODS), (3, 8));
-
-    let DataplaneConfig {
-        probe_period,
-        flowlet_timeout,
-        loop_age_out,
-        flowlet_slots,
-    } = DataplaneConfig::default();
-    assert_eq!(probe_period, PROBE_PERIOD);
-    assert_eq!(flowlet_timeout, FLOWLET_TIMEOUT);
-    assert_eq!(loop_age_out, Time::ms(1));
-    assert_eq!(flowlet_slots, contra_core::FLOWLET_ENTRIES);
 
     let SimConfig {
         util_tau,
@@ -364,16 +354,12 @@ fn random_pairs_are_deterministic() {
 /// must show in the flow completion times.
 #[test]
 fn undersized_flowlet_table_reports_collisions() {
-    use contra_dataplane::DataplaneConfig;
     let scenario = Scenario::leaf_spine(4, 2, 8)
         .load(0.6)
         .duration(Time::ms(8))
         .warmup(Time::ms(2))
         .drain(Time::ms(10));
-    let starved = Contra::dc().with_config(DataplaneConfig {
-        flowlet_slots: 16,
-        ..DataplaneConfig::default()
-    });
+    let starved = Contra::dc().with_flowlet_slots(16);
     let r = scenario.run(&starved);
     assert_eq!(
         r.figures.register_collisions,

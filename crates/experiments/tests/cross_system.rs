@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 fn contra(topo: &Topology, policy: &str) -> ProtocolHarness {
     let cp = Arc::new(Compiler::new(topo).compile_str(policy).unwrap());
-    ProtocolHarness::new(topo, cp, DataplaneConfig::default())
+    let cfg = DataplaneConfig::for_policy(&cp);
+    ProtocolHarness::new(topo, cp, cfg)
 }
 
 /// The largest pinned utilization along `path`, in the traffic direction.

@@ -17,7 +17,7 @@ fn fingerprint(s: &SimStats) -> String {
         "delivered={} drops={:?} wire={} events={} epochs={:?}",
         s.delivered_packets,
         s.drops,
-        s.wire_bytes.values().sum::<u64>(),
+        s.total_wire_bytes(),
         s.events_processed,
         s.fault_epochs,
     )

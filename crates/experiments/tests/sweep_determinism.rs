@@ -45,7 +45,7 @@ fn fingerprint(r: &RunResult) -> String {
     for (k, v) in &s.drops {
         out.push_str(&format!(" drop[{k:?}]={v}"));
     }
-    for (k, v) in &s.wire_bytes {
+    for (k, v) in s.wire_bytes.iter() {
         out.push_str(&format!(" wire[{k:?}]={v}"));
     }
     out.push_str(&format!(

@@ -11,7 +11,7 @@
 //!   fragile cable must reproduce the black hole when that cable fails
 //!   mid-run.
 
-use contra_core::{diag::codes, verify, Compiler, Severity};
+use contra_core::{diag::codes, traffic_endpoints, verify, Compiler, Severity};
 use contra_dataplane::{Contra, DataplaneConfig, ProtocolHarness};
 use contra_experiments::{Scenario, Traffic};
 use contra_sim::{DropReason, FlowSpec, Time};
@@ -41,22 +41,8 @@ fn fig6_with_hosts() -> Topology {
 
 fn harness(topo: &Topology, policy: &str) -> ProtocolHarness {
     let cp = Arc::new(Compiler::new(topo).compile_str(policy).expect("compiles"));
-    ProtocolHarness::new(topo, cp, DataplaneConfig::default())
-}
-
-/// Host-bearing switches, or every switch when the topology has no hosts —
-/// the verifier's own notion of traffic sources.
-fn sources(topo: &Topology) -> Vec<NodeId> {
-    let with_hosts: Vec<NodeId> = topo
-        .switches()
-        .into_iter()
-        .filter(|&s| !topo.hosts_of(s).is_empty())
-        .collect();
-    if with_hosts.is_empty() {
-        topo.switches()
-    } else {
-        with_hosts
-    }
+    let cfg = DataplaneConfig::for_policy(&cp);
+    ProtocolHarness::new(topo, cp, cfg)
 }
 
 /// The tentpole matrix: for every catalogue policy on every corpus
@@ -97,12 +83,13 @@ fn verifier_black_holes_match_converged_tables_on_catalogue() {
                 .map(|b| (b.src, b.dst))
                 .collect();
 
-            let mut h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::default());
+            let cfg = DataplaneConfig::for_policy(&cp);
+            let mut h = ProtocolHarness::new(&topo, cp.clone(), cfg);
             // Probe information travels one hop per round; the longest
             // compliant walk is bounded by the product graph.
             h.run_rounds(cp.pg.len() + 2);
             for &d in &cp.destinations {
-                for &s in &sources(&topo) {
+                for &s in &traffic_endpoints(&topo) {
                     if s == d {
                         continue;
                     }

@@ -22,8 +22,8 @@ use crate::gen::Case;
 use contra_automata::Dfa;
 use contra_core::diag::{codes, Span};
 use contra_core::{
-    normalize, parse_policy, resolve::resolve_regexes, verify_source, BranchRank, CompiledPolicy,
-    NormalPolicy, Policy, Severity,
+    normalize, parse_policy, resolve::resolve_regexes, traffic_endpoints, verify_source,
+    BranchRank, CompiledPolicy, NormalPolicy, Policy, Severity,
 };
 use contra_dataplane::{Contra, DataplaneConfig, ProtocolHarness};
 use contra_experiments::{Scenario, Traffic};
@@ -133,21 +133,6 @@ pub fn span_problem(sp: Span, src: &str) -> Option<String> {
 /// The product-graph alphabet: switch ids.
 pub fn alphabet(topo: &Topology) -> Vec<u32> {
     topo.switches().iter().map(|s| s.0).collect()
-}
-
-/// Host-bearing switches, or every switch when the topology has no hosts
-/// — mirrors the verifier's private notion of traffic sources.
-pub fn traffic_sources(topo: &Topology) -> Vec<NodeId> {
-    let with_hosts: Vec<NodeId> = topo
-        .switches()
-        .into_iter()
-        .filter(|&s| !topo.hosts_of(s).is_empty())
-        .collect();
-    if with_hosts.is_empty() {
-        topo.switches()
-    } else {
-        with_hosts
-    }
 }
 
 /// Forward (traffic-direction) DFAs for a normalized policy's regexes.
@@ -311,7 +296,7 @@ fn check_black_holes(
         return out; // names resolved during compile; unreachable in practice
     };
     for &d in &cp.destinations {
-        for &s in &traffic_sources(topo) {
+        for &s in &traffic_endpoints(topo) {
             if s == d {
                 continue;
             }
@@ -352,10 +337,11 @@ fn check_deep(
     let guard_free = cp.normal.branches.iter().all(|b| b.guards.is_empty());
 
     // Tables: after convergence, traffic_path exists iff no black hole.
-    let mut h = ProtocolHarness::new(topo, cp.clone(), DataplaneConfig::default());
+    let cfg = DataplaneConfig::for_policy(&cp);
+    let mut h = ProtocolHarness::new(topo, cp.clone(), cfg);
     h.run_rounds(cp.pg.len() + 2);
     for &d in &cp.destinations {
-        for &s in &traffic_sources(topo) {
+        for &s in &traffic_endpoints(topo) {
             if s == d {
                 continue;
             }
@@ -531,11 +517,9 @@ pub fn check(case: &Case, deep: bool) -> CaseOutcome {
                         if topo.switches().len().saturating_mul(states) <= MAX_FORWARD_STATES {
                             o.ran.push(OracleKind::BlackHoleDiff);
                             // The compiler only builds the product graph
-                            // toward its destination set — host-bearing
-                            // switches, or all switches on a host-less
-                            // topology (the same rule as
-                            // `traffic_sources`).
-                            for &d in &traffic_sources(&topo) {
+                            // toward its destination set, its
+                            // `traffic_endpoints`.
+                            for &d in &traffic_endpoints(&topo) {
                                 for &s in &topo.switches() {
                                     if s != d && oracle_routable(&topo, &normal, &fdfas, s, d) {
                                         o.findings.push(Finding {

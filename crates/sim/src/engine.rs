@@ -56,7 +56,7 @@ use contra_topology::{LinkId, NodeId, Topology};
 
 mod linkops;
 
-/// Everything one run produced; see [`Simulator::run_full`].
+/// Everything one run produced; see [`Simulator::run`].
 #[derive(Debug)]
 pub struct RunOutput {
     /// Aggregated run statistics — byte-identical whether or not traces
@@ -279,8 +279,7 @@ impl Simulator {
         self.queue.push_at_key(at, lid.0 as u64, ev);
     }
 
-    /// The shared event loop behind [`Simulator::run`] and
-    /// [`Simulator::run_traced`].
+    /// The event loop behind [`Simulator::run`].
     fn run_loop(&mut self) {
         while let Some(entry) = self.queue.pop() {
             self.now = entry.at;
@@ -358,24 +357,10 @@ impl Simulator {
     }
 
     /// Runs to completion (queue empty, which includes the stop time
-    /// being reached — see `Simulator::push`) and returns the
-    /// statistics.
-    pub fn run(self) -> SimStats {
-        self.run_full().stats
-    }
-
-    /// Runs and also returns delivered packet traces (requires
-    /// `trace_paths`).
-    pub fn run_traced(self) -> (SimStats, Vec<(FlowId, Vec<NodeId>)>) {
-        assert!(self.cfg.trace_paths, "enable cfg.trace_paths first");
-        let out = self.run_full();
-        (out.stats, out.traces.expect("trace_paths checked above"))
-    }
-
-    /// Runs to completion and returns everything the run produced:
-    /// statistics, packet traces (when `cfg.trace_paths`), and the
-    /// telemetry report (when `cfg.telemetry`).
-    pub fn run_full(mut self) -> RunOutput {
+    /// being reached — see `Simulator::push`) and returns everything the
+    /// run produced: statistics, packet traces (when `cfg.trace_paths`),
+    /// and the telemetry report (when `cfg.telemetry`).
+    pub fn run(mut self) -> RunOutput {
         self.run_loop();
         self.obs.into_output()
     }
@@ -762,7 +747,7 @@ mod tests {
         sim.install(s0, Box::new(prober));
         sim.install(s1, routed(s0));
         let (stats, live) = run(sim);
-        let probe_bytes = stats.wire_bytes[&TrafficKind::Probe];
+        let probe_bytes = stats.wire_bytes.get(TrafficKind::Probe);
         assert_eq!(probe_bytes, 5 * PROBE_BASE_BYTES as u64);
         assert!(stats.drops.is_empty(), "{:?}", stats.drops);
         assert_eq!(live, 0);
@@ -808,7 +793,7 @@ mod tests {
         let (stats, live) = run(sim);
         let expired = drops(&stats, DropReason::TtlExpired);
         assert!(expired > 5, "{expired}");
-        let fabric_hops = stats.wire_bytes[&TrafficKind::Udp] / 1_500 - expired;
+        let fabric_hops = stats.wire_bytes.get(TrafficKind::Udp) / 1_500 - expired;
         assert_eq!(fabric_hops, expired * INITIAL_TTL as u64);
         assert_eq!((stats.delivered_packets, live), (0, 0));
     }

@@ -151,7 +151,7 @@ mod tests {
             bytes: 1_000_000,
             start: Time::ZERO,
         });
-        let stats = sim.run();
+        let stats = sim.run().stats;
         assert_eq!(stats.completion_rate(), 1.0);
         let fct = stats.flows[0].fct().unwrap();
         // 1 MB at 10 Gbps is ≥ 800 µs of pure serialization.
@@ -178,7 +178,7 @@ mod tests {
                 },
             );
             install_static(&mut sim);
-            sim.run()
+            sim.run().stats
         };
         // First (and only) queue sample lands exactly on stop_at.
         let stats = run_with_sample_at(Time::ms(5));
@@ -212,7 +212,7 @@ mod tests {
                     start: Time::us(i * 50),
                 });
             }
-            let s = sim.run();
+            let s = sim.run().stats;
             (
                 s.flows.iter().map(|f| f.finish).collect::<Vec<_>>(),
                 s.total_wire_bytes(),
@@ -248,7 +248,7 @@ mod tests {
             bytes: 2_000_000,
             start: Time::ZERO,
         });
-        let stats = sim.run();
+        let stats = sim.run().stats;
         assert_eq!(stats.completion_rate(), 1.0);
         let slowest = stats.flows.iter().map(|f| f.fct().unwrap()).max().unwrap();
         assert!(
@@ -280,7 +280,7 @@ mod tests {
         });
         sim.try_fail_link_at(s0, s1, Time::us(300)).unwrap();
         sim.try_recover_link_at(s0, s1, Time::ms(2)).unwrap();
-        let stats = sim.run();
+        let stats = sim.run().stats;
         assert_eq!(
             stats.completion_rate(),
             1.0,
@@ -313,7 +313,7 @@ mod tests {
             start: Time::ZERO,
             stop: Time::ms(20),
         });
-        let stats = sim.run();
+        let stats = sim.run().stats;
         let good = stats.udp_goodput_gbps();
         assert!(!good.is_empty());
         // Steady-state buckets should carry ≈ 2 Gbps of payload (slightly
@@ -344,7 +344,8 @@ mod tests {
             bytes: 100_000,
             start: Time::ZERO,
         });
-        let (stats, traces) = sim.run_traced();
+        let out = sim.run();
+        let (stats, traces) = (out.stats, out.traces.expect("paths traced"));
         assert_eq!(stats.looped_packets, 0);
         assert!(!traces.is_empty());
         for (_flow, t) in &traces {
@@ -371,9 +372,9 @@ mod tests {
             bytes: 150_000,
             start: Time::ZERO,
         });
-        let stats = sim.run();
-        let data = stats.wire_bytes[&TrafficKind::Data];
-        let ack = stats.wire_bytes[&TrafficKind::Ack];
+        let stats = sim.run().stats;
+        let data = stats.wire_bytes.get(TrafficKind::Data);
+        let ack = stats.wire_bytes.get(TrafficKind::Ack);
         // 150 kB of payload crosses 3 links from host to host.
         assert!(data > 3 * 150_000, "{data}");
         assert!(ack > 0 && ack < data, "{ack} vs {data}");
@@ -399,7 +400,7 @@ mod tests {
             bytes: 1_000_000,
             start: Time::ZERO,
         });
-        let stats = sim.run();
+        let stats = sim.run().stats;
         assert!(!stats.queue_samples.is_empty());
         // Only the 2 fabric links (s0→s1, s1→s0) are sampled.
         let links: std::collections::BTreeSet<u32> =
@@ -430,7 +431,7 @@ mod tests {
             bytes: 500_000,
             start: Time::ZERO,
         });
-        let out = sim.run_full();
+        let out = sim.run();
         let report = out.telemetry.as_ref().expect("telemetry requested");
         let points = report.metrics.points("cwnd", "flow0").unwrap_or(&[]);
         assert!(points.len() >= 2, "slow start must record cwnd growth");
@@ -467,7 +468,7 @@ mod tests {
                 bytes: 500_000,
                 start: Time::ZERO,
             });
-            sim.run_full()
+            sim.run()
         };
         let off = run(None);
         let on = run(Some(TelemetryConfig::default()));

@@ -68,7 +68,7 @@ impl Default for TelemetryConfig {
 }
 
 /// Per-run recorder state, drained into a [`TelemetryReport`] by
-/// [`crate::engine::Simulator::run_full`].
+/// [`crate::engine::Simulator::run`].
 #[derive(Debug)]
 pub struct Recorder {
     /// The next cadence boundary: a sample is due at the first event at

@@ -45,13 +45,12 @@ impl FlowRecord {
     }
 }
 
-/// Per-kind wire-byte counters with a map-like surface.
+/// Bytes placed on the wire, per [`TrafficKind`].
 ///
 /// [`Obs::OnWire`] arrives once per packet per hop — the hottest
-/// observation the statistics take — so the storage is a flat array indexed by
-/// [`TrafficKind`] discriminant rather than a tree. Iteration and `get`
-/// mimic the `BTreeMap<TrafficKind, u64>` this replaced: kinds that never
-/// saw a byte are absent.
+/// observation the statistics take — so the storage is a flat array
+/// indexed by [`TrafficKind`] discriminant. [`WireBytes::iter`] lists only
+/// the kinds that saw a byte.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireBytes {
     bytes: [u64; 4],
@@ -71,41 +70,29 @@ impl WireBytes {
         self.bytes[kind as usize] += bytes;
     }
 
-    /// The counter for a kind, `None` if no byte of that kind was ever
-    /// recorded (matching map semantics).
-    pub fn get(&self, kind: &TrafficKind) -> Option<&u64> {
-        let v = &self.bytes[*kind as usize];
-        (*v != 0).then_some(v)
+    /// The bytes of one kind (0 when none was sent).
+    pub fn get(&self, kind: TrafficKind) -> u64 {
+        self.bytes[kind as usize]
     }
 
-    /// Counters of every kind that saw traffic, in `TrafficKind` order.
-    pub fn iter(&self) -> impl Iterator<Item = (TrafficKind, &u64)> {
-        Self::KINDS
-            .iter()
-            .map(|&k| (k, &self.bytes[k as usize]))
-            .filter(|(_, v)| **v != 0)
-    }
-
-    /// Non-zero counters, in `TrafficKind` order.
-    pub fn values(&self) -> impl Iterator<Item = &u64> {
-        self.iter().map(|(_, v)| v)
+    /// `(kind, bytes)` of every kind that saw traffic, in `TrafficKind`
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (TrafficKind, u64)> {
+        let bytes = self.bytes;
+        let kinds = Self::KINDS.into_iter();
+        kinds
+            .map(move |k| (k, bytes[k as usize]))
+            .filter(|&(_, v)| v != 0)
     }
 }
 
+/// `wire_bytes[&kind]`: [`WireBytes::get`] as the performance ledger
+/// (`contra_benchmark`, a package of its own) reads it.
 impl std::ops::Index<&TrafficKind> for WireBytes {
     type Output = u64;
 
     fn index(&self, kind: &TrafficKind) -> &u64 {
         &self.bytes[*kind as usize]
-    }
-}
-
-impl<'a> IntoIterator for &'a WireBytes {
-    type Item = (TrafficKind, &'a u64);
-    type IntoIter = std::vec::IntoIter<(TrafficKind, &'a u64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
     }
 }
 
@@ -300,7 +287,7 @@ impl SimStats {
 
     /// Total wire bytes across all kinds.
     pub fn total_wire_bytes(&self) -> u64 {
-        self.wire_bytes.values().sum()
+        self.wire_bytes.iter().map(|(_, bytes)| bytes).sum()
     }
 
     /// UDP goodput in Gbps for each completed bucket, as (bucket start
@@ -630,7 +617,7 @@ mod tests {
             };
             s.on(Time::ZERO, &obs);
         }
-        assert_eq!(s.wire_bytes[&TrafficKind::Data], 3000);
+        assert_eq!(s.wire_bytes.get(TrafficKind::Data), 3000);
         assert_eq!(s.total_wire_bytes(), 3064);
         // A UDP delivery also feeds the goodput timeline; TCP data and
         // everything the statistics have no use for do not.

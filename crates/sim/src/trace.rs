@@ -13,7 +13,7 @@
 //!   closes a packet's *first* loop counts it once
 //!   (`SimStats::looped_packets`).
 //! * [`Obs::Deliver`] retires a live trace into the delivered list
-//!   returned by `Simulator::run_traced`.
+//!   returned in `RunOutput::traces`.
 //! * [`Obs::Drop`] and [`Obs::AckConsumed`] drop the trace of a packet
 //!   that died in flight (TTL, queue drop, no-route, link failure) or
 //!   was consumed, so the table only ever holds in-flight packets.

@@ -99,7 +99,7 @@ fn mid_burst_failure_counts_linkdown_drops() {
             start: Time::ZERO,
         });
         sim.try_fail_link_at(s0, s1, Time::us(30)).unwrap();
-        sim.run()
+        sim.run().stats
     };
     let stats = run(Time::ms(2));
     assert_eq!(
@@ -156,7 +156,7 @@ fn stale_train_head_across_flap_is_ignored() {
     // the link is up and has a train again.
     sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
     sim.try_recover_link_at(s0, s1, Time::us(103)).unwrap();
-    let stats = sim.run();
+    let stats = sim.run().stats;
     assert!(
         *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
         "the flap must flush something"
@@ -216,7 +216,7 @@ fn flap_across_an_unqueued_busy_period_neither_stalls_nor_leaks() {
             sim.try_fail_link_at(s0, s1, Time::us(100)).unwrap();
             sim.try_recover_link_at(s0, s1, Time::us(103)).unwrap();
         }
-        sim.run()
+        sim.run().stats
     };
     // Nothing is queued at 100 µs and nothing arrives before 103 µs: the
     // flap costs no packet, so it must not change the count at all.
@@ -292,7 +292,7 @@ fn doubled_fault_events_are_noops() {
             sim.try_fail_link_at(s0, s1, Time::us(120)).unwrap();
             sim.try_recover_link_at(s0, s1, Time::us(180)).unwrap();
         }
-        let stats = sim.run();
+        let stats = sim.run().stats;
         assert_eq!(
             stats.fault_epochs.len(),
             2,
@@ -302,7 +302,7 @@ fn doubled_fault_events_are_noops() {
             "delivered={} drops={:?} wire={}",
             stats.delivered_packets,
             stats.drops,
-            stats.wire_bytes.values().sum::<u64>(),
+            stats.total_wire_bytes(),
         );
         (traffic, stats.events_processed)
     };

@@ -302,7 +302,7 @@ fn engine(case: &Case) -> (Log, u64) {
                 .expect("the cable exists");
         }
     }
-    let out = sim.run_full();
+    let out = sim.run();
     let mut log = std::mem::take(&mut *log.borrow_mut());
     let reason = |name: &str| match name {
         "QueueFull" => DropReason::QueueFull,

@@ -44,7 +44,8 @@ fn main() {
 
     // Part 1 — protocol harness (pinned metrics): primary, failover, and
     // strict-preference return.
-    let mut h = ProtocolHarness::new(&topo, cp, DataplaneConfig::default());
+    let cfg = DataplaneConfig::for_policy(&cp);
+    let mut h = ProtocolHarness::new(&topo, cp, cfg);
     h.run_rounds(3);
     let p = h.traffic_path(a, d).unwrap();
     println!("primary in use: {:?}", name_path(&topo, &p));

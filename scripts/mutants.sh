@@ -21,8 +21,9 @@
 # copied once into a temporary directory with one target directory for
 # every build; the checkout itself is never written but for the report.
 # Then, each step failing the run with exit 1 and the row or line named:
-#   1. every row must apply (`git apply --check`): a stale row fails
-#      before anything builds;
+#   1. every row must apply exactly (`git apply --check -v`, where a hunk
+#      "succeeded at ... (offset N lines)" counts as stale): a stale row
+#      fails before anything builds;
 #   2. every kill line must pass on the clean copy and select a test;
 #   3. per row: apply, `cargo test --no-run` per kill line (a row that
 #      does not compile is *unviable*), run each kill line (one that
@@ -92,12 +93,16 @@ git -C "$tree" -c user.name=mutants -c user.email=mutants@localhost \
     -c commit.gpgsign=false commit -qm tree
 export CARGO_TARGET_DIR="$work/target"
 
-# Step 1: every row applies to the tree as it is.
+# Step 1: every row applies to the tree as it is, at the lines it names.
 stale=0
 for name in "${rows[@]}"; do
-    if ! git -C "$tree" apply --check "$root/mutants/$name.patch" 2>"$work/apply.log"; then
+    if ! git -C "$tree" apply --check -v "$root/mutants/$name.patch" >"$work/apply.log" 2>&1; then
         echo "mutants.sh: row $name is stale: it no longer applies" >&2
         sed 's/^/    /' "$work/apply.log" >&2
+        stale=1
+    elif grep -q '(offset [-0-9]* lines\?)' "$work/apply.log"; then
+        echo "mutants.sh: row $name is stale: its context moved" >&2
+        grep 'offset' "$work/apply.log" | sed 's/^/    /' >&2
         stale=1
     fi
 done

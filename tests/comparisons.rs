@@ -2,7 +2,7 @@
 //! the *shapes* of Figs 11, 12 and 15 must hold in miniature, expressed
 //! through the `Scenario`/`RoutingSystem` experiment API.
 
-use contra::dataplane::{Contra, DataplaneConfig};
+use contra::dataplane::Contra;
 use contra::experiments::{Ecmp, Pairs, Scenario, Sp, Workload};
 use contra::sim::Time;
 
@@ -26,17 +26,13 @@ fn dc_scenario(load: f64, fail: bool) -> Scenario {
     }
 }
 
-fn dc_contra() -> Contra {
-    Contra::dc().with_config(DataplaneConfig::default())
-}
-
 /// Fig 11 in miniature: at moderate-high load Contra's FCT beats ECMP's on
 /// the symmetric fabric.
 #[test]
 fn contra_beats_ecmp_on_symmetric_fabric() {
     let scenario = dc_scenario(0.7, false);
     let ecmp = scenario.run(&Ecmp);
-    let contra = scenario.run(&dc_contra());
+    let contra = scenario.run(&Contra::dc());
     let (fe, fc) = (
         ecmp.figures.mean_fct_ms.unwrap(),
         contra.figures.mean_fct_ms.unwrap(),
@@ -55,7 +51,7 @@ fn contra_beats_ecmp_on_symmetric_fabric() {
 fn asymmetric_fabric_hurts_ecmp_more_than_contra() {
     let scenario = dc_scenario(0.7, true);
     let ecmp = scenario.run(&Ecmp);
-    let contra = scenario.run(&dc_contra());
+    let contra = scenario.run(&Contra::dc());
     assert!(
         ecmp.figures.completion_rate < 0.97,
         "unrepaired ECMP must lose flows through the dead uplink, got {:.3}",

@@ -51,7 +51,8 @@ fn all_catalogue_policies_compile_emit_and_converge() {
         }
         // The protocol converges and produces *some* routing for at least
         // one pair (policies constrain which pairs are reachable).
-        let mut h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::default());
+        let cfg = DataplaneConfig::for_policy(&cp);
+        let mut h = ProtocolHarness::new(&topo, cp.clone(), cfg);
         h.run_rounds(3);
         let mut routed = 0;
         for src_sw in topo.switches() {
@@ -82,8 +83,8 @@ fn p4_const(p4: &str, name: &str) -> usize {
         .unwrap_or_else(|_| panic!("{name} = {digits:?}"))
 }
 
-/// One definition: the flowlet and loop register arrays a
-/// default-configured simulated switch allocates are the ones its
+/// One definition: the flowlet and loop register arrays a simulated
+/// switch configured by `DataplaneConfig::for_policy` allocates are the ones its
 /// emitted program declares.
 #[test]
 fn simulated_register_arrays_have_the_emitted_sizes() {
@@ -91,7 +92,7 @@ fn simulated_register_arrays_have_the_emitted_sizes() {
     let compiler = Compiler::new(&topo);
     for (name, src) in policies::catalogue("B", "C", "X", "Y") {
         let cp = Arc::new(compiler.compile_str(&src).unwrap());
-        let h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::default());
+        let h = ProtocolHarness::new(&topo, cp.clone(), DataplaneConfig::for_policy(&cp));
         for &sw in cp.programs.keys() {
             let p4 = p4gen::emit_switch_program(&cp, sw);
             let state = h.switch(sw).state();
@@ -110,7 +111,7 @@ fn simulated_register_arrays_have_the_emitted_sizes() {
 fn converged_tables_fit_the_fig10_state_model() {
     fn check(topo: &Topology, name: &str, cp: CompiledPolicy) {
         let cp = Arc::new(cp);
-        let mut h = ProtocolHarness::new(topo, cp.clone(), DataplaneConfig::default());
+        let mut h = ProtocolHarness::new(topo, cp.clone(), DataplaneConfig::for_policy(&cp));
         h.run_rounds(3);
         let dests = cp.destinations.len();
         let pids = cp.num_pids().max(1);

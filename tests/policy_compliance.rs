@@ -31,10 +31,7 @@ fn waypoint_traffic_always_crosses_the_waypoint() {
     // One cache serves both the run and the compliance oracle below, so
     // the policy compiles exactly once.
     let cache = CompileCache::new();
-    let r = scenario.run_cached(
-        &Contra::new(policy).with_config(DataplaneConfig::default()),
-        &cache,
-    );
+    let r = scenario.run_cached(&Contra::new(policy), &cache);
     let cp = cache.get_or_compile(scenario.topology(), policy).unwrap();
     assert_eq!(cache.compiles(), 1, "run and oracle share one compilation");
     assert_eq!(r.figures.completion_rate, 1.0);
@@ -67,7 +64,7 @@ fn link_preference_respected_on_abilene() {
     let cache = CompileCache::new();
     let cp = cache.get_or_compile(base.topology(), policy).unwrap();
     let cfg = DataplaneConfig::for_policy(&cp);
-    let warmup_ns = cfg.probe_period.0 * 6;
+    let warmup_ns = cfg.probe_period().0 * 6;
     let sea = base.topology().find("Seattle_h0").unwrap();
     let ny = base.topology().find("NewYork_h0").unwrap();
     let scenario = base
@@ -130,7 +127,7 @@ fn full_simulation_is_deterministic() {
                 start: Time::us(600 + 30 * i),
             });
         }
-        let r = scenario.run(&Contra::dc().with_config(DataplaneConfig::default()));
+        let r = scenario.run(&Contra::dc());
         (
             r.stats.flows.iter().map(|f| f.finish).collect::<Vec<_>>(),
             r.figures.total_wire_bytes,
