@@ -147,7 +147,7 @@ impl HulaSwitch {
             return;
         }
         self.advertised.insert((p.origin, from), now);
-        let util = p.mv[0].max(ctx.util_to(from));
+        let util = p.mv[0].max(ctx.util_lat_to(from).0);
         let slot = self.best_slot(p.origin);
         let accept = match slot {
             Err(_) => true,

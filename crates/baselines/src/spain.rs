@@ -99,8 +99,9 @@ impl SwitchLogic for SpainSwitch {
         if pkt.dst_switch == ctx.switch {
             return Verdict::Forward(pkt.dst_host);
         }
-        // Ingress stamps the VLAN by flow hash; core switches follow it.
-        if !ctx.is_switch(from) {
+        // Ingress (Fig 7's `fromHost`: only a packet's source host
+        // injects it) stamps the VLAN by flow hash; core switches follow.
+        if from == pkt.src_host {
             let n = self.paths.vlans_for(pkt.dst_switch);
             if n == 0 {
                 return Verdict::NoRoute;

@@ -532,7 +532,8 @@ fn run_report(a: &RunResult) -> String {
     rpt += &line("sched_peak_pending", &stats.sched_peak_pending, "");
     rpt += &line("sched_cascades", &stats.sched_cascades, "");
     rpt += &line("sched_overflow", &stats.sched_overflow, "");
-    let (flowlet, looped) = (stats.flowlet_collisions, stats.loop_collisions);
+    let sw = &stats.switches;
+    let (flowlet, looped) = (sw.flowlets_displaced, sw.loops_displaced);
     let split = format!("  (flowlet {flowlet} + loop {looped})");
     rpt += &line("register displacements", &(flowlet + looped), &split);
 

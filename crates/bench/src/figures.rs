@@ -415,7 +415,7 @@ fn fig10(scale: Scale, out: &mut Out) {
         out.note(format_args!(
             "fig10c flowlet_slots={slots}: {collisions} live register entries displaced \
              ({} flowlet / {} loop), p50={p50:.3} ms p99={p99:.3} ms",
-            r.stats.flowlet_collisions, r.stats.loop_collisions
+            r.stats.switches.flowlets_displaced, r.stats.switches.loops_displaced
         ));
     }
 }

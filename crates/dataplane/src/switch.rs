@@ -33,7 +33,8 @@
 //! virtual node, the probe size and the [`DataplaneConfig`]. Its *state*
 //! is one plain value, [`SwitchState`]: the four tables, the §5.4 clock
 //! and the §5.1 version, `Clone`, `Eq` and `Hash`, and nothing else. Its
-//! *counters* are what telemetry samples and no state comparison reads.
+//! *counters* are one [`SwitchCounters`], read off it through
+//! [`SwitchLogic::counters`], which no state comparison reads.
 //! The state holds no `f64` and no shared pointer: a row keeps its metric
 //! vector only as the integer rank keys every reader compares, so equal
 //! states route alike and −0.0 and +0.0 cannot split them.
@@ -45,15 +46,15 @@ use contra_core::{
     CompiledPolicy, MetricVec, ProductGraph, RankKey, VNodeId, FLOWLET_ENTRIES, LOOP_ENTRIES,
 };
 use contra_sim::{
-    silent, Packet, PacketKind, Probe, ProbeClock, SwitchCtx, SwitchLogic, Time, Verdict,
-    EXPIRY_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
+    silent, Packet, PacketKind, Probe, ProbeClock, SwitchCounters, SwitchCtx, SwitchLogic, Time,
+    Verdict, EXPIRY_PERIODS, FLOWLET_TIMEOUT, PROBE_BASE_BYTES, PROBE_PERIOD,
 };
 use contra_topology::{NodeId, Topology};
 use std::sync::Arc;
 
 /// TTL drift (δ = maxttl − minttl) that triggers a flowlet flush (§5.5).
 /// Must exceed the legitimate path-length spread.
-const LOOP_DELTA_THRESHOLD: u8 = 6;
+pub const LOOP_DELTA_THRESHOLD: u8 = 6;
 
 /// The runtime protocol's configuration, set by nothing outside this
 /// crate: the timings [`DataplaneConfig::for_policy`] derives from the
@@ -152,13 +153,7 @@ pub struct ContraSwitch {
     probe_size: u32,
     cfg: DataplaneConfig,
     state: SwitchState,
-    /// Probes originated + forwarded (overhead accounting in tests).
-    pub probes_sent: u64,
-    /// Forwarding-table writes (accepted probe updates) — control-plane
-    /// churn, sampled by the telemetry recorder.
-    pub table_updates: u64,
-    /// Register writes that displaced a live entry, as `(flowlet, loop)`.
-    displaced: (u64, u64),
+    counters: SwitchCounters,
 }
 
 impl ContraSwitch {
@@ -192,9 +187,7 @@ impl ContraSwitch {
             sending_vnode: prog.sending_vnode,
             probe_size: PROBE_BASE_BYTES + cp.basis.probe_metric_bytes() as u32,
             state,
-            probes_sent: 0,
-            table_updates: 0,
-            displaced: (0, 0),
+            counters: SwitchCounters::default(),
             cfg,
             cp,
         }
@@ -336,7 +329,7 @@ impl ContraSwitch {
         if !accept {
             return;
         }
-        self.table_updates += 1;
+        self.counters.table_updates += 1;
         let retention =
             retention.unwrap_or_else(|| self.cp.ranks.retention_key(p.pid as usize, &mv));
         self.state.fwdt.insert(
@@ -368,7 +361,7 @@ impl ContraSwitch {
                 Packet::probe(self.switch, nbr, probe, self.probe_size, now),
             );
         }
-        self.probes_sent += sent;
+        self.counters.probes_sent += sent;
     }
 
     /// `SWIFORWARDPKT` with policy-aware flowlets, failure expiry and loop
@@ -383,11 +376,11 @@ impl ContraSwitch {
         // packets of this flow(let) revisit this switch.
         let (delta, displaced) =
             (self.state.loops).observe(pkt.flow_hash, pkt.ttl, now, self.cfg.loop_age_out);
-        self.displaced.1 += u64::from(displaced);
+        self.counters.loops_displaced += u64::from(displaced);
         if delta >= LOOP_DELTA_THRESHOLD {
             self.state.flowlets.flush_fid(pkt.flow_hash);
             self.state.loops.reset(pkt.flow_hash);
-            ctx.note_loop_break();
+            self.counters.loop_breaks += 1;
         }
 
         // Fig 7: packets fresh from a host are stamped from BestT. Only a
@@ -436,7 +429,7 @@ impl ContraSwitch {
                     last: now,
                 };
                 let displaced = (self.state.flowlets).pin(flkey, pin, self.cfg.flowlet_timeout);
-                self.displaced.0 += u64::from(displaced);
+                self.counters.flowlets_displaced += u64::from(displaced);
                 pkt.tag = ntag.0;
                 pkt.pid = pid;
                 Verdict::Forward(nhop)
@@ -481,18 +474,14 @@ impl SwitchLogic for ContraSwitch {
                 );
             }
         }
-        self.probes_sent += sent;
+        self.counters.probes_sent += sent;
     }
 
     fn tick_interval(&self) -> Option<Time> {
         Some(self.cfg.probe_period)
     }
 
-    fn register_collisions(&self) -> (u64, u64) {
-        self.displaced
-    }
-
-    fn control_churn(&self) -> (u64, u64) {
-        (self.probes_sent, self.table_updates)
+    fn counters(&self) -> SwitchCounters {
+        self.counters
     }
 }

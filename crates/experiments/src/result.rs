@@ -53,8 +53,7 @@ pub struct Figures {
     /// Modeled register-array collisions: live entries displaced in the
     /// flowlet and loop tables, summed over all switches — the
     /// state-vs-quality trade-off of the paper's §5.3 sizing discussion.
-    /// Split counts live in
-    /// [`SimStats::flowlet_collisions`] / [`SimStats::loop_collisions`].
+    /// Split counts live in [`SimStats::switches`].
     pub register_collisions: u64,
     /// Worst observed time-to-reconvergence across the run's *failure*
     /// epochs, in ms: from the fault instant to the last `NoRoute`/
@@ -98,9 +97,9 @@ impl Figures {
             total_wire_bytes: stats.total_wire_bytes(),
             overhead_bytes: stats.wire_bytes.get(TrafficKind::Probe),
             looped_packets: stats.looped_packets,
-            loop_breaks: stats.loop_breaks,
+            loop_breaks: stats.switches.loop_breaks,
             delivered_packets: stats.delivered_packets,
-            register_collisions: stats.flowlet_collisions + stats.loop_collisions,
+            register_collisions: stats.switches.flowlets_displaced + stats.switches.loops_displaced,
             convergence_ms,
             lost_in_convergence: stats.fault_epochs.iter().map(|e| e.disruption_drops).sum(),
         }

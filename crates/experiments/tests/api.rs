@@ -363,17 +363,17 @@ fn undersized_flowlet_table_reports_collisions() {
     let r = scenario.run(&starved);
     assert_eq!(
         r.figures.register_collisions,
-        r.stats.flowlet_collisions + r.stats.loop_collisions
+        r.stats.switches.flowlets_displaced + r.stats.switches.loops_displaced
     );
     // Scheduler occupancy telemetry rides along on every run.
     assert!(r.stats.sched_peak_pending > 0);
 
     let roomy = scenario.run(&Contra::dc());
     assert!(
-        r.stats.flowlet_collisions > roomy.stats.flowlet_collisions,
+        r.stats.switches.flowlets_displaced > roomy.stats.switches.flowlets_displaced,
         "16 slots per switch must displace more live pins than the default ({} vs {})",
-        r.stats.flowlet_collisions,
-        roomy.stats.flowlet_collisions
+        r.stats.switches.flowlets_displaced,
+        roomy.stats.switches.flowlets_displaced
     );
     let fct = |r: &contra_experiments::RunResult| -> Vec<Option<Time>> {
         r.stats.flows.iter().map(|f| f.fct()).collect()

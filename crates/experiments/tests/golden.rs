@@ -27,9 +27,9 @@
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test golden -- --nocapture`
 
-use contra_baselines::{Ecmp, Hula, Sp};
+use contra_baselines::{Ecmp, Hula, Sp, Spain};
 use contra_dataplane::Contra;
-use contra_experiments::{RunResult, Scenario};
+use contra_experiments::{Pairs, RunResult, Scenario};
 use contra_sim::{percentile, RoutingSystem, Time};
 
 /// Renders every behavioral output the issue calls out — FCT percentiles,
@@ -65,7 +65,7 @@ fn fingerprint(r: &RunResult) -> String {
     }
     out.push_str(&format!(
         " delivered={} looped={} breaks={}",
-        s.delivered_packets, s.looped_packets, s.loop_breaks
+        s.delivered_packets, s.looped_packets, s.switches.loop_breaks
     ));
     out
 }
@@ -167,4 +167,14 @@ fn golden_abilene_ecmp() {
 #[test]
 fn golden_abilene_sp() {
     check(&abilene(), &Sp, "mean=40484136b7898d59 p50=403c025d18090b41 p99=405f9eed7c6fbd27 done=3fed79435e50d794 drop[QueueFull]=1037 wire[Data]=343162196 wire[Ack]=9018040 delivered=67864 looped=0 breaks=0");
+}
+
+/// SPAIN on twelve Abilene pairs. Each of the four pairs of [`abilene`]
+/// has the same path on every VLAN, so SPAIN runs there as SP does, bit
+/// for bit, and its ingress VLAN stamp would go unseen; some of these
+/// twelve pairs spread.
+#[test]
+fn golden_abilene_spain() {
+    let scenario = abilene().pairs(Pairs::Random(12));
+    check(&scenario, &Spain::new(4), "mean=4045ffc0d30b1c05 p50=403c03a3a8e71477 p99=40646771758e2196 done=3fe9435e50d79436 drop[QueueFull]=244 wire[Data]=284717485 wire[Ack]=6904120 delivered=46738 looped=0 breaks=0");
 }

@@ -52,7 +52,7 @@ fn fingerprint(r: &RunResult) -> String {
         " delivered={} looped={} collisions={}",
         s.delivered_packets,
         s.looped_packets,
-        s.flowlet_collisions + s.loop_collisions
+        s.switches.flowlets_displaced + s.switches.loops_displaced
     ));
     out
 }

@@ -7,8 +7,10 @@ use crate::corpus::{format_case, parse_case};
 use crate::gen::gen_case;
 use crate::oracle::{check, OracleKind};
 use crate::shrink::shrink;
+use contra_sim::FxHasher64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 /// Campaign parameters. The report is a pure function of this struct.
@@ -69,6 +71,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
     let mut failed: BTreeMap<OracleKind, usize> = BTreeMap::new();
     let mut divergences: Vec<(u64, OracleKind, String, String)> = Vec::new();
     let mut deep_left = cfg.deep_budget;
+    let mut deep_digest = FxHasher64::default();
 
     for i in 0..cfg.cases {
         let seed = case_seed(cfg.seed, i);
@@ -77,6 +80,9 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
         let outcome = check(&case, deep);
         if outcome.ran.contains(&OracleKind::DeepConvergence) {
             deep_left -= 1;
+        }
+        if let Some(d) = outcome.deep_digest {
+            deep_digest.write_u64(d);
         }
         for k in &outcome.ran {
             *ran.entry(*k).or_default() += 1;
@@ -120,6 +126,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
             failed.get(&k).copied().unwrap_or(0)
         );
     }
+    let _ = writeln!(r, "deep digest: {:016x}", deep_digest.finish());
     let _ = writeln!(r);
     let _ = writeln!(r, "divergences: {}", divergences.len());
     for (n, (seed, kind, detail, file)) in divergences.iter().enumerate() {

@@ -27,9 +27,10 @@ use contra_core::{
 };
 use contra_dataplane::{Contra, DataplaneConfig, ProtocolHarness};
 use contra_experiments::{Scenario, Traffic};
-use contra_sim::{DropReason, FlowSpec, Time};
+use contra_sim::{DropReason, FlowSpec, FxHasher64, Time};
 use contra_topology::{NodeId, Topology};
 use std::collections::{HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -102,6 +103,10 @@ pub struct CaseOutcome {
     pub findings: Vec<Finding>,
     /// Oracles that actually executed (budget/size caps skip some).
     pub ran: Vec<OracleKind>,
+    /// Digest of what the deep tier saw: every converged `traffic_path`
+    /// and the simulator's `NoRoute` count. `None` when it did not run
+    /// to the end.
+    pub deep_digest: Option<u64>,
 }
 
 /// `None` if the span is well-formed for `src` (or deliberately dummy),
@@ -317,17 +322,17 @@ fn check_black_holes(
     out
 }
 
+/// The deep tier's findings and its digest (see
+/// [`CaseOutcome::deep_digest`]).
 fn check_deep(
     cp: Arc<CompiledPolicy>,
     topo: &Topology,
     holes: &HashSet<(NodeId, NodeId)>,
     clean: bool,
     case: &Case,
-) -> Vec<Finding> {
+) -> (Vec<Finding>, u64) {
     let mut out = Vec::new();
-    if cp.pg.len() > MAX_DEEP_VNODES {
-        return out;
-    }
+    let mut digest = FxHasher64::default();
 
     // The verifier is deliberately optimistic about metric guards (a
     // guarded branch *might* apply at runtime), while converged tables
@@ -345,7 +350,9 @@ fn check_deep(
             if s == d {
                 continue;
             }
-            let routed = h.traffic_path(s, d).is_some();
+            let path = h.traffic_path(s, d);
+            path.hash(&mut digest);
+            let routed = path.is_some();
             let hole = holes.contains(&(s, d));
             if (routed && hole) || (!routed && !hole && guard_free) {
                 out.push(Finding {
@@ -363,6 +370,7 @@ fn check_deep(
     }
 
     // Packets: a clean verdict must mean zero NoRoute drops end to end.
+    let mut sim_noroute = None;
     if clean && guard_free {
         let hosts = topo.hosts();
         let pairs: Vec<(NodeId, NodeId)> = hosts
@@ -391,12 +399,9 @@ fn check_deep(
                 });
             }
             let r = s.run(&Contra::new(case.policy.clone()));
-            let noroute = r
-                .stats
-                .drops
-                .get(&DropReason::NoRoute)
-                .copied()
-                .unwrap_or(0);
+            let noroute = r.stats.drops.get(&DropReason::NoRoute).copied();
+            let noroute = noroute.unwrap_or(0);
+            sim_noroute = Some(noroute);
             if noroute > 0 {
                 out.push(Finding {
                     oracle: OracleKind::DeepConvergence,
@@ -409,7 +414,8 @@ fn check_deep(
             }
         }
     }
-    out
+    sim_noroute.hash(&mut digest);
+    (out, digest.finish())
 }
 
 /// Runs the oracle stack on one case. `deep` enables the budgeted
@@ -554,7 +560,10 @@ pub fn check(case: &Case, deep: bool) -> CaseOutcome {
                 match catch_unwind(AssertUnwindSafe(|| {
                     check_deep(cp.clone(), &topo, &holes, clean, case)
                 })) {
-                    Ok(fs) => o.findings.extend(fs),
+                    Ok((fs, digest)) => {
+                        o.findings.extend(fs);
+                        o.deep_digest = Some(digest);
+                    }
                     Err(e) => o.findings.push(Finding {
                         oracle: OracleKind::Totality,
                         detail: format!("deep tier panicked: {}", panic_msg(e)),

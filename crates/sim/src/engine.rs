@@ -48,7 +48,7 @@ use crate::observe::{Obs, Observers};
 use crate::packet::{FlowId, Packet, PacketKind, PacketPool, HDR_BYTES};
 use crate::sched::TimingWheel;
 use crate::stats::SimStats;
-use crate::switch::{SwitchCtx, SwitchLogic, Verdict};
+use crate::switch::{SwitchCounters, SwitchCtx, SwitchLogic, Verdict};
 use crate::time::Time;
 use crate::transport::{FlowSpec, Transport, TransportEffect, TransportFx, TransportTimer};
 use contra_telemetry::TelemetryReport;
@@ -305,21 +305,18 @@ impl Simulator {
             }
         }
         // Consistency check and a final sample at the end-of-run
-        // instant, then the engine-side totals: the event count,
-        // scheduler occupancy and the dataplane's live register entries
-        // displaced.
+        // instant, then the totals: the event count, scheduler occupancy
+        // and what the switches counted.
         self.emit_checkpoint(true);
         self.emit_sample();
-        let mut collisions = (0, 0);
+        let mut switches = SwitchCounters::default();
         for logic in self.logics.iter().flatten() {
-            let (flowlet, hloop) = logic.register_collisions();
-            collisions.0 += flowlet;
-            collisions.1 += hloop;
+            switches += logic.counters();
         }
         let end = Obs::End {
             events: self.events,
             sched: self.queue.counters(),
-            collisions,
+            switches,
         };
         self.obs.emit(self.now, end);
     }
@@ -499,10 +496,7 @@ impl Simulator {
         let out_buf = std::mem::take(&mut self.out_buf);
         let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
         let verdict = logic.on_packet(&mut ctx, pkt, from);
-        let SwitchCtx {
-            out, loop_breaks, ..
-        } = ctx;
-        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
+        let out = ctx.out;
         match verdict {
             Verdict::Forward(next) => self.transmit(node, next, slot),
             Verdict::Consume => self.pool.free(slot),
@@ -518,10 +512,7 @@ impl Simulator {
         let out_buf = std::mem::take(&mut self.out_buf);
         let mut ctx = SwitchCtx::new(node, self.now, &self.topo, &self.links, out_buf);
         logic.on_tick(&mut ctx);
-        let SwitchCtx {
-            out, loop_breaks, ..
-        } = ctx;
-        self.obs.emit(self.now, Obs::LoopBreaks(loop_breaks));
+        let out = ctx.out;
         self.send_originated(node, out);
         if let Some(t) = self.tick_of[node.0 as usize] {
             let at = self.now + t;

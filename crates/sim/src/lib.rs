@@ -75,7 +75,7 @@ pub use stats::{
     percentile, FaultEpoch, FlowRecord, GoodputDip, QueueSample, SimStats, TrafficKind, WireBytes,
     QUEUE_SAMPLE_CAP,
 };
-pub use switch::{SwitchCtx, SwitchLogic, Verdict};
+pub use switch::{SwitchCounters, SwitchCtx, SwitchLogic, Verdict};
 pub use system::{CompileCache, InstallCtx, InstallError, RoutingSystem};
 pub use time::{tx_time, Time};
 pub use trace::TraceTable;

@@ -20,7 +20,7 @@ use crate::packet::{FlowId, PacketPool};
 use crate::recorder::Recorder;
 use crate::sched::SchedCounters;
 use crate::stats::{SimStats, TrafficKind};
-use crate::switch::SwitchLogic;
+use crate::switch::{SwitchCounters, SwitchLogic};
 use crate::time::Time;
 use crate::trace::TraceTable;
 use contra_topology::{NodeId, Topology};
@@ -67,8 +67,6 @@ pub enum Obs<'a> {
     FlowStart { flow: u32 },
     /// `flow`'s congestion window after a transport action.
     Cwnd { flow: u32, cwnd: f64 },
-    /// Loop-break events one switch handler reported (§5.5).
-    LoopBreaks(u64),
     /// A directed link actually went down (after its flush drops).
     LinkDown { link: u32 },
     /// A directed link actually came back up.
@@ -94,13 +92,12 @@ pub enum Obs<'a> {
         logics: &'a [Option<Box<dyn SwitchLogic>>],
         events: u64,
     },
-    /// The event loop drained: engine-side totals, handed over once.
+    /// The event loop drained: the run's totals, handed over once.
     End {
         events: u64,
         sched: SchedCounters,
-        /// `(flowlet, loop)` live register entries displaced over all
-        /// switches.
-        collisions: (u64, u64),
+        /// Every switch's [`SwitchLogic::counters`], summed.
+        switches: SwitchCounters,
     },
 }
 
@@ -241,7 +238,7 @@ mod tests {
         let end = Obs::End {
             events: 9,
             sched: SchedCounters::default(),
-            collisions: (0, 0),
+            switches: SwitchCounters::default(),
         };
         let script = [
             (1, Obs::FlowStart { flow: 0 }),
@@ -251,7 +248,6 @@ mod tests {
             (2, on_wire(0, false)),
             (3, Obs::Taken),
             (3, Obs::Visit { pkt: 1, node: s }),
-            (3, Obs::LoopBreaks(1)),
             (3, Obs::Offered),
             (3, on_wire(1, true)),
             (4, Obs::Taken),

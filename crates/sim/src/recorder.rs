@@ -302,8 +302,8 @@ impl Recorder {
         }
         for (n, logic) in logics.iter().enumerate() {
             if let Some(logic) = logic {
-                let (probes, updates) = logic.control_churn();
-                self.sample_churn(now, n as u32, probes, updates);
+                let c = logic.counters();
+                self.sample_churn(now, n as u32, c.probes_sent, c.table_updates);
             }
         }
         self.metrics
@@ -422,7 +422,7 @@ mod tests {
         let end = Obs::End {
             events: 0,
             sched: Default::default(),
-            collisions: (0, 0),
+            switches: Default::default(),
         };
         rec.on(Time::us(20), &end);
         assert_eq!(

@@ -3,6 +3,7 @@
 use crate::link::DropReason;
 use crate::observe::{Obs, Observer};
 use crate::packet::FlowId;
+use crate::switch::SwitchCounters;
 use crate::time::Time;
 use std::collections::BTreeMap;
 
@@ -199,13 +200,11 @@ pub struct SimStats {
     /// Samples discarded after `queue_samples` hit its cap (0 in any
     /// run short enough to retain them all).
     pub queue_samples_capped: u64,
-    /// Payload packets that traversed a forwarding loop (visited the same
-    /// switch twice), as detected by the engine's TTL bookkeeping.
+    /// Payload packets that visited one switch twice, as the path table
+    /// finds them: 0 unless `SimConfig::trace_paths` is on.
     pub looped_packets: u64,
     /// Payload packets delivered to their destination host.
     pub delivered_packets: u64,
-    /// Loop-breaking events reported by switch logic (§5.5).
-    pub loop_breaks: u64,
     /// Events popped off the engine's queue — the denominator of every
     /// events/sec throughput figure.
     pub events_processed: u64,
@@ -217,15 +216,9 @@ pub struct SimStats {
     /// Events that landed beyond the timing wheel's horizon in its
     /// overflow heap.
     pub sched_overflow: u64,
-    /// Live entries displaced in the flowlet tables: pins written over
-    /// another flowlet's pin that was still within the flowlet timeout
-    /// (modeled register pressure), summed over all switches at the end
-    /// of a run.
-    pub flowlet_collisions: u64,
-    /// Live entries displaced in the loop tables: observations written
-    /// over another hash's row that had not yet aged out, summed over all
-    /// switches at the end of a run.
-    pub loop_collisions: u64,
+    /// What every switch program counted, summed at the end of a run
+    /// ([`SwitchLogic::counters`](crate::SwitchLogic::counters)).
+    pub switches: SwitchCounters,
     /// UDP bytes delivered, bucketed by [`SimStats::udp_bucket`] for
     /// throughput-over-time plots (Fig 14). The bucket currently being
     /// filled is held in `udp_cur` (deliveries arrive in time order, so
@@ -397,7 +390,6 @@ impl Observer for SimStats {
                     self.on_udp_delivered(now, bytes);
                 }
             }
-            Obs::LoopBreaks(n) => self.loop_breaks += n,
             Obs::FaultEpoch { label, down } => self.fault_epochs.push(FaultEpoch {
                 at: now,
                 label: label.to_string(),
@@ -421,14 +413,14 @@ impl Observer for SimStats {
             Obs::End {
                 events,
                 sched,
-                collisions,
+                switches,
             } => {
                 self.flush_udp();
                 self.events_processed = events;
                 self.sched_peak_pending = sched.peak_pending;
                 self.sched_cascades = sched.cascades;
                 self.sched_overflow = sched.overflow_pushes;
-                (self.flowlet_collisions, self.loop_collisions) = collisions;
+                self.switches = switches;
             }
             _ => {}
         }
@@ -631,15 +623,19 @@ mod tests {
             s.on(Time::us(10), &obs);
         }
         s.on(Time::us(11), &Obs::Offered);
-        s.on(Time::us(12), &Obs::LoopBreaks(2));
+        let switches = SwitchCounters {
+            loops_displaced: 4,
+            loop_breaks: 2,
+            ..SwitchCounters::default()
+        };
         let end = Obs::End {
             events: 7,
             sched: Default::default(),
-            collisions: (3, 4),
+            switches,
         };
         s.on(Time::us(20), &end);
-        assert_eq!((s.delivered_packets, s.loop_breaks), (2, 2));
+        assert_eq!(s.delivered_packets, 2);
         assert_eq!(s.udp_delivered[&0], 1000);
-        assert_eq!((s.events_processed, s.loop_collisions), (7, 4));
+        assert_eq!((s.events_processed, s.switches), (7, switches));
     }
 }

@@ -51,22 +51,43 @@ pub trait SwitchLogic {
         None
     }
 
-    /// Modeled register-array collision counts of this switch, as
-    /// `(flowlet_table, loop_table)`: live entries displaced, i.e. writes
-    /// over another key's entry that had not yet expired (a hardware
-    /// artifact the dataplane counts, not an error). The engine sums
-    /// these into `SimStats` at the end of a run. Logic without bounded
-    /// register state reports zero.
-    fn register_collisions(&self) -> (u64, u64) {
-        (0, 0)
+    /// What this switch has counted since install: the one way its
+    /// counts leave it, read off it as registers are read off a switch.
+    /// The engine sums every switch's into [`SimStats::switches`] at the
+    /// end of a run, and the telemetry recorder samples it on its
+    /// cadence. Logic that counts nothing reports zeros.
+    ///
+    /// [`SimStats::switches`]: crate::SimStats::switches
+    fn counters(&self) -> SwitchCounters {
+        SwitchCounters::default()
     }
+}
 
-    /// Cumulative control-plane churn of this switch, as
-    /// `(probes_sent, table_updates)`. Sampled on a fixed cadence by the
-    /// telemetry recorder to expose probe/table-update rates per switch;
-    /// logic without a control plane reports zero.
-    fn control_churn(&self) -> (u64, u64) {
-        (0, 0)
+/// A switch program's cumulative counts (see [`SwitchLogic::counters`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SwitchCounters {
+    /// Probes originated and forwarded.
+    pub probes_sent: u64,
+    /// Forwarding-table writes (accepted probe updates): control-plane
+    /// churn.
+    pub table_updates: u64,
+    /// Flowlet-register writes over another flowlet's pin that was still
+    /// live: modelled register pressure, not an error.
+    pub flowlets_displaced: u64,
+    /// Loop-register observations over another hash's row that had not
+    /// yet aged out.
+    pub loops_displaced: u64,
+    /// Flowlet flushes on TTL drift (§5.5).
+    pub loop_breaks: u64,
+}
+
+impl std::ops::AddAssign for SwitchCounters {
+    fn add_assign(&mut self, c: SwitchCounters) {
+        self.probes_sent += c.probes_sent;
+        self.table_updates += c.table_updates;
+        self.flowlets_displaced += c.flowlets_displaced;
+        self.loops_displaced += c.loops_displaced;
+        self.loop_breaks += c.loop_breaks;
     }
 }
 
@@ -81,8 +102,6 @@ pub struct SwitchCtx<'a> {
     /// Originated packets, transmitted by the engine after the handler
     /// returns.
     pub(crate) out: Vec<(NodeId, Packet)>,
-    /// Loop-break events reported by the logic (§5.5 statistics).
-    pub(crate) loop_breaks: u64,
 }
 
 impl<'a> SwitchCtx<'a> {
@@ -105,7 +124,6 @@ impl<'a> SwitchCtx<'a> {
             topo,
             links,
             out,
-            loop_breaks: 0,
         }
     }
 
@@ -129,24 +147,11 @@ impl<'a> SwitchCtx<'a> {
         self.out.push((next, pkt));
     }
 
-    /// Records a flowlet loop-break event (§5.5).
-    pub fn note_loop_break(&mut self) {
-        self.loop_breaks += 1;
-    }
-
-    /// Estimated utilization of this switch's egress link toward `next`
-    /// (the decayed byte counter normalized by capacity — what the paper's
-    /// `UPDATEMVEC` reads for `path.util`).
-    pub fn util_to(&self, next: NodeId) -> f64 {
-        match self.topo.link_between(self.switch, next) {
-            Some(l) => self.links[l.0 as usize].utilization(self.now),
-            None => 0.0,
-        }
-    }
-
-    /// [`SwitchCtx::util_to`] and the one-way propagation delay toward
-    /// `next` in seconds (for `path.lat`), from one link lookup: the two
-    /// fields `UPDATEMVEC` folds into a probe.
+    /// The estimated utilization of this switch's egress link toward
+    /// `next` (the decayed byte counter normalized by capacity, for
+    /// `path.util`) and its one-way propagation delay in seconds (for
+    /// `path.lat`), from one link lookup: the two fields `UPDATEMVEC`
+    /// folds into a probe. `(0.0, 0.0)` where there is no such link.
     pub fn util_lat_to(&self, next: NodeId) -> (f64, f64) {
         match self.topo.link_between(self.switch, next) {
             Some(l) => {
@@ -168,11 +173,5 @@ impl<'a> SwitchCtx<'a> {
             .link_between(self.switch, next)
             .map(|l| self.links[l.0 as usize].up)
             .unwrap_or(false)
-    }
-
-    /// Whether a node id refers to a switch (e.g. to test if a packet came
-    /// from an attached host — Fig 7's `fromHost`).
-    pub fn is_switch(&self, n: NodeId) -> bool {
-        self.topo.is_switch(n)
     }
 }

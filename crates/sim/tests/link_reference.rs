@@ -233,7 +233,7 @@ impl SwitchLogic for Injector {
     }
 
     fn on_tick(&mut self, ctx: &mut SwitchCtx<'_>) {
-        let util = ctx.util_to(self.to);
+        let util = ctx.util_lat_to(self.to).0;
         self.log.borrow_mut().utils.push(util.to_bits());
         while let Some(((_, size), seq)) = self.offers.next_if(|(o, _)| o.0 == ctx.now.0) {
             let pkt = Packet {
